@@ -29,16 +29,15 @@ from cutpoisson.mesh import (
     CutTopology,
     build_background,
     classify,
-    ghost_penalty_faces,
     submesh,
 )
 from cutpoisson.quadrature import (
+    PackedRule,
     QuadRule,
     RuleSet,
     build_rules,
     cut_boundary_rule,
     cut_volume_rule,
-    face_rule,
 )
 from cutpoisson.space import (
     DofMap,

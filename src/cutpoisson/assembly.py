@@ -16,8 +16,8 @@ import scipy.sparse as sp
 
 from cutpoisson.geometry import TubeParams, cutoff
 from cutpoisson.mesh import _point_triangle_distance
-from cutpoisson.quadrature import _barycentric, refine_rule_toward
-from cutpoisson.space import FeFunction, evaluate, face_normal, gradient, hat_gradients
+from cutpoisson.quadrature import PackedRule, _barycentric, _tri_diam, refine_rule_toward
+from cutpoisson.space import FeFunction, face_normal, hat_gradients
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,20 @@ class SystemMatrices:
     symmetric: bool
 
 
-def _coo_accumulate(ndof, rows, cols, vals):
-    """Sum duplicate entries in a fixed order (row, col, insertion order).
+def _coo_accumulate(ndof, dofs, blocks):
+    """Scatter local blocks (n, k, k) on dofs (n, k) into a global matrix.
 
-    Symmetric pairs (i, j) and (j, i) then accumulate bitwise-identical addend
-    sequences, so operators built from symmetric local blocks stay exactly
+    Duplicates are summed in a fixed order (row, col, insertion order), so
+    symmetric pairs (i, j) and (j, i) accumulate bitwise-identical addend
+    sequences, and operators built from symmetric local blocks stay exactly
     symmetric in floating point, independent of sparse library internals.
     """
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    v = np.concatenate(vals)
+    k = dofs.shape[1]
+    r = np.repeat(dofs, k, axis=1).ravel()
+    c = np.tile(dofs, (1, k)).ravel()
+    v = blocks.ravel()
+    if not len(v):
+        return sp.csr_matrix((ndof, ndof))
     order = np.lexsort((np.arange(len(v)), c, r))
     r, c, v = r[order], c[order], v[order]
     starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
@@ -79,71 +83,68 @@ def _coo_accumulate(ndof, rows, cols, vals):
     return sp.csr_matrix((sums, (r[starts], c[starts])), shape=(ndof, ndof))
 
 
-def assemble_stiffness(dofmap, rules):
-    """Gradient-gradient form over the cut domain: (grad u, grad v) on each T cap Omega."""
-    topology = dofmap.topology
+def _active_cells(dofmap):
+    """Vertex coordinates, hat gradients (both (m, 3, 2)) and dofs (m, 3) of the active cells."""
     mesh = dofmap.mesh
-    active = topology.active
-    grads = np.array([hat_gradients(mesh.triangle_coords(t)) for t in active])
-    masses = np.array([rules.volume[int(t)].measure for t in active])
-    local = np.einsum("tid,tjd,t->tij", grads, grads, masses)
-    dofs = dofmap.vertex_to_dof[mesh.triangles[active]]
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    return _coo_accumulate(dofmap.ndof, [rows], [cols], [local.ravel()])
+    tris = mesh.triangles[dofmap.topology.active]
+    coords = mesh.vertices[tris]
+    return coords, hat_gradients(coords), dofmap.vertex_to_dof[tris]
 
 
-def _boundary_local(dofmap, t, rule, weight=None):
-    """Per-triangle boundary data: hat values, normal fluxes, effective weights."""
-    coords = dofmap.mesh.triangle_coords(t)
-    lam = _barycentric(coords, rule.points)
-    flux = rule.normals @ hat_gradients(coords).T  # (nq, 3), grad(phi_j) . n
+def _vector(ndof, dofs, values):
+    """Global vector from local contributions (n, 3) on dofs (n, 3), over several parts."""
+    return np.bincount(
+        np.concatenate(dofs).ravel(), np.concatenate(values).ravel(), minlength=ndof
+    )
+
+
+# Volume points per batch of per-point work, which bounds the memory it takes.
+_CHUNK = 1 << 16
+
+
+def _chunks(rule):
+    """Consecutive pieces of ``_CHUNK`` points of a packed rule."""
+    return (rule.select(slice(lo, lo + _CHUNK)) for lo in range(0, len(rule.weights), _CHUNK))
+
+
+def _boundary_local(coords, grads, rule, weight=None):
+    """Per-point boundary data: hat values, normal fluxes (both (nq, 3)), effective weights."""
+    lam = _barycentric(coords, rule.points, rule.owner)
+    flux = np.einsum("qd,qjd->qj", rule.normals, grads[rule.owner])  # grad(phi_j) . n
     w = rule.weights if weight is None else rule.weights * weight(rule.points)
     return lam, flux, w
 
 
+def assemble_stiffness(dofmap, rules):
+    """Gradient-gradient form over the cut domain: (grad u, grad v) on each T cap Omega."""
+    _, grads, dofs = _active_cells(dofmap)
+    masses = np.bincount(rules.volume.owner, rules.volume.weights, minlength=len(dofs))
+    local = np.einsum("tid,tjd,t->tij", grads, grads, masses)
+    return _coo_accumulate(dofmap.ndof, dofs, local)
+
+
 def assemble_boundary_mass(dofmap, rules):
     """Mass matrix on the Dirichlet part of the boundary."""
-    rows, cols, vals = [], [], []
-    for t, (rule_d, _) in rules.boundary.items():
-        if not len(rule_d):
-            continue
-        lam, _, w = _boundary_local(dofmap, t, rule_d)
-        scaled = lam * np.sqrt(w)[:, None]  # Gram form keeps the block bitwise symmetric
-        local = scaled.T @ scaled
-        dofs = dofmap.triangle_dofs(t)
-        rows.append(np.repeat(dofs, 3))
-        cols.append(np.tile(dofs, 3))
-        vals.append(local.ravel())
-    if not rows:
-        return sp.csr_matrix((dofmap.ndof, dofmap.ndof))
-    return _coo_accumulate(dofmap.ndof, rows, cols, vals)
+    coords, grads, dofs = _active_cells(dofmap)
+    rule = rules.dirichlet
+    lam, _, w = _boundary_local(coords, grads, rule)
+    scaled = lam * np.sqrt(w)[:, None]  # Gram form keeps the block bitwise symmetric
+    return _coo_accumulate(dofmap.ndof, dofs[rule.owner], scaled[:, :, None] * scaled[:, None, :])
 
 
-def _flux_matrix(dofmap, rules, include_neumann=False, weight=None):
-    """Entries (i, j) of the boundary flux pairing (grad(phi_j) . n, phi_i)."""
-    rows, cols, vals = [], [], []
-    for t, (rule_d, rule_n) in rules.boundary.items():
-        parts = [rule_d, rule_n] if include_neumann else [rule_d]
-        for rule in parts:
-            if not len(rule):
-                continue
-            lam, flux, w = _boundary_local(dofmap, t, rule, weight)
-            local = lam.T @ (flux * w[:, None])  # test i rows, trial j cols
-            dofs = dofmap.triangle_dofs(t)
-            rows.append(np.repeat(dofs, 3))
-            cols.append(np.tile(dofs, 3))
-            vals.append(local.ravel())
-    if not rows:
-        return sp.csr_matrix((dofmap.ndof, dofmap.ndof))
-    return _coo_accumulate(dofmap.ndof, rows, cols, vals)
+def _flux_matrix(dofmap, rule, weight=None):
+    """Entries (i, j) of the boundary flux pairing (grad(phi_j) . n, phi_i) over ``rule``."""
+    coords, grads, dofs = _active_cells(dofmap)
+    lam, flux, w = _boundary_local(coords, grads, rule, weight)
+    local = lam[:, :, None] * (flux * w[:, None])[:, None, :]  # test i rows, trial j cols
+    return _coo_accumulate(dofmap.ndof, dofs[rule.owner], local)
 
 
 def assemble_nitsche(dofmap, rules, params):
     """Standard symmetric Nitsche operator with Dirichlet penalty."""
     h = dofmap.mesh.h
     K = assemble_stiffness(dofmap, rules)
-    B = _flux_matrix(dofmap, rules)
+    B = _flux_matrix(dofmap, rules.dirichlet)
     M = assemble_boundary_mass(dofmap, rules)
     # grouping the two flux terms keeps the matrix bitwise symmetric
     return (K - (B + B.T) + (params.beta / h) * M).tocsr()
@@ -160,21 +161,7 @@ def cutoff_flux_neumann(dofmap, rules, domain, params):
     tube = TubeParams(
         params.tube.delta, params.epsilon, params.tube.delta0, params.tube.epsilon0
     )
-    rows, cols, vals = [], [], []
-    for t, (_, rule_n) in rules.boundary.items():
-        if not len(rule_n):
-            continue
-        lam, flux, w = _boundary_local(
-            dofmap, t, rule_n, weight=lambda pts: cutoff(domain, tube, pts)
-        )
-        local = lam.T @ (flux * w[:, None])
-        dofs = dofmap.triangle_dofs(t)
-        rows.append(np.repeat(dofs, 3))
-        cols.append(np.tile(dofs, 3))
-        vals.append(local.ravel())
-    if not rows:
-        return sp.csr_matrix((dofmap.ndof, dofmap.ndof))
-    return _coo_accumulate(dofmap.ndof, rows, cols, vals)
+    return _flux_matrix(dofmap, rules.neumann, weight=lambda pts: cutoff(domain, tube, pts))
 
 
 def assemble_regularized(dofmap, rules, params, domain):
@@ -193,47 +180,41 @@ def assemble_regularized(dofmap, rules, params, domain):
 def assemble_ghost_penalty(dofmap, rules, params):
     """Face-jump stabilizer sigma * h * sum_F int_F [grad_n u][grad_n v]."""
     mesh = dofmap.mesh
-    rows, cols, vals = [], [], []
-    for f, rule in rules.face.items():
-        t1, t2 = mesh.face_tris[f]
-        n1 = face_normal(mesh, f, t1)
-        vids = np.unique(np.concatenate([mesh.triangles[t1], mesh.triangles[t2]]))
-        jump = np.zeros(len(vids))
-        for t, sign in ((t1, 1.0), (t2, -1.0)):
-            flux = hat_gradients(mesh.triangle_coords(t)) @ n1
-            for k, v in enumerate(mesh.triangles[t]):
-                jump[np.searchsorted(vids, v)] += sign * flux[k]
-        local = params.sigma * mesh.h * rule.measure * np.outer(jump, jump)
-        dofs = dofmap.vertex_to_dof[vids]
-        rows.append(np.repeat(dofs, len(vids)))
-        cols.append(np.tile(dofs, len(vids)))
-        vals.append(local.ravel())
-    if not rows:
-        return sp.csr_matrix((dofmap.ndof, dofmap.ndof))
-    return _coo_accumulate(dofmap.ndof, rows, cols, vals)
+    faces = dofmap.topology.ghost_faces
+    t1, t2 = mesh.face_tris[faces].T
+    n1 = face_normal(mesh, faces, t1)
+    vids = np.concatenate([mesh.triangles[t1], mesh.triangles[t2]], axis=1)
+    flux = [np.einsum("fkd,fd->fk", hat_gradients(mesh.triangle_coords(t)), n1) for t in (t1, t2)]
+    flux = np.concatenate([flux[0], -flux[1]], axis=1)
+    # combine the two shared vertices: the four distinct vertices in ascending order
+    order = np.argsort(vids, axis=1, kind="stable")
+    vids, flux = (np.take_along_axis(a, order, axis=1) for a in (vids, flux))
+    first = np.c_[np.ones((len(faces), 1), dtype=bool), vids[:, 1:] != vids[:, :-1]]
+    jump = np.zeros((len(faces), 4))
+    np.add.at(jump, (np.arange(len(faces))[:, None], np.cumsum(first, axis=1) - 1), flux)
+    scale = params.sigma * mesh.h * rules.face_lengths
+    local = scale[:, None, None] * (jump[:, :, None] * jump[:, None, :])
+    dofs = dofmap.vertex_to_dof[vids[first].reshape(-1, 4)]
+    return _coo_accumulate(dofmap.ndof, dofs, local)
 
 
 def assemble_load(dofmap, rules, params, data):
     """Load vector with source, Neumann flux, and Dirichlet Nitsche data terms."""
     h = dofmap.mesh.h
-    mesh = dofmap.mesh
-    b = np.zeros(dofmap.ndof)
-    for t, rule in rules.volume.items():
-        if not len(rule):
-            continue
-        coords = mesh.triangle_coords(t)
-        lam = _barycentric(coords, rule.points)
-        b[dofmap.triangle_dofs(t)] += lam.T @ (rule.weights * data.f(rule.points))
-    for t, (rule_d, rule_n) in rules.boundary.items():
-        dofs = dofmap.triangle_dofs(t)
-        if len(rule_n):
-            lam, _, w = _boundary_local(dofmap, t, rule_n)
-            b[dofs] += lam.T @ (w * data.g_N(rule_n.points))
-        if len(rule_d):
-            lam, flux, w = _boundary_local(dofmap, t, rule_d)
-            gd = data.g_D(rule_d.points)
-            b[dofs] += (params.beta / h) * (lam.T @ (w * gd))
-            b[dofs] -= flux.T @ (w * gd)
+    coords, grads, dofs = _active_cells(dofmap)
+    rule_n, rule_d = rules.neumann, rules.dirichlet
+    lam_n, _, w_n = _boundary_local(coords, grads, rule_n)
+    lam_d, flux_d, w_d = _boundary_local(coords, grads, rule_d)
+    gd = w_d * data.g_D(rule_d.points)
+    values = [
+        lam_n * (w_n * data.g_N(rule_n.points))[:, None],
+        (params.beta / h) * lam_d * gd[:, None] - flux_d * gd[:, None],
+    ]
+    b = _vector(dofmap.ndof, [dofs[rule_n.owner], dofs[rule_d.owner]], values)
+    for part in _chunks(rules.volume):
+        lam = _barycentric(coords, part.points, part.owner)
+        wf = part.weights * data.f(part.points)
+        b += _vector(dofmap.ndof, [dofs[part.owner]], [lam * wf[:, None]])
     return b
 
 
@@ -258,36 +239,32 @@ def nitsche_action(dofmap, rules, params, u, grad_u, domain=None, chi_weighted=F
     Entry i is form(u, phi_i), with the exact solution entering through its
     analytic values and gradients at the quadrature points.
     """
-    h = dofmap.mesh.h
-    mesh = dofmap.mesh
-    out = np.zeros(dofmap.ndof)
-    for t, rule in rules.volume.items():
-        if not len(rule):
-            continue
-        coords = mesh.triangle_coords(t)
-        flux_int = (rule.weights[:, None] * grad_u(rule.points)).sum(axis=0)
-        out[dofmap.triangle_dofs(t)] += hat_gradients(coords) @ flux_int
     if chi_weighted and params.tube is None:
         raise ValueError("cutoff weighting requires tube parameters")
     if chi_weighted:
         tube = TubeParams(
             params.tube.delta, params.epsilon, params.tube.delta0, params.tube.epsilon0
         )
-    for t, (rule_d, rule_n) in rules.boundary.items():
-        dofs = dofmap.triangle_dofs(t)
-        if len(rule_d):
-            lam, flux, w = _boundary_local(dofmap, t, rule_d)
-            un = (grad_u(rule_d.points) * rule_d.normals).sum(axis=1)
-            uv = u(rule_d.points)
-            w_flux = w * cutoff(domain, tube, rule_d.points) if chi_weighted else w
-            out[dofs] -= lam.T @ (w_flux * un)
-            out[dofs] -= flux.T @ (w * uv)
-            out[dofs] += (params.beta / h) * (lam.T @ (w * uv))
-        if chi_weighted and len(rule_n):
-            lam, _, w = _boundary_local(dofmap, t, rule_n)
-            un = (grad_u(rule_n.points) * rule_n.normals).sum(axis=1)
-            out[dofs] -= lam.T @ (w * cutoff(domain, tube, rule_n.points) * un)
-    return out
+    h = dofmap.mesh.h
+    coords, grads, dofs = _active_cells(dofmap)
+    vol, rule_d, rule_n = rules.volume, rules.dirichlet, rules.neumann
+    wg = vol.weights[:, None] * grad_u(vol.points)
+    flux_int = np.stack([np.bincount(vol.owner, g, minlength=len(dofs)) for g in wg.T], axis=1)
+    lam, flux, w = _boundary_local(coords, grads, rule_d)
+    un = (grad_u(rule_d.points) * rule_d.normals).sum(axis=1)
+    uv = w * u(rule_d.points)
+    w_flux = w * cutoff(domain, tube, rule_d.points) if chi_weighted else w
+    parts = [dofs, dofs[rule_d.owner]]
+    values = [
+        np.einsum("tkd,td->tk", grads, flux_int),
+        (params.beta / h) * lam * uv[:, None] - flux * uv[:, None] - lam * (w_flux * un)[:, None],
+    ]
+    if chi_weighted:
+        lam_n, _, w_n = _boundary_local(coords, grads, rule_n)
+        un_n = (grad_u(rule_n.points) * rule_n.normals).sum(axis=1)
+        parts.append(dofs[rule_n.owner])
+        values.append(-lam_n * (w_n * cutoff(domain, tube, rule_n.points) * un_n)[:, None])
+    return _vector(dofmap.ndof, parts, values)
 
 
 def energy_gram(dofmap, rules, params, stabilizer=None, with_stabilization=True):
@@ -307,9 +284,7 @@ def energy_norm(v, gram):
     return float(np.sqrt(max(0.0, x @ (gram @ x))))
 
 
-def ghost_penalty_seminorm(v, stabilizer):
-    x = v.coefficients if isinstance(v, FeFunction) else np.asarray(v)
-    return float(np.sqrt(max(0.0, x @ (stabilizer @ x))))
+ghost_penalty_seminorm = energy_norm  # the same quadratic form, with the stabilizer as Gram matrix
 
 
 @dataclass
@@ -321,40 +296,54 @@ class ErrorNorms:
     l2: float
 
 
+def _cells_near(points, coords, radius):
+    """Per cell, the index of the first point within ``radius`` of the closed triangle, or -1."""
+    near = np.full(len(coords), -1)
+    centroids = coords.mean(axis=1)
+    reach = radius + _tri_diam(coords)  # a triangle lies within its diameter of its centroid
+    for i, z in enumerate(points):
+        candidates = (near < 0) & (np.linalg.norm(centroids - z, axis=1) <= reach)
+        for t in np.flatnonzero(candidates):
+            if _point_triangle_distance(z, coords[t]) <= radius:
+                near[t] = i
+    return near
+
+
 def error_norms(problem, u_h, rules, params, stabilizer, refine_levels=0):
     """Energy error (without stabilization), stabilizer seminorm, and L2 error.
 
     The energy error pairs the broken gradient over the cut volumes with the
-    scaled Dirichlet trace mismatch.  Near points of reduced regularity the
-    volume rules are refined so the quadrature of the singular gradient does
-    not pollute the reported norms.
+    scaled Dirichlet trace mismatch.  Near points of reduced regularity (cells
+    within 2h of one) the volume rules are refined so the quadrature of the
+    singular gradient does not pollute the reported norms.
     """
     dofmap = u_h.dofmap
-    mesh = dofmap.mesh
-    domain = problem.domain
-    grad_sq = 0.0
-    l2_sq = 0.0
-    for t, rule in rules.volume.items():
-        coords = mesh.triangle_coords(t)
-        if refine_levels and len(problem.singular_points):
-            for z in problem.singular_points:
-                if _point_triangle_distance(np.asarray(z), coords) <= 2.0 * mesh.h:
-                    rule = refine_rule_toward(
-                        coords, domain, z, tol=rules.tol, levels=refine_levels
-                    )
-                    break
-        if not len(rule):
-            continue
-        lam = _barycentric(coords, rule.points)
-        diff_grad = problem.grad_u(rule.points) - gradient(u_h, t)
-        grad_sq += float(rule.weights @ (diff_grad**2).sum(axis=1))
-        diff = problem.u(rule.points) - lam @ u_h.vertex_values(t)
-        l2_sq += float(rule.weights @ diff**2)
-    trace_sq = 0.0
-    for t, (rule_d, _) in rules.boundary.items():
-        if not len(rule_d):
-            continue
-        diff = problem.u(rule_d.points) - evaluate(u_h, t, rule_d.points)
-        trace_sq += float(rule_d.weights @ diff**2)
-    energy = float(np.sqrt(grad_sq + trace_sq / mesh.h))
+    h = dofmap.mesh.h
+    coords, grads, dofs = _active_cells(dofmap)
+    vol = rules.volume
+    if refine_levels and len(problem.singular_points):
+        singular = np.asarray(problem.singular_points, dtype=float)
+        target = _cells_near(singular, coords, 2.0 * h)
+        keep = target[vol.owner] < 0
+        parts = [(vol.points[keep], vol.weights[keep], vol.owner[keep])]
+        for t in np.flatnonzero(target >= 0):
+            rule = refine_rule_toward(
+                coords[t], problem.domain, singular[target[t]], tol=rules.tol, levels=refine_levels
+            )
+            parts.append((rule.points, rule.weights, np.full(len(rule), t)))
+        vol = PackedRule(*(np.concatenate(a) for a in zip(*parts)))
+    vals = u_h.coefficients[dofs]
+    grad_h = np.einsum("tk,tkd->td", vals, grads)
+    grad_sq = l2_sq = 0.0
+    for part in _chunks(vol):
+        diff_grad = problem.grad_u(part.points) - grad_h[part.owner]
+        grad_sq += float(part.weights @ (diff_grad**2).sum(axis=1))
+        lam = _barycentric(coords, part.points, part.owner)
+        diff = problem.u(part.points) - (lam * vals[part.owner]).sum(axis=1)
+        l2_sq += float(part.weights @ diff**2)
+    rule_d = rules.dirichlet
+    lam_d = _barycentric(coords, rule_d.points, rule_d.owner)
+    diff = problem.u(rule_d.points) - (lam_d * vals[rule_d.owner]).sum(axis=1)
+    trace_sq = float(rule_d.weights @ diff**2)
+    energy = float(np.sqrt(grad_sq + trace_sq / h))
     return ErrorNorms(energy, ghost_penalty_seminorm(u_h, stabilizer), float(np.sqrt(l2_sq)))

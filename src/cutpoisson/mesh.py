@@ -71,29 +71,23 @@ def build_background(box, n, shift=(0.0, 0.0)):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return i * (n + 1) + j
+    # cell (i, j) has lower-left vertex i * (n + 1) + j and splits along its diagonal
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
+    triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.array(tris, dtype=np.int64)
-
-    face_map = {}
-    for t, tri in enumerate(triangles):
-        for k in range(3):
-            edge = (int(tri[k]), int(tri[(k + 1) % 3]))
-            key = (min(edge), max(edge))
-            face_map.setdefault(key, []).append(t)
-    faces = np.array(sorted(face_map), dtype=np.int64)
-    face_tris = np.full((len(faces), 2), -1, dtype=np.int64)
-    for f, key in enumerate(sorted(face_map)):
-        adj = sorted(face_map[key])
-        face_tris[f, : len(adj)] = adj
+    # faces sorted by (low, high) vertex id; adjacent triangles in ascending order
+    n_v = len(vertices)
+    ends = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1).reshape(-1, 2)
+    keys = ends.min(axis=1) * n_v + ends.max(axis=1)
+    uniq, face_of = np.unique(keys, return_inverse=True)
+    faces = np.column_stack([uniq // n_v, uniq % n_v])
+    owner = np.arange(len(keys)) // 3
+    order = np.lexsort((owner, face_of))
+    face_of = face_of[order]
+    second = np.r_[False, face_of[1:] == face_of[:-1]]
+    face_tris = np.full((len(uniq), 2), -1, dtype=np.int64)
+    face_tris[face_of, second.astype(np.int64)] = owner[order]
 
     h = float(np.hypot((x1 - x0) / n, (y1 - y0) / n))
     mesh = BackgroundMesh(vertices, triangles, faces, face_tris, h)
@@ -196,11 +190,6 @@ def classify(mesh, domain, tol=1e-12):
     ghost = np.flatnonzero(both_active & near_cut)
 
     return CutTopology(mesh, cls, active, active_index, ghost)
-
-
-def ghost_penalty_faces(topology):
-    """Interior faces of the active mesh with at least one cut neighbor."""
-    return topology.ghost_faces
 
 
 def submesh(topology, region_distance, tol=1e-12):

@@ -1,4 +1,4 @@
-"""Quadrature over cut volumes, cut boundary arcs, and mesh faces.
+"""Quadrature over cut volumes and cut boundary arcs, packed for batched assembly.
 
 Volume rules on cut triangles are built by recursive subdivision: subcells
 fully inside the disk get a standard rule, and boundary subcells are resolved
@@ -7,12 +7,17 @@ the circular segment between chord and arc, so the cell mass matches the exact
 area up to the requested tolerance.  Boundary rules parameterize the
 intersection arcs exactly by angle and split them at the boundary-condition
 junctions, so every piece is purely Dirichlet or purely Neumann.
+
+``build_rules`` packs the rules of all active cells into flat arrays with an
+owner cell per point; triangles inside the domain get the degree-4 rule
+through their affine maps, all at once.  Ghost faces keep only their lengths,
+since the jump of a P1 normal gradient is constant on a face.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +35,6 @@ DEFAULT_TOL = 1e-10
 REGION_CUT_VOLUME = "cut-volume"
 REGION_BOUNDARY_D = "cut-boundary-dirichlet"
 REGION_BOUNDARY_N = "cut-boundary-neumann"
-REGION_FACE = "face"
 
 
 class QuadratureToleranceError(RuntimeError):
@@ -89,21 +93,30 @@ _D4_W = np.array([_D4_W1, _D4_W1, _D4_W1, _D4_W2, _D4_W2, _D4_W2])
 
 
 def _tri_area(coords):
-    return 0.5 * abs(float(cross2(coords[1] - coords[0], coords[2] - coords[0])))
+    """Area of a triangle, or of each triangle of a stack of shape (..., 3, 2)."""
+    e = coords[..., 1:, :] - coords[..., :1, :]
+    return 0.5 * np.abs(cross2(e[..., 0, :], e[..., 1, :]))
 
 
 def _tri_diam(coords):
-    e = coords - np.roll(coords, -1, axis=0)
-    return float(np.linalg.norm(e, axis=1).max())
+    """Diameter of a triangle, or of each triangle of a stack of shape (..., 3, 2)."""
+    return np.linalg.norm(coords - np.roll(coords, -1, axis=-2), axis=-1).max(axis=-1)
 
 
 def _full_triangle_points(coords):
     return _D4_BARY @ coords, _D4_W * _tri_area(coords)
 
 
-def _barycentric(coords, pts):
-    T = np.column_stack([coords[1] - coords[0], coords[2] - coords[0]])
-    lam = np.linalg.solve(T, (np.atleast_2d(pts) - coords[0]).T).T
+def _barycentric(coords, pts, owner=None):
+    """Barycentric coordinates (nq, 3) of ``pts`` in the triangle ``coords``, by Cramer's rule.
+
+    With ``owner``, ``coords`` stacks triangles (m, 3, 2) and point q is taken
+    in triangle ``owner[q]``.
+    """
+    pts = np.atleast_2d(pts)
+    c = coords if owner is None else coords[owner]
+    e1, e2, d = c[..., 1, :] - c[..., 0, :], c[..., 2, :] - c[..., 0, :], pts - c[..., 0, :]
+    lam = np.column_stack([cross2(d, e2), cross2(e1, d)]) / cross2(e1, e2)[..., None]
     return np.column_stack([1.0 - lam.sum(axis=1), lam])
 
 
@@ -308,7 +321,6 @@ def cut_boundary_rule(
     domain,
     tol=DEFAULT_TOL,
     order=6,
-    split_angles=(),
     grade_angles=(),
     grade_levels=16,
     max_piece=math.pi / 8.0,
@@ -316,8 +328,8 @@ def cut_boundary_rule(
     """Quadrature over the boundary arcs inside a triangle, split by condition.
 
     Returns a (Dirichlet, Neumann) pair of rules.  Arcs are parameterized
-    exactly by angle; they are split at the boundary-condition junctions (and
-    any extra ``split_angles``) so that each piece carries a single condition,
+    exactly by angle; they are split at the boundary-condition junctions so
+    that each piece carries a single condition,
     and pieces abutting a ``grade_angles`` entry are refined dyadically toward
     it, which keeps the rules accurate for data that is singular there.
     Exterior unit normals are attached per point.
@@ -347,11 +359,7 @@ def cut_boundary_rule(
             )
     else:
         sorted_angles = np.sort(np.array(sorted(angles)))
-        keep = np.ones(len(sorted_angles), dtype=bool)
-        for i in range(1, len(sorted_angles)):
-            if sorted_angles[i] - sorted_angles[i - 1] < 1e-13:
-                keep[i] = False
-        sorted_angles = sorted_angles[keep]
+        sorted_angles = sorted_angles[np.r_[True, np.diff(sorted_angles) >= 1e-13]]
         arcs = []
         m = len(sorted_angles)
         for i in range(m):
@@ -363,7 +371,7 @@ def cut_boundary_rule(
             if bool(in_tri(np.array([a + 0.5 * width]))[0]):
                 arcs.append((a, width))
 
-    cut_points = list(domain.junction_angles) + [float(_wrap(s)) for s in split_angles]
+    cut_points = list(domain.junction_angles)
     graded = [float(_wrap(g)) for g in grade_angles]
 
     pieces = []
@@ -414,16 +422,6 @@ def cut_boundary_rule(
     return rules[0], rules[1]
 
 
-def face_rule(face_coords):
-    """Two-point Gauss rule on a straight face, exact for cubic integrands."""
-    p0, p1 = np.asarray(face_coords, dtype=float)
-    g = 1.0 / math.sqrt(3.0)
-    mid, half = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
-    pts = np.array([mid - g * half, mid + g * half])
-    length = float(np.linalg.norm(p1 - p0))
-    return QuadRule(pts, np.full(2, 0.5 * length), REGION_FACE)
-
-
 def refine_rule_toward(triangle, domain, point, tol=DEFAULT_TOL, levels=8):
     """Volume rule with extra subdivision toward a point of reduced regularity."""
     point = np.asarray(point, dtype=float)
@@ -447,36 +445,79 @@ def refine_rule_toward(triangle, domain, point, tol=DEFAULT_TOL, levels=8):
     return QuadRule(np.vstack(pts), np.concatenate(wts), REGION_CUT_VOLUME)
 
 
-@dataclass
-class RuleSet:
-    """Per-entity quadrature rules for one cut topology."""
+@dataclass(frozen=True)
+class PackedRule:
+    """Quadrature points of many cells in flat arrays.
 
-    volume: dict = field(default_factory=dict)
-    boundary: dict = field(default_factory=dict)
-    face: dict = field(default_factory=dict)
+    ``owner[q]`` is the position in ``topology.active`` of the cell that point
+    q belongs to.  Boundary rules also carry the unit exterior normal and a
+    Dirichlet flag per point; volume rules leave both None.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    owner: np.ndarray
+    normals: np.ndarray | None = None
+    dirichlet: np.ndarray | None = None
+
+    def select(self, mask):
+        """The points where ``mask`` holds, in the same order."""
+        fields = (self.points, self.weights, self.owner, self.normals, self.dirichlet)
+        return PackedRule(*(None if a is None else a[mask] for a in fields))
+
+
+@dataclass(frozen=True)
+class RuleSet:
+    """Packed quadrature of one cut topology.
+
+    ``volume`` integrates over every active cell's intersection with the
+    domain, ``boundary`` over the boundary arcs; both are sorted by owner, with
+    the Dirichlet points of a cell before its Neumann points.  ``face_lengths``
+    is aligned with ``topology.ghost_faces``.
+    """
+
+    volume: PackedRule
+    boundary: PackedRule
+    face_lengths: np.ndarray
     tol: float = DEFAULT_TOL
+
+    @property
+    def dirichlet(self):
+        return self.boundary.select(self.boundary.dirichlet)
+
+    @property
+    def neumann(self):
+        return self.boundary.select(~self.boundary.dirichlet)
 
 
 def build_rules(mesh, topology, domain, tol=DEFAULT_TOL, grade_levels=16):
-    """Volume, boundary, and face rules for every active entity.
+    """Packed volume and boundary rules of the active cells, and ghost-face lengths.
 
     Boundary rules are split at the boundary-condition junctions and graded
     toward them, which serves both singular boundary data and the sharply
     supported cutoff weight.
     """
-    rules = RuleSet(tol=tol)
+    coords = mesh.vertices[mesh.triangles[topology.active]]
+    is_cut = topology.classification[topology.active] == CUT
+    inside = np.flatnonzero(~is_cut)
+    inner = coords[inside]
+    # the batched map is bitwise equal to the per-cell rule
+    w_inner = _D4_W * _tri_area(inner)[:, None]
+    vol = [((_D4_BARY @ inner).reshape(-1, 2), w_inner.ravel(), inside.repeat(len(_D4_W)))]
+    bnd = [(np.empty((0, 2)), np.empty(0), np.empty(0, int), np.empty((0, 2)), np.empty(0, bool))]
     junctions = tuple(domain.junction_angles)
-    for t in topology.active:
-        coords = mesh.triangle_coords(t)
-        rules.volume[int(t)] = cut_volume_rule(coords, domain, tol)
-        if topology.classification[t] == CUT:
-            rules.boundary[int(t)] = cut_boundary_rule(
-                coords,
-                domain,
-                tol,
-                grade_angles=junctions,
-                grade_levels=grade_levels,
-            )
-    for f in topology.ghost_faces:
-        rules.face[int(f)] = face_rule(mesh.face_coords(f))
-    return rules
+    for k in np.flatnonzero(is_cut):
+        rule = cut_volume_rule(coords[k], domain, tol)
+        vol.append((rule.points, rule.weights, np.full(len(rule), k)))
+        parts = cut_boundary_rule(
+            coords[k], domain, tol, grade_angles=junctions, grade_levels=grade_levels
+        )
+        for r, tag in zip(parts, (True, False)):
+            bnd.append((r.points, r.weights, np.full(len(r), k), r.normals, np.full(len(r), tag)))
+    points, weights, owner = (np.concatenate(a) for a in zip(*vol))
+    order = np.argsort(owner, kind="stable")
+    volume = PackedRule(points[order], weights[order], owner[order])
+    boundary = PackedRule(*(np.concatenate(a) for a in zip(*bnd)))
+    ends = mesh.vertices[mesh.faces[topology.ghost_faces]]
+    face_lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
+    return RuleSet(volume, boundary, face_lengths, tol)

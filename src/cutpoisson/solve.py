@@ -26,7 +26,6 @@ class SolveReport:
     method: str
     residual: float
     n_dof: int
-    condition: float | None = None
 
 
 def _wrap_solution(x, dofmap):

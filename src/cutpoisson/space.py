@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cutpoisson.geometry import cross2
-from cutpoisson.quadrature import _barycentric, _full_triangle_points, _tri_area
+from cutpoisson.quadrature import _barycentric, _full_triangle_points
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,14 @@ class FeFunction:
 
 
 def hat_gradients(coords):
-    """Constant gradients of the three barycentric hat functions, shape (3, 2)."""
-    e = np.roll(coords, -2, axis=0) - np.roll(coords, -1, axis=0)  # edge opposite vertex i
-    area2 = float(cross2(coords[1] - coords[0], coords[2] - coords[0]))
-    return np.column_stack([-e[:, 1], e[:, 0]]) / area2
+    """Constant gradients of the three barycentric hat functions.
+
+    ``coords`` has shape (..., 3, 2); the result has the same shape, with row
+    i the gradient of the hat function of vertex i.
+    """
+    e = np.roll(coords, -2, axis=-2) - np.roll(coords, -1, axis=-2)  # edge opposite vertex i
+    area2 = cross2(coords[..., 1, :] - coords[..., 0, :], coords[..., 2, :] - coords[..., 0, :])
+    return np.stack([-e[..., 1], e[..., 0]], axis=-1) / area2[..., None, None]
 
 
 def evaluate(f, t, x):
@@ -83,15 +87,14 @@ def gradient(f, t):
 
 
 def face_normal(mesh, f, t):
-    """Unit normal of face ``f`` pointing out of triangle ``t``."""
-    p0, p1 = mesh.face_coords(f)
-    tangent = p1 - p0
-    n = np.array([tangent[1], -tangent[0]])
-    n /= np.linalg.norm(n)
-    centroid = mesh.triangle_coords(t).mean(axis=0)
-    if float((centroid - p0) @ n) > 0.0:
-        n = -n
-    return n
+    """Unit normal of face ``f`` pointing out of triangle ``t`` (index arrays broadcast)."""
+    ends = mesh.face_coords(f)
+    p0, tangent = ends[..., 0, :], ends[..., 1, :] - ends[..., 0, :]
+    n = np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    centroid = mesh.triangle_coords(t).mean(axis=-2)
+    inward = ((centroid - p0) * n).sum(axis=-1) > 0.0
+    return np.where(inward[..., None], -n, n)
 
 
 def jump_normal_gradient(f, face):

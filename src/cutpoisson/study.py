@@ -7,13 +7,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg as spla
 
 from cutpoisson import geometry
 from cutpoisson.assembly import (
     NitscheParams,
     SystemMatrices,
-    assemble_boundary_mass,
+    _active_cells,
+    _vector,
     assemble_ghost_penalty,
     assemble_load,
     assemble_nitsche,
@@ -23,13 +23,11 @@ from cutpoisson.assembly import (
     energy_gram,
     energy_norm,
     error_norms,
-    ghost_penalty_seminorm,
     nitsche_action,
 )
 from cutpoisson.geometry import (
     LevelSetDomain,
     TubeParams,
-    cross2,
     cutoff,
     cutoff_conormal_integral,
     default_tube_params,
@@ -37,15 +35,15 @@ from cutpoisson.geometry import (
     outward_normal,
     signed_distance,
 )
-from cutpoisson.mesh import CUT, build_background, classify, submesh
-from cutpoisson.quadrature import _barycentric, build_rules
+from cutpoisson.mesh import build_background, classify, submesh
+from cutpoisson.quadrature import _barycentric, _tri_area, build_rules
 from cutpoisson.solve import (
     condition_estimate,
     solve_regularized,
     solve_regularized_pivot,
     solve_standard,
 )
-from cutpoisson.space import FeFunction, build_dofmap, clement_interpolate, hat_gradients
+from cutpoisson.space import build_dofmap, clement_interpolate
 
 DEFAULT_BOX = (-1.0, -1.0, 1.0, 1.0)
 
@@ -360,62 +358,39 @@ def verify_inequalities(domain, dofmap, rules, params, trials=20, seed=20260810)
     K = assemble_stiffness(dofmap, rules)
     S = assemble_ghost_penalty(dofmap, rules, params)
 
-    active = topo.active
-    grads = {int(t): hat_gradients(mesh.triangle_coords(t)) for t in active}
-    areas = {int(t): _tri_area_of(mesh, t) for t in active}
+    coords, grads, dofs = _active_cells(dofmap)
+    areas = _tri_area(coords)
 
-    near_dirichlet = set(
-        int(t)
-        for t in submesh(topo, lambda x: geometry.distance_to_dirichlet(domain, x))
+    near_dirichlet = np.isin(
+        topo.active, submesh(topo, lambda x: geometry.distance_to_dirichlet(domain, x))
     )
+    bnd, rule_d = rules.boundary, rules.dirichlet
+    lam = _barycentric(coords, bnd.points, bnd.owner)
+    p1_mass = np.ones((3, 3)) + np.eye(3)  # exact P1 element mass matrix times 12 / area
 
     c_full, c_flux, c_trace = 0.0, 0.0, 0.0
     for _ in range(trials):
         x = rng.standard_normal(dofmap.ndof)
-        v = FeFunction(x, dofmap)
-
-        grad_full = 0.0
-        grad_near = 0.0
-        for t in active:
-            g = v.vertex_values(t) @ grads[int(t)]
-            val = areas[int(t)] * float(g @ g)
-            grad_full += val
-            if int(t) in near_dirichlet:
-                grad_near += val
+        vals = x[dofs]
+        g = np.einsum("tk,tkd->td", vals, grads)
+        grad_sq = areas * (g**2).sum(axis=1)
         grad_cut = float(x @ (K @ x))
         sh = float(x @ (S @ x))
-        c_full = max(c_full, grad_full / (grad_cut + sh))
+        c_full = max(c_full, grad_sq.sum() / (grad_cut + sh))
 
-        flux_sq = 0.0
-        for t, (rule_d, rule_n) in rules.boundary.items():
-            if len(rule_d):
-                g = v.vertex_values(t) @ grads[int(t)]
-                flux_sq += float(rule_d.weights @ (rule_d.normals @ g) ** 2)
+        grad_near = grad_sq[near_dirichlet].sum()
+        flux = (rule_d.normals * g[rule_d.owner]).sum(axis=1)
         if grad_near > 0.0:
-            c_flux = max(c_flux, mesh.h * flux_sq / grad_near)
+            c_flux = max(c_flux, mesh.h * float(rule_d.weights @ flux**2) / grad_near)
 
-        for t, (rule_d, rule_n) in rules.boundary.items():
-            vals = v.vertex_values(t)
-            mass = _p1_mass(areas[int(t)])
-            denom = float(vals @ (mass @ vals)) / mesh.h
-            trace = 0.0
-            for rule in (rule_d, rule_n):
-                if len(rule):
-                    lam = _barycentric(mesh.triangle_coords(t), rule.points)
-                    trace += float(rule.weights @ (lam @ vals) ** 2)
-            if denom > 0.0:
-                c_trace = max(c_trace, trace / denom)
+        trace = np.bincount(
+            bnd.owner, bnd.weights * (lam * vals[bnd.owner]).sum(axis=1) ** 2, minlength=len(dofs)
+        )
+        denom = areas / 12.0 * np.einsum("ti,ij,tj->t", vals, p1_mass, vals) / mesh.h
+        positive = denom > 0.0
+        if positive.any():
+            c_trace = max(c_trace, float((trace[positive] / denom[positive]).max()))
     return InequalityReport(c_full, c_flux, c_trace)
-
-
-def _tri_area_of(mesh, t):
-    c = mesh.triangle_coords(t)
-    return 0.5 * abs(float(cross2(c[1] - c[0], c[2] - c[0])))
-
-
-def _p1_mass(area):
-    """Exact mass matrix of the affine hat functions on one triangle."""
-    return area / 12.0 * (np.ones((3, 3)) + np.eye(3))
 
 
 @dataclass
@@ -567,13 +542,11 @@ def verify_regularized_identity(
     tube = TubeParams(
         params_eps.tube.delta, epsilon, params_eps.tube.delta0, params_eps.tube.epsilon0
     )
-    chi_load = np.zeros(dofmap.ndof)
-    for t, (_, rule_n) in rules.boundary.items():
-        if not len(rule_n):
-            continue
-        lam = _barycentric(mesh.triangle_coords(t), rule_n.points)
-        w = rule_n.weights * cutoff(domain, tube, rule_n.points)
-        chi_load[dofmap.triangle_dofs(t)] += lam.T @ (w * problem.g_N(rule_n.points))
+    rule_n = rules.neumann
+    coords, _, dofs = _active_cells(dofmap)
+    lam = _barycentric(coords, rule_n.points, rule_n.owner)
+    w = rule_n.weights * cutoff(domain, tube, rule_n.points) * problem.g_N(rule_n.points)
+    chi_load = _vector(dofmap.ndof, [dofs[rule_n.owner]], [lam * w[:, None]])
     rhs = system.S @ u_h.coefficients - chi_load
 
     rng = np.random.default_rng(seed)

@@ -1,0 +1,110 @@
+"""Write the golden snapshot that ``tests/test_golden.py`` compares against.
+
+    PYTHONPATH=src python3 tests/golden/capture.py
+
+One ``.npz`` file per configuration: the mixed disk (R = 0.7, upper half
+Dirichlet) at n = 16, on the unshifted grid and at one cut-sweep offset.  The
+committed files were captured from the program before the packed quadrature
+layout; recapture them only in a change meant to alter the numerical results.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+
+from cutpoisson.assembly import (
+    NitscheParams,
+    SystemMatrices,
+    assemble_boundary_mass,
+    assemble_ghost_penalty,
+    assemble_load,
+    assemble_nitsche,
+    assemble_regularized,
+    assemble_stiffness,
+    error_norms,
+    nitsche_action,
+)
+from cutpoisson.geometry import LevelSetDomain, default_tube_params
+from cutpoisson.mesh import build_background, classify
+from cutpoisson.quadrature import build_rules
+from cutpoisson.solve import solve_standard
+from cutpoisson.space import FeFunction, build_dofmap
+from cutpoisson.study import (
+    manufactured_singular,
+    manufactured_smooth,
+    sweep_shifts,
+    verify_inequalities,
+)
+
+HERE = Path(__file__).resolve().parent
+BOX = (-1.0, -1.0, 1.0, 1.0)
+N = 16
+TOL = 1e-10
+REFINE_LEVELS = 8
+EPS_FACTOR = 0.1  # epsilon = EPS_FACTOR * h**2
+CONFIGS = {"unshifted": (0.0, 0.0), "shifted": sweep_shifts(BOX, N, 20)[7]}
+
+
+def mixed_disk():
+    return LevelSetDomain((0.0, 0.0), 0.7, ((0.0, math.pi),))
+
+
+def discretize(shift):
+    domain = mixed_disk()
+    mesh = build_background(BOX, N, shift)
+    topo = classify(mesh, domain)
+    dofmap = build_dofmap(topo)
+    params = NitscheParams(beta=10.0, sigma=0.1, tube=default_tube_params(domain, mesh.h))
+    rules = build_rules(mesh, topo, domain, TOL)
+    return domain, mesh, dofmap, params, rules
+
+
+def outputs(shift, u_singular=None):
+    """Every snapshot array of one configuration.
+
+    ``u_singular`` supplies the singular solution's coefficients; left None,
+    they are solved for, which is what the capture does.
+    """
+    domain, mesh, dofmap, params, rules = discretize(shift)
+    smooth = manufactured_smooth(domain)
+    singular = manufactured_singular(domain, 0)
+    params_eps = params.with_epsilon(EPS_FACTOR * mesh.h**2)
+
+    A = assemble_nitsche(dofmap, rules, params)
+    S = assemble_ghost_penalty(dofmap, rules, params)
+    b_singular = assemble_load(dofmap, rules, params, singular)
+    if u_singular is None:
+        system = SystemMatrices(A, S, b_singular, True)
+        u_singular = solve_standard(system, dofmap).solution.coefficients
+    u_h = FeFunction(np.asarray(u_singular, dtype=float), dofmap)
+    errs = error_norms(singular, u_h, rules, params, S, refine_levels=REFINE_LEVELS)
+    ineq = verify_inequalities(domain, dofmap, rules, params)
+    return {
+        "u_singular": u_h.coefficients,
+        "K": assemble_stiffness(dofmap, rules).toarray(),
+        "M": assemble_boundary_mass(dofmap, rules).toarray(),
+        "A": A.toarray(),
+        "S": S.toarray(),
+        "A_eps": assemble_regularized(dofmap, rules, params_eps, domain).toarray(),
+        "b_smooth": assemble_load(dofmap, rules, params, smooth),
+        "b_singular": b_singular,
+        "action": nitsche_action(dofmap, rules, params, smooth.u, smooth.grad_u),
+        "action_chi": nitsche_action(
+            dofmap, rules, params_eps, smooth.u, smooth.grad_u, domain, chi_weighted=True
+        ),
+        "error_norms": np.array([errs.energy, errs.sh, errs.l2]),
+        "inequalities": np.array([ineq.full_gradient, ineq.boundary_flux, ineq.cut_trace]),
+    }
+
+
+def main():
+    for name, shift in CONFIGS.items():
+        snapshot = outputs(shift)
+        np.savez_compressed(HERE / f"mixed_n{N}_{name}.npz", **snapshot)
+        print(name, "error norms", snapshot["error_norms"])
+        print(name, "inequalities", snapshot["inequalities"])
+
+
+if __name__ == "__main__":
+    main()

@@ -198,3 +198,23 @@ def test_assemble_system_bundles(domain_mixed, disc_mixed_8):
     )
     assert not system_eps.symmetric
     assert np.allclose(system.b, system_eps.b)
+
+
+def test_refined_cells_match_distance_definition(domain_mixed):
+    """error_norms refines exactly the cells within 2h of a singular point, toward the first."""
+    from cutpoisson.assembly import _cells_near
+    from cutpoisson.mesh import _point_triangle_distance
+
+    for shift in ((0.0, 0.0), (0.013, 0.021)):
+        mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, 16, shift=shift)
+        coords = mesh.vertices[mesh.triangles[topo.active]]
+        points = domain_mixed.junction_points
+        expected = np.full(len(coords), -1)
+        for t, tri in enumerate(coords):
+            for i, z in enumerate(points):
+                if _point_triangle_distance(z, tri) <= 2.0 * mesh.h:
+                    expected[t] = i
+                    break
+        found = _cells_near(points, coords, 2.0 * mesh.h)
+        assert np.array_equal(found, expected)
+        assert (found == 0).any() and (found == 1).any()

@@ -12,7 +12,6 @@ from cutpoisson.mesh import (
     AmbiguousCutError,
     _point_triangle_distance,
     build_background,
-    ghost_penalty_faces,
 )
 
 
@@ -24,6 +23,32 @@ def test_build_background_counts():
     assert build_background((0, 0, 1, 1), 4).h == pytest.approx(math.sqrt(2.0) / 4.0)
     with pytest.raises(ValueError):
         build_background((0, 0, 1, 1), 0)
+
+
+def _dict_faces(triangles):
+    """Faces and adjacent triangles built the plain way, through a dict of edges."""
+    face_map = {}
+    for t, tri in enumerate(triangles):
+        for k in range(3):
+            edge = (int(tri[k]), int(tri[(k + 1) % 3]))
+            face_map.setdefault((min(edge), max(edge)), []).append(t)
+    keys = sorted(face_map)
+    face_tris = np.full((len(keys), 2), -1, dtype=np.int64)
+    for f, key in enumerate(keys):
+        adj = sorted(face_map[key])
+        face_tris[f, : len(adj)] = adj
+    return np.array(keys, dtype=np.int64), face_tris
+
+
+@pytest.mark.parametrize(
+    "n, shift",
+    [(1, (0.0, 0.0)), (2, (0.0, 0.0)), (3, (0.0, 0.0)), (8, (0.0, 0.0)), (8, (0.03, -0.05))],
+)
+def test_face_map_matches_dict_oracle(n, shift):
+    mesh = build_background((-1, -1, 1, 1), n, shift)
+    faces, face_tris = _dict_faces(mesh.triangles)
+    assert np.array_equal(mesh.faces, faces)
+    assert np.array_equal(mesh.face_tris, face_tris)
 
 
 def test_face_adjacency_counts():
@@ -79,9 +104,9 @@ def test_ghost_faces_brute_force(domain_mixed):
             continue
         if topo.classification[t1] == CUT or topo.classification[t2] == CUT:
             expected.append(f)
-    assert np.array_equal(np.sort(ghost_penalty_faces(topo)), np.array(expected))
+    assert np.array_equal(np.sort(topo.ghost_faces), np.array(expected))
     # every ghost face is interior to the active mesh with a cut neighbor
-    for f in ghost_penalty_faces(topo):
+    for f in topo.ghost_faces:
         t1, t2 = mesh.face_tris[f]
         assert is_active[t1] and is_active[t2]
         assert CUT in (topo.classification[t1], topo.classification[t2])
@@ -93,7 +118,7 @@ def test_ghost_faces_empty_for_fitted_case():
     mesh = build_background((0, 0, 1, 1), 4)
     topo = classify(mesh, domain)
     assert np.all(topo.classification == INSIDE)
-    assert len(ghost_penalty_faces(topo)) == 0
+    assert len(topo.ghost_faces) == 0
 
 
 def test_submesh_regions(domain_mixed):
@@ -132,9 +157,8 @@ def test_submesh_regions(domain_mixed):
 def test_submesh_dirichlet_arc_covers_boundary_rules(domain_mixed, disc_mixed_8):
     mesh, topo, dofmap, params, rules = disc_mixed_8
     near = set(submesh(topo, lambda x: distance_to_dirichlet(domain_mixed, x)).tolist())
-    for t, (rule_d, _) in rules.boundary.items():
-        if len(rule_d):
-            assert t in near
+    for t in topo.active[np.unique(rules.dirichlet.owner)]:
+        assert t in near
 
 
 def test_cut_count_growth(domain_mixed):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cutpoisson import LevelSetDomain, build_rules, classify, cut_boundary_rule, cut_volume_rule, face_rule
+from cutpoisson import LevelSetDomain, build_rules, classify, cut_boundary_rule, cut_volume_rule
 from cutpoisson.geometry import classify_boundary, DIRICHLET
-from cutpoisson.mesh import build_background
+from cutpoisson.mesh import INSIDE, build_background
 
 
 def disk_rules(domain, n, tol=1e-10, box=(-1.0, -1.0, 1.0, 1.0)):
@@ -24,56 +24,45 @@ def test_uncut_triangle_mass():
 def test_disk_area_and_moment(rng):
     domain = LevelSetDomain((0.0, 0.0), 1.0, ((0.0, 2 * math.pi),))
     mesh, topo, rules = disk_rules(domain, 6, box=(-1.3, -1.3, 1.3, 1.3))
-    area = sum(r.measure for r in rules.volume.values())
+    area = rules.volume.weights.sum()
     assert area == pytest.approx(math.pi, rel=1e-8)
-    moment = sum(
-        float(r.weights @ (r.points**2).sum(axis=1)) for r in rules.volume.values() if len(r)
-    )
+    moment = float(rules.volume.weights @ (rules.volume.points**2).sum(axis=1))
     assert moment == pytest.approx(math.pi / 2.0, rel=1e-7)
 
 
 def test_boundary_measures(domain_mixed):
     mesh, topo, rules = disk_rules(domain_mixed, 8)
     R = domain_mixed.radius
-    total = sum(rd.measure + rn.measure for rd, rn in rules.boundary.values())
+    total = rules.boundary.weights.sum()
     assert total == pytest.approx(2.0 * math.pi * R, rel=1e-10)
-    d_part = sum(rd.measure for rd, _ in rules.boundary.values())
+    d_part = rules.dirichlet.weights.sum()
     assert d_part == pytest.approx(math.pi * R, rel=1e-10)
-    normal_integral = np.zeros(2)
-    for rd, rn in rules.boundary.values():
-        for r in (rd, rn):
-            if len(r):
-                normal_integral += (r.weights[:, None] * r.normals).sum(axis=0)
+    r = rules.boundary
+    normal_integral = (r.weights[:, None] * r.normals).sum(axis=0)
     assert np.abs(normal_integral).max() < 1e-10
 
 
 def test_boundary_normals_outward(domain_mixed):
     mesh, topo, rules = disk_rules(domain_mixed, 8)
-    for rd, rn in rules.boundary.values():
-        for r in (rd, rn):
-            if len(r):
-                outward = (r.points - domain_mixed.center_array) / domain_mixed.radius
-                assert np.allclose(r.normals, outward, atol=1e-12)
-                assert np.allclose(np.linalg.norm(r.normals, axis=1), 1.0, atol=1e-12)
+    r = rules.boundary
+    outward = (r.points - domain_mixed.center_array) / domain_mixed.radius
+    assert np.allclose(r.normals, outward, atol=1e-12)
+    assert np.allclose(np.linalg.norm(r.normals, axis=1), 1.0, atol=1e-12)
 
 
 def test_boundary_points_classify_consistently(domain_mixed):
     mesh, topo, rules = disk_rules(domain_mixed, 8)
-    for rd, rn in rules.boundary.values():
-        for p in rd.points:
-            assert classify_boundary(domain_mixed, p) == DIRICHLET
-        for p in rn.points:
-            assert classify_boundary(domain_mixed, p) != DIRICHLET
+    for p in rules.dirichlet.points:
+        assert classify_boundary(domain_mixed, p) == DIRICHLET
+    for p in rules.neumann.points:
+        assert classify_boundary(domain_mixed, p) != DIRICHLET
 
 
 def test_divergence_theorem(domain_mixed):
     mesh, topo, rules = disk_rules(domain_mixed, 8)
-    volume = 2.0 * sum(r.measure for r in rules.volume.values())
-    boundary = 0.0
-    for rd, rn in rules.boundary.values():
-        for r in (rd, rn):
-            if len(r):
-                boundary += float(r.weights @ (r.points * r.normals).sum(axis=1))
+    volume = 2.0 * rules.volume.weights.sum()
+    r = rules.boundary
+    boundary = float(r.weights @ (r.points * r.normals).sum(axis=1))
     assert abs(volume - boundary) < 1e-9
 
 
@@ -85,23 +74,12 @@ def test_area_error_decreases_with_tol(domain_mixed):
     errors = {}
     for tol in (1e-2, 1e-4, 1e-6, 1e-8):
         rules = build_rules(mesh, topo, domain_mixed, tol)
-        area = sum(r.measure for r in rules.volume.values())
+        area = rules.volume.weights.sum()
         err = abs(area - exact)
         errors[tol] = err
         assert err <= tol * exact
     floor = 1e-12 * exact
     assert errors[1e-8] <= max(errors[1e-2] / 5.0, floor)
-
-
-def test_face_rule_exactness():
-    rule = face_rule(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    assert rule.measure == pytest.approx(1.0, rel=1e-15)
-    # exact for linear integrands
-    f = lambda p: 3.0 * p[:, 0] + 1.0
-    assert float(rule.weights @ f(rule.points)) == pytest.approx(2.5, rel=1e-14)
-    # exact for cubics (two-point Gauss)
-    g = lambda p: p[:, 0] ** 3
-    assert float(rule.weights @ g(rule.points)) == pytest.approx(0.25, rel=1e-13)
 
 
 def test_degenerate_circle_inside_triangle():
@@ -132,6 +110,20 @@ def test_edge_only_cut():
 
 def test_volume_weights_nonnegative(domain_mixed):
     mesh, topo, rules = disk_rules(domain_mixed, 8)
-    for r in rules.volume.values():
-        if len(r):
-            assert r.weights.min() >= 0.0
+    assert rules.volume.weights.min() >= 0.0
+
+
+def test_packed_interior_rule_equals_cut_volume_rule(domain_mixed):
+    """Interior cells are mapped in one batch; each gets exactly the per-cell rule."""
+    for shift in ((0.0, 0.0), (0.013, 0.021)):
+        mesh = build_background((-1, -1, 1, 1), 16, shift)
+        topo = classify(mesh, domain_mixed)
+        rules = build_rules(mesh, topo, domain_mixed)
+        vol = rules.volume
+        assert np.all(np.diff(vol.owner) >= 0)
+        inside = np.flatnonzero(topo.classification[topo.active] == INSIDE)
+        assert len(inside) > 0
+        for k in inside:
+            rule = cut_volume_rule(mesh.triangle_coords(topo.active[k]), domain_mixed)
+            assert np.array_equal(vol.points[vol.owner == k], rule.points)
+            assert np.array_equal(vol.weights[vol.owner == k], rule.weights)
