@@ -302,10 +302,9 @@ def _cells_near(points, coords, radius):
     centroids = coords.mean(axis=1)
     reach = radius + _tri_diam(coords)  # a triangle lies within its diameter of its centroid
     for i, z in enumerate(points):
-        candidates = (near < 0) & (np.linalg.norm(centroids - z, axis=1) <= reach)
-        for t in np.flatnonzero(candidates):
-            if _point_triangle_distance(z, coords[t]) <= radius:
-                near[t] = i
+        candidates = np.flatnonzero((near < 0) & (np.linalg.norm(centroids - z, axis=1) <= reach))
+        hit = _point_triangle_distance(z, coords[candidates]) <= radius
+        near[candidates[hit]] = i
     return near
 
 

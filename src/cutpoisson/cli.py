@@ -14,14 +14,13 @@ import math
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 import cutpoisson
-from cutpoisson.geometry import LevelSetDomain
+from cutpoisson.geometry import LevelSetDomain, circle_meets_box_edge
 from cutpoisson import study as study_mod
 
 
@@ -115,8 +114,18 @@ def load_config(path):
             "problem.kind must be 'smooth' or 'singular' (custom data requires the library API)"
         )
     levels = cfg["mesh"]["levels"]
-    if not levels or any(int(n) < 1 for n in levels):
-        raise ConfigError("mesh.levels must be positive integers")
+    if (
+        not isinstance(levels, list)
+        or not levels
+        or any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in levels)
+    ):
+        raise ConfigError(f"mesh.levels must be a list of positive integers, got {levels!r}")
+    g = cfg["geometry"]
+    if circle_meets_box_edge(g["center"], g["radius"], cfg["mesh"]["box"]):
+        raise ConfigError(
+            f"geometry: the boundary circle (center {g['center']}, radius {g['radius']}) meets "
+            f"the edge of mesh.box {cfg['mesh']['box']}: the solve would cover a truncated domain"
+        )
     if cfg["quadrature_tol"] <= 0.0:
         raise ConfigError("quadrature_tol must be positive")
     return cfg
@@ -163,7 +172,7 @@ def _write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _run_study(cfg, threads):
+def _run_study(cfg):
     """Execute the configured study; returns (csv_name, header, rows, summary)."""
     domain = build_domain(cfg)
     kind = cfg["study"]["kind"]
@@ -175,13 +184,7 @@ def _run_study(cfg, threads):
 
     if kind == "convergence":
         problem = build_problem(cfg, domain)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                report = study_mod.run_convergence(
-                    problem, levels, beta, sigma, box, tol, level_runner=pool.map
-                )
-        else:
-            report = study_mod.run_convergence(problem, levels, beta, sigma, box, tol)
+        report = study_mod.run_convergence(problem, levels, beta, sigma, box, tol)
         header = ["level", "h", "ndof", "energy_err", "sh_norm", "l2_err", "eoc_energy"]
         rows = []
         for i, L in enumerate(report.levels):
@@ -250,7 +253,7 @@ def _run_study(cfg, threads):
     return "condition_sweep.csv", header, rows, summary
 
 
-def run(config_path, out_dir=None, threads=1, quiet=False):
+def run(config_path, out_dir=None, quiet=False):
     """Execute one configured study and write its artifacts; returns an exit code."""
     t_start = time.perf_counter()
     try:
@@ -261,7 +264,7 @@ def run(config_path, out_dir=None, threads=1, quiet=False):
     out = Path(out_dir if out_dir is not None else cfg["output"])
     try:
         out.mkdir(parents=True, exist_ok=True)
-        csv_name, header, rows, summary = _run_study(cfg, threads)
+        csv_name, header, rows, summary = _run_study(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -280,7 +283,6 @@ def run(config_path, out_dir=None, threads=1, quiet=False):
         f"summary: {json.dumps(summary, sort_keys=True, default=str)}",
         f"versions: cutpoisson {cutpoisson.__version__}, numpy {np.__version__}, "
         f"scipy {scipy.__version__}, python {platform.python_version()}",
-        f"threads: {threads}",
         f"wall time: {elapsed:.3f} s",
     ]
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
@@ -297,11 +299,10 @@ def main(argv=None):
     run_p = sub.add_parser("run", help="execute the study described by a config file")
     run_p.add_argument("config", help="path to the JSON config file")
     run_p.add_argument("--out", default=None, help="output directory (overrides config)")
-    run_p.add_argument("--threads", type=int, default=1, help="parallel level/shift jobs")
     run_p.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run(args.config, args.out, max(1, args.threads), args.quiet)
+        return run(args.config, args.out, args.quiet)
     return 2
 
 

@@ -12,6 +12,7 @@ junction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -168,6 +169,24 @@ def signed_distance(domain, x):
     """Signed distance to the boundary: negative inside, zero on it, positive outside."""
     x = np.asarray(x, dtype=float)
     return np.linalg.norm(x - domain.center_array, axis=-1) - domain.radius
+
+
+def circle_meets_box_edge(center, radius, box):
+    """Whether the circle of ``center`` and ``radius`` meets the edge of ``box`` (x0, y0, x1, y1).
+
+    The distance from the center to the edge takes every value between its
+    minimum and its maximum (the farthest corner), so the circle meets the
+    edge exactly when the radius lies between them.  A disk inside the box and
+    a box inside the disk both stay clear of it.
+    """
+    x0, y0, x1, y1 = (float(v) for v in box)
+    cx, cy = (float(v) for v in center)
+    if x0 <= cx <= x1 and y0 <= cy <= y1:
+        nearest = min(cx - x0, x1 - cx, cy - y0, y1 - cy)
+    else:
+        nearest = math.hypot(max(x0 - cx, 0.0, cx - x1), max(y0 - cy, 0.0, cy - y1))
+    farthest = math.hypot(max(cx - x0, x1 - cx), max(cy - y0, y1 - cy))
+    return nearest <= radius <= farthest
 
 
 def closest_point(domain, x):
@@ -389,8 +408,16 @@ def _neumann_side(domain, junction_angle):
     return -1.0 if is_dirichlet_angle(domain, np.float64(junction_angle)) else 1.0
 
 
+@functools.cache
+def _gauss(n):
+    """Gauss-Legendre nodes and weights of order ``n`` on [-1, 1], computed once, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _panel_gauss(f, breaks, order):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss(order)
     total = 0.0
     for a, b in zip(breaks[:-1], breaks[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -438,7 +465,7 @@ def cutoff_conormal_integral(domain, params, z, rtol=1e-6, max_doublings=6):
     c = domain.center_array
 
     def fiber_integral(t_values, order_a):
-        nodes, weights = np.polynomial.legendre.leggauss(order_a)
+        nodes, weights = _gauss(order_a)
         out = np.zeros_like(t_values)
         for i, t in enumerate(t_values):
             gamma = t + params.epsilon

@@ -132,19 +132,18 @@ class CutTopology:
 
 
 def _point_triangle_distance(p, coords):
-    """Euclidean distance from point ``p`` to a (closed) triangle."""
-    best = np.inf
-    sign_sum = 0
-    for k in range(3):
-        a, b = coords[k], coords[(k + 1) % 3]
-        ab = b - a
-        t = np.dot(p - a, ab) / np.dot(ab, ab)
-        t = min(1.0, max(0.0, t))
-        best = min(best, float(np.linalg.norm(p - (a + t * ab))))
-        sign_sum += 1 if cross2(ab, p - a) >= 0 else -1
-    if abs(sign_sum) == 3:
-        return 0.0  # p inside the triangle
-    return best
+    """Euclidean distance from point ``p`` to a closed triangle ``coords`` (3, 2).
+
+    Broadcasts over leading axes: points (..., 2) against triangles (..., 3, 2).
+    """
+    p = np.asarray(p, dtype=float)[..., None, :]
+    a = np.asarray(coords, dtype=float)
+    ab = np.roll(a, -1, axis=-2) - a
+    t = np.clip(((p - a) * ab).sum(axis=-1) / (ab * ab).sum(axis=-1), 0.0, 1.0)
+    dist = np.linalg.norm(p - (a + t[..., None] * ab), axis=-1).min(axis=-1)
+    left = cross2(ab, p - a) >= 0.0
+    inside = left.all(axis=-1) | ~left.any(axis=-1)
+    return np.where(inside, 0.0, dist)
 
 
 def classify(mesh, domain, tol=1e-12):
@@ -169,12 +168,12 @@ def classify(mesh, domain, tol=1e-12):
     center = domain.center_array
     guard = tol * mesh.h
     candidates = np.flatnonzero(~any_in & (phi_t.min(axis=1) <= mesh.h))
-    for t in candidates:
-        dist = _point_triangle_distance(center, mesh.triangle_coords(t))
-        if abs(dist - domain.radius) <= guard:
-            raise AmbiguousCutError(int(t), abs(dist - domain.radius))
-        if dist < domain.radius:
-            cls[t] = CUT
+    dist = _point_triangle_distance(center, mesh.triangle_coords(candidates))
+    gap = np.abs(dist - domain.radius)
+    ambiguous = np.flatnonzero(gap <= guard)
+    if len(ambiguous):
+        raise AmbiguousCutError(int(candidates[ambiguous[0]]), gap[ambiguous[0]])
+    cls[candidates[dist < domain.radius]] = CUT
 
     active = np.flatnonzero(cls != OUTSIDE)
     active_index = np.full(mesh.n_triangles, -1, dtype=np.int64)

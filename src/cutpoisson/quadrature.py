@@ -1,21 +1,32 @@
 """Quadrature over cut volumes and cut boundary arcs, packed for batched assembly.
 
-Volume rules on cut triangles are built by recursive subdivision: subcells
-fully inside the disk get a standard rule, and boundary subcells are resolved
-by clipping with the chord through the circle crossings plus a product rule on
-the circular segment between chord and arc, so the cell mass matches the exact
-area up to the requested tolerance.  Boundary rules parameterize the
-intersection arcs exactly by angle and split them at the boundary-condition
-junctions, so every piece is purely Dirichlet or purely Neumann.
+Every rule is built for a whole stack of triangles (m, 3, 2) at once and comes
+back as flat arrays with an owner index per point; ``cut_volume_rule`` and
+``cut_boundary_rule`` are the one-cell calls of the same code.
 
-``build_rules`` packs the rules of all active cells into flat arrays with an
-owner cell per point; triangles inside the domain get the degree-4 rule
-through their affine maps, all at once.  Ghost faces keep only their lengths,
-since the jump of a P1 normal gradient is constant on a face.
+Volume rules advance a breadth-first frontier of open leaves, one array step
+per subdivision depth.  A leaf inside the disk gets the degree-4 rule, a leaf
+certified outside is dropped, and a leaf below the sloppy floor is decided by
+its centroid.  A boundary leaf that the circle crosses in one clean, gently
+curved arc takes the chord split: the part of the leaf on the center's side of
+the chord is fan-triangulated, and the circular segment between chord and arc
+gets a product rule whose mass must match the exact segment area.  Every other
+boundary leaf is split into four for the next step, so the mass of each cell
+matches the exact intersection area up to the requested tolerance.
+
+Boundary rules are a flat table of angular panels (owner, b0, b1): the arcs
+between the circle's crossings of each triangle, split at the boundary-condition
+junctions and into pieces of at most ``max_piece``, then graded dyadically
+toward the ``grade_angles``.  One Gauss map turns all panels into points, and
+every panel is purely Dirichlet or purely Neumann.
+
+``build_rules`` packs the rules of all active cells; ghost faces keep only
+their lengths, since the jump of a P1 normal gradient is constant on a face.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -23,6 +34,7 @@ import numpy as np
 
 from cutpoisson.geometry import (
     TWO_PI,
+    _gauss,
     _wrap,
     cross2,
     is_dirichlet_angle,
@@ -67,13 +79,26 @@ class QuadRule:
         return len(self.weights)
 
 
-def _empty_rule(region, with_normals=False):
-    return QuadRule(
-        np.empty((0, 2)),
-        np.empty(0),
-        region,
-        np.empty((0, 2)) if with_normals else None,
-    )
+@dataclass(frozen=True)
+class PackedRule:
+    """Quadrature points of many cells in flat arrays.
+
+    ``owner[q]`` is the cell that point q belongs to: its position in
+    ``topology.active`` in a ``RuleSet``, its position in the input stack for
+    the batched rule functions.  Boundary rules also carry the unit exterior
+    normal and a Dirichlet flag per point; volume rules leave both None.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    owner: np.ndarray
+    normals: np.ndarray | None = None
+    dirichlet: np.ndarray | None = None
+
+    def select(self, mask):
+        """The points where ``mask`` holds, in the same order."""
+        fields = (self.points, self.weights, self.owner, self.normals, self.dirichlet)
+        return PackedRule(*(None if a is None else a[mask] for a in fields))
 
 
 # Six-point degree-4 rule on the reference triangle (barycentric form).
@@ -91,6 +116,9 @@ _D4_BARY = np.array(
 )
 _D4_W = np.array([_D4_W1, _D4_W1, _D4_W1, _D4_W2, _D4_W2, _D4_W2])
 
+# Fractions of the arc at which the chord split checks that the arc stays in the leaf.
+_ARC_SAMPLES = np.linspace(0.05, 0.95, 9)
+
 
 def _tri_area(coords):
     """Area of a triangle, or of each triangle of a stack of shape (..., 3, 2)."""
@@ -104,7 +132,8 @@ def _tri_diam(coords):
 
 
 def _full_triangle_points(coords):
-    return _D4_BARY @ coords, _D4_W * _tri_area(coords)
+    """Degree-4 points (..., 6, 2) and weights (..., 6) of a triangle or a stack of them."""
+    return _D4_BARY @ coords, _D4_W * _tri_area(coords)[..., None]
 
 
 def _barycentric(coords, pts, owner=None):
@@ -120,350 +149,364 @@ def _barycentric(coords, pts, owner=None):
     return np.column_stack([1.0 - lam.sum(axis=1), lam])
 
 
-def _points_in_triangle(coords, pts, margin=0.0):
-    lam = _barycentric(coords, pts)
-    return np.all(lam >= -margin, axis=1)
+def _on_circle(domain, psi):
+    """Unit directions and circle points at the angles ``psi``, each of shape psi.shape + (2,)."""
+    e = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+    return e, domain.center_array + domain.radius * e
 
 
-def _circle_edge_roots(p0, p1, center, radius):
-    """Parameters t of the circle crossings on the segment p0 + t (p1 - p0)."""
-    d = p1 - p0
-    f = p0 - center
-    a = float(d @ d)
-    b = 2.0 * float(f @ d)
-    c = float(f @ f) - radius * radius
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        return []
-    s = math.sqrt(disc)
-    return [(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)]
+def _in_triangles(tris, pts, owner):
+    """Whether point q lies in triangle ``owner[q]``, up to a 1e-12 barycentric margin."""
+    return np.all(_barycentric(tris, pts, owner) >= -1e-12, axis=1)
 
 
-def _clip_halfplane(poly, origin, normal):
-    """Keep the part of a convex polygon with (x - origin) . normal <= 0."""
-    out = []
-    n = len(poly)
-    vals = [float((p - origin) @ normal) for p in poly]
-    for i in range(n):
-        j = (i + 1) % n
-        vi, vj = vals[i], vals[j]
-        if vi <= 0.0:
-            out.append(poly[i])
-        if (vi > 0.0) != (vj > 0.0) and vi != vj:
-            t = vi / (vi - vj)
-            if 0.0 < t < 1.0:
-                out.append(poly[i] + t * (poly[j] - poly[i]))
-    return out
+def _edge_roots(tris, center, radius):
+    """Circle crossings on the edges p_k + t (p_{k+1} - p_k) of a stack of triangles.
 
-
-def _segment_rule(center, radius, psi_a, alpha, n_psi, n_r=3):
-    """Product rule on the circular segment between the chord and the minor arc.
-
-    The segment is parameterized by the angle psi in [psi_a, psi_a + alpha]
-    and the radius from the chord to the circle.
+    Returns the parameters t (m, 3, 2), NaN where the edge's line misses or
+    only touches the circle, and the edge vectors (m, 3, 2).
     """
-    d_chord = radius * math.cos(0.5 * alpha)
-    psi_mid = psi_a + 0.5 * alpha
-    gn, gw = np.polynomial.legendre.leggauss(n_psi)
-    rn, rw = np.polynomial.legendre.leggauss(n_r)
-    psi = psi_mid + 0.5 * alpha * gn
-    w_psi = 0.5 * alpha * gw
-    pts = []
-    wts = []
-    for p, wp in zip(psi, w_psi):
-        r0 = d_chord / math.cos(p - psi_mid)
-        half = 0.5 * (radius - r0)
-        r = r0 + half * (rn + 1.0)
-        w = wp * half * rw * r
-        e = np.array([math.cos(p), math.sin(p)])
-        pts.append(center + r[:, None] * e)
-        wts.append(w)
-    area = 0.5 * radius * radius * (alpha - math.sin(alpha))
-    return np.vstack(pts), np.concatenate(wts), area
+    d = np.roll(tris, -1, axis=1) - tris
+    f = tris - center
+    a = (d * d).sum(axis=-1)
+    b = 2.0 * (f * d).sum(axis=-1)
+    c = (f * f).sum(axis=-1) - radius * radius
+    disc = b * b - 4.0 * a * c
+    s = np.sqrt(disc, out=np.full_like(disc, np.nan), where=disc > 0.0)
+    return np.stack([(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)], axis=-1), d
+
+
+def _subdivide(tris):
+    """The four midpoint children (4m, 3, 2) of each triangle, parent by parent."""
+    mids = 0.5 * (tris + np.roll(tris, -1, axis=1))
+    t0, t1, t2 = tris[:, 0], tris[:, 1], tris[:, 2]
+    m0, m1, m2 = mids[:, 0], mids[:, 1], mids[:, 2]
+    children = [np.stack(c, axis=1) for c in ((t0, m0, m2), (t1, m1, m0), (t2, m2, m1))]
+    return np.stack(children + [mids], axis=1).reshape(-1, 3, 2)
 
 
 def _segment_order(tol):
     return int(min(8, max(1, math.ceil(-math.log10(tol) / 2.0))))
 
 
-def _try_chord_split(coords, domain, phi):
-    """Chord crossings if the circle meets the triangle in a single clean arc."""
+def _segment_rules(domain, psi_a, alpha, n_psi, n_r=3):
+    """Product rules on the circular segments between the chords and the minor arcs.
+
+    Each segment is parameterized by the angle psi in [psi_a, psi_a + alpha]
+    and the radius from the chord to the circle.  Returns points (k, q, 2),
+    weights (k, q) and the exact segment areas (k,).
+    """
+    radius = domain.radius
+    gn, gw = _gauss(n_psi)
+    rn, rw = _gauss(n_r)
+    d_chord = radius * np.cos(0.5 * alpha)
+    psi_mid = psi_a + 0.5 * alpha
+    psi = psi_mid[:, None] + 0.5 * alpha[:, None] * gn
+    w_psi = 0.5 * alpha[:, None] * gw
+    r0 = d_chord[:, None] / np.cos(psi - psi_mid[:, None])
+    half = 0.5 * (radius - r0)
+    r = r0[..., None] + half[..., None] * (rn + 1.0)
+    w = (w_psi * half)[..., None] * rw * r
+    e, _ = _on_circle(domain, psi)
+    pts = domain.center_array + r[..., None] * e[:, :, None, :]
+    area = 0.5 * radius * radius * (alpha - np.sin(alpha))
+    q = n_psi * n_r
+    return pts.reshape(len(alpha), q, 2), w.reshape(len(alpha), q), area
+
+
+def _chord_split(tris, phi, domain):
+    """The leaves that the circle crosses in a single clean, gently curved arc.
+
+    Returns their indices, the chord ends p_a, p_b (k, 2) and the start angle
+    and angle of the minor arc between them.  A leaf is refused when a vertex
+    lies on the circle, a crossing falls at or near a vertex, the crossings
+    are not exactly two or nearly coincide, both cross one edge with the leaf
+    on the center's side of it, the arc is wider than 0.8, or the arc leaves
+    the triangle.
+    """
     center, radius = domain.center_array, domain.radius
-    if np.any(np.abs(phi) <= 1e-13 * radius):
-        return None
-    crossings = []
-    for k in range(3):
-        p0, p1 = coords[k], coords[(k + 1) % 3]
-        for t in _circle_edge_roots(p0, p1, center, radius):
-            if -1e-9 <= t <= 1.0 + 1e-9:
-                if not (1e-9 < t < 1.0 - 1e-9):
-                    return None  # crossing at or too close to a vertex
-                crossings.append(p0 + t * (p1 - p0))
-    if len(crossings) != 2:
-        return None
-    p_a, p_b = crossings
-    if np.linalg.norm(p_a - p_b) <= 1e-12 * radius:
-        return None  # near-tangent double root
-    psi_1 = math.atan2(*(p_a - center)[::-1])
-    psi_2 = math.atan2(*(p_b - center)[::-1])
-    alpha = _wrap(psi_2 - psi_1)
-    if alpha <= math.pi:
-        psi_a = psi_1
-    else:
-        psi_a, alpha = psi_2, TWO_PI - alpha
-    if alpha > 0.8:
-        return None  # keep the product rule on a gently curved arc
-    samples = psi_a + alpha * np.linspace(0.05, 0.95, 9)
-    arc_pts = center + radius * np.column_stack([np.cos(samples), np.sin(samples)])
-    if not np.all(_points_in_triangle(coords, arc_pts, margin=1e-12)):
-        return None
-    return p_a, p_b, psi_a, alpha
+    t, d = _edge_roots(tris, center, radius)
+    t = t.reshape(len(tris), 6)
+    hit = (t >= -1e-9) & (t <= 1.0 + 1e-9)
+    clean = (t > 1e-9) & (t < 1.0 - 1e-9)
+    keep = np.flatnonzero(
+        ~np.any(np.abs(phi) <= 1e-13 * radius, axis=1)
+        & ~np.any(hit & ~clean, axis=1)
+        & (hit.sum(axis=1) == 2)
+    )
+    slot = np.argsort(~hit[keep], axis=1, kind="stable")[:, :2]  # the two crossings, in edge order
+    edge = slot // 2
+    rows = keep[:, None]
+    ends = tris[rows, edge] + np.take_along_axis(t[keep], slot, axis=1)[..., None] * d[rows, edge]
+    p_a, p_b = ends[:, 0], ends[:, 1]
+
+    ok = np.linalg.norm(p_a - p_b, axis=-1) > 1e-12 * radius  # not a near-tangent double root
+    # with both crossings on one edge, the leaf must lie beyond that edge from the center,
+    # or the part kept on the center's side of the chord is not inside the disk
+    base, along = tris[keep, edge[:, 0]], d[keep, edge[:, 0]]
+    opposite = tris[keep, (edge[:, 0] + 2) % 3]
+    beyond = cross2(along, opposite - base) * cross2(along, center - base) < 0.0
+    ok &= (edge[:, 0] != edge[:, 1]) | beyond
+    rel = ends - center
+    psi = np.arctan2(rel[..., 1], rel[..., 0])
+    alpha = _wrap(psi[:, 1] - psi[:, 0])
+    major = alpha > math.pi
+    psi_a = np.where(major, psi[:, 1], psi[:, 0])
+    alpha = np.where(major, TWO_PI - alpha, alpha)
+    ok &= alpha <= 0.8  # keep the product rule on a gently curved arc
+    _, arc = _on_circle(domain, psi_a[:, None] + alpha[:, None] * _ARC_SAMPLES)
+    inside = _in_triangles(tris, arc.reshape(-1, 2), keep.repeat(len(_ARC_SAMPLES)))
+    ok &= inside.reshape(len(keep), len(_ARC_SAMPLES)).all(axis=1)
+    return keep[ok], p_a[ok], p_b[ok], psi_a[ok], alpha[ok]
+
+
+def _clip_fan(tris, origin, normal):
+    """Fan triangles (k, 2, 3, 2) of the parts of ``tris`` where (x - origin) . normal <= 0.
+
+    Also returns which of the two fan triangles exist and have positive area.
+    """
+    vi = ((tris - origin[:, None]) * normal[:, None]).sum(axis=-1)
+    vj = np.roll(vi, -1, axis=1)
+    nxt = np.roll(tris, -1, axis=1)
+    t = np.divide(vi, vi - vj, out=np.zeros_like(vi), where=vi != vj)
+    crossing = ((vi > 0.0) != (vj > 0.0)) & (vi != vj) & (0.0 < t) & (t < 1.0)
+    cut = tris + t[..., None] * (nxt - tris)
+    # polygon vertices in boundary order: each kept vertex, then its edge's crossing
+    candidates = np.stack([tris, cut], axis=2).reshape(len(tris), 6, 2)
+    kept = np.stack([vi <= 0.0, crossing], axis=2).reshape(len(tris), 6)
+    order = np.argsort(~kept, axis=1, kind="stable")[:, :4]
+    poly = np.take_along_axis(candidates, order[..., None], axis=1)
+    fan = np.stack([poly[:, [0, 1, 2]], poly[:, [0, 2, 3]]], axis=1)
+    valid = (kept.sum(axis=1)[:, None] >= (3, 4)) & (_tri_area(fan) > 0.0)
+    return fan, valid
+
+
+def cut_volume_rules(triangles, domain, tol=DEFAULT_TOL, max_depth=48):
+    """Quadrature over the intersection of each triangle of a stack (m, 3, 2) with the domain.
+
+    Returns a ``PackedRule`` sorted by owner, the triangle's position in the
+    stack.  Uncut triangles get the degree-4 rule; the mass of each cut
+    triangle's rule matches the exact intersection area within ``tol`` times
+    the triangle's area.
+    """
+    tris = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
+    e = tris[:, 1:] - tris[:, :1]
+    tris = np.where((cross2(e[:, 0], e[:, 1]) < 0.0)[:, None, None], tris[:, ::-1], tris)
+    area0 = _tri_area(tris)
+    diam0 = _tri_diam(tris)
+    if np.any(area0 == 0.0):
+        raise ValueError("degenerate triangle")
+
+    sloppy_floor = np.maximum(tol * area0 / diam0, 1e-9 * diam0)
+    mass_floor = 1e-16 * area0
+    n_psi = _segment_order(tol)
+    center, radius = domain.center_array, domain.radius
+
+    out = []  # (points (k, q, 2), weights (k, q), owner (k,)) per emitted block
+    err_estimate = np.zeros(len(tris))
+
+    def emit_full(leaves, owner):
+        out.append((*_full_triangle_points(leaves), owner))
+
+    owner = np.arange(len(tris))
+    for depth in range(max_depth + 1):
+        phi = signed_distance(domain, tris)
+        diam = _tri_diam(tris)
+        inside = np.all(phi <= 0.0, axis=1)
+        emit_full(tris[inside], owner[inside])
+        # a leaf with all vertices outside is dropped when the disk cannot reach it
+        dropped = np.all(phi > 0.0, axis=1) & (
+            (phi.min(axis=1) > diam) | (_point_triangle_distance(center, tris) >= radius)
+        )
+        live = ~inside & ~dropped
+
+        sloppy = live & (diam <= sloppy_floor[owner])
+        err_estimate += np.bincount(owner[sloppy], _tri_area(tris[sloppy]), len(err_estimate))
+        filled = np.flatnonzero(sloppy)
+        filled = filled[signed_distance(domain, tris[filled].mean(axis=1)) <= 0.0]
+        emit_full(tris[filled], owner[filled])
+
+        live &= ~sloppy
+        tris, owner, phi = tris[live], owner[live], phi[live]
+        split, p_a, p_b, psi_a, alpha = _chord_split(tris, phi, domain)
+        seg_pts, seg_wts, seg_area = _segment_rules(domain, psi_a, alpha, n_psi)
+        seg_err = np.abs(seg_wts.sum(axis=1) - seg_area)
+        budget = np.maximum(tol * _tri_area(tris[split]), mass_floor[owner[split]])
+        within = seg_err <= budget
+        split, p_a, p_b = split[within], p_a[within], p_b[within]
+        chord = p_b - p_a
+        normal = np.stack([-chord[:, 1], chord[:, 0]], axis=1)
+        normal[((center - p_a) * normal).sum(axis=1) > 0.0] *= -1.0  # keep the center's side
+        fan, valid = _clip_fan(tris[split], p_a, normal)
+        sub, piece = np.nonzero(valid)
+        emit_full(fan[sub, piece], owner[split][sub])
+        out.append((seg_pts[within], seg_wts[within], owner[split]))
+        err_estimate += np.bincount(owner[split], seg_err[within], len(err_estimate))
+
+        rest = np.ones(len(tris), dtype=bool)
+        rest[split] = False
+        if not rest.any():
+            break
+        if depth == max_depth:
+            raise QuadratureToleranceError(
+                "cut volume rule ran out of subdivision depth",
+                err_estimate[owner[rest][0]],
+            )
+        tris, owner = _subdivide(tris[rest]), owner[rest].repeat(4)
+
+    points = np.concatenate([p.reshape(-1, 2) for p, _, _ in out])
+    weights = np.concatenate([w.ravel() for _, w, _ in out])
+    owners = np.concatenate([o.repeat(w.shape[1]) for _, w, o in out])
+    order = np.argsort(owners, kind="stable")
+    return PackedRule(points[order], weights[order], owners[order])
 
 
 def cut_volume_rule(triangle, domain, tol=DEFAULT_TOL, max_depth=48):
-    """Quadrature over the intersection of a triangle with the domain.
-
-    Uncut triangles get the standard degree-4 rule; cut triangles are resolved
-    recursively so the rule mass matches the exact intersection area within
-    ``tol`` times the triangle area.
-    """
-    coords = np.asarray(triangle, dtype=float)
-    if cross2(coords[1] - coords[0], coords[2] - coords[0]) < 0.0:
-        coords = coords[::-1]
-    area0 = _tri_area(coords)
-    diam0 = _tri_diam(coords)
-    if area0 == 0.0:
-        raise ValueError("degenerate triangle")
-
-    sloppy_floor = max(tol * area0 / diam0, 1e-9 * diam0)
-    budget_rate = tol  # per-leaf area budget, relative to the leaf area
-    n_psi = _segment_order(tol)
-
-    pts_out, wts_out = [], []
-    err_estimate = 0.0
-
-    stack = [(coords, 0)]
-    while stack:
-        tri, depth = stack.pop()
-        phi = signed_distance(domain, tri)
-        if np.all(phi <= 0.0):
-            p, w = _full_triangle_points(tri)
-            pts_out.append(p)
-            wts_out.append(w)
-            continue
-        if np.all(phi > 0.0):
-            if phi.min() > _tri_diam(tri):
-                continue
-            if _point_triangle_distance(domain.center_array, tri) >= domain.radius:
-                continue
-        diam = _tri_diam(tri)
-        if diam <= sloppy_floor:
-            centroid = tri.mean(axis=0)
-            err_estimate += _tri_area(tri)
-            if float(signed_distance(domain, centroid)) <= 0.0:
-                p, w = _full_triangle_points(tri)
-                pts_out.append(p)
-                wts_out.append(w)
-            continue
-        split = _try_chord_split(tri, domain, phi)
-        if split is not None:
-            p_a, p_b, psi_a, alpha = split
-            seg_pts, seg_wts, seg_area = _segment_rule(
-                domain.center_array, domain.radius, psi_a, alpha, n_psi
-            )
-            leaf_area = _tri_area(tri)
-            if abs(seg_wts.sum() - seg_area) <= max(budget_rate * leaf_area, 1e-16 * area0):
-                chord = p_b - p_a
-                normal = np.array([-chord[1], chord[0]])
-                if float((domain.center_array - p_a) @ normal) > 0.0:
-                    normal = -normal
-                poly = _clip_halfplane(list(tri), p_a, normal)
-                for k in range(1, len(poly) - 1):
-                    sub = np.array([poly[0], poly[k], poly[k + 1]])
-                    if _tri_area(sub) > 0.0:
-                        p, w = _full_triangle_points(sub)
-                        pts_out.append(p)
-                        wts_out.append(w)
-                pts_out.append(seg_pts)
-                wts_out.append(seg_wts)
-                err_estimate += abs(seg_wts.sum() - seg_area)
-                continue
-        if depth >= max_depth:
-            raise QuadratureToleranceError(
-                "cut volume rule ran out of subdivision depth", err_estimate
-            )
-        mids = 0.5 * (tri + np.roll(tri, -1, axis=0))
-        stack.append((np.array([tri[0], mids[0], mids[2]]), depth + 1))
-        stack.append((np.array([tri[1], mids[1], mids[0]]), depth + 1))
-        stack.append((np.array([tri[2], mids[2], mids[1]]), depth + 1))
-        stack.append((mids, depth + 1))
-
-    if not pts_out:
-        return _empty_rule(REGION_CUT_VOLUME)
-    return QuadRule(np.vstack(pts_out), np.concatenate(wts_out), REGION_CUT_VOLUME)
+    """Quadrature over the intersection of one triangle with the domain (see ``cut_volume_rules``)."""
+    rule = cut_volume_rules(np.asarray(triangle)[None], domain, tol, max_depth)
+    return QuadRule(rule.points, rule.weights, REGION_CUT_VOLUME)
 
 
-def _graded_breaks(a, b, toward_a, toward_b, levels):
-    """Dyadic refinement of [a, b] toward the flagged endpoints."""
-    breaks = {a, b}
-    if toward_a and toward_b:
-        breaks.add(0.5 * (a + b))
-    width = (0.5 if toward_a and toward_b else 1.0) * (b - a)
-    if toward_a:
-        breaks.update(a + width * 2.0**-k for k in range(1, levels + 1))
-    if toward_b:
-        breaks.update(b - width * 2.0**-k for k in range(1, levels + 1))
-    return np.array(sorted(breaks))
+def _arcs(tris, domain):
+    """Arcs of the circle inside each triangle, as (owner, start angle, angular width)."""
+    center = domain.center_array
+    m = len(tris)
+    t, d = _edge_roots(tris, center, domain.radius)
+    hit = ((t >= -1e-12) & (t <= 1.0 + 1e-12)).reshape(m, 6)
+    rel = (tris[:, :, None] + np.clip(t, 0.0, 1.0)[..., None] * d[:, :, None]).reshape(m, 6, 2)
+    rel -= center
+    angles = np.sort(np.where(hit, _wrap(np.arctan2(rel[..., 1], rel[..., 0])), np.nan), axis=1)
+    distinct = ~np.isnan(angles)
+    distinct[:, 1:] &= np.diff(angles, axis=1) >= 1e-13
+    angles = np.sort(np.where(distinct, angles, np.nan), axis=1)
+    count = distinct.sum(axis=1)
+    # a triangle the circle never crosses holds all of it, probed at angle 0, or none of it
+    whole = count == 0
+    angles[whole, 0] = 0.0
+    n_arcs = np.maximum(count, 1)
+
+    # each crossing starts an arc that ends at the next one, the last wrapping to the first
+    real = np.arange(6) < n_arcs[:, None]
+    ends = np.column_stack([angles[:, 1:], np.zeros(m)])
+    ends[np.arange(6) == n_arcs[:, None] - 1] = angles[:, 0] + TWO_PI
+    owner = np.nonzero(real)[0]
+    start = angles[real]
+    width = ends[real] - start
+    _, probe = _on_circle(domain, np.where(whole[owner], 0.0, start + 0.5 * width))
+    keep = (width >= 1e-13) & _in_triangles(tris, probe, owner)
+    return owner[keep], start[keep], width[keep]
 
 
-def cut_boundary_rule(
-    triangle,
+def _split_pieces(owner, start, width, cuts, max_piece):
+    """Split each arc at the angles ``cuts`` inside it, then into equal pieces of at most ``max_piece``."""
+    off = _wrap(cuts[None, :] - start[:, None])
+    inner = (off > 1e-13) & (off < width[:, None] - 1e-13)
+    ends = np.column_stack([np.where(inner, start[:, None] + off, np.inf), start + width])
+    ends.sort(axis=1)
+    starts = np.column_stack([start, ends[:, :-1]])
+    real = np.isfinite(ends)
+    owner, lo, hi = owner.repeat(real.sum(axis=1)), starts[real], ends[real]
+    n_sub = np.maximum(1, np.ceil((hi - lo) / max_piece)).astype(np.int64)
+    s = np.arange(n_sub.sum()) - (np.cumsum(n_sub) - n_sub).repeat(n_sub)
+    owner, lo, hi, n_sub = (a.repeat(n_sub) for a in (owner, lo, hi, n_sub))
+    return owner, lo + (hi - lo) * s / n_sub, lo + (hi - lo) * (s + 1) / n_sub
+
+
+def _graded_panels(owner, lo, hi, grade_angles, levels):
+    """Panels (owner, b0, b1) of the pieces, refined dyadically toward ends that are grade angles."""
+    graded = _wrap(np.asarray(grade_angles, dtype=float))
+
+    def near(x):
+        gap = _wrap(x[:, None] - graded)
+        return np.any(np.minimum(gap, _wrap(graded - x[:, None])) < 1e-12, axis=1)
+
+    toward_lo, toward_hi = near(lo), near(hi)
+    both = toward_lo & toward_hi
+    width = np.where(both, 0.5, 1.0) * (hi - lo)
+    steps = 2.0 ** -np.arange(1, levels + 1)
+    breaks = np.column_stack(
+        [
+            lo,
+            hi,
+            np.where(both, 0.5 * (lo + hi), np.nan),
+            np.where(toward_lo[:, None], lo[:, None] + width[:, None] * steps, np.nan),
+            np.where(toward_hi[:, None], hi[:, None] - width[:, None] * steps, np.nan),
+        ]
+    )
+    breaks.sort(axis=1)
+    distinct = ~np.isnan(breaks)
+    distinct[:, 1:] &= np.diff(breaks, axis=1) != 0.0
+    row, col = np.nonzero(distinct)
+    b = breaks[row, col]
+    panel = row[1:] == row[:-1]
+    return owner[row[:-1][panel]], b[:-1][panel], b[1:][panel]
+
+
+def cut_boundary_rules(
+    triangles,
     domain,
-    tol=DEFAULT_TOL,
     order=6,
     grade_angles=(),
     grade_levels=16,
     max_piece=math.pi / 8.0,
 ):
-    """Quadrature over the boundary arcs inside a triangle, split by condition.
+    """Quadrature over the boundary arcs inside each triangle of a stack (m, 3, 2).
 
-    Returns a (Dirichlet, Neumann) pair of rules.  Arcs are parameterized
-    exactly by angle; they are split at the boundary-condition junctions so
-    that each piece carries a single condition,
-    and pieces abutting a ``grade_angles`` entry are refined dyadically toward
-    it, which keeps the rules accurate for data that is singular there.
-    Exterior unit normals are attached per point.
+    Arcs are parameterized exactly by angle and split at the boundary-condition
+    junctions, so that each piece carries a single condition; pieces abutting
+    a ``grade_angles`` entry are refined dyadically toward it, which keeps the
+    rules accurate for data that is singular there.  Returns a ``PackedRule``
+    with exterior unit normals and Dirichlet flags, sorted by owner (the
+    triangle's position in the stack) with each cell's Dirichlet points first.
     """
-    coords = np.asarray(triangle, dtype=float)
-    center, radius = domain.center_array, domain.radius
+    tris = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
+    owner, start, width = _arcs(tris, domain)
+    owner, lo, hi = _split_pieces(owner, start, width, domain.junction_angles, max_piece)
+    owner, b0, b1 = _graded_panels(owner, lo, hi, grade_angles, grade_levels)
 
-    angles = set()
-    for k in range(3):
-        p0, p1 = coords[k], coords[(k + 1) % 3]
-        for t in _circle_edge_roots(p0, p1, center, radius):
-            if -1e-12 <= t <= 1.0 + 1e-12:
-                p = p0 + min(1.0, max(0.0, t)) * (p1 - p0)
-                angles.add(float(_wrap(math.atan2(*(p - center)[::-1]))))
+    mid, half = 0.5 * (b0 + b1), 0.5 * (b1 - b0)
+    dirichlet = is_dirichlet_angle(domain, _wrap(mid))
+    panels = np.lexsort((~dirichlet, owner))
+    gauss_n, gauss_w = _gauss(order)
+    e, points = _on_circle(domain, mid[panels, None] + half[panels, None] * gauss_n)
+    weights = (domain.radius * half[panels])[:, None] * gauss_w
+    return PackedRule(
+        points.reshape(-1, 2),
+        weights.ravel(),
+        owner[panels].repeat(order),
+        e.reshape(-1, 2),
+        dirichlet[panels].repeat(order),
+    )
 
-    def in_tri(psi):
-        pts = center + radius * np.column_stack([np.cos(psi), np.sin(psi)])
-        return _points_in_triangle(coords, pts, margin=1e-12)
 
-    if not angles:
-        if bool(in_tri(np.array([0.0]))[0]):
-            arcs = [(0.0, TWO_PI)]
-        else:
-            return (
-                _empty_rule(REGION_BOUNDARY_D, with_normals=True),
-                _empty_rule(REGION_BOUNDARY_N, with_normals=True),
-            )
-    else:
-        sorted_angles = np.sort(np.array(sorted(angles)))
-        sorted_angles = sorted_angles[np.r_[True, np.diff(sorted_angles) >= 1e-13]]
-        arcs = []
-        m = len(sorted_angles)
-        for i in range(m):
-            a = sorted_angles[i]
-            b = sorted_angles[(i + 1) % m] if i + 1 < m else sorted_angles[0] + TWO_PI
-            width = b - a
-            if width < 1e-13:
-                continue
-            if bool(in_tri(np.array([a + 0.5 * width]))[0]):
-                arcs.append((a, width))
-
-    cut_points = list(domain.junction_angles)
-    graded = [float(_wrap(g)) for g in grade_angles]
-
-    pieces = []
-    for a, width in arcs:
-        interior = sorted(
-            {
-                a + _wrap(cp - a)
-                for cp in cut_points
-                if 1e-13 < _wrap(cp - a) < width - 1e-13
-            }
-        )
-        bounds = [a] + interior + [a + width]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            n_sub = max(1, math.ceil((hi - lo) / max_piece))
-            for s in range(n_sub):
-                pieces.append((lo + (hi - lo) * s / n_sub, lo + (hi - lo) * (s + 1) / n_sub))
-
-    def near(x, g):
-        return min(abs(_wrap(x - g)), abs(_wrap(g - x))) < 1e-12
-
-    gauss_n, gauss_w = np.polynomial.legendre.leggauss(order)
-    parts = {True: ([], [], []), False: ([], [], [])}  # dirichlet -> pts, wts, normals
-    for lo, hi in pieces:
-        toward_lo = any(near(lo, g) for g in graded)
-        toward_hi = any(near(hi, g) for g in graded)
-        if toward_lo or toward_hi:
-            breaks = _graded_breaks(lo, hi, toward_lo, toward_hi, grade_levels)
-        else:
-            breaks = np.array([lo, hi])
-        for b0, b1 in zip(breaks[:-1], breaks[1:]):
-            mid, half = 0.5 * (b0 + b1), 0.5 * (b1 - b0)
-            psi = mid + half * gauss_n
-            tag = bool(is_dirichlet_angle(domain, np.float64(_wrap(mid))))
-            e = np.column_stack([np.cos(psi), np.sin(psi)])
-            parts[tag][0].append(center + radius * e)
-            parts[tag][1].append(radius * half * gauss_w)
-            parts[tag][2].append(e)
-
-    rules = []
-    for tag, region in ((True, REGION_BOUNDARY_D), (False, REGION_BOUNDARY_N)):
-        pts, wts, nrm = parts[tag]
-        if pts:
-            rules.append(
-                QuadRule(np.vstack(pts), np.concatenate(wts), region, np.vstack(nrm))
-            )
-        else:
-            rules.append(_empty_rule(region, with_normals=True))
-    return rules[0], rules[1]
+def cut_boundary_rule(
+    triangle,
+    domain,
+    order=6,
+    grade_angles=(),
+    grade_levels=16,
+    max_piece=math.pi / 8.0,
+):
+    """(Dirichlet, Neumann) rules on the boundary arcs inside one triangle (see ``cut_boundary_rules``)."""
+    rule = cut_boundary_rules(
+        np.asarray(triangle)[None], domain, order, grade_angles, grade_levels, max_piece
+    )
+    return tuple(
+        QuadRule(rule.points[m], rule.weights[m], region, rule.normals[m])
+        for m, region in ((rule.dirichlet, REGION_BOUNDARY_D), (~rule.dirichlet, REGION_BOUNDARY_N))
+    )
 
 
 def refine_rule_toward(triangle, domain, point, tol=DEFAULT_TOL, levels=8):
     """Volume rule with extra subdivision toward a point of reduced regularity."""
-    point = np.asarray(point, dtype=float)
-    pts, wts = [], []
-    stack = [(np.asarray(triangle, dtype=float), 0)]
-    while stack:
-        tri, depth = stack.pop()
-        if depth < levels and _point_triangle_distance(point, tri) <= _tri_diam(tri):
-            mids = 0.5 * (tri + np.roll(tri, -1, axis=0))
-            stack.append((np.array([tri[0], mids[0], mids[2]]), depth + 1))
-            stack.append((np.array([tri[1], mids[1], mids[0]]), depth + 1))
-            stack.append((np.array([tri[2], mids[2], mids[1]]), depth + 1))
-            stack.append((mids, depth + 1))
-            continue
-        rule = cut_volume_rule(tri, domain, tol)
-        if len(rule):
-            pts.append(rule.points)
-            wts.append(rule.weights)
-    if not pts:
-        return _empty_rule(REGION_CUT_VOLUME)
-    return QuadRule(np.vstack(pts), np.concatenate(wts), REGION_CUT_VOLUME)
-
-
-@dataclass(frozen=True)
-class PackedRule:
-    """Quadrature points of many cells in flat arrays.
-
-    ``owner[q]`` is the position in ``topology.active`` of the cell that point
-    q belongs to.  Boundary rules also carry the unit exterior normal and a
-    Dirichlet flag per point; volume rules leave both None.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-    owner: np.ndarray
-    normals: np.ndarray | None = None
-    dirichlet: np.ndarray | None = None
-
-    def select(self, mask):
-        """The points where ``mask`` holds, in the same order."""
-        fields = (self.points, self.weights, self.owner, self.normals, self.dirichlet)
-        return PackedRule(*(None if a is None else a[mask] for a in fields))
+    tris = np.asarray(triangle, dtype=float)[None]
+    leaves = []
+    for _ in range(levels):
+        near = _point_triangle_distance(point, tris) <= _tri_diam(tris)
+        leaves.append(tris[~near])
+        tris = _subdivide(tris[near])
+    rule = cut_volume_rules(np.concatenate(leaves + [tris]), domain, tol)
+    return QuadRule(rule.points, rule.weights, REGION_CUT_VOLUME)
 
 
 @dataclass(frozen=True)
@@ -498,26 +541,12 @@ def build_rules(mesh, topology, domain, tol=DEFAULT_TOL, grade_levels=16):
     supported cutoff weight.
     """
     coords = mesh.vertices[mesh.triangles[topology.active]]
-    is_cut = topology.classification[topology.active] == CUT
-    inside = np.flatnonzero(~is_cut)
-    inner = coords[inside]
-    # the batched map is bitwise equal to the per-cell rule
-    w_inner = _D4_W * _tri_area(inner)[:, None]
-    vol = [((_D4_BARY @ inner).reshape(-1, 2), w_inner.ravel(), inside.repeat(len(_D4_W)))]
-    bnd = [(np.empty((0, 2)), np.empty(0), np.empty(0, int), np.empty((0, 2)), np.empty(0, bool))]
-    junctions = tuple(domain.junction_angles)
-    for k in np.flatnonzero(is_cut):
-        rule = cut_volume_rule(coords[k], domain, tol)
-        vol.append((rule.points, rule.weights, np.full(len(rule), k)))
-        parts = cut_boundary_rule(
-            coords[k], domain, tol, grade_angles=junctions, grade_levels=grade_levels
-        )
-        for r, tag in zip(parts, (True, False)):
-            bnd.append((r.points, r.weights, np.full(len(r), k), r.normals, np.full(len(r), tag)))
-    points, weights, owner = (np.concatenate(a) for a in zip(*vol))
-    order = np.argsort(owner, kind="stable")
-    volume = PackedRule(points[order], weights[order], owner[order])
-    boundary = PackedRule(*(np.concatenate(a) for a in zip(*bnd)))
+    volume = cut_volume_rules(coords, domain, tol)
+    cut = np.flatnonzero(topology.classification[topology.active] == CUT)
+    boundary = cut_boundary_rules(
+        coords[cut], domain, grade_angles=domain.junction_angles, grade_levels=grade_levels
+    )
+    boundary = dataclasses.replace(boundary, owner=cut[boundary.owner])
     ends = mesh.vertices[mesh.faces[topology.ghost_faces]]
     face_lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
     return RuleSet(volume, boundary, face_lengths, tol)

@@ -231,6 +231,12 @@ class ErrorReport:
 
 def _discretize(domain, n, box, tol, shift=(0.0, 0.0), beta=10.0, sigma=0.1):
     mesh = build_background(box, n, shift)
+    extent = tuple(float(v) for v in (*mesh.vertices.min(axis=0), *mesh.vertices.max(axis=0)))
+    if geometry.circle_meets_box_edge(domain.center, domain.radius, extent):
+        raise ValueError(
+            f"the boundary circle (center {domain.center}, radius {domain.radius}) meets the "
+            f"edge of the mesh extent {extent}: the solve would cover a truncated domain"
+        )
     topo = classify(mesh, domain)
     dofmap = build_dofmap(topo)
     tube = default_tube_params(domain, mesh.h)
@@ -269,14 +275,8 @@ def run_convergence(
     shift=(0.0, 0.0),
     refine_levels=None,
     validate=True,
-    level_runner=None,
 ):
-    """Solve the standard method on a refinement sequence and report error norms.
-
-    ``level_runner`` maps the per-level worker over the levels; it defaults to
-    the builtin ``map`` and exists so a caller can run levels concurrently.
-    Reports are merged in level order either way.
-    """
+    """Solve the standard method on a refinement sequence and report error norms."""
     if len(levels) < 2:
         raise ValueError("a convergence study needs at least two levels")
     if validate:
@@ -287,15 +287,10 @@ def run_convergence(
         label=problem.label,
         params={"beta": beta, "sigma": sigma, "box": tuple(box), "tol": tol},
     )
-    runner = map if level_runner is None else level_runner
-
-    def worker(n):
-        return convergence_level(
-            problem, n, beta, sigma, box, tol, shift, refine_levels
+    for n in levels:
+        report.add_level(
+            convergence_level(problem, n, beta, sigma, box, tol, shift, refine_levels)
         )
-
-    for result in runner(worker, list(levels)):
-        report.add_level(result)
     return report
 
 

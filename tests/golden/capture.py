@@ -6,6 +6,10 @@ One ``.npz`` file per configuration: the mixed disk (R = 0.7, upper half
 Dirichlet) at n = 16, on the unshifted grid and at one cut-sweep offset.  The
 committed files were captured from the program before the packed quadrature
 layout; recapture them only in a change meant to alter the numerical results.
+
+``cells_n64_*.npz`` hold per-cell quadrature measures of the same disk at
+n = 64 (volume mass, first moments, Dirichlet and Neumann boundary lengths),
+captured from the per-cell cut rules before they were batched.
 """
 
 import math
@@ -44,15 +48,17 @@ TOL = 1e-10
 REFINE_LEVELS = 8
 EPS_FACTOR = 0.1  # epsilon = EPS_FACTOR * h**2
 CONFIGS = {"unshifted": (0.0, 0.0), "shifted": sweep_shifts(BOX, N, 20)[7]}
+CELL_N = 64
+CELL_CONFIGS = {"unshifted": (0.0, 0.0), "shifted": sweep_shifts(BOX, CELL_N, 20)[7]}
 
 
 def mixed_disk():
     return LevelSetDomain((0.0, 0.0), 0.7, ((0.0, math.pi),))
 
 
-def discretize(shift):
+def discretize(shift, n=N):
     domain = mixed_disk()
-    mesh = build_background(BOX, N, shift)
+    mesh = build_background(BOX, n, shift)
     topo = classify(mesh, domain)
     dofmap = build_dofmap(topo)
     params = NitscheParams(beta=10.0, sigma=0.1, tube=default_tube_params(domain, mesh.h))
@@ -98,12 +104,32 @@ def outputs(shift, u_singular=None):
     }
 
 
+def cell_measures(shift):
+    """Per active cell: volume mass, first moments, Dirichlet and Neumann lengths."""
+    domain, mesh, dofmap, params, rules = discretize(shift, CELL_N)
+    n_cells = len(dofmap.topology.active)
+
+    def per_cell(rule, values=1.0):
+        return np.bincount(rule.owner, rule.weights * values, minlength=n_cells)
+
+    vol = rules.volume
+    return {
+        "mass": per_cell(vol),
+        "moment_x": per_cell(vol, vol.points[:, 0]),
+        "moment_y": per_cell(vol, vol.points[:, 1]),
+        "length_d": per_cell(rules.dirichlet),
+        "length_n": per_cell(rules.neumann),
+    }
+
+
 def main():
     for name, shift in CONFIGS.items():
         snapshot = outputs(shift)
         np.savez_compressed(HERE / f"mixed_n{N}_{name}.npz", **snapshot)
         print(name, "error norms", snapshot["error_norms"])
         print(name, "inequalities", snapshot["inequalities"])
+    for name, shift in CELL_CONFIGS.items():
+        np.savez_compressed(HERE / f"cells_n{CELL_N}_{name}.npz", **cell_measures(shift))
 
 
 if __name__ == "__main__":

@@ -97,15 +97,6 @@ def test_identical_runs_byte_identical(tmp_path):
     assert a == b
 
 
-def test_threaded_run_matches_serial(tmp_path):
-    cfg = write_config(tmp_path)
-    assert run(str(cfg), out_dir=str(tmp_path / "serial"), quiet=True) == 0
-    assert run(str(cfg), out_dir=str(tmp_path / "par"), threads=4, quiet=True) == 0
-    assert (tmp_path / "serial" / "convergence.csv").read_bytes() == (
-        tmp_path / "par" / "convergence.csv"
-    ).read_bytes()
-
-
 def test_defaults_applied():
     import tempfile, pathlib
 
@@ -125,3 +116,25 @@ def test_lf_line_endings_and_utf8(tmp_path):
     raw = (tmp_path / "o" / "convergence.csv").read_bytes()
     assert b"\r" not in raw
     raw.decode("utf-8")
+
+
+def test_truncated_disk_config_rejected(tmp_path, capsys):
+    """A disk centred at (0.5, 0) with R = 0.7 leaves the box [-1, 1]^2."""
+    cfg = write_config(tmp_path, {"geometry": {"center": [0.5, 0.0], "radius": 0.7}})
+    with pytest.raises(ConfigError, match="truncated domain"):
+        load_config(str(cfg))
+    assert run(str(cfg), out_dir=str(tmp_path / "o"), quiet=True) == 2
+    assert "meets the edge of mesh.box" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "convergence.csv").exists()
+
+
+def test_box_inside_disk_config_accepted(tmp_path):
+    cfg = write_config(tmp_path, {"geometry": {"center": [0.0, 0.0], "radius": 10.0}})
+    assert load_config(str(cfg))["geometry"]["radius"] == 10.0
+
+
+@pytest.mark.parametrize("levels", [[8.5, 16], [8, "16"], [True, 16], [], 8])
+def test_non_integer_levels_rejected(tmp_path, levels):
+    cfg = write_config(tmp_path, {"mesh": {"levels": levels}})
+    with pytest.raises(ConfigError, match="mesh.levels"):
+        load_config(str(cfg))

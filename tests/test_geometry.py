@@ -230,3 +230,21 @@ def test_tube_params_validation():
         TubeParams(0.5, 0.2, 0.4, 1.0)
     with pytest.raises(ValueError):
         TubeParams(0.1, 0.5, 1.0, 0.4)
+
+
+@pytest.mark.parametrize(
+    "center, radius, meets",
+    [
+        ((0.0, 0.0), 0.7, False),  # disk inside the box
+        ((0.0, 0.0), 1.5, False),  # box inside the disk
+        ((0.5, 0.0), 0.7, True),  # crosses the right edge
+        ((0.0, 0.0), 1.0, True),  # tangent to all four edges
+        ((0.0, 0.0), math.sqrt(2.0), True),  # through the corners
+        ((3.0, 0.0), 1.0, False),  # disk outside the box
+        ((3.0, 0.0), 2.5, True),  # reaches in from outside
+    ],
+)
+def test_circle_meets_box_edge(center, radius, meets):
+    from cutpoisson.geometry import circle_meets_box_edge
+
+    assert circle_meets_box_edge(center, radius, (-1.0, -1.0, 1.0, 1.0)) == meets

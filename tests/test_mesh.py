@@ -181,3 +181,39 @@ def test_translation_sweep_stability(domain_dirichlet):
     cell = 2.0 / 16
     perimeter = 2.0 * math.pi * domain_dirichlet.radius
     assert max(sizes) - min(sizes) <= 6.0 * perimeter / cell
+
+
+def test_classify_reports_lowest_ambiguous_triangle():
+    """The batched distance check names the first ambiguous candidate, as a loop would."""
+    domain = LevelSetDomain((0.0, 0.25), 0.5, ((0.0, 2 * math.pi),))
+    mesh = build_background((-1, -1, 1, 1), 4)
+    phi = signed_distance(domain, mesh.vertices)[mesh.triangles]
+    guard = 1e-12 * mesh.h
+    ambiguous = [
+        t
+        for t in range(mesh.n_triangles)
+        if phi[t].min() > 0.0
+        and phi[t].min() <= mesh.h
+        and abs(_point_triangle_distance(domain.center_array, mesh.triangle_coords(t)) - 0.5)
+        <= guard
+    ]
+    assert len(ambiguous) >= 1
+    with pytest.raises(AmbiguousCutError, match=f"^triangle {ambiguous[0]}: boundary tangency"):
+        classify(mesh, domain)
+
+
+def test_point_triangle_distance_broadcasts(rng):
+    tris = rng.random((40, 3, 2)) * 2.0 - 1.0
+    pts = rng.random((40, 2)) * 3.0 - 1.5
+    batched = _point_triangle_distance(pts, tris)
+    single = [_point_triangle_distance(p, t) for p, t in zip(pts, tris)]
+    assert np.array_equal(batched, single)
+    # against dense sampling of each closed triangle
+    s = np.linspace(0.0, 1.0, 201)
+    u, v = np.meshgrid(s, s)
+    keep = u + v <= 1.0
+    lam = np.column_stack([1.0 - u[keep] - v[keep], u[keep], v[keep]])
+    for p, t, d in zip(pts, tris, batched):
+        sampled = np.linalg.norm(lam @ t - p, axis=1).min()
+        assert d <= sampled + 1e-12
+        assert sampled - d <= 2.0 * np.linalg.norm(t - np.roll(t, -1, axis=0), axis=1).max() / 200

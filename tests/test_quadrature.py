@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from cutpoisson import LevelSetDomain, build_rules, classify, cut_boundary_rule, cut_volume_rule
-from cutpoisson.geometry import classify_boundary, DIRICHLET
-from cutpoisson.mesh import INSIDE, build_background
+from cutpoisson.geometry import classify_boundary, DIRICHLET, signed_distance
+from cutpoisson.mesh import CUT, INSIDE, build_background
+from cutpoisson.quadrature import (
+    QuadratureToleranceError,
+    _chord_split,
+    _tri_area,
+    cut_boundary_rules,
+    cut_volume_rules,
+)
+from cutpoisson.study import sweep_shifts
 
 
 def disk_rules(domain, n, tol=1e-10, box=(-1.0, -1.0, 1.0, 1.0)):
@@ -127,3 +135,128 @@ def test_packed_interior_rule_equals_cut_volume_rule(domain_mixed):
             rule = cut_volume_rule(mesh.triangle_coords(topo.active[k]), domain_mixed)
             assert np.array_equal(vol.points[vol.owner == k], rule.points)
             assert np.array_equal(vol.weights[vol.owner == k], rule.weights)
+
+
+def exact_disk_triangle_area(tri, center, radius):
+    """Area of a triangle's intersection with a disk, in closed form.
+
+    Each edge (a, b) contributes the signed area of the disk's intersection
+    with the triangle (center, a, b): straight where the edge runs inside the
+    disk, a circular sector where it runs outside.
+    """
+    total = 0.0
+    for a, b in zip(tri - center, np.roll(tri, -1, axis=0) - center):
+        d = b - a
+        qa, qb, qc = d @ d, 2.0 * (a @ d), a @ a - radius**2
+        disc = qb * qb - 4.0 * qa * qc
+        ts = [0.0, 1.0]
+        if disc > 0.0:
+            roots = ((-qb - math.sqrt(disc)) / (2 * qa), (-qb + math.sqrt(disc)) / (2 * qa))
+            ts = sorted(ts + [t for t in roots if 0.0 < t < 1.0])
+        for t0, t1 in zip(ts[:-1], ts[1:]):
+            p, q = a + t0 * d, a + t1 * d
+            mid = a + 0.5 * (t0 + t1) * d
+            cross = p[0] * q[1] - p[1] * q[0]
+            if mid @ mid <= radius**2:
+                total += 0.5 * cross
+            else:
+                total += 0.5 * radius**2 * math.atan2(cross, p @ q)
+    return abs(total)
+
+
+UNIT_MIXED = LevelSetDomain((0.0, 0.0), 1.0, ((0.0, math.pi),))
+
+FALLBACK_CELLS = {
+    # a vertex exactly on the circle trips the |phi| <= 1e-13 R guard
+    "vertex_on_circle": [[1.0, 0.0], [1.3, 0.6], [0.4, 0.5]],
+    # an edge 1e-9 inside the tangent line y = 1 adds two crossings, four in all
+    "near_tangent_edge": [[-0.5, 1.0 - 1e-9], [0.5, 1.0 - 1e-9], [0.0, 0.5]],
+    # a coarse cell whose arc spans about 1.5 rad > 0.8
+    "wide_arc": [[0.0, 0.9], [0.0, -0.9], [3.0, 0.0]],
+}
+
+
+def test_disk_poking_through_one_edge():
+    """A disk inside the cell but for a 1e-13 sliver beyond one edge is not the whole cell.
+
+    Both crossings lie on the bottom edge and the minor arc stays within the
+    barycentric margin, but the cell lies on the center's side of the chord.
+    """
+    domain = LevelSetDomain((0.0, -0.5), 0.5 + 1e-13, ())
+    tri = np.array([[-2.0, -1.0], [2.0, -1.0], [0.0, 2.0]])
+    assert len(_chord_split(tri[None], signed_distance(domain, tri[None]), domain)[0]) == 0
+    exact = exact_disk_triangle_area(tri, domain.center_array, domain.radius)
+    assert exact == pytest.approx(math.pi * domain.radius**2, rel=1e-12)
+    assert abs(cut_volume_rule(tri, domain).measure - exact) <= 1e-10 * _tri_area(tri)
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_CELLS))
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_chord_split_fallback_mass(name, tol):
+    """Cells the chord split refuses are subdivided until the mass meets ``tol``."""
+    tri = np.array(FALLBACK_CELLS[name])
+    domain = UNIT_MIXED
+    split = _chord_split(tri[None], signed_distance(domain, tri[None]), domain)
+    assert len(split[0]) == 0
+    rule = cut_volume_rule(tri, domain, tol)
+    exact = exact_disk_triangle_area(tri, domain.center_array, domain.radius)
+    assert abs(rule.measure - exact) <= tol * _tri_area(tri)
+    assert rule.weights.min() >= 0.0
+
+
+def test_chord_split_accepted_cell_mass():
+    """A gently curved single arc takes the chord split and meets the tolerance at once."""
+    tri = np.array([[0.8, -0.2], [1.2, 0.0], [0.8, 0.2]])
+    split = _chord_split(tri[None], signed_distance(UNIT_MIXED, tri[None]), UNIT_MIXED)
+    assert list(split[0]) == [0]
+    exact = exact_disk_triangle_area(tri, UNIT_MIXED.center_array, UNIT_MIXED.radius)
+    assert cut_volume_rule(tri, UNIT_MIXED).measure == pytest.approx(exact, rel=1e-12)
+
+
+def test_subdivision_depth_exhausted_raises():
+    with pytest.raises(QuadratureToleranceError, match="subdivision depth"):
+        cut_volume_rule(np.array(FALLBACK_CELLS["vertex_on_circle"]), UNIT_MIXED, max_depth=3)
+
+
+def test_junction_cell_lengths_equal_arc_spans():
+    """A cell holding the junction at angle 0 splits its arc there into D and N parts."""
+    tri = np.array([[0.6, -0.3], [1.5, 0.05], [0.6, 0.4]])
+    angles = []
+    for a, b in ((tri[0], tri[1]), (tri[1], tri[2])):
+        # the one crossing of each edge that leaves the unit disk
+        d = b - a
+        qa, qb, qc = d @ d, 2.0 * (a @ d), a @ a - 1.0
+        s = math.sqrt(qb * qb - 4.0 * qa * qc)
+        (t,) = [t for t in ((-qb - s) / (2.0 * qa), (-qb + s) / (2.0 * qa)) if 0.0 < t < 1.0]
+        p = a + t * d
+        angles.append(math.atan2(p[1], p[0]))
+    below, above = sorted(angles)
+    assert below < 0.0 < above
+    rd, rn = cut_boundary_rule(tri, UNIT_MIXED, grade_angles=UNIT_MIXED.junction_angles)
+    assert rd.measure == pytest.approx(above, rel=1e-12)
+    assert rn.measure == pytest.approx(-below, rel=1e-12)
+    assert np.all(rd.points[:, 1] > 0.0) and np.all(rn.points[:, 1] < 0.0)
+    exact = exact_disk_triangle_area(tri, UNIT_MIXED.center_array, UNIT_MIXED.radius)
+    assert abs(cut_volume_rule(tri, UNIT_MIXED).measure - exact) <= 1e-10 * _tri_area(tri)
+
+
+def test_one_cell_rules_are_slices_of_the_batched_rules(domain_mixed):
+    """A one-cell call returns exactly that cell's points of the batched call."""
+    box = (-1.0, -1.0, 1.0, 1.0)
+    mesh = build_background(box, 16, sweep_shifts(box, 16, 20)[7])
+    topo = classify(mesh, domain_mixed)
+    coords = mesh.vertices[mesh.triangles[topo.active]]
+    cut = np.flatnonzero(topo.classification[topo.active] == CUT)
+    volume = cut_volume_rules(coords, domain_mixed)
+    junctions = domain_mixed.junction_angles
+    boundary = cut_boundary_rules(coords[cut], domain_mixed, grade_angles=junctions)
+    for i, k in enumerate(cut):
+        rule = cut_volume_rule(coords[k], domain_mixed)
+        assert np.array_equal(rule.points, volume.points[volume.owner == k])
+        assert np.array_equal(rule.weights, volume.weights[volume.owner == k])
+        rd, rn = cut_boundary_rule(coords[k], domain_mixed, grade_angles=junctions)
+        mine = boundary.select(boundary.owner == i)
+        assert np.array_equal(np.vstack([rd.points, rn.points]), mine.points)
+        assert np.array_equal(np.r_[rd.weights, rn.weights], mine.weights)
+        assert np.array_equal(np.vstack([rd.normals, rn.normals]), mine.normals)
+        assert np.array_equal(mine.dirichlet, np.arange(len(mine.weights)) < len(rd))

@@ -163,3 +163,24 @@ def test_interpolation_energy_slope_singular(domain_mixed):
     hs = [lvl.h for lvl in report.levels]
     slope = float(np.polyfit(np.log(hs), np.log(totals), 1)[0])
     assert slope >= 0.4
+
+
+def test_truncated_domain_rejected(domain_mixed):
+    """A grid shift or a disk that moves the boundary circle across the mesh edge fails loudly."""
+    from cutpoisson.study import _discretize, convergence_level
+
+    problem = manufactured_smooth(domain_mixed)
+    with pytest.raises(ValueError, match="truncated domain"):
+        convergence_level(problem, 8, shift=(0.5, 0.5))
+    off_center = LevelSetDomain((0.5, 0.0), 0.7, ((0.0, math.pi),))
+    with pytest.raises(ValueError, match="meets the edge of the mesh extent"):
+        _discretize(off_center, 8, (-1.0, -1.0, 1.0, 1.0), 1e-10)
+
+
+def test_box_inside_disk_discretizes():
+    from cutpoisson.study import _discretize
+
+    covering = LevelSetDomain((0.5, 0.5), 10.0, ((0.0, 2 * math.pi),))
+    mesh, topo, dofmap, params, rules = _discretize(covering, 4, (0.0, 0.0, 1.0, 1.0), 1e-10)
+    assert rules.volume.weights.sum() == pytest.approx(1.0, rel=1e-14)
+    assert len(rules.boundary.weights) == 0
