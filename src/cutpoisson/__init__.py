@@ -29,11 +29,9 @@ from cutpoisson.mesh import (
     CutTopology,
     build_background,
     classify,
-    submesh,
 )
 from cutpoisson.quadrature import (
     PackedRule,
-    QuadRule,
     RuleSet,
     build_rules,
     cut_boundary_rule,

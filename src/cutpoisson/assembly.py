@@ -329,7 +329,7 @@ def error_norms(problem, u_h, rules, params, stabilizer, refine_levels=0):
             rule = refine_rule_toward(
                 coords[t], problem.domain, singular[target[t]], tol=rules.tol, levels=refine_levels
             )
-            parts.append((rule.points, rule.weights, np.full(len(rule), t)))
+            parts.append((rule.points, rule.weights, rule.owner + t))
         vol = PackedRule(*(np.concatenate(a) for a in zip(*parts)))
     vals = u_h.coefficients[dofs]
     grad_h = np.einsum("tk,tkd->td", vals, grads)

@@ -21,6 +21,7 @@ import scipy
 
 import cutpoisson
 from cutpoisson.geometry import LevelSetDomain, circle_meets_box_edge
+from cutpoisson.quadrature import MIN_TOL
 from cutpoisson import study as study_mod
 
 
@@ -31,9 +32,9 @@ class ConfigError(ValueError):
 _SECTIONS = {
     "geometry": {"center", "radius", "dirichlet_arcs"},
     "mesh": {"box", "levels", "shift_sweep_count"},
-    "params": {"beta", "sigma", "epsilon_rule", "delta_rule"},
+    "params": {"beta", "sigma", "epsilon_rule"},
     "problem": {"kind", "junction_index"},
-    "study": {"kind", "ratios", "eps_factors"},
+    "study": {"kind", "ratios"},
 }
 _TOP_LEVEL = set(_SECTIONS) | {"output", "quadrature_tol"}
 _STUDY_KINDS = {
@@ -79,7 +80,6 @@ def load_config(path):
             "beta": 10.0,
             "sigma": 0.1,
             "epsilon_rule": {"kind": "c_h2", "c": 0.1},
-            "delta_rule": {"kind": "h"},
         },
         "problem": {"kind": "smooth"},
         "study": {"kind": "convergence"},
@@ -100,9 +100,6 @@ def load_config(path):
     _check_keys("params.epsilon_rule", p["epsilon_rule"], {"kind", "c", "value"})
     if p["epsilon_rule"].get("kind") not in ("fixed", "c_h2"):
         raise ConfigError("params.epsilon_rule.kind must be 'fixed' or 'c_h2'")
-    _check_keys("params.delta_rule", p["delta_rule"], {"kind", "value"})
-    if p["delta_rule"].get("kind") not in ("h", "fixed"):
-        raise ConfigError("params.delta_rule.kind must be 'h' or 'fixed'")
     if cfg["geometry"]["radius"] <= 0.0:
         raise ConfigError("geometry.radius must be positive")
     if cfg["study"]["kind"] not in _STUDY_KINDS:
@@ -126,8 +123,10 @@ def load_config(path):
             f"geometry: the boundary circle (center {g['center']}, radius {g['radius']}) meets "
             f"the edge of mesh.box {cfg['mesh']['box']}: the solve would cover a truncated domain"
         )
-    if cfg["quadrature_tol"] <= 0.0:
-        raise ConfigError("quadrature_tol must be positive")
+    if not cfg["quadrature_tol"] >= MIN_TOL:
+        raise ConfigError(
+            f"quadrature_tol must be at least {MIN_TOL:g}, got {cfg['quadrature_tol']}"
+        )
     return cfg
 
 

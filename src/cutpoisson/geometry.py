@@ -251,22 +251,6 @@ def junction_arc_distance(domain, theta):
     return out if theta.shape else float(out)
 
 
-def distance_to_dirichlet(domain, x):
-    """Euclidean distance from ``x`` to the Dirichlet part of the boundary."""
-    x = np.asarray(x, dtype=float)
-    if domain.is_pure_neumann:
-        return np.full(x.shape[:-1], np.inf) if x.ndim > 1 else np.inf
-    theta = boundary_angle(domain, x)
-    radial = np.abs(signed_distance(domain, x))
-    on_arc = is_dirichlet_angle(domain, theta)
-    best = np.where(on_arc, radial, np.inf)
-    for start, span in domain.dirichlet_arcs:
-        for ang in (start, start + span):
-            z = domain.boundary_point(ang)
-            best = np.minimum(best, np.linalg.norm(x - z, axis=-1))
-    return best
-
-
 @dataclass(frozen=True)
 class TubeParams:
     """Collar widths: `delta` into the domain, `epsilon` along the boundary past

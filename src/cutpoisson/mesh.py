@@ -190,46 +190,3 @@ def classify(mesh, domain, tol=1e-12):
 
     return CutTopology(mesh, cls, active, active_index, ghost)
 
-
-def submesh(topology, region_distance, tol=1e-12):
-    """Active triangles meeting the region described by a distance function.
-
-    ``region_distance`` maps points (shape (..., 2)) to a 1-Lipschitz distance
-    to the region, non-positive on the region itself.  Intersection is decided
-    by branch-and-bound subdivision: cells certified empty by the Lipschitz
-    bound are pruned, and a cell that cannot be pruned by the time it shrinks
-    below ``tol * h`` proves the region passes within tolerance of the
-    triangle, which counts as a hit.  This works for lower-dimensional regions
-    (curves, points) whose distance never becomes negative.
-    """
-    mesh = topology.mesh
-    floor = tol * mesh.h
-    hits = []
-    for t in topology.active:
-        if _triangle_meets_region(mesh.triangle_coords(t), region_distance, floor):
-            hits.append(t)
-    return np.array(hits, dtype=np.int64)
-
-
-def _triangle_meets_region(coords, region_distance, floor):
-    stack = [coords]
-    while stack:
-        tri = stack.pop()
-        d = np.asarray(region_distance(tri), dtype=float)
-        if np.any(d <= 0.0):
-            return True
-        centroid = tri.mean(axis=0)
-        radius = float(np.linalg.norm(tri - centroid, axis=1).max())
-        dc = float(region_distance(centroid))
-        if dc <= 0.0:
-            return True
-        if dc - radius > 0.0:
-            continue  # Lipschitz certificate: region cannot reach this cell
-        if 2.0 * radius <= floor:
-            return True  # region within floor of the cell, hence of the triangle
-        mids = 0.5 * (tri + np.roll(tri, -1, axis=0))
-        stack.append(np.array([tri[0], mids[0], mids[2]]))
-        stack.append(np.array([tri[1], mids[1], mids[0]]))
-        stack.append(np.array([tri[2], mids[2], mids[1]]))
-        stack.append(mids)
-    return False

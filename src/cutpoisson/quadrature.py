@@ -43,10 +43,8 @@ from cutpoisson.geometry import (
 from cutpoisson.mesh import CUT, _point_triangle_distance
 
 DEFAULT_TOL = 1e-10
-
-REGION_CUT_VOLUME = "cut-volume"
-REGION_BOUNDARY_D = "cut-boundary-dirichlet"
-REGION_BOUNDARY_N = "cut-boundary-neumann"
+# below this the crossing roots and the mass floor no longer hold the volume mass contract
+MIN_TOL = 1e-12
 
 
 class QuadratureToleranceError(RuntimeError):
@@ -55,28 +53,6 @@ class QuadratureToleranceError(RuntimeError):
     def __init__(self, message, achieved):
         super().__init__(f"{message} (achieved absolute error estimate {achieved:.3e})")
         self.achieved = achieved
-
-
-@dataclass(frozen=True)
-class QuadRule:
-    """Points and weights tagged with the region they integrate.
-
-    Boundary rules carry the unit exterior normal at each point.  Weights are
-    nonnegative for every region produced here, although signed weights are
-    admissible in the container.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-    region: str
-    normals: np.ndarray | None = None
-
-    @property
-    def measure(self):
-        return float(self.weights.sum())
-
-    def __len__(self):
-        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -217,12 +193,12 @@ def _segment_rules(domain, psi_a, alpha, n_psi, n_r=3):
 def _chord_split(tris, phi, domain):
     """The leaves that the circle crosses in a single clean, gently curved arc.
 
-    Returns their indices, the chord ends p_a, p_b (k, 2) and the start angle
-    and angle of the minor arc between them.  A leaf is refused when a vertex
-    lies on the circle, a crossing falls at or near a vertex, the crossings
-    are not exactly two or nearly coincide, both cross one edge with the leaf
-    on the center's side of it, the arc is wider than 0.8, or the arc leaves
-    the triangle.
+    Returns their indices, the first chord end p_a and the chord direction
+    (k, 2), and the start angle and angle of the minor arc between the ends.
+    A leaf is refused when a vertex lies on the circle, a crossing falls at or
+    near a vertex, the crossings are not exactly two or nearly coincide, both
+    cross one edge with the leaf on the center's side of it, the arc is wider
+    than 0.8, or the arc leaves the triangle.
     """
     center, radius = domain.center_array, domain.radius
     t, d = _edge_roots(tris, center, radius)
@@ -246,7 +222,11 @@ def _chord_split(tris, phi, domain):
     base, along = tris[keep, edge[:, 0]], d[keep, edge[:, 0]]
     opposite = tris[keep, (edge[:, 0] + 2) % 3]
     beyond = cross2(along, opposite - base) * cross2(along, center - base) < 0.0
-    ok &= (edge[:, 0] != edge[:, 1]) | beyond
+    same_edge = edge[:, 0] == edge[:, 1]
+    ok &= ~same_edge | beyond
+    # two crossings of one edge span that edge exactly; the difference of the rounded,
+    # nearly coinciding ends would tilt the chord across the whole leaf
+    chord = np.where(same_edge[:, None], along, p_b - p_a)
     rel = ends - center
     psi = np.arctan2(rel[..., 1], rel[..., 0])
     alpha = _wrap(psi[:, 1] - psi[:, 0])
@@ -257,7 +237,7 @@ def _chord_split(tris, phi, domain):
     _, arc = _on_circle(domain, psi_a[:, None] + alpha[:, None] * _ARC_SAMPLES)
     inside = _in_triangles(tris, arc.reshape(-1, 2), keep.repeat(len(_ARC_SAMPLES)))
     ok &= inside.reshape(len(keep), len(_ARC_SAMPLES)).all(axis=1)
-    return keep[ok], p_a[ok], p_b[ok], psi_a[ok], alpha[ok]
+    return keep[ok], p_a[ok], chord[ok], psi_a[ok], alpha[ok]
 
 
 def _clip_fan(tris, origin, normal):
@@ -287,8 +267,10 @@ def cut_volume_rules(triangles, domain, tol=DEFAULT_TOL, max_depth=48):
     Returns a ``PackedRule`` sorted by owner, the triangle's position in the
     stack.  Uncut triangles get the degree-4 rule; the mass of each cut
     triangle's rule matches the exact intersection area within ``tol`` times
-    the triangle's area.
+    the triangle's area; ``tol`` below ``MIN_TOL`` raises ``ValueError``.
     """
+    if not tol >= MIN_TOL:
+        raise ValueError(f"quadrature tolerance {tol:g} is below the floor {MIN_TOL:g}")
     tris = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
     e = tris[:, 1:] - tris[:, :1]
     tris = np.where((cross2(e[:, 0], e[:, 1]) < 0.0)[:, None, None], tris[:, ::-1], tris)
@@ -328,13 +310,12 @@ def cut_volume_rules(triangles, domain, tol=DEFAULT_TOL, max_depth=48):
 
         live &= ~sloppy
         tris, owner, phi = tris[live], owner[live], phi[live]
-        split, p_a, p_b, psi_a, alpha = _chord_split(tris, phi, domain)
+        split, p_a, chord, psi_a, alpha = _chord_split(tris, phi, domain)
         seg_pts, seg_wts, seg_area = _segment_rules(domain, psi_a, alpha, n_psi)
         seg_err = np.abs(seg_wts.sum(axis=1) - seg_area)
         budget = np.maximum(tol * _tri_area(tris[split]), mass_floor[owner[split]])
         within = seg_err <= budget
-        split, p_a, p_b = split[within], p_a[within], p_b[within]
-        chord = p_b - p_a
+        split, p_a, chord = split[within], p_a[within], chord[within]
         normal = np.stack([-chord[:, 1], chord[:, 0]], axis=1)
         normal[((center - p_a) * normal).sum(axis=1) > 0.0] *= -1.0  # keep the center's side
         fan, valid = _clip_fan(tris[split], p_a, normal)
@@ -363,8 +344,7 @@ def cut_volume_rules(triangles, domain, tol=DEFAULT_TOL, max_depth=48):
 
 def cut_volume_rule(triangle, domain, tol=DEFAULT_TOL, max_depth=48):
     """Quadrature over the intersection of one triangle with the domain (see ``cut_volume_rules``)."""
-    rule = cut_volume_rules(np.asarray(triangle)[None], domain, tol, max_depth)
-    return QuadRule(rule.points, rule.weights, REGION_CUT_VOLUME)
+    return cut_volume_rules(np.asarray(triangle)[None], domain, tol, max_depth)
 
 
 def _arcs(tris, domain):
@@ -491,14 +471,11 @@ def cut_boundary_rule(
     rule = cut_boundary_rules(
         np.asarray(triangle)[None], domain, order, grade_angles, grade_levels, max_piece
     )
-    return tuple(
-        QuadRule(rule.points[m], rule.weights[m], region, rule.normals[m])
-        for m, region in ((rule.dirichlet, REGION_BOUNDARY_D), (~rule.dirichlet, REGION_BOUNDARY_N))
-    )
+    return rule.select(rule.dirichlet), rule.select(~rule.dirichlet)
 
 
 def refine_rule_toward(triangle, domain, point, tol=DEFAULT_TOL, levels=8):
-    """Volume rule with extra subdivision toward a point of reduced regularity."""
+    """Volume rule of one triangle (owner 0), subdivided toward a point of reduced regularity."""
     tris = np.asarray(triangle, dtype=float)[None]
     leaves = []
     for _ in range(levels):
@@ -506,7 +483,7 @@ def refine_rule_toward(triangle, domain, point, tol=DEFAULT_TOL, levels=8):
         leaves.append(tris[~near])
         tris = _subdivide(tris[near])
     rule = cut_volume_rules(np.concatenate(leaves + [tris]), domain, tol)
-    return QuadRule(rule.points, rule.weights, REGION_CUT_VOLUME)
+    return dataclasses.replace(rule, owner=np.zeros_like(rule.owner))
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cutpoisson.space import FeFunction
 
 RESIDUAL_RTOL = 1e-10
-DIRECT_LIMIT = 20000
 
 
 class SolverError(RuntimeError):
@@ -44,11 +42,13 @@ def _check_residual(K, x, b, rtol, advice=""):
 
 
 def solve_standard(matrices, dofmap, rtol=RESIDUAL_RTOL):
-    """Solve the symmetric stabilized system.
+    """Solve the symmetric stabilized system by one sparse LU factorization.
 
-    Uses a sparse direct factorization at desk scale and a Jacobi-scaled
-    conjugate gradient iteration above it.  Indefiniteness or breakdown raises
-    ``SolverError`` advising a larger penalty.
+    The factorization orders the columns of K + K^T (minimum degree) and keeps
+    the diagonal pivots, which suits the symmetric positive definite operator
+    and keeps the fill, and so the memory, about half that of the default
+    nonsymmetric ordering.  A nonpositive diagonal, a failed factorization or
+    a residual above ``rtol`` raises ``SolverError`` advising a larger penalty.
     """
     K = (matrices.A + matrices.S).tocsc()
     b = matrices.b
@@ -57,19 +57,14 @@ def solve_standard(matrices, dofmap, rtol=RESIDUAL_RTOL):
         return SolveReport(_wrap_solution(np.zeros(dofmap.ndof), dofmap), "trivial", 0.0, dofmap.ndof)
     if K.diagonal().min() <= 0.0:
         raise SolverError(f"nonpositive diagonal entry, the operator is not positive definite.{advice}")
-    if dofmap.ndof < DIRECT_LIMIT:
-        try:
-            x = spla.splu(K).solve(b)
-        except RuntimeError as exc:
-            raise SolverError(f"factorization failed: {exc}.{advice}") from exc
-        residual = _check_residual(K, x, b, rtol, advice)
-        return SolveReport(_wrap_solution(x, dofmap), "splu", residual, dofmap.ndof)
-    M = sp.diags(1.0 / K.diagonal())
-    x, info = spla.cg(K, b, rtol=rtol * 1e-2, maxiter=10 * dofmap.ndof, M=M)
-    if info != 0:
-        raise SolverError(f"conjugate gradients did not converge (info={info}).{advice}")
+    try:
+        x = spla.splu(
+            K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        ).solve(b)
+    except RuntimeError as exc:
+        raise SolverError(f"factorization failed: {exc}.{advice}") from exc
     residual = _check_residual(K, x, b, rtol, advice)
-    return SolveReport(_wrap_solution(x, dofmap), "cg", residual, dofmap.ndof)
+    return SolveReport(_wrap_solution(x, dofmap), "splu", residual, dofmap.ndof)
 
 
 def solve_regularized(matrices, dofmap, rtol=RESIDUAL_RTOL):
@@ -93,7 +88,10 @@ def solve_regularized_pivot(A_eps, S, b, u_h, dofmap, rtol=RESIDUAL_RTOL):
     computed standard solution, so only the regularized operator is inverted.
     """
     rhs = b - S @ u_h.coefficients
-    x = spla.splu(A_eps.tocsc()).solve(rhs)
+    try:
+        x = spla.splu(A_eps.tocsc()).solve(rhs)
+    except RuntimeError as exc:
+        raise SolverError(f"regularized factorization failed: {exc}") from exc
     residual = _check_residual(A_eps, x, rhs, rtol)
     return SolveReport(_wrap_solution(x, dofmap), "splu", residual, dofmap.ndof)
 

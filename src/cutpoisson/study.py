@@ -35,7 +35,7 @@ from cutpoisson.geometry import (
     outward_normal,
     signed_distance,
 )
-from cutpoisson.mesh import build_background, classify, submesh
+from cutpoisson.mesh import _point_triangle_distance, build_background, classify
 from cutpoisson.quadrature import _barycentric, _tri_area, build_rules
 from cutpoisson.solve import (
     condition_estimate,
@@ -335,6 +335,20 @@ class InequalityReport:
     cut_trace: float
 
 
+def _dirichlet_cells(domain, coords, rule_d, h):
+    """Mask of the active cells (coords (m, 3, 2)) that meet the Dirichlet arc.
+
+    These are the cells holding a Dirichlet quadrature point, plus the cells
+    that touch an end of a Dirichlet arc, within ``1e-12 * h``, without holding
+    a piece of the arc (a junction on a grid line, say).
+    """
+    near = np.zeros(len(coords), dtype=bool)
+    near[rule_d.owner] = True
+    for z in domain.junction_points:
+        near |= _point_triangle_distance(z, coords) <= 1e-12 * h
+    return near
+
+
 def verify_inequalities(domain, dofmap, rules, params, trials=20, seed=20260810):
     """Measure the constants of the inverse and trace inequalities on random functions.
 
@@ -349,17 +363,14 @@ def verify_inequalities(domain, dofmap, rules, params, trials=20, seed=20260810)
     """
     rng = np.random.default_rng(seed)
     mesh = dofmap.mesh
-    topo = dofmap.topology
     K = assemble_stiffness(dofmap, rules)
     S = assemble_ghost_penalty(dofmap, rules, params)
 
     coords, grads, dofs = _active_cells(dofmap)
     areas = _tri_area(coords)
 
-    near_dirichlet = np.isin(
-        topo.active, submesh(topo, lambda x: geometry.distance_to_dirichlet(domain, x))
-    )
     bnd, rule_d = rules.boundary, rules.dirichlet
+    near_dirichlet = _dirichlet_cells(domain, coords, rule_d, mesh.h)
     lam = _barycentric(coords, bnd.points, bnd.owner)
     p1_mass = np.ones((3, 3)) + np.eye(3)  # exact P1 element mass matrix times 12 / area
 

@@ -46,11 +46,27 @@ def test_negative_beta_rejected(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
-def test_unknown_field_rejected(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("mesh", "boxx", [0, 0, 1, 1]),
+        # collar width and epsilon factors: the studies always use delta = h and 0, 1, 2, 4
+        ("params", "delta_rule", {"kind": "fixed", "value": 0.05}),
+        ("study", "eps_factors", [0.0, 1.0]),
+    ],
+    ids=["mesh.boxx", "params.delta_rule", "study.eps_factors"],
+)
+def test_unknown_field_rejected(tmp_path, capsys, section, field, value):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"mesh": {"boxx": [0, 0, 1, 1]}}))
+    path.write_text(json.dumps({section: {field: value}}))
     assert run(str(path), quiet=True) == 2
-    assert "boxx" in capsys.readouterr().err
+    assert f"{section}.{field}" in capsys.readouterr().err
+
+
+def test_quadrature_tol_below_the_floor_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="quadrature_tol"):
+        load_config(write_config(tmp_path, {"quadrature_tol": 1e-13}))
+    assert load_config(write_config(tmp_path, {"quadrature_tol": 1e-12}))["quadrature_tol"] == 1e-12
 
 
 def test_unknown_study_kind_rejected(tmp_path, capsys):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cutpoisson import LevelSetDomain, classify, signed_distance, submesh
-from cutpoisson.geometry import distance_to_dirichlet
+from cutpoisson import LevelSetDomain, classify, signed_distance
 from cutpoisson.mesh import (
     CUT,
     INSIDE,
@@ -119,46 +118,6 @@ def test_ghost_faces_empty_for_fitted_case():
     topo = classify(mesh, domain)
     assert np.all(topo.classification == INSIDE)
     assert len(topo.ghost_faces) == 0
-
-
-def test_submesh_regions(domain_mixed):
-    mesh = build_background((-1, -1, 1, 1), 8)
-    topo = classify(mesh, domain_mixed)
-    full = submesh(topo, lambda x: signed_distance(domain_mixed, x))
-    assert np.array_equal(np.sort(full), np.sort(topo.active))
-
-    def empty(x):
-        x = np.asarray(x)
-        return np.full(x.shape[:-1], np.inf) if x.ndim > 1 else np.inf
-
-    assert len(submesh(topo, empty)) == 0
-
-    eps = 1e-4
-    zs = domain_mixed.junction_points
-
-    def near_junctions(x):
-        x = np.asarray(x)
-        d = np.min(
-            np.stack([np.linalg.norm(x - z, axis=-1) for z in zs], axis=-1), axis=-1
-        )
-        return d - eps
-
-    found = submesh(topo, near_junctions)
-    expected = [
-        t
-        for t in topo.active
-        if any(
-            _point_triangle_distance(z, mesh.triangle_coords(t)) <= eps for z in zs
-        )
-    ]
-    assert np.array_equal(np.sort(found), np.sort(np.array(expected)))
-
-
-def test_submesh_dirichlet_arc_covers_boundary_rules(domain_mixed, disc_mixed_8):
-    mesh, topo, dofmap, params, rules = disc_mixed_8
-    near = set(submesh(topo, lambda x: distance_to_dirichlet(domain_mixed, x)).tolist())
-    for t in topo.active[np.unique(rules.dirichlet.owner)]:
-        assert t in near
 
 
 def test_cut_count_growth(domain_mixed):

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from cutpoisson import LevelSetDomain
+from cutpoisson.space import FeFunction
 from cutpoisson.assembly import (
     SystemMatrices,
     assemble_regularized,
@@ -16,6 +17,7 @@ from cutpoisson.solve import (
     SolverError,
     condition_estimate,
     solve_regularized,
+    solve_regularized_pivot,
     solve_standard,
 )
 from cutpoisson.study import (
@@ -52,6 +54,14 @@ def test_hand_three_by_three_system():
     report = solve_standard(wrap(K, b), FakeDofmap(3))
     assert np.abs(report.solution.coefficients - x_hand).max() < 1e-12
     assert report.residual <= 1e-10 * np.linalg.norm(b)
+
+
+def test_singular_pivot_system_raises():
+    """A singular regularized operator raises SolverError, not the factorization's error."""
+    A_eps = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    u_h = FeFunction(np.zeros(2), FakeDofmap(2))
+    with pytest.raises(SolverError, match="factorization failed"):
+        solve_regularized_pivot(A_eps, sp.csr_matrix((2, 2)), np.ones(2), u_h, FakeDofmap(2))
 
 
 def test_indefinite_system_raises():

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from cutpoisson import LevelSetDomain
+from cutpoisson.geometry import boundary_angle, is_dirichlet_angle
 from cutpoisson.study import (
+    _dirichlet_cells,
     interpolation_study,
     manufactured_singular,
     manufactured_smooth,
     regularization_coupling,
     run_convergence,
+    sweep_shifts,
     validate_problem,
     verify_cutoff_lemma,
     verify_inequalities,
@@ -122,8 +125,6 @@ def test_inequality_affine_case(domain_mixed):
 
 
 def test_inequality_constants_bounded_across_sweep(domain_mixed):
-    from cutpoisson.study import sweep_shifts
-
     values = []
     for shift in sweep_shifts((-1, -1, 1, 1), 8, 20):
         mesh, topo, dofmap, params, rules = make_discretization(
@@ -133,6 +134,67 @@ def test_inequality_constants_bounded_across_sweep(domain_mixed):
         values.append(rep.full_gradient)
     assert max(values) <= 10.0 * min(values)
     assert max(values) < 100.0
+
+
+def _distance_to_dirichlet(domain, x):
+    """Euclidean distance from points ``x`` (..., 2) to the Dirichlet arcs."""
+    x = np.asarray(x, dtype=float)
+    radial = np.abs(np.linalg.norm(x - domain.center_array, axis=-1) - domain.radius)
+    best = np.where(is_dirichlet_angle(domain, boundary_angle(domain, x)), radial, np.inf)
+    for start, span in domain.dirichlet_arcs:
+        for ang in (start, start + span):
+            best = np.minimum(best, np.linalg.norm(x - domain.boundary_point(ang), axis=-1))
+    return best
+
+
+def _meets_dirichlet_oracle(domain, coords, floor):
+    """Branch and bound: whether the Dirichlet arcs come within ``floor`` of a triangle.
+
+    Cells certified empty by the 1-Lipschitz distance are pruned; a cell that
+    cannot be pruned by the time it is smaller than ``floor`` counts as a hit.
+    """
+    stack = [coords]
+    while stack:
+        tri = stack.pop()
+        centroid = tri.mean(axis=0)
+        radius = float(np.linalg.norm(tri - centroid, axis=1).max())
+        dc = float(_distance_to_dirichlet(domain, centroid))
+        if np.any(_distance_to_dirichlet(domain, tri) <= 0.0) or dc <= 0.0:
+            return True
+        if dc - radius > 0.0:
+            continue
+        if 2.0 * radius <= floor:
+            return True
+        mids = 0.5 * (tri + np.roll(tri, -1, axis=0))
+        stack.append(np.array([tri[0], mids[0], mids[2]]))
+        stack.append(np.array([tri[1], mids[1], mids[0]]))
+        stack.append(np.array([tri[2], mids[2], mids[1]]))
+        stack.append(mids)
+    return False
+
+
+_TWO_ARC = LevelSetDomain((0.1, -0.05), 0.6, ((0.3, 1.4), (2.5, 4.0)))
+
+
+@pytest.mark.parametrize(
+    "domain_name, shift_index",
+    [("mixed", 0), ("mixed", 5), ("mixed", 10), ("mixed", 15)]
+    + [("two_arc", 3), ("two_arc", 9), ("two_arc", 17)],
+)
+def test_dirichlet_cells_match_branch_and_bound_oracle(domain_mixed, domain_name, shift_index):
+    """The cells meeting the Dirichlet arcs, taken from the rules and the arc ends.
+
+    Shift 0 is the unshifted grid, where the mixed disk's junctions lie on grid
+    lines and the cells below them touch the Dirichlet arc only at that point.
+    """
+    domain = domain_mixed if domain_name == "mixed" else _TWO_ARC
+    shift = sweep_shifts((-1, -1, 1, 1), 8, 20)[shift_index]
+    mesh, topo, dofmap, params, rules = make_discretization(domain, 8, shift=shift)
+    coords = mesh.vertices[mesh.triangles[topo.active]]
+    found = _dirichlet_cells(domain, coords, rules.dirichlet, mesh.h)
+    expected = [_meets_dirichlet_oracle(domain, c, 1e-12 * mesh.h) for c in coords]
+    assert np.array_equal(found, expected)
+    assert found.any() and not found.all()
 
 
 def test_cutoff_lemma_report(domain_mixed):
