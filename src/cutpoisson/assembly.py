@@ -9,7 +9,7 @@ point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +25,9 @@ class NitscheParams:
     """Penalty and stabilization parameters of the discrete forms.
 
     ``epsilon = 0`` selects the standard method; a positive value selects the
-    regularized form whose Dirichlet flux term is weighted by the cutoff.
+    regularized form whose Dirichlet flux term is weighted by the cutoff.  A
+    positive ``epsilon`` is copied into ``tube``, so the tube carries it to
+    every cutoff evaluation.
     """
 
     beta: float = 10.0
@@ -47,6 +49,7 @@ class NitscheParams:
                 raise ValueError(
                     f"epsilon {self.epsilon} exceeds the admissible {self.tube.epsilon0}"
                 )
+            object.__setattr__(self, "tube", replace(self.tube, epsilon=self.epsilon))
 
     def with_epsilon(self, epsilon):
         return NitscheParams(self.beta, self.sigma, epsilon, self.tube)
@@ -59,7 +62,6 @@ class SystemMatrices:
     A: sp.csr_matrix
     S: sp.csr_matrix
     b: np.ndarray
-    symmetric: bool
 
 
 def _coo_accumulate(ndof, dofs, blocks):
@@ -150,28 +152,32 @@ def assemble_nitsche(dofmap, rules, params):
     return (K - (B + B.T) + (params.beta / h) * M).tocsr()
 
 
+def _cutoff_weight(domain, params):
+    """The cutoff of the regularized method as a weight on points."""
+    if not params.epsilon > 0.0:
+        raise ValueError("the cutoff needs a positive epsilon; epsilon = 0 is the standard method")
+    if domain is None:
+        raise ValueError("the cutoff needs the domain geometry")
+    return lambda pts: cutoff(domain, params.tube, pts)
+
+
 def cutoff_flux_neumann(dofmap, rules, domain, params):
     """Cutoff-weighted flux pairing over the Neumann boundary only.
 
     This is exactly the difference between the standard and regularized
     operators, since the cutoff equals one on the Dirichlet part.
     """
-    if params.tube is None:
-        raise ValueError("regularization requires tube parameters")
-    tube = TubeParams(
-        params.tube.delta, params.epsilon, params.tube.delta0, params.tube.epsilon0
-    )
-    return _flux_matrix(dofmap, rules.neumann, weight=lambda pts: cutoff(domain, tube, pts))
+    return _flux_matrix(dofmap, rules.neumann, weight=_cutoff_weight(domain, params))
 
 
-def assemble_regularized(dofmap, rules, params, domain):
-    """Regularized Nitsche operator: the Dirichlet flux term is cutoff-weighted.
+def assemble_regularized(A, dofmap, rules, params, domain):
+    """Regularized Nitsche operator from the assembled standard operator ``A``.
 
-    At epsilon = 0 this coincides with the standard operator entrywise.  The
-    penalty stays on the Dirichlet part so that the zero-regularization limit
-    is exact.
+    The Dirichlet flux term of the regularized form is weighted by the cutoff
+    of ``params.tube``, which equals one on the Dirichlet part, so the operator
+    is ``A`` minus the cutoff-weighted Neumann flux pairing.  At epsilon = 0 it
+    is ``A`` itself.
     """
-    A = assemble_nitsche(dofmap, rules, params)
     if params.epsilon == 0.0:
         return A
     return (A - cutoff_flux_neumann(dofmap, rules, domain, params)).tocsr()
@@ -218,33 +224,26 @@ def assemble_load(dofmap, rules, params, data):
     return b
 
 
-def assemble_system(dofmap, rules, params, data, domain=None):
-    """Operator, stabilizer, and load of the discrete problem in one bundle."""
-    if params.epsilon > 0.0:
-        if domain is None:
-            raise ValueError("regularized assembly needs the domain geometry")
-        A = assemble_regularized(dofmap, rules, params, domain)
-        symmetric = False
-    else:
-        A = assemble_nitsche(dofmap, rules, params)
-        symmetric = True
+def assemble_system(dofmap, rules, params, data):
+    """Standard operator, stabilizer, and load of the discrete problem in one bundle.
+
+    The regularized operator is ``assemble_regularized(system.A, ...)``; it
+    shares the stabilizer and the load.
+    """
+    A = assemble_nitsche(dofmap, rules, params)
     S = assemble_ghost_penalty(dofmap, rules, params)
     b = assemble_load(dofmap, rules, params, data)
-    return SystemMatrices(A, S, b, symmetric)
+    return SystemMatrices(A, S, b)
 
 
-def nitsche_action(dofmap, rules, params, u, grad_u, domain=None, chi_weighted=False):
-    """Vector of the standard (or cutoff-weighted) form applied to an analytic field.
+def nitsche_action(dofmap, rules, params, u, grad_u, domain=None):
+    """Vector of the form of ``params`` applied to an analytic field.
 
     Entry i is form(u, phi_i), with the exact solution entering through its
-    analytic values and gradients at the quadrature points.
+    analytic values and gradients at the quadrature points.  A positive
+    ``params.epsilon`` selects the cutoff-weighted form, which needs ``domain``.
     """
-    if chi_weighted and params.tube is None:
-        raise ValueError("cutoff weighting requires tube parameters")
-    if chi_weighted:
-        tube = TubeParams(
-            params.tube.delta, params.epsilon, params.tube.delta0, params.tube.epsilon0
-        )
+    chi = _cutoff_weight(domain, params) if params.epsilon > 0.0 else None
     h = dofmap.mesh.h
     coords, grads, dofs = _active_cells(dofmap)
     vol, rule_d, rule_n = rules.volume, rules.dirichlet, rules.neumann
@@ -253,17 +252,17 @@ def nitsche_action(dofmap, rules, params, u, grad_u, domain=None, chi_weighted=F
     lam, flux, w = _boundary_local(coords, grads, rule_d)
     un = (grad_u(rule_d.points) * rule_d.normals).sum(axis=1)
     uv = w * u(rule_d.points)
-    w_flux = w * cutoff(domain, tube, rule_d.points) if chi_weighted else w
+    w_flux = w if chi is None else w * chi(rule_d.points)
     parts = [dofs, dofs[rule_d.owner]]
     values = [
         np.einsum("tkd,td->tk", grads, flux_int),
         (params.beta / h) * lam * uv[:, None] - flux * uv[:, None] - lam * (w_flux * un)[:, None],
     ]
-    if chi_weighted:
+    if chi is not None:
         lam_n, _, w_n = _boundary_local(coords, grads, rule_n)
         un_n = (grad_u(rule_n.points) * rule_n.normals).sum(axis=1)
         parts.append(dofs[rule_n.owner])
-        values.append(-lam_n * (w_n * cutoff(domain, tube, rule_n.points) * un_n)[:, None])
+        values.append(-lam_n * (w_n * chi(rule_n.points) * un_n)[:, None])
     return _vector(dofmap.ndof, parts, values)
 
 
@@ -282,9 +281,6 @@ def energy_norm(v, gram):
     """Energy norm of a finite element function from its Gram matrix."""
     x = v.coefficients if isinstance(v, FeFunction) else np.asarray(v)
     return float(np.sqrt(max(0.0, x @ (gram @ x))))
-
-
-ghost_penalty_seminorm = energy_norm  # the same quadratic form, with the stabilizer as Gram matrix
 
 
 @dataclass
@@ -345,4 +341,4 @@ def error_norms(problem, u_h, rules, params, stabilizer, refine_levels=0):
     diff = problem.u(rule_d.points) - (lam_d * vals[rule_d.owner]).sum(axis=1)
     trace_sq = float(rule_d.weights @ diff**2)
     energy = float(np.sqrt(grad_sq + trace_sq / h))
-    return ErrorNorms(energy, ghost_penalty_seminorm(u_h, stabilizer), float(np.sqrt(l2_sq)))
+    return ErrorNorms(energy, energy_norm(u_h, stabilizer), float(np.sqrt(l2_sq)))

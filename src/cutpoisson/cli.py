@@ -267,7 +267,7 @@ def run(config_path, out_dir=None, quiet=False):
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # solver or quadrature failure with level context
+    except Exception as exc:  # any other failure (solver, quadrature): report it and exit 1
         print(f"error: study failed: {exc}", file=sys.stderr)
         return 1
     _write_csv(out / csv_name, header, rows)

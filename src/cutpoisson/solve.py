@@ -23,14 +23,39 @@ class SolveReport:
     solution: FeFunction
     method: str
     residual: float
-    n_dof: int
 
 
-def _wrap_solution(x, dofmap):
-    return FeFunction(np.asarray(x, dtype=float), dofmap)
+# Factorization of the symmetric positive definite system: minimum degree on
+# K + K^T with diagonal pivots, which keeps the fill, and so the memory, about
+# half that of the default nonsymmetric ordering.
+_SYMMETRIC_ORDERING = {
+    "permc_spec": "MMD_AT_PLUS_A",
+    "diag_pivot_thresh": 0.0,
+    "options": {"SymmetricMode": True},
+}
+_SPD_ADVICE = " The system may be indefinite; try a larger beta."
 
 
-def _check_residual(K, x, b, rtol, advice=""):
+def _factor(K, advice="", **ordering):
+    """Sparse LU factors of ``K`` (CSC); a failed factorization raises ``SolverError``."""
+    try:
+        return spla.splu(K, **ordering)
+    except RuntimeError as exc:
+        raise SolverError(f"factorization failed: {exc}.{advice}") from exc
+
+
+def _solve(K, b, dofmap, rtol, symmetric=False):
+    """Solve ``K x = b`` by one factorization and check the residual.
+
+    A zero load gives the zero solution without factoring.  ``symmetric``
+    selects the symmetric positive definite checks and ordering.
+    """
+    if not np.any(b):
+        return SolveReport(FeFunction(np.zeros(dofmap.ndof), dofmap), "trivial", 0.0)
+    advice = _SPD_ADVICE if symmetric else ""
+    if symmetric and K.diagonal().min() <= 0.0:
+        raise SolverError(f"nonpositive diagonal entry, the operator is not positive definite.{advice}")
+    x = _factor(K, advice, **(_SYMMETRIC_ORDERING if symmetric else {})).solve(b)
     residual = float(np.linalg.norm(K @ x - b))
     scale = float(np.linalg.norm(b))
     if not np.all(np.isfinite(x)) or residual > rtol * max(scale, 1e-300):
@@ -38,47 +63,22 @@ def _check_residual(K, x, b, rtol, advice=""):
             f"linear solve failed: residual {residual:.3e} vs tolerance "
             f"{rtol * scale:.3e}.{advice}"
         )
-    return residual
+    return SolveReport(FeFunction(np.asarray(x, dtype=float), dofmap), "splu", residual)
 
 
 def solve_standard(matrices, dofmap, rtol=RESIDUAL_RTOL):
     """Solve the symmetric stabilized system by one sparse LU factorization.
 
-    The factorization orders the columns of K + K^T (minimum degree) and keeps
-    the diagonal pivots, which suits the symmetric positive definite operator
-    and keeps the fill, and so the memory, about half that of the default
-    nonsymmetric ordering.  A nonpositive diagonal, a failed factorization or
-    a residual above ``rtol`` raises ``SolverError`` advising a larger penalty.
+    The factorization uses the symmetric ordering above.  A nonpositive
+    diagonal, a failed factorization or a residual above ``rtol`` raises
+    ``SolverError`` advising a larger penalty.
     """
-    K = (matrices.A + matrices.S).tocsc()
-    b = matrices.b
-    advice = " The system may be indefinite; try a larger beta."
-    if not np.any(b):
-        return SolveReport(_wrap_solution(np.zeros(dofmap.ndof), dofmap), "trivial", 0.0, dofmap.ndof)
-    if K.diagonal().min() <= 0.0:
-        raise SolverError(f"nonpositive diagonal entry, the operator is not positive definite.{advice}")
-    try:
-        x = spla.splu(
-            K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        ).solve(b)
-    except RuntimeError as exc:
-        raise SolverError(f"factorization failed: {exc}.{advice}") from exc
-    residual = _check_residual(K, x, b, rtol, advice)
-    return SolveReport(_wrap_solution(x, dofmap), "splu", residual, dofmap.ndof)
+    return _solve((matrices.A + matrices.S).tocsc(), matrices.b, dofmap, rtol, symmetric=True)
 
 
 def solve_regularized(matrices, dofmap, rtol=RESIDUAL_RTOL):
     """Solve the (nonsymmetric) regularized stabilized system directly."""
-    K = (matrices.A + matrices.S).tocsc()
-    b = matrices.b
-    if not np.any(b):
-        return SolveReport(_wrap_solution(np.zeros(dofmap.ndof), dofmap), "trivial", 0.0, dofmap.ndof)
-    try:
-        x = spla.splu(K).solve(b)
-    except RuntimeError as exc:
-        raise SolverError(f"regularized factorization failed: {exc}") from exc
-    residual = _check_residual(K, x, b, rtol)
-    return SolveReport(_wrap_solution(x, dofmap), "splu", residual, dofmap.ndof)
+    return _solve((matrices.A + matrices.S).tocsc(), matrices.b, dofmap, rtol)
 
 
 def solve_regularized_pivot(A_eps, S, b, u_h, dofmap, rtol=RESIDUAL_RTOL):
@@ -87,13 +87,7 @@ def solve_regularized_pivot(A_eps, S, b, u_h, dofmap, rtol=RESIDUAL_RTOL):
     Realizes the variant where the face stabilization acts on the already
     computed standard solution, so only the regularized operator is inverted.
     """
-    rhs = b - S @ u_h.coefficients
-    try:
-        x = spla.splu(A_eps.tocsc()).solve(rhs)
-    except RuntimeError as exc:
-        raise SolverError(f"regularized factorization failed: {exc}") from exc
-    residual = _check_residual(A_eps, x, rhs, rtol)
-    return SolveReport(_wrap_solution(x, dofmap), "splu", residual, dofmap.ndof)
+    return _solve(A_eps.tocsc(), b - S @ u_h.coefficients, dofmap, rtol)
 
 
 def _power_iteration(apply_op, n, rtol, maxit, seed_vector=None):
@@ -122,14 +116,14 @@ def condition_estimate(K, rtol=0.01, maxit=500):
     """Spectral condition number of a symmetric operator by power iteration.
 
     The extreme eigenvalues are estimated on the operator and on its inverse
-    through a factorization; non-convergence raises ``SolverError`` carrying
-    the partial estimate.
+    through a factorization.  A failed factorization raises ``SolverError``,
+    and so does non-convergence, carrying the partial estimate.
     """
     K = K.tocsc()
     n = K.shape[0]
     try:
         lam_max, _ = _power_iteration(lambda v: K @ v, n, rtol, maxit)
-        lu = spla.splu(K)
+        lu = _factor(K)
         lam_inv, _ = _power_iteration(lambda v: lu.solve(v), n, rtol, maxit)
     except _PowerIterationFailure as exc:
         raise SolverError(

@@ -13,6 +13,7 @@ from cutpoisson.assembly import (
     NitscheParams,
     SystemMatrices,
     _active_cells,
+    _cutoff_weight,
     _vector,
     assemble_ghost_penalty,
     assemble_load,
@@ -28,7 +29,6 @@ from cutpoisson.assembly import (
 from cutpoisson.geometry import (
     LevelSetDomain,
     TubeParams,
-    cutoff,
     cutoff_conormal_integral,
     default_tube_params,
     log_model_integral,
@@ -455,6 +455,20 @@ class RegularizationReport:
     slope: float
 
 
+def _regularization_gaps(problem, dofmap, params, rules, eps_values):
+    """Energy norms of the regularized minus the standard solution, one per epsilon."""
+    system = assemble_system(dofmap, rules, params, problem)
+    u_h = solve_standard(system, dofmap).solution
+    gram = energy_gram(dofmap, rules, params, stabilizer=system.S)
+    gaps = []
+    for eps in eps_values:
+        params_eps = params.with_epsilon(eps)
+        A_eps = assemble_regularized(system.A, dofmap, rules, params_eps, problem.domain)
+        reg = solve_regularized(SystemMatrices(A_eps, system.S, system.b), dofmap)
+        gaps.append(energy_norm(reg.solution.coefficients - u_h.coefficients, gram))
+    return gaps
+
+
 def regularization_study(
     problem, n, eps_values, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10
 ):
@@ -465,22 +479,7 @@ def regularization_study(
     which should be one for a linearly growing operator perturbation.
     """
     mesh, topo, dofmap, params, rules = _discretize(problem.domain, n, box, tol, beta=beta, sigma=sigma)
-    domain = problem.domain
-    system = assemble_system(dofmap, rules, params, problem)
-    u_h = solve_standard(system, dofmap).solution
-    gram = energy_gram(dofmap, rules, params, stabilizer=system.S)
-    gaps = []
-    for eps in eps_values:
-        if eps < 0.0:
-            raise ValueError("epsilon must be nonnegative")
-        params_eps = params.with_epsilon(eps)
-        A_eps = assemble_regularized(dofmap, rules, params_eps, domain)
-        reg = solve_regularized(
-            SystemMatrices(A_eps, system.S, system.b, eps == 0.0), dofmap
-        )
-        gaps.append(
-            energy_norm(reg.solution.coefficients - u_h.coefficients, gram)
-        )
+    gaps = _regularization_gaps(problem, dofmap, params, rules, eps_values)
     positive = [(e, g) for e, g in zip(eps_values, gaps) if e > 0.0 and g > 0.0]
     slope = float("nan")
     if len(positive) >= 2:
@@ -506,15 +505,7 @@ def regularization_coupling(
         mesh, topo, dofmap, params, rules = _discretize(
             problem.domain, n, box, tol, beta=beta, sigma=sigma
         )
-        eps = coeff * mesh.h**2
-        system = assemble_system(dofmap, rules, params, problem)
-        u_h = solve_standard(system, dofmap).solution
-        gram = energy_gram(dofmap, rules, params, stabilizer=system.S)
-        A_eps = assemble_regularized(
-            dofmap, rules, params.with_epsilon(eps), problem.domain
-        )
-        reg = solve_regularized(SystemMatrices(A_eps, system.S, system.b, False), dofmap)
-        gaps.append(energy_norm(reg.solution.coefficients - u_h.coefficients, gram))
+        gaps += _regularization_gaps(problem, dofmap, params, rules, [coeff * mesh.h**2])
     ratios = [gaps[i + 1] / gaps[i] for i in range(len(gaps) - 1) if gaps[i] > 0.0]
     return CouplingReport(list(levels), gaps, ratios)
 
@@ -537,21 +528,17 @@ def verify_regularized_identity(
     params_eps = params.with_epsilon(epsilon)
     system = assemble_system(dofmap, rules, params, problem)
     u_h = solve_standard(system, dofmap).solution
-    A_eps = assemble_regularized(dofmap, rules, params_eps, domain)
+    A_eps = assemble_regularized(system.A, dofmap, rules, params_eps, domain)
     pivot = solve_regularized_pivot(A_eps, system.S, system.b, u_h, dofmap)
 
-    action_u = nitsche_action(
-        dofmap, rules, params_eps, problem.u, problem.grad_u, domain, chi_weighted=True
-    )
+    action_u = nitsche_action(dofmap, rules, params_eps, problem.u, problem.grad_u, domain)
     lhs = action_u - A_eps @ pivot.solution.coefficients
 
-    tube = TubeParams(
-        params_eps.tube.delta, epsilon, params_eps.tube.delta0, params_eps.tube.epsilon0
-    )
     rule_n = rules.neumann
     coords, _, dofs = _active_cells(dofmap)
     lam = _barycentric(coords, rule_n.points, rule_n.owner)
-    w = rule_n.weights * cutoff(domain, tube, rule_n.points) * problem.g_N(rule_n.points)
+    chi = _cutoff_weight(domain, params_eps)
+    w = rule_n.weights * chi(rule_n.points) * problem.g_N(rule_n.points)
     chi_load = _vector(dofmap.ndof, [dofs[rule_n.owner]], [lam * w[:, None]])
     rhs = system.S @ u_h.coefficients - chi_load
 

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cutpoisson import LevelSetDomain, NitscheParams, build_dofmap, build_rules, classify
-from cutpoisson.geometry import default_tube_params
-from cutpoisson.mesh import build_background
+from cutpoisson import LevelSetDomain
+from cutpoisson.study import _discretize
 
 
 @pytest.fixture(scope="session")
@@ -27,13 +26,7 @@ def domain_unit_mixed():
 def make_discretization(
     domain, n, box=(-1.0, -1.0, 1.0, 1.0), tol=1e-10, beta=10.0, sigma=0.1, shift=(0.0, 0.0)
 ):
-    mesh = build_background(box, n, shift)
-    topo = classify(mesh, domain)
-    dofmap = build_dofmap(topo)
-    tube = default_tube_params(domain, mesh.h)
-    params = NitscheParams(beta=beta, sigma=sigma, epsilon=0.0, tube=tube)
-    rules = build_rules(mesh, topo, domain, tol)
-    return mesh, topo, dofmap, params, rules
+    return _discretize(domain, n, box, tol, shift, beta, sigma)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from cutpoisson.assembly import (
-    NitscheParams,
     SystemMatrices,
     assemble_boundary_mass,
     assemble_ghost_penalty,
@@ -29,12 +28,11 @@ from cutpoisson.assembly import (
     error_norms,
     nitsche_action,
 )
-from cutpoisson.geometry import LevelSetDomain, default_tube_params
-from cutpoisson.mesh import build_background, classify
-from cutpoisson.quadrature import build_rules
+from cutpoisson.geometry import LevelSetDomain
 from cutpoisson.solve import solve_standard
-from cutpoisson.space import FeFunction, build_dofmap
+from cutpoisson.space import FeFunction
 from cutpoisson.study import (
+    _discretize,
     manufactured_singular,
     manufactured_smooth,
     sweep_shifts,
@@ -58,11 +56,7 @@ def mixed_disk():
 
 def discretize(shift, n=N):
     domain = mixed_disk()
-    mesh = build_background(BOX, n, shift)
-    topo = classify(mesh, domain)
-    dofmap = build_dofmap(topo)
-    params = NitscheParams(beta=10.0, sigma=0.1, tube=default_tube_params(domain, mesh.h))
-    rules = build_rules(mesh, topo, domain, TOL)
+    mesh, topo, dofmap, params, rules = _discretize(domain, n, BOX, TOL, shift)
     return domain, mesh, dofmap, params, rules
 
 
@@ -81,7 +75,7 @@ def outputs(shift, u_singular=None):
     S = assemble_ghost_penalty(dofmap, rules, params)
     b_singular = assemble_load(dofmap, rules, params, singular)
     if u_singular is None:
-        system = SystemMatrices(A, S, b_singular, True)
+        system = SystemMatrices(A, S, b_singular)
         u_singular = solve_standard(system, dofmap).solution.coefficients
     u_h = FeFunction(np.asarray(u_singular, dtype=float), dofmap)
     errs = error_norms(singular, u_h, rules, params, S, refine_levels=REFINE_LEVELS)
@@ -92,13 +86,11 @@ def outputs(shift, u_singular=None):
         "M": assemble_boundary_mass(dofmap, rules).toarray(),
         "A": A.toarray(),
         "S": S.toarray(),
-        "A_eps": assemble_regularized(dofmap, rules, params_eps, domain).toarray(),
+        "A_eps": assemble_regularized(A, dofmap, rules, params_eps, domain).toarray(),
         "b_smooth": assemble_load(dofmap, rules, params, smooth),
         "b_singular": b_singular,
         "action": nitsche_action(dofmap, rules, params, smooth.u, smooth.grad_u),
-        "action_chi": nitsche_action(
-            dofmap, rules, params_eps, smooth.u, smooth.grad_u, domain, chi_weighted=True
-        ),
+        "action_chi": nitsche_action(dofmap, rules, params_eps, smooth.u, smooth.grad_u, domain),
         "error_norms": np.array([errs.energy, errs.sh, errs.l2]),
         "inequalities": np.array([ineq.full_gradient, ineq.boundary_flux, ineq.cut_trace]),
     }

@@ -16,6 +16,7 @@ from cutpoisson.assembly import (
     cutoff_flux_neumann,
     energy_gram,
     energy_norm,
+    nitsche_action,
 )
 from cutpoisson.mesh import build_background
 from cutpoisson.space import FeFunction
@@ -111,15 +112,35 @@ def test_load_vector_cases(domain_mixed, disc_mixed_8):
 def test_regularized_zero_epsilon_equals_standard(domain_mixed, disc_mixed_8):
     mesh, topo, dofmap, params, rules = disc_mixed_8
     A = assemble_nitsche(dofmap, rules, params)
-    A0 = assemble_regularized(dofmap, rules, params, domain_mixed)
+    A0 = assemble_regularized(A, dofmap, rules, params, domain_mixed)
     assert abs(A0 - A).max() == 0.0
 
 
 def test_regularized_asymmetry(domain_mixed, disc_mixed_8):
     mesh, topo, dofmap, params, rules = disc_mixed_8
     eps = 0.1 * mesh.h**2
-    A_eps = assemble_regularized(dofmap, rules, params.with_epsilon(eps), domain_mixed)
+    A = assemble_nitsche(dofmap, rules, params)
+    A_eps = assemble_regularized(A, dofmap, rules, params.with_epsilon(eps), domain_mixed)
     assert abs(A_eps - A_eps.T).max() > 0.0
+
+
+def test_epsilon_is_carried_by_the_tube(disc_mixed_8):
+    mesh, topo, dofmap, params, rules = disc_mixed_8
+    for eps in (0.05 * mesh.h**2, 0.1 * mesh.h**2, 0.4 * mesh.h**2):
+        assert params.with_epsilon(eps).tube.epsilon == eps
+
+
+def test_cutoff_paths_need_a_positive_epsilon_and_the_domain(domain_mixed, disc_mixed_8):
+    mesh, topo, dofmap, params, rules = disc_mixed_8
+    problem = manufactured_smooth(domain_mixed)
+    assert params.epsilon == 0.0
+    with pytest.raises(ValueError, match="positive epsilon"):
+        cutoff_flux_neumann(dofmap, rules, domain_mixed, params)
+    params_eps = params.with_epsilon(0.1 * mesh.h**2)
+    with pytest.raises(ValueError, match="domain"):
+        nitsche_action(dofmap, rules, params_eps, problem.u, problem.grad_u)
+    with pytest.raises(ValueError, match="domain"):
+        cutoff_flux_neumann(dofmap, rules, None, params_eps)
 
 
 def test_form_gap_bounded_linearly_in_epsilon(domain_mixed, disc_mixed_16, rng):
@@ -191,13 +212,9 @@ def test_assemble_system_bundles(domain_mixed, disc_mixed_8):
     mesh, topo, dofmap, params, rules = disc_mixed_8
     problem = manufactured_smooth(domain_mixed)
     system = assemble_system(dofmap, rules, params, problem)
-    assert system.symmetric
-    eps = 0.1 * mesh.h**2
-    system_eps = assemble_system(
-        dofmap, rules, params.with_epsilon(eps), problem, domain_mixed
-    )
-    assert not system_eps.symmetric
-    assert np.allclose(system.b, system_eps.b)
+    assert abs(system.A - assemble_nitsche(dofmap, rules, params)).max() == 0.0
+    assert abs(system.S - assemble_ghost_penalty(dofmap, rules, params)).max() == 0.0
+    assert np.array_equal(system.b, assemble_load(dofmap, rules, params, problem))
 
 
 def test_refined_cells_match_distance_definition(domain_mixed):

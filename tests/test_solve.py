@@ -36,7 +36,7 @@ class FakeDofmap:
 
 def wrap(K, b):
     n = K.shape[0]
-    return SystemMatrices(sp.csr_matrix(K), sp.csr_matrix((n, n)), b, True)
+    return SystemMatrices(sp.csr_matrix(K), sp.csr_matrix((n, n)), b)
 
 
 def test_zero_load_gives_zero_solution():
@@ -82,8 +82,8 @@ def test_regularized_limit_matches_standard(domain_mixed):
     mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, 16)
     system = assemble_system(dofmap, rules, params, problem)
     u_h = solve_standard(system, dofmap).solution
-    A0 = assemble_regularized(dofmap, rules, params, domain_mixed)
-    reg = solve_regularized(SystemMatrices(A0, system.S, system.b, True), dofmap)
+    A0 = assemble_regularized(system.A, dofmap, rules, params, domain_mixed)
+    reg = solve_regularized(SystemMatrices(A0, system.S, system.b), dofmap)
     assert np.abs(reg.solution.coefficients - u_h.coefficients).max() < 1e-8
 
 
@@ -111,6 +111,13 @@ def test_condition_estimate_reference_matrices():
     assert condition_estimate(sp.eye(40, format="csr")) == pytest.approx(1.0, rel=0.01)
     K = sp.diags([1.0, 1e4]).tocsr()
     assert condition_estimate(K) == pytest.approx(1e4, rel=0.01)
+
+
+def test_condition_estimate_singular_operator_raises():
+    """A singular operator raises SolverError, not the factorization's error."""
+    K = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SolverError, match="factorization failed"):
+        condition_estimate(K)
 
 
 def test_condition_estimate_matches_dense_oracle(domain_dirichlet):

@@ -11,6 +11,7 @@ from cutpoisson.study import (
     manufactured_singular,
     manufactured_smooth,
     regularization_coupling,
+    regularization_study,
     run_convergence,
     sweep_shifts,
     validate_problem,
@@ -216,6 +217,16 @@ def test_regularization_coupling_halves(domain_mixed):
     report = regularization_coupling(problem, (8, 16, 32))
     geo_mean = float(np.exp(np.mean(np.log(report.ratios))))
     assert 0.25 <= geo_mean <= 0.85
+
+
+def test_regularization_coupling_matches_the_study_per_level(domain_mixed):
+    """Each coupling gap is the one-epsilon study's gap at epsilon = 0.1 h^2, exactly."""
+    problem = manufactured_smooth(domain_mixed)
+    levels = (8, 16)
+    report = regularization_coupling(problem, levels)
+    for n, gap in zip(levels, report.gaps):
+        h = make_discretization(domain_mixed, n)[0].h
+        assert gap == regularization_study(problem, n, [0.1 * h**2]).gaps[0]
 
 
 def test_interpolation_energy_slope_singular(domain_mixed):
