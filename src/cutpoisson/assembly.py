@@ -25,9 +25,10 @@ class NitscheParams:
     """Penalty and stabilization parameters of the discrete forms.
 
     ``epsilon = 0`` selects the standard method; a positive value selects the
-    regularized form whose Dirichlet flux term is weighted by the cutoff.  A
-    positive ``epsilon`` is copied into ``tube``, so the tube carries it to
-    every cutoff evaluation.
+    regularized form whose Dirichlet flux term is weighted by the cutoff.
+    ``epsilon`` is copied into ``tube``, as None when it is zero, so the tube
+    carries it to every cutoff evaluation and the standard method's tube
+    holds no epsilon.
     """
 
     beta: float = 10.0
@@ -49,7 +50,8 @@ class NitscheParams:
                 raise ValueError(
                     f"epsilon {self.epsilon} exceeds the admissible {self.tube.epsilon0}"
                 )
-            object.__setattr__(self, "tube", replace(self.tube, epsilon=self.epsilon))
+        if self.tube is not None:
+            object.__setattr__(self, "tube", replace(self.tube, epsilon=self.epsilon or None))
 
     def with_epsilon(self, epsilon):
         return NitscheParams(self.beta, self.sigma, epsilon, self.tube)

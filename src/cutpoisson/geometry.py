@@ -254,26 +254,34 @@ def junction_arc_distance(domain, theta):
 @dataclass(frozen=True)
 class TubeParams:
     """Collar widths: `delta` into the domain, `epsilon` along the boundary past
-    a junction, with `delta0`/`epsilon0` the maximal admissible values."""
+    a junction, with `delta0`/`epsilon0` the maximal admissible values.  The
+    standard method's tube has `epsilon` None, which the cutoff refuses."""
 
     delta: float
-    epsilon: float
+    epsilon: float | None
     delta0: float
     epsilon0: float
 
     def __post_init__(self):
         if not (0.0 < self.delta <= self.delta0):
             raise ValueError(f"need 0 < delta <= delta0, got {self.delta}, {self.delta0}")
-        if not (0.0 < self.epsilon <= self.epsilon0):
+        if self.epsilon is not None and not (0.0 < self.epsilon <= self.epsilon0):
             raise ValueError(f"need 0 < epsilon <= epsilon0, got {self.epsilon}, {self.epsilon0}")
 
 
-def default_tube_params(domain, h, eps_coeff=0.1):
-    """Standard coupling delta = h and epsilon = eps_coeff * h**2."""
+def default_tube_params(domain, h):
+    """Standard coupling delta = h, with no epsilon: ``NitscheParams`` sets it."""
     delta0 = 0.75 * domain.radius
     if h > delta0:
         raise ValueError(f"mesh size {h} exceeds the collar limit {delta0}")
-    return TubeParams(delta=h, epsilon=eps_coeff * h * h, delta0=delta0, epsilon0=delta0)
+    return TubeParams(delta=h, epsilon=None, delta0=delta0, epsilon0=delta0)
+
+
+def _tube_epsilon(params):
+    """The tube's epsilon; a tube without one (the standard method's) raises ``ValueError``."""
+    if params.epsilon is None:
+        raise ValueError("the tube has no epsilon; the cutoff needs a positive one")
+    return params.epsilon
 
 
 class TubeMembership(NamedTuple):
@@ -298,7 +306,7 @@ def tube_membership(domain, params, x):
     arc_dist = junction_arc_distance(domain, theta)
 
     in_d = (rho < params.delta) & dirichlet
-    in_wedge = (rho <= params.delta) & ~dirichlet & (arc_dist < rho + params.epsilon)
+    in_wedge = (rho <= params.delta) & ~dirichlet & (arc_dist < rho + _tube_epsilon(params))
     return TubeMembership(in_d, in_wedge, in_d | in_wedge)
 
 
@@ -318,7 +326,7 @@ def cutoff(domain, params, x):
 
     w = _smoothstep_down(rho / params.delta)
     arc_dist = junction_arc_distance(domain, theta)
-    gamma = rho + params.epsilon
+    gamma = rho + _tube_epsilon(params)
     with np.errstate(invalid="ignore"):
         m = _smoothstep_down(arc_dist / gamma)
     g = np.where(is_dirichlet_angle(domain, theta), 1.0, m)
@@ -368,7 +376,7 @@ def cutoff_gradient(domain, params, x):
     a = domain.radius * np.abs(off)
     sign_a = np.where(off >= 0.0, 1.0, -1.0)
 
-    gamma = rho + params.epsilon
+    gamma = rho + _tube_epsilon(params)
     q = a / gamma
     m = _smoothstep_down(q)
     mp = _smoothstep_down_prime(q)
@@ -435,6 +443,7 @@ def cutoff_conormal_integral(domain, params, z, rtol=1e-6, max_doublings=6):
     tolerance ``rtol``.
     """
     z = np.asarray(z, dtype=float)
+    epsilon = _tube_epsilon(params)
     junctions = domain.junction_angles
     if junctions.size == 0:
         raise ValueError("domain has no boundary-condition junctions")
@@ -452,7 +461,7 @@ def cutoff_conormal_integral(domain, params, z, rtol=1e-6, max_doublings=6):
         nodes, weights = _gauss(order_a)
         out = np.zeros_like(t_values)
         for i, t in enumerate(t_values):
-            gamma = t + params.epsilon
+            gamma = t + epsilon
             a = 0.5 * gamma * (nodes + 1.0)
             w_a = 0.5 * gamma * weights
             psi = theta_z + side * a / R
@@ -464,7 +473,7 @@ def cutoff_conormal_integral(domain, params, z, rtol=1e-6, max_doublings=6):
             out[i] = np.sum(w_a * conormal**2) * (1.0 - t / R)
         return out
 
-    breaks = _geometric_breaks(params.delta, params.epsilon)
+    breaks = _geometric_breaks(params.delta, epsilon)
     order_t, order_a = 16, 12
     value = _panel_gauss(lambda t: fiber_integral(t, order_a), breaks, order_t)
     for _ in range(max_doublings):

@@ -18,11 +18,13 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolveReport:
-    """Solution together with the residual actually achieved."""
+    """Solution and achieved residual; a factored solve adds its operator and factors."""
 
     solution: FeFunction
     method: str
     residual: float
+    operator: object = None
+    factors: object = None
 
 
 # Factorization of the symmetric positive definite system: minimum degree on
@@ -44,18 +46,12 @@ def _factor(K, advice="", **ordering):
         raise SolverError(f"factorization failed: {exc}.{advice}") from exc
 
 
-def _solve(K, b, dofmap, rtol, symmetric=False):
-    """Solve ``K x = b`` by one factorization and check the residual.
+def _trivial(dofmap):
+    return SolveReport(FeFunction(np.zeros(dofmap.ndof), dofmap), "trivial", 0.0)
 
-    A zero load gives the zero solution without factoring.  ``symmetric``
-    selects the symmetric positive definite checks and ordering.
-    """
-    if not np.any(b):
-        return SolveReport(FeFunction(np.zeros(dofmap.ndof), dofmap), "trivial", 0.0)
-    advice = _SPD_ADVICE if symmetric else ""
-    if symmetric and K.diagonal().min() <= 0.0:
-        raise SolverError(f"nonpositive diagonal entry, the operator is not positive definite.{advice}")
-    x = _factor(K, advice, **(_SYMMETRIC_ORDERING if symmetric else {})).solve(b)
+
+def _checked(K, x, b, dofmap, rtol, method, advice=""):
+    """Report of the solution ``x`` of ``K x = b`` after one residual check."""
     residual = float(np.linalg.norm(K @ x - b))
     scale = float(np.linalg.norm(b))
     if not np.all(np.isfinite(x)) or residual > rtol * max(scale, 1e-300):
@@ -63,7 +59,24 @@ def _solve(K, b, dofmap, rtol, symmetric=False):
             f"linear solve failed: residual {residual:.3e} vs tolerance "
             f"{rtol * scale:.3e}.{advice}"
         )
-    return SolveReport(FeFunction(np.asarray(x, dtype=float), dofmap), "splu", residual)
+    return SolveReport(FeFunction(np.asarray(x, dtype=float), dofmap), method, residual)
+
+
+def _solve(K, b, dofmap, rtol, symmetric=False):
+    """Solve ``K x = b`` by one factorization and check the residual.
+
+    A zero load gives the zero solution without factoring.  ``symmetric``
+    selects the symmetric positive definite checks and ordering.
+    """
+    if not np.any(b):
+        return _trivial(dofmap)
+    advice = _SPD_ADVICE if symmetric else ""
+    if symmetric and K.diagonal().min() <= 0.0:
+        raise SolverError(f"nonpositive diagonal entry, the operator is not positive definite.{advice}")
+    lu = _factor(K, advice, **(_SYMMETRIC_ORDERING if symmetric else {}))
+    report = _checked(K, lu.solve(b), b, dofmap, rtol, "splu", advice)
+    report.operator, report.factors = K, lu
+    return report
 
 
 def solve_standard(matrices, dofmap, rtol=RESIDUAL_RTOL):
@@ -71,14 +84,44 @@ def solve_standard(matrices, dofmap, rtol=RESIDUAL_RTOL):
 
     The factorization uses the symmetric ordering above.  A nonpositive
     diagonal, a failed factorization or a residual above ``rtol`` raises
-    ``SolverError`` advising a larger penalty.
+    ``SolverError`` advising a larger penalty.  The report holds the factors
+    for ``solve_regularized``; a caller that needs only the solution keeps
+    ``.solution`` and lets them go.
     """
     return _solve((matrices.A + matrices.S).tocsc(), matrices.b, dofmap, rtol, symmetric=True)
 
 
-def solve_regularized(matrices, dofmap, rtol=RESIDUAL_RTOL):
-    """Solve the (nonsymmetric) regularized stabilized system directly."""
-    return _solve((matrices.A + matrices.S).tocsc(), matrices.b, dofmap, rtol)
+def solve_regularized(matrices, dofmap, standard, rtol=RESIDUAL_RTOL):
+    """Solve the regularized system as a low-rank update of ``standard`` (from ``solve_standard``).
+
+    ``K = A + S`` differs from the standard operator ``K0`` in the k rows R
+    the cutoff reaches.  With ``W`` those rows of ``K - K0`` and ``E`` the
+    identity columns of R, the Woodbury identity gives
+    ``x = x0 - Z (I + W Z)^{-1} W x0``, ``x0 = K0^{-1} b``, ``Z = K0^{-1} E``:
+    k + 1 solves with the standard factors and one k x k solve, so nothing is
+    factored and the cost grows with k (at epsilon = 0, k = 0).  ``x`` is
+    checked against ``K`` by one mat-vec; a singular ``I + W Z`` or a
+    residual above ``rtol`` raises ``SolverError``.
+    """
+    b = matrices.b
+    if not np.any(b):
+        return _trivial(dofmap)
+    K = matrices.A + matrices.S
+    W = (K - standard.operator).tocsr()
+    W.eliminate_zeros()
+    rows = np.flatnonzero(np.diff(W.indptr))
+    W = W[rows]
+    # one multi-column solve for [x0, Z]: the right-hand sides [b, E]
+    rhs = np.zeros((len(b), len(rows) + 1))
+    rhs[:, 0] = b
+    rhs[rows, np.arange(1, len(rows) + 1)] = 1.0
+    X = standard.factors.solve(rhs)
+    x0, Z = X[:, 0], X[:, 1:]
+    try:
+        y = np.linalg.solve(np.eye(len(rows)) + W @ Z, W @ x0)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular capacitance matrix ({len(rows)} perturbed rows)") from exc
+    return _checked(K, x0 - Z @ y, b, dofmap, rtol, "lowrank")
 
 
 def solve_regularized_pivot(A_eps, S, b, u_h, dofmap, rtol=RESIDUAL_RTOL):

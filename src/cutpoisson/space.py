@@ -115,15 +115,6 @@ def jump_normal_gradient(f, face):
     return float(gradient(f, t1) @ n1 - gradient(f, t2) @ n1)
 
 
-def _vertex_patches(topology):
-    patches = {}
-    tris = topology.mesh.triangles
-    for t in topology.active:
-        for v in tris[t]:
-            patches.setdefault(int(v), []).append(int(t))
-    return patches
-
-
 def clement_interpolate(u, dofmap):
     """Quasi-interpolant of an analytic function onto the finite element space.
 
@@ -131,27 +122,32 @@ def clement_interpolate(u, dofmap):
     ``u`` onto affine functions over the patch of active triangles containing
     the vertex.  Patches use full triangles, so ``u`` must be evaluable on the
     whole active mesh, including the parts outside the domain.
+
+    Every (triangle, local vertex) pair contributes a 3 x 3 moment block and a
+    right-hand side in the affine basis centred at the vertex and scaled by
+    the patch radius; the blocks are summed per vertex and solved together.
     """
-    topology = dofmap.topology
-    mesh = topology.mesh
-    patches = _vertex_patches(topology)
-    coeffs = np.zeros(dofmap.ndof)
-    for v, tris in patches.items():
-        xv = mesh.vertices[v]
-        scale = 0.0
-        for t in tris:
-            scale = max(scale, np.linalg.norm(mesh.triangle_coords(t) - xv, axis=1).max())
-        moments = np.zeros((3, 3))
-        rhs = np.zeros(3)
-        for t in tris:
-            pts, wts = _full_triangle_points(mesh.triangle_coords(t))
-            basis = np.column_stack(
-                [np.ones(len(pts)), (pts[:, 0] - xv[0]) / scale, (pts[:, 1] - xv[1]) / scale]
-            )
-            moments += (basis * wts[:, None]).T @ basis
-            rhs += (basis * wts[:, None]).T @ u(pts)
-        if np.linalg.cond(moments) > 1e12:
-            raise ValueError(f"degenerate patch moment matrix at vertex {v}")
-        sol = np.linalg.solve(moments, rhs)
-        coeffs[dofmap.vertex_to_dof[v]] = sol[0]
+    mesh = dofmap.mesh
+    tris = dofmap.topology.active
+    coords = mesh.triangle_coords(tris)  # (m, 3, 2)
+    dofs = dofmap.vertex_to_dof[mesh.triangles[tris]]  # (m, 3)
+    pts, wts = _full_triangle_points(coords)  # (m, 6, 2), (m, 6)
+    values = u(pts)
+    scale = np.zeros(dofmap.ndof)
+    reach = np.linalg.norm(coords[:, None] - coords[:, :, None], axis=-1).max(axis=-1)
+    np.maximum.at(scale, dofs, reach)
+    offsets = (pts[:, None] - coords[:, :, None]) / scale[dofs][..., None, None]  # (m, 3, 6, 2)
+    basis = np.concatenate([np.ones(offsets.shape[:-1] + (1,)), offsets], axis=-1)
+    blocks = np.einsum("tq,tiqa,tiqb->tiab", wts, basis, basis).reshape(-1, 9)
+    rhs = np.einsum("tq,tiqa,tq->tia", wts, basis, values).reshape(-1, 3)
+    sums = np.stack(
+        [np.bincount(dofs.ravel(), col, dofmap.ndof) for col in np.hstack([blocks, rhs]).T], axis=1
+    )
+    moments = sums[:, :9].reshape(-1, 3, 3)
+    degenerate = np.flatnonzero(np.linalg.cond(moments) > 1e12)
+    if degenerate.size:
+        raise ValueError(
+            f"degenerate patch moment matrix at vertex {dofmap.dof_to_vertex[degenerate[0]]}"
+        )
+    coeffs = np.linalg.solve(moments, sums[:, 9:, None])[:, 0, 0]
     return FeFunction(coeffs, dofmap)

@@ -18,6 +18,7 @@ from cutpoisson.assembly import (
     energy_norm,
     nitsche_action,
 )
+from cutpoisson.geometry import cutoff
 from cutpoisson.mesh import build_background
 from cutpoisson.space import FeFunction
 from cutpoisson.study import (
@@ -128,6 +129,16 @@ def test_epsilon_is_carried_by_the_tube(disc_mixed_8):
     mesh, topo, dofmap, params, rules = disc_mixed_8
     for eps in (0.05 * mesh.h**2, 0.1 * mesh.h**2, 0.4 * mesh.h**2):
         assert params.with_epsilon(eps).tube.epsilon == eps
+
+
+def test_standard_tube_holds_no_epsilon(domain_mixed, disc_mixed_8):
+    """At epsilon = 0 a direct cutoff call cannot fall back on some other epsilon."""
+    mesh, topo, dofmap, params, rules = disc_mixed_8
+    x = domain_mixed.boundary_point(np.array([-0.1, -0.2]))
+    for standard in (params, params.with_epsilon(0.1 * mesh.h**2).with_epsilon(0.0)):
+        assert standard.epsilon == 0.0 and standard.tube.epsilon is None
+        with pytest.raises(ValueError, match="no epsilon"):
+            cutoff(domain_mixed, standard.tube, x)
 
 
 def test_cutoff_paths_need_a_positive_epsilon_and_the_domain(domain_mixed, disc_mixed_8):

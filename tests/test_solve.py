@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cutpoisson import LevelSetDomain
+from cutpoisson import solve
 from cutpoisson.space import FeFunction
 from cutpoisson.assembly import (
     SystemMatrices,
@@ -81,10 +83,64 @@ def test_regularized_limit_matches_standard(domain_mixed):
     problem = manufactured_smooth(domain_mixed)
     mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, 16)
     system = assemble_system(dofmap, rules, params, problem)
-    u_h = solve_standard(system, dofmap).solution
+    standard = solve_standard(system, dofmap)
+    u_h = standard.solution
     A0 = assemble_regularized(system.A, dofmap, rules, params, domain_mixed)
-    reg = solve_regularized(SystemMatrices(A0, system.S, system.b), dofmap)
+    reg = solve_regularized(SystemMatrices(A0, system.S, system.b), dofmap, standard)
     assert np.abs(reg.solution.coefficients - u_h.coefficients).max() < 1e-8
+
+
+@pytest.mark.parametrize(
+    "n, eps_of",
+    [
+        (16, lambda h, tube: 0.1 * h**2),
+        (16, lambda h, tube: 0.4 * h**2),
+        # the largest admissible epsilon; at n = 16 it perturbs only 21 rows
+        (64, lambda h, tube: tube.epsilon0),
+    ],
+    ids=["0.1h2", "0.4h2", "epsilon0"],
+)
+def test_low_rank_update_matches_a_direct_factorization(domain_mixed, n, eps_of):
+    problem = manufactured_smooth(domain_mixed)
+    mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, n)
+    system = assemble_system(dofmap, rules, params, problem)
+    standard = solve_standard(system, dofmap)
+    A_eps = assemble_regularized(
+        system.A, dofmap, rules, params.with_epsilon(eps_of(mesh.h, params.tube)), domain_mixed
+    )
+    K = (A_eps + system.S).tocsc()
+    perturbed = np.flatnonzero(abs(K - standard.operator).sum(axis=1))
+    assert len(perturbed) > (50 if n == 64 else 0)
+    reg = solve_regularized(SystemMatrices(A_eps, system.S, system.b), dofmap, standard)
+    oracle = spla.splu(K).solve(system.b)
+    assert reg.method == "lowrank"
+    assert np.abs(reg.solution.coefficients - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+def test_zero_epsilon_gap_is_exactly_zero(domain_mixed):
+    report = regularization_study(manufactured_smooth(domain_mixed), 16, [0.0])
+    assert report.gaps == [0.0]
+
+
+def test_singular_perturbation_raises():
+    """A perturbation of one row that makes the operator singular is refused."""
+    K0 = np.array([[4.0, -1.0, 0.0], [-1.0, 3.0, -1.0], [0.0, -1.0, 2.0]])
+    b = np.array([1.0, 2.0, 0.5])
+    standard = solve_standard(wrap(K0, b), FakeDofmap(3))
+    K = K0.copy()
+    K[0] = K[1] + K[2]
+    with pytest.raises(SolverError):
+        solve_regularized(wrap(K, b), FakeDofmap(3), standard)
+
+
+def test_regularization_study_factors_once(domain_mixed, monkeypatch):
+    calls = []
+    factor = solve._factor
+    monkeypatch.setattr(solve, "_factor", lambda *a, **k: calls.append(1) or factor(*a, **k))
+    n = 16
+    h = 2.0 * math.sqrt(2.0) / n
+    regularization_study(manufactured_smooth(domain_mixed), n, [0.0, 0.1 * h**2, 0.2 * h**2, 0.4 * h**2])
+    assert len(calls) == 1
 
 
 def test_regularized_gap_bounded_and_stable(domain_mixed):

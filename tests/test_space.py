@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from cutpoisson import (
     jump_normal_gradient,
 )
 from cutpoisson.mesh import build_background
-from cutpoisson.study import interpolation_study, manufactured_smooth
+from cutpoisson.quadrature import _full_triangle_points
+from cutpoisson.study import interpolation_study, manufactured_singular, manufactured_smooth
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +107,46 @@ def test_clement_reproduces_constants_and_affines(disc_mixed_8, rng):
         interp = clement_interpolate(affine, dofmap)
         exact = affine(mesh.vertices[dofmap.dof_to_vertex])
         assert np.abs(interp.coefficients - exact).max() < 1e-12
+
+
+def _clement_loop(u, dofmap):
+    """Reference quasi-interpolant: one patch at a time, one triangle at a time."""
+    mesh = dofmap.mesh
+    patches = {}
+    for t in dofmap.topology.active:
+        for v in mesh.triangles[t]:
+            patches.setdefault(int(v), []).append(int(t))
+    coeffs = np.zeros(dofmap.ndof)
+    for v, tris in patches.items():
+        xv = mesh.vertices[v]
+        scale = max(np.linalg.norm(mesh.triangle_coords(t) - xv, axis=1).max() for t in tris)
+        moments, rhs = np.zeros((3, 3)), np.zeros(3)
+        for t in tris:
+            pts, wts = _full_triangle_points(mesh.triangle_coords(t))
+            basis = np.column_stack(
+                [np.ones(len(pts)), (pts[:, 0] - xv[0]) / scale, (pts[:, 1] - xv[1]) / scale]
+            )
+            moments += (basis * wts[:, None]).T @ basis
+            rhs += (basis * wts[:, None]).T @ u(pts)
+        coeffs[dofmap.vertex_to_dof[v]] = np.linalg.solve(moments, rhs)[0]
+    return coeffs
+
+
+def test_clement_matches_the_patch_loop(domain_mixed, disc_mixed_16):
+    dofmap = disc_mixed_16[2]
+    for problem in (manufactured_smooth(domain_mixed), manufactured_singular(domain_mixed)):
+        ref = _clement_loop(problem.u, dofmap)
+        got = clement_interpolate(problem.u, dofmap).coefficients
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_clement_names_a_degenerate_patch(fitted_two_triangles):
+    """Squashing the square onto a line leaves every patch without moments."""
+    mesh, topo, dofmap = fitted_two_triangles
+    flat = dataclasses.replace(mesh, vertices=mesh.vertices * [1.0, 0.0])
+    flat_dofmap = dataclasses.replace(dofmap, topology=dataclasses.replace(topo, mesh=flat))
+    with pytest.raises(ValueError, match="degenerate patch moment matrix at vertex 0"):
+        clement_interpolate(lambda p: np.asarray(p)[..., 0], flat_dofmap)
 
 
 def test_clement_affine_has_zero_stabilizer_seminorm(disc_mixed_8):
