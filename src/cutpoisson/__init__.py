@@ -8,18 +8,13 @@ boundary cuts the cells.
 """
 
 from cutpoisson.geometry import (
-    DIRICHLET,
-    NEUMANN,
     LevelSetDomain,
     TubeParams,
-    classify_boundary,
-    closest_point,
     cutoff,
     cutoff_conormal_integral,
     cutoff_gradient,
     default_tube_params,
     signed_distance,
-    tube_membership,
 )
 from cutpoisson.mesh import (
     INSIDE,
@@ -44,7 +39,6 @@ from cutpoisson.space import (
     clement_interpolate,
     evaluate,
     gradient,
-    jump_normal_gradient,
 )
 from cutpoisson.assembly import (
     NitscheParams,

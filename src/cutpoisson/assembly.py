@@ -87,14 +87,6 @@ def _coo_accumulate(ndof, dofs, blocks):
     return sp.csr_matrix((sums, (r[starts], c[starts])), shape=(ndof, ndof))
 
 
-def _active_cells(dofmap):
-    """Vertex coordinates, hat gradients (both (m, 3, 2)) and dofs (m, 3) of the active cells."""
-    mesh = dofmap.mesh
-    tris = mesh.triangles[dofmap.topology.active]
-    coords = mesh.vertices[tris]
-    return coords, hat_gradients(coords), dofmap.vertex_to_dof[tris]
-
-
 def _vector(ndof, dofs, values):
     """Global vector from local contributions (n, 3) on dofs (n, 3), over several parts."""
     return np.bincount(
@@ -121,7 +113,7 @@ def _boundary_local(coords, grads, rule, weight=None):
 
 def assemble_stiffness(dofmap, rules):
     """Gradient-gradient form over the cut domain: (grad u, grad v) on each T cap Omega."""
-    _, grads, dofs = _active_cells(dofmap)
+    _, grads, dofs = dofmap.active_cells
     masses = np.bincount(rules.volume.owner, rules.volume.weights, minlength=len(dofs))
     local = np.einsum("tid,tjd,t->tij", grads, grads, masses)
     return _coo_accumulate(dofmap.ndof, dofs, local)
@@ -129,7 +121,7 @@ def assemble_stiffness(dofmap, rules):
 
 def assemble_boundary_mass(dofmap, rules):
     """Mass matrix on the Dirichlet part of the boundary."""
-    coords, grads, dofs = _active_cells(dofmap)
+    coords, grads, dofs = dofmap.active_cells
     rule = rules.dirichlet
     lam, _, w = _boundary_local(coords, grads, rule)
     scaled = lam * np.sqrt(w)[:, None]  # Gram form keeps the block bitwise symmetric
@@ -138,7 +130,7 @@ def assemble_boundary_mass(dofmap, rules):
 
 def _flux_matrix(dofmap, rule, weight=None):
     """Entries (i, j) of the boundary flux pairing (grad(phi_j) . n, phi_i) over ``rule``."""
-    coords, grads, dofs = _active_cells(dofmap)
+    coords, grads, dofs = dofmap.active_cells
     lam, flux, w = _boundary_local(coords, grads, rule, weight)
     local = lam[:, :, None] * (flux * w[:, None])[:, None, :]  # test i rows, trial j cols
     return _coo_accumulate(dofmap.ndof, dofs[rule.owner], local)
@@ -209,7 +201,7 @@ def assemble_ghost_penalty(dofmap, rules, params):
 def assemble_load(dofmap, rules, params, data):
     """Load vector with source, Neumann flux, and Dirichlet Nitsche data terms."""
     h = dofmap.mesh.h
-    coords, grads, dofs = _active_cells(dofmap)
+    coords, grads, dofs = dofmap.active_cells
     rule_n, rule_d = rules.neumann, rules.dirichlet
     lam_n, _, w_n = _boundary_local(coords, grads, rule_n)
     lam_d, flux_d, w_d = _boundary_local(coords, grads, rule_d)
@@ -247,7 +239,7 @@ def nitsche_action(dofmap, rules, params, u, grad_u, domain=None):
     """
     chi = _cutoff_weight(domain, params) if params.epsilon > 0.0 else None
     h = dofmap.mesh.h
-    coords, grads, dofs = _active_cells(dofmap)
+    coords, grads, dofs = dofmap.active_cells
     vol, rule_d, rule_n = rules.volume, rules.dirichlet, rules.neumann
     wg = vol.weights[:, None] * grad_u(vol.points)
     flux_int = np.stack([np.bincount(vol.owner, g, minlength=len(dofs)) for g in wg.T], axis=1)
@@ -316,19 +308,25 @@ def error_norms(problem, u_h, rules, params, stabilizer, refine_levels=0):
     """
     dofmap = u_h.dofmap
     h = dofmap.mesh.h
-    coords, grads, dofs = _active_cells(dofmap)
+    coords, grads, dofs = dofmap.active_cells
     vol = rules.volume
     if refine_levels and len(problem.singular_points):
         singular = np.asarray(problem.singular_points, dtype=float)
         target = _cells_near(singular, coords, 2.0 * h)
+        cells = np.flatnonzero(target >= 0)
         keep = target[vol.owner] < 0
-        parts = [(vol.points[keep], vol.weights[keep], vol.owner[keep])]
-        for t in np.flatnonzero(target >= 0):
-            rule = refine_rule_toward(
-                coords[t], problem.domain, singular[target[t]], tol=rules.tol, levels=refine_levels
-            )
-            parts.append((rule.points, rule.weights, rule.owner + t))
-        vol = PackedRule(*(np.concatenate(a) for a in zip(*parts)))
+        refined = refine_rule_toward(
+            coords[cells],
+            problem.domain,
+            singular[target[cells]],
+            tol=rules.tol,
+            levels=refine_levels,
+        )
+        vol = PackedRule(
+            np.concatenate([vol.points[keep], refined.points]),
+            np.concatenate([vol.weights[keep], refined.weights]),
+            np.concatenate([vol.owner[keep], cells[refined.owner]]),
+        )
     vals = u_h.coefficients[dofs]
     grad_h = np.einsum("tk,tkd->td", vals, grads)
     grad_sq = l2_sq = 0.0

@@ -20,7 +20,8 @@ import numpy as np
 import scipy
 
 import cutpoisson
-from cutpoisson.geometry import LevelSetDomain, circle_meets_box_edge
+from cutpoisson.geometry import LevelSetDomain, circle_meets_box_edge, default_tube_params
+from cutpoisson.mesh import cell_diagonal
 from cutpoisson.quadrature import MIN_TOL
 from cutpoisson import study as study_mod
 
@@ -144,12 +145,20 @@ def build_problem(cfg, domain):
     return study_mod.manufactured_singular(domain, int(cfg["problem"].get("junction_index", 0)))
 
 
-def _epsilon_values(cfg, h):
+def _epsilon_values(cfg, domain, h):
+    """The regularization study's epsilons 0, e, 2e, 4e; a fixed e must keep 4e admissible."""
     rule = cfg["params"]["epsilon_rule"]
     if rule["kind"] == "fixed":
         base = float(rule.get("value", 0.0))
         if base <= 0.0:
             raise ConfigError("params.epsilon_rule.value must be positive for 'fixed'")
+        epsilon0 = default_tube_params(domain, h).epsilon0
+        if not 4.0 * base <= epsilon0:
+            raise ConfigError(
+                f"params.epsilon_rule.value {base!r}: the study's largest epsilon 4 * value = "
+                f"{4.0 * base!r} exceeds the admissible {epsilon0!r}; "
+                f"the largest admissible value is {epsilon0 / 4.0!r}"
+            )
     else:
         base = float(rule.get("c", 0.1)) * h * h
     return [0.0, base, 2.0 * base, 4.0 * base]
@@ -195,9 +204,7 @@ def _run_study(cfg):
     if kind == "regularization":
         problem = build_problem(cfg, domain)
         n = levels[0]
-        x0, y0, x1, y1 = box
-        h = math.hypot((x1 - x0) / n, (y1 - y0) / n)
-        eps_values = _epsilon_values(cfg, h)
+        eps_values = _epsilon_values(cfg, domain, cell_diagonal(box, n))
         report = study_mod.regularization_study(problem, n, eps_values, beta, sigma, box, tol)
         header = ["eps", "gap"]
         rows = list(zip(report.eps_values, report.gaps))

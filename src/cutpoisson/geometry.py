@@ -4,10 +4,9 @@ The domain is a disk described by its signed distance function.  The boundary
 carries mixed boundary conditions: a set of half-open angular arcs is
 Dirichlet, the complement is Neumann, and the junction points where the two
 parts meet are the locus of reduced solution regularity.  This module also
-provides the collar neighborhoods of the Dirichlet boundary and of the
-junctions, and the cutoff weight that localizes boundary integrals to the
-Dirichlet part while decaying smoothly across an epsilon-wide wedge past each
-junction.
+provides the collar widths around the Dirichlet boundary and the junctions,
+and the cutoff weight that localizes boundary integrals to the Dirichlet part
+while decaying smoothly across an epsilon-wide wedge past each junction.
 """
 
 from __future__ import annotations
@@ -15,14 +14,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-DIRICHLET = "dirichlet"
-NEUMANN = "neumann"
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -189,19 +184,6 @@ def circle_meets_box_edge(center, radius, box):
     return nearest <= radius <= farthest
 
 
-def closest_point(domain, x):
-    """Project onto the boundary along the radial direction.
-
-    Undefined at the disk center, where every boundary point is equally close.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x - domain.center_array
-    r = np.linalg.norm(d, axis=-1)
-    if np.any(r == 0.0):
-        raise ValueError("closest point is undefined at the disk center")
-    return domain.center_array + domain.radius * d / r[..., None]
-
-
 def boundary_angle(domain, x):
     """Angle of the radial projection of ``x``, in [0, 2*pi)."""
     x = np.asarray(x, dtype=float)
@@ -226,29 +208,20 @@ def is_dirichlet_angle(domain, theta):
     return hit if hit.shape else np.bool_(hit)
 
 
-def classify_boundary(domain, b, tol=1e-8):
-    """Classify a boundary point as ``DIRICHLET`` or ``NEUMANN``.
-
-    Raises ``ValueError`` if ``b`` is not on the boundary within
-    ``tol * radius``.
-    """
-    b = np.asarray(b, dtype=float)
-    if abs(float(signed_distance(domain, b))) > tol * domain.radius:
-        raise ValueError(f"point {b.tolist()} is not on the boundary")
-    theta = float(boundary_angle(domain, b))
-    return DIRICHLET if is_dirichlet_angle(domain, theta) else NEUMANN
-
-
 def junction_arc_distance(domain, theta):
     """Geodesic distance along the boundary from angle ``theta`` to the nearest junction."""
     theta = np.asarray(theta, dtype=float)
     junctions = domain.junction_angles
     if junctions.size == 0:
         return np.full(theta.shape, np.inf) if theta.shape else np.inf
-    flat = theta.reshape(-1)
-    diff = np.abs(_wrap(flat[:, None] - junctions[None, :] + math.pi) - math.pi)
-    out = domain.radius * diff.min(axis=1).reshape(theta.shape)
+    out = domain.radius * np.abs(_nearest_junction_offset(theta, junctions)).reshape(theta.shape)
     return out if theta.shape else float(out)
+
+
+def _nearest_junction_offset(theta, junctions):
+    """Signed angle in [-pi, pi) from the nearest junction to each angle of ``theta``, flattened."""
+    offs = _wrap(theta.reshape(-1)[:, None] - junctions[None, :] + math.pi) - math.pi
+    return offs[np.arange(len(offs)), np.argmin(np.abs(offs), axis=1)]
 
 
 @dataclass(frozen=True)
@@ -282,32 +255,6 @@ def _tube_epsilon(params):
     if params.epsilon is None:
         raise ValueError("the tube has no epsilon; the cutoff needs a positive one")
     return params.epsilon
-
-
-class TubeMembership(NamedTuple):
-    in_dirichlet_collar: np.ndarray
-    in_junction_wedge: np.ndarray
-    in_collar: np.ndarray
-
-
-def tube_membership(domain, params, x):
-    """Membership flags for the collar regions of a point (or array of points).
-
-    The Dirichlet collar collects points within ``delta`` of the boundary that
-    project onto the Dirichlet part.  The junction wedge collects points
-    projecting onto the Neumann part whose along-boundary distance to the
-    nearest junction is below ``rho + epsilon`` at depth ``rho``.  The full
-    collar is their union.
-    """
-    x = np.asarray(x, dtype=float)
-    rho = np.abs(signed_distance(domain, x))
-    theta = boundary_angle(domain, x)
-    dirichlet = is_dirichlet_angle(domain, theta)
-    arc_dist = junction_arc_distance(domain, theta)
-
-    in_d = (rho < params.delta) & dirichlet
-    in_wedge = (rho <= params.delta) & ~dirichlet & (arc_dist < rho + _tube_epsilon(params))
-    return TubeMembership(in_d, in_wedge, in_d | in_wedge)
 
 
 def cutoff(domain, params, x):
@@ -370,9 +317,7 @@ def cutoff_gradient(domain, params, x):
 
     # Signed angular offset to the nearest junction drives the along-boundary
     # coordinate a = R * |offset| and its direction of increase.
-    offs = _wrap(theta[:, None] - junctions[None, :] + math.pi) - math.pi
-    nearest = np.argmin(np.abs(offs), axis=1)
-    off = offs[np.arange(len(pts)), nearest]
+    off = _nearest_junction_offset(theta, junctions)
     a = domain.radius * np.abs(off)
     sign_a = np.where(off >= 0.0, 1.0, -1.0)
 

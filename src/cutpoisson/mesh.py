@@ -76,23 +76,30 @@ def build_background(box, n, shift=(0.0, 0.0)):
     v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
     triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
-    # faces sorted by (low, high) vertex id; adjacent triangles in ascending order
-    n_v = len(vertices)
-    ends = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1).reshape(-1, 2)
-    keys = ends.min(axis=1) * n_v + ends.max(axis=1)
-    uniq, face_of = np.unique(keys, return_inverse=True)
-    faces = np.column_stack([uniq // n_v, uniq % n_v])
-    owner = np.arange(len(keys)) // 3
-    order = np.lexsort((owner, face_of))
-    face_of = face_of[order]
-    second = np.r_[False, face_of[1:] == face_of[:-1]]
-    face_tris = np.full((len(uniq), 2), -1, dtype=np.int64)
-    face_tris[face_of, second.astype(np.int64)] = owner[order]
+    # Faces sorted by (low, high) vertex id: vertex v = i * (n + 1) + j owns its edges to
+    # v + 1 (up), v + n + 1 (right) and v + n + 2 (diagonal) where they exist.  Cell c = i * n + j
+    # holds triangles 2c (below its diagonal) and 2c + 1 (above), so the up edge lies between
+    # 2(c - n) and 2c + 1, the right edge between 2c - 1 and 2c, the diagonal between 2c and 2c + 1.
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    v, c = i * (n + 1) + j, i * n + j
+    exists = np.stack([j < n, i < n, (i < n) & (j < n)], axis=-1)
+    ends = v[..., None] + np.array([0, 1, 0, n + 1, 0, n + 2])
+    faces = ends.reshape(n + 1, n + 1, 3, 2)[exists]
+    low = np.stack([np.where(i > 0, 2 * (c - n), -1), np.where(j > 0, 2 * c - 1, -1), 2 * c], -1)
+    high = np.stack([np.where(i < n, 2 * c + 1, -1), np.where(j < n, 2 * c, -1), 2 * c + 1], -1)
+    pairs = np.stack([low, high], axis=-1)[exists]
+    # a box face has one triangle, stored first with -1 after it
+    face_tris = np.where(pairs[:, :1] < 0, pairs[:, ::-1], pairs)
 
-    h = float(np.hypot((x1 - x0) / n, (y1 - y0) / n))
-    mesh = BackgroundMesh(vertices, triangles, faces, face_tris, h)
+    mesh = BackgroundMesh(vertices, triangles, faces, face_tris, cell_diagonal(box, n))
     _check_shape_regularity(mesh)
     return mesh
+
+
+def cell_diagonal(box, n):
+    """Mesh parameter h of the n-by-n grid on ``box``: the cell diagonal."""
+    x0, y0, x1, y1 = (float(v) for v in box)
+    return float(np.hypot((x1 - x0) / n, (y1 - y0) / n))
 
 
 def _check_shape_regularity(mesh):

@@ -20,8 +20,12 @@ junctions and into pieces of at most ``max_piece``, then graded dyadically
 toward the ``grade_angles``.  One Gauss map turns all panels into points, and
 every panel is purely Dirichlet or purely Neumann.
 
-``build_rules`` packs the rules of all active cells; ghost faces keep only
-their lengths, since the jump of a P1 normal gradient is constant on a face.
+``build_rules`` packs the rules of all active cells.  Inside cells take the
+degree-4 rule directly, so only cut cells enter the volume frontier, and ghost
+faces keep only their lengths, since the jump of a P1 normal gradient is
+constant on a face.  ``refine_rule_toward`` grades a whole stack of cells
+toward their singular points and sends all their leaves through one frontier,
+with owner the cell's position in the stack.
 """
 
 from __future__ import annotations
@@ -474,16 +478,28 @@ def cut_boundary_rule(
     return rule.select(rule.dirichlet), rule.select(~rule.dirichlet)
 
 
-def refine_rule_toward(triangle, domain, point, tol=DEFAULT_TOL, levels=8):
-    """Volume rule of one triangle (owner 0), subdivided toward a point of reduced regularity."""
-    tris = np.asarray(triangle, dtype=float)[None]
-    leaves = []
+def refine_rule_toward(triangles, domain, points, tol=DEFAULT_TOL, levels=8):
+    """Volume rules of a stack of triangles (m, 3, 2), each subdivided toward its own point.
+
+    Triangle k is split ``levels`` times toward ``points[k]`` (shape (m, 2)),
+    where the solution has reduced regularity, and all leaves of all triangles
+    go through one ``cut_volume_rules`` frontier.  Returns one ``PackedRule``
+    whose owner is the triangle's position in the stack; each triangle's leaves
+    keep the order of their subdivision level, coarsest first.
+    """
+    tris = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
+    targets = np.asarray(points, dtype=float).reshape(-1, 2)
+    cell = np.arange(len(tris))
+    leaves, cells = [], []
     for _ in range(levels):
-        near = _point_triangle_distance(point, tris) <= _tri_diam(tris)
+        near = _point_triangle_distance(targets[cell], tris) <= _tri_diam(tris)
         leaves.append(tris[~near])
-        tris = _subdivide(tris[near])
-    rule = cut_volume_rules(np.concatenate(leaves + [tris]), domain, tol)
-    return dataclasses.replace(rule, owner=np.zeros_like(rule.owner))
+        cells.append(cell[~near])
+        tris, cell = _subdivide(tris[near]), cell[near].repeat(4)
+    cell = np.concatenate(cells + [cell])
+    order = np.argsort(cell, kind="stable")
+    rule = cut_volume_rules(np.concatenate(leaves + [tris])[order], domain, tol)
+    return dataclasses.replace(rule, owner=cell[order][rule.owner])
 
 
 @dataclass(frozen=True)
@@ -513,13 +529,23 @@ class RuleSet:
 def build_rules(mesh, topology, domain, tol=DEFAULT_TOL, grade_levels=16):
     """Packed volume and boundary rules of the active cells, and ghost-face lengths.
 
-    Boundary rules are split at the boundary-condition junctions and graded
-    toward them, which serves both singular boundary data and the sharply
-    supported cutoff weight.
+    Inside cells take the degree-4 rule directly; only cut cells enter the
+    ``cut_volume_rules`` frontier and the boundary rules.  Boundary rules are
+    split at the boundary-condition junctions and graded toward them, which
+    serves both singular boundary data and the sharply supported cutoff weight.
     """
     coords = mesh.vertices[mesh.triangles[topology.active]]
-    volume = cut_volume_rules(coords, domain, tol)
-    cut = np.flatnonzero(topology.classification[topology.active] == CUT)
+    is_cut = topology.classification[topology.active] == CUT
+    inside, cut = np.flatnonzero(~is_cut), np.flatnonzero(is_cut)
+    cut_volume = cut_volume_rules(coords[cut], domain, tol)
+    points, weights = _full_triangle_points(coords[inside])
+    owner = np.concatenate([inside.repeat(len(_D4_W)), cut[cut_volume.owner]])
+    order = np.argsort(owner, kind="stable")
+    volume = PackedRule(
+        np.concatenate([points.reshape(-1, 2), cut_volume.points])[order],
+        np.concatenate([weights.ravel(), cut_volume.weights])[order],
+        owner[order],
+    )
     boundary = cut_boundary_rules(
         coords[cut], domain, grade_angles=domain.junction_angles, grade_levels=grade_levels
     )

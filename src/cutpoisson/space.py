@@ -9,6 +9,7 @@ reproduces affine functions while needing only point values of the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,19 @@ class DofMap:
 
     def triangle_dofs(self, t):
         return self.vertex_to_dof[self.mesh.triangles[t]]
+
+    @cached_property
+    def active_cells(self):
+        """Vertex coordinates, hat gradients (both (m, 3, 2)) and dofs (m, 3) of the active cells.
+
+        Computed once per dofmap and shared by every caller, so the arrays are read-only.
+        """
+        tris = self.mesh.triangles[self.topology.active]
+        coords = self.mesh.vertices[tris]
+        cells = (coords, hat_gradients(coords), self.vertex_to_dof[tris])
+        for a in cells:
+            a.flags.writeable = False
+        return cells
 
 
 def build_dofmap(topology):
@@ -69,7 +83,10 @@ def hat_gradients(coords):
 
 
 def evaluate(f, t, x):
-    """Value of ``f`` at points ``x`` inside active triangle ``t``."""
+    """Value of ``f`` at points ``x`` inside active triangle ``t``.
+
+    No solver path calls it; it is how library code reads a discrete solution at a point.
+    """
     if not f.dofmap.topology.is_active(t):
         raise ValueError(f"triangle {t} is not in the active mesh")
     coords = f.dofmap.mesh.triangle_coords(t)
@@ -79,7 +96,10 @@ def evaluate(f, t, x):
 
 
 def gradient(f, t):
-    """Gradient of ``f`` on active triangle ``t`` (constant per triangle)."""
+    """Gradient of ``f`` on active triangle ``t`` (constant per triangle).
+
+    No solver path calls it; it is how library code reads a discrete gradient on a cell.
+    """
     if not f.dofmap.topology.is_active(t):
         raise ValueError(f"triangle {t} is not in the active mesh")
     coords = f.dofmap.mesh.triangle_coords(t)
@@ -95,24 +115,6 @@ def face_normal(mesh, f, t):
     centroid = mesh.triangle_coords(t).mean(axis=-2)
     inward = ((centroid - p0) * n).sum(axis=-1) > 0.0
     return np.where(inward[..., None], -n, n)
-
-
-def jump_normal_gradient(f, face):
-    """Jump of the normal gradient across an interior face of the active mesh.
-
-    The jump is the sum of the two one-sided normal derivatives with outward
-    normals, so it vanishes for globally affine functions; the reported sign
-    corresponds to the stored face orientation (lower triangle index first).
-    """
-    dofmap = f.dofmap
-    mesh = dofmap.mesh
-    t1, t2 = mesh.face_tris[face]
-    if t1 < 0 or t2 < 0:
-        raise ValueError(f"face {face} is on the mesh boundary")
-    if not (dofmap.topology.is_active(t1) and dofmap.topology.is_active(t2)):
-        raise ValueError(f"face {face} has an inactive neighbor")
-    n1 = face_normal(mesh, face, t1)
-    return float(gradient(f, t1) @ n1 - gradient(f, t2) @ n1)
 
 
 def clement_interpolate(u, dofmap):

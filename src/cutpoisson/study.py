@@ -12,7 +12,6 @@ from cutpoisson import geometry
 from cutpoisson.assembly import (
     NitscheParams,
     SystemMatrices,
-    _active_cells,
     _cutoff_weight,
     _vector,
     assemble_ghost_penalty,
@@ -366,7 +365,7 @@ def verify_inequalities(domain, dofmap, rules, params, trials=20, seed=20260810)
     K = assemble_stiffness(dofmap, rules)
     S = assemble_ghost_penalty(dofmap, rules, params)
 
-    coords, grads, dofs = _active_cells(dofmap)
+    coords, grads, dofs = dofmap.active_cells
     areas = _tri_area(coords)
 
     bnd, rule_d = rules.boundary, rules.dirichlet
@@ -540,7 +539,7 @@ def verify_regularized_identity(
     lhs = action_u - A_eps @ pivot.coefficients
 
     rule_n = rules.neumann
-    coords, _, dofs = _active_cells(dofmap)
+    coords, _, dofs = dofmap.active_cells
     lam = _barycentric(coords, rule_n.points, rule_n.owner)
     chi = _cutoff_weight(domain, params_eps)
     w = rule_n.weights * chi(rule_n.points) * problem.g_N(rule_n.points)

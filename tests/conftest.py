@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cutpoisson import LevelSetDomain
+from cutpoisson import LevelSetDomain, gradient
+from cutpoisson.geometry import boundary_angle, is_dirichlet_angle, signed_distance
+from cutpoisson.space import face_normal
 from cutpoisson.study import _discretize
 
 
@@ -42,3 +44,32 @@ def disc_mixed_16(domain_mixed):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260810)
+
+
+def boundary_is_dirichlet(domain, b, tol=1e-8):
+    """Oracle: whether boundary point ``b`` carries the Dirichlet condition.
+
+    Raises ``ValueError`` if ``b`` is not on the boundary within ``tol * radius``.
+    """
+    b = np.asarray(b, dtype=float)
+    if abs(float(signed_distance(domain, b))) > tol * domain.radius:
+        raise ValueError(f"point {b.tolist()} is not on the boundary")
+    return bool(is_dirichlet_angle(domain, float(boundary_angle(domain, b))))
+
+
+def jump_normal_gradient(f, face):
+    """Oracle: jump of the normal gradient of ``f`` across one interior face of the active mesh.
+
+    The jump is the sum of the two one-sided normal derivatives with outward
+    normals, so it vanishes for globally affine functions; the reported sign
+    corresponds to the stored face orientation (lower triangle index first).
+    """
+    dofmap = f.dofmap
+    mesh = dofmap.mesh
+    t1, t2 = mesh.face_tris[face]
+    if t1 < 0 or t2 < 0:
+        raise ValueError(f"face {face} is on the mesh boundary")
+    if not (dofmap.topology.is_active(t1) and dofmap.topology.is_active(t2)):
+        raise ValueError(f"face {face} has an inactive neighbor")
+    n1 = face_normal(mesh, face, t1)
+    return float(gradient(f, t1) @ n1 - gradient(f, t2) @ n1)

@@ -27,7 +27,7 @@ from cutpoisson.study import (
     sweep_shifts,
     verify_regularized_identity,
 )
-from tests.conftest import make_discretization
+from tests.conftest import jump_normal_gradient, make_discretization
 
 
 class ZeroData:
@@ -86,6 +86,11 @@ def test_ghost_penalty_properties(disc_mixed_8, rng):
     assert affine.coefficients @ (S @ affine.coefficients) < 1e-13
     eigs = np.linalg.eigvalsh(S.toarray())
     assert eigs.min() >= -1e-12 * abs(eigs).max()
+    # the energy is sigma h |F| [grad_n v]^2 summed over the ghost faces, face by face
+    v = FeFunction(np.random.default_rng(3).standard_normal(dofmap.ndof), dofmap)
+    jumps = np.array([jump_normal_gradient(v, int(f)) for f in topo.ghost_faces])
+    energy = params.sigma * mesh.h * float(rules.face_lengths @ jumps**2)
+    assert v.coefficients @ (S @ v.coefficients) == pytest.approx(energy, rel=1e-12)
     # linear in sigma
     params2 = NitscheParams(params.beta, 2.0 * params.sigma, 0.0, params.tube)
     S2 = assemble_ghost_penalty(dofmap, rules, params2)

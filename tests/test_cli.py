@@ -87,6 +87,29 @@ def test_infeasible_epsilon_rejected(tmp_path, capsys):
     assert "epsilon" in capsys.readouterr().err.lower()
 
 
+def test_fixed_epsilon_checked_against_the_collar_limit(tmp_path, capsys):
+    """epsilon0 = 0.75 * 0.7 rounds to 0.5249999999999999, so value 0.13125 is just too large."""
+    overrides = {"mesh": {"levels": [8]}, "study": {"kind": "regularization"}}
+    limit = 0.75 * 0.7 / 4.0
+    rejected = write_config(
+        tmp_path,
+        {**overrides, "params": {"epsilon_rule": {"kind": "fixed", "value": 0.13125}}},
+        name="rejected.json",
+    )
+    assert run(str(rejected), tmp_path / "rejected", quiet=True) == 2
+    err = capsys.readouterr().err
+    assert "largest admissible value is 0.13124999999999998" in err
+    assert not (tmp_path / "rejected" / "regularization.csv").exists()
+    accepted = write_config(
+        tmp_path,
+        {**overrides, "params": {"epsilon_rule": {"kind": "fixed", "value": limit}}},
+        name="accepted.json",
+    )
+    assert run(str(accepted), tmp_path / "accepted", quiet=True) == 0
+    csv = (tmp_path / "accepted" / "regularization.csv").read_text().splitlines()
+    assert float(csv[-1].split(",")[0]) == 4.0 * limit == 0.75 * 0.7
+
+
 def test_custom_problem_rejected(tmp_path):
     cfg = write_config(tmp_path, {"problem": {"kind": "custom"}})
     assert run(str(cfg), quiet=True) == 2

@@ -1,25 +1,63 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from cutpoisson import LevelSetDomain, TubeParams
 from cutpoisson.geometry import (
-    DIRICHLET,
-    NEUMANN,
-    classify_boundary,
-    closest_point,
+    boundary_angle,
     cutoff,
     cutoff_conormal_integral,
     cutoff_gradient,
+    is_dirichlet_angle,
     junction_arc_distance,
     log_model_integral,
     signed_distance,
-    tube_membership,
 )
+from tests.conftest import boundary_is_dirichlet
 
 UNIT = LevelSetDomain((0.0, 0.0), 1.0, ((0.0, math.pi),))
 TUBE = TubeParams(delta=0.1, epsilon=0.01, delta0=0.75, epsilon0=0.75)
+
+
+def closest_point(domain, x):
+    """Oracle: projection onto the boundary along the radial direction.
+
+    Undefined at the disk center, where every boundary point is equally close.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x - domain.center_array
+    r = np.linalg.norm(d, axis=-1)
+    if np.any(r == 0.0):
+        raise ValueError("closest point is undefined at the disk center")
+    return domain.center_array + domain.radius * d / r[..., None]
+
+
+class TubeMembership(NamedTuple):
+    in_dirichlet_collar: np.ndarray
+    in_junction_wedge: np.ndarray
+    in_collar: np.ndarray
+
+
+def tube_membership(domain, params, x):
+    """Oracle: membership flags of points in the collar regions, which bound the cutoff's support.
+
+    The Dirichlet collar collects points within ``delta`` of the boundary that
+    project onto the Dirichlet part.  The junction wedge collects points
+    projecting onto the Neumann part whose along-boundary distance to the
+    nearest junction is below ``rho + epsilon`` at depth ``rho``.  The full
+    collar is their union.
+    """
+    x = np.asarray(x, dtype=float)
+    rho = np.abs(signed_distance(domain, x))
+    theta = boundary_angle(domain, x)
+    dirichlet = is_dirichlet_angle(domain, theta)
+    arc_dist = junction_arc_distance(domain, theta)
+
+    in_d = (rho < params.delta) & dirichlet
+    in_wedge = (rho <= params.delta) & ~dirichlet & (arc_dist < rho + params.epsilon)
+    return TubeMembership(in_d, in_wedge, in_d | in_wedge)
 
 
 def test_signed_distance_reference_points():
@@ -61,13 +99,13 @@ def test_closest_point_idempotent_along_normal(rng):
 
 
 def test_boundary_classification_half_open_arcs():
-    assert classify_boundary(UNIT, (0.0, 1.0)) == DIRICHLET
-    assert classify_boundary(UNIT, (0.0, -1.0)) == NEUMANN
+    assert boundary_is_dirichlet(UNIT, (0.0, 1.0))
+    assert not boundary_is_dirichlet(UNIT, (0.0, -1.0))
     # arc endpoint theta = 0 belongs to the half-open Dirichlet arc
-    assert classify_boundary(UNIT, (1.0, 0.0)) == DIRICHLET
-    assert classify_boundary(UNIT, (-1.0, 0.0)) == NEUMANN
+    assert boundary_is_dirichlet(UNIT, (1.0, 0.0))
+    assert not boundary_is_dirichlet(UNIT, (-1.0, 0.0))
     with pytest.raises(ValueError):
-        classify_boundary(UNIT, (0.5, 0.5))
+        boundary_is_dirichlet(UNIT, (0.5, 0.5))
 
 
 def test_arc_normalization_merges_and_validates():

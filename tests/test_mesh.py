@@ -41,7 +41,15 @@ def _dict_faces(triangles):
 
 @pytest.mark.parametrize(
     "n, shift",
-    [(1, (0.0, 0.0)), (2, (0.0, 0.0)), (3, (0.0, 0.0)), (8, (0.0, 0.0)), (8, (0.03, -0.05))],
+    [
+        (1, (0.0, 0.0)),
+        (2, (0.0, 0.0)),
+        (3, (0.0, 0.0)),
+        (8, (0.0, 0.0)),
+        (8, (0.03, -0.05)),
+        (5, (0.07, 0.11)),
+        (64, (0.0, 0.0)),
+    ],
 )
 def test_face_map_matches_dict_oracle(n, shift):
     mesh = build_background((-1, -1, 1, 1), n, shift)

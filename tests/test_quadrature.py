@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cutpoisson import LevelSetDomain, build_rules, classify, cut_boundary_rule, cut_volume_rule
-from cutpoisson.geometry import classify_boundary, DIRICHLET, signed_distance
-from cutpoisson.mesh import CUT, INSIDE, build_background
+from cutpoisson.geometry import signed_distance
+from cutpoisson.mesh import CUT, INSIDE, _point_triangle_distance, build_background
 from cutpoisson.quadrature import (
     MIN_TOL,
     QuadratureToleranceError,
@@ -16,6 +16,7 @@ from cutpoisson.quadrature import (
     refine_rule_toward,
 )
 from cutpoisson.study import sweep_shifts
+from tests.conftest import boundary_is_dirichlet
 
 
 def disk_rules(domain, n, tol=1e-10, box=(-1.0, -1.0, 1.0, 1.0)):
@@ -63,9 +64,9 @@ def test_boundary_normals_outward(domain_mixed):
 def test_boundary_points_classify_consistently(domain_mixed):
     mesh, topo, rules = disk_rules(domain_mixed, 8)
     for p in rules.dirichlet.points:
-        assert classify_boundary(domain_mixed, p) == DIRICHLET
+        assert boundary_is_dirichlet(domain_mixed, p)
     for p in rules.neumann.points:
-        assert classify_boundary(domain_mixed, p) != DIRICHLET
+        assert not boundary_is_dirichlet(domain_mixed, p)
 
 
 def test_divergence_theorem(domain_mixed):
@@ -294,3 +295,50 @@ def test_one_cell_rules_are_slices_of_the_batched_rules(domain_mixed):
         assert np.array_equal(np.r_[rd.weights, rn.weights], mine.weights)
         assert np.array_equal(np.vstack([rd.normals, rn.normals]), mine.normals)
         assert np.array_equal(mine.dirichlet, np.arange(len(mine.weights)) < len(rd.weights))
+
+
+@pytest.mark.parametrize("shift_index", [None, 3, 7, 13])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("domain_name", ["domain_mixed", "domain_dirichlet"])
+def test_build_rules_volume_equals_the_frontier_over_all_active_cells(
+    request, domain_name, n, shift_index
+):
+    """Inside cells skip the frontier; the packed volume rule is still bitwise the one-path rule."""
+    domain = request.getfixturevalue(domain_name)
+    box = (-1.0, -1.0, 1.0, 1.0)
+    shift = (0.0, 0.0) if shift_index is None else sweep_shifts(box, n, 20)[shift_index]
+    mesh = build_background(box, n, shift)
+    topo = classify(mesh, domain)
+    volume = build_rules(mesh, topo, domain).volume
+    oracle = cut_volume_rules(mesh.vertices[mesh.triangles[topo.active]], domain)
+    assert np.array_equal(volume.owner, oracle.owner)
+    assert np.array_equal(volume.points, oracle.points)
+    assert np.array_equal(volume.weights, oracle.weights)
+
+
+def test_batched_refinement_equals_one_cell_calls(domain_mixed):
+    """One call over a stack gives each cell's one-cell rule, in stack order, owner = position."""
+    box = (-1.0, -1.0, 1.0, 1.0)
+    mesh = build_background(box, 16, sweep_shifts(box, 16, 20)[7])
+    topo = classify(mesh, domain_mixed)
+    coords = mesh.vertices[mesh.triangles[topo.active]]
+    junctions = domain_mixed.junction_points
+    near = np.flatnonzero(
+        _point_triangle_distance(junctions[:, None], coords).min(axis=0) <= 2.0 * mesh.h
+    )
+    # cells near a junction, graded toward the nearer one, plus inside cells graded toward
+    # a point far away (no subdivision) and toward their own vertex
+    inside = np.flatnonzero(topo.classification[topo.active] == INSIDE)[:2]
+    cells = np.r_[near, inside, inside]
+    targets = np.vstack([
+        junctions[np.argmin(_point_triangle_distance(junctions[:, None], coords[near]), axis=0)],
+        np.full((len(inside), 2), 5.0),
+        coords[inside, 0],
+    ])
+    batched = refine_rule_toward(coords[cells], domain_mixed, targets, levels=4)
+    assert np.all(np.diff(batched.owner) >= 0)
+    for k, (cell, target) in enumerate(zip(cells, targets)):
+        one = refine_rule_toward(coords[cell], domain_mixed, target, levels=4)
+        assert np.array_equal(one.owner, np.zeros_like(one.owner))
+        assert np.array_equal(batched.points[batched.owner == k], one.points)
+        assert np.array_equal(batched.weights[batched.owner == k], one.weights)

@@ -4,19 +4,23 @@ import math
 import numpy as np
 import pytest
 
+import cutpoisson.space
 from cutpoisson import (
     FeFunction,
     LevelSetDomain,
+    NitscheParams,
     build_dofmap,
+    build_rules,
     classify,
     clement_interpolate,
     evaluate,
     gradient,
-    jump_normal_gradient,
 )
+from cutpoisson.assembly import assemble_load, assemble_nitsche
 from cutpoisson.mesh import build_background
 from cutpoisson.quadrature import _full_triangle_points
 from cutpoisson.study import interpolation_study, manufactured_singular, manufactured_smooth
+from tests.conftest import jump_normal_gradient
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +172,28 @@ def test_clement_h1_rate_for_smooth_function(domain_dirichlet):
     hs = [lvl.h for lvl in report.levels]
     slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]
     assert slope > 0.85
+
+
+def test_active_cell_geometry_is_computed_once_and_read_only(domain_mixed, monkeypatch):
+    mesh = build_background((-1, -1, 1, 1), 8)
+    topo = classify(mesh, domain_mixed)
+    dofmap = build_dofmap(topo)
+    calls = []
+    original = cutpoisson.space.hat_gradients
+    monkeypatch.setattr(cutpoisson.space, "hat_gradients", lambda c: calls.append(1) or original(c))
+    rules = build_rules(mesh, topo, domain_mixed)
+    params = NitscheParams()
+    assemble_nitsche(dofmap, rules, params)
+    assemble_load(dofmap, rules, params, manufactured_smooth(domain_mixed))
+    first, again = dofmap.active_cells, dofmap.active_cells
+    assert len(calls) == 1
+    assert all(a is b for a, b in zip(first, again))
+    tris = mesh.triangles[topo.active]
+    coords, grads, dofs = first
+    assert np.array_equal(coords, mesh.vertices[tris])
+    assert np.array_equal(grads, original(mesh.vertices[tris]))
+    assert np.array_equal(dofs, dofmap.vertex_to_dof[tris])
+    for a in first:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
