@@ -4,7 +4,9 @@ Matrix orientation: entry (i, j) is the form evaluated at trial function j and
 test function i, so solving ``A x = b`` realizes "find u with form(u, v) =
 load(v) for all v".  All boundary terms of a matrix reuse the same quadrature
 rules, which makes the standard Nitsche matrix exactly symmetric in floating
-point.
+point.  Volume terms need no barycentric coordinates, as a P1 function is
+affine on each cell: a load comes from per-cell moments about the centroid c,
+and u_h at a point x is its value at c plus its cell gradient dotted with x - c.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import scipy.sparse as sp
 
 from cutpoisson.geometry import TubeParams, cutoff
 from cutpoisson.mesh import _point_triangle_distance
-from cutpoisson.quadrature import PackedRule, _barycentric, _tri_diam, refine_rule_toward
+from cutpoisson.quadrature import _barycentric, refine_rule_toward
 from cutpoisson.space import FeFunction, face_normal, hat_gradients
 
 
@@ -67,24 +69,23 @@ class SystemMatrices:
 
 
 def _coo_accumulate(ndof, dofs, blocks):
-    """Scatter local blocks (n, k, k) on dofs (n, k) into a global matrix.
+    """Scatter local blocks (n, k, k) on int64 dofs (n, k) into a global matrix.
 
     Duplicates are summed in a fixed order (row, col, insertion order), so
     symmetric pairs (i, j) and (j, i) accumulate bitwise-identical addend
     sequences, and operators built from symmetric local blocks stay exactly
     symmetric in floating point, independent of sparse library internals.
     """
-    k = dofs.shape[1]
-    r = np.repeat(dofs, k, axis=1).ravel()
-    c = np.tile(dofs, (1, k)).ravel()
-    v = blocks.ravel()
-    if not len(v):
+    if not blocks.size:
         return sp.csr_matrix((ndof, ndof))
-    order = np.lexsort((np.arange(len(v)), c, r))
-    r, c, v = r[order], c[order], v[order]
-    starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
-    sums = np.add.reduceat(v, starts)
-    return sp.csr_matrix((sums, (r[starts], c[starts])), shape=(ndof, ndof))
+    key = (dofs[:, :, None] * ndof + dofs[:, None, :]).ravel()
+    order = np.argsort(key, kind="stable")  # stable: equal keys keep insertion order
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sums = np.add.reduceat(blocks.ravel()[order], starts)
+    key = key[starts]
+    indptr = np.searchsorted(key, np.arange(ndof + 1) * ndof)
+    return sp.csr_matrix((sums, key % ndof, indptr), shape=(ndof, ndof))
 
 
 def _vector(ndof, dofs, values):
@@ -98,9 +99,12 @@ def _vector(ndof, dofs, values):
 _CHUNK = 1 << 16
 
 
-def _chunks(rule):
-    """Consecutive pieces of ``_CHUNK`` points of a packed rule."""
-    return (rule.select(slice(lo, lo + _CHUNK)) for lo in range(0, len(rule.weights), _CHUNK))
+def _chunks(rule, skip=()):
+    """Views of ``_CHUNK`` or fewer points of a rule sorted by owner, without the cells ``skip``."""
+    first, last = np.searchsorted(rule.owner, skip), np.searchsorted(rule.owner, skip, "right")
+    for start, stop in zip(np.r_[0, last], np.r_[first, len(rule.owner)]):
+        for lo in range(start, stop, _CHUNK):
+            yield rule.select(slice(lo, min(lo + _CHUNK, stop)))
 
 
 def _boundary_local(coords, grads, rule, weight=None):
@@ -199,23 +203,28 @@ def assemble_ghost_penalty(dofmap, rules, params):
 
 
 def assemble_load(dofmap, rules, params, data):
-    """Load vector with source, Neumann flux, and Dirichlet Nitsche data terms."""
-    h = dofmap.mesh.h
+    """Load vector with source, Neumann flux, and Dirichlet Nitsche data terms.
+
+    The source adds m0 / 3 + grad(phi) . m1 per cell, with m0 = sum w f, m1 = sum w f (x - c).
+    """
     coords, grads, dofs = dofmap.active_cells
     rule_n, rule_d = rules.neumann, rules.dirichlet
     lam_n, _, w_n = _boundary_local(coords, grads, rule_n)
     lam_d, flux_d, w_d = _boundary_local(coords, grads, rule_d)
     gd = w_d * data.g_D(rule_d.points)
+    centroids = np.einsum("tkd->td", coords) / 3.0
+    moments = np.zeros((len(dofs), 3))  # m0 and m1
+    for part in _chunks(rules.volume):
+        wf = part.weights * data.f(part.points)
+        offset = part.points - np.take(centroids, part.owner, axis=0)  # faster than fancy indexing
+        for j, col in enumerate((wf, wf * offset[:, 0], wf * offset[:, 1])):
+            moments[:, j] += np.bincount(part.owner, col, minlength=len(dofs))
     values = [
         lam_n * (w_n * data.g_N(rule_n.points))[:, None],
-        (params.beta / h) * lam_d * gd[:, None] - flux_d * gd[:, None],
+        (params.beta / dofmap.mesh.h) * lam_d * gd[:, None] - flux_d * gd[:, None],
+        moments[:, :1] / 3.0 + np.einsum("tkd,td->tk", grads, moments[:, 1:]),
     ]
-    b = _vector(dofmap.ndof, [dofs[rule_n.owner], dofs[rule_d.owner]], values)
-    for part in _chunks(rules.volume):
-        lam = _barycentric(coords, part.points, part.owner)
-        wf = part.weights * data.f(part.points)
-        b += _vector(dofmap.ndof, [dofs[part.owner]], [lam * wf[:, None]])
-    return b
+    return _vector(dofmap.ndof, [dofs[rule_n.owner], dofs[rule_d.owner], dofs], values)
 
 
 def assemble_system(dofmap, rules, params, data):
@@ -286,11 +295,11 @@ class ErrorNorms:
     l2: float
 
 
-def _cells_near(points, coords, radius):
+def _cells_near(points, coords, radius, h):
     """Per cell, the index of the first point within ``radius`` of the closed triangle, or -1."""
     near = np.full(len(coords), -1)
-    centroids = coords.mean(axis=1)
-    reach = radius + _tri_diam(coords)  # a triangle lies within its diameter of its centroid
+    centroids = np.einsum("tkd->td", coords) / 3.0
+    reach = radius + h  # h bounds every diameter, so a triangle lies within h of its centroid
     for i, z in enumerate(points):
         candidates = np.flatnonzero((near < 0) & (np.linalg.norm(centroids - z, axis=1) <= reach))
         hit = _point_triangle_distance(z, coords[candidates]) <= radius
@@ -304,17 +313,16 @@ def error_norms(problem, u_h, rules, params, stabilizer, refine_levels=0):
     The energy error pairs the broken gradient over the cut volumes with the
     scaled Dirichlet trace mismatch.  Near points of reduced regularity (cells
     within 2h of one) the volume rules are refined so the quadrature of the
-    singular gradient does not pollute the reported norms.
+    singular gradient does not pollute the reported norms; the bulk rule skips
+    those cells.  At a volume point u_h is its cell's affine function.
     """
-    dofmap = u_h.dofmap
-    h = dofmap.mesh.h
-    coords, grads, dofs = dofmap.active_cells
-    vol = rules.volume
+    h = u_h.dofmap.mesh.h
+    coords, grads, dofs = u_h.dofmap.active_cells
+    parts = [(rules.volume, ())]
     if refine_levels and len(problem.singular_points):
         singular = np.asarray(problem.singular_points, dtype=float)
-        target = _cells_near(singular, coords, 2.0 * h)
+        target = _cells_near(singular, coords, 2.0 * h, h)
         cells = np.flatnonzero(target >= 0)
-        keep = target[vol.owner] < 0
         refined = refine_rule_toward(
             coords[cells],
             problem.domain,
@@ -322,19 +330,17 @@ def error_norms(problem, u_h, rules, params, stabilizer, refine_levels=0):
             tol=rules.tol,
             levels=refine_levels,
         )
-        vol = PackedRule(
-            np.concatenate([vol.points[keep], refined.points]),
-            np.concatenate([vol.weights[keep], refined.weights]),
-            np.concatenate([vol.owner[keep], cells[refined.owner]]),
-        )
+        parts = [(rules.volume, cells), (replace(refined, owner=cells[refined.owner]), ())]
     vals = u_h.coefficients[dofs]
     grad_h = np.einsum("tk,tkd->td", vals, grads)
+    centroids, u_c = np.einsum("tkd->td", coords) / 3.0, vals.sum(axis=1) / 3.0  # u_h at c
     grad_sq = l2_sq = 0.0
-    for part in _chunks(vol):
-        diff_grad = problem.grad_u(part.points) - grad_h[part.owner]
-        grad_sq += float(part.weights @ (diff_grad**2).sum(axis=1))
-        lam = _barycentric(coords, part.points, part.owner)
-        diff = problem.u(part.points) - (lam * vals[part.owner]).sum(axis=1)
+    for part in (chunk for rule, skip in parts for chunk in _chunks(rule, skip)):
+        g = np.take(grad_h, part.owner, axis=0)
+        diff_grad = problem.grad_u(part.points) - g
+        grad_sq += float(part.weights @ np.einsum("qd,qd->q", diff_grad, diff_grad))
+        offset = part.points - np.take(centroids, part.owner, axis=0)
+        diff = problem.u(part.points) - np.take(u_c, part.owner) - np.einsum("qd,qd->q", g, offset)
         l2_sq += float(part.weights @ diff**2)
     rule_d = rules.dirichlet
     lam_d = _barycentric(coords, rule_d.points, rule_d.owner)

@@ -54,10 +54,6 @@ def _smoothstep_down_prime(s):
     return np.where(inside, -6.0 * s * (1.0 - s), 0.0)
 
 
-# Largest slope of the cubic profile, attained at s = 1/2.
-PROFILE_MAX_SLOPE = 1.5
-
-
 @dataclass(frozen=True)
 class LevelSetDomain:
     """Disk with a Dirichlet/Neumann partition of its boundary.

@@ -186,14 +186,11 @@ def classify(mesh, domain, tol=1e-12):
     active_index = np.full(mesh.n_triangles, -1, dtype=np.int64)
     active_index[active] = np.arange(len(active))
 
-    is_act = cls != OUTSIDE
-    t0, t1 = mesh.face_tris[:, 0], mesh.face_tris[:, 1]
-    interior = (t0 >= 0) & (t1 >= 0)
-    both_active = interior.copy()
-    both_active[interior] = is_act[t0[interior]] & is_act[t1[interior]]
-    near_cut = np.zeros_like(both_active)
-    near_cut[interior] = (cls[t0[interior]] == CUT) | (cls[t1[interior]] == CUT)
-    ghost = np.flatnonzero(both_active & near_cut)
+    # a box face stores -1 as its second triangle, so c1 is read from the last triangle there
+    t0, t1 = mesh.face_tris.T
+    c0, c1 = cls[t0], cls[t1]
+    both_active = (t1 >= 0) & (c0 != OUTSIDE) & (c1 != OUTSIDE)
+    ghost = np.flatnonzero(both_active & ((c0 == CUT) | (c1 == CUT)))
 
     return CutTopology(mesh, cls, active, active_index, ghost)
 

@@ -1,11 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
-from cutpoisson import LevelSetDomain, NitscheParams, build_dofmap, build_rules, classify
+from cutpoisson import LevelSetDomain, NitscheParams, assembly, build_dofmap, build_rules, classify
 from cutpoisson.assembly import (
+    ErrorNorms,
+    _boundary_local,
+    _cells_near,
+    _chunks,
+    _vector,
     assemble_boundary_mass,
     assemble_ghost_penalty,
     assemble_load,
@@ -16,13 +23,17 @@ from cutpoisson.assembly import (
     cutoff_flux_neumann,
     energy_gram,
     energy_norm,
+    error_norms,
     nitsche_action,
 )
 from cutpoisson.geometry import cutoff
 from cutpoisson.mesh import build_background
+from cutpoisson.quadrature import PackedRule, _barycentric, refine_rule_toward
+from cutpoisson.solve import solve_standard
 from cutpoisson.space import FeFunction
 from cutpoisson.study import (
     consistency_residual,
+    manufactured_singular,
     manufactured_smooth,
     sweep_shifts,
     verify_regularized_identity,
@@ -159,19 +170,21 @@ def test_cutoff_paths_need_a_positive_epsilon_and_the_domain(domain_mixed, disc_
         cutoff_flux_neumann(dofmap, rules, None, params_eps)
 
 
-def test_form_gap_bounded_linearly_in_epsilon(domain_mixed, disc_mixed_16, rng):
-    """sup |gap(v, v)| / |||v|||^2 <= C eps / h, with the gap linear in eps."""
+def test_form_gap_bounded_linearly_in_epsilon(domain_mixed, disc_mixed_16):
+    """sup |gap(v, v)| / |||v|||^2 <= C eps / h, with the gap linear in eps.
+
+    The sup is exact: the extreme generalized eigenvalue of the symmetric part
+    of the gap against the energy Gram matrix.
+    """
     mesh, topo, dofmap, params, rules = disc_mixed_16
-    G = energy_gram(dofmap, rules, params)
+    G = energy_gram(dofmap, rules, params).toarray()
     h = mesh.h
     eps_values = [0.05 * h**2, 0.1 * h**2, 0.2 * h**2, 0.4 * h**2]
     sups = []
     for eps in eps_values:
-        D = cutoff_flux_neumann(dofmap, rules, domain_mixed, params.with_epsilon(eps))
-        worst = 0.0
-        for _ in range(100):
-            x = rng.standard_normal(dofmap.ndof)
-            worst = max(worst, abs(x @ (D @ x)) / (x @ (G @ x)))
+        D = cutoff_flux_neumann(dofmap, rules, domain_mixed, params.with_epsilon(eps)).toarray()
+        eigs = scipy.linalg.eigh(0.5 * (D + D.T), G, eigvals_only=True)
+        worst = max(-eigs[0], eigs[-1])
         sups.append(worst)
         assert worst <= 10.0 * eps / h
     slope = np.polyfit(np.log(eps_values), np.log(sups), 1)[0]
@@ -248,6 +261,165 @@ def test_refined_cells_match_distance_definition(domain_mixed):
                 if _point_triangle_distance(z, tri) <= 2.0 * mesh.h:
                     expected[t] = i
                     break
-        found = _cells_near(points, coords, 2.0 * mesh.h)
+        found = _cells_near(points, coords, 2.0 * mesh.h, mesh.h)
         assert np.array_equal(found, expected)
         assert (found == 0).any() and (found == 1).any()
+
+
+def _coo_accumulate_lexsort(ndof, dofs, blocks):
+    """Oracle: the scatter ordered by a three-key lexsort (row, column, insertion)."""
+    k = dofs.shape[1]
+    r = np.repeat(dofs, k, axis=1).ravel()
+    c = np.tile(dofs, (1, k)).ravel()
+    v = blocks.ravel()
+    if not len(v):
+        return sp.csr_matrix((ndof, ndof))
+    order = np.lexsort((np.arange(len(v)), c, r))
+    r, c, v = r[order], c[order], v[order]
+    starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
+    sums = np.add.reduceat(v, starts)
+    return sp.csr_matrix((sums, (r[starts], c[starts])), shape=(ndof, ndof))
+
+
+def _csr_bits(M):
+    return [(a.dtype.str, a.tobytes()) for a in (M.indptr, M.indices, M.data)]
+
+
+def test_coo_accumulate_matches_lexsort_oracle_on_random_blocks():
+    """Repeated dofs, within a block and across blocks, and the empty scatter."""
+    gen = np.random.default_rng(5)
+    for ndof, n, k in ((7, 40, 3), (50, 300, 4), (5, 0, 3)):
+        dofs = gen.integers(0, ndof, size=(n, k))
+        blocks = gen.standard_normal((n, k, k))
+        got = assembly._coo_accumulate(ndof, dofs, blocks)
+        assert _csr_bits(got) == _csr_bits(_coo_accumulate_lexsort(ndof, dofs, blocks))
+
+
+@pytest.mark.parametrize("n, shift", [(8, 0), (16, 7)])
+def test_coo_accumulate_matches_lexsort_oracle(domain_mixed, monkeypatch, n, shift):
+    """Every assembled operator is bitwise the lexsort scatter's, and A stays bitwise symmetric."""
+    mesh, topo, dofmap, params, rules = make_discretization(
+        domain_mixed, n, shift=sweep_shifts((-1, -1, 1, 1), n, 20)[shift]
+    )
+
+    def operators():
+        return [
+            assemble_stiffness(dofmap, rules),
+            assemble_boundary_mass(dofmap, rules),
+            cutoff_flux_neumann(dofmap, rules, domain_mixed, params.with_epsilon(0.1 * mesh.h**2)),
+            assemble_ghost_penalty(dofmap, rules, params),
+            assemble_nitsche(dofmap, rules, params),
+        ]
+
+    got = operators()
+    monkeypatch.setattr(assembly, "_coo_accumulate", _coo_accumulate_lexsort)
+    want = operators()
+    for g, w in zip(got, want):
+        assert _csr_bits(g) == _csr_bits(w)
+    A = got[-1].toarray()
+    assert np.array_equal(A, A.T)
+
+
+def boundary_load_pointwise(dofmap, rules, params, data):
+    """Oracle: the Neumann and Dirichlet data terms of the load."""
+    h = dofmap.mesh.h
+    coords, grads, dofs = dofmap.active_cells
+    rule_n, rule_d = rules.neumann, rules.dirichlet
+    lam_n, _, w_n = _boundary_local(coords, grads, rule_n)
+    lam_d, flux_d, w_d = _boundary_local(coords, grads, rule_d)
+    gd = w_d * data.g_D(rule_d.points)
+    values = [
+        lam_n * (w_n * data.g_N(rule_n.points))[:, None],
+        (params.beta / h) * lam_d * gd[:, None] - flux_d * gd[:, None],
+    ]
+    return _vector(dofmap.ndof, [dofs[rule_n.owner], dofs[rule_d.owner]], values)
+
+
+def load_pointwise(dofmap, rules, params, data):
+    """Oracle: the load with hat values from barycentric coordinates at every volume point."""
+    coords, grads, dofs = dofmap.active_cells
+    b = boundary_load_pointwise(dofmap, rules, params, data)
+    for part in _chunks(rules.volume):
+        lam = _barycentric(coords, part.points, part.owner)
+        wf = part.weights * data.f(part.points)
+        b += _vector(dofmap.ndof, [dofs[part.owner]], [lam * wf[:, None]])
+    return b
+
+
+def error_norms_pointwise(problem, u_h, rules, params, stabilizer, refine_levels=0):
+    """Oracle: the error norms with u_h from barycentric coordinates at every volume point,
+    over one concatenated copy of the bulk rule without the refined cells and the refined rule."""
+    dofmap = u_h.dofmap
+    h = dofmap.mesh.h
+    coords, grads, dofs = dofmap.active_cells
+    vol = rules.volume
+    if refine_levels and len(problem.singular_points):
+        singular = np.asarray(problem.singular_points, dtype=float)
+        target = _cells_near(singular, coords, 2.0 * h, h)
+        cells = np.flatnonzero(target >= 0)
+        keep = target[vol.owner] < 0
+        refined = refine_rule_toward(
+            coords[cells], problem.domain, singular[target[cells]], rules.tol, refine_levels
+        )
+        vol = PackedRule(
+            np.concatenate([vol.points[keep], refined.points]),
+            np.concatenate([vol.weights[keep], refined.weights]),
+            np.concatenate([vol.owner[keep], cells[refined.owner]]),
+        )
+    vals = u_h.coefficients[dofs]
+    grad_h = np.einsum("tk,tkd->td", vals, grads)
+    diff_grad = problem.grad_u(vol.points) - grad_h[vol.owner]
+    grad_sq = float(vol.weights @ (diff_grad**2).sum(axis=1))
+    lam = _barycentric(coords, vol.points, vol.owner)
+    diff = problem.u(vol.points) - (lam * vals[vol.owner]).sum(axis=1)
+    l2_sq = float(vol.weights @ diff**2)
+    rule_d = rules.dirichlet
+    lam_d = _barycentric(coords, rule_d.points, rule_d.owner)
+    diff = problem.u(rule_d.points) - (lam_d * vals[rule_d.owner]).sum(axis=1)
+    trace_sq = float(rule_d.weights @ diff**2)
+    energy = float(np.sqrt(grad_sq + trace_sq / h))
+    return ErrorNorms(energy, energy_norm(u_h, stabilizer), float(np.sqrt(l2_sq)))
+
+
+def _problem(name, domain_mixed, domain_dirichlet):
+    if name == "smooth-mixed":
+        return manufactured_smooth(domain_mixed)
+    if name == "smooth-dirichlet":
+        return manufactured_smooth(domain_dirichlet)
+    if name == "singular-mixed":
+        return manufactured_singular(domain_mixed)
+    # the smooth solution, with the rule refined toward the junctions
+    problem = manufactured_smooth(domain_mixed)
+    return dataclasses.replace(problem, singular_points=tuple(map(tuple, domain_mixed.junction_points)))
+
+
+@pytest.mark.parametrize("refine_levels", [0, 8])
+@pytest.mark.parametrize("shift", [None, 7])
+@pytest.mark.parametrize("name", ["smooth-mixed", "smooth-dirichlet", "singular-mixed", "smooth-graded"])
+def test_volume_terms_match_the_pointwise_oracles(
+    domain_mixed, domain_dirichlet, name, shift, refine_levels
+):
+    """Per-cell moments and u_h affine on its cell agree with pointwise barycentrics."""
+    problem = _problem(name, domain_mixed, domain_dirichlet)
+    n = 16
+    offset = (0.0, 0.0) if shift is None else sweep_shifts((-1, -1, 1, 1), n, 20)[shift]
+    mesh, topo, dofmap, params, rules = make_discretization(problem.domain, n, shift=offset)
+    system = assemble_system(dofmap, rules, params, problem)
+    want = load_pointwise(dofmap, rules, params, problem)
+    assert np.abs(system.b - want).max() <= 1e-12 * np.abs(want).max()
+    u_h = solve_standard(system, dofmap).solution
+    got = error_norms(problem, u_h, rules, params, system.S, refine_levels)
+    want = error_norms_pointwise(problem, u_h, rules, params, system.S, refine_levels)
+    for field in ("energy", "sh", "l2"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("shift", [None, 7])
+def test_zero_source_gives_the_boundary_load(domain_mixed, shift):
+    problem = manufactured_smooth(domain_mixed)
+    no_source = dataclasses.replace(problem, f=lambda p: np.zeros(np.asarray(p).shape[:-1]))
+    offset = (0.0, 0.0) if shift is None else sweep_shifts((-1, -1, 1, 1), 16, 20)[shift]
+    mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, 16, shift=offset)
+    b = assemble_load(dofmap, rules, params, no_source)
+    assert np.abs(b).max() > 0.0
+    assert np.array_equal(b, boundary_load_pointwise(dofmap, rules, params, no_source))
