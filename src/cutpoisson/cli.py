@@ -21,7 +21,7 @@ import scipy
 
 import cutpoisson
 from cutpoisson.geometry import LevelSetDomain, circle_meets_box_edge, default_tube_params
-from cutpoisson.mesh import cell_diagonal
+from cutpoisson.mesh import build_background, cell_diagonal
 from cutpoisson.quadrature import MIN_TOL
 from cutpoisson import study as study_mod
 
@@ -118,11 +118,29 @@ def load_config(path):
         or any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in levels)
     ):
         raise ConfigError(f"mesh.levels must be a list of positive integers, got {levels!r}")
+    box = cfg["mesh"]["box"]
+    if (
+        not isinstance(box, list)
+        or len(box) != 4
+        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in box)
+    ):
+        raise ConfigError(f"mesh.box must be a list of four numbers [x0, y0, x1, y1], got {box!r}")
+    x0, y0, x1, y1 = (float(v) for v in box)
+    if not (x1 > x0 and y1 > y0):
+        raise ConfigError(f"mesh.box {box} must have x0 < x1 and y0 < y1")
+    try:
+        build_background(box, 1)  # every n gives the same shape verdict: all cells are alike
+    except ValueError as exc:
+        aspect = max(x1 - x0, y1 - y0) / min(x1 - x0, y1 - y0)
+        raise ConfigError(
+            f"mesh.box {box}: its cells have aspect ratio {aspect:.3g}, above the "
+            f"shape-regular limit of about 4.3 ({exc})"
+        ) from exc
     g = cfg["geometry"]
-    if circle_meets_box_edge(g["center"], g["radius"], cfg["mesh"]["box"]):
+    if circle_meets_box_edge(g["center"], g["radius"], box):
         raise ConfigError(
             f"geometry: the boundary circle (center {g['center']}, radius {g['radius']}) meets "
-            f"the edge of mesh.box {cfg['mesh']['box']}: the solve would cover a truncated domain"
+            f"the edge of mesh.box {box}: the solve would cover a truncated domain"
         )
     if not cfg["quadrature_tol"] >= MIN_TOL:
         raise ConfigError(

@@ -103,7 +103,14 @@ def cell_diagonal(box, n):
 
 
 def _check_shape_regularity(mesh):
-    coords = mesh.vertices[mesh.triangles]
+    """Raise ``ValueError`` unless the grid is quasi-uniform and shape regular.
+
+    Only the two triangles of cell 0 are tested.  Every triangle of the n-by-n
+    grid is a translate of one of them, so the verdict depends only on the
+    aspect ratio of the box's cells (that of the box itself), not on n or the
+    shift; right triangles with legs in ratio above about 4.3 fail.
+    """
+    coords = mesh.vertices[mesh.triangles[:2]]
     e = coords - np.roll(coords, -1, axis=1)
     lengths = np.linalg.norm(e, axis=2)
     diam = lengths.max(axis=1)
@@ -160,21 +167,24 @@ def classify(mesh, domain, tol=1e-12):
     deterministic.  A triangle whose vertices all lie outside is cut exactly
     when the disk reaches into it, which is decided by the exact distance from
     the disk center to the triangle; tangency closer than ``tol * h`` to that
-    threshold raises ``AmbiguousCutError``.
+    threshold raises ``AmbiguousCutError``.  The per-triangle reductions over
+    the three vertices (all inside, any inside, least phi) are formed column by
+    column, which is exact and avoids slow reductions along a length-3 axis.
     """
     phi = signed_distance(domain, mesh.vertices)
-    phi_t = phi[mesh.triangles]
-    inside_v = phi_t <= 0.0
+    phi_t = [phi[mesh.triangles[:, k]] for k in range(3)]
+    inside_v = [p <= 0.0 for p in phi_t]
 
     cls = np.full(mesh.n_triangles, OUTSIDE, dtype=np.int8)
-    all_in = inside_v.all(axis=1)
-    any_in = inside_v.any(axis=1)
+    all_in = inside_v[0] & inside_v[1] & inside_v[2]
+    any_in = inside_v[0] | inside_v[1] | inside_v[2]
     cls[all_in] = INSIDE  # disk is convex, so vertex containment is conclusive
     cls[any_in & ~all_in] = CUT
 
     center = domain.center_array
     guard = tol * mesh.h
-    candidates = np.flatnonzero(~any_in & (phi_t.min(axis=1) <= mesh.h))
+    near = np.minimum(np.minimum(phi_t[0], phi_t[1]), phi_t[2]) <= mesh.h
+    candidates = np.flatnonzero(~any_in & near)
     dist = _point_triangle_distance(center, mesh.triangle_coords(candidates))
     gap = np.abs(dist - domain.radius)
     ambiguous = np.flatnonzero(gap <= guard)

@@ -87,11 +87,18 @@ def manufactured_smooth(domain):
 def manufactured_singular(domain, junction_index=0):
     """Square-root singular harmonic solution anchored at a boundary-condition junction.
 
-    In polar coordinates centered at the junction, with the angle measured
-    from the branch ray along the exterior normal (which misses the closed
-    domain), the solution is sqrt(r) sin(theta / 2).  It is harmonic,
-    continuous across the branch ray, and lies in H^s only for s below 3/2,
-    which is the low-regularity regime of interest.
+    In polar coordinates (r, theta) centered at the junction z0, with theta in
+    [0, 2 pi) measured from the branch ray along the exterior normal (which
+    misses the closed domain), the solution is sqrt(r) sin(theta / 2).  It is
+    harmonic, continuous across the branch ray, and lies in H^s only for s
+    below 3/2, which is the low-regularity regime of interest.
+
+    It is evaluated as the imaginary part of one branch of a complex square
+    root: with w = (x - z0) e^{-i theta0} = r e^{i theta}, where theta0 is the
+    angle of the branch ray, s = i sqrt(-w) = sqrt(r) e^{i theta / 2} (the
+    principal root of -w has its cut on the branch ray), and u = Im s, which
+    is zero on the ray itself.  By the Cauchy-Riemann equations grad u = (Im G, Re G) with
+    G = ds/dz = e^{-i theta0} / (2 s); at z0 it is set to 0.
     """
     junctions = domain.junction_points
     if len(junctions) == 0:
@@ -102,28 +109,20 @@ def manufactured_singular(domain, junction_index=0):
     # of the domain; for an outward direction on a disk this always holds.
     if float(direction @ (z0 - domain.center_array)) <= 0.0:
         raise ValueError("branch cut would intersect the closure of the domain")
-    theta0 = math.atan2(direction[1], direction[0])
+    rotation = complex(direction[0], -direction[1])  # e^{-i theta0}
+    zc = complex(z0[0], z0[1])
 
-    def polar(pts):
-        pts = np.asarray(pts, dtype=float)
-        d = pts - z0
-        r = np.linalg.norm(d, axis=-1)
-        theta = np.mod(np.arctan2(d[..., 1], d[..., 0]) - theta0, 2.0 * math.pi)
-        return d, r, theta
+    def root(pts):
+        z = np.ascontiguousarray(pts, dtype=float).view(complex)[..., 0]
+        return 1j * np.sqrt((z - zc) * -rotation)
 
     def u(pts):
-        _, r, theta = polar(pts)
-        return np.sqrt(r) * np.sin(0.5 * theta)
+        return root(pts).imag
 
     def grad_u(pts):
-        d, r, theta = polar(pts)
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 0.5 / np.sqrt(r)
-            e_r = d / r[..., None]
-        e_t = np.stack([-e_r[..., 1], e_r[..., 0]], axis=-1)
-        g = inv[..., None] * (
-            np.sin(0.5 * theta)[..., None] * e_r + np.cos(0.5 * theta)[..., None] * e_t
-        )
+            G = (0.5 * rotation) / root(pts)
+        g = np.stack([G.imag, G.real], axis=-1)
         return np.where(np.isfinite(g), g, 0.0)
 
     def f(pts):

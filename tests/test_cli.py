@@ -177,3 +177,29 @@ def test_non_integer_levels_rejected(tmp_path, levels):
     cfg = write_config(tmp_path, {"mesh": {"levels": levels}})
     with pytest.raises(ConfigError, match="mesh.levels"):
         load_config(str(cfg))
+
+
+@pytest.mark.parametrize(
+    "box", [[-5.0, -1.0, 5.0, 1.0], [-1.0, -5.0, 1.0, 5.0]], ids=["wide", "tall"]
+)
+def test_stretched_box_rejected_before_anything_is_written(tmp_path, capsys, box):
+    cfg = write_config(tmp_path, {"mesh": {"box": box}})
+    with pytest.raises(ConfigError, match=r"mesh.box .*aspect ratio 5\b.*limit of about 4.3"):
+        load_config(str(cfg))
+    assert run(str(cfg), out_dir=str(tmp_path / "o"), quiet=True) == 2
+    assert "mesh.box" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_box_at_the_aspect_limit_accepted(tmp_path):
+    cfg = write_config(tmp_path, {"mesh": {"box": [-4.3, -1.0, 4.3, 1.0]}})
+    assert load_config(str(cfg))["mesh"]["box"] == [-4.3, -1.0, 4.3, 1.0]
+
+
+@pytest.mark.parametrize(
+    "box", [[1.0, -1.0, -1.0, 1.0], [0, 0, 1], [0, 0, 1, "1"], [0, 0, True, 1], "0 0 1 1"]
+)
+def test_malformed_box_rejected(tmp_path, box):
+    cfg = write_config(tmp_path, {"mesh": {"box": box}})
+    with pytest.raises(ConfigError, match="mesh.box"):
+        load_config(str(cfg))

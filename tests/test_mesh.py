@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from cutpoisson import LevelSetDomain, classify, signed_distance
+from cutpoisson import LevelSetDomain, classify, mesh as mesh_mod, signed_distance
+from cutpoisson.geometry import cross2
 from cutpoisson.mesh import (
     CUT,
     INSIDE,
@@ -22,6 +24,68 @@ def test_build_background_counts():
     assert build_background((0, 0, 1, 1), 4).h == pytest.approx(math.sqrt(2.0) / 4.0)
     with pytest.raises(ValueError):
         build_background((0, 0, 1, 1), 0)
+
+
+def _check_every_triangle(mesh):
+    """Oracle: the shape check run over every triangle of the mesh."""
+    coords = mesh.vertices[mesh.triangles]
+    e = coords - np.roll(coords, -1, axis=1)
+    lengths = np.linalg.norm(e, axis=2)
+    diam = lengths.max(axis=1)
+    if diam.max() / diam.min() > 2.0:
+        raise ValueError("mesh is not quasi-uniform (diameter ratio exceeds 2)")
+    areas = 0.5 * np.abs(cross2(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]))
+    quality = 4.0 * areas / (diam * lengths.sum(axis=1))
+    if quality.min() < 0.2:
+        raise ValueError("mesh is not shape regular")
+
+
+def _verdict(check, mesh):
+    try:
+        check(mesh)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _right_triangle_quality(ratio):
+    """The check's quality 4 area / (diam * perimeter) of a right triangle with legs ratio : 1."""
+    hyp = math.hypot(ratio, 1.0)
+    return 2.0 * ratio / (hyp * (ratio + 1.0 + hyp))
+
+
+@pytest.mark.parametrize("ratio", [4.4, 10.0])
+@pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
+def test_stretched_box_rejected(ratio, tall):
+    box = (0.0, 0.0, 1.0, ratio) if tall else (0.0, 0.0, ratio, 1.0)
+    with pytest.raises(ValueError, match="^mesh is not shape regular$"):
+        build_background(box, 4)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 4.3])
+@pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
+def test_moderate_box_accepted(ratio, tall):
+    box = (0.0, 0.0, 1.0, ratio) if tall else (0.0, 0.0, ratio, 1.0)
+    assert build_background(box, 4).n_triangles == 32
+
+
+def test_shape_check_on_cell_0_matches_every_triangle(monkeypatch):
+    """Every triangle is a translate of one of cell 0's two, so both checks agree."""
+    check = mesh_mod._check_shape_regularity
+    monkeypatch.setattr(mesh_mod, "_check_shape_regularity", lambda mesh: None)
+    limit = brentq(lambda k: _right_triangle_quality(k) - 0.2, 1.0, 10.0)
+    assert 4.3 < limit < 4.4
+    ratios = np.geomspace(0.1, 10.0, 31)
+    ratios = ratios[np.abs(np.maximum(ratios, 1.0 / ratios) - limit) > 1e-6]
+    verdicts = []
+    for n in (1, 2, 7, 64):
+        for shift in ((0.0, 0.0), (0.03, -0.05), (1.7, -2.3)):
+            for k in ratios:
+                mesh = build_background((-1.0, -0.5, -1.0 + 2.0 * k, 1.5), n, shift)
+                verdict = _verdict(check, mesh)
+                assert verdict == _verdict(_check_every_triangle, mesh), (n, shift, k)
+                verdicts.append(verdict)
+    assert None in verdicts and "mesh is not shape regular" in verdicts
 
 
 def _dict_faces(triangles):

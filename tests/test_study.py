@@ -45,6 +45,74 @@ def test_singular_problem_structure(domain_mixed):
     assert max(scaled) / min(scaled) < 1.01
 
 
+def _polar_singular(domain, junction_index):
+    """Oracle: sqrt(r) sin(theta / 2) through polar coordinates about the junction.
+
+    Returns ``(z0, direction, polar, u, grad_u)``, with theta in [0, 2 pi)
+    measured from the branch ray ``z0 + t * direction``.
+    """
+    z0 = np.asarray(domain.junction_points[junction_index], dtype=float)
+    direction = (z0 - domain.center_array) / domain.radius
+    theta0 = math.atan2(direction[1], direction[0])
+
+    def polar(pts):
+        d = np.asarray(pts, dtype=float) - z0
+        r = np.linalg.norm(d, axis=-1)
+        theta = np.mod(np.arctan2(d[..., 1], d[..., 0]) - theta0, 2.0 * math.pi)
+        return d, r, theta
+
+    def u(pts):
+        _, r, theta = polar(pts)
+        return np.sqrt(r) * np.sin(0.5 * theta)
+
+    def grad_u(pts):
+        d, r, theta = polar(pts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 0.5 / np.sqrt(r)
+            e_r = d / r[..., None]
+        e_t = np.stack([-e_r[..., 1], e_r[..., 0]], axis=-1)
+        g = inv[..., None] * (
+            np.sin(0.5 * theta)[..., None] * e_r + np.cos(0.5 * theta)[..., None] * e_t
+        )
+        return np.where(np.isfinite(g), g, 0.0)
+
+    return z0, direction, polar, u, grad_u
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.21, -0.13)])
+@pytest.mark.parametrize("radius", [0.7, 0.3])
+@pytest.mark.parametrize("arcs", [((0.0, math.pi),), ((0.4, 2.5),), ((1.0, 4.0), (5.0, 6.0))])
+def test_singular_solution_matches_polar_oracle(center, radius, arcs):
+    domain = LevelSetDomain(center, radius, arcs)
+    rng = np.random.default_rng(7)
+    for k in range(len(domain.junction_points)):
+        problem = manufactured_singular(domain, k)
+        z0, direction, polar, u_ref, grad_ref = _polar_singular(domain, k)
+        assert np.array_equal(problem.singular_points[0], z0)
+
+        # off the branch ray: r log-uniform in [1e-14, 1], theta away from the ray
+        r = 10.0 ** rng.uniform(-14.0, 0.0, 2000)
+        phi = math.atan2(direction[1], direction[0]) + rng.uniform(1e-6, 2 * math.pi - 1e-6, 2000)
+        pts = z0 + r[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
+        _, r, theta = polar(pts)
+        assert np.all((theta > 1e-7) & (theta < 2 * math.pi - 1e-7))
+        assert np.all(np.abs(problem.u(pts) - u_ref(pts)) <= 2e-15 * np.sqrt(r))
+        g, g_ref = problem.grad_u(pts), grad_ref(pts)
+        assert np.all(
+            np.linalg.norm(g - g_ref, axis=-1) <= 4e-15 * np.linalg.norm(g_ref, axis=-1)
+        )
+
+        # on the ray itself, outside the closed domain: u = 0 up to rounding, finite gradient
+        ray = z0 + (10.0 ** rng.uniform(-14.0, 0.0, 200))[:, None] * direction
+        assert np.all(np.abs(problem.u(ray) - u_ref(ray)) <= 1e-15)
+        assert np.all(np.isfinite(problem.grad_u(ray)))
+
+        # at the junction itself
+        assert problem.u(z0) == 0.0
+        assert np.array_equal(problem.grad_u(z0), [0.0, 0.0])
+        assert np.array_equal(problem.grad_u(z0[None]), [[0.0, 0.0]])
+
+
 def test_singular_problem_needs_junction(domain_dirichlet):
     with pytest.raises(ValueError):
         manufactured_singular(domain_dirichlet)
