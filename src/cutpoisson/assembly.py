@@ -7,6 +7,9 @@ rules, which makes the standard Nitsche matrix exactly symmetric in floating
 point.  Volume terms need no barycentric coordinates, as a P1 function is
 affine on each cell: a load comes from per-cell moments about the centroid c,
 and u_h at a point x is its value at c plus its cell gradient dotted with x - c.
+Every grid triangle is a translate of triangle ``t & 1``, so hat gradients come
+from the dofmap's two ``reference_gradients`` and the stiffness local block of
+a cell is one of two fixed 3 x 3 Gram blocks times the cell's cut area.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import scipy.sparse as sp
 from cutpoisson.geometry import TubeParams, cutoff
 from cutpoisson.mesh import _point_triangle_distance
 from cutpoisson.quadrature import _barycentric, refine_rule_toward
-from cutpoisson.space import FeFunction, face_normal, hat_gradients
+from cutpoisson.space import FeFunction, face_normal, hat_gradients  # noqa: F401 (re-export)
 
 
 @dataclass(frozen=True)
@@ -116,10 +119,15 @@ def _boundary_local(coords, grads, rule, weight=None):
 
 
 def assemble_stiffness(dofmap, rules):
-    """Gradient-gradient form over the cut domain: (grad u, grad v) on each T cap Omega."""
-    _, grads, dofs = dofmap.active_cells
+    """Gradient-gradient form over the cut domain: (grad u, grad v) on each T cap Omega.
+
+    The local block of active cell T is ``G[T & 1] * |T cap Omega|`` with ``G`` the Gram
+    blocks of the two reference gradients, which are bitwise symmetric, and so is the sum.
+    """
+    _, _, dofs = dofmap.active_cells
+    ref = dofmap.reference_gradients
     masses = np.bincount(rules.volume.owner, rules.volume.weights, minlength=len(dofs))
-    local = np.einsum("tid,tjd,t->tij", grads, grads, masses)
+    local = (ref @ ref.transpose(0, 2, 1))[dofmap.topology.active & 1] * masses[:, None, None]
     return _coo_accumulate(dofmap.ndof, dofs, local)
 
 
@@ -188,7 +196,8 @@ def assemble_ghost_penalty(dofmap, rules, params):
     t1, t2 = mesh.face_tris[faces].T
     n1 = face_normal(mesh, faces, t1)
     vids = np.concatenate([mesh.triangles[t1], mesh.triangles[t2]], axis=1)
-    flux = [np.einsum("fkd,fd->fk", hat_gradients(mesh.triangle_coords(t)), n1) for t in (t1, t2)]
+    ref = dofmap.reference_gradients
+    flux = [np.einsum("fkd,fd->fk", ref[t & 1], n1) for t in (t1, t2)]
     flux = np.concatenate([flux[0], -flux[1]], axis=1)
     # combine the two shared vertices: the four distinct vertices in ascending order
     order = np.argsort(vids, axis=1, kind="stable")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,9 @@ class BackgroundMesh:
 
     Faces are stored once, with the two adjacent triangles ordered by index
     (-1 marks the outside of the box); this fixes the sign of normal-gradient
-    jumps.
+    jumps.  Every triangle t is a translate of triangle ``t & 1`` (cell 0's
+    lower and upper triangle), so whatever depends only on a triangle's shape,
+    such as its hat gradients, is computed on those two and indexed by parity.
     """
 
     vertices: np.ndarray
@@ -60,6 +63,9 @@ def build_background(box, n, shift=(0.0, 0.0)):
     ``box`` is (x0, y0, x1, y1); ``shift`` translates the whole grid, which is
     how cut-position sweeps move the boundary relative to the mesh.  The mesh
     parameter h is the cell diagonal, i.e. the diameter of every triangle.
+    Cell (i, j) holds triangles 2c and 2c + 1 with c = i * n + j, below and
+    above its diagonal, so triangle t is a translate of triangle ``t & 1``.
+    Faces and their triangles are written in closed form (``_grid_faces``).
     """
     if n < 1:
         raise ValueError(f"need at least one subdivision per side, got n={n}")
@@ -76,24 +82,44 @@ def build_background(box, n, shift=(0.0, 0.0)):
     v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
     triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
-    # Faces sorted by (low, high) vertex id: vertex v = i * (n + 1) + j owns its edges to
-    # v + 1 (up), v + n + 1 (right) and v + n + 2 (diagonal) where they exist.  Cell c = i * n + j
-    # holds triangles 2c (below its diagonal) and 2c + 1 (above), so the up edge lies between
-    # 2(c - n) and 2c + 1, the right edge between 2c - 1 and 2c, the diagonal between 2c and 2c + 1.
-    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    v, c = i * (n + 1) + j, i * n + j
-    exists = np.stack([j < n, i < n, (i < n) & (j < n)], axis=-1)
-    ends = v[..., None] + np.array([0, 1, 0, n + 1, 0, n + 2])
-    faces = ends.reshape(n + 1, n + 1, 3, 2)[exists]
-    low = np.stack([np.where(i > 0, 2 * (c - n), -1), np.where(j > 0, 2 * c - 1, -1), 2 * c], -1)
-    high = np.stack([np.where(i < n, 2 * c + 1, -1), np.where(j < n, 2 * c, -1), 2 * c + 1], -1)
-    pairs = np.stack([low, high], axis=-1)[exists]
-    # a box face has one triangle, stored first with -1 after it
-    face_tris = np.where(pairs[:, :1] < 0, pairs[:, ::-1], pairs)
-
+    faces, face_tris = _grid_faces(n)
     mesh = BackgroundMesh(vertices, triangles, faces, face_tris, cell_diagonal(box, n))
     _check_shape_regularity(mesh)
     return mesh
+
+
+def _grid_faces(n):
+    """Faces (vertex pairs) and their triangles (pairs, -1 marking the box) of the n-by-n grid.
+
+    Faces are sorted by (low, high) vertex id: vertex v = i * (n + 1) + j owns its edges to
+    v + 1 (up), v + n + 1 (right) and v + n + 2 (diagonal) where they exist.  So row i < n
+    holds 3n + 1 faces, the three of each j < n and then the right edge of j = n, and row n
+    holds its n up edges.  Cell c = i * n + j holds triangles 2c (below its diagonal) and
+    2c + 1 (above), so the up edge lies between 2(c - n) and 2c + 1, the right edge between
+    2c - 1 and 2c, the diagonal between 2c and 2c + 1; a box face keeps its one triangle
+    first, with -1 after it.  Every entry is written in closed form, row by row in place.
+    """
+    faces = np.empty((3 * n * n + 2 * n, 2), dtype=np.int64)
+    face_tris = np.empty_like(faces)
+    rows, r = n * (3 * n + 1), np.arange(n)
+    f_rows, t_rows = (a[:rows].reshape(n, 3 * n + 1, 2) for a in (faces, face_tris))
+    f_cell, t_cell = f_rows[:, :-1].reshape(n, n, 3, 2), t_rows[:, :-1].reshape(n, n, 3, 2)
+    v = (r[:, None] * (n + 1) + r)[..., None]
+    c2 = (2 * (r[:, None] * n + r))[..., None]
+    f_cell[..., 0] = v
+    f_cell[..., 1] = v + np.array([1, n + 1, n + 2])
+    t_cell[..., 0] = c2 + np.array([-2 * n, -1, 0])
+    t_cell[..., 1] = c2 + np.array([1, 0, 1])
+    none = np.full(n, -1)
+    t_cell[0, :, 0] = np.c_[c2[0, :, 0] + 1, none]  # up edges of row 0
+    t_cell[:, 0, 1] = np.c_[c2[:, 0, 0], none]  # right edges of column 0
+    f_rows[:, -1, 0] = r * (n + 1) + n  # right edges of column n
+    f_rows[:, -1, 1] = f_rows[:, -1, 0] + n + 1
+    t_rows[:, -1] = np.c_[2 * (r * n + n) - 1, none]
+    faces[rows:, 0] = n * (n + 1) + r  # up edges of row n
+    faces[rows:, 1] = faces[rows:, 0] + 1
+    face_tris[rows:] = np.c_[2 * ((n - 1) * n + r), none]
+    return faces, face_tris
 
 
 def cell_diagonal(box, n):
@@ -143,6 +169,13 @@ class CutTopology:
 
     def is_active(self, t):
         return self.active_index[t] >= 0
+
+    @cached_property
+    def active_coords(self):
+        """Vertex coordinates (m, 3, 2) of the active triangles, gathered once and read-only."""
+        coords = self.mesh.vertices[self.mesh.triangles[self.active]]
+        coords.flags.writeable = False
+        return coords
 
 
 def _point_triangle_distance(p, coords):

@@ -526,7 +526,7 @@ class RuleSet:
         return self.boundary.select(~self.boundary.dirichlet)
 
 
-def build_rules(mesh, topology, domain, tol=DEFAULT_TOL, grade_levels=16):
+def build_rules(mesh, topology, domain, tol=DEFAULT_TOL):
     """Packed volume and boundary rules of the active cells, and ghost-face lengths.
 
     Inside cells take the degree-4 rule directly; only cut cells enter the
@@ -534,7 +534,7 @@ def build_rules(mesh, topology, domain, tol=DEFAULT_TOL, grade_levels=16):
     split at the boundary-condition junctions and graded toward them, which
     serves both singular boundary data and the sharply supported cutoff weight.
     """
-    coords = mesh.vertices[mesh.triangles[topology.active]]
+    coords = topology.active_coords
     is_cut = topology.classification[topology.active] == CUT
     inside, cut = np.flatnonzero(~is_cut), np.flatnonzero(is_cut)
     cut_volume = cut_volume_rules(coords[cut], domain, tol)
@@ -546,9 +546,7 @@ def build_rules(mesh, topology, domain, tol=DEFAULT_TOL, grade_levels=16):
         np.concatenate([weights.ravel(), cut_volume.weights])[order],
         owner[order],
     )
-    boundary = cut_boundary_rules(
-        coords[cut], domain, grade_angles=domain.junction_angles, grade_levels=grade_levels
-    )
+    boundary = cut_boundary_rules(coords[cut], domain, grade_angles=domain.junction_angles)
     boundary = dataclasses.replace(boundary, owner=cut[boundary.owner])
     ends = mesh.vertices[mesh.faces[topology.ghost_faces]]
     face_lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)

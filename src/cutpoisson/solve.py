@@ -156,11 +156,17 @@ class _PowerIterationFailure(Exception):
 
 
 def condition_estimate(K, rtol=0.01, maxit=500):
-    """Spectral condition number of a symmetric operator by power iteration.
+    """Lower estimate of the spectral condition number of a symmetric operator.
 
-    The extreme eigenvalues are estimated on the operator and on its inverse
-    through a factorization.  A failed factorization raises ``SolverError``,
-    and so does non-convergence, carrying the partial estimate.
+    The extreme eigenvalues are estimated by power iteration on the operator
+    and on its inverse through a factorization, each stopped once its Rayleigh
+    quotient changes by less than ``rtol``.  For a positive definite operator
+    a Rayleigh quotient never exceeds the largest eigenvalue, so the product
+    is at most the true condition number and can fall well short of it when
+    the top eigenvalues cluster: on the n = 16 Dirichlet disk sweep of 20
+    shifts it reads 1.4-21 % below the dense value (61.67 against 78.21 at
+    the worst shift).  A failed factorization raises ``SolverError``, and so
+    does non-convergence, carrying the partial estimate.
     """
     K = K.tocsc()
     n = K.shape[0]

@@ -37,17 +37,31 @@ class DofMap:
         return self.vertex_to_dof[self.mesh.triangles[t]]
 
     @cached_property
+    def reference_gradients(self):
+        """Hat gradients (2, 3, 2) of triangles 0 and 1, read-only.
+
+        Triangle t of the grid is a translate of triangle ``t & 1``, so its hat
+        gradients are ``reference_gradients[t & 1]``; this is the one
+        ``hat_gradients`` call of a level.
+        """
+        ref = hat_gradients(self.mesh.vertices[self.mesh.triangles[:2]])
+        ref.flags.writeable = False
+        return ref
+
+    @cached_property
     def active_cells(self):
         """Vertex coordinates, hat gradients (both (m, 3, 2)) and dofs (m, 3) of the active cells.
 
-        Computed once per dofmap and shared by every caller, so the arrays are read-only.
+        Computed once per dofmap and shared by every caller, so the arrays are read-only.  The
+        coordinates are the topology's ``active_coords``; the gradients are indexed by parity
+        from ``reference_gradients``.
         """
-        tris = self.mesh.triangles[self.topology.active]
-        coords = self.mesh.vertices[tris]
-        cells = (coords, hat_gradients(coords), self.vertex_to_dof[tris])
-        for a in cells:
+        active = self.topology.active
+        grads = self.reference_gradients[active & 1]
+        dofs = self.vertex_to_dof[self.mesh.triangles[active]]
+        for a in (grads, dofs):
             a.flags.writeable = False
-        return cells
+        return self.topology.active_coords, grads, dofs
 
 
 def build_dofmap(topology):
@@ -131,7 +145,7 @@ def clement_interpolate(u, dofmap):
     """
     mesh = dofmap.mesh
     tris = dofmap.topology.active
-    coords = mesh.triangle_coords(tris)  # (m, 3, 2)
+    coords = dofmap.topology.active_coords  # (m, 3, 2)
     dofs = dofmap.vertex_to_dof[mesh.triangles[tris]]  # (m, 3)
     pts, wts = _full_triangle_points(coords)  # (m, 6, 2), (m, 6)
     values = u(pts)

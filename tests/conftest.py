@@ -73,3 +73,14 @@ def jump_normal_gradient(f, face):
         raise ValueError(f"face {face} has an inactive neighbor")
     n1 = face_normal(mesh, face, t1)
     return float(gradient(f, t1) @ n1 - gradient(f, t2) @ n1)
+
+
+def reference_tolerance(mesh, box, n):
+    """Relative bound on per-cell against reference hat gradients.
+
+    A vertex coordinate x is rounded to within eps |x|, so the grid's cells are
+    translates of cells 0 and 1 only to about eps |x| / (cell side) relative:
+    1e-13 near the origin, more on boxes many cells away from it.
+    """
+    cell = min(box[2] - box[0], box[3] - box[1]) / n
+    return max(1e-13, 4.0 * np.finfo(float).eps * np.abs(mesh.vertices).max() / cell)

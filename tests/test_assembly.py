@@ -30,7 +30,7 @@ from cutpoisson.geometry import cutoff
 from cutpoisson.mesh import build_background
 from cutpoisson.quadrature import PackedRule, _barycentric, refine_rule_toward
 from cutpoisson.solve import solve_standard
-from cutpoisson.space import FeFunction
+from cutpoisson.space import FeFunction, hat_gradients
 from cutpoisson.study import (
     consistency_residual,
     manufactured_singular,
@@ -38,7 +38,7 @@ from cutpoisson.study import (
     sweep_shifts,
     verify_regularized_identity,
 )
-from tests.conftest import jump_normal_gradient, make_discretization
+from tests.conftest import jump_normal_gradient, make_discretization, reference_tolerance
 
 
 class ZeroData:
@@ -423,3 +423,42 @@ def test_zero_source_gives_the_boundary_load(domain_mixed, shift):
     b = assemble_load(dofmap, rules, params, no_source)
     assert np.abs(b).max() > 0.0
     assert np.array_equal(b, boundary_load_pointwise(dofmap, rules, params, no_source))
+
+
+def _stiffness_einsum(dofmap, rules):
+    """Oracle: stiffness blocks from per-cell hat gradients in a three-operand einsum."""
+    coords, _, dofs = dofmap.active_cells
+    grads = hat_gradients(coords)
+    masses = np.bincount(rules.volume.owner, rules.volume.weights, minlength=len(dofs))
+    local = np.einsum("tid,tjd,t->tij", grads, grads, masses)
+    return assembly._coo_accumulate(dofmap.ndof, dofs, local)
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_stiffness_is_bitwise_the_einsum_on_a_dyadic_grid(domain_mixed, n):
+    mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, n)
+    want = _stiffness_einsum(dofmap, rules)
+    assert _csr_bits(assemble_stiffness(dofmap, rules)) == _csr_bits(want)
+
+
+# around the disk of radius 0.7 at the origin: square, stretched to 4.2, off centre
+STIFFNESS_BOXES = [(-1.0, -1.0, 1.0, 1.0), (-3.78, -0.9, 3.78, 0.9), (-0.93, -0.95, 1.3, 1.1)]
+
+
+@pytest.mark.parametrize("n", [16, 33, 64])
+@pytest.mark.parametrize("box", STIFFNESS_BOXES)
+def test_stiffness_by_parity_matches_the_einsum_and_operators_stay_symmetric(
+    domain_mixed, box, n
+):
+    for shift in sweep_shifts(box, n, 20)[::6]:
+        mesh, topo, dofmap, params, rules = make_discretization(
+            domain_mixed, n, box=box, shift=shift
+        )
+        K, want = assemble_stiffness(dofmap, rules), _stiffness_einsum(dofmap, rules)
+        assert np.array_equal(K.indptr, want.indptr) and np.array_equal(K.indices, want.indices)
+        err = np.abs(K.data - want.data).max() / np.abs(want.data).max()
+        assert err <= reference_tolerance(mesh, box, n), shift
+        A = assemble_nitsche(dofmap, rules, params)
+        S = assemble_ghost_penalty(dofmap, rules, params)
+        for M in (K, A, S):
+            assert (M != M.T).nnz == 0, shift

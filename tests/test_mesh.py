@@ -122,6 +122,30 @@ def test_face_map_matches_dict_oracle(n, shift):
     assert np.array_equal(mesh.face_tris, face_tris)
 
 
+def _masked_faces(n):
+    """Oracle: faces and face triangles through a (n + 1)^2 x 3 existence mask."""
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    v, c = i * (n + 1) + j, i * n + j
+    exists = np.stack([j < n, i < n, (i < n) & (j < n)], axis=-1)
+    ends = v[..., None] + np.array([0, 1, 0, n + 1, 0, n + 2])
+    faces = ends.reshape(n + 1, n + 1, 3, 2)[exists]
+    low = np.stack([np.where(i > 0, 2 * (c - n), -1), np.where(j > 0, 2 * c - 1, -1), 2 * c], -1)
+    high = np.stack([np.where(i < n, 2 * c + 1, -1), np.where(j < n, 2 * c, -1), 2 * c + 1], -1)
+    pairs = np.stack([low, high], axis=-1)[exists]
+    return faces, np.where(pairs[:, :1] < 0, pairs[:, ::-1], pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64, 256])
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (0.013, -0.021)], ids=["unshifted", "shifted"])
+def test_closed_form_faces_match_masked_oracle(n, shift):
+    mesh = build_background((-1, -1, 1, 1), n, shift)
+    for got, want in zip((mesh.faces, mesh.face_tris), _masked_faces(n)):
+        assert got.dtype == want.dtype == np.int64
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape == (3 * n * n + 2 * n, 2)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_face_adjacency_counts():
     mesh = build_background((0, 0, 1, 1), 4)
     adjacency = (mesh.face_tris >= 0).sum(axis=1)

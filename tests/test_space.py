@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import cutpoisson.assembly
 import cutpoisson.space
 from cutpoisson import (
     FeFunction,
@@ -16,11 +17,16 @@ from cutpoisson import (
     evaluate,
     gradient,
 )
-from cutpoisson.assembly import assemble_load, assemble_nitsche
+from cutpoisson.assembly import assemble_ghost_penalty, assemble_load, assemble_nitsche, error_norms
 from cutpoisson.mesh import build_background
 from cutpoisson.quadrature import _full_triangle_points
-from cutpoisson.study import interpolation_study, manufactured_singular, manufactured_smooth
-from tests.conftest import jump_normal_gradient
+from cutpoisson.study import (
+    interpolation_study,
+    manufactured_singular,
+    manufactured_smooth,
+    sweep_shifts,
+)
+from tests.conftest import jump_normal_gradient, reference_tolerance
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +203,62 @@ def test_active_cell_geometry_is_computed_once_and_read_only(domain_mixed, monke
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def _gradients_by_parity(mesh, domain):
+    """Per-triangle hat gradients of ``mesh`` and the dofmap's reference gradients by parity."""
+    ref = build_dofmap(classify(mesh, domain)).reference_gradients
+    assert ref.shape == (2, 3, 2) and not ref.flags.writeable
+    per_cell = cutpoisson.space.hat_gradients(mesh.vertices[mesh.triangles])
+    return per_cell, ref[np.arange(mesh.n_triangles) & 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
+def test_reference_gradients_are_bitwise_on_a_dyadic_grid(domain_mixed, n):
+    """On [-1, 1]^2 with n a power of two every coordinate difference is exact."""
+    per_cell, by_parity = _gradients_by_parity(build_background((-1, -1, 1, 1), n), domain_mixed)
+    assert per_cell.tobytes() == by_parity.tobytes()
+
+
+# stretched up to the aspect ratio 4.2, and away from the origin
+REFERENCE_BOXES = [
+    (-1.0, -1.0, 1.0, 1.0),
+    (-2.1, -0.5, 2.1, 0.5),
+    (-0.4, -1.68, 0.4, 1.68),
+    (0.3, -1.9, 1.5, 0.1),
+    (2.5, -7.0, 3.1, -6.2),
+    (-13.7, 40.1, -9.4, 42.2),
+]
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 256])
+@pytest.mark.parametrize("box", REFERENCE_BOXES)
+def test_reference_gradients_match_every_cell(domain_mixed, box, n):
+    shifts = sweep_shifts(box, n, 20)
+    for shift in shifts if n < 256 else shifts[::4]:
+        mesh = build_background(box, n, shift)
+        per_cell, by_parity = _gradients_by_parity(mesh, domain_mixed)
+        err = np.abs(per_cell - by_parity).max() / np.abs(per_cell).max()
+        assert err <= reference_tolerance(mesh, box, n), shift
+
+
+def test_one_hat_gradients_call_per_level(domain_mixed, monkeypatch):
+    calls = []
+    original = cutpoisson.space.hat_gradients
+    counted = lambda c: calls.append(1) or original(c)  # noqa: E731
+    monkeypatch.setattr(cutpoisson.space, "hat_gradients", counted)
+    monkeypatch.setattr(cutpoisson.assembly, "hat_gradients", counted)
+    problem = manufactured_singular(domain_mixed)
+    levels = [(8, (0.0, 0.0)), (16, sweep_shifts((-1, -1, 1, 1), 16, 20)[7])]
+    for level, (n, shift) in enumerate(levels, start=1):
+        mesh = build_background((-1, -1, 1, 1), n, shift)
+        topo = classify(mesh, domain_mixed)
+        dofmap = build_dofmap(topo)
+        rules = build_rules(mesh, topo, domain_mixed)
+        params = NitscheParams()
+        assemble_nitsche(dofmap, rules, params)
+        S = assemble_ghost_penalty(dofmap, rules, params)
+        assemble_load(dofmap, rules, params, problem)
+        u_h = FeFunction(np.ones(dofmap.ndof), dofmap)
+        error_norms(problem, u_h, rules, params, S, refine_levels=2)
+        assert len(calls) == level
