@@ -10,10 +10,22 @@ and u_h at a point x is its value at c plus its cell gradient dotted with x - c.
 Every grid triangle is a translate of triangle ``t & 1``, so hat gradients come
 from the dofmap's two ``reference_gradients`` and the stiffness local block of
 a cell is one of two fixed 3 x 3 Gram blocks times the cell's cut area.
+
+Every coupling of a P1 form or a ghost face joins a vertex to one at one of
+the 13 grid offsets of ``space.STENCIL``, so an operator is built as a stencil
+array, entry (r, k) coupling dof r to the vertex at offset k from its own, over
+every dof (stiffness) or the rows a boundary or face term touches, and it is
+compressed once to CSR with no sort: columns ascending, exact zeros dropped as
+a sparse sum drops them.  Each entry is summed from 0.0: the stiffness adds 18
+slices, one per (parity, i, j) in that order, on a (13, n + 1, n + 1) grid
+array; the boundary and face terms add in insertion order (``np.bincount``).
+So entries (i, j) and (j, i) of a symmetric form see the same addends in the
+same order and stay bitwise equal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +34,8 @@ import scipy.sparse as sp
 from cutpoisson.geometry import TubeParams, cutoff
 from cutpoisson.mesh import _point_triangle_distance
 from cutpoisson.quadrature import _barycentric, refine_rule_toward
-from cutpoisson.space import FeFunction, face_normal, hat_gradients  # noqa: F401 (re-export)
+from cutpoisson.space import CORNERS, PAIR_SLOTS, STENCIL, FeFunction, face_normal, stencil_slot
+from cutpoisson.space import hat_gradients  # noqa: F401 (re-export)
 
 
 @dataclass(frozen=True)
@@ -71,24 +84,34 @@ class SystemMatrices:
     b: np.ndarray
 
 
-def _coo_accumulate(ndof, dofs, blocks):
-    """Scatter local blocks (n, k, k) on int64 dofs (n, k) into a global matrix.
+def _scatter(dofmap, dofs, slots, blocks):
+    """Stencil array of local blocks (m, k, k) on ``dofs`` (m, k), block entry (a, b) at ``slots``.
 
-    Duplicates are summed in a fixed order (row, col, insertion order), so
-    symmetric pairs (i, j) and (j, i) accumulate bitwise-identical addend
-    sequences, and operators built from symmetric local blocks stay exactly
-    symmetric in floating point, independent of sparse library internals.
+    Returns the array over the rows of the dofs touched only, and those dofs in ascending order.
     """
-    if not blocks.size:
-        return sp.csr_matrix((ndof, ndof))
-    key = (dofs[:, :, None] * ndof + dofs[:, None, :]).ravel()
-    order = np.argsort(key, kind="stable")  # stable: equal keys keep insertion order
-    key = key[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    sums = np.add.reduceat(blocks.ravel()[order], starts)
-    key = key[starts]
-    indptr = np.searchsorted(key, np.arange(ndof + 1) * ndof)
-    return sp.csr_matrix((sums, key % ndof, indptr), shape=(ndof, ndof))
+    touched = np.zeros(dofmap.ndof, dtype=bool)
+    touched[dofs] = True
+    width = len(STENCIL)
+    flat = (np.cumsum(touched) - 1)[dofs][:, :, None] * width + slots
+    rows = np.flatnonzero(touched)
+    sums = np.bincount(flat.ravel(), blocks.ravel(), minlength=len(rows) * width)
+    return sums.astype(float, copy=False).reshape(-1, width), rows  # bincount of nothing is int
+
+
+def _cell_scatter(dofmap, cells, blocks):
+    """Stencil array of 3 x 3 blocks on the active cells ``cells``, and its rows' dofs."""
+    _, _, dofs = dofmap.active_cells
+    return _scatter(dofmap, dofs[cells], PAIR_SLOTS[dofmap.topology.active[cells] & 1], blocks)
+
+
+def _compress(dofmap, stencil, rows=None):
+    """CSR matrix of the stencil array of the dofs ``rows`` (all dofs if None) without its zeros."""
+    flat = np.flatnonzero(stencil != 0.0)
+    row = flat // len(STENCIL) if rows is None else rows[flat // len(STENCIL)]
+    offsets = STENCIL @ (math.isqrt(dofmap.mesh.n_vertices), 1)  # vertex id offsets
+    cols = dofmap.vertex_to_dof[dofmap.dof_to_vertex[row] + offsets[flat % len(STENCIL)]]
+    indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=dofmap.ndof))]
+    return sp.csr_matrix((stencil.ravel()[flat], cols, indptr), shape=(dofmap.ndof, dofmap.ndof))
 
 
 def _vector(ndof, dofs, values):
@@ -118,44 +141,64 @@ def _boundary_local(coords, grads, rule, weight=None):
     return lam, flux, w
 
 
-def assemble_stiffness(dofmap, rules):
-    """Gradient-gradient form over the cut domain: (grad u, grad v) on each T cap Omega.
+def _stiffness_stencil(dofmap, rules):
+    """Stencil array of the gradient-gradient form over the cut domain.
 
-    The local block of active cell T is ``G[T & 1] * |T cap Omega|`` with ``G`` the Gram
-    blocks of the two reference gradients, which are bitwise symmetric, and so is the sum.
+    Cell T adds ``G[T & 1] * |T cap Omega|``, ``G`` the bitwise symmetric Gram blocks of the
+    reference gradients: entry (i, j) of parity p is one slice-add over the grid's cells.
     """
-    _, _, dofs = dofmap.active_cells
+    mesh, active = dofmap.mesh, dofmap.topology.active
+    n = math.isqrt(mesh.n_triangles // 2)
     ref = dofmap.reference_gradients
-    masses = np.bincount(rules.volume.owner, rules.volume.weights, minlength=len(dofs))
-    local = (ref @ ref.transpose(0, 2, 1))[dofmap.topology.active & 1] * masses[:, None, None]
-    return _coo_accumulate(dofmap.ndof, dofs, local)
+    gram = ref @ ref.transpose(0, 2, 1)
+    mass = np.zeros(mesh.n_triangles)
+    mass[active] = np.bincount(rules.volume.owner, rules.volume.weights, minlength=len(active))
+    mass = np.ascontiguousarray(mass.reshape(n, n, 2).transpose(2, 0, 1))  # by parity
+    grid = np.zeros((len(STENCIL), n + 1, n + 1))
+    for p, i, j in np.ndindex(2, 3, 3):
+        di, dj = CORNERS[p, i]
+        grid[PAIR_SLOTS[p, i, j], di : di + n, dj : dj + n] += gram[p, i, j] * mass[p]
+    return grid.reshape(len(STENCIL), -1).T[dofmap.dof_to_vertex]  # the rows of the dofs
+
+
+def _mass_stencil(dofmap, rule):
+    """Stencil array of the boundary mass matrix over ``rule``, and its rows' dofs."""
+    coords, grads, _ = dofmap.active_cells
+    lam, _, w = _boundary_local(coords, grads, rule)
+    scaled = lam * np.sqrt(w)[:, None]  # Gram form keeps the block bitwise symmetric
+    return _cell_scatter(dofmap, rule.owner, scaled[:, :, None] * scaled[:, None, :])
+
+
+def _flux_blocks(dofmap, rule, weight=None):
+    """Local blocks (nq, 3, 3) of the boundary flux pairing (grad(phi_j) . n, phi_i) over ``rule``."""
+    coords, grads, _ = dofmap.active_cells
+    lam, flux, w = _boundary_local(coords, grads, rule, weight)
+    return lam[:, :, None] * (flux * w[:, None])[:, None, :]  # test i rows, trial j cols
+
+
+def assemble_stiffness(dofmap, rules):
+    """Gradient-gradient form over the cut domain: (grad u, grad v) on each T cap Omega."""
+    return _compress(dofmap, _stiffness_stencil(dofmap, rules))
 
 
 def assemble_boundary_mass(dofmap, rules):
     """Mass matrix on the Dirichlet part of the boundary."""
-    coords, grads, dofs = dofmap.active_cells
-    rule = rules.dirichlet
-    lam, _, w = _boundary_local(coords, grads, rule)
-    scaled = lam * np.sqrt(w)[:, None]  # Gram form keeps the block bitwise symmetric
-    return _coo_accumulate(dofmap.ndof, dofs[rule.owner], scaled[:, :, None] * scaled[:, None, :])
-
-
-def _flux_matrix(dofmap, rule, weight=None):
-    """Entries (i, j) of the boundary flux pairing (grad(phi_j) . n, phi_i) over ``rule``."""
-    coords, grads, dofs = dofmap.active_cells
-    lam, flux, w = _boundary_local(coords, grads, rule, weight)
-    local = lam[:, :, None] * (flux * w[:, None])[:, None, :]  # test i rows, trial j cols
-    return _coo_accumulate(dofmap.ndof, dofs[rule.owner], local)
+    return _compress(dofmap, *_mass_stencil(dofmap, rules.dirichlet))
 
 
 def assemble_nitsche(dofmap, rules, params):
-    """Standard symmetric Nitsche operator with Dirichlet penalty."""
-    h = dofmap.mesh.h
-    K = assemble_stiffness(dofmap, rules)
-    B = _flux_matrix(dofmap, rules.dirichlet)
-    M = assemble_boundary_mass(dofmap, rules)
-    # grouping the two flux terms keeps the matrix bitwise symmetric
-    return (K - (B + B.T) + (params.beta / h) * M).tocsr()
+    """Standard symmetric Nitsche operator with Dirichlet penalty, K - (B + B^T) + (beta / h) M.
+
+    B^T is scattered from the transposed blocks of B; grouping the two flux terms keeps the
+    matrix bitwise symmetric.
+    """
+    rule, B = rules.dirichlet, _flux_blocks(dofmap, rules.dirichlet)
+    flux, dofs = _cell_scatter(dofmap, rule.owner, B)  # the rows of rule's cells, as for the mass
+    flux += _cell_scatter(dofmap, rule.owner, B.transpose(0, 2, 1))[0]
+    mass = (params.beta / dofmap.mesh.h) * _mass_stencil(dofmap, rule)[0]
+    stencil = _stiffness_stencil(dofmap, rules)
+    stencil[dofs] = stencil[dofs] - flux + mass
+    return _compress(dofmap, stencil)
 
 
 def _cutoff_weight(domain, params):
@@ -173,7 +216,8 @@ def cutoff_flux_neumann(dofmap, rules, domain, params):
     This is exactly the difference between the standard and regularized
     operators, since the cutoff equals one on the Dirichlet part.
     """
-    return _flux_matrix(dofmap, rules.neumann, weight=_cutoff_weight(domain, params))
+    weight, rule = _cutoff_weight(domain, params), rules.neumann
+    return _compress(dofmap, *_cell_scatter(dofmap, rule.owner, _flux_blocks(dofmap, rule, weight)))
 
 
 def assemble_regularized(A, dofmap, rules, params, domain):
@@ -190,25 +234,32 @@ def assemble_regularized(A, dofmap, rules, params, domain):
 
 
 def assemble_ghost_penalty(dofmap, rules, params):
-    """Face-jump stabilizer sigma * h * sum_F int_F [grad_n u][grad_n v]."""
+    """Face-jump stabilizer sigma * h * sum_F int_F [grad_n u][grad_n v].
+
+    The jump of a face lives on four vertices: its two ends, where the one-sided fluxes of
+    its two triangles are added in triangle order, and the apex of each triangle.
+    """
     mesh = dofmap.mesh
     faces = dofmap.topology.ghost_faces
     t1, t2 = mesh.face_tris[faces].T
     n1 = face_normal(mesh, faces, t1)
-    vids = np.concatenate([mesh.triangles[t1], mesh.triangles[t2]], axis=1)
+    corners = np.concatenate([mesh.triangles[t1], mesh.triangles[t2]], axis=1)
     ref = dofmap.reference_gradients
     flux = [np.einsum("fkd,fd->fk", ref[t & 1], n1) for t in (t1, t2)]
     flux = np.concatenate([flux[0], -flux[1]], axis=1)
-    # combine the two shared vertices: the four distinct vertices in ascending order
-    order = np.argsort(vids, axis=1, kind="stable")
-    vids, flux = (np.take_along_axis(a, order, axis=1) for a in (vids, flux))
-    first = np.c_[np.ones((len(faces), 1), dtype=bool), vids[:, 1:] != vids[:, :-1]]
+    # the place of each of the six corners: the face's ends 0 and 1, the apex of t1 2, of t2 3
+    ends = mesh.faces[faces]
+    place = np.where(corners == ends[:, :1], 0, np.where(corners == ends[:, 1:], 1, [2, 2, 2, 3, 3, 3]))
+    face = np.arange(len(faces))[:, None]
     jump = np.zeros((len(faces), 4))
-    np.add.at(jump, (np.arange(len(faces))[:, None], np.cumsum(first, axis=1) - 1), flux)
+    np.add.at(jump, (face, place), flux)
+    vertices = np.empty_like(jump, dtype=corners.dtype)
+    vertices[face, place] = corners
     scale = params.sigma * mesh.h * rules.face_lengths
-    local = scale[:, None, None] * (jump[:, :, None] * jump[:, None, :])
-    dofs = dofmap.vertex_to_dof[vids[first].reshape(-1, 4)]
-    return _coo_accumulate(dofmap.ndof, dofs, local)
+    blocks = scale[:, None, None] * (jump[:, :, None] * jump[:, None, :])
+    grid = np.stack(np.divmod(vertices, math.isqrt(mesh.n_vertices)), axis=-1)
+    slots = stencil_slot(grid[:, None] - grid[:, :, None])
+    return _compress(dofmap, *_scatter(dofmap, dofmap.vertex_to_dof[vertices], slots, blocks))
 
 
 def assemble_load(dofmap, rules, params, data):
@@ -280,13 +331,14 @@ def nitsche_action(dofmap, rules, params, u, grad_u, domain=None):
 
 def energy_gram(dofmap, rules, params, stabilizer=None, with_stabilization=True):
     """Gram matrix of the energy norm: gradient, stabilizer, and Dirichlet trace parts."""
-    h = dofmap.mesh.h
-    G = assemble_stiffness(dofmap, rules) + assemble_boundary_mass(dofmap, rules) / h
+    stencil, (mass, dofs) = _stiffness_stencil(dofmap, rules), _mass_stencil(dofmap, rules.dirichlet)
+    stencil[dofs] += mass * (1.0 / dofmap.mesh.h)
+    G = _compress(dofmap, stencil)
     if with_stabilization:
         if stabilizer is None:
             stabilizer = assemble_ghost_penalty(dofmap, rules, params)
         G = G + stabilizer
-    return G.tocsr()
+    return G
 
 
 def energy_norm(v, gram):
@@ -345,15 +397,16 @@ def error_norms(problem, u_h, rules, params, stabilizer, refine_levels=0):
     centroids, u_c = np.einsum("tkd->td", coords) / 3.0, vals.sum(axis=1) / 3.0  # u_h at c
     grad_sq = l2_sq = 0.0
     for part in (chunk for rule, skip in parts for chunk in _chunks(rule, skip)):
+        u, grad_u = problem.u_and_grad(part.points)
         g = np.take(grad_h, part.owner, axis=0)
-        diff_grad = problem.grad_u(part.points) - g
+        diff_grad = grad_u - g
         grad_sq += float(part.weights @ np.einsum("qd,qd->q", diff_grad, diff_grad))
         offset = part.points - np.take(centroids, part.owner, axis=0)
-        diff = problem.u(part.points) - np.take(u_c, part.owner) - np.einsum("qd,qd->q", g, offset)
+        diff = u - np.take(u_c, part.owner) - np.einsum("qd,qd->q", g, offset)
         l2_sq += float(part.weights @ diff**2)
     rule_d = rules.dirichlet
     lam_d = _barycentric(coords, rule_d.points, rule_d.owner)
-    diff = problem.u(rule_d.points) - (lam_d * vals[rule_d.owner]).sum(axis=1)
+    diff = problem.u_and_grad(rule_d.points)[0] - (lam_d * vals[rule_d.owner]).sum(axis=1)
     trace_sq = float(rule_d.weights @ diff**2)
     energy = float(np.sqrt(grad_sq + trace_sq / h))
     return ErrorNorms(energy, energy_norm(u_h, stabilizer), float(np.sqrt(l2_sq)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cutpoisson.space import FeFunction
@@ -63,17 +64,20 @@ def _checked(K, x, b, dofmap, rtol, method, advice=""):
 
 
 def _solve(K, b, dofmap, rtol, symmetric=False):
-    """Solve ``K x = b`` by one factorization and check the residual.
+    """Solve ``K x = b`` (``K`` in CSR) by one factorization and check the residual.
 
     A zero load gives the zero solution without factoring.  ``symmetric``
-    selects the symmetric positive definite checks and ordering.
+    selects the symmetric positive definite checks and ordering, and reads the
+    CSR arrays of ``K`` as its CSC arrays: the residual check against ``K``
+    fails if ``K`` is not symmetric.
     """
     if not np.any(b):
         return _trivial(dofmap)
     advice = _SPD_ADVICE if symmetric else ""
     if symmetric and K.diagonal().min() <= 0.0:
         raise SolverError(f"nonpositive diagonal entry, the operator is not positive definite.{advice}")
-    lu = _factor(K, advice, **(_SYMMETRIC_ORDERING if symmetric else {}))
+    csc = sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape) if symmetric else K.tocsc()
+    lu = _factor(csc, advice, **(_SYMMETRIC_ORDERING if symmetric else {}))
     report = _checked(K, lu.solve(b), b, dofmap, rtol, "splu", advice)
     report.operator, report.factors = K, lu
     return report
@@ -82,13 +86,14 @@ def _solve(K, b, dofmap, rtol, symmetric=False):
 def solve_standard(matrices, dofmap, rtol=RESIDUAL_RTOL):
     """Solve the symmetric stabilized system by one sparse LU factorization.
 
-    The factorization uses the symmetric ordering above.  A nonpositive
+    The operator ``A + S`` is a sparse sum, which keeps no exact zeros, and
+    the factorization uses the symmetric ordering above.  A nonpositive
     diagonal, a failed factorization or a residual above ``rtol`` raises
     ``SolverError`` advising a larger penalty.  The report holds the factors
     for ``solve_regularized``; a caller that needs only the solution keeps
     ``.solution`` and lets them go.
     """
-    return _solve((matrices.A + matrices.S).tocsc(), matrices.b, dofmap, rtol, symmetric=True)
+    return _solve(matrices.A + matrices.S, matrices.b, dofmap, rtol, symmetric=True)
 
 
 def solve_regularized(matrices, dofmap, standard, rtol=RESIDUAL_RTOL):
@@ -107,8 +112,7 @@ def solve_regularized(matrices, dofmap, standard, rtol=RESIDUAL_RTOL):
     if not np.any(b):
         return _trivial(dofmap)
     K = matrices.A + matrices.S
-    W = (K - standard.operator).tocsr()
-    W.eliminate_zeros()
+    W = K - standard.operator  # a sparse difference keeps no exact zeros
     rows = np.flatnonzero(np.diff(W.indptr))
     W = W[rows]
     # one multi-column solve for [x0, Z]: the right-hand sides [b, E]
@@ -130,7 +134,7 @@ def solve_regularized_pivot(A_eps, S, b, u_h, dofmap, rtol=RESIDUAL_RTOL):
     Realizes the variant where the face stabilization acts on the already
     computed standard solution, so only the regularized operator is inverted.
     """
-    return _solve(A_eps.tocsc(), b - S @ u_h.coefficients, dofmap, rtol)
+    return _solve(A_eps.tocsr(), b - S @ u_h.coefficients, dofmap, rtol)
 
 
 def _power_iteration(apply_op, n, rtol, maxit, seed_vector=None):

@@ -16,6 +16,25 @@ import numpy as np
 from cutpoisson.geometry import cross2
 from cutpoisson.quadrature import _barycentric, _full_triangle_points
 
+# Grid offsets (di, dj) from vertex i (n + 1) + j to the vertices its P1 couplings and ghost
+# faces reach, in ascending order of the id offset 0, +-1, +-n, +-(n+1), +-(n+2), +-(n+3), +-(2n+3).
+STENCIL = np.array([(-2, -1), (-1, -2), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
+                    (1, -1), (1, 0), (1, 1), (1, 2), (2, 1)])
+_SLOT_OF = np.full((5, 5), -1)
+_SLOT_OF[tuple(STENCIL.T + 2)] = np.arange(len(STENCIL))
+# Offsets of the corners of triangles 2c (below the diagonal) and 2c + 1 from vertex v00 of cell c.
+CORNERS = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
+
+
+def stencil_slot(d):
+    """Index in ``STENCIL`` of grid offsets ``d`` (..., 2)."""
+    return _SLOT_OF[d[..., 0] + 2, d[..., 1] + 2]
+
+
+PAIR_SLOTS = stencil_slot(CORNERS[:, None] - CORNERS[:, :, None])  # [p, a, b]: corner b from a
+for _table in (STENCIL, _SLOT_OF, CORNERS, PAIR_SLOTS):
+    _table.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class DofMap:

@@ -12,8 +12,6 @@ from cutpoisson import geometry
 from cutpoisson.assembly import (
     NitscheParams,
     SystemMatrices,
-    _cutoff_weight,
-    _vector,
     assemble_ghost_penalty,
     assemble_load,
     assemble_nitsche,
@@ -36,12 +34,7 @@ from cutpoisson.geometry import (
 )
 from cutpoisson.mesh import _point_triangle_distance, build_background, classify
 from cutpoisson.quadrature import _barycentric, _tri_area, build_rules
-from cutpoisson.solve import (
-    condition_estimate,
-    solve_regularized,
-    solve_regularized_pivot,
-    solve_standard,
-)
+from cutpoisson.solve import condition_estimate, solve_regularized, solve_standard
 from cutpoisson.space import build_dofmap, clement_interpolate
 
 DEFAULT_BOX = (-1.0, -1.0, 1.0, 1.0)
@@ -49,7 +42,10 @@ DEFAULT_BOX = (-1.0, -1.0, 1.0, 1.0)
 
 @dataclass(frozen=True)
 class ManufacturedProblem:
-    """Analytic solution with matched data for the mixed boundary value problem."""
+    """Analytic solution with matched data for the mixed boundary value problem.
+
+    An optional ``joint(pts)`` returns ``(u(pts), grad_u(pts))`` bitwise from one evaluation.
+    """
 
     domain: LevelSetDomain
     u: object
@@ -60,6 +56,13 @@ class ManufacturedProblem:
     regularity_s: float
     singular_points: tuple = ()
     label: str = "problem"
+    joint: object = None
+
+    def u_and_grad(self, pts):
+        """The solution and its gradient at ``pts``."""
+        if self.joint is None:
+            return self.u(pts), self.grad_u(pts)
+        return self.joint(pts)
 
 
 def manufactured_smooth(domain):
@@ -116,14 +119,18 @@ def manufactured_singular(domain, junction_index=0):
         z = np.ascontiguousarray(pts, dtype=float).view(complex)[..., 0]
         return 1j * np.sqrt((z - zc) * -rotation)
 
+    def joint(pts):
+        s = root(pts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            G = (0.5 * rotation) / s
+        g = np.stack([G.imag, G.real], axis=-1)
+        return s.imag, np.where(np.isfinite(g), g, 0.0)
+
     def u(pts):
         return root(pts).imag
 
     def grad_u(pts):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            G = (0.5 * rotation) / root(pts)
-        g = np.stack([G.imag, G.real], axis=-1)
-        return np.where(np.isfinite(g), g, 0.0)
+        return joint(pts)[1]
 
     def f(pts):
         pts = np.asarray(pts, dtype=float)
@@ -133,7 +140,7 @@ def manufactured_singular(domain, junction_index=0):
         return np.sum(grad_u(pts) * outward_normal(domain, pts), axis=-1)
 
     return ManufacturedProblem(
-        domain, u, grad_u, f, u, g_N, 1.5, ((float(z0[0]), float(z0[1])),), "singular"
+        domain, u, grad_u, f, u, g_N, 1.5, ((float(z0[0]), float(z0[1])),), "singular", joint
     )
 
 
@@ -511,48 +518,6 @@ def regularization_coupling(
         gaps += _regularization_gaps(problem, dofmap, params, rules, [coeff * mesh.h**2])
     ratios = [gaps[i + 1] / gaps[i] for i in range(len(gaps) - 1) if gaps[i] > 0.0]
     return CouplingReport(list(levels), gaps, ratios)
-
-
-def verify_regularized_identity(
-    problem, n=16, epsilon=None, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10,
-    trials=20, seed=20260810,
-):
-    """Residual identity of the regularized method tested against random directions.
-
-    With the stabilizer acting on the standard solution, the regularized
-    residual at the exact solution reduces to the stabilizer term minus the
-    cutoff-weighted Neumann data pairing; this evaluates both sides and
-    returns the largest scaled mismatch.
-    """
-    mesh, topo, dofmap, params, rules = _discretize(problem.domain, n, box, tol, beta=beta, sigma=sigma)
-    domain = problem.domain
-    if epsilon is None:
-        epsilon = 0.1 * mesh.h**2
-    params_eps = params.with_epsilon(epsilon)
-    system = assemble_system(dofmap, rules, params, problem)
-    u_h = solve_standard(system, dofmap).solution
-    A_eps = assemble_regularized(system.A, dofmap, rules, params_eps, domain)
-    pivot = solve_regularized_pivot(A_eps, system.S, system.b, u_h, dofmap).solution
-
-    action_u = nitsche_action(dofmap, rules, params_eps, problem.u, problem.grad_u, domain)
-    lhs = action_u - A_eps @ pivot.coefficients
-
-    rule_n = rules.neumann
-    coords, _, dofs = dofmap.active_cells
-    lam = _barycentric(coords, rule_n.points, rule_n.owner)
-    chi = _cutoff_weight(domain, params_eps)
-    w = rule_n.weights * chi(rule_n.points) * problem.g_N(rule_n.points)
-    chi_load = _vector(dofmap.ndof, [dofs[rule_n.owner]], [lam * w[:, None]])
-    rhs = system.S @ u_h.coefficients - chi_load
-
-    rng = np.random.default_rng(seed)
-    scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()), 1.0)
-    worst = 0.0
-    for _ in range(trials):
-        v = rng.standard_normal(dofmap.ndof)
-        v /= np.linalg.norm(v)
-        worst = max(worst, abs(float(v @ (lhs - rhs))) / scale)
-    return worst
 
 
 def sweep_shifts(box, n, n_shifts):

@@ -6,12 +6,15 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from cutpoisson import LevelSetDomain, NitscheParams, assembly, build_dofmap, build_rules, classify
+from cutpoisson import LevelSetDomain, NitscheParams, space
 from cutpoisson.assembly import (
     ErrorNorms,
     _boundary_local,
     _cells_near,
+    _cell_scatter,
     _chunks,
+    _compress,
+    _cutoff_weight,
     _vector,
     assemble_boundary_mass,
     assemble_ghost_penalty,
@@ -29,14 +32,14 @@ from cutpoisson.assembly import (
 from cutpoisson.geometry import cutoff
 from cutpoisson.mesh import build_background
 from cutpoisson.quadrature import PackedRule, _barycentric, refine_rule_toward
-from cutpoisson.solve import solve_standard
-from cutpoisson.space import FeFunction, hat_gradients
+from cutpoisson.solve import solve_regularized_pivot, solve_standard
+from cutpoisson.space import FeFunction, face_normal, hat_gradients
 from cutpoisson.study import (
+    DEFAULT_BOX,
     consistency_residual,
     manufactured_singular,
     manufactured_smooth,
     sweep_shifts,
-    verify_regularized_identity,
 )
 from tests.conftest import jump_normal_gradient, make_discretization, reference_tolerance
 
@@ -229,6 +232,50 @@ def test_consistency_residual_smooth(domain_mixed):
     assert consistency_residual(problem, n=16) < 1e-6
 
 
+def verify_regularized_identity(
+    problem, n=16, epsilon=None, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10,
+    trials=20, seed=20260810,
+):
+    """Residual identity of the regularized method tested against random directions.
+
+    With the stabilizer acting on the standard solution, the regularized
+    residual at the exact solution reduces to the stabilizer term minus the
+    cutoff-weighted Neumann data pairing; this evaluates both sides and
+    returns the largest scaled mismatch.
+    """
+    mesh, topo, dofmap, params, rules = make_discretization(
+        problem.domain, n, box, tol, beta, sigma
+    )
+    domain = problem.domain
+    if epsilon is None:
+        epsilon = 0.1 * mesh.h**2
+    params_eps = params.with_epsilon(epsilon)
+    system = assemble_system(dofmap, rules, params, problem)
+    u_h = solve_standard(system, dofmap).solution
+    A_eps = assemble_regularized(system.A, dofmap, rules, params_eps, domain)
+    pivot = solve_regularized_pivot(A_eps, system.S, system.b, u_h, dofmap).solution
+
+    action_u = nitsche_action(dofmap, rules, params_eps, problem.u, problem.grad_u, domain)
+    lhs = action_u - A_eps @ pivot.coefficients
+
+    rule_n = rules.neumann
+    coords, _, dofs = dofmap.active_cells
+    lam = _barycentric(coords, rule_n.points, rule_n.owner)
+    chi = _cutoff_weight(domain, params_eps)
+    w = rule_n.weights * chi(rule_n.points) * problem.g_N(rule_n.points)
+    chi_load = _vector(dofmap.ndof, [dofs[rule_n.owner]], [lam * w[:, None]])
+    rhs = system.S @ u_h.coefficients - chi_load
+
+    rng = np.random.default_rng(seed)
+    scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()), 1.0)
+    worst = 0.0
+    for _ in range(trials):
+        v = rng.standard_normal(dofmap.ndof)
+        v /= np.linalg.norm(v)
+        worst = max(worst, abs(float(v @ (lhs - rhs))) / scale)
+    return worst
+
+
 def test_regularized_residual_identity(domain_mixed):
     """Residual of the regularized method equals the stabilizer minus the
     cutoff-weighted Neumann pairing, to quadrature tolerance."""
@@ -267,7 +314,7 @@ def test_refined_cells_match_distance_definition(domain_mixed):
 
 
 def _coo_accumulate_lexsort(ndof, dofs, blocks):
-    """Oracle: the scatter ordered by a three-key lexsort (row, column, insertion)."""
+    """Pattern oracle: the scatter ordered by a three-key lexsort (row, column, insertion)."""
     k = dofs.shape[1]
     r = np.repeat(dofs, k, axis=1).ravel()
     c = np.tile(dofs, (1, k)).ravel()
@@ -281,43 +328,182 @@ def _coo_accumulate_lexsort(ndof, dofs, blocks):
     return sp.csr_matrix((sums, (r[starts], c[starts])), shape=(ndof, ndof))
 
 
+def _add_at(ndof, rows, cols, values):
+    """Oracle: every entry summed from 0.0 in insertion order (``np.add.at``), exact zeros dropped."""
+    dense = np.zeros((ndof, ndof))
+    np.add.at(dense, (rows.ravel(), cols.ravel()), values.ravel())
+    return sp.csr_matrix(dense)
+
+
+def _blocks_add_at(ndof, dofs, blocks):
+    """Oracle: local blocks (m, k, k) on dofs (m, k) summed block by block."""
+    k = dofs.shape[1]
+    return _add_at(ndof, np.repeat(dofs, k, axis=1), np.tile(dofs, (1, k)), blocks)
+
+
+def _stiffness_add_at(dofmap, local):
+    """Oracle: per-cell stiffness blocks summed in slice order, (parity, i, j), then cell by cell."""
+    _, _, dofs = dofmap.active_cells
+    parity = dofmap.topology.active & 1
+    parts = [
+        (dofs[parity == p, i], dofs[parity == p, j], local[parity == p, i, j])
+        for p, i, j in np.ndindex(2, 3, 3)
+    ]
+    return _add_at(dofmap.ndof, *(np.concatenate(a) for a in zip(*parts)))
+
+
 def _csr_bits(M):
     return [(a.dtype.str, a.tobytes()) for a in (M.indptr, M.indices, M.data)]
 
 
-def test_coo_accumulate_matches_lexsort_oracle_on_random_blocks():
-    """Repeated dofs, within a block and across blocks, and the empty scatter."""
-    gen = np.random.default_rng(5)
-    for ndof, n, k in ((7, 40, 3), (50, 300, 4), (5, 0, 3)):
-        dofs = gen.integers(0, ndof, size=(n, k))
-        blocks = gen.standard_normal((n, k, k))
-        got = assembly._coo_accumulate(ndof, dofs, blocks)
-        assert _csr_bits(got) == _csr_bits(_coo_accumulate_lexsort(ndof, dofs, blocks))
+def _pattern(M):
+    M = M.tocsr()
+    M.eliminate_zeros()
+    return M.indptr.tolist(), M.indices.tolist()
 
 
-@pytest.mark.parametrize("n, shift", [(8, 0), (16, 7)])
-def test_coo_accumulate_matches_lexsort_oracle(domain_mixed, monkeypatch, n, shift):
-    """Every assembled operator is bitwise the lexsort scatter's, and A stays bitwise symmetric."""
+def test_cell_scatter_matches_the_add_at_and_lexsort_oracles_on_random_blocks(domain_mixed):
+    """Cells repeated within and across the draws, sums that cancel exactly, and no blocks."""
     mesh, topo, dofmap, params, rules = make_discretization(
-        domain_mixed, n, shift=sweep_shifts((-1, -1, 1, 1), n, 20)[shift]
+        domain_mixed, 16, shift=sweep_shifts((-1, -1, 1, 1), 16, 20)[7]
     )
+    _, _, dofs = dofmap.active_cells
+    gen = np.random.default_rng(5)
+    for m, draw in ((400, gen.standard_normal), (2000, lambda size: gen.integers(-2, 3, size) * 1.0), (0, None)):
+        cells = gen.integers(0, len(dofs), m)
+        blocks = draw((m, 3, 3)) if m else np.zeros((0, 3, 3))
+        got = _compress(dofmap, *_cell_scatter(dofmap, cells, blocks))
+        assert _csr_bits(got) == _csr_bits(_blocks_add_at(dofmap.ndof, dofs[cells], blocks))
+        assert _pattern(got) == _pattern(_coo_accumulate_lexsort(dofmap.ndof, dofs[cells], blocks))
+        assert np.all(got.data != 0.0) and got.shape == (dofmap.ndof, dofmap.ndof)
+    assert got.nnz == 0
 
-    def operators():
-        return [
-            assemble_stiffness(dofmap, rules),
-            assemble_boundary_mass(dofmap, rules),
-            cutoff_flux_neumann(dofmap, rules, domain_mixed, params.with_epsilon(0.1 * mesh.h**2)),
-            assemble_ghost_penalty(dofmap, rules, params),
-            assemble_nitsche(dofmap, rules, params),
-        ]
 
-    got = operators()
-    monkeypatch.setattr(assembly, "_coo_accumulate", _coo_accumulate_lexsort)
-    want = operators()
-    for g, w in zip(got, want):
-        assert _csr_bits(g) == _csr_bits(w)
-    A = got[-1].toarray()
-    assert np.array_equal(A, A.T)
+def _ghost_blocks_sorted(dofmap, rules, params):
+    """Oracle: ghost-penalty blocks on the four face vertices in ascending order, by a stable sort."""
+    mesh = dofmap.mesh
+    faces = dofmap.topology.ghost_faces
+    t1, t2 = mesh.face_tris[faces].T
+    n1 = face_normal(mesh, faces, t1)
+    vids = np.concatenate([mesh.triangles[t1], mesh.triangles[t2]], axis=1)
+    ref = dofmap.reference_gradients
+    flux = [np.einsum("fkd,fd->fk", ref[t & 1], n1) for t in (t1, t2)]
+    flux = np.concatenate([flux[0], -flux[1]], axis=1)
+    order = np.argsort(vids, axis=1, kind="stable")
+    vids, flux = (np.take_along_axis(a, order, axis=1) for a in (vids, flux))
+    first = np.c_[np.ones((len(faces), 1), dtype=bool), vids[:, 1:] != vids[:, :-1]]
+    jump = np.zeros((len(faces), 4))
+    np.add.at(jump, (np.arange(len(faces))[:, None], np.cumsum(first, axis=1) - 1), flux)
+    scale = params.sigma * mesh.h * rules.face_lengths
+    local = scale[:, None, None] * (jump[:, :, None] * jump[:, None, :])
+    return dofmap.vertex_to_dof[vids[first].reshape(-1, 4)], local
+
+
+def _operator_oracles(domain, dofmap, rules, params, scatter):
+    """The operators from their local blocks through ``scatter(ndof, dofs, blocks)``, combined as CSR."""
+    coords, grads, dofs = dofmap.active_cells
+    h = dofmap.mesh.h
+
+    def boundary(rule, weight=None):
+        lam, flux, w = _boundary_local(coords, grads, rule, weight)
+        scaled = lam * np.sqrt(w)[:, None]
+        mass = scaled[:, :, None] * scaled[:, None, :]
+        return scatter(dofmap.ndof, dofs[rule.owner], mass), scatter(
+            dofmap.ndof, dofs[rule.owner], lam[:, :, None] * (flux * w[:, None])[:, None, :]
+        )
+
+    masses = np.bincount(rules.volume.owner, rules.volume.weights, minlength=len(dofs))
+    ref = dofmap.reference_gradients
+    local = (ref @ ref.transpose(0, 2, 1))[dofmap.topology.active & 1] * masses[:, None, None]
+    K = _stiffness_add_at(dofmap, local) if scatter is _blocks_add_at else scatter(dofmap.ndof, dofs, local)
+    M, B = boundary(rules.dirichlet)
+    params_eps = params.with_epsilon(0.1 * h**2)
+    C = boundary(rules.neumann, _cutoff_weight(domain, params_eps))[1]
+    S = scatter(dofmap.ndof, *_ghost_blocks_sorted(dofmap, rules, params))
+    A = K - (B + B.T) + (params.beta / h) * M
+    return {
+        "K": K, "M": M, "C": C, "S": S, "A": A, "A + S": A + S, "G": K + M / h + S,
+        "A_eps": A - C,
+    }
+
+
+def _operators(domain, dofmap, rules, params):
+    params_eps = params.with_epsilon(0.1 * dofmap.mesh.h**2)
+    A = assemble_nitsche(dofmap, rules, params)
+    S = assemble_ghost_penalty(dofmap, rules, params)
+    return {
+        "K": assemble_stiffness(dofmap, rules),
+        "M": assemble_boundary_mass(dofmap, rules),
+        "C": cutoff_flux_neumann(dofmap, rules, domain, params_eps),
+        "S": S,
+        "A": A,
+        "A + S": A + S,
+        "G": energy_gram(dofmap, rules, params, stabilizer=S),
+        "A_eps": assemble_regularized(A, dofmap, rules, params_eps, domain),
+    }
+
+
+OPERATOR_GRIDS = [(8, 0), (16, 3), (16, 7), (16, 13), (64, 0)]
+
+
+def _grid(domain, n, shift):
+    return make_discretization(domain, n, shift=sweep_shifts((-1, -1, 1, 1), n, 20)[shift])
+
+
+@pytest.mark.parametrize("n, shift", OPERATOR_GRIDS)
+def test_operators_match_the_add_at_and_lexsort_oracles(domain_mixed, n, shift):
+    """Every operator is bitwise the insertion-order scatter's and has the lexsort scatter's
+    couplings, with no stored zeros; A, S and A + S are bitwise symmetric."""
+    mesh, topo, dofmap, params, rules = _grid(domain_mixed, n, shift)
+    got = _operators(domain_mixed, dofmap, rules, params)
+    bitwise = _operator_oracles(domain_mixed, dofmap, rules, params, _blocks_add_at)
+    pattern = _operator_oracles(domain_mixed, dofmap, rules, params, _coo_accumulate_lexsort)
+    for name, M in got.items():
+        assert M.format == "csr" and np.all(M.data != 0.0), name
+        assert _csr_bits(M) == _csr_bits(bitwise[name].tocsr()), name
+        assert _pattern(M) == _pattern(pattern[name]), name
+    for name in ("A", "S", "A + S", "K", "M", "G"):
+        assert (got[name] != got[name].T).nnz == 0, name
+
+
+@pytest.mark.parametrize("n, shift", OPERATOR_GRIDS)
+def test_factored_operator_has_the_lexsort_couplings_and_no_zeros(domain_mixed, n, shift):
+    mesh, topo, dofmap, params, rules = _grid(domain_mixed, n, shift)
+    system = assemble_system(dofmap, rules, params, manufactured_singular(domain_mixed))
+    K = solve_standard(system, dofmap).operator
+    pattern = _operator_oracles(domain_mixed, dofmap, rules, params, _coo_accumulate_lexsort)
+    assert _pattern(K) == _pattern(pattern["A + S"])
+    assert np.all(K.data != 0.0) and (K != K.T).nnz == 0
+
+
+def test_empty_rules_give_zero_operators(domain_mixed, domain_dirichlet):
+    """No Neumann points on the Dirichlet disk, no Dirichlet points on the Neumann disk."""
+    neumann_disk = LevelSetDomain(domain_mixed.center, domain_mixed.radius, ())
+    for domain, empty in ((domain_dirichlet, "neumann"), (neumann_disk, "dirichlet")):
+        mesh, topo, dofmap, params, rules = make_discretization(domain, 16)
+        assert len(getattr(rules, empty).weights) == 0
+        params_eps = params.with_epsilon(0.1 * mesh.h**2)
+        ops = [cutoff_flux_neumann(dofmap, rules, domain, params_eps)]
+        if empty == "dirichlet":
+            ops.append(assemble_boundary_mass(dofmap, rules))
+        for M in ops:
+            assert M.shape == (dofmap.ndof, dofmap.ndof) and M.dtype == np.float64 and M.nnz == 0
+
+
+def test_shared_pattern_arrays_are_read_only_and_unchanged(domain_mixed):
+    """The stencil tables and the dofmap's cached cell arrays, which every operator reads."""
+    mesh, topo, dofmap, params, rules = _grid(domain_mixed, 16, 7)
+    shared = [space.STENCIL, space.CORNERS, space.PAIR_SLOTS, dofmap.reference_gradients]
+    shared += dofmap.active_cells
+    before = [a.copy() for a in shared]
+    _operators(domain_mixed, dofmap, rules, params)
+    solve_standard(assemble_system(dofmap, rules, params, manufactured_smooth(domain_mixed)), dofmap)
+    for a, b in zip(shared, before):
+        assert not a.flags.writeable
+        assert np.array_equal(a, b)
+    assert all(a is b for a, b in zip(shared[3:], [dofmap.reference_gradients, *dofmap.active_cells]))
+    with pytest.raises(ValueError, match="read-only"):
+        space.PAIR_SLOTS[0, 0, 0] = 0
 
 
 def boundary_load_pointwise(dofmap, rules, params, data):
@@ -430,8 +616,7 @@ def _stiffness_einsum(dofmap, rules):
     coords, _, dofs = dofmap.active_cells
     grads = hat_gradients(coords)
     masses = np.bincount(rules.volume.owner, rules.volume.weights, minlength=len(dofs))
-    local = np.einsum("tid,tjd,t->tij", grads, grads, masses)
-    return assembly._coo_accumulate(dofmap.ndof, dofs, local)
+    return _stiffness_add_at(dofmap, np.einsum("tid,tjd,t->tij", grads, grads, masses))
 
 
 @pytest.mark.parametrize("n", [8, 32])

@@ -25,6 +25,7 @@ from cutpoisson.solve import (
 from cutpoisson.study import (
     condition_sweep,
     convergence_level,
+    manufactured_singular,
     manufactured_smooth,
     regularization_study,
 )
@@ -77,6 +78,18 @@ def test_monotone_refinement(domain_dirichlet):
     e16 = convergence_level(problem, 16).energy
     e32 = convergence_level(problem, 32).energy
     assert e32 < e16
+
+
+def test_singular_level_factors_with_the_pinned_fill(domain_mixed):
+    """The singular mixed level at n = 64 factors with 49,710 L + U nonzeros.
+
+    A stored zero that reached the factorization would count as a coupling
+    and add fill (and time) without changing the solution.
+    """
+    problem = manufactured_singular(domain_mixed)
+    mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, 64)
+    report = solve_standard(assemble_system(dofmap, rules, params, problem), dofmap)
+    assert report.factors.L.nnz + report.factors.U.nnz == 49710
 
 
 def test_regularized_limit_matches_standard(domain_mixed):

@@ -113,6 +113,24 @@ def test_singular_solution_matches_polar_oracle(center, radius, arcs):
         assert np.array_equal(problem.grad_u(z0[None]), [[0.0, 0.0]])
 
 
+@pytest.mark.parametrize("kind", ["smooth", "singular"])
+def test_u_and_grad_is_bitwise_the_two_calls(domain_mixed, kind):
+    """Random points, the junction z0 (where grad u is set to 0) and the branch ray."""
+    if kind == "smooth":
+        problem = manufactured_smooth(domain_mixed)
+    else:
+        problem = manufactured_singular(domain_mixed, 0)
+    z0, direction, *_ = _polar_singular(domain_mixed, 0)
+    rng = np.random.default_rng(11)
+    ray = z0 + (10.0 ** rng.uniform(-14.0, 0.0, 50))[:, None] * direction
+    for pts in (rng.uniform(-1.0, 1.0, (500, 2)), z0, z0[None], ray, rng.uniform(-1.0, 1.0, (3, 4, 2))):
+        u, grad = problem.u_and_grad(pts)
+        assert u.tobytes() == problem.u(pts).tobytes() and u.shape == np.shape(pts)[:-1]
+        assert grad.tobytes() == problem.grad_u(pts).tobytes() and grad.shape == np.shape(pts)
+    if kind == "singular":
+        assert np.array_equal(problem.u_and_grad(z0)[1], [0.0, 0.0])
+
+
 def test_singular_problem_needs_junction(domain_dirichlet):
     with pytest.raises(ValueError):
         manufactured_singular(domain_dirichlet)
