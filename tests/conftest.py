@@ -84,3 +84,40 @@ def reference_tolerance(mesh, box, n):
     """
     cell = min(box[2] - box[0], box[3] - box[1]) / n
     return max(1e-13, 4.0 * np.finfo(float).eps * np.abs(mesh.vertices).max() / cell)
+
+
+def exact_disk_triangle_area(tri, center, radius):
+    """Oracle: area of a triangle's intersection with a disk, in closed form.
+
+    Each edge (a, b) contributes the signed area of the disk's intersection
+    with the triangle (center, a, b): straight where the edge runs inside the
+    disk, a circular sector where it runs outside.  The sum cancels terms as
+    large as radius * diameter, which costs a float64 sum up to about 1e-12
+    of a small cell's area, so it runs in ``np.longdouble`` (see ``ORACLE_EPS``).
+    """
+    ld = np.longdouble
+    tri = np.asarray(tri, dtype=float).astype(ld) - np.asarray(center, dtype=float).astype(ld)
+    r2 = ld(radius) * ld(radius)
+    total = ld(0.0)
+    for a, b in zip(tri, np.roll(tri, -1, axis=0)):
+        d = b - a
+        qa, qb, qc = d @ d, 2 * (a @ d), a @ a - r2
+        disc = qb * qb - 4 * qa * qc
+        ts = [ld(0.0), ld(1.0)]
+        if disc > 0:
+            s = np.sqrt(disc)
+            ts = sorted(ts + [t for t in ((-qb - s) / (2 * qa), (-qb + s) / (2 * qa)) if 0 < t < 1])
+        for t0, t1 in zip(ts[:-1], ts[1:]):
+            p, q = a + t0 * d, a + t1 * d
+            mid = a + (t0 + t1) / 2 * d
+            cross = p[0] * q[1] - p[1] * q[0]
+            if mid @ mid <= r2:
+                total += cross / 2
+            else:
+                total += r2 / 2 * np.arctan2(cross, p @ q)
+    return float(abs(total))
+
+
+# Unit roundoff of ``exact_disk_triangle_area``: about 1.1e-19 where long double is
+# the x87 extended format, 1.1e-16 where it is plain float64.
+ORACLE_EPS = float(np.finfo(np.longdouble).eps)

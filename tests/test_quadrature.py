@@ -16,7 +16,7 @@ from cutpoisson.quadrature import (
     refine_rule_toward,
 )
 from cutpoisson.study import sweep_shifts
-from tests.conftest import boundary_is_dirichlet
+from tests.conftest import boundary_is_dirichlet, exact_disk_triangle_area
 
 
 def disk_rules(domain, n, tol=1e-10, box=(-1.0, -1.0, 1.0, 1.0)):
@@ -138,33 +138,6 @@ def test_packed_interior_rule_equals_cut_volume_rule(domain_mixed):
             rule = cut_volume_rule(mesh.triangle_coords(topo.active[k]), domain_mixed)
             assert np.array_equal(vol.points[vol.owner == k], rule.points)
             assert np.array_equal(vol.weights[vol.owner == k], rule.weights)
-
-
-def exact_disk_triangle_area(tri, center, radius):
-    """Area of a triangle's intersection with a disk, in closed form.
-
-    Each edge (a, b) contributes the signed area of the disk's intersection
-    with the triangle (center, a, b): straight where the edge runs inside the
-    disk, a circular sector where it runs outside.
-    """
-    total = 0.0
-    for a, b in zip(tri - center, np.roll(tri, -1, axis=0) - center):
-        d = b - a
-        qa, qb, qc = d @ d, 2.0 * (a @ d), a @ a - radius**2
-        disc = qb * qb - 4.0 * qa * qc
-        ts = [0.0, 1.0]
-        if disc > 0.0:
-            roots = ((-qb - math.sqrt(disc)) / (2 * qa), (-qb + math.sqrt(disc)) / (2 * qa))
-            ts = sorted(ts + [t for t in roots if 0.0 < t < 1.0])
-        for t0, t1 in zip(ts[:-1], ts[1:]):
-            p, q = a + t0 * d, a + t1 * d
-            mid = a + 0.5 * (t0 + t1) * d
-            cross = p[0] * q[1] - p[1] * q[0]
-            if mid @ mid <= radius**2:
-                total += 0.5 * cross
-            else:
-                total += 0.5 * radius**2 * math.atan2(cross, p @ q)
-    return abs(total)
 
 
 UNIT_MIXED = LevelSetDomain((0.0, 0.0), 1.0, ((0.0, math.pi),))
