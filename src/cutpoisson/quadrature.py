@@ -4,15 +4,17 @@ Every rule is built for a whole stack of triangles (m, 3, 2) at once and comes
 back as flat arrays with an owner index per point; ``cut_volume_rule`` and
 ``cut_boundary_rule`` are the one-cell calls of the same code.
 
-Volume rules advance a breadth-first frontier of open leaves, one array step
-per subdivision depth.  A leaf inside the disk gets the degree-4 rule, a leaf
-certified outside is dropped, and a leaf below the sloppy floor is decided by
-its centroid.  A boundary leaf that the circle crosses in one clean, gently
-curved arc takes the chord split: the part of the leaf on the center's side of
-the chord is fan-triangulated, and the circular segment between chord and arc
-gets a product rule whose mass must match the exact segment area.  Every other
-boundary leaf is split into four for the next step, so the mass of each cell
-matches the exact intersection area up to the requested tolerance.
+Volume rules are exact in their geometry and subdivide nothing.  A triangle
+inside the disk takes the degree-4 rule.  For any other triangle T the set
+T ∩ D is convex: its boundary is the parts of T's edges inside the disk and
+the arcs of the circle inside T.  With each arc split into pieces of at most
+0.25 rad and each piece replaced by its chord, T ∩ D is a convex polygon plus
+one circular segment per piece.  The polygon's vertices are T's vertices
+inside the disk, the edge crossings and the piece ends, in the order of a walk
+around T from vertex 0; it is fan-triangulated from its first vertex and takes
+the degree-4 rule.  Each segment takes a product Gauss rule, and its order in
+the angle is all that the tolerance selects.  This is the construction of
+Burman et al. (IJNME 2015) and Fries & Omerović (IJNME 2016) for a circle.
 
 Boundary rules are a flat table of angular panels (owner, b0, b1): the arcs
 between the circle's crossings of each triangle, split at the boundary-condition
@@ -21,11 +23,11 @@ toward the ``grade_angles``.  One Gauss map turns all panels into points, and
 every panel is purely Dirichlet or purely Neumann.
 
 ``build_rules`` packs the rules of all active cells.  Inside cells take the
-degree-4 rule directly, so only cut cells enter the volume frontier, and ghost
+degree-4 rule directly, so only cut cells build chord polygons, and ghost
 faces keep only their lengths, since the jump of a P1 normal gradient is
 constant on a face.  ``refine_rule_toward`` grades a whole stack of cells
-toward their singular points and sends all their leaves through one frontier,
-with owner the cell's position in the stack.
+toward their singular points and sends all their leaves through one
+``cut_volume_rules`` call, with owner the cell's position in the stack.
 """
 
 from __future__ import annotations
@@ -47,16 +49,9 @@ from cutpoisson.geometry import (
 from cutpoisson.mesh import CUT, _point_triangle_distance
 
 DEFAULT_TOL = 1e-10
-# below this the crossing roots and the mass floor no longer hold the volume mass contract
+# the round-off floor: below it the rounding of the crossings and of the fan
+# triangles, not the segment order, sets a cut cell's mass error
 MIN_TOL = 1e-12
-
-
-class QuadratureToleranceError(RuntimeError):
-    """Raised when subdivision cannot reach the requested tolerance."""
-
-    def __init__(self, message, achieved):
-        super().__init__(f"{message} (achieved absolute error estimate {achieved:.3e})")
-        self.achieved = achieved
 
 
 @dataclass(frozen=True)
@@ -96,8 +91,19 @@ _D4_BARY = np.array(
 )
 _D4_W = np.array([_D4_W1, _D4_W1, _D4_W1, _D4_W2, _D4_W2, _D4_W2])
 
-# Fractions of the arc at which the chord split checks that the arc stays in the leaf.
-_ARC_SAMPLES = np.linspace(0.05, 0.95, 9)
+# Widest arc piece of a volume rule.  Every arc of the R = 0.7 disk on the
+# n >= 16 grids of [-1, 1]^2, shifted or not, is at most 0.238 rad, so there
+# each arc is one piece.
+_MAX_PIECE = 0.25
+
+# Relative mass error of the segment rule on a 0.25 rad piece, by its Gauss order
+# in the angle (the three radial points integrate the Jacobian r exactly):
+#   order   2        3        4        5        6
+#   error   1.4e-3   3.2e-6   6.6e-9   1.3e-11  3.8e-14
+# A segment lies in its cell, so the lowest order whose error is at most tol
+# keeps the cell's mass within tol times its area: tolerances 1e-2, 1e-4 and
+# 1e-6 take orders 2, 3 and 4, and 1e-8, 1e-10 and 1e-12 take 4, 5 and 6.
+_SEGMENT_ERRORS = {2: 1.4e-3, 3: 3.2e-6, 4: 6.6e-9, 5: 1.3e-11, 6: 3.8e-14}
 
 
 def _tri_area(coords):
@@ -166,189 +172,123 @@ def _subdivide(tris):
 
 
 def _segment_order(tol):
-    return int(min(8, max(1, math.ceil(-math.log10(tol) / 2.0))))
+    return next(n for n, err in _SEGMENT_ERRORS.items() if err <= tol)
 
 
 def _segment_rules(domain, psi_a, alpha, n_psi, n_r=3):
     """Product rules on the circular segments between the chords and the minor arcs.
 
     Each segment is parameterized by the angle psi in [psi_a, psi_a + alpha]
-    and the radius from the chord to the circle.  Returns points (k, q, 2),
-    weights (k, q) and the exact segment areas (k,).
+    and the radius from the chord to the circle.  Returns points (k, q, 2) and
+    weights (k, q).
     """
     radius = domain.radius
     gn, gw = _gauss(n_psi)
     rn, rw = _gauss(n_r)
-    d_chord = radius * np.cos(0.5 * alpha)
-    psi_mid = psi_a + 0.5 * alpha
-    psi = psi_mid[:, None] + 0.5 * alpha[:, None] * gn
-    w_psi = 0.5 * alpha[:, None] * gw
-    r0 = d_chord[:, None] / np.cos(psi - psi_mid[:, None])
-    half = 0.5 * (radius - r0)
-    r = r0[..., None] + half[..., None] * (rn + 1.0)
-    w = (w_psi * half)[..., None] * rw * r
+    a = 0.5 * alpha[:, None]
+    psi = psi_a[:, None] + a * (1.0 + gn)
+    # half the depth R - r0 at psi of the segment behind the chord r0 = R cos(a) / cos(a gn),
+    # written as a product so that it keeps its precision on narrow segments
+    half = radius * np.sin(0.5 * a * (1.0 + gn)) * np.sin(0.5 * a * (1.0 - gn)) / np.cos(a * gn)
+    r = radius - half[..., None] * (1.0 - rn)
+    w = (a * gw * half)[..., None] * rw * r
     e, _ = _on_circle(domain, psi)
     pts = domain.center_array + r[..., None] * e[:, :, None, :]
-    area = 0.5 * radius * radius * (alpha - np.sin(alpha))
     q = n_psi * n_r
-    return pts.reshape(len(alpha), q, 2), w.reshape(len(alpha), q), area
+    return pts.reshape(len(alpha), q, 2), w.reshape(len(alpha), q)
 
 
-def _chord_split(tris, phi, domain):
-    """The leaves that the circle crosses in a single clean, gently curved arc.
+def _chord_polygons(tris, domain):
+    """Degree-4 rules on the fan of each triangle's chord polygon, and the arc pieces beyond it.
 
-    Returns their indices, the first chord end p_a and the chord direction
-    (k, 2), and the start angle and angle of the minor arc between the ends.
-    A leaf is refused when a vertex lies on the circle, a crossing falls at or
-    near a vertex, the crossings are not exactly two or nearly coincide, both
-    cross one edge with the leaf on the center's side of it, the arc is wider
-    than 0.8, or the arc leaves the triangle.
+    The polygon's vertices are the ends of each edge's part inside the disk
+    and the inner piece ends of each arc.  T ∩ D is convex, so they go around
+    it in the order of their angles about their mean; the fan starts where a
+    walk around T from vertex 0 does.  The polygon is built relative to
+    vertex 0, so that its fan areas keep the precision of the cell's size
+    rather than of its coordinates.  Returns the fan points (f, 6, 2),
+    weights (f, 6) and owners (f,), and the pieces as (owner, start angle,
+    end angle).
     """
-    center, radius = domain.center_array, domain.radius
-    t, d = _edge_roots(tris, center, radius)
-    t = t.reshape(len(tris), 6)
-    hit = (t >= -1e-9) & (t <= 1.0 + 1e-9)
-    clean = (t > 1e-9) & (t < 1.0 - 1e-9)
-    keep = np.flatnonzero(
-        ~np.any(np.abs(phi) <= 1e-13 * radius, axis=1)
-        & ~np.any(hit & ~clean, axis=1)
-        & (hit.sum(axis=1) == 2)
-    )
-    slot = np.argsort(~hit[keep], axis=1, kind="stable")[:, :2]  # the two crossings, in edge order
-    edge = slot // 2
-    rows = keep[:, None]
-    ends = tris[rows, edge] + np.take_along_axis(t[keep], slot, axis=1)[..., None] * d[rows, edge]
-    p_a, p_b = ends[:, 0], ends[:, 1]
+    m, radius = len(tris), domain.radius
+    origin = tris[:, 0]
+    local = tris - origin[:, None]
+    t, _ = _edge_roots(tris, domain.center_array, radius)
+    inner = np.stack([np.maximum(t[..., 0], 0.0), np.minimum(t[..., 1], 1.0)], axis=-1)
+    on = inner[..., 0] <= inner[..., 1]  # False where the edge's line misses the circle
+    nxt = np.roll(local, -1, axis=1)[:, :, None]
+    ends = (1.0 - inner[..., None]) * local[:, :, None] + inner[..., None] * nxt  # (m, 3, 2, 2)
 
-    ok = np.linalg.norm(p_a - p_b, axis=-1) > 1e-12 * radius  # not a near-tangent double root
-    # with both crossings on one edge, the leaf must lie beyond that edge from the center,
-    # or the part kept on the center's side of the chord is not inside the disk
-    base, along = tris[keep, edge[:, 0]], d[keep, edge[:, 0]]
-    opposite = tris[keep, (edge[:, 0] + 2) % 3]
-    beyond = cross2(along, opposite - base) * cross2(along, center - base) < 0.0
-    same_edge = edge[:, 0] == edge[:, 1]
-    ok &= ~same_edge | beyond
-    # two crossings of one edge span that edge exactly; the difference of the rounded,
-    # nearly coinciding ends would tilt the chord across the whole leaf
-    chord = np.where(same_edge[:, None], along, p_b - p_a)
-    rel = ends - center
-    psi = np.arctan2(rel[..., 1], rel[..., 0])
-    alpha = _wrap(psi[:, 1] - psi[:, 0])
-    major = alpha > math.pi
-    psi_a = np.where(major, psi[:, 1], psi[:, 0])
-    alpha = np.where(major, TWO_PI - alpha, alpha)
-    ok &= alpha <= 0.8  # keep the product rule on a gently curved arc
-    _, arc = _on_circle(domain, psi_a[:, None] + alpha[:, None] * _ARC_SAMPLES)
-    inside = _in_triangles(tris, arc.reshape(-1, 2), keep.repeat(len(_ARC_SAMPLES)))
-    ok &= inside.reshape(len(keep), len(_ARC_SAMPLES)).all(axis=1)
-    return keep[ok], p_a[ok], chord[ok], psi_a[ok], alpha[ok]
+    owner, start, width = _arcs(tris, domain)
+    arc, lo, hi, step = _equal_pieces(start, start + width, _MAX_PIECE)
+    # every piece start is a vertex but an arc's start on an edge; a circle inside T has none
+    corner = (step > 0) | ~on.any(axis=1)[owner[arc]]
+    center = domain.center_array - origin[owner[arc[corner]]]
+    corners = center + radius * _on_circle(domain, lo[corner])[0]
 
+    # in walk order first: edge k's inside part, k = 0, 1, 2, then the piece ends
+    real = on.repeat(2, axis=1).ravel()
+    vertices = np.concatenate([ends.reshape(-1, 2)[real], corners])
+    cell = np.concatenate([np.arange(m).repeat(6)[real], owner[arc[corner]]])
+    count = np.bincount(cell, minlength=m)
+    mean = np.column_stack([np.bincount(cell, v, m) for v in vertices.T])[cell] / count[cell, None]
+    rel = vertices - mean
+    by_angle = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), cell))
+    head = np.cumsum(count) - count
+    rank = np.empty_like(by_angle)
+    rank[by_angle] = np.arange(len(cell)) - head[cell[by_angle]]
+    first = np.full(m, len(cell))
+    np.minimum.at(first, cell, np.arange(len(cell)))
+    turn = (rank - rank[first[cell]]) % count[cell]
+    walk = np.empty_like(by_angle)
+    walk[head[cell] + turn] = np.arange(len(cell))
+    vertices, cell = vertices[walk], cell[walk]
 
-def _clip_fan(tris, origin, normal):
-    """Fan triangles (k, 2, 3, 2) of the parts of ``tris`` where (x - origin) . normal <= 0.
-
-    Also returns which of the two fan triangles exist and have positive area.
-    """
-    vi = ((tris - origin[:, None]) * normal[:, None]).sum(axis=-1)
-    vj = np.roll(vi, -1, axis=1)
-    nxt = np.roll(tris, -1, axis=1)
-    t = np.divide(vi, vi - vj, out=np.zeros_like(vi), where=vi != vj)
-    crossing = ((vi > 0.0) != (vj > 0.0)) & (vi != vj) & (0.0 < t) & (t < 1.0)
-    cut = tris + t[..., None] * (nxt - tris)
-    # polygon vertices in boundary order: each kept vertex, then its edge's crossing
-    candidates = np.stack([tris, cut], axis=2).reshape(len(tris), 6, 2)
-    kept = np.stack([vi <= 0.0, crossing], axis=2).reshape(len(tris), 6)
-    order = np.argsort(~kept, axis=1, kind="stable")[:, :4]
-    poly = np.take_along_axis(candidates, order[..., None], axis=1)
-    fan = np.stack([poly[:, [0, 1, 2]], poly[:, [0, 2, 3]]], axis=1)
-    valid = (kept.sum(axis=1)[:, None] >= (3, 4)) & (_tri_area(fan) > 0.0)
-    return fan, valid
+    rank = np.arange(len(cell)) - head[cell]
+    mid = np.flatnonzero((rank >= 1) & (rank <= count[cell] - 2))
+    fans = np.stack([vertices[head[cell[mid]]], vertices[mid], vertices[mid + 1]], axis=1)
+    kept = _tri_area(fans) > 0.0  # drops the fans of repeated vertices
+    points, weights = _full_triangle_points(fans[kept])
+    cell = cell[mid[kept]]
+    return points + origin[cell, None], weights, cell, owner[arc], lo, hi
 
 
-def cut_volume_rules(triangles, domain, tol=DEFAULT_TOL, max_depth=48):
+def cut_volume_rules(triangles, domain, tol=DEFAULT_TOL):
     """Quadrature over the intersection of each triangle of a stack (m, 3, 2) with the domain.
 
     Returns a ``PackedRule`` sorted by owner, the triangle's position in the
-    stack.  Uncut triangles get the degree-4 rule; the mass of each cut
-    triangle's rule matches the exact intersection area within ``tol`` times
-    the triangle's area; ``tol`` below ``MIN_TOL`` raises ``ValueError``.
+    stack.  A triangle inside the disk gets the degree-4 rule.  Any other
+    triangle gets the degree-4 rule on the fan of its chord polygon and a
+    segment rule on each arc piece; its mass matches the exact intersection
+    area within ``tol`` times the triangle's area.  ``tol`` below ``MIN_TOL``
+    raises ``ValueError``.
     """
     if not tol >= MIN_TOL:
         raise ValueError(f"quadrature tolerance {tol:g} is below the floor {MIN_TOL:g}")
     tris = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
     e = tris[:, 1:] - tris[:, :1]
     tris = np.where((cross2(e[:, 0], e[:, 1]) < 0.0)[:, None, None], tris[:, ::-1], tris)
-    area0 = _tri_area(tris)
-    diam0 = _tri_diam(tris)
-    if np.any(area0 == 0.0):
+    if np.any(_tri_area(tris) == 0.0):
         raise ValueError("degenerate triangle")
 
-    sloppy_floor = np.maximum(tol * area0 / diam0, 1e-9 * diam0)
-    mass_floor = 1e-16 * area0
-    n_psi = _segment_order(tol)
-    center, radius = domain.center_array, domain.radius
-
-    out = []  # (points (k, q, 2), weights (k, q), owner (k,)) per emitted block
-    err_estimate = np.zeros(len(tris))
-
-    def emit_full(leaves, owner):
-        out.append((*_full_triangle_points(leaves), owner))
-
-    owner = np.arange(len(tris))
-    for depth in range(max_depth + 1):
-        phi = signed_distance(domain, tris)
-        diam = _tri_diam(tris)
-        inside = np.all(phi <= 0.0, axis=1)
-        emit_full(tris[inside], owner[inside])
-        # a leaf with all vertices outside is dropped when the disk cannot reach it
-        dropped = np.all(phi > 0.0, axis=1) & (
-            (phi.min(axis=1) > diam) | (_point_triangle_distance(center, tris) >= radius)
-        )
-        live = ~inside & ~dropped
-
-        sloppy = live & (diam <= sloppy_floor[owner])
-        err_estimate += np.bincount(owner[sloppy], _tri_area(tris[sloppy]), len(err_estimate))
-        filled = np.flatnonzero(sloppy)
-        filled = filled[signed_distance(domain, tris[filled].mean(axis=1)) <= 0.0]
-        emit_full(tris[filled], owner[filled])
-
-        live &= ~sloppy
-        tris, owner, phi = tris[live], owner[live], phi[live]
-        split, p_a, chord, psi_a, alpha = _chord_split(tris, phi, domain)
-        seg_pts, seg_wts, seg_area = _segment_rules(domain, psi_a, alpha, n_psi)
-        seg_err = np.abs(seg_wts.sum(axis=1) - seg_area)
-        budget = np.maximum(tol * _tri_area(tris[split]), mass_floor[owner[split]])
-        within = seg_err <= budget
-        split, p_a, chord = split[within], p_a[within], chord[within]
-        normal = np.stack([-chord[:, 1], chord[:, 0]], axis=1)
-        normal[((center - p_a) * normal).sum(axis=1) > 0.0] *= -1.0  # keep the center's side
-        fan, valid = _clip_fan(tris[split], p_a, normal)
-        sub, piece = np.nonzero(valid)
-        emit_full(fan[sub, piece], owner[split][sub])
-        out.append((seg_pts[within], seg_wts[within], owner[split]))
-        err_estimate += np.bincount(owner[split], seg_err[within], len(err_estimate))
-
-        rest = np.ones(len(tris), dtype=bool)
-        rest[split] = False
-        if not rest.any():
-            break
-        if depth == max_depth:
-            raise QuadratureToleranceError(
-                "cut volume rule ran out of subdivision depth",
-                err_estimate[owner[rest][0]],
-            )
-        tris, owner = _subdivide(tris[rest]), owner[rest].repeat(4)
-
-    points = np.concatenate([p.reshape(-1, 2) for p, _, _ in out])
-    weights = np.concatenate([w.ravel() for _, w, _ in out])
-    owners = np.concatenate([o.repeat(w.shape[1]) for _, w, o in out])
+    inside = np.all(signed_distance(domain, tris) <= 0.0, axis=1)
+    cut = np.flatnonzero(~inside)
+    fan_points, fan_weights, fan_owner, piece_owner, lo, hi = _chord_polygons(tris[cut], domain)
+    blocks = [
+        (*_full_triangle_points(tris[inside]), np.flatnonzero(inside)),
+        (fan_points, fan_weights, cut[fan_owner]),
+        (*_segment_rules(domain, lo, hi - lo, _segment_order(tol)), cut[piece_owner]),
+    ]
+    points = np.concatenate([p.reshape(-1, 2) for p, _, _ in blocks])
+    weights = np.concatenate([w.ravel() for _, w, _ in blocks])
+    owners = np.concatenate([o.repeat(w.shape[1]) for _, w, o in blocks])
     order = np.argsort(owners, kind="stable")
     return PackedRule(points[order], weights[order], owners[order])
 
 
-def cut_volume_rule(triangle, domain, tol=DEFAULT_TOL, max_depth=48):
+def cut_volume_rule(triangle, domain, tol=DEFAULT_TOL):
     """Quadrature over the intersection of one triangle with the domain (see ``cut_volume_rules``)."""
-    return cut_volume_rules(np.asarray(triangle)[None], domain, tol, max_depth)
+    return cut_volume_rules(np.asarray(triangle)[None], domain, tol)
 
 
 def _arcs(tris, domain):
@@ -381,6 +321,18 @@ def _arcs(tris, domain):
     return owner[keep], start[keep], width[keep]
 
 
+def _equal_pieces(lo, hi, max_piece):
+    """Split each interval [lo, hi] into equal pieces of at most ``max_piece``.
+
+    Returns each piece's interval, its two ends and its position in its interval.
+    """
+    n_sub = np.maximum(1, np.ceil((hi - lo) / max_piece)).astype(np.int64)
+    part = np.arange(len(lo)).repeat(n_sub)
+    s = np.arange(len(part)) - (np.cumsum(n_sub) - n_sub)[part]
+    lo, hi, n_sub = lo[part], hi[part], n_sub[part]
+    return part, lo + (hi - lo) * s / n_sub, lo + (hi - lo) * (s + 1) / n_sub, s
+
+
 def _split_pieces(owner, start, width, cuts, max_piece):
     """Split each arc at the angles ``cuts`` inside it, then into equal pieces of at most ``max_piece``."""
     off = _wrap(cuts[None, :] - start[:, None])
@@ -389,11 +341,8 @@ def _split_pieces(owner, start, width, cuts, max_piece):
     ends.sort(axis=1)
     starts = np.column_stack([start, ends[:, :-1]])
     real = np.isfinite(ends)
-    owner, lo, hi = owner.repeat(real.sum(axis=1)), starts[real], ends[real]
-    n_sub = np.maximum(1, np.ceil((hi - lo) / max_piece)).astype(np.int64)
-    s = np.arange(n_sub.sum()) - (np.cumsum(n_sub) - n_sub).repeat(n_sub)
-    owner, lo, hi, n_sub = (a.repeat(n_sub) for a in (owner, lo, hi, n_sub))
-    return owner, lo + (hi - lo) * s / n_sub, lo + (hi - lo) * (s + 1) / n_sub
+    part, lo, hi, _ = _equal_pieces(starts[real], ends[real], max_piece)
+    return owner.repeat(real.sum(axis=1))[part], lo, hi
 
 
 def _graded_panels(owner, lo, hi, grade_angles, levels):
@@ -483,7 +432,7 @@ def refine_rule_toward(triangles, domain, points, tol=DEFAULT_TOL, levels=8):
 
     Triangle k is split ``levels`` times toward ``points[k]`` (shape (m, 2)),
     where the solution has reduced regularity, and all leaves of all triangles
-    go through one ``cut_volume_rules`` frontier.  Returns one ``PackedRule``
+    go through one ``cut_volume_rules`` call.  Returns one ``PackedRule``
     whose owner is the triangle's position in the stack; each triangle's leaves
     keep the order of their subdivision level, coarsest first.
     """
@@ -529,8 +478,8 @@ class RuleSet:
 def build_rules(mesh, topology, domain, tol=DEFAULT_TOL):
     """Packed volume and boundary rules of the active cells, and ghost-face lengths.
 
-    Inside cells take the degree-4 rule directly; only cut cells enter the
-    ``cut_volume_rules`` frontier and the boundary rules.  Boundary rules are
+    Inside cells take the degree-4 rule directly; only cut cells go through
+    ``cut_volume_rules`` and the boundary rules.  Boundary rules are
     split at the boundary-condition junctions and graded toward them, which
     serves both singular boundary data and the sharply supported cutoff weight.
     """

@@ -63,37 +63,31 @@ def _checked(K, x, b, dofmap, rtol, method, advice=""):
     return SolveReport(FeFunction(np.asarray(x, dtype=float), dofmap), method, residual)
 
 
-def _solve(K, b, dofmap, rtol, symmetric=False):
-    """Solve ``K x = b`` (``K`` in CSR) by one factorization and check the residual.
-
-    A zero load gives the zero solution without factoring.  ``symmetric``
-    selects the symmetric positive definite checks and ordering, and reads the
-    CSR arrays of ``K`` as its CSC arrays: the residual check against ``K``
-    fails if ``K`` is not symmetric.
-    """
-    if not np.any(b):
-        return _trivial(dofmap)
-    advice = _SPD_ADVICE if symmetric else ""
-    if symmetric and K.diagonal().min() <= 0.0:
-        raise SolverError(f"nonpositive diagonal entry, the operator is not positive definite.{advice}")
-    csc = sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape) if symmetric else K.tocsc()
-    lu = _factor(csc, advice, **(_SYMMETRIC_ORDERING if symmetric else {}))
-    report = _checked(K, lu.solve(b), b, dofmap, rtol, "splu", advice)
-    report.operator, report.factors = K, lu
-    return report
-
-
 def solve_standard(matrices, dofmap, rtol=RESIDUAL_RTOL):
     """Solve the symmetric stabilized system by one sparse LU factorization.
 
-    The operator ``A + S`` is a sparse sum, which keeps no exact zeros, and
-    the factorization uses the symmetric ordering above.  A nonpositive
+    The operator ``K = A + S`` is a sparse sum, which keeps no exact zeros.
+    ``K`` is symmetric, so the arrays of its CSR form are those of its CSC
+    form, and they are factored as they are with the symmetric ordering
+    above; the residual check against ``K`` fails if ``K`` is not symmetric.
+    A zero load gives the zero solution without factoring.  A nonpositive
     diagonal, a failed factorization or a residual above ``rtol`` raises
     ``SolverError`` advising a larger penalty.  The report holds the factors
     for ``solve_regularized``; a caller that needs only the solution keeps
     ``.solution`` and lets them go.
     """
-    return _solve(matrices.A + matrices.S, matrices.b, dofmap, rtol, symmetric=True)
+    K, b = matrices.A + matrices.S, matrices.b
+    if not np.any(b):
+        return _trivial(dofmap)
+    if K.diagonal().min() <= 0.0:
+        raise SolverError(
+            f"nonpositive diagonal entry, the operator is not positive definite.{_SPD_ADVICE}"
+        )
+    csc = sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape)
+    lu = _factor(csc, _SPD_ADVICE, **_SYMMETRIC_ORDERING)
+    report = _checked(K, lu.solve(b), b, dofmap, rtol, "splu", _SPD_ADVICE)
+    report.operator, report.factors = K, lu
+    return report
 
 
 def solve_regularized(matrices, dofmap, standard, rtol=RESIDUAL_RTOL):
@@ -126,15 +120,6 @@ def solve_regularized(matrices, dofmap, standard, rtol=RESIDUAL_RTOL):
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular capacitance matrix ({len(rows)} perturbed rows)") from exc
     return _checked(K, x0 - Z @ y, b, dofmap, rtol, "lowrank")
-
-
-def solve_regularized_pivot(A_eps, S, b, u_h, dofmap, rtol=RESIDUAL_RTOL):
-    """Regularized solve with the stabilizer applied to the standard solution.
-
-    Realizes the variant where the face stabilization acts on the already
-    computed standard solution, so only the regularized operator is inverted.
-    """
-    return _solve(A_eps.tocsr(), b - S @ u_h.coefficients, dofmap, rtol)
 
 
 def _power_iteration(apply_op, n, rtol, maxit, seed_vector=None):

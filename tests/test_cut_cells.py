@@ -227,16 +227,24 @@ def test_mass_at_the_floor(batches):
 
 
 def test_weights_nonnegative_and_points_in_cell_and_disk(batches):
-    """No weight is negative, and the points outside the cell or the disk weigh next to nothing."""
+    """No weight is negative, and every point lies in its cell and in the disk.
+
+    Both hold up to 1e-12 of the cell's diameter, the margin within which an
+    arc counts as in the cell, plus the rounding of coordinates as large as
+    the cell's and the disk's.
+    """
     for b in batches:
         rule = cut_volume_rules(b.tris, b.domain)
         assert rule.weights.min() >= 0.0
-        diam = _diameter(b.tris)[rule.owner]
-        outside = (_outside_distance(b.tris[rule.owner], rule.points) > 1e-12 * diam) | (
-            signed_distance(b.domain, rule.points) > 1e-12 * diam
+        reach = np.maximum(
+            np.abs(b.tris).max(axis=(1, 2)), np.abs(b.domain.center_array).max() + b.domain.radius
         )
-        stray = np.bincount(rule.owner, rule.weights * outside, len(b.tris))
-        assert not b.failures(stray > MIN_TOL * b.area)
+        slack = (1e-12 * _diameter(b.tris) + 4.0 * EPS * reach)[rule.owner]
+        outside = np.maximum(
+            _outside_distance(b.tris[rule.owner], rule.points),
+            signed_distance(b.domain, rule.points),
+        )
+        assert not b.failures(np.bincount(rule.owner, outside > slack, len(b.tris)))
 
 
 def _diameter(tris):

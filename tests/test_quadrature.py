@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from cutpoisson import LevelSetDomain, build_rules, classify, cut_boundary_rule, cut_volume_rule
-from cutpoisson.geometry import signed_distance
 from cutpoisson.mesh import CUT, INSIDE, _point_triangle_distance, build_background
 from cutpoisson.quadrature import (
     MIN_TOL,
-    QuadratureToleranceError,
-    _chord_split,
     _tri_area,
     cut_boundary_rules,
     cut_volume_rules,
@@ -142,25 +139,14 @@ def test_packed_interior_rule_equals_cut_volume_rule(domain_mixed):
 
 UNIT_MIXED = LevelSetDomain((0.0, 0.0), 1.0, ((0.0, math.pi),))
 
-FALLBACK_CELLS = {
-    # a vertex exactly on the circle trips the |phi| <= 1e-13 R guard
-    "vertex_on_circle": [[1.0, 0.0], [1.3, 0.6], [0.4, 0.5]],
-    # an edge 1e-9 inside the tangent line y = 1 adds two crossings, four in all
-    "near_tangent_edge": [[-0.5, 1.0 - 1e-9], [0.5, 1.0 - 1e-9], [0.0, 0.5]],
-    # a coarse cell whose arc spans about 1.5 rad > 0.8
-    "wide_arc": [[0.0, 0.9], [0.0, -0.9], [3.0, 0.0]],
-}
-
-
 def test_disk_poking_through_one_edge():
     """A disk inside the cell but for a 1e-13 sliver beyond one edge is not the whole cell.
 
-    Both crossings lie on the bottom edge and the minor arc stays within the
-    barycentric margin, but the cell lies on the center's side of the chord.
+    Both crossings lie on the bottom edge, and the minor arc between them stays
+    within the barycentric margin of the cell.
     """
     domain = LevelSetDomain((0.0, -0.5), 0.5 + 1e-13, ())
     tri = np.array([[-2.0, -1.0], [2.0, -1.0], [0.0, 2.0]])
-    assert len(_chord_split(tri[None], signed_distance(domain, tri[None]), domain)[0]) == 0
     exact = exact_disk_triangle_area(tri, domain.center_array, domain.radius)
     assert exact == pytest.approx(math.pi * domain.radius**2, rel=1e-12)
     assert abs(cut_volume_rule(tri, domain).weights.sum() - exact) <= 1e-10 * _tri_area(tri)
@@ -171,8 +157,8 @@ def test_near_tangent_sliver_keeps_the_mass_contract(theta):
     """A disk reaching 1e-14 past a tilted edge gives the cell almost no mass.
 
     Both crossings lie on that edge, about 2e-7 apart.  A chord through their
-    rounded ends tilts across the whole cell and covered about 1e-11 of it; the
-    chord now runs along the edge.  The exact sliver area is about 1e-21.
+    rounded ends would tilt across the whole cell and cover about 1e-11 of it.
+    The exact sliver area is about 1e-21.
     """
     radius = 0.5
     domain = LevelSetDomain((0.0, 0.0), radius, ())
@@ -180,12 +166,11 @@ def test_near_tangent_sliver_keeps_the_mass_contract(theta):
     along = np.array([-normal[1], normal[0]])
     a = (radius - 1e-14) * normal - 0.1 * along
     tri = np.array([a, a + 0.25 * along, a + 0.125 * along + 0.3 * normal])
-    assert list(_chord_split(tri[None], signed_distance(domain, tri[None]), domain)[0]) == [0]
     assert cut_volume_rule(tri, domain, MIN_TOL).weights.sum() <= MIN_TOL * _tri_area(tri)
 
 
 def test_tolerance_below_the_floor_raises(domain_mixed):
-    tri = np.array(FALLBACK_CELLS["wide_arc"])
+    tri = np.array([[0.0, 0.9], [0.0, -0.9], [3.0, 0.0]])
     exact = exact_disk_triangle_area(tri, UNIT_MIXED.center_array, UNIT_MIXED.radius)
     rule = cut_volume_rule(tri, UNIT_MIXED, MIN_TOL)
     assert abs(rule.weights.sum() - exact) <= MIN_TOL * _tri_area(tri)
@@ -196,34 +181,6 @@ def test_tolerance_below_the_floor_raises(domain_mixed):
     mesh = build_background((-1, -1, 1, 1), 4)
     with pytest.raises(ValueError, match="below the floor"):
         build_rules(mesh, classify(mesh, domain_mixed), domain_mixed, 0.1 * MIN_TOL)
-
-
-@pytest.mark.parametrize("name", sorted(FALLBACK_CELLS))
-@pytest.mark.parametrize("tol", [1e-6, 1e-10])
-def test_chord_split_fallback_mass(name, tol):
-    """Cells the chord split refuses are subdivided until the mass meets ``tol``."""
-    tri = np.array(FALLBACK_CELLS[name])
-    domain = UNIT_MIXED
-    split = _chord_split(tri[None], signed_distance(domain, tri[None]), domain)
-    assert len(split[0]) == 0
-    rule = cut_volume_rule(tri, domain, tol)
-    exact = exact_disk_triangle_area(tri, domain.center_array, domain.radius)
-    assert abs(rule.weights.sum() - exact) <= tol * _tri_area(tri)
-    assert rule.weights.min() >= 0.0
-
-
-def test_chord_split_accepted_cell_mass():
-    """A gently curved single arc takes the chord split and meets the tolerance at once."""
-    tri = np.array([[0.8, -0.2], [1.2, 0.0], [0.8, 0.2]])
-    split = _chord_split(tri[None], signed_distance(UNIT_MIXED, tri[None]), UNIT_MIXED)
-    assert list(split[0]) == [0]
-    exact = exact_disk_triangle_area(tri, UNIT_MIXED.center_array, UNIT_MIXED.radius)
-    assert cut_volume_rule(tri, UNIT_MIXED).weights.sum() == pytest.approx(exact, rel=1e-12)
-
-
-def test_subdivision_depth_exhausted_raises():
-    with pytest.raises(QuadratureToleranceError, match="subdivision depth"):
-        cut_volume_rule(np.array(FALLBACK_CELLS["vertex_on_circle"]), UNIT_MIXED, max_depth=3)
 
 
 def test_junction_cell_lengths_equal_arc_spans():
@@ -276,7 +233,7 @@ def test_one_cell_rules_are_slices_of_the_batched_rules(domain_mixed):
 def test_build_rules_volume_equals_the_frontier_over_all_active_cells(
     request, domain_name, n, shift_index
 ):
-    """Inside cells skip the frontier; the packed volume rule is still bitwise the one-path rule."""
+    """Inside cells skip the chord polygons; the packed volume rule is still bitwise the one-path rule."""
     domain = request.getfixturevalue(domain_name)
     box = (-1.0, -1.0, 1.0, 1.0)
     shift = (0.0, 0.0) if shift_index is None else sweep_shifts(box, n, 20)[shift_index]
