@@ -12,20 +12,14 @@ import math
 
 import numpy as np
 
-from cutpoisson import LevelSetDomain, NitscheParams, build_dofmap, build_rules, classify
-from cutpoisson.geometry import default_tube_params
-from cutpoisson.mesh import build_background
-from cutpoisson.study import sweep_shifts, verify_inequalities
+from cutpoisson import LevelSetDomain
+from cutpoisson.study import discretize, sweep_shifts, verify_inequalities
 
 domain = LevelSetDomain(center=(0.0, 0.0), radius=0.7, dirichlet_arcs=((0.0, math.pi),))
 
 
 def constants(n, shift=(0.0, 0.0), trials=20):
-    mesh = build_background((-1, -1, 1, 1), n, shift)
-    topo = classify(mesh, domain)
-    dofmap = build_dofmap(topo)
-    params = NitscheParams(10.0, 0.1, 0.0, default_tube_params(domain, mesh.h))
-    rules = build_rules(mesh, topo, domain, 1e-8)
+    dofmap, params, rules = discretize(domain, n, tol=1e-8, shift=shift)
     return verify_inequalities(domain, dofmap, rules, params, trials=trials)
 
 

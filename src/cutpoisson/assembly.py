@@ -329,16 +329,11 @@ def nitsche_action(dofmap, rules, params, u, grad_u, domain=None):
     return _vector(dofmap.ndof, parts, values)
 
 
-def energy_gram(dofmap, rules, params, stabilizer=None, with_stabilization=True):
-    """Gram matrix of the energy norm: gradient, stabilizer, and Dirichlet trace parts."""
+def energy_gram(dofmap, rules, stabilizer):
+    """Gram matrix of the energy norm: gradient and Dirichlet trace parts plus ``stabilizer``."""
     stencil, (mass, dofs) = _stiffness_stencil(dofmap, rules), _mass_stencil(dofmap, rules.dirichlet)
     stencil[dofs] += mass * (1.0 / dofmap.mesh.h)
-    G = _compress(dofmap, stencil)
-    if with_stabilization:
-        if stabilizer is None:
-            stabilizer = assemble_ghost_penalty(dofmap, rules, params)
-        G = G + stabilizer
-    return G
+    return _compress(dofmap, stencil) + stabilizer
 
 
 def energy_norm(v, gram):
@@ -368,7 +363,7 @@ def _cells_near(points, coords, radius, h):
     return near
 
 
-def error_norms(problem, u_h, rules, params, stabilizer, refine_levels=0):
+def error_norms(problem, u_h, rules, stabilizer, refine_levels=0):
     """Energy error (without stabilization), stabilizer seminorm, and L2 error.
 
     The energy error pairs the broken gradient over the cut volumes with the

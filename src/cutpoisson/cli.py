@@ -229,10 +229,7 @@ def _run_study(cfg):
         return "regularization.csv", header, rows, {"slope": report.slope}
 
     if kind == "inequalities":
-        n = levels[0]
-        mesh, topo, dofmap, params, rules = study_mod._discretize(
-            domain, n, box, tol, beta=beta, sigma=sigma
-        )
+        dofmap, params, rules = study_mod.discretize(domain, levels[0], beta, sigma, box, tol)
         report = study_mod.verify_inequalities(domain, dofmap, rules, params)
         header = ["inequality", "max_constant"]
         rows = [
@@ -260,7 +257,7 @@ def _run_study(cfg):
     # condition_sweep
     n = levels[0]
     n_shifts = int(cfg["mesh"]["shift_sweep_count"])
-    report = study_mod.condition_sweep(domain, n, n_shifts, beta, sigma, box, tol=1e-8)
+    report = study_mod.condition_sweep(domain, n, n_shifts, beta, sigma, box, tol)
     header = [
         "shift_index",
         "shift_x",

@@ -103,8 +103,7 @@ class LevelSetDomain:
     @property
     def junction_points(self):
         """Coordinates of the boundary-condition junctions, shape (k, 2)."""
-        ang = self.junction_angles
-        return self.center_array + self.radius * np.column_stack([np.cos(ang), np.sin(ang)])
+        return self.boundary_point(self.junction_angles)
 
     def boundary_point(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -210,14 +209,19 @@ def junction_arc_distance(domain, theta):
     junctions = domain.junction_angles
     if junctions.size == 0:
         return np.full(theta.shape, np.inf) if theta.shape else np.inf
-    out = domain.radius * np.abs(_nearest_junction_offset(theta, junctions)).reshape(theta.shape)
+    off, _ = _nearest_junction_offset(theta, junctions)
+    out = domain.radius * np.abs(off).reshape(theta.shape)
     return out if theta.shape else float(out)
 
 
 def _nearest_junction_offset(theta, junctions):
-    """Signed angle in [-pi, pi) from the nearest junction to each angle of ``theta``, flattened."""
+    """Signed angle in [-pi, pi) from the nearest junction to each angle of ``theta``, flattened.
+
+    Returns the angles and the indices of those junctions in ``junctions``.
+    """
     offs = _wrap(theta.reshape(-1)[:, None] - junctions[None, :] + math.pi) - math.pi
-    return offs[np.arange(len(offs)), np.argmin(np.abs(offs), axis=1)]
+    nearest = np.argmin(np.abs(offs), axis=1)
+    return offs[np.arange(len(offs)), nearest], nearest
 
 
 @dataclass(frozen=True)
@@ -313,7 +317,7 @@ def cutoff_gradient(domain, params, x):
 
     # Signed angular offset to the nearest junction drives the along-boundary
     # coordinate a = R * |offset| and its direction of increase.
-    off = _nearest_junction_offset(theta, junctions)
+    off, _ = _nearest_junction_offset(theta, junctions)
     a = domain.radius * np.abs(off)
     sign_a = np.where(off >= 0.0, 1.0, -1.0)
 
@@ -369,13 +373,17 @@ def _geometric_breaks(delta, epsilon):
     return np.array(breaks)
 
 
-def log_model_integral(delta, epsilon, order=16):
+_MODEL_ORDER = 16  # Gauss order per panel of ``log_model_integral``
+_MAX_DOUBLINGS = 6  # order doublings of ``cutoff_conormal_integral`` before it gives up
+
+
+def log_model_integral(delta, epsilon):
     """Numerical value of the one-dimensional model integral of 1/(t + epsilon) over [0, delta]."""
     breaks = _geometric_breaks(delta, epsilon)
-    return _panel_gauss(lambda t: 1.0 / (t + epsilon), breaks, order)
+    return _panel_gauss(lambda t: 1.0 / (t + epsilon), breaks, _MODEL_ORDER)
 
 
-def cutoff_conormal_integral(domain, params, z, rtol=1e-6, max_doublings=6):
+def cutoff_conormal_integral(domain, params, z, rtol=1e-6):
     """Integral of the squared conormal derivative of the cutoff over the wedge at ``z``.
 
     The wedge fiber at depth t extends an arc length of t + epsilon into the
@@ -388,9 +396,8 @@ def cutoff_conormal_integral(domain, params, z, rtol=1e-6, max_doublings=6):
     junctions = domain.junction_angles
     if junctions.size == 0:
         raise ValueError("domain has no boundary-condition junctions")
-    theta_all = boundary_angle(domain, z)
-    k = int(np.argmin(np.abs(_wrap(junctions - theta_all + math.pi) - math.pi)))
-    theta_z = junctions[k]
+    _, nearest = _nearest_junction_offset(boundary_angle(domain, z), junctions)
+    theta_z = junctions[nearest[0]]
     if np.linalg.norm(z - domain.boundary_point(theta_z)) > 1e-8 * domain.radius:
         raise ValueError("z is not a junction point of the boundary partition")
     side = _neumann_side(domain, theta_z)
@@ -417,7 +424,7 @@ def cutoff_conormal_integral(domain, params, z, rtol=1e-6, max_doublings=6):
     breaks = _geometric_breaks(params.delta, epsilon)
     order_t, order_a = 16, 12
     value = _panel_gauss(lambda t: fiber_integral(t, order_a), breaks, order_t)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         order_t *= 2
         order_a *= 2
         refined = _panel_gauss(lambda t: fiber_integral(t, order_a), breaks, order_t)

@@ -13,6 +13,8 @@ INSIDE = 0
 CUT = 1
 OUTSIDE = 2
 
+TANGENCY_GUARD = 1e-12  # relative to h, the band around tangency where ``classify`` refuses
+
 
 class AmbiguousCutError(RuntimeError):
     """Raised when a triangle is tangent to the boundary below the detection tolerance."""
@@ -193,16 +195,16 @@ def _point_triangle_distance(p, coords):
     return np.where(inside, 0.0, dist)
 
 
-def classify(mesh, domain, tol=1e-12):
+def classify(mesh, domain):
     """Tag every triangle as inside, cut, or outside the domain.
 
     Vertices exactly on the boundary count as inside, so the partition is
     deterministic.  A triangle whose vertices all lie outside is cut exactly
     when the disk reaches into it, which is decided by the exact distance from
-    the disk center to the triangle; tangency closer than ``tol * h`` to that
-    threshold raises ``AmbiguousCutError``.  The per-triangle reductions over
-    the three vertices (all inside, any inside, least phi) are formed column by
-    column, which is exact and avoids slow reductions along a length-3 axis.
+    the disk center to the triangle; tangency within ``TANGENCY_GUARD * h`` of
+    that threshold raises ``AmbiguousCutError``.  The per-triangle reductions
+    over the three vertices (all inside, any inside, least phi) are formed column
+    by column, which is exact and avoids slow reductions along a length-3 axis.
     """
     phi = signed_distance(domain, mesh.vertices)
     phi_t = [phi[mesh.triangles[:, k]] for k in range(3)]
@@ -215,12 +217,11 @@ def classify(mesh, domain, tol=1e-12):
     cls[any_in & ~all_in] = CUT
 
     center = domain.center_array
-    guard = tol * mesh.h
     near = np.minimum(np.minimum(phi_t[0], phi_t[1]), phi_t[2]) <= mesh.h
     candidates = np.flatnonzero(~any_in & near)
     dist = _point_triangle_distance(center, mesh.triangle_coords(candidates))
     gap = np.abs(dist - domain.radius)
-    ambiguous = np.flatnonzero(gap <= guard)
+    ambiguous = np.flatnonzero(gap <= TANGENCY_GUARD * mesh.h)
     if len(ambiguous):
         raise AmbiguousCutError(int(candidates[ambiguous[0]]), gap[ambiguous[0]])
     cls[candidates[dist < domain.radius]] = CUT

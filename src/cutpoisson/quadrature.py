@@ -18,7 +18,7 @@ Burman et al. (IJNME 2015) and Fries & Omerović (IJNME 2016) for a circle.
 
 Boundary rules are a flat table of angular panels (owner, b0, b1): the arcs
 between the circle's crossings of each triangle, split at the boundary-condition
-junctions and into pieces of at most ``max_piece``, then graded dyadically
+junctions and into pieces of at most ``_BOUNDARY_PIECE``, then graded dyadically
 toward the ``grade_angles``.  One Gauss map turns all panels into points, and
 every panel is purely Dirichlet or purely Neumann.
 
@@ -104,6 +104,13 @@ _MAX_PIECE = 0.25
 # keeps the cell's mass within tol times its area: tolerances 1e-2, 1e-4 and
 # 1e-6 take orders 2, 3 and 4, and 1e-8, 1e-10 and 1e-12 take 4, 5 and 6.
 _SEGMENT_ERRORS = {2: 1.4e-3, 3: 3.2e-6, 4: 6.6e-9, 5: 1.3e-11, 6: 3.8e-14}
+_SEGMENT_RADIAL = 3  # radial Gauss points of a segment rule
+
+# Boundary rules: Gauss points per panel, the widest arc piece, and the number
+# of dyadic grading levels toward a grade angle.
+_BOUNDARY_ORDER = 6
+_BOUNDARY_PIECE = math.pi / 8.0
+_GRADE_LEVELS = 16
 
 
 def _tri_area(coords):
@@ -175,7 +182,7 @@ def _segment_order(tol):
     return next(n for n, err in _SEGMENT_ERRORS.items() if err <= tol)
 
 
-def _segment_rules(domain, psi_a, alpha, n_psi, n_r=3):
+def _segment_rules(domain, psi_a, alpha, n_psi):
     """Product rules on the circular segments between the chords and the minor arcs.
 
     Each segment is parameterized by the angle psi in [psi_a, psi_a + alpha]
@@ -184,7 +191,7 @@ def _segment_rules(domain, psi_a, alpha, n_psi, n_r=3):
     """
     radius = domain.radius
     gn, gw = _gauss(n_psi)
-    rn, rw = _gauss(n_r)
+    rn, rw = _gauss(_SEGMENT_RADIAL)
     a = 0.5 * alpha[:, None]
     psi = psi_a[:, None] + a * (1.0 + gn)
     # half the depth R - r0 at psi of the segment behind the chord r0 = R cos(a) / cos(a gn),
@@ -194,7 +201,7 @@ def _segment_rules(domain, psi_a, alpha, n_psi, n_r=3):
     w = (a * gw * half)[..., None] * rw * r
     e, _ = _on_circle(domain, psi)
     pts = domain.center_array + r[..., None] * e[:, :, None, :]
-    q = n_psi * n_r
+    q = n_psi * _SEGMENT_RADIAL
     return pts.reshape(len(alpha), q, 2), w.reshape(len(alpha), q)
 
 
@@ -333,19 +340,19 @@ def _equal_pieces(lo, hi, max_piece):
     return part, lo + (hi - lo) * s / n_sub, lo + (hi - lo) * (s + 1) / n_sub, s
 
 
-def _split_pieces(owner, start, width, cuts, max_piece):
-    """Split each arc at the angles ``cuts`` inside it, then into equal pieces of at most ``max_piece``."""
+def _split_pieces(owner, start, width, cuts):
+    """Split each arc at ``cuts`` inside it, then into equal pieces of at most ``_BOUNDARY_PIECE``."""
     off = _wrap(cuts[None, :] - start[:, None])
     inner = (off > 1e-13) & (off < width[:, None] - 1e-13)
     ends = np.column_stack([np.where(inner, start[:, None] + off, np.inf), start + width])
     ends.sort(axis=1)
     starts = np.column_stack([start, ends[:, :-1]])
     real = np.isfinite(ends)
-    part, lo, hi, _ = _equal_pieces(starts[real], ends[real], max_piece)
+    part, lo, hi, _ = _equal_pieces(starts[real], ends[real], _BOUNDARY_PIECE)
     return owner.repeat(real.sum(axis=1))[part], lo, hi
 
 
-def _graded_panels(owner, lo, hi, grade_angles, levels):
+def _graded_panels(owner, lo, hi, grade_angles):
     """Panels (owner, b0, b1) of the pieces, refined dyadically toward ends that are grade angles."""
     graded = _wrap(np.asarray(grade_angles, dtype=float))
 
@@ -356,7 +363,7 @@ def _graded_panels(owner, lo, hi, grade_angles, levels):
     toward_lo, toward_hi = near(lo), near(hi)
     both = toward_lo & toward_hi
     width = np.where(both, 0.5, 1.0) * (hi - lo)
-    steps = 2.0 ** -np.arange(1, levels + 1)
+    steps = 2.0 ** -np.arange(1, _GRADE_LEVELS + 1)
     breaks = np.column_stack(
         [
             lo,
@@ -375,14 +382,7 @@ def _graded_panels(owner, lo, hi, grade_angles, levels):
     return owner[row[:-1][panel]], b[:-1][panel], b[1:][panel]
 
 
-def cut_boundary_rules(
-    triangles,
-    domain,
-    order=6,
-    grade_angles=(),
-    grade_levels=16,
-    max_piece=math.pi / 8.0,
-):
+def cut_boundary_rules(triangles, domain, grade_angles=()):
     """Quadrature over the boundary arcs inside each triangle of a stack (m, 3, 2).
 
     Arcs are parameterized exactly by angle and split at the boundary-condition
@@ -394,36 +394,27 @@ def cut_boundary_rules(
     """
     tris = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
     owner, start, width = _arcs(tris, domain)
-    owner, lo, hi = _split_pieces(owner, start, width, domain.junction_angles, max_piece)
-    owner, b0, b1 = _graded_panels(owner, lo, hi, grade_angles, grade_levels)
+    owner, lo, hi = _split_pieces(owner, start, width, domain.junction_angles)
+    owner, b0, b1 = _graded_panels(owner, lo, hi, grade_angles)
 
     mid, half = 0.5 * (b0 + b1), 0.5 * (b1 - b0)
     dirichlet = is_dirichlet_angle(domain, _wrap(mid))
     panels = np.lexsort((~dirichlet, owner))
-    gauss_n, gauss_w = _gauss(order)
+    gauss_n, gauss_w = _gauss(_BOUNDARY_ORDER)
     e, points = _on_circle(domain, mid[panels, None] + half[panels, None] * gauss_n)
     weights = (domain.radius * half[panels])[:, None] * gauss_w
     return PackedRule(
         points.reshape(-1, 2),
         weights.ravel(),
-        owner[panels].repeat(order),
+        owner[panels].repeat(_BOUNDARY_ORDER),
         e.reshape(-1, 2),
-        dirichlet[panels].repeat(order),
+        dirichlet[panels].repeat(_BOUNDARY_ORDER),
     )
 
 
-def cut_boundary_rule(
-    triangle,
-    domain,
-    order=6,
-    grade_angles=(),
-    grade_levels=16,
-    max_piece=math.pi / 8.0,
-):
+def cut_boundary_rule(triangle, domain, grade_angles=()):
     """(Dirichlet, Neumann) rules on the boundary arcs inside one triangle (see ``cut_boundary_rules``)."""
-    rule = cut_boundary_rules(
-        np.asarray(triangle)[None], domain, order, grade_angles, grade_levels, max_piece
-    )
+    rule = cut_boundary_rules(np.asarray(triangle)[None], domain, grade_angles)
     return rule.select(rule.dirichlet), rule.select(~rule.dirichlet)
 
 
@@ -475,7 +466,7 @@ class RuleSet:
         return self.boundary.select(~self.boundary.dirichlet)
 
 
-def build_rules(mesh, topology, domain, tol=DEFAULT_TOL):
+def build_rules(topology, domain, tol=DEFAULT_TOL):
     """Packed volume and boundary rules of the active cells, and ghost-face lengths.
 
     Inside cells take the degree-4 rule directly; only cut cells go through
@@ -497,6 +488,7 @@ def build_rules(mesh, topology, domain, tol=DEFAULT_TOL):
     )
     boundary = cut_boundary_rules(coords[cut], domain, grade_angles=domain.junction_angles)
     boundary = dataclasses.replace(boundary, owner=cut[boundary.owner])
+    mesh = topology.mesh
     ends = mesh.vertices[mesh.faces[topology.ghost_faces]]
     face_lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
     return RuleSet(volume, boundary, face_lengths, tol)

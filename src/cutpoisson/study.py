@@ -38,6 +38,7 @@ from cutpoisson.solve import condition_estimate, solve_regularized, solve_standa
 from cutpoisson.space import build_dofmap, clement_interpolate
 
 DEFAULT_BOX = (-1.0, -1.0, 1.0, 1.0)
+REFINE_LEVELS = 8  # the studies' volume-rule subdivisions toward a problem's singular points
 
 
 @dataclass(frozen=True)
@@ -144,20 +145,26 @@ def manufactured_singular(domain, junction_index=0):
     )
 
 
-def validate_problem(problem, n_interior=100, n_boundary=100, seed=20260810, rtol=1e-4):
+# ``validate_problem``: points sampled inside and on the boundary, seed, relative tolerance
+_VALIDATE_SAMPLES = 100
+_VALIDATE_SEED = 20260810
+_VALIDATE_RTOL = 1e-4
+
+
+def validate_problem(problem):
     """Finite-difference PDE residual and boundary trace checks.
 
     The Laplacian residual is normalized by the characteristic PDE scale of
     the sampled points, so it is insensitive to nodal lines of the solution.
     Interior samples stay away from the singular points.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_VALIDATE_SEED)
     domain = problem.domain
     R, c = domain.radius, domain.center_array
     singular = [np.asarray(z) for z in problem.singular_points]
 
     pts = []
-    while len(pts) < n_interior:
+    while len(pts) < _VALIDATE_SAMPLES:
         cand = c + (2.0 * rng.random(2) - 1.0) * R
         if float(signed_distance(domain, cand)) < -0.05 * R and all(
             np.linalg.norm(cand - z) > 0.25 * R for z in singular
@@ -178,19 +185,19 @@ def validate_problem(problem, n_interior=100, n_boundary=100, seed=20260810, rto
         1e-12,
     )
     pde_rel = float(residual.max()) / scale
-    if pde_rel > rtol:
-        raise ValueError(f"PDE residual check failed: {pde_rel:.3e} > {rtol:.1e}")
+    if pde_rel > _VALIDATE_RTOL:
+        raise ValueError(f"PDE residual check failed: {pde_rel:.3e} > {_VALIDATE_RTOL:.1e}")
 
-    theta = rng.random(n_boundary) * 2.0 * math.pi
+    theta = rng.random(_VALIDATE_SAMPLES) * 2.0 * math.pi
     bpts = domain.boundary_point(theta)
     dirichlet = geometry.is_dirichlet_angle(domain, theta)
     trace_scale = max(1e-12, float(np.max(np.abs(problem.u(bpts)))))
     d_err = np.abs(problem.g_D(bpts[dirichlet]) - problem.u(bpts[dirichlet]))
     flux = np.sum(problem.grad_u(bpts) * outward_normal(domain, bpts), axis=-1)
     n_err = np.abs(problem.g_N(bpts[~dirichlet]) - flux[~dirichlet])
-    if d_err.size and float(d_err.max()) > rtol * trace_scale:
+    if d_err.size and float(d_err.max()) > _VALIDATE_RTOL * trace_scale:
         raise ValueError("Dirichlet trace check failed")
-    if n_err.size and float(n_err.max()) > rtol * max(1.0, float(np.abs(flux).max())):
+    if n_err.size and float(n_err.max()) > _VALIDATE_RTOL * max(1.0, float(np.abs(flux).max())):
         raise ValueError("Neumann trace check failed")
     return pde_rel
 
@@ -234,7 +241,11 @@ class ErrorReport:
             self.eoc_sh.append(eoc(prev.sh, result.sh))
 
 
-def _discretize(domain, n, box, tol, shift=(0.0, 0.0), beta=10.0, sigma=0.1):
+def discretize(domain, n, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10, shift=(0.0, 0.0)):
+    """The dofmap, Nitsche parameters and quadrature rules of one mesh level.
+
+    The mesh and its cut topology are ``dofmap.mesh`` and ``dofmap.topology``.
+    """
     mesh = build_background(box, n, shift)
     extent = tuple(float(v) for v in (*mesh.vertices.min(axis=0), *mesh.vertices.max(axis=0)))
     if geometry.circle_meets_box_edge(domain.center, domain.radius, extent):
@@ -244,10 +255,8 @@ def _discretize(domain, n, box, tol, shift=(0.0, 0.0), beta=10.0, sigma=0.1):
         )
     topo = classify(mesh, domain)
     dofmap = build_dofmap(topo)
-    tube = default_tube_params(domain, mesh.h)
-    params = NitscheParams(beta=beta, sigma=sigma, epsilon=0.0, tube=tube)
-    rules = build_rules(mesh, topo, domain, tol)
-    return mesh, topo, dofmap, params, rules
+    params = NitscheParams(beta, sigma, 0.0, default_tube_params(domain, mesh.h))
+    return dofmap, params, build_rules(topo, domain, tol)
 
 
 def convergence_level(
@@ -261,13 +270,11 @@ def convergence_level(
     refine_levels=0,
 ):
     """Classify, assemble, solve, and measure errors on a single mesh level."""
-    mesh, topo, dofmap, params, rules = _discretize(
-        problem.domain, n, box, tol, shift, beta, sigma
-    )
+    dofmap, params, rules = discretize(problem.domain, n, beta, sigma, box, tol, shift)
     system = assemble_system(dofmap, rules, params, problem)
     solution = solve_standard(system, dofmap).solution
-    errs = error_norms(problem, solution, rules, params, system.S, refine_levels)
-    return LevelResult(n, mesh.h, dofmap.ndof, errs.energy, errs.sh, errs.l2)
+    errs = error_norms(problem, solution, rules, system.S, refine_levels)
+    return LevelResult(n, dofmap.mesh.h, dofmap.ndof, errs.energy, errs.sh, errs.l2)
 
 
 def run_convergence(
@@ -278,7 +285,6 @@ def run_convergence(
     box=DEFAULT_BOX,
     tol=1e-10,
     shift=(0.0, 0.0),
-    refine_levels=None,
     validate=True,
 ):
     """Solve the standard method on a refinement sequence and report error norms."""
@@ -286,33 +292,27 @@ def run_convergence(
         raise ValueError("a convergence study needs at least two levels")
     if validate:
         validate_problem(problem)
-    if refine_levels is None:
-        refine_levels = 8 if problem.singular_points else 0
     report = ErrorReport(
         label=problem.label,
         params={"beta": beta, "sigma": sigma, "box": tuple(box), "tol": tol},
     )
     for n in levels:
         report.add_level(
-            convergence_level(problem, n, beta, sigma, box, tol, shift, refine_levels)
+            convergence_level(problem, n, beta, sigma, box, tol, shift, REFINE_LEVELS)
         )
     return report
 
 
-def interpolation_study(problem, levels, box=DEFAULT_BOX, tol=1e-10, sigma=0.1, refine_levels=None):
+def interpolation_study(problem, levels, box=DEFAULT_BOX, tol=1e-10, sigma=0.1):
     """Quasi-interpolation error of the exact solution in the energy norm."""
-    if refine_levels is None:
-        refine_levels = 8 if problem.singular_points else 0
     report = ErrorReport(label=f"{problem.label}-interpolation")
     for n in levels:
-        mesh, topo, dofmap, params, rules = _discretize(
-            problem.domain, n, box, tol, sigma=sigma
-        )
+        dofmap, params, rules = discretize(problem.domain, n, sigma=sigma, box=box, tol=tol)
         S = assemble_ghost_penalty(dofmap, rules, params)
         pi_u = clement_interpolate(problem.u, dofmap)
-        errs = error_norms(problem, pi_u, rules, params, S, refine_levels)
+        errs = error_norms(problem, pi_u, rules, S, REFINE_LEVELS)
         report.add_level(
-            LevelResult(n, mesh.h, dofmap.ndof, errs.energy, errs.sh, errs.l2)
+            LevelResult(n, dofmap.mesh.h, dofmap.ndof, errs.energy, errs.sh, errs.l2)
         )
     return report
 
@@ -324,7 +324,7 @@ def consistency_residual(problem, n=16, beta=10.0, sigma=0.1, box=DEFAULT_BOX, t
     quadrature points; up to quadrature error the residual vanishes by Green's
     identity when the data match the solution.
     """
-    mesh, topo, dofmap, params, rules = _discretize(problem.domain, n, box, tol, beta=beta, sigma=sigma)
+    dofmap, params, rules = discretize(problem.domain, n, beta, sigma, box, tol)
     action = nitsche_action(dofmap, rules, params, problem.u, problem.grad_u)
     load = assemble_load(dofmap, rules, params, problem)
     scale = max(float(np.abs(action).max()), float(np.abs(load).max()), 1.0)
@@ -467,7 +467,7 @@ def _regularization_gaps(problem, dofmap, params, rules, eps_values):
     """
     system = assemble_system(dofmap, rules, params, problem)
     # the Gram matrix first, so that its assembly does not add to the factors' memory
-    gram = energy_gram(dofmap, rules, params, stabilizer=system.S)
+    gram = energy_gram(dofmap, rules, system.S)
     standard = solve_standard(system, dofmap)
     u_h = standard.solution.coefficients
     gaps = []
@@ -488,7 +488,7 @@ def regularization_study(
     norm of the difference per epsilon together with the fitted log-log slope,
     which should be one for a linearly growing operator perturbation.
     """
-    mesh, topo, dofmap, params, rules = _discretize(problem.domain, n, box, tol, beta=beta, sigma=sigma)
+    dofmap, params, rules = discretize(problem.domain, n, beta, sigma, box, tol)
     gaps = _regularization_gaps(problem, dofmap, params, rules, eps_values)
     positive = [(e, g) for e, g in zip(eps_values, gaps) if e > 0.0 and g > 0.0]
     slope = float("nan")
@@ -512,10 +512,8 @@ def regularization_coupling(
     """Gap between regularized and standard solutions under epsilon = coeff * h**2."""
     gaps = []
     for n in levels:
-        mesh, topo, dofmap, params, rules = _discretize(
-            problem.domain, n, box, tol, beta=beta, sigma=sigma
-        )
-        gaps += _regularization_gaps(problem, dofmap, params, rules, [coeff * mesh.h**2])
+        dofmap, params, rules = discretize(problem.domain, n, beta, sigma, box, tol)
+        gaps += _regularization_gaps(problem, dofmap, params, rules, [coeff * dofmap.mesh.h**2])
     ratios = [gaps[i + 1] / gaps[i] for i in range(len(gaps) - 1) if gaps[i] > 0.0]
     return CouplingReport(list(levels), gaps, ratios)
 
@@ -574,12 +572,10 @@ def condition_sweep(
         raise ValueError("conditioning study needs a Dirichlet part")
     rows = []
     for shift in sweep_shifts(box, n, n_shifts):
-        mesh, topo, dofmap, params, rules = _discretize(
-            domain, n, box, tol, shift, beta, sigma
-        )
+        dofmap, params, rules = discretize(domain, n, beta, sigma, box, tol, shift)
         A = assemble_nitsche(dofmap, rules, params)
         S = assemble_ghost_penalty(dofmap, rules, params)
-        G = energy_gram(dofmap, rules, params, stabilizer=S)
+        G = energy_gram(dofmap, rules, S)
         K = (A + S).toarray()
         lam_min = float(
             scipy.linalg.eigh(K, G.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]

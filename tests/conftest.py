@@ -6,7 +6,7 @@ import pytest
 from cutpoisson import LevelSetDomain, gradient
 from cutpoisson.geometry import boundary_angle, is_dirichlet_angle, signed_distance
 from cutpoisson.space import face_normal
-from cutpoisson.study import _discretize
+from cutpoisson.study import discretize
 
 
 @pytest.fixture(scope="session")
@@ -25,20 +25,14 @@ def domain_unit_mixed():
     return LevelSetDomain((0.0, 0.0), 1.0, ((0.0, math.pi),))
 
 
-def make_discretization(
-    domain, n, box=(-1.0, -1.0, 1.0, 1.0), tol=1e-10, beta=10.0, sigma=0.1, shift=(0.0, 0.0)
-):
-    return _discretize(domain, n, box, tol, shift, beta, sigma)
-
-
 @pytest.fixture(scope="session")
 def disc_mixed_8(domain_mixed):
-    return make_discretization(domain_mixed, 8)
+    return discretize(domain_mixed, 8)
 
 
 @pytest.fixture(scope="session")
 def disc_mixed_16(domain_mixed):
-    return make_discretization(domain_mixed, 16)
+    return discretize(domain_mixed, 16)
 
 
 @pytest.fixture(scope="session")

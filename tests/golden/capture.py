@@ -32,7 +32,7 @@ from cutpoisson.geometry import LevelSetDomain
 from cutpoisson.solve import solve_standard
 from cutpoisson.space import FeFunction
 from cutpoisson.study import (
-    _discretize,
+    discretize,
     manufactured_singular,
     manufactured_smooth,
     sweep_shifts,
@@ -54,10 +54,9 @@ def mixed_disk():
     return LevelSetDomain((0.0, 0.0), 0.7, ((0.0, math.pi),))
 
 
-def discretize(shift, n=N):
+def mixed_level(shift, n=N):
     domain = mixed_disk()
-    mesh, topo, dofmap, params, rules = _discretize(domain, n, BOX, TOL, shift)
-    return domain, mesh, dofmap, params, rules
+    return (domain, *discretize(domain, n, box=BOX, tol=TOL, shift=shift))
 
 
 def outputs(shift, u_singular=None):
@@ -66,10 +65,10 @@ def outputs(shift, u_singular=None):
     ``u_singular`` supplies the singular solution's coefficients; left None,
     they are solved for, which is what the capture does.
     """
-    domain, mesh, dofmap, params, rules = discretize(shift)
+    domain, dofmap, params, rules = mixed_level(shift)
     smooth = manufactured_smooth(domain)
     singular = manufactured_singular(domain, 0)
-    params_eps = params.with_epsilon(EPS_FACTOR * mesh.h**2)
+    params_eps = params.with_epsilon(EPS_FACTOR * dofmap.mesh.h**2)
 
     A = assemble_nitsche(dofmap, rules, params)
     S = assemble_ghost_penalty(dofmap, rules, params)
@@ -78,7 +77,7 @@ def outputs(shift, u_singular=None):
         system = SystemMatrices(A, S, b_singular)
         u_singular = solve_standard(system, dofmap).solution.coefficients
     u_h = FeFunction(np.asarray(u_singular, dtype=float), dofmap)
-    errs = error_norms(singular, u_h, rules, params, S, refine_levels=REFINE_LEVELS)
+    errs = error_norms(singular, u_h, rules, S, refine_levels=REFINE_LEVELS)
     ineq = verify_inequalities(domain, dofmap, rules, params)
     return {
         "u_singular": u_h.coefficients,
@@ -98,7 +97,7 @@ def outputs(shift, u_singular=None):
 
 def cell_measures(shift):
     """Per active cell: volume mass, first moments, Dirichlet and Neumann lengths."""
-    domain, mesh, dofmap, params, rules = discretize(shift, CELL_N)
+    domain, dofmap, params, rules = mixed_level(shift, CELL_N)
     n_cells = len(dofmap.topology.active)
 
     def per_cell(rule, values=1.0):

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from cutpoisson import LevelSetDomain, build_rules, classify, clement_interpolate
-from cutpoisson.assembly import cutoff_flux_neumann, energy_gram
+from cutpoisson.assembly import assemble_ghost_penalty, cutoff_flux_neumann, energy_gram
 from cutpoisson.cli import run as cli_run
 from cutpoisson.geometry import log_model_integral
 from cutpoisson.mesh import build_background
 from cutpoisson.study import (
     condition_sweep,
     consistency_residual,
+    discretize,
     interpolation_study,
     manufactured_singular,
     manufactured_smooth,
@@ -26,7 +27,6 @@ from cutpoisson.study import (
     run_convergence,
     verify_cutoff_lemma,
 )
-from tests.conftest import make_discretization
 
 BOX = (-1.0, -1.0, 1.0, 1.0)
 LEVELS = [8, 16, 32, 64]
@@ -84,8 +84,9 @@ def test_criterion_3_cutoff_lemma():
 
 def test_criterion_4_form_error_linear_in_epsilon():
     domain = LevelSetDomain((0.0, 0.0), 0.7, ((0.0, math.pi),))
-    mesh, topo, dofmap, params, rules = make_discretization(domain, 16)
-    gram = energy_gram(dofmap, rules, params)
+    dofmap, params, rules = discretize(domain, 16)
+    mesh = dofmap.mesh
+    gram = energy_gram(dofmap, rules, assemble_ghost_penalty(dofmap, rules, params))
     rng = np.random.default_rng(20260810)
     h = mesh.h
     eps_values = [0.1 * h * h, 0.2 * h * h, 0.4 * h * h]
@@ -143,7 +144,7 @@ def test_criterion_8_quadrature_exactness():
     domain = LevelSetDomain((0.0, 0.0), 1.0, ((0.0, 2.0 * math.pi),))
     mesh = build_background((-1.3, -1.3, 1.3, 1.3), 8)
     topo = classify(mesh, domain)
-    rules = build_rules(mesh, topo, domain, tol=1e-10)
+    rules = build_rules(topo, domain, tol=1e-10)
     area = rules.volume.weights.sum()
     perimeter = rules.boundary.weights.sum()
     r = rules.boundary
@@ -162,7 +163,8 @@ def test_criterion_8_quadrature_exactness():
 
 def test_criterion_9_interpolation():
     domain = LevelSetDomain((0.0, 0.0), 0.7, ((0.0, math.pi),))
-    mesh, topo, dofmap, params, rules = make_discretization(domain, 16)
+    dofmap, params, rules = discretize(domain, 16)
+    mesh = dofmap.mesh
     rng = np.random.default_rng(20260810)
     worst = 0.0
     for _ in range(10):

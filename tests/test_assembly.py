@@ -38,11 +38,12 @@ from cutpoisson.space import FeFunction, face_normal, hat_gradients
 from cutpoisson.study import (
     DEFAULT_BOX,
     consistency_residual,
+    discretize,
     manufactured_singular,
     manufactured_smooth,
     sweep_shifts,
 )
-from tests.conftest import jump_normal_gradient, make_discretization, reference_tolerance
+from tests.conftest import jump_normal_gradient, reference_tolerance
 
 
 class ZeroData:
@@ -52,7 +53,7 @@ class ZeroData:
 
 
 def test_stiffness_constant_kernel(disc_mixed_8):
-    mesh, topo, dofmap, params, rules = disc_mixed_8
+    dofmap, params, rules = disc_mixed_8
     K = assemble_stiffness(dofmap, rules)
     assert np.abs(K @ np.ones(dofmap.ndof)).max() < 1e-12
     assert abs(K - K.T).max() == 0.0
@@ -61,7 +62,7 @@ def test_stiffness_constant_kernel(disc_mixed_8):
 def test_stiffness_matches_hand_assembly():
     """Fitted unit square, two triangles: the classic 4x4 P1 stiffness matrix."""
     domain = LevelSetDomain((0.5, 0.5), 10.0, ((0.0, 2 * math.pi),))
-    mesh, topo, dofmap, params, rules = make_discretization(domain, 1, box=(0, 0, 1, 1))
+    dofmap, params, rules = discretize(domain, 1, box=(0, 0, 1, 1))
     K = assemble_stiffness(dofmap, rules).toarray()
     # dofs follow vertex order (0,0), (0,1), (1,0), (1,1)
     expected = np.array(
@@ -77,7 +78,8 @@ def test_stiffness_matches_hand_assembly():
 
 
 def test_nitsche_symmetry_and_constant_value(domain_mixed, disc_mixed_8):
-    mesh, topo, dofmap, params, rules = disc_mixed_8
+    dofmap, params, rules = disc_mixed_8
+    mesh = dofmap.mesh
     A = assemble_nitsche(dofmap, rules, params)
     assert abs(A - A.T).max() == 0.0
     one = np.ones(dofmap.ndof)
@@ -87,14 +89,15 @@ def test_nitsche_symmetry_and_constant_value(domain_mixed, disc_mixed_8):
 
 def test_nitsche_pure_neumann_reduces_to_stiffness():
     domain = LevelSetDomain((0.0, 0.0), 0.7)
-    mesh, topo, dofmap, params, rules = make_discretization(domain, 8)
+    dofmap, params, rules = discretize(domain, 8)
     A = assemble_nitsche(dofmap, rules, params)
     K = assemble_stiffness(dofmap, rules)
     assert abs(A - K).max() == 0.0
 
 
 def test_ghost_penalty_properties(disc_mixed_8, rng):
-    mesh, topo, dofmap, params, rules = disc_mixed_8
+    dofmap, params, rules = disc_mixed_8
+    mesh, topo = dofmap.mesh, dofmap.topology
     S = assemble_ghost_penalty(dofmap, rules, params)
     verts = mesh.vertices[dofmap.dof_to_vertex]
     affine = FeFunction(1.0 + 2.0 * verts[:, 0] - 0.5 * verts[:, 1], dofmap)
@@ -113,7 +116,8 @@ def test_ghost_penalty_properties(disc_mixed_8, rng):
 
 
 def test_load_vector_cases(domain_mixed, disc_mixed_8):
-    mesh, topo, dofmap, params, rules = disc_mixed_8
+    dofmap, params, rules = disc_mixed_8
+    mesh = dofmap.mesh
     assert np.abs(assemble_load(dofmap, rules, params, ZeroData)).max() == 0.0
 
     class UnitSource(ZeroData):
@@ -131,14 +135,15 @@ def test_load_vector_cases(domain_mixed, disc_mixed_8):
 
 
 def test_regularized_zero_epsilon_equals_standard(domain_mixed, disc_mixed_8):
-    mesh, topo, dofmap, params, rules = disc_mixed_8
+    dofmap, params, rules = disc_mixed_8
     A = assemble_nitsche(dofmap, rules, params)
     A0 = assemble_regularized(A, dofmap, rules, params, domain_mixed)
     assert abs(A0 - A).max() == 0.0
 
 
 def test_regularized_asymmetry(domain_mixed, disc_mixed_8):
-    mesh, topo, dofmap, params, rules = disc_mixed_8
+    dofmap, params, rules = disc_mixed_8
+    mesh = dofmap.mesh
     eps = 0.1 * mesh.h**2
     A = assemble_nitsche(dofmap, rules, params)
     A_eps = assemble_regularized(A, dofmap, rules, params.with_epsilon(eps), domain_mixed)
@@ -146,14 +151,16 @@ def test_regularized_asymmetry(domain_mixed, disc_mixed_8):
 
 
 def test_epsilon_is_carried_by_the_tube(disc_mixed_8):
-    mesh, topo, dofmap, params, rules = disc_mixed_8
+    dofmap, params, rules = disc_mixed_8
+    mesh = dofmap.mesh
     for eps in (0.05 * mesh.h**2, 0.1 * mesh.h**2, 0.4 * mesh.h**2):
         assert params.with_epsilon(eps).tube.epsilon == eps
 
 
 def test_standard_tube_holds_no_epsilon(domain_mixed, disc_mixed_8):
     """At epsilon = 0 a direct cutoff call cannot fall back on some other epsilon."""
-    mesh, topo, dofmap, params, rules = disc_mixed_8
+    dofmap, params, rules = disc_mixed_8
+    mesh = dofmap.mesh
     x = domain_mixed.boundary_point(np.array([-0.1, -0.2]))
     for standard in (params, params.with_epsilon(0.1 * mesh.h**2).with_epsilon(0.0)):
         assert standard.epsilon == 0.0 and standard.tube.epsilon is None
@@ -162,7 +169,8 @@ def test_standard_tube_holds_no_epsilon(domain_mixed, disc_mixed_8):
 
 
 def test_cutoff_paths_need_a_positive_epsilon_and_the_domain(domain_mixed, disc_mixed_8):
-    mesh, topo, dofmap, params, rules = disc_mixed_8
+    dofmap, params, rules = disc_mixed_8
+    mesh = dofmap.mesh
     problem = manufactured_smooth(domain_mixed)
     assert params.epsilon == 0.0
     with pytest.raises(ValueError, match="positive epsilon"):
@@ -180,8 +188,9 @@ def test_form_gap_bounded_linearly_in_epsilon(domain_mixed, disc_mixed_16):
     The sup is exact: the extreme generalized eigenvalue of the symmetric part
     of the gap against the energy Gram matrix.
     """
-    mesh, topo, dofmap, params, rules = disc_mixed_16
-    G = energy_gram(dofmap, rules, params).toarray()
+    dofmap, params, rules = disc_mixed_16
+    mesh = dofmap.mesh
+    G = energy_gram(dofmap, rules, assemble_ghost_penalty(dofmap, rules, params)).toarray()
     h = mesh.h
     eps_values = [0.05 * h**2, 0.1 * h**2, 0.2 * h**2, 0.4 * h**2]
     sups = []
@@ -196,32 +205,31 @@ def test_form_gap_bounded_linearly_in_epsilon(domain_mixed, disc_mixed_16):
 
 
 def test_energy_norm_cases(domain_mixed, disc_mixed_8, rng):
-    mesh, topo, dofmap, params, rules = disc_mixed_8
-    gram = energy_gram(dofmap, rules, params, with_stabilization=False)
+    dofmap, params, rules = disc_mixed_8
+    mesh = dofmap.mesh
+    S = assemble_ghost_penalty(dofmap, rules, params)
+    gram = energy_gram(dofmap, rules, S)
     assert energy_norm(np.zeros(dofmap.ndof), gram) == 0.0
+    # a constant has no gradient and no gradient jump: only its Dirichlet trace counts
     one = np.ones(dofmap.ndof)
     expected = math.sqrt(math.pi * domain_mixed.radius / mesh.h)
     assert energy_norm(one, gram) == pytest.approx(expected, rel=1e-10)
     # definition cross-check against the assembled pieces
-    S = assemble_ghost_penalty(dofmap, rules, params)
     K = assemble_stiffness(dofmap, rules)
     M = assemble_boundary_mass(dofmap, rules)
-    gram_stab = energy_gram(dofmap, rules, params, stabilizer=S)
     x = rng.standard_normal(dofmap.ndof)
     direct = x @ (K @ x) + x @ (S @ x) + x @ (M @ x) / mesh.h
-    assert energy_norm(x, gram_stab) ** 2 == pytest.approx(direct, rel=1e-12)
+    assert energy_norm(x, gram) ** 2 == pytest.approx(direct, rel=1e-12)
 
 
 def test_coercivity_across_cut_sweep(domain_dirichlet):
     """Energy-metric eigenvalue of the stabilized operator stays above 0.1."""
     for n in (8, 16):
         for shift in sweep_shifts((-1, -1, 1, 1), n, 20):
-            mesh, topo, dofmap, params, rules = make_discretization(
-                domain_dirichlet, n, tol=1e-8, shift=shift
-            )
+            dofmap, params, rules = discretize(domain_dirichlet, n, tol=1e-8, shift=shift)
             A = assemble_nitsche(dofmap, rules, params)
             S = assemble_ghost_penalty(dofmap, rules, params)
-            G = energy_gram(dofmap, rules, params, stabilizer=S)
+            G = energy_gram(dofmap, rules, S)
             lam = scipy.linalg.eigh(
                 (A + S).toarray(), G.toarray(), eigvals_only=True, subset_by_index=[0, 0]
             )[0]
@@ -256,9 +264,8 @@ def verify_regularized_identity(
     cutoff-weighted Neumann data pairing; this evaluates both sides and
     returns the largest scaled mismatch.
     """
-    mesh, topo, dofmap, params, rules = make_discretization(
-        problem.domain, n, box, tol, beta, sigma
-    )
+    dofmap, params, rules = discretize(problem.domain, n, beta, sigma, box, tol)
+    mesh = dofmap.mesh
     domain = problem.domain
     if epsilon is None:
         epsilon = 0.1 * mesh.h**2
@@ -298,7 +305,7 @@ def test_regularized_residual_identity(domain_mixed):
 
 
 def test_assemble_system_bundles(domain_mixed, disc_mixed_8):
-    mesh, topo, dofmap, params, rules = disc_mixed_8
+    dofmap, params, rules = disc_mixed_8
     problem = manufactured_smooth(domain_mixed)
     system = assemble_system(dofmap, rules, params, problem)
     assert abs(system.A - assemble_nitsche(dofmap, rules, params)).max() == 0.0
@@ -312,7 +319,8 @@ def test_refined_cells_match_distance_definition(domain_mixed):
     from cutpoisson.mesh import _point_triangle_distance
 
     for shift in ((0.0, 0.0), (0.013, 0.021)):
-        mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, 16, shift=shift)
+        dofmap, params, rules = discretize(domain_mixed, 16, shift=shift)
+        mesh, topo = dofmap.mesh, dofmap.topology
         coords = mesh.vertices[mesh.triangles[topo.active]]
         points = domain_mixed.junction_points
         expected = np.full(len(coords), -1)
@@ -377,7 +385,7 @@ def _pattern(M):
 
 def test_cell_scatter_matches_the_add_at_and_lexsort_oracles_on_random_blocks(domain_mixed):
     """Cells repeated within and across the draws, sums that cancel exactly, and no blocks."""
-    mesh, topo, dofmap, params, rules = make_discretization(
+    dofmap, params, rules = discretize(
         domain_mixed, 16, shift=sweep_shifts((-1, -1, 1, 1), 16, 20)[7]
     )
     _, _, dofs = dofmap.active_cells
@@ -451,7 +459,7 @@ def _operators(domain, dofmap, rules, params):
         "S": S,
         "A": A,
         "A + S": A + S,
-        "G": energy_gram(dofmap, rules, params, stabilizer=S),
+        "G": energy_gram(dofmap, rules, S),
         "A_eps": assemble_regularized(A, dofmap, rules, params_eps, domain),
     }
 
@@ -460,14 +468,14 @@ OPERATOR_GRIDS = [(8, 0), (16, 3), (16, 7), (16, 13), (64, 0)]
 
 
 def _grid(domain, n, shift):
-    return make_discretization(domain, n, shift=sweep_shifts((-1, -1, 1, 1), n, 20)[shift])
+    return discretize(domain, n, shift=sweep_shifts((-1, -1, 1, 1), n, 20)[shift])
 
 
 @pytest.mark.parametrize("n, shift", OPERATOR_GRIDS)
 def test_operators_match_the_add_at_and_lexsort_oracles(domain_mixed, n, shift):
     """Every operator is bitwise the insertion-order scatter's and has the lexsort scatter's
     couplings, with no stored zeros; A, S and A + S are bitwise symmetric."""
-    mesh, topo, dofmap, params, rules = _grid(domain_mixed, n, shift)
+    dofmap, params, rules = _grid(domain_mixed, n, shift)
     got = _operators(domain_mixed, dofmap, rules, params)
     bitwise = _operator_oracles(domain_mixed, dofmap, rules, params, _blocks_add_at)
     pattern = _operator_oracles(domain_mixed, dofmap, rules, params, _coo_accumulate_lexsort)
@@ -481,7 +489,7 @@ def test_operators_match_the_add_at_and_lexsort_oracles(domain_mixed, n, shift):
 
 @pytest.mark.parametrize("n, shift", OPERATOR_GRIDS)
 def test_factored_operator_has_the_lexsort_couplings_and_no_zeros(domain_mixed, n, shift):
-    mesh, topo, dofmap, params, rules = _grid(domain_mixed, n, shift)
+    dofmap, params, rules = _grid(domain_mixed, n, shift)
     system = assemble_system(dofmap, rules, params, manufactured_singular(domain_mixed))
     K = solve_standard(system, dofmap).operator
     pattern = _operator_oracles(domain_mixed, dofmap, rules, params, _coo_accumulate_lexsort)
@@ -493,7 +501,8 @@ def test_empty_rules_give_zero_operators(domain_mixed, domain_dirichlet):
     """No Neumann points on the Dirichlet disk, no Dirichlet points on the Neumann disk."""
     neumann_disk = LevelSetDomain(domain_mixed.center, domain_mixed.radius, ())
     for domain, empty in ((domain_dirichlet, "neumann"), (neumann_disk, "dirichlet")):
-        mesh, topo, dofmap, params, rules = make_discretization(domain, 16)
+        dofmap, params, rules = discretize(domain, 16)
+        mesh = dofmap.mesh
         assert len(getattr(rules, empty).weights) == 0
         params_eps = params.with_epsilon(0.1 * mesh.h**2)
         ops = [cutoff_flux_neumann(dofmap, rules, domain, params_eps)]
@@ -505,7 +514,7 @@ def test_empty_rules_give_zero_operators(domain_mixed, domain_dirichlet):
 
 def test_shared_pattern_arrays_are_read_only_and_unchanged(domain_mixed):
     """The stencil tables and the dofmap's cached cell arrays, which every operator reads."""
-    mesh, topo, dofmap, params, rules = _grid(domain_mixed, 16, 7)
+    dofmap, params, rules = _grid(domain_mixed, 16, 7)
     shared = [space.STENCIL, space.CORNERS, space.PAIR_SLOTS, dofmap.reference_gradients]
     shared += dofmap.active_cells
     before = [a.copy() for a in shared]
@@ -545,7 +554,7 @@ def load_pointwise(dofmap, rules, params, data):
     return b
 
 
-def error_norms_pointwise(problem, u_h, rules, params, stabilizer, refine_levels=0):
+def error_norms_pointwise(problem, u_h, rules, stabilizer, refine_levels=0):
     """Oracle: the error norms with u_h from barycentric coordinates at every volume point,
     over one concatenated copy of the bulk rule without the refined cells and the refined rule."""
     dofmap = u_h.dofmap
@@ -602,13 +611,13 @@ def test_volume_terms_match_the_pointwise_oracles(
     problem = _problem(name, domain_mixed, domain_dirichlet)
     n = 16
     offset = (0.0, 0.0) if shift is None else sweep_shifts((-1, -1, 1, 1), n, 20)[shift]
-    mesh, topo, dofmap, params, rules = make_discretization(problem.domain, n, shift=offset)
+    dofmap, params, rules = discretize(problem.domain, n, shift=offset)
     system = assemble_system(dofmap, rules, params, problem)
     want = load_pointwise(dofmap, rules, params, problem)
     assert np.abs(system.b - want).max() <= 1e-12 * np.abs(want).max()
     u_h = solve_standard(system, dofmap).solution
-    got = error_norms(problem, u_h, rules, params, system.S, refine_levels)
-    want = error_norms_pointwise(problem, u_h, rules, params, system.S, refine_levels)
+    got = error_norms(problem, u_h, rules, system.S, refine_levels)
+    want = error_norms_pointwise(problem, u_h, rules, system.S, refine_levels)
     for field in ("energy", "sh", "l2"):
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0)
 
@@ -618,7 +627,7 @@ def test_zero_source_gives_the_boundary_load(domain_mixed, shift):
     problem = manufactured_smooth(domain_mixed)
     no_source = dataclasses.replace(problem, f=lambda p: np.zeros(np.asarray(p).shape[:-1]))
     offset = (0.0, 0.0) if shift is None else sweep_shifts((-1, -1, 1, 1), 16, 20)[shift]
-    mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, 16, shift=offset)
+    dofmap, params, rules = discretize(domain_mixed, 16, shift=offset)
     b = assemble_load(dofmap, rules, params, no_source)
     assert np.abs(b).max() > 0.0
     assert np.array_equal(b, boundary_load_pointwise(dofmap, rules, params, no_source))
@@ -634,7 +643,7 @@ def _stiffness_einsum(dofmap, rules):
 
 @pytest.mark.parametrize("n", [8, 32])
 def test_stiffness_is_bitwise_the_einsum_on_a_dyadic_grid(domain_mixed, n):
-    mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, n)
+    dofmap, params, rules = discretize(domain_mixed, n)
     want = _stiffness_einsum(dofmap, rules)
     assert _csr_bits(assemble_stiffness(dofmap, rules)) == _csr_bits(want)
 
@@ -649,9 +658,8 @@ def test_stiffness_by_parity_matches_the_einsum_and_operators_stay_symmetric(
     domain_mixed, box, n
 ):
     for shift in sweep_shifts(box, n, 20)[::6]:
-        mesh, topo, dofmap, params, rules = make_discretization(
-            domain_mixed, n, box=box, shift=shift
-        )
+        dofmap, params, rules = discretize(domain_mixed, n, box=box, shift=shift)
+        mesh = dofmap.mesh
         K, want = assemble_stiffness(dofmap, rules), _stiffness_einsum(dofmap, rules)
         assert np.array_equal(K.indptr, want.indptr) and np.array_equal(K.indices, want.indices)
         err = np.abs(K.data - want.data).max() / np.abs(want.data).max()

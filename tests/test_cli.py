@@ -4,6 +4,8 @@ import math
 import pytest
 
 from cutpoisson.cli import ConfigError, load_config, main, run
+from cutpoisson.geometry import LevelSetDomain
+from cutpoisson.study import condition_sweep
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -61,6 +63,25 @@ def test_unknown_field_rejected(tmp_path, capsys, section, field, value):
     path.write_text(json.dumps({section: {field: value}}))
     assert run(str(path), quiet=True) == 2
     assert f"{section}.{field}" in capsys.readouterr().err
+
+
+def test_condition_sweep_follows_quadrature_tol(tmp_path):
+    """The sweep's CSV holds the study's rows at the configured tolerance."""
+    overrides = {
+        "mesh": {"levels": [8], "shift_sweep_count": 2},
+        "study": {"kind": "condition_sweep"},
+        "quadrature_tol": 1e-12,
+        "output": str(tmp_path / "out"),
+    }
+    assert run(str(write_config(tmp_path, overrides)), quiet=True) == 0
+    lines = (tmp_path / "out" / "condition_sweep.csv").read_text().strip().split("\n")
+    domain = LevelSetDomain((0.0, 0.0), 0.7, ((0.0, 2.0 * math.pi),))
+    report = condition_sweep(domain, 8, 2, tol=1e-12)
+    want = [
+        [i, *r.shift, r.lambda_min_energy, r.kappa_stabilized, r.kappa_unstabilized]
+        for i, r in enumerate(report.rows)
+    ]
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] == want
 
 
 def test_quadrature_tol_below_the_floor_rejected(tmp_path):

@@ -23,11 +23,11 @@ from cutpoisson.solve import (
 from cutpoisson.study import (
     condition_sweep,
     convergence_level,
+    discretize,
     manufactured_singular,
     manufactured_smooth,
     regularization_study,
 )
-from tests.conftest import make_discretization
 
 
 class FakeDofmap:
@@ -84,14 +84,14 @@ def test_singular_level_factors_with_the_pinned_fill(domain_mixed):
     and add fill (and time) without changing the solution.
     """
     problem = manufactured_singular(domain_mixed)
-    mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, 64)
+    dofmap, params, rules = discretize(domain_mixed, 64)
     report = solve_standard(assemble_system(dofmap, rules, params, problem), dofmap)
     assert report.factors.L.nnz + report.factors.U.nnz == 49710
 
 
 def test_regularized_limit_matches_standard(domain_mixed):
     problem = manufactured_smooth(domain_mixed)
-    mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, 16)
+    dofmap, params, rules = discretize(domain_mixed, 16)
     system = assemble_system(dofmap, rules, params, problem)
     standard = solve_standard(system, dofmap)
     u_h = standard.solution
@@ -112,7 +112,8 @@ def test_regularized_limit_matches_standard(domain_mixed):
 )
 def test_low_rank_update_matches_a_direct_factorization(domain_mixed, n, eps_of):
     problem = manufactured_smooth(domain_mixed)
-    mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, n)
+    dofmap, params, rules = discretize(domain_mixed, n)
+    mesh = dofmap.mesh
     system = assemble_system(dofmap, rules, params, problem)
     standard = solve_standard(system, dofmap)
     A_eps = assemble_regularized(
@@ -161,10 +162,10 @@ def test_regularized_gap_bounded_and_stable(domain_mixed):
     eps_values = [0.05 * h**2, 0.1 * h**2, 0.2 * h**2, 0.4 * h**2]
     report = regularization_study(problem, n, eps_values)
     assert 0.8 <= report.slope <= 1.2
-    mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, n)
+    dofmap, params, rules = discretize(domain_mixed, n)
     system = assemble_system(dofmap, rules, params, problem)
     u_h = solve_standard(system, dofmap).solution
-    gram = energy_gram(dofmap, rules, params, stabilizer=system.S)
+    gram = energy_gram(dofmap, rules, system.S)
     base = energy_norm(u_h, gram)
     for eps, gap in zip(eps_values, report.gaps):
         assert gap <= 10.0 * eps / h * base
@@ -187,7 +188,7 @@ def test_condition_estimate_singular_operator_raises():
 
 
 def test_condition_estimate_matches_dense_oracle(domain_dirichlet):
-    mesh, topo, dofmap, params, rules = make_discretization(domain_dirichlet, 8, tol=1e-8)
+    dofmap, params, rules = discretize(domain_dirichlet, 8, tol=1e-8)
     from cutpoisson.assembly import assemble_ghost_penalty, assemble_nitsche
 
     K = (
@@ -212,7 +213,7 @@ def test_stabilization_controls_conditioning(domain_dirichlet):
 
 def test_solver_determinism(domain_mixed):
     problem = manufactured_smooth(domain_mixed)
-    mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, 16)
+    dofmap, params, rules = discretize(domain_mixed, 16)
     system = assemble_system(dofmap, rules, params, problem)
     x1 = solve_standard(system, dofmap).solution.coefficients
     x2 = solve_standard(system, dofmap).solution.coefficients

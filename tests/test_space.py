@@ -59,7 +59,8 @@ def test_linear_function_gradient(fitted_two_triangles):
 
 
 def test_gradient_matches_finite_differences(domain_mixed, disc_mixed_8, rng):
-    mesh, topo, dofmap, params, rules = disc_mixed_8
+    dofmap, params, rules = disc_mixed_8
+    mesh, topo = dofmap.mesh, dofmap.topology
     f = FeFunction(rng.standard_normal(dofmap.ndof), dofmap)
     for t in topo.inside[:5]:
         coords = mesh.triangle_coords(t)
@@ -74,7 +75,8 @@ def test_gradient_matches_finite_differences(domain_mixed, disc_mixed_8, rng):
 
 
 def test_inactive_triangle_rejected(disc_mixed_8):
-    mesh, topo, dofmap, params, rules = disc_mixed_8
+    dofmap, params, rules = disc_mixed_8
+    topo = dofmap.topology
     outside = np.flatnonzero(topo.classification == 2)
     f = FeFunction(np.zeros(dofmap.ndof), dofmap)
     with pytest.raises(ValueError):
@@ -104,7 +106,8 @@ def test_hat_jump_matches_hand_assembly(fitted_two_triangles):
 
 
 def test_clement_reproduces_constants_and_affines(disc_mixed_8, rng):
-    mesh, topo, dofmap, params, rules = disc_mixed_8
+    dofmap, params, rules = disc_mixed_8
+    mesh = dofmap.mesh
     const = clement_interpolate(lambda p: np.full(np.asarray(p).shape[:-1], 4.2), dofmap)
     assert np.allclose(const.coefficients, 4.2, atol=1e-13)
     for _ in range(10):
@@ -143,7 +146,7 @@ def _clement_loop(u, dofmap):
 
 
 def test_clement_matches_the_patch_loop(domain_mixed, disc_mixed_16):
-    dofmap = disc_mixed_16[2]
+    dofmap = disc_mixed_16[0]
     for problem in (manufactured_smooth(domain_mixed), manufactured_singular(domain_mixed)):
         ref = _clement_loop(problem.u, dofmap)
         got = clement_interpolate(problem.u, dofmap).coefficients
@@ -162,7 +165,7 @@ def test_clement_names_a_degenerate_patch(fitted_two_triangles):
 def test_clement_affine_has_zero_stabilizer_seminorm(disc_mixed_8):
     from cutpoisson.assembly import assemble_ghost_penalty, energy_norm
 
-    mesh, topo, dofmap, params, rules = disc_mixed_8
+    dofmap, params, rules = disc_mixed_8
     S = assemble_ghost_penalty(dofmap, rules, params)
     interp = clement_interpolate(
         lambda p: 1.0 + 2.0 * np.asarray(p)[..., 0] - np.asarray(p)[..., 1], dofmap
@@ -187,7 +190,7 @@ def test_active_cell_geometry_is_computed_once_and_read_only(domain_mixed, monke
     calls = []
     original = cutpoisson.space.hat_gradients
     monkeypatch.setattr(cutpoisson.space, "hat_gradients", lambda c: calls.append(1) or original(c))
-    rules = build_rules(mesh, topo, domain_mixed)
+    rules = build_rules(topo, domain_mixed)
     params = NitscheParams()
     assemble_nitsche(dofmap, rules, params)
     assemble_load(dofmap, rules, params, manufactured_smooth(domain_mixed))
@@ -254,11 +257,11 @@ def test_one_hat_gradients_call_per_level(domain_mixed, monkeypatch):
         mesh = build_background((-1, -1, 1, 1), n, shift)
         topo = classify(mesh, domain_mixed)
         dofmap = build_dofmap(topo)
-        rules = build_rules(mesh, topo, domain_mixed)
+        rules = build_rules(topo, domain_mixed)
         params = NitscheParams()
         assemble_nitsche(dofmap, rules, params)
         S = assemble_ghost_penalty(dofmap, rules, params)
         assemble_load(dofmap, rules, params, problem)
         u_h = FeFunction(np.ones(dofmap.ndof), dofmap)
-        error_norms(problem, u_h, rules, params, S, refine_levels=2)
+        error_norms(problem, u_h, rules, S, refine_levels=2)
         assert len(calls) == level

@@ -7,6 +7,7 @@ from cutpoisson import LevelSetDomain
 from cutpoisson.geometry import boundary_angle, is_dirichlet_angle
 from cutpoisson.study import (
     _dirichlet_cells,
+    discretize,
     interpolation_study,
     manufactured_singular,
     manufactured_smooth,
@@ -18,7 +19,6 @@ from cutpoisson.study import (
     verify_cutoff_lemma,
     verify_inequalities,
 )
-from tests.conftest import make_discretization
 
 
 def test_smooth_problem_reference_values(domain_mixed):
@@ -181,7 +181,7 @@ def test_report_rejects_non_refined_levels(domain_dirichlet):
 def test_inequality_constants_stable(domain_mixed):
     constants = []
     for n in (8, 16):
-        mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, n)
+        dofmap, params, rules = discretize(domain_mixed, n)
         rep = verify_inequalities(domain_mixed, dofmap, rules, params, trials=20)
         constants.append(rep)
         assert rep.full_gradient > 0.0
@@ -195,7 +195,8 @@ def test_inequality_constants_stable(domain_mixed):
 def test_inequality_affine_case(domain_mixed):
     """A global affine has zero stabilizer, so the full-mesh gradient bound is
     an upper bound with constant at least the active-to-cut area ratio."""
-    mesh, topo, dofmap, params, rules = make_discretization(domain_mixed, 8)
+    dofmap, params, rules = discretize(domain_mixed, 8)
+    mesh, topo = dofmap.mesh, dofmap.topology
     from cutpoisson.assembly import assemble_stiffness
 
     K = assemble_stiffness(dofmap, rules)
@@ -214,9 +215,7 @@ def test_inequality_affine_case(domain_mixed):
 def test_inequality_constants_bounded_across_sweep(domain_mixed):
     values = []
     for shift in sweep_shifts((-1, -1, 1, 1), 8, 20):
-        mesh, topo, dofmap, params, rules = make_discretization(
-            domain_mixed, 8, tol=1e-8, shift=shift
-        )
+        dofmap, params, rules = discretize(domain_mixed, 8, tol=1e-8, shift=shift)
         rep = verify_inequalities(domain_mixed, dofmap, rules, params, trials=5)
         values.append(rep.full_gradient)
     assert max(values) <= 10.0 * min(values)
@@ -276,7 +275,8 @@ def test_dirichlet_cells_match_branch_and_bound_oracle(domain_mixed, domain_name
     """
     domain = domain_mixed if domain_name == "mixed" else _TWO_ARC
     shift = sweep_shifts((-1, -1, 1, 1), 8, 20)[shift_index]
-    mesh, topo, dofmap, params, rules = make_discretization(domain, 8, shift=shift)
+    dofmap, params, rules = discretize(domain, 8, shift=shift)
+    mesh, topo = dofmap.mesh, dofmap.topology
     coords = mesh.vertices[mesh.triangles[topo.active]]
     found = _dirichlet_cells(domain, coords, rules.dirichlet, mesh.h)
     expected = [_meets_dirichlet_oracle(domain, c, 1e-12 * mesh.h) for c in coords]
@@ -311,7 +311,7 @@ def test_regularization_coupling_matches_the_study_per_level(domain_mixed):
     levels = (8, 16)
     report = regularization_coupling(problem, levels)
     for n, gap in zip(levels, report.gaps):
-        h = make_discretization(domain_mixed, n)[0].h
+        h = discretize(domain_mixed, n)[0].mesh.h
         assert gap == regularization_study(problem, n, [0.1 * h**2]).gaps[0]
 
 
@@ -326,20 +326,18 @@ def test_interpolation_energy_slope_singular(domain_mixed):
 
 def test_truncated_domain_rejected(domain_mixed):
     """A grid shift or a disk that moves the boundary circle across the mesh edge fails loudly."""
-    from cutpoisson.study import _discretize, convergence_level
+    from cutpoisson.study import convergence_level
 
     problem = manufactured_smooth(domain_mixed)
     with pytest.raises(ValueError, match="truncated domain"):
         convergence_level(problem, 8, shift=(0.5, 0.5))
     off_center = LevelSetDomain((0.5, 0.0), 0.7, ((0.0, math.pi),))
     with pytest.raises(ValueError, match="meets the edge of the mesh extent"):
-        _discretize(off_center, 8, (-1.0, -1.0, 1.0, 1.0), 1e-10)
+        discretize(off_center, 8)
 
 
-def test_box_inside_disk_discretizes():
-    from cutpoisson.study import _discretize
-
+def test_box_inside_disk_is_all_inside():
     covering = LevelSetDomain((0.5, 0.5), 10.0, ((0.0, 2 * math.pi),))
-    mesh, topo, dofmap, params, rules = _discretize(covering, 4, (0.0, 0.0, 1.0, 1.0), 1e-10)
+    dofmap, params, rules = discretize(covering, 4, box=(0.0, 0.0, 1.0, 1.0))
     assert rules.volume.weights.sum() == pytest.approx(1.0, rel=1e-14)
     assert len(rules.boundary.weights) == 0
