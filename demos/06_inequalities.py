@@ -20,7 +20,7 @@ domain = LevelSetDomain(center=(0.0, 0.0), radius=0.7, dirichlet_arcs=((0.0, mat
 
 def constants(n, shift=(0.0, 0.0), trials=20):
     dofmap, params, rules = discretize(domain, n, tol=1e-8, shift=shift)
-    return verify_inequalities(domain, dofmap, rules, params, trials=trials)
+    return verify_inequalities(dofmap, rules, params, trials=trials)
 
 
 print("constants under refinement")

@@ -10,10 +10,10 @@ boundary cuts the cells.
 from cutpoisson.geometry import (
     LevelSetDomain,
     TubeParams,
+    collar,
     cutoff,
     cutoff_conormal_integral,
     cutoff_gradient,
-    default_tube_params,
     signed_distance,
 )
 from cutpoisson.mesh import (

@@ -31,9 +31,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from cutpoisson.geometry import TubeParams, cutoff
+from cutpoisson.geometry import collar, cutoff
 from cutpoisson.mesh import _point_triangle_distance
-from cutpoisson.quadrature import _barycentric, refine_rule_toward
+from cutpoisson.quadrature import REFINE_LEVELS, _barycentric, refine_rule_toward
 from cutpoisson.space import CORNERS, PAIR_SLOTS, STENCIL, FeFunction, face_normal, stencil_slot
 from cutpoisson.space import hat_gradients  # noqa: F401 (re-export)
 
@@ -44,15 +44,14 @@ class NitscheParams:
 
     ``epsilon = 0`` selects the standard method; a positive value selects the
     regularized form whose Dirichlet flux term is weighted by the cutoff.
-    ``epsilon`` is copied into ``tube``, as None when it is zero, so the tube
-    carries it to every cutoff evaluation and the standard method's tube
-    holds no epsilon.
+    Epsilon is held here only: each cutoff derives its collar, delta = h and
+    ``epsilon``, with ``geometry.collar`` from the dofmap's mesh and domain,
+    which rejects an epsilon past the admissible limit.
     """
 
     beta: float = 10.0
     sigma: float = 0.1
     epsilon: float = 0.0
-    tube: TubeParams | None = None
 
     def __post_init__(self):
         if not self.beta > 0.0:
@@ -61,18 +60,9 @@ class NitscheParams:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if self.epsilon < 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if self.epsilon > 0.0:
-            if self.tube is None:
-                raise ValueError("regularization requires tube parameters")
-            if self.epsilon > self.tube.epsilon0:
-                raise ValueError(
-                    f"epsilon {self.epsilon} exceeds the admissible {self.tube.epsilon0}"
-                )
-        if self.tube is not None:
-            object.__setattr__(self, "tube", replace(self.tube, epsilon=self.epsilon or None))
 
     def with_epsilon(self, epsilon):
-        return NitscheParams(self.beta, self.sigma, epsilon, self.tube)
+        return replace(self, epsilon=epsilon)
 
 
 @dataclass
@@ -201,36 +191,36 @@ def assemble_nitsche(dofmap, rules, params):
     return _compress(dofmap, stencil)
 
 
-def _cutoff_weight(domain, params):
+def _cutoff_weight(dofmap, params):
     """The cutoff of the regularized method as a weight on points."""
     if not params.epsilon > 0.0:
         raise ValueError("the cutoff needs a positive epsilon; epsilon = 0 is the standard method")
-    if domain is None:
-        raise ValueError("the cutoff needs the domain geometry")
-    return lambda pts: cutoff(domain, params.tube, pts)
+    domain = dofmap.topology.domain
+    widths = collar(domain, dofmap.mesh.h, params.epsilon)
+    return lambda pts: cutoff(domain, widths, pts)
 
 
-def cutoff_flux_neumann(dofmap, rules, domain, params):
+def cutoff_flux_neumann(dofmap, rules, params):
     """Cutoff-weighted flux pairing over the Neumann boundary only.
 
     This is exactly the difference between the standard and regularized
     operators, since the cutoff equals one on the Dirichlet part.
     """
-    weight, rule = _cutoff_weight(domain, params), rules.neumann
+    weight, rule = _cutoff_weight(dofmap, params), rules.neumann
     return _compress(dofmap, *_cell_scatter(dofmap, rule.owner, _flux_blocks(dofmap, rule, weight)))
 
 
-def assemble_regularized(A, dofmap, rules, params, domain):
+def assemble_regularized(A, dofmap, rules, params):
     """Regularized Nitsche operator from the assembled standard operator ``A``.
 
     The Dirichlet flux term of the regularized form is weighted by the cutoff
-    of ``params.tube``, which equals one on the Dirichlet part, so the operator
+    of ``params.epsilon``, which equals one on the Dirichlet part, so the operator
     is ``A`` minus the cutoff-weighted Neumann flux pairing.  At epsilon = 0 it
     is ``A`` itself.
     """
     if params.epsilon == 0.0:
         return A
-    return (A - cutoff_flux_neumann(dofmap, rules, domain, params)).tocsr()
+    return (A - cutoff_flux_neumann(dofmap, rules, params)).tocsr()
 
 
 def assemble_ghost_penalty(dofmap, rules, params):
@@ -299,14 +289,14 @@ def assemble_system(dofmap, rules, params, data):
     return SystemMatrices(A, S, b)
 
 
-def nitsche_action(dofmap, rules, params, u, grad_u, domain=None):
+def nitsche_action(dofmap, rules, params, u, grad_u):
     """Vector of the form of ``params`` applied to an analytic field.
 
     Entry i is form(u, phi_i), with the exact solution entering through its
     analytic values and gradients at the quadrature points.  A positive
-    ``params.epsilon`` selects the cutoff-weighted form, which needs ``domain``.
+    ``params.epsilon`` selects the cutoff-weighted form.
     """
-    chi = _cutoff_weight(domain, params) if params.epsilon > 0.0 else None
+    chi = _cutoff_weight(dofmap, params) if params.epsilon > 0.0 else None
     h = dofmap.mesh.h
     coords, grads, dofs = dofmap.active_cells
     vol, rule_d, rule_n = rules.volume, rules.dirichlet, rules.neumann
@@ -363,12 +353,13 @@ def _cells_near(points, coords, radius, h):
     return near
 
 
-def error_norms(problem, u_h, rules, stabilizer, refine_levels=0):
+def error_norms(problem, u_h, rules, stabilizer, refine_levels=REFINE_LEVELS):
     """Energy error (without stabilization), stabilizer seminorm, and L2 error.
 
     The energy error pairs the broken gradient over the cut volumes with the
     scaled Dirichlet trace mismatch.  Near points of reduced regularity (cells
-    within 2h of one) the volume rules are refined so the quadrature of the
+    within 2h of one) the volume rules are refined ``refine_levels`` times
+    (``quadrature.REFINE_LEVELS``, or none at 0) so the quadrature of the
     singular gradient does not pollute the reported norms; the bulk rule skips
     those cells.  At a volume point u_h is its cell's affine function.
     """
@@ -381,7 +372,7 @@ def error_norms(problem, u_h, rules, stabilizer, refine_levels=0):
         cells = np.flatnonzero(target >= 0)
         refined = refine_rule_toward(
             coords[cells],
-            problem.domain,
+            u_h.dofmap.topology.domain,
             singular[target[cells]],
             tol=rules.tol,
             levels=refine_levels,

@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 import cutpoisson
-from cutpoisson.geometry import LevelSetDomain, circle_meets_box_edge, default_tube_params
+from cutpoisson.geometry import COLLAR, LevelSetDomain, circle_meets_box_edge
 from cutpoisson.mesh import build_background, cell_diagonal
 from cutpoisson.quadrature import MIN_TOL
 from cutpoisson import study as study_mod
@@ -170,12 +170,12 @@ def _epsilon_values(cfg, domain, h):
         base = float(rule.get("value", 0.0))
         if base <= 0.0:
             raise ConfigError("params.epsilon_rule.value must be positive for 'fixed'")
-        epsilon0 = default_tube_params(domain, h).epsilon0
-        if not 4.0 * base <= epsilon0:
+        limit = COLLAR * domain.radius
+        if not 4.0 * base <= limit:
             raise ConfigError(
                 f"params.epsilon_rule.value {base!r}: the study's largest epsilon 4 * value = "
-                f"{4.0 * base!r} exceeds the admissible {epsilon0!r}; "
-                f"the largest admissible value is {epsilon0 / 4.0!r}"
+                f"{4.0 * base!r} exceeds the admissible {limit!r}; "
+                f"the largest admissible value is {limit / 4.0!r}"
             )
     else:
         base = float(rule.get("c", 0.1)) * h * h
@@ -230,7 +230,7 @@ def _run_study(cfg):
 
     if kind == "inequalities":
         dofmap, params, rules = study_mod.discretize(domain, levels[0], beta, sigma, box, tol)
-        report = study_mod.verify_inequalities(domain, dofmap, rules, params)
+        report = study_mod.verify_inequalities(dofmap, rules, params)
         header = ["inequality", "max_constant"]
         rows = [
             ["full_gradient_vs_stabilized", report.full_gradient],

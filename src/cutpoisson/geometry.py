@@ -224,37 +224,30 @@ def _nearest_junction_offset(theta, junctions):
     return offs[np.arange(len(offs)), nearest], nearest
 
 
+COLLAR = 0.75  # the widest collar, delta or epsilon, as a fraction of the radius
+
+
 @dataclass(frozen=True)
 class TubeParams:
-    """Collar widths: `delta` into the domain, `epsilon` along the boundary past
-    a junction, with `delta0`/`epsilon0` the maximal admissible values.  The
-    standard method's tube has `epsilon` None, which the cutoff refuses."""
+    """Collar widths of the cutoff, both positive: `delta` into the domain and
+    `epsilon` along the boundary past a junction."""
 
     delta: float
-    epsilon: float | None
-    delta0: float
-    epsilon0: float
+    epsilon: float
 
     def __post_init__(self):
-        if not (0.0 < self.delta <= self.delta0):
-            raise ValueError(f"need 0 < delta <= delta0, got {self.delta}, {self.delta0}")
-        if self.epsilon is not None and not (0.0 < self.epsilon <= self.epsilon0):
-            raise ValueError(f"need 0 < epsilon <= epsilon0, got {self.epsilon}, {self.epsilon0}")
+        if not (self.delta > 0.0 and self.epsilon > 0.0):
+            raise ValueError(f"collar widths must be positive, got {self.delta}, {self.epsilon}")
 
 
-def default_tube_params(domain, h):
-    """Standard coupling delta = h, with no epsilon: ``NitscheParams`` sets it."""
-    delta0 = 0.75 * domain.radius
-    if h > delta0:
-        raise ValueError(f"mesh size {h} exceeds the collar limit {delta0}")
-    return TubeParams(delta=h, epsilon=None, delta0=delta0, epsilon0=delta0)
-
-
-def _tube_epsilon(params):
-    """The tube's epsilon; a tube without one (the standard method's) raises ``ValueError``."""
-    if params.epsilon is None:
-        raise ValueError("the tube has no epsilon; the cutoff needs a positive one")
-    return params.epsilon
+def collar(domain, h, epsilon):
+    """The regularized method's collar: delta = h, and ``epsilon``, both at most COLLAR * R."""
+    limit = COLLAR * domain.radius
+    if h > limit:
+        raise ValueError(f"mesh size {h} exceeds the collar limit {limit}")
+    if epsilon > limit:
+        raise ValueError(f"epsilon {epsilon} exceeds the admissible {limit}")
+    return TubeParams(h, epsilon)
 
 
 def cutoff(domain, params, x):
@@ -263,7 +256,8 @@ def cutoff(domain, params, x):
     Separable construction w(rho/delta) * g, where w is the C1 cubic profile
     and g equals one over the Dirichlet part and m(a / (rho + epsilon)) over
     the Neumann part, with a the along-boundary distance to the nearest
-    junction and m the same cubic profile.
+    junction and m the same cubic profile.  The widths delta and epsilon are
+    those of ``params``; the regularized method takes them from ``collar``.
     """
     x = np.asarray(x, dtype=float)
     d = x - domain.center_array
@@ -273,7 +267,7 @@ def cutoff(domain, params, x):
 
     w = _smoothstep_down(rho / params.delta)
     arc_dist = junction_arc_distance(domain, theta)
-    gamma = rho + _tube_epsilon(params)
+    gamma = rho + params.epsilon
     with np.errstate(invalid="ignore"):
         m = _smoothstep_down(arc_dist / gamma)
     g = np.where(is_dirichlet_angle(domain, theta), 1.0, m)
@@ -321,7 +315,7 @@ def cutoff_gradient(domain, params, x):
     a = domain.radius * np.abs(off)
     sign_a = np.where(off >= 0.0, 1.0, -1.0)
 
-    gamma = rho + _tube_epsilon(params)
+    gamma = rho + params.epsilon
     q = a / gamma
     m = _smoothstep_down(q)
     mp = _smoothstep_down_prime(q)
@@ -375,6 +369,7 @@ def _geometric_breaks(delta, epsilon):
 
 _MODEL_ORDER = 16  # Gauss order per panel of ``log_model_integral``
 _MAX_DOUBLINGS = 6  # order doublings of ``cutoff_conormal_integral`` before it gives up
+_CONORMAL_RTOL = 1e-6  # relative change of ``cutoff_conormal_integral`` under a doubling
 
 
 def log_model_integral(delta, epsilon):
@@ -383,16 +378,16 @@ def log_model_integral(delta, epsilon):
     return _panel_gauss(lambda t: 1.0 / (t + epsilon), breaks, _MODEL_ORDER)
 
 
-def cutoff_conormal_integral(domain, params, z, rtol=1e-6):
+def cutoff_conormal_integral(domain, params, z):
     """Integral of the squared conormal derivative of the cutoff over the wedge at ``z``.
 
     The wedge fiber at depth t extends an arc length of t + epsilon into the
     Neumann side of the junction ``z``; the integral is evaluated by tensor
-    quadrature (adaptive panels in depth, Gauss along the fiber) to relative
-    tolerance ``rtol``.
+    quadrature (adaptive panels in depth, Gauss along the fiber) until one
+    doubling of the orders changes it by at most ``_CONORMAL_RTOL``.
     """
     z = np.asarray(z, dtype=float)
-    epsilon = _tube_epsilon(params)
+    epsilon = params.epsilon
     junctions = domain.junction_angles
     if junctions.size == 0:
         raise ValueError("domain has no boundary-condition junctions")
@@ -430,7 +425,7 @@ def cutoff_conormal_integral(domain, params, z, rtol=1e-6):
         refined = _panel_gauss(lambda t: fiber_integral(t, order_a), breaks, order_t)
         change = abs(refined - value) / max(abs(refined), 1e-300)
         value = refined
-        if change <= rtol:
+        if change <= _CONORMAL_RTOL:
             return value
     raise QuadratureConvergenceError(
         "conormal cutoff integral did not converge", change, value

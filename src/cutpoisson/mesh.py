@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from cutpoisson.geometry import cross2, signed_distance
+from cutpoisson.geometry import LevelSetDomain, cross2, signed_distance
 
 INSIDE = 0
 CUT = 1
@@ -153,9 +153,10 @@ def _check_shape_regularity(mesh):
 
 @dataclass(frozen=True)
 class CutTopology:
-    """Per-triangle inside/cut/outside tags plus derived active-mesh structure."""
+    """Per-triangle inside/cut/outside tags against ``domain``, and the derived active mesh."""
 
     mesh: BackgroundMesh
+    domain: LevelSetDomain
     classification: np.ndarray
     active: np.ndarray
     active_index: np.ndarray
@@ -236,5 +237,5 @@ def classify(mesh, domain):
     both_active = (t1 >= 0) & (c0 != OUTSIDE) & (c1 != OUTSIDE)
     ghost = np.flatnonzero(both_active & ((c0 == CUT) | (c1 == CUT)))
 
-    return CutTopology(mesh, cls, active, active_index, ghost)
+    return CutTopology(mesh, domain, cls, active, active_index, ghost)
 

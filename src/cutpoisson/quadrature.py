@@ -19,8 +19,8 @@ Burman et al. (IJNME 2015) and Fries & Omerović (IJNME 2016) for a circle.
 Boundary rules are a flat table of angular panels (owner, b0, b1): the arcs
 between the circle's crossings of each triangle, split at the boundary-condition
 junctions and into pieces of at most ``_BOUNDARY_PIECE``, then graded dyadically
-toward the ``grade_angles``.  One Gauss map turns all panels into points, and
-every panel is purely Dirichlet or purely Neumann.
+toward the junctions.  One Gauss map turns all panels into points, and every
+panel is purely Dirichlet or purely Neumann.
 
 ``build_rules`` packs the rules of all active cells.  Inside cells take the
 degree-4 rule directly, so only cut cells build chord polygons, and ghost
@@ -52,6 +52,7 @@ DEFAULT_TOL = 1e-10
 # the round-off floor: below it the rounding of the crossings and of the fan
 # triangles, not the segment order, sets a cut cell's mass error
 MIN_TOL = 1e-12
+REFINE_LEVELS = 8  # the error norms' volume-rule subdivisions toward singular points
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ _SEGMENT_ERRORS = {2: 1.4e-3, 3: 3.2e-6, 4: 6.6e-9, 5: 1.3e-11, 6: 3.8e-14}
 _SEGMENT_RADIAL = 3  # radial Gauss points of a segment rule
 
 # Boundary rules: Gauss points per panel, the widest arc piece, and the number
-# of dyadic grading levels toward a grade angle.
+# of dyadic grading levels toward a junction.
 _BOUNDARY_ORDER = 6
 _BOUNDARY_PIECE = math.pi / 8.0
 _GRADE_LEVELS = 16
@@ -352,9 +353,9 @@ def _split_pieces(owner, start, width, cuts):
     return owner.repeat(real.sum(axis=1))[part], lo, hi
 
 
-def _graded_panels(owner, lo, hi, grade_angles):
-    """Panels (owner, b0, b1) of the pieces, refined dyadically toward ends that are grade angles."""
-    graded = _wrap(np.asarray(grade_angles, dtype=float))
+def _graded_panels(owner, lo, hi, angles):
+    """Panels (owner, b0, b1) of the pieces, refined dyadically toward ends at ``angles``."""
+    graded = _wrap(angles)
 
     def near(x):
         gap = _wrap(x[:, None] - graded)
@@ -382,20 +383,21 @@ def _graded_panels(owner, lo, hi, grade_angles):
     return owner[row[:-1][panel]], b[:-1][panel], b[1:][panel]
 
 
-def cut_boundary_rules(triangles, domain, grade_angles=()):
+def cut_boundary_rules(triangles, domain):
     """Quadrature over the boundary arcs inside each triangle of a stack (m, 3, 2).
 
     Arcs are parameterized exactly by angle and split at the boundary-condition
     junctions, so that each piece carries a single condition; pieces abutting
-    a ``grade_angles`` entry are refined dyadically toward it, which keeps the
-    rules accurate for data that is singular there.  Returns a ``PackedRule``
-    with exterior unit normals and Dirichlet flags, sorted by owner (the
-    triangle's position in the stack) with each cell's Dirichlet points first.
+    a junction are refined dyadically toward it, which keeps the rules accurate
+    for singular boundary data and for the sharply supported cutoff weight.
+    Returns a ``PackedRule`` with exterior unit normals and Dirichlet flags,
+    sorted by owner (the triangle's position in the stack) with each cell's
+    Dirichlet points first.
     """
     tris = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
     owner, start, width = _arcs(tris, domain)
     owner, lo, hi = _split_pieces(owner, start, width, domain.junction_angles)
-    owner, b0, b1 = _graded_panels(owner, lo, hi, grade_angles)
+    owner, b0, b1 = _graded_panels(owner, lo, hi, domain.junction_angles)
 
     mid, half = 0.5 * (b0 + b1), 0.5 * (b1 - b0)
     dirichlet = is_dirichlet_angle(domain, _wrap(mid))
@@ -412,13 +414,13 @@ def cut_boundary_rules(triangles, domain, grade_angles=()):
     )
 
 
-def cut_boundary_rule(triangle, domain, grade_angles=()):
+def cut_boundary_rule(triangle, domain):
     """(Dirichlet, Neumann) rules on the boundary arcs inside one triangle (see ``cut_boundary_rules``)."""
-    rule = cut_boundary_rules(np.asarray(triangle)[None], domain, grade_angles)
+    rule = cut_boundary_rules(np.asarray(triangle)[None], domain)
     return rule.select(rule.dirichlet), rule.select(~rule.dirichlet)
 
 
-def refine_rule_toward(triangles, domain, points, tol=DEFAULT_TOL, levels=8):
+def refine_rule_toward(triangles, domain, points, tol=DEFAULT_TOL, levels=REFINE_LEVELS):
     """Volume rules of a stack of triangles (m, 3, 2), each subdivided toward its own point.
 
     Triangle k is split ``levels`` times toward ``points[k]`` (shape (m, 2)),
@@ -444,12 +446,12 @@ def refine_rule_toward(triangles, domain, points, tol=DEFAULT_TOL, levels=8):
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Packed quadrature of one cut topology.
+    """Packed quadrature of one cut topology, from ``build_rules(topology, tol)``.
 
     ``volume`` integrates over every active cell's intersection with the
     domain, ``boundary`` over the boundary arcs; both are sorted by owner, with
     the Dirichlet points of a cell before its Neumann points.  ``face_lengths``
-    is aligned with ``topology.ghost_faces``.
+    is aligned with ``topology.ghost_faces``.  The domain is ``topology.domain``.
     """
 
     volume: PackedRule
@@ -466,15 +468,14 @@ class RuleSet:
         return self.boundary.select(~self.boundary.dirichlet)
 
 
-def build_rules(topology, domain, tol=DEFAULT_TOL):
+def build_rules(topology, tol=DEFAULT_TOL):
     """Packed volume and boundary rules of the active cells, and ghost-face lengths.
 
-    Inside cells take the degree-4 rule directly; only cut cells go through
-    ``cut_volume_rules`` and the boundary rules.  Boundary rules are
-    split at the boundary-condition junctions and graded toward them, which
-    serves both singular boundary data and the sharply supported cutoff weight.
+    The domain is ``topology.domain``.  Inside cells take the degree-4 rule
+    directly; only cut cells go through ``cut_volume_rules`` and
+    ``cut_boundary_rules``.
     """
-    coords = topology.active_coords
+    coords, domain = topology.active_coords, topology.domain
     is_cut = topology.classification[topology.active] == CUT
     inside, cut = np.flatnonzero(~is_cut), np.flatnonzero(is_cut)
     cut_volume = cut_volume_rules(coords[cut], domain, tol)
@@ -486,7 +487,7 @@ def build_rules(topology, domain, tol=DEFAULT_TOL):
         np.concatenate([weights.ravel(), cut_volume.weights])[order],
         owner[order],
     )
-    boundary = cut_boundary_rules(coords[cut], domain, grade_angles=domain.junction_angles)
+    boundary = cut_boundary_rules(coords[cut], domain)
     boundary = dataclasses.replace(boundary, owner=cut[boundary.owner])
     mesh = topology.mesh
     ends = mesh.vertices[mesh.faces[topology.ghost_faces]]

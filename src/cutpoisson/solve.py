@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from cutpoisson.space import FeFunction
 
-RESIDUAL_RTOL = 1e-10
+RESIDUAL_RTOL = 1e-10  # largest residual of a solve relative to its load
 
 
 class SolverError(RuntimeError):
@@ -51,19 +51,19 @@ def _trivial(dofmap):
     return SolveReport(FeFunction(np.zeros(dofmap.ndof), dofmap), "trivial", 0.0)
 
 
-def _checked(K, x, b, dofmap, rtol, method, advice=""):
+def _checked(K, x, b, dofmap, method, advice=""):
     """Report of the solution ``x`` of ``K x = b`` after one residual check."""
     residual = float(np.linalg.norm(K @ x - b))
     scale = float(np.linalg.norm(b))
-    if not np.all(np.isfinite(x)) or residual > rtol * max(scale, 1e-300):
+    if not np.all(np.isfinite(x)) or residual > RESIDUAL_RTOL * max(scale, 1e-300):
         raise SolverError(
             f"linear solve failed: residual {residual:.3e} vs tolerance "
-            f"{rtol * scale:.3e}.{advice}"
+            f"{RESIDUAL_RTOL * scale:.3e}.{advice}"
         )
     return SolveReport(FeFunction(np.asarray(x, dtype=float), dofmap), method, residual)
 
 
-def solve_standard(matrices, dofmap, rtol=RESIDUAL_RTOL):
+def solve_standard(matrices, dofmap):
     """Solve the symmetric stabilized system by one sparse LU factorization.
 
     The operator ``K = A + S`` is a sparse sum, which keeps no exact zeros.
@@ -71,10 +71,10 @@ def solve_standard(matrices, dofmap, rtol=RESIDUAL_RTOL):
     form, and they are factored as they are with the symmetric ordering
     above; the residual check against ``K`` fails if ``K`` is not symmetric.
     A zero load gives the zero solution without factoring.  A nonpositive
-    diagonal, a failed factorization or a residual above ``rtol`` raises
-    ``SolverError`` advising a larger penalty.  The report holds the factors
-    for ``solve_regularized``; a caller that needs only the solution keeps
-    ``.solution`` and lets them go.
+    diagonal, a failed factorization or a residual above
+    ``RESIDUAL_RTOL * |b|`` raises ``SolverError`` advising a larger penalty.
+    The report holds the factors for ``solve_regularized``; a caller that
+    needs only the solution keeps ``.solution`` and lets them go.
     """
     K, b = matrices.A + matrices.S, matrices.b
     if not np.any(b):
@@ -85,12 +85,12 @@ def solve_standard(matrices, dofmap, rtol=RESIDUAL_RTOL):
         )
     csc = sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape)
     lu = _factor(csc, _SPD_ADVICE, **_SYMMETRIC_ORDERING)
-    report = _checked(K, lu.solve(b), b, dofmap, rtol, "splu", _SPD_ADVICE)
+    report = _checked(K, lu.solve(b), b, dofmap, "splu", _SPD_ADVICE)
     report.operator, report.factors = K, lu
     return report
 
 
-def solve_regularized(matrices, dofmap, standard, rtol=RESIDUAL_RTOL):
+def solve_regularized(matrices, dofmap, standard):
     """Solve the regularized system as a low-rank update of ``standard`` (from ``solve_standard``).
 
     ``K = A + S`` differs from the standard operator ``K0`` in the k rows R
@@ -100,7 +100,7 @@ def solve_regularized(matrices, dofmap, standard, rtol=RESIDUAL_RTOL):
     k + 1 solves with the standard factors and one k x k solve, so nothing is
     factored and the cost grows with k (at epsilon = 0, k = 0).  ``x`` is
     checked against ``K`` by one mat-vec; a singular ``I + W Z`` or a
-    residual above ``rtol`` raises ``SolverError``.
+    residual above ``RESIDUAL_RTOL * |b|`` raises ``SolverError``.
     """
     b = matrices.b
     if not np.any(b):
@@ -119,7 +119,7 @@ def solve_regularized(matrices, dofmap, standard, rtol=RESIDUAL_RTOL):
         y = np.linalg.solve(np.eye(len(rows)) + W @ Z, W @ x0)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular capacitance matrix ({len(rows)} perturbed rows)") from exc
-    return _checked(K, x0 - Z @ y, b, dofmap, rtol, "lowrank")
+    return _checked(K, x0 - Z @ y, b, dofmap, "lowrank")
 
 
 def _power_iteration(apply_op, n, rtol, maxit, seed_vector=None):

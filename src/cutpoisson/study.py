@@ -27,18 +27,16 @@ from cutpoisson.geometry import (
     LevelSetDomain,
     TubeParams,
     cutoff_conormal_integral,
-    default_tube_params,
     log_model_integral,
     outward_normal,
     signed_distance,
 )
 from cutpoisson.mesh import _point_triangle_distance, build_background, classify
-from cutpoisson.quadrature import _barycentric, _tri_area, build_rules
+from cutpoisson.quadrature import REFINE_LEVELS, _barycentric, _tri_area, build_rules
 from cutpoisson.solve import condition_estimate, solve_regularized, solve_standard
 from cutpoisson.space import build_dofmap, clement_interpolate
 
 DEFAULT_BOX = (-1.0, -1.0, 1.0, 1.0)
-REFINE_LEVELS = 8  # the studies' volume-rule subdivisions toward a problem's singular points
 
 
 @dataclass(frozen=True)
@@ -244,7 +242,8 @@ class ErrorReport:
 def discretize(domain, n, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10, shift=(0.0, 0.0)):
     """The dofmap, Nitsche parameters and quadrature rules of one mesh level.
 
-    The mesh and its cut topology are ``dofmap.mesh`` and ``dofmap.topology``.
+    The mesh and its cut topology, which holds ``domain``, are ``dofmap.mesh``
+    and ``dofmap.topology``.  An h above ``geometry.COLLAR * R`` raises ``ValueError``.
     """
     mesh = build_background(box, n, shift)
     extent = tuple(float(v) for v in (*mesh.vertices.min(axis=0), *mesh.vertices.max(axis=0)))
@@ -254,9 +253,10 @@ def discretize(domain, n, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10, shif
             f"edge of the mesh extent {extent}: the solve would cover a truncated domain"
         )
     topo = classify(mesh, domain)
-    dofmap = build_dofmap(topo)
-    params = NitscheParams(beta, sigma, 0.0, default_tube_params(domain, mesh.h))
-    return dofmap, params, build_rules(topo, domain, tol)
+    limit = geometry.COLLAR * domain.radius
+    if mesh.h > limit:
+        raise ValueError(f"mesh size {mesh.h} exceeds the collar limit {limit}")
+    return build_dofmap(topo), NitscheParams(beta, sigma), build_rules(topo, tol)
 
 
 def convergence_level(
@@ -267,7 +267,7 @@ def convergence_level(
     box=DEFAULT_BOX,
     tol=1e-10,
     shift=(0.0, 0.0),
-    refine_levels=0,
+    refine_levels=REFINE_LEVELS,
 ):
     """Classify, assemble, solve, and measure errors on a single mesh level."""
     dofmap, params, rules = discretize(problem.domain, n, beta, sigma, box, tol, shift)
@@ -297,9 +297,7 @@ def run_convergence(
         params={"beta": beta, "sigma": sigma, "box": tuple(box), "tol": tol},
     )
     for n in levels:
-        report.add_level(
-            convergence_level(problem, n, beta, sigma, box, tol, shift, REFINE_LEVELS)
-        )
+        report.add_level(convergence_level(problem, n, beta, sigma, box, tol, shift))
     return report
 
 
@@ -310,7 +308,7 @@ def interpolation_study(problem, levels, box=DEFAULT_BOX, tol=1e-10, sigma=0.1):
         dofmap, params, rules = discretize(problem.domain, n, sigma=sigma, box=box, tol=tol)
         S = assemble_ghost_penalty(dofmap, rules, params)
         pi_u = clement_interpolate(problem.u, dofmap)
-        errs = error_norms(problem, pi_u, rules, S, REFINE_LEVELS)
+        errs = error_norms(problem, pi_u, rules, S)
         report.add_level(
             LevelResult(n, dofmap.mesh.h, dofmap.ndof, errs.energy, errs.sh, errs.l2)
         )
@@ -340,21 +338,22 @@ class InequalityReport:
     cut_trace: float
 
 
-def _dirichlet_cells(domain, coords, rule_d, h):
-    """Mask of the active cells (coords (m, 3, 2)) that meet the Dirichlet arc.
+def _dirichlet_cells(dofmap, rules):
+    """Mask of the active cells that meet the Dirichlet arc.
 
     These are the cells holding a Dirichlet quadrature point, plus the cells
     that touch an end of a Dirichlet arc, within ``1e-12 * h``, without holding
     a piece of the arc (a junction on a grid line, say).
     """
+    coords = dofmap.topology.active_coords
     near = np.zeros(len(coords), dtype=bool)
-    near[rule_d.owner] = True
-    for z in domain.junction_points:
-        near |= _point_triangle_distance(z, coords) <= 1e-12 * h
+    near[rules.dirichlet.owner] = True
+    for z in dofmap.topology.domain.junction_points:
+        near |= _point_triangle_distance(z, coords) <= 1e-12 * dofmap.mesh.h
     return near
 
 
-def verify_inequalities(domain, dofmap, rules, params, trials=20, seed=20260810):
+def verify_inequalities(dofmap, rules, params, trials=20, seed=20260810):
     """Measure the constants of the inverse and trace inequalities on random functions.
 
     For random coefficient vectors v this evaluates both sides of
@@ -375,7 +374,7 @@ def verify_inequalities(domain, dofmap, rules, params, trials=20, seed=20260810)
     areas = _tri_area(coords)
 
     bnd, rule_d = rules.boundary, rules.dirichlet
-    near_dirichlet = _dirichlet_cells(domain, coords, rule_d, mesh.h)
+    near_dirichlet = _dirichlet_cells(dofmap, rules)
     lam = _barycentric(coords, bnd.points, bnd.owner)
     p1_mass = np.ones((3, 3)) + np.eye(3)  # exact P1 element mass matrix times 12 / area
 
@@ -422,9 +421,13 @@ class CutoffLemmaReport:
     model_error: float
 
 
-def verify_cutoff_lemma(domain, ratios, delta=None, rtol=1e-6):
+_LEMMA_DELTA = 0.3  # collar depth of ``verify_cutoff_lemma``, as a fraction of the radius
+
+
+def verify_cutoff_lemma(domain, ratios):
     """Check that the conormal cutoff energy tracks log(1 + delta/epsilon).
 
+    The collar depth is delta = ``_LEMMA_DELTA`` R and epsilon = delta / ratio.
     For each width ratio the wedge integral is evaluated numerically at every
     junction and compared against the logarithmic bound; the report flags a
     spread of the quotient beyond a factor of three.  The one-dimensional
@@ -433,18 +436,15 @@ def verify_cutoff_lemma(domain, ratios, delta=None, rtol=1e-6):
     """
     if len(domain.junction_angles) == 0:
         raise ValueError("cutoff lemma study needs boundary-condition junctions")
-    delta = 0.3 * domain.radius if delta is None else delta
+    delta = _LEMMA_DELTA * domain.radius
     rows = []
     model_err = 0.0
     for ratio in ratios:
         if ratio <= 0.0:
             raise ValueError("width ratios must be positive")
         eps = delta / ratio
-        tube = TubeParams(delta, eps, 0.75 * domain.radius, max(0.75 * domain.radius, eps))
-        integral = max(
-            cutoff_conormal_integral(domain, tube, z, rtol=rtol)
-            for z in domain.junction_points
-        )
+        widths = TubeParams(delta, eps)
+        integral = max(cutoff_conormal_integral(domain, widths, z) for z in domain.junction_points)
         bound = math.log1p(ratio)
         rows.append(CutoffLemmaRow(ratio, delta, eps, integral, bound, integral / bound))
         model_err = max(model_err, abs(log_model_integral(delta, eps) - bound))
@@ -473,7 +473,7 @@ def _regularization_gaps(problem, dofmap, params, rules, eps_values):
     gaps = []
     for eps in eps_values:
         params_eps = params.with_epsilon(eps)
-        A_eps = assemble_regularized(system.A, dofmap, rules, params_eps, problem.domain)
+        A_eps = assemble_regularized(system.A, dofmap, rules, params_eps)
         reg = solve_regularized(SystemMatrices(A_eps, system.S, system.b), dofmap, standard)
         gaps.append(energy_norm(reg.solution.coefficients - u_h, gram))
     return gaps

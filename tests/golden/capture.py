@@ -29,6 +29,7 @@ from cutpoisson.assembly import (
     nitsche_action,
 )
 from cutpoisson.geometry import LevelSetDomain
+from cutpoisson.quadrature import REFINE_LEVELS
 from cutpoisson.solve import solve_standard
 from cutpoisson.space import FeFunction
 from cutpoisson.study import (
@@ -43,7 +44,6 @@ HERE = Path(__file__).resolve().parent
 BOX = (-1.0, -1.0, 1.0, 1.0)
 N = 16
 TOL = 1e-10
-REFINE_LEVELS = 8
 EPS_FACTOR = 0.1  # epsilon = EPS_FACTOR * h**2
 CONFIGS = {"unshifted": (0.0, 0.0), "shifted": sweep_shifts(BOX, N, 20)[7]}
 CELL_N = 64
@@ -78,18 +78,18 @@ def outputs(shift, u_singular=None):
         u_singular = solve_standard(system, dofmap).solution.coefficients
     u_h = FeFunction(np.asarray(u_singular, dtype=float), dofmap)
     errs = error_norms(singular, u_h, rules, S, refine_levels=REFINE_LEVELS)
-    ineq = verify_inequalities(domain, dofmap, rules, params)
+    ineq = verify_inequalities(dofmap, rules, params)
     return {
         "u_singular": u_h.coefficients,
         "K": assemble_stiffness(dofmap, rules).toarray(),
         "M": assemble_boundary_mass(dofmap, rules).toarray(),
         "A": A.toarray(),
         "S": S.toarray(),
-        "A_eps": assemble_regularized(A, dofmap, rules, params_eps, domain).toarray(),
+        "A_eps": assemble_regularized(A, dofmap, rules, params_eps).toarray(),
         "b_smooth": assemble_load(dofmap, rules, params, smooth),
         "b_singular": b_singular,
         "action": nitsche_action(dofmap, rules, params, smooth.u, smooth.grad_u),
-        "action_chi": nitsche_action(dofmap, rules, params_eps, smooth.u, smooth.grad_u, domain),
+        "action_chi": nitsche_action(dofmap, rules, params_eps, smooth.u, smooth.grad_u),
         "error_norms": np.array([errs.energy, errs.sh, errs.l2]),
         "inequalities": np.array([ineq.full_gradient, ineq.boundary_flux, ineq.cut_trace]),
     }

@@ -92,7 +92,7 @@ def test_criterion_4_form_error_linear_in_epsilon():
     eps_values = [0.1 * h * h, 0.2 * h * h, 0.4 * h * h]
     gaps = []
     for eps in eps_values:
-        D = cutoff_flux_neumann(dofmap, rules, domain, params.with_epsilon(eps))
+        D = cutoff_flux_neumann(dofmap, rules, params.with_epsilon(eps))
         worst = 0.0
         for _ in range(100):
             x = rng.standard_normal(dofmap.ndof)
@@ -144,7 +144,7 @@ def test_criterion_8_quadrature_exactness():
     domain = LevelSetDomain((0.0, 0.0), 1.0, ((0.0, 2.0 * math.pi),))
     mesh = build_background((-1.3, -1.3, 1.3, 1.3), 8)
     topo = classify(mesh, domain)
-    rules = build_rules(topo, domain, tol=1e-10)
+    rules = build_rules(topo, tol=1e-10)
     area = rules.volume.weights.sum()
     perimeter = rules.boundary.weights.sum()
     r = rules.boundary

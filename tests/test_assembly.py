@@ -30,7 +30,7 @@ from cutpoisson.assembly import (
     error_norms,
     nitsche_action,
 )
-from cutpoisson.geometry import cutoff
+from cutpoisson.geometry import TubeParams, cutoff
 from cutpoisson.mesh import build_background
 from cutpoisson.quadrature import PackedRule, _barycentric, refine_rule_toward
 from cutpoisson.solve import RESIDUAL_RTOL, solve_standard
@@ -110,7 +110,7 @@ def test_ghost_penalty_properties(disc_mixed_8, rng):
     energy = params.sigma * mesh.h * float(rules.face_lengths @ jumps**2)
     assert v.coefficients @ (S @ v.coefficients) == pytest.approx(energy, rel=1e-12)
     # linear in sigma
-    params2 = NitscheParams(params.beta, 2.0 * params.sigma, 0.0, params.tube)
+    params2 = NitscheParams(params.beta, 2.0 * params.sigma)
     S2 = assemble_ghost_penalty(dofmap, rules, params2)
     assert abs(S2 - 2.0 * S).max() < 1e-12 * abs(S).max()
 
@@ -134,52 +134,57 @@ def test_load_vector_cases(domain_mixed, disc_mixed_8):
     assert b.sum() == pytest.approx(expected, rel=1e-10)
 
 
-def test_regularized_zero_epsilon_equals_standard(domain_mixed, disc_mixed_8):
+def test_regularized_zero_epsilon_equals_standard(disc_mixed_8):
     dofmap, params, rules = disc_mixed_8
     A = assemble_nitsche(dofmap, rules, params)
-    A0 = assemble_regularized(A, dofmap, rules, params, domain_mixed)
+    A0 = assemble_regularized(A, dofmap, rules, params)
     assert abs(A0 - A).max() == 0.0
 
 
-def test_regularized_asymmetry(domain_mixed, disc_mixed_8):
+def test_regularized_asymmetry(disc_mixed_8):
     dofmap, params, rules = disc_mixed_8
     mesh = dofmap.mesh
     eps = 0.1 * mesh.h**2
     A = assemble_nitsche(dofmap, rules, params)
-    A_eps = assemble_regularized(A, dofmap, rules, params.with_epsilon(eps), domain_mixed)
+    A_eps = assemble_regularized(A, dofmap, rules, params.with_epsilon(eps))
     assert abs(A_eps - A_eps.T).max() > 0.0
 
 
-def test_epsilon_is_carried_by_the_tube(disc_mixed_8):
+def test_nitsche_params_hold_epsilon_and_nothing_derived(disc_mixed_8):
     dofmap, params, rules = disc_mixed_8
     mesh = dofmap.mesh
+    assert [f.name for f in dataclasses.fields(NitscheParams)] == ["beta", "sigma", "epsilon"]
     for eps in (0.05 * mesh.h**2, 0.1 * mesh.h**2, 0.4 * mesh.h**2):
-        assert params.with_epsilon(eps).tube.epsilon == eps
+        assert params.with_epsilon(eps) == NitscheParams(params.beta, params.sigma, eps)
+    assert params.with_epsilon(0.1 * mesh.h**2).with_epsilon(0.0) == params
+    with pytest.raises(ValueError, match="nonnegative"):
+        params.with_epsilon(-1e-3)
 
 
-def test_standard_tube_holds_no_epsilon(domain_mixed, disc_mixed_8):
-    """At epsilon = 0 a direct cutoff call cannot fall back on some other epsilon."""
+def test_cutoff_weight_takes_delta_h_and_the_topology_domain(domain_mixed, disc_mixed_8):
+    """The weight is the cutoff of (delta = h, epsilon) on ``dofmap.topology.domain``."""
     dofmap, params, rules = disc_mixed_8
     mesh = dofmap.mesh
-    x = domain_mixed.boundary_point(np.array([-0.1, -0.2]))
-    for standard in (params, params.with_epsilon(0.1 * mesh.h**2).with_epsilon(0.0)):
-        assert standard.epsilon == 0.0 and standard.tube.epsilon is None
-        with pytest.raises(ValueError, match="no epsilon"):
-            cutoff(domain_mixed, standard.tube, x)
+    assert dofmap.topology.domain is domain_mixed
+    eps = 0.1 * mesh.h**2
+    x = rules.neumann.points
+    want = cutoff(domain_mixed, TubeParams(mesh.h, eps), x)
+    assert np.array_equal(_cutoff_weight(dofmap, params.with_epsilon(eps))(x), want)
+    assert want.max() > 0.0
 
 
-def test_cutoff_paths_need_a_positive_epsilon_and_the_domain(domain_mixed, disc_mixed_8):
+def test_cutoff_paths_need_an_admissible_positive_epsilon(domain_mixed, disc_mixed_8):
     dofmap, params, rules = disc_mixed_8
-    mesh = dofmap.mesh
     problem = manufactured_smooth(domain_mixed)
     assert params.epsilon == 0.0
     with pytest.raises(ValueError, match="positive epsilon"):
-        cutoff_flux_neumann(dofmap, rules, domain_mixed, params)
-    params_eps = params.with_epsilon(0.1 * mesh.h**2)
-    with pytest.raises(ValueError, match="domain"):
-        nitsche_action(dofmap, rules, params_eps, problem.u, problem.grad_u)
-    with pytest.raises(ValueError, match="domain"):
-        cutoff_flux_neumann(dofmap, rules, None, params_eps)
+        cutoff_flux_neumann(dofmap, rules, params)
+    # an epsilon past 0.75 R is refused where the cutoff is first built
+    too_wide = params.with_epsilon(0.8 * domain_mixed.radius)
+    with pytest.raises(ValueError, match="exceeds the admissible"):
+        nitsche_action(dofmap, rules, too_wide, problem.u, problem.grad_u)
+    with pytest.raises(ValueError, match="exceeds the admissible"):
+        assemble_regularized(assemble_nitsche(dofmap, rules, params), dofmap, rules, too_wide)
 
 
 def test_form_gap_bounded_linearly_in_epsilon(domain_mixed, disc_mixed_16):
@@ -195,7 +200,7 @@ def test_form_gap_bounded_linearly_in_epsilon(domain_mixed, disc_mixed_16):
     eps_values = [0.05 * h**2, 0.1 * h**2, 0.2 * h**2, 0.4 * h**2]
     sups = []
     for eps in eps_values:
-        D = cutoff_flux_neumann(dofmap, rules, domain_mixed, params.with_epsilon(eps)).toarray()
+        D = cutoff_flux_neumann(dofmap, rules, params.with_epsilon(eps)).toarray()
         eigs = scipy.linalg.eigh(0.5 * (D + D.T), G, eigvals_only=True)
         worst = max(-eigs[0], eigs[-1])
         sups.append(worst)
@@ -266,22 +271,21 @@ def verify_regularized_identity(
     """
     dofmap, params, rules = discretize(problem.domain, n, beta, sigma, box, tol)
     mesh = dofmap.mesh
-    domain = problem.domain
     if epsilon is None:
         epsilon = 0.1 * mesh.h**2
     params_eps = params.with_epsilon(epsilon)
     system = assemble_system(dofmap, rules, params, problem)
     u_h = solve_standard(system, dofmap).solution
-    A_eps = assemble_regularized(system.A, dofmap, rules, params_eps, domain)
+    A_eps = assemble_regularized(system.A, dofmap, rules, params_eps)
     pivot = solve_regularized_pivot(A_eps, system.S, system.b, u_h)
 
-    action_u = nitsche_action(dofmap, rules, params_eps, problem.u, problem.grad_u, domain)
+    action_u = nitsche_action(dofmap, rules, params_eps, problem.u, problem.grad_u)
     lhs = action_u - A_eps @ pivot
 
     rule_n = rules.neumann
     coords, _, dofs = dofmap.active_cells
     lam = _barycentric(coords, rule_n.points, rule_n.owner)
-    chi = _cutoff_weight(domain, params_eps)
+    chi = _cutoff_weight(dofmap, params_eps)
     w = rule_n.weights * chi(rule_n.points) * problem.g_N(rule_n.points)
     chi_load = _vector(dofmap.ndof, [dofs[rule_n.owner]], [lam * w[:, None]])
     rhs = system.S @ u_h.coefficients - chi_load
@@ -420,7 +424,7 @@ def _ghost_blocks_sorted(dofmap, rules, params):
     return dofmap.vertex_to_dof[vids[first].reshape(-1, 4)], local
 
 
-def _operator_oracles(domain, dofmap, rules, params, scatter):
+def _operator_oracles(dofmap, rules, params, scatter):
     """The operators from their local blocks through ``scatter(ndof, dofs, blocks)``, combined as CSR."""
     coords, grads, dofs = dofmap.active_cells
     h = dofmap.mesh.h
@@ -439,7 +443,7 @@ def _operator_oracles(domain, dofmap, rules, params, scatter):
     K = _stiffness_add_at(dofmap, local) if scatter is _blocks_add_at else scatter(dofmap.ndof, dofs, local)
     M, B = boundary(rules.dirichlet)
     params_eps = params.with_epsilon(0.1 * h**2)
-    C = boundary(rules.neumann, _cutoff_weight(domain, params_eps))[1]
+    C = boundary(rules.neumann, _cutoff_weight(dofmap, params_eps))[1]
     S = scatter(dofmap.ndof, *_ghost_blocks_sorted(dofmap, rules, params))
     A = K - (B + B.T) + (params.beta / h) * M
     return {
@@ -448,19 +452,19 @@ def _operator_oracles(domain, dofmap, rules, params, scatter):
     }
 
 
-def _operators(domain, dofmap, rules, params):
+def _operators(dofmap, rules, params):
     params_eps = params.with_epsilon(0.1 * dofmap.mesh.h**2)
     A = assemble_nitsche(dofmap, rules, params)
     S = assemble_ghost_penalty(dofmap, rules, params)
     return {
         "K": assemble_stiffness(dofmap, rules),
         "M": assemble_boundary_mass(dofmap, rules),
-        "C": cutoff_flux_neumann(dofmap, rules, domain, params_eps),
+        "C": cutoff_flux_neumann(dofmap, rules, params_eps),
         "S": S,
         "A": A,
         "A + S": A + S,
         "G": energy_gram(dofmap, rules, S),
-        "A_eps": assemble_regularized(A, dofmap, rules, params_eps, domain),
+        "A_eps": assemble_regularized(A, dofmap, rules, params_eps),
     }
 
 
@@ -476,9 +480,9 @@ def test_operators_match_the_add_at_and_lexsort_oracles(domain_mixed, n, shift):
     """Every operator is bitwise the insertion-order scatter's and has the lexsort scatter's
     couplings, with no stored zeros; A, S and A + S are bitwise symmetric."""
     dofmap, params, rules = _grid(domain_mixed, n, shift)
-    got = _operators(domain_mixed, dofmap, rules, params)
-    bitwise = _operator_oracles(domain_mixed, dofmap, rules, params, _blocks_add_at)
-    pattern = _operator_oracles(domain_mixed, dofmap, rules, params, _coo_accumulate_lexsort)
+    got = _operators(dofmap, rules, params)
+    bitwise = _operator_oracles(dofmap, rules, params, _blocks_add_at)
+    pattern = _operator_oracles(dofmap, rules, params, _coo_accumulate_lexsort)
     for name, M in got.items():
         assert M.format == "csr" and np.all(M.data != 0.0), name
         assert _csr_bits(M) == _csr_bits(bitwise[name].tocsr()), name
@@ -492,7 +496,7 @@ def test_factored_operator_has_the_lexsort_couplings_and_no_zeros(domain_mixed, 
     dofmap, params, rules = _grid(domain_mixed, n, shift)
     system = assemble_system(dofmap, rules, params, manufactured_singular(domain_mixed))
     K = solve_standard(system, dofmap).operator
-    pattern = _operator_oracles(domain_mixed, dofmap, rules, params, _coo_accumulate_lexsort)
+    pattern = _operator_oracles(dofmap, rules, params, _coo_accumulate_lexsort)
     assert _pattern(K) == _pattern(pattern["A + S"])
     assert np.all(K.data != 0.0) and (K != K.T).nnz == 0
 
@@ -505,7 +509,7 @@ def test_empty_rules_give_zero_operators(domain_mixed, domain_dirichlet):
         mesh = dofmap.mesh
         assert len(getattr(rules, empty).weights) == 0
         params_eps = params.with_epsilon(0.1 * mesh.h**2)
-        ops = [cutoff_flux_neumann(dofmap, rules, domain, params_eps)]
+        ops = [cutoff_flux_neumann(dofmap, rules, params_eps)]
         if empty == "dirichlet":
             ops.append(assemble_boundary_mass(dofmap, rules))
         for M in ops:
@@ -518,7 +522,7 @@ def test_shared_pattern_arrays_are_read_only_and_unchanged(domain_mixed):
     shared = [space.STENCIL, space.CORNERS, space.PAIR_SLOTS, dofmap.reference_gradients]
     shared += dofmap.active_cells
     before = [a.copy() for a in shared]
-    _operators(domain_mixed, dofmap, rules, params)
+    _operators(dofmap, rules, params)
     solve_standard(assemble_system(dofmap, rules, params, manufactured_smooth(domain_mixed)), dofmap)
     for a, b in zip(shared, before):
         assert not a.flags.writeable

@@ -316,7 +316,7 @@ def _overlap(start, width, a, span):
 def test_boundary_lengths_and_their_split_match_the_arc_spans(batches):
     """Dirichlet and Neumann lengths of each cell equal R times its arc spans."""
     for b in batches:
-        rule = cut_boundary_rules(b.tris, b.domain, grade_angles=b.domain.junction_angles)
+        rule = cut_boundary_rules(b.tris, b.domain)
         got = np.column_stack(
             [_per_cell(rule.select(m), len(b.tris)) for m in (rule.dirichlet, ~rule.dirichlet)]
         )

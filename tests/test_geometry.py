@@ -7,6 +7,7 @@ import pytest
 from cutpoisson import LevelSetDomain, TubeParams
 from cutpoisson.geometry import (
     boundary_angle,
+    collar,
     cutoff,
     cutoff_conormal_integral,
     cutoff_gradient,
@@ -18,7 +19,7 @@ from cutpoisson.geometry import (
 from tests.conftest import boundary_is_dirichlet
 
 UNIT = LevelSetDomain((0.0, 0.0), 1.0, ((0.0, math.pi),))
-TUBE = TubeParams(delta=0.1, epsilon=0.01, delta0=0.75, epsilon0=0.75)
+TUBE = TubeParams(delta=0.1, epsilon=0.01)
 
 
 def closest_point(domain, x):
@@ -222,7 +223,7 @@ def test_conormal_integral_tracks_log_bound(domain_unit_mixed):
     delta = 0.3
     quotients = []
     for ratio in (10.0, 100.0, 1000.0):
-        tube = TubeParams(delta, delta / ratio, 0.75, 0.75)
+        tube = TubeParams(delta, delta / ratio)
         z = domain_unit_mixed.junction_points[0]
         val = cutoff_conormal_integral(domain_unit_mixed, tube, z)
         quotients.append(val / math.log1p(ratio))
@@ -235,7 +236,7 @@ def test_conormal_integral_bounded_for_wide_wedge(domain_unit_mixed):
     """With epsilon >> delta the integral stays below the explicit profile bound."""
     delta = 0.005
     eps = delta / 0.01  # ratio 0.01
-    tube = TubeParams(delta, eps, 0.75, 0.75)
+    tube = TubeParams(delta, eps)
     z = domain_unit_mixed.junction_points[0]
     val = cutoff_conormal_integral(domain_unit_mixed, tube, z)
     R = domain_unit_mixed.radius
@@ -246,10 +247,8 @@ def test_conormal_integral_bounded_for_wide_wedge(domain_unit_mixed):
 def test_conormal_integral_doubling_follows_model(domain_unit_mixed):
     delta, eps = 0.1, 0.001
     z = domain_unit_mixed.junction_points[0]
-    i1 = cutoff_conormal_integral(domain_unit_mixed, TubeParams(delta, eps, 0.75, 0.75), z)
-    i2 = cutoff_conormal_integral(
-        domain_unit_mixed, TubeParams(2.0 * delta, eps, 0.75, 0.75), z
-    )
+    i1 = cutoff_conormal_integral(domain_unit_mixed, TubeParams(delta, eps), z)
+    i2 = cutoff_conormal_integral(domain_unit_mixed, TubeParams(2.0 * delta, eps), z)
     model = math.log1p(2.0 * delta / eps) / math.log1p(delta / eps)
     assert abs(i2 / i1 - model) <= 0.3 * model
 
@@ -262,12 +261,21 @@ def test_log_model_integral_matches_closed_form():
 
 
 def test_tube_params_validation():
-    with pytest.raises(ValueError):
-        TubeParams(0.0, 0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        TubeParams(0.5, 0.2, 0.4, 1.0)
-    with pytest.raises(ValueError):
-        TubeParams(0.1, 0.5, 1.0, 0.4)
+    for delta, epsilon in ((0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, -0.1)):
+        with pytest.raises(ValueError, match="must be positive"):
+            TubeParams(delta, epsilon)
+
+
+def test_collar_admits_widths_up_to_three_quarters_of_the_radius():
+    limit = 0.75 * UNIT.radius
+    assert collar(UNIT, 0.1, 0.01) == TubeParams(0.1, 0.01)
+    assert collar(UNIT, limit, limit) == TubeParams(limit, limit)
+    with pytest.raises(ValueError, match="mesh size 0.76 exceeds the collar limit 0.75"):
+        collar(UNIT, 0.76, 0.01)
+    with pytest.raises(ValueError, match="epsilon 0.76 exceeds the admissible 0.75"):
+        collar(UNIT, 0.1, 0.76)
+    with pytest.raises(ValueError, match="must be positive"):
+        collar(UNIT, 0.1, 0.0)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from tests.conftest import boundary_is_dirichlet, exact_disk_triangle_area
 def disk_rules(domain, n, tol=1e-10, box=(-1.0, -1.0, 1.0, 1.0)):
     mesh = build_background(box, n)
     topo = classify(mesh, domain)
-    return mesh, topo, build_rules(topo, domain, tol)
+    return mesh, topo, build_rules(topo, tol)
 
 
 def test_uncut_triangle_mass():
@@ -81,7 +81,7 @@ def test_area_error_decreases_with_tol(domain_mixed):
     exact = math.pi * domain_mixed.radius**2
     errors = {}
     for tol in (1e-2, 1e-4, 1e-6, 1e-8):
-        rules = build_rules(topo, domain_mixed, tol)
+        rules = build_rules(topo, tol)
         area = rules.volume.weights.sum()
         err = abs(area - exact)
         errors[tol] = err
@@ -126,7 +126,7 @@ def test_packed_interior_rule_equals_cut_volume_rule(domain_mixed):
     for shift in ((0.0, 0.0), (0.013, 0.021)):
         mesh = build_background((-1, -1, 1, 1), 16, shift)
         topo = classify(mesh, domain_mixed)
-        rules = build_rules(topo, domain_mixed)
+        rules = build_rules(topo)
         vol = rules.volume
         assert np.all(np.diff(vol.owner) >= 0)
         inside = np.flatnonzero(topo.classification[topo.active] == INSIDE)
@@ -180,7 +180,7 @@ def test_tolerance_below_the_floor_raises(domain_mixed):
         refine_rule_toward(tri, UNIT_MIXED, (1.0, 0.0), tol=0.1 * MIN_TOL)
     mesh = build_background((-1, -1, 1, 1), 4)
     with pytest.raises(ValueError, match="below the floor"):
-        build_rules(classify(mesh, domain_mixed), domain_mixed, 0.1 * MIN_TOL)
+        build_rules(classify(mesh, domain_mixed), 0.1 * MIN_TOL)
 
 
 def test_junction_cell_lengths_equal_arc_spans():
@@ -197,7 +197,7 @@ def test_junction_cell_lengths_equal_arc_spans():
         angles.append(math.atan2(p[1], p[0]))
     below, above = sorted(angles)
     assert below < 0.0 < above
-    rd, rn = cut_boundary_rule(tri, UNIT_MIXED, grade_angles=UNIT_MIXED.junction_angles)
+    rd, rn = cut_boundary_rule(tri, UNIT_MIXED)
     assert rd.weights.sum() == pytest.approx(above, rel=1e-12)
     assert rn.weights.sum() == pytest.approx(-below, rel=1e-12)
     assert np.all(rd.points[:, 1] > 0.0) and np.all(rn.points[:, 1] < 0.0)
@@ -213,13 +213,12 @@ def test_one_cell_rules_are_slices_of_the_batched_rules(domain_mixed):
     coords = mesh.vertices[mesh.triangles[topo.active]]
     cut = np.flatnonzero(topo.classification[topo.active] == CUT)
     volume = cut_volume_rules(coords, domain_mixed)
-    junctions = domain_mixed.junction_angles
-    boundary = cut_boundary_rules(coords[cut], domain_mixed, grade_angles=junctions)
+    boundary = cut_boundary_rules(coords[cut], domain_mixed)
     for i, k in enumerate(cut):
         rule = cut_volume_rule(coords[k], domain_mixed)
         assert np.array_equal(rule.points, volume.points[volume.owner == k])
         assert np.array_equal(rule.weights, volume.weights[volume.owner == k])
-        rd, rn = cut_boundary_rule(coords[k], domain_mixed, grade_angles=junctions)
+        rd, rn = cut_boundary_rule(coords[k], domain_mixed)
         mine = boundary.select(boundary.owner == i)
         assert np.array_equal(np.vstack([rd.points, rn.points]), mine.points)
         assert np.array_equal(np.r_[rd.weights, rn.weights], mine.weights)
@@ -239,7 +238,7 @@ def test_build_rules_volume_equals_the_frontier_over_all_active_cells(
     shift = (0.0, 0.0) if shift_index is None else sweep_shifts(box, n, 20)[shift_index]
     mesh = build_background(box, n, shift)
     topo = classify(mesh, domain)
-    volume = build_rules(topo, domain).volume
+    volume = build_rules(topo).volume
     oracle = cut_volume_rules(mesh.vertices[mesh.triangles[topo.active]], domain)
     assert np.array_equal(volume.owner, oracle.owner)
     assert np.array_equal(volume.points, oracle.points)

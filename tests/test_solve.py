@@ -14,6 +14,7 @@ from cutpoisson.assembly import (
     energy_gram,
     energy_norm,
 )
+from cutpoisson.geometry import COLLAR
 from cutpoisson.solve import (
     SolverError,
     condition_estimate,
@@ -95,7 +96,7 @@ def test_regularized_limit_matches_standard(domain_mixed):
     system = assemble_system(dofmap, rules, params, problem)
     standard = solve_standard(system, dofmap)
     u_h = standard.solution
-    A0 = assemble_regularized(system.A, dofmap, rules, params, domain_mixed)
+    A0 = assemble_regularized(system.A, dofmap, rules, params)
     reg = solve_regularized(SystemMatrices(A0, system.S, system.b), dofmap, standard)
     assert np.abs(reg.solution.coefficients - u_h.coefficients).max() < 1e-8
 
@@ -103,10 +104,10 @@ def test_regularized_limit_matches_standard(domain_mixed):
 @pytest.mark.parametrize(
     "n, eps_of",
     [
-        (16, lambda h, tube: 0.1 * h**2),
-        (16, lambda h, tube: 0.4 * h**2),
+        (16, lambda h, radius: 0.1 * h**2),
+        (16, lambda h, radius: 0.4 * h**2),
         # the largest admissible epsilon; at n = 16 it perturbs only 21 rows
-        (64, lambda h, tube: tube.epsilon0),
+        (64, lambda h, radius: COLLAR * radius),
     ],
     ids=["0.1h2", "0.4h2", "epsilon0"],
 )
@@ -116,9 +117,8 @@ def test_low_rank_update_matches_a_direct_factorization(domain_mixed, n, eps_of)
     mesh = dofmap.mesh
     system = assemble_system(dofmap, rules, params, problem)
     standard = solve_standard(system, dofmap)
-    A_eps = assemble_regularized(
-        system.A, dofmap, rules, params.with_epsilon(eps_of(mesh.h, params.tube)), domain_mixed
-    )
+    eps = eps_of(mesh.h, domain_mixed.radius)
+    A_eps = assemble_regularized(system.A, dofmap, rules, params.with_epsilon(eps))
     K = (A_eps + system.S).tocsc()
     perturbed = np.flatnonzero(abs(K - standard.operator).sum(axis=1))
     assert len(perturbed) > (50 if n == 64 else 0)

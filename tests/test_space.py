@@ -190,7 +190,7 @@ def test_active_cell_geometry_is_computed_once_and_read_only(domain_mixed, monke
     calls = []
     original = cutpoisson.space.hat_gradients
     monkeypatch.setattr(cutpoisson.space, "hat_gradients", lambda c: calls.append(1) or original(c))
-    rules = build_rules(topo, domain_mixed)
+    rules = build_rules(topo)
     params = NitscheParams()
     assemble_nitsche(dofmap, rules, params)
     assemble_load(dofmap, rules, params, manufactured_smooth(domain_mixed))
@@ -257,7 +257,7 @@ def test_one_hat_gradients_call_per_level(domain_mixed, monkeypatch):
         mesh = build_background((-1, -1, 1, 1), n, shift)
         topo = classify(mesh, domain_mixed)
         dofmap = build_dofmap(topo)
-        rules = build_rules(topo, domain_mixed)
+        rules = build_rules(topo)
         params = NitscheParams()
         assemble_nitsche(dofmap, rules, params)
         S = assemble_ghost_penalty(dofmap, rules, params)

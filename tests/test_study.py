@@ -7,6 +7,7 @@ from cutpoisson import LevelSetDomain
 from cutpoisson.geometry import boundary_angle, is_dirichlet_angle
 from cutpoisson.study import (
     _dirichlet_cells,
+    convergence_level,
     discretize,
     interpolation_study,
     manufactured_singular,
@@ -170,6 +171,13 @@ def test_smooth_convergence_short(domain_dirichlet):
     assert sh_slope >= 0.8
 
 
+def test_singular_level_refines_as_the_study_does(domain_mixed):
+    """A direct level call and the study's level share the error norms' refinement."""
+    problem = manufactured_singular(domain_mixed, 0)
+    level = convergence_level(problem, 32)
+    assert level == run_convergence(problem, [16, 32]).levels[1]
+
+
 def test_report_rejects_non_refined_levels(domain_dirichlet):
     problem = manufactured_smooth(domain_dirichlet)
     with pytest.raises(ValueError):
@@ -182,7 +190,7 @@ def test_inequality_constants_stable(domain_mixed):
     constants = []
     for n in (8, 16):
         dofmap, params, rules = discretize(domain_mixed, n)
-        rep = verify_inequalities(domain_mixed, dofmap, rules, params, trials=20)
+        rep = verify_inequalities(dofmap, rules, params, trials=20)
         constants.append(rep)
         assert rep.full_gradient > 0.0
         assert rep.boundary_flux > 0.0
@@ -216,7 +224,7 @@ def test_inequality_constants_bounded_across_sweep(domain_mixed):
     values = []
     for shift in sweep_shifts((-1, -1, 1, 1), 8, 20):
         dofmap, params, rules = discretize(domain_mixed, 8, tol=1e-8, shift=shift)
-        rep = verify_inequalities(domain_mixed, dofmap, rules, params, trials=5)
+        rep = verify_inequalities(dofmap, rules, params, trials=5)
         values.append(rep.full_gradient)
     assert max(values) <= 10.0 * min(values)
     assert max(values) < 100.0
@@ -278,7 +286,7 @@ def test_dirichlet_cells_match_branch_and_bound_oracle(domain_mixed, domain_name
     dofmap, params, rules = discretize(domain, 8, shift=shift)
     mesh, topo = dofmap.mesh, dofmap.topology
     coords = mesh.vertices[mesh.triangles[topo.active]]
-    found = _dirichlet_cells(domain, coords, rules.dirichlet, mesh.h)
+    found = _dirichlet_cells(dofmap, rules)
     expected = [_meets_dirichlet_oracle(domain, c, 1e-12 * mesh.h) for c in coords]
     assert np.array_equal(found, expected)
     assert found.any() and not found.all()
@@ -326,14 +334,18 @@ def test_interpolation_energy_slope_singular(domain_mixed):
 
 def test_truncated_domain_rejected(domain_mixed):
     """A grid shift or a disk that moves the boundary circle across the mesh edge fails loudly."""
-    from cutpoisson.study import convergence_level
-
     problem = manufactured_smooth(domain_mixed)
     with pytest.raises(ValueError, match="truncated domain"):
         convergence_level(problem, 8, shift=(0.5, 0.5))
     off_center = LevelSetDomain((0.5, 0.0), 0.7, ((0.0, math.pi),))
     with pytest.raises(ValueError, match="meets the edge of the mesh extent"):
         discretize(off_center, 8)
+
+
+def test_mesh_past_the_collar_limit_rejected(domain_mixed):
+    """At n = 2 the cell diagonal h = sqrt(2) is above the collar limit 0.75 R."""
+    with pytest.raises(ValueError, match="exceeds the collar limit 0.5249999999999999"):
+        discretize(domain_mixed, 2)
 
 
 def test_box_inside_disk_is_all_inside():
