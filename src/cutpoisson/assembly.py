@@ -7,6 +7,9 @@ rules, which makes the standard Nitsche matrix exactly symmetric in floating
 point.  Volume terms need no barycentric coordinates, as a P1 function is
 affine on each cell: a load comes from per-cell moments about the centroid c,
 and u_h at a point x is its value at c plus its cell gradient dotted with x - c.
+The cut cells' volume points are packed and summed per cell by ``np.bincount``;
+the inside cells come in blocks of (m, 6) points from ``RuleSet.inside_blocks``,
+with their parity's offsets x - c, and are summed along the block's rows.
 Every grid triangle is a translate of triangle ``t & 1``, so hat gradients come
 from the dofmap's two ``reference_gradients`` and the stiffness local block of
 a cell is one of two fixed 3 x 3 Gram blocks times the cell's cut area.
@@ -111,16 +114,9 @@ def _vector(ndof, dofs, values):
     )
 
 
-# Volume points per batch of per-point work, which bounds the memory it takes.
-_CHUNK = 1 << 16
-
-
-def _chunks(rule, skip=()):
-    """Views of ``_CHUNK`` or fewer points of a rule sorted by owner, without the cells ``skip``."""
-    first, last = np.searchsorted(rule.owner, skip), np.searchsorted(rule.owner, skip, "right")
-    for start, stop in zip(np.r_[0, last], np.r_[first, len(rule.owner)]):
-        for lo in range(start, stop, _CHUNK):
-            yield rule.select(slice(lo, min(lo + _CHUNK, stop)))
+def _offsets(coords, rule):
+    """Offsets (nq, 2) of a packed rule's points from their cells' centroids."""
+    return rule.points - np.einsum("qkd->qd", coords[rule.owner]) / 3.0
 
 
 def _boundary_local(coords, grads, rule, weight=None):
@@ -143,6 +139,8 @@ def _stiffness_stencil(dofmap, rules):
     gram = ref @ ref.transpose(0, 2, 1)
     mass = np.zeros(mesh.n_triangles)
     mass[active] = np.bincount(rules.volume.owner, rules.volume.weights, minlength=len(active))
+    for rule in rules.inside:
+        mass[active[rule.cells]] = np.cumsum(rule.weights)[-1]  # summed as bincount sums
     mass = np.ascontiguousarray(mass.reshape(n, n, 2).transpose(2, 0, 1))  # by parity
     grid = np.zeros((len(STENCIL), n + 1, n + 1))
     for p, i, j in np.ndindex(2, 3, 3):
@@ -262,13 +260,14 @@ def assemble_load(dofmap, rules, params, data):
     lam_n, _, w_n = _boundary_local(coords, grads, rule_n)
     lam_d, flux_d, w_d = _boundary_local(coords, grads, rule_d)
     gd = w_d * data.g_D(rule_d.points)
-    centroids = np.einsum("tkd->td", coords) / 3.0
-    moments = np.zeros((len(dofs), 3))  # m0 and m1
-    for part in _chunks(rules.volume):
-        wf = part.weights * data.f(part.points)
-        offset = part.points - np.take(centroids, part.owner, axis=0)  # faster than fancy indexing
-        for j, col in enumerate((wf, wf * offset[:, 0], wf * offset[:, 1])):
-            moments[:, j] += np.bincount(part.owner, col, minlength=len(dofs))
+    vol = rules.volume
+    wf, offset = vol.weights * data.f(vol.points), _offsets(coords, vol)
+    columns = (wf, wf * offset[:, 0], wf * offset[:, 1])
+    # m0 and m1 of the cut cells, 0 elsewhere; a bincount over no points is int
+    moments = np.column_stack([np.bincount(vol.owner, c, len(dofs)) for c in columns]).astype(float)
+    for cells, points, weights, offsets in rules.inside_blocks():
+        f = data.f(points.reshape(-1, 2)).reshape(len(cells), -1)
+        moments[cells] = f @ (weights[:, None] * np.column_stack([np.ones(len(weights)), offsets]))
     values = [
         lam_n * (w_n * data.g_N(rule_n.points))[:, None],
         (params.beta / dofmap.mesh.h) * lam_d * gd[:, None] - flux_d * gd[:, None],
@@ -301,7 +300,11 @@ def nitsche_action(dofmap, rules, params, u, grad_u):
     coords, grads, dofs = dofmap.active_cells
     vol, rule_d, rule_n = rules.volume, rules.dirichlet, rules.neumann
     wg = vol.weights[:, None] * grad_u(vol.points)
-    flux_int = np.stack([np.bincount(vol.owner, g, minlength=len(dofs)) for g in wg.T], axis=1)
+    flux_int = np.column_stack([np.bincount(vol.owner, g, len(dofs)) for g in wg.T]).astype(float)
+    for cells, points, weights, _ in rules.inside_blocks():
+        # the gradients' x, y of each point in a row (m, 12), times w_q in the column of x or y
+        w_xy = np.kron(weights[:, None], np.eye(2))
+        flux_int[cells] = grad_u(points.reshape(-1, 2)).reshape(len(cells), -1) @ w_xy
     lam, flux, w = _boundary_local(coords, grads, rule_d)
     un = (grad_u(rule_d.points) * rule_d.normals).sum(axis=1)
     uv = w * u(rule_d.points)
@@ -360,36 +363,51 @@ def error_norms(problem, u_h, rules, stabilizer, refine_levels=REFINE_LEVELS):
     scaled Dirichlet trace mismatch.  Near points of reduced regularity (cells
     within 2h of one) the volume rules are refined ``refine_levels`` times
     (``quadrature.REFINE_LEVELS``, or none at 0) so the quadrature of the
-    singular gradient does not pollute the reported norms; the bulk rule skips
-    those cells.  At a volume point u_h is its cell's affine function.
+    singular gradient does not pollute the reported norms; the cut rule and
+    the inside blocks drop those cells by a cell mask.  At a volume point u_h
+    is its cell's affine function.
     """
     h = u_h.dofmap.mesh.h
     coords, grads, dofs = u_h.dofmap.active_cells
-    parts = [(rules.volume, ())]
+    refined = np.zeros(len(dofs), dtype=bool)
+    parts = [rules.volume]
     if refine_levels and len(problem.singular_points):
         singular = np.asarray(problem.singular_points, dtype=float)
         target = _cells_near(singular, coords, 2.0 * h, h)
         cells = np.flatnonzero(target >= 0)
-        refined = refine_rule_toward(
+        refined[cells] = True
+        rule = refine_rule_toward(
             coords[cells],
             u_h.dofmap.topology.domain,
             singular[target[cells]],
             tol=rules.tol,
             levels=refine_levels,
         )
-        parts = [(rules.volume, cells), (replace(refined, owner=cells[refined.owner]), ())]
+        parts = [rules.volume.select(~refined[rules.volume.owner])]
+        parts.append(replace(rule, owner=cells[rule.owner]))
     vals = u_h.coefficients[dofs]
     grad_h = np.einsum("tk,tkd->td", vals, grads)
-    centroids, u_c = np.einsum("tkd->td", coords) / 3.0, vals.sum(axis=1) / 3.0  # u_h at c
+    u_c = vals.sum(axis=1) / 3.0  # u_h at the centroid
     grad_sq = l2_sq = 0.0
-    for part in (chunk for rule, skip in parts for chunk in _chunks(rule, skip)):
+    for part in parts:
         u, grad_u = problem.u_and_grad(part.points)
-        g = np.take(grad_h, part.owner, axis=0)
+        g = grad_h[part.owner]
         diff_grad = grad_u - g
+        diff = u - u_c[part.owner] - np.einsum("qd,qd->q", g, _offsets(coords, part))
         grad_sq += float(part.weights @ np.einsum("qd,qd->q", diff_grad, diff_grad))
-        offset = part.points - np.take(centroids, part.owner, axis=0)
-        diff = u - np.take(u_c, part.owner) - np.einsum("qd,qd->q", g, offset)
         l2_sq += float(part.weights @ diff**2)
+    for cells, points, weights, offsets in rules.inside_blocks():
+        if refined[cells].any():
+            keep = ~refined[cells]
+            cells, points = cells[keep], points[keep]
+        u, grad_u = problem.u_and_grad(points.reshape(-1, 2))
+        m, q = points.shape[:2]
+        g = grad_h[cells]
+        # a row (m, 12) holds the x, y gradient errors of the six points: g is repeated by a product
+        diff_grad = grad_u.reshape(m, 2 * q) - g @ np.tile(np.eye(2), q)
+        diff = u.reshape(m, q) - (u_c[cells, None] + g @ offsets.T)
+        grad_sq += float(np.einsum("mk,mk->k", diff_grad, diff_grad) @ weights.repeat(2))
+        l2_sq += float(np.einsum("mq,mq->q", diff, diff) @ weights)
     rule_d = rules.dirichlet
     lam_d = _barycentric(coords, rule_d.points, rule_d.owner)
     diff = problem.u_and_grad(rule_d.points)[0] - (lam_d * vals[rule_d.owner]).sum(axis=1)

@@ -45,6 +45,7 @@ _STUDY_KINDS = {
     "cutoff_lemma",
     "condition_sweep",
 }
+_SINGLE_LEVEL_KINDS = {"regularization", "inequalities", "condition_sweep"}
 
 
 def _check_keys(name, obj, allowed):
@@ -118,6 +119,12 @@ def load_config(path):
         or any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in levels)
     ):
         raise ConfigError(f"mesh.levels must be a list of positive integers, got {levels!r}")
+    kind = cfg["study"]["kind"]
+    if kind in _SINGLE_LEVEL_KINDS and len(levels) > 1:
+        raise ConfigError(
+            f"study.kind {kind!r} runs on one mesh level, but mesh.levels is {levels!r} "
+            "(the default when omitted); give a single level"
+        )
     box = cfg["mesh"]["box"]
     if (
         not isinstance(box, list)
@@ -164,21 +171,24 @@ def build_problem(cfg, domain):
 
 
 def _epsilon_values(cfg, domain, h):
-    """The regularization study's epsilons 0, e, 2e, 4e; a fixed e must keep 4e admissible."""
+    """The regularization study's epsilons 0, e, 2e, 4e, with e = value or c h^2.
+
+    4e must stay within the admissible ``COLLAR * R``; this is checked before any work.
+    """
     rule = cfg["params"]["epsilon_rule"]
     if rule["kind"] == "fixed":
-        base = float(rule.get("value", 0.0))
-        if base <= 0.0:
-            raise ConfigError("params.epsilon_rule.value must be positive for 'fixed'")
-        limit = COLLAR * domain.radius
-        if not 4.0 * base <= limit:
-            raise ConfigError(
-                f"params.epsilon_rule.value {base!r}: the study's largest epsilon 4 * value = "
-                f"{4.0 * base!r} exceeds the admissible {limit!r}; "
-                f"the largest admissible value is {limit / 4.0!r}"
-            )
+        field, value, scale, term = "value", float(rule.get("value", 0.0)), 1.0, "value"
     else:
-        base = float(rule.get("c", 0.1)) * h * h
+        field, value, scale, term = "c", float(rule.get("c", 0.1)), h * h, "c * h^2"
+    if value <= 0.0:
+        raise ConfigError(f"params.epsilon_rule.{field} must be positive for {rule['kind']!r}")
+    base, limit = value * scale, COLLAR * domain.radius
+    if not 4.0 * base <= limit:
+        raise ConfigError(
+            f"params.epsilon_rule.{field} {value!r}: the study's largest epsilon 4 * {term} = "
+            f"{4.0 * base!r} exceeds the admissible {limit!r}; "
+            f"the largest admissible value is {limit / 4.0 / scale!r}"
+        )
     return [0.0, base, 2.0 * base, 4.0 * base]
 
 

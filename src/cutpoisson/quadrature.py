@@ -22,12 +22,17 @@ junctions and into pieces of at most ``_BOUNDARY_PIECE``, then graded dyadically
 toward the junctions.  One Gauss map turns all panels into points, and every
 panel is purely Dirichlet or purely Neumann.
 
-``build_rules`` packs the rules of all active cells.  Inside cells take the
-degree-4 rule directly, so only cut cells build chord polygons, and ghost
-faces keep only their lengths, since the jump of a P1 normal gradient is
-constant on a face.  ``refine_rule_toward`` grades a whole stack of cells
-toward their singular points and sends all their leaves through one
-``cut_volume_rules`` call, with owner the cell's position in the stack.
+``build_rules`` packs the rules of the cut cells only; ghost faces keep only
+their lengths, since the jump of a P1 normal gradient is constant on a face.
+Every grid triangle is a translate of triangle ``t & 1``, so an inside cell
+never becomes packed points: its degree-4 points are its vertex 0 plus the
+reference points of its parity, and its weights and the offsets of its points
+from its centroid are those of the reference triangle.  ``RuleSet.inside_blocks``
+hands the inside cells out in blocks of (m, 6, 2) points with their parity's
+weights (6,) and offsets (6, 2), and a consumer integrates them by per-cell
+reductions.  ``refine_rule_toward`` grades a whole stack of cells toward their
+singular points and sends all their leaves through one ``cut_volume_rules``
+call, with owner the cell's position in the stack.
 """
 
 from __future__ import annotations
@@ -445,16 +450,42 @@ def refine_rule_toward(triangles, domain, points, tol=DEFAULT_TOL, levels=REFINE
 
 
 @dataclass(frozen=True)
-class RuleSet:
-    """Packed quadrature of one cut topology, from ``build_rules(topology, tol)``.
+class TranslatedRule:
+    """The degree-4 rule of the inside cells of one parity, translates of one reference rule.
 
-    ``volume`` integrates over every active cell's intersection with the
-    domain, ``boundary`` over the boundary arcs; both are sorted by owner, with
-    the Dirichlet points of a cell before its Neumann points.  ``face_lengths``
-    is aligned with ``topology.ghost_faces``.  The domain is ``topology.domain``.
+    Cell ``cells[k]`` (its position in ``topology.active``) has vertex 0 at
+    ``origins[k]`` and its points at ``origins[k] + points``.  Every cell has
+    the reference triangle's ``weights`` (6,) and the ``offsets`` (6, 2) of
+    its points from its centroid.
+    """
+
+    cells: np.ndarray
+    origins: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+
+
+# Inside cells per block of ``RuleSet.inside_blocks``: 49,152 points, which bounds the
+# memory of the per-point work on a block.
+_INSIDE_BLOCK = 1 << 13
+
+
+@dataclass(frozen=True)
+class RuleSet:
+    """Quadrature of one cut topology, from ``build_rules(topology, tol)``.
+
+    ``volume`` integrates over the cut cells' intersections with the domain,
+    ``boundary`` over the boundary arcs; both are packed and sorted by owner,
+    the cell's position in ``topology.active``, with the Dirichlet points of
+    a cell before its Neumann points.  The inside cells are not packed:
+    ``inside`` holds them by parity as translates of two reference rules
+    (see ``TranslatedRule`` and ``inside_blocks``).  ``face_lengths`` is
+    aligned with ``topology.ghost_faces``.  The domain is ``topology.domain``.
     """
 
     volume: PackedRule
+    inside: tuple
     boundary: PackedRule
     face_lengths: np.ndarray
     tol: float = DEFAULT_TOL
@@ -467,29 +498,45 @@ class RuleSet:
     def neumann(self):
         return self.boundary.select(~self.boundary.dirichlet)
 
+    def inside_blocks(self):
+        """Blocks (cells (m,), points (m, 6, 2), weights (6,), offsets (6, 2)) of the inside cells.
+
+        Parity 0 first, each block at most ``_INSIDE_BLOCK`` cells of one parity, so that
+        the weights and the offsets of the points from their cell's centroid are shared.
+        """
+        for rule in self.inside:
+            for lo in range(0, len(rule.cells), _INSIDE_BLOCK):
+                block = slice(lo, lo + _INSIDE_BLOCK)
+                # as x + iy, a translate adds 6 entries per cell rather than 2 at a time
+                points = rule.origins[block].view(complex) + rule.points.view(complex).T
+                points = points.view(float).reshape(-1, 6, 2)
+                yield rule.cells[block], points, rule.weights, rule.offsets
+
 
 def build_rules(topology, tol=DEFAULT_TOL):
-    """Packed volume and boundary rules of the active cells, and ghost-face lengths.
+    """Volume and boundary rules of the active cells, and ghost-face lengths.
 
-    The domain is ``topology.domain``.  Inside cells take the degree-4 rule
-    directly; only cut cells go through ``cut_volume_rules`` and
-    ``cut_boundary_rules``.
+    The domain is ``topology.domain``.  Only cut cells go through
+    ``cut_volume_rules`` and ``cut_boundary_rules``; the inside cells take the
+    degree-4 rule of the reference triangle of their parity, triangle 0 or 1
+    of the grid, moved to their vertex 0.
     """
-    coords, domain = topology.active_coords, topology.domain
+    mesh, coords, domain = topology.mesh, topology.active_coords, topology.domain
     is_cut = topology.classification[topology.active] == CUT
-    inside, cut = np.flatnonzero(~is_cut), np.flatnonzero(is_cut)
-    cut_volume = cut_volume_rules(coords[cut], domain, tol)
-    points, weights = _full_triangle_points(coords[inside])
-    owner = np.concatenate([inside.repeat(len(_D4_W)), cut[cut_volume.owner]])
-    order = np.argsort(owner, kind="stable")
-    volume = PackedRule(
-        np.concatenate([points.reshape(-1, 2), cut_volume.points])[order],
-        np.concatenate([weights.ravel(), cut_volume.weights])[order],
-        owner[order],
-    )
+    cut = np.flatnonzero(is_cut)
+    volume = cut_volume_rules(coords[cut], domain, tol)
+    volume = dataclasses.replace(volume, owner=cut[volume.owner])
+    local = mesh.triangle_coords(np.arange(2))
+    local = local - local[:, :1]
+    points = _D4_BARY @ local
+    weights = _D4_W * _tri_area(local)[:, None]
+    offsets = points - local.sum(axis=1, keepdims=True) / 3.0
+    inside = []
+    for p in range(2):
+        cells = np.flatnonzero(~is_cut & ((topology.active & 1) == p))
+        inside.append(TranslatedRule(cells, coords[cells, 0], points[p], weights[p], offsets[p]))
     boundary = cut_boundary_rules(coords[cut], domain)
     boundary = dataclasses.replace(boundary, owner=cut[boundary.owner])
-    mesh = topology.mesh
     ends = mesh.vertices[mesh.faces[topology.ghost_faces]]
     face_lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
-    return RuleSet(volume, boundary, face_lengths, tol)
+    return RuleSet(volume, tuple(inside), boundary, face_lengths, tol)

@@ -5,6 +5,7 @@ import pytest
 
 from cutpoisson import LevelSetDomain, gradient
 from cutpoisson.geometry import boundary_angle, is_dirichlet_angle, signed_distance
+from cutpoisson.quadrature import PackedRule
 from cutpoisson.space import face_normal
 from cutpoisson.study import discretize
 
@@ -49,6 +50,21 @@ def boundary_is_dirichlet(domain, b, tol=1e-8):
     if abs(float(signed_distance(domain, b))) > tol * domain.radius:
         raise ValueError(f"point {b.tolist()} is not on the boundary")
     return bool(is_dirichlet_angle(domain, float(boundary_angle(domain, b))))
+
+
+def packed_volume_rule(rules):
+    """Oracle: the volume rule of every active cell as one packed rule sorted by owner.
+
+    The cut cells' points are ``rules.volume``'s; each inside cell adds the six
+    points and weights of its block from ``rules.inside_blocks``.
+    """
+    parts = [(rules.volume.points, rules.volume.weights, rules.volume.owner)]
+    for cells, points, weights, _ in rules.inside_blocks():
+        owner = cells.repeat(len(weights))
+        parts.append((points.reshape(-1, 2), np.tile(weights, len(cells)), owner))
+    points, weights, owner = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(owner, kind="stable")
+    return PackedRule(points[order], weights[order], owner[order])
 
 
 def jump_normal_gradient(f, face):

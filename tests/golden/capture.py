@@ -13,6 +13,7 @@ captured from the per-cell cut rules before they were batched.
 """
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,9 @@ from cutpoisson.study import (
 )
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parents[1]))  # run as a script, the checkout's root is not on the path
+from tests.conftest import packed_volume_rule  # noqa: E402
+
 BOX = (-1.0, -1.0, 1.0, 1.0)
 N = 16
 TOL = 1e-10
@@ -103,7 +107,7 @@ def cell_measures(shift):
     def per_cell(rule, values=1.0):
         return np.bincount(rule.owner, rule.weights * values, minlength=n_cells)
 
-    vol = rules.volume
+    vol = packed_volume_rule(rules)
     return {
         "mass": per_cell(vol),
         "moment_x": per_cell(vol, vol.points[:, 0]),

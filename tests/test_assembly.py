@@ -13,7 +13,6 @@ from cutpoisson.assembly import (
     _boundary_local,
     _cells_near,
     _cell_scatter,
-    _chunks,
     _compress,
     _cutoff_weight,
     _vector,
@@ -31,10 +30,10 @@ from cutpoisson.assembly import (
     nitsche_action,
 )
 from cutpoisson.geometry import TubeParams, cutoff
-from cutpoisson.mesh import build_background
-from cutpoisson.quadrature import PackedRule, _barycentric, refine_rule_toward
+from cutpoisson.mesh import build_background, classify
+from cutpoisson.quadrature import PackedRule, _barycentric, build_rules, refine_rule_toward
 from cutpoisson.solve import RESIDUAL_RTOL, solve_standard
-from cutpoisson.space import FeFunction, face_normal, hat_gradients
+from cutpoisson.space import FeFunction, build_dofmap, face_normal, hat_gradients
 from cutpoisson.study import (
     DEFAULT_BOX,
     consistency_residual,
@@ -43,7 +42,7 @@ from cutpoisson.study import (
     manufactured_smooth,
     sweep_shifts,
 )
-from tests.conftest import jump_normal_gradient, reference_tolerance
+from tests.conftest import jump_normal_gradient, packed_volume_rule, reference_tolerance
 
 
 class ZeroData:
@@ -437,7 +436,8 @@ def _operator_oracles(dofmap, rules, params, scatter):
             dofmap.ndof, dofs[rule.owner], lam[:, :, None] * (flux * w[:, None])[:, None, :]
         )
 
-    masses = np.bincount(rules.volume.owner, rules.volume.weights, minlength=len(dofs))
+    vol = packed_volume_rule(rules)
+    masses = np.bincount(vol.owner, vol.weights, minlength=len(dofs))
     ref = dofmap.reference_gradients
     local = (ref @ ref.transpose(0, 2, 1))[dofmap.topology.active & 1] * masses[:, None, None]
     K = _stiffness_add_at(dofmap, local) if scatter is _blocks_add_at else scatter(dofmap.ndof, dofs, local)
@@ -551,11 +551,10 @@ def load_pointwise(dofmap, rules, params, data):
     """Oracle: the load with hat values from barycentric coordinates at every volume point."""
     coords, grads, dofs = dofmap.active_cells
     b = boundary_load_pointwise(dofmap, rules, params, data)
-    for part in _chunks(rules.volume):
-        lam = _barycentric(coords, part.points, part.owner)
-        wf = part.weights * data.f(part.points)
-        b += _vector(dofmap.ndof, [dofs[part.owner]], [lam * wf[:, None]])
-    return b
+    vol = packed_volume_rule(rules)
+    lam = _barycentric(coords, vol.points, vol.owner)
+    wf = vol.weights * data.f(vol.points)
+    return b + _vector(dofmap.ndof, [dofs[vol.owner]], [lam * wf[:, None]])
 
 
 def error_norms_pointwise(problem, u_h, rules, stabilizer, refine_levels=0):
@@ -564,7 +563,7 @@ def error_norms_pointwise(problem, u_h, rules, stabilizer, refine_levels=0):
     dofmap = u_h.dofmap
     h = dofmap.mesh.h
     coords, grads, dofs = dofmap.active_cells
-    vol = rules.volume
+    vol = packed_volume_rule(rules)
     if refine_levels and len(problem.singular_points):
         singular = np.asarray(problem.singular_points, dtype=float)
         target = _cells_near(singular, coords, 2.0 * h, h)
@@ -641,7 +640,8 @@ def _stiffness_einsum(dofmap, rules):
     """Oracle: stiffness blocks from per-cell hat gradients in a three-operand einsum."""
     coords, _, dofs = dofmap.active_cells
     grads = hat_gradients(coords)
-    masses = np.bincount(rules.volume.owner, rules.volume.weights, minlength=len(dofs))
+    vol = packed_volume_rule(rules)
+    masses = np.bincount(vol.owner, vol.weights, minlength=len(dofs))
     return _stiffness_add_at(dofmap, np.einsum("tid,tjd,t->tij", grads, grads, masses))
 
 
@@ -672,3 +672,78 @@ def test_stiffness_by_parity_matches_the_einsum_and_operators_stay_symmetric(
         S = assemble_ghost_penalty(dofmap, rules, params)
         for M in (K, A, S):
             assert (M != M.T).nnz == 0, shift
+
+
+def _all_packed(rules):
+    """Oracle: the rule set with every active cell in the packed volume rule and no inside blocks,
+    so that each consumer sums every cell by ``np.bincount`` over its points."""
+    empty = [dataclasses.replace(r, cells=r.cells[:0], origins=r.origins[:0]) for r in rules.inside]
+    return dataclasses.replace(rules, volume=packed_volume_rule(rules), inside=tuple(empty))
+
+
+def _assert_inside_path_matches_the_packed_oracle(dofmap, rules, params, problem, u_h, cutoff=True):
+    """Stiffness bitwise; load, actions (with the cutoff if ``cutoff``) and error norms,
+    refined and not, to 1e-12 relative."""
+    packed = _all_packed(rules)
+    K = assemble_stiffness(dofmap, rules)
+    assert _csr_bits(K) == _csr_bits(assemble_stiffness(dofmap, packed))
+    vectors = [lambda r: assemble_load(dofmap, r, params, problem)]
+    for p in (params, params.with_epsilon(0.1 * dofmap.mesh.h**2))[: 1 + cutoff]:
+        vectors.append(lambda r, p=p: nitsche_action(dofmap, r, p, problem.u, problem.grad_u))
+    for vector in vectors:
+        got, want = vector(rules), vector(packed)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    S = assemble_ghost_penalty(dofmap, rules, params)
+    for levels in (0, 8):
+        got = error_norms(problem, u_h, rules, S, levels)
+        want = error_norms(problem, u_h, packed, S, levels)
+        for field in ("energy", "sh", "l2"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("shift", [None, 3, 7, 13])
+@pytest.mark.parametrize("n", [16, 64])
+def test_inside_blocks_match_the_packed_rule_oracle(domain_mixed, n, shift):
+    """The inside cells' per-block reductions against bincounts over their packed points."""
+    offset = (0.0, 0.0) if shift is None else sweep_shifts((-1, -1, 1, 1), n, 20)[shift]
+    dofmap, params, rules = discretize(domain_mixed, n, shift=offset)
+    assert all(len(r.cells) for r in rules.inside) and len(rules.volume.weights)
+    problem = _problem("smooth-graded", domain_mixed, None)  # a source, refined at the junctions
+    u_h = solve_standard(assemble_system(dofmap, rules, params, problem), dofmap).solution
+    _assert_inside_path_matches_the_packed_oracle(dofmap, rules, params, problem, u_h)
+
+
+def _level(domain, box, n):
+    topo = classify(build_background(box, n), domain)
+    return build_dofmap(topo), NitscheParams(), build_rules(topo)
+
+
+def test_fitted_square_without_cut_cells(rng):
+    """A disk covering the n = 1 box: two inside cells, an empty cut rule, a nonzero stiffness."""
+    domain = LevelSetDomain((0.0, 0.0), 2.0, ((0.0, math.pi),))
+    dofmap, params, rules = _level(domain, (-0.5, -0.5, 0.5, 0.5), 1)
+    assert len(rules.volume.weights) == 0 and len(rules.boundary.weights) == 0
+    assert [len(r.cells) for r in rules.inside] == [1, 1]
+    K = assemble_stiffness(dofmap, rules).toarray()
+    assert K.dtype == np.float64
+    assert K.diagonal() == pytest.approx([1.0, 1.0, 1.0, 1.0], rel=1e-14)  # the unit square's hats
+    assert np.abs(K @ np.ones(4)).max() <= 1e-15
+    # a singular point within 2h of both cells: refined, they leave the inside blocks empty
+    problem = dataclasses.replace(manufactured_smooth(domain), singular_points=((0.3, 0.2),))
+    u_h = FeFunction(rng.standard_normal(dofmap.ndof), dofmap)
+    _assert_inside_path_matches_the_packed_oracle(dofmap, rules, params, problem, u_h)
+    b = assemble_load(dofmap, rules, params, problem)
+    assert b.dtype == np.float64 and np.abs(b).max() > 0.0
+
+
+def test_grid_without_inside_cells(domain_mixed, rng):
+    """At n = 2 every active triangle has the disk's centre as a vertex and reaches past the disk.
+
+    Its h is above the collar limit, as it is wherever no cell lies inside, so no cutoff is built.
+    """
+    dofmap, params, rules = _level(domain_mixed, (-1.0, -1.0, 1.0, 1.0), 2)
+    assert [len(r.cells) for r in rules.inside] == [0, 0]
+    assert np.array_equal(np.unique(rules.volume.owner), np.arange(len(dofmap.topology.active)))
+    problem = manufactured_singular(domain_mixed)
+    u_h = FeFunction(rng.standard_normal(dofmap.ndof), dofmap)
+    _assert_inside_path_matches_the_packed_oracle(dofmap, rules, params, problem, u_h, cutoff=False)

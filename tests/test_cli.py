@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from cutpoisson import study
 from cutpoisson.cli import ConfigError, load_config, main, run
 from cutpoisson.geometry import LevelSetDomain
 from cutpoisson.study import condition_sweep
@@ -100,6 +101,7 @@ def test_infeasible_epsilon_rejected(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         {
+            "mesh": {"levels": [8]},
             "study": {"kind": "regularization"},
             "params": {"epsilon_rule": {"kind": "fixed", "value": 10.0}},
         },
@@ -129,6 +131,54 @@ def test_fixed_epsilon_checked_against_the_collar_limit(tmp_path, capsys):
     assert run(str(accepted), tmp_path / "accepted", quiet=True) == 0
     csv = (tmp_path / "accepted" / "regularization.csv").read_text().splitlines()
     assert float(csv[-1].split(",")[0]) == 4.0 * limit == 0.75 * 0.7
+
+
+@pytest.mark.parametrize("kind", ["regularization", "inequalities", "condition_sweep"])
+def test_single_level_kinds_reject_several_levels(tmp_path, capsys, kind):
+    """These kinds run on one level; a longer list is an error, not a silent use of the first."""
+    cfg = write_config(tmp_path, {"mesh": {"levels": [8, 16]}, "study": {"kind": kind}})
+    message = rf"study.kind '{kind}' runs on one mesh level, but mesh.levels is \[8, 16\]"
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg)
+    assert run(str(cfg), tmp_path / "out", quiet=True) == 2
+    assert "[8, 16]" in capsys.readouterr().err
+    assert not any((tmp_path / "out").glob("*.csv"))
+    assert load_config(write_config(tmp_path, {"mesh": {"levels": [8]}, "study": {"kind": kind}}))
+
+
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_c_h2_epsilon_checked_against_the_collar_limit_before_any_solve(
+    tmp_path, capsys, monkeypatch
+):
+    """At n = 64, 4 * 100 * h^2 = 0.78 exceeds 0.75 * 0.7: rejected before any level is built."""
+    calls = []
+    for name in ("discretize", "solve_standard", "solve_regularized"):
+        monkeypatch.setattr(study, name, _counting(calls, name, getattr(study, name)))
+    overrides = {"mesh": {"levels": [64]}, "study": {"kind": "regularization"}}
+    for c, message in (
+        (
+            100.0,
+            "params.epsilon_rule.c 100.0: the study's largest epsilon 4 * c * h^2 = "
+            "0.7812500000000002 exceeds the admissible 0.5249999999999999",
+        ),
+        (0.0, "params.epsilon_rule.c must be positive for 'c_h2'"),
+    ):
+        rule = {"kind": "c_h2", "c": c}
+        config = write_config(tmp_path, {**overrides, "params": {"epsilon_rule": rule}})
+        assert run(str(config), tmp_path / "out", quiet=True) == 2
+        assert message in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out" / "regularization.csv").exists()
+    config = write_config(tmp_path, {"mesh": {"levels": [8]}, "study": {"kind": "regularization"}})
+    assert run(str(config), tmp_path / "out", quiet=True) == 0
+    assert calls[:2] == ["discretize", "solve_standard"]  # the counters see a study that runs
 
 
 def test_custom_problem_rejected(tmp_path):

@@ -13,7 +13,12 @@ from cutpoisson.quadrature import (
     refine_rule_toward,
 )
 from cutpoisson.study import sweep_shifts
-from tests.conftest import boundary_is_dirichlet, exact_disk_triangle_area
+from tests.conftest import (
+    boundary_is_dirichlet,
+    exact_disk_triangle_area,
+    packed_volume_rule,
+    reference_tolerance,
+)
 
 
 def disk_rules(domain, n, tol=1e-10, box=(-1.0, -1.0, 1.0, 1.0)):
@@ -32,9 +37,10 @@ def test_uncut_triangle_mass():
 def test_disk_area_and_moment(rng):
     domain = LevelSetDomain((0.0, 0.0), 1.0, ((0.0, 2 * math.pi),))
     mesh, topo, rules = disk_rules(domain, 6, box=(-1.3, -1.3, 1.3, 1.3))
-    area = rules.volume.weights.sum()
+    vol = packed_volume_rule(rules)
+    area = vol.weights.sum()
     assert area == pytest.approx(math.pi, rel=1e-8)
-    moment = float(rules.volume.weights @ (rules.volume.points**2).sum(axis=1))
+    moment = float(vol.weights @ (vol.points**2).sum(axis=1))
     assert moment == pytest.approx(math.pi / 2.0, rel=1e-7)
 
 
@@ -68,7 +74,7 @@ def test_boundary_points_classify_consistently(domain_mixed):
 
 def test_divergence_theorem(domain_mixed):
     mesh, topo, rules = disk_rules(domain_mixed, 8)
-    volume = 2.0 * rules.volume.weights.sum()
+    volume = 2.0 * packed_volume_rule(rules).weights.sum()
     r = rules.boundary
     boundary = float(r.weights @ (r.points * r.normals).sum(axis=1))
     assert abs(volume - boundary) < 1e-9
@@ -82,7 +88,7 @@ def test_area_error_decreases_with_tol(domain_mixed):
     errors = {}
     for tol in (1e-2, 1e-4, 1e-6, 1e-8):
         rules = build_rules(topo, tol)
-        area = rules.volume.weights.sum()
+        area = packed_volume_rule(rules).weights.sum()
         err = abs(area - exact)
         errors[tol] = err
         assert err <= tol * exact
@@ -118,23 +124,37 @@ def test_edge_only_cut():
 
 def test_volume_weights_nonnegative(domain_mixed):
     mesh, topo, rules = disk_rules(domain_mixed, 8)
-    assert rules.volume.weights.min() >= 0.0
+    assert packed_volume_rule(rules).weights.min() >= 0.0
+
+
+def _assert_translates_match(got, want, mesh, box, n):
+    """Inside-cell rules as translates: points within 1e-15 of the box scale of the per-cell
+    rule's, weights within ``reference_tolerance`` of the cell area (exact on a dyadic grid)."""
+    scale = max(box[2] - box[0], box[3] - box[1])
+    area = (box[2] - box[0]) * (box[3] - box[1]) / (2 * n * n)
+    assert np.abs(got.points - want.points).max() <= 1e-15 * scale
+    assert np.abs(got.weights - want.weights).max() <= reference_tolerance(mesh, box, n) * area
 
 
 def test_packed_interior_rule_equals_cut_volume_rule(domain_mixed):
-    """Interior cells are mapped in one batch; each gets exactly the per-cell rule."""
+    """Inside cells are translates of two reference rules; each matches the per-cell rule."""
+    box = (-1.0, -1.0, 1.0, 1.0)
     for shift in ((0.0, 0.0), (0.013, 0.021)):
-        mesh = build_background((-1, -1, 1, 1), 16, shift)
+        mesh = build_background(box, 16, shift)
         topo = classify(mesh, domain_mixed)
         rules = build_rules(topo)
-        vol = rules.volume
-        assert np.all(np.diff(vol.owner) >= 0)
+        assert np.all(np.diff(rules.volume.owner) >= 0)
         inside = np.flatnonzero(topo.classification[topo.active] == INSIDE)
         assert len(inside) > 0
+        assert np.array_equal(np.sort(np.concatenate([r.cells for r in rules.inside])), inside)
+        assert not np.isin(rules.volume.owner, inside).any()
+        vol = packed_volume_rule(rules)
         for k in inside:
             rule = cut_volume_rule(mesh.triangle_coords(topo.active[k]), domain_mixed)
-            assert np.array_equal(vol.points[vol.owner == k], rule.points)
-            assert np.array_equal(vol.weights[vol.owner == k], rule.weights)
+            _assert_translates_match(vol.select(vol.owner == k), rule, mesh, box, 16)
+        if shift == (0.0, 0.0):  # a dyadic grid: the translates are exact
+            translates = vol.weights[np.isin(vol.owner, inside)]
+            assert np.array_equal(translates, np.tile(rule.weights, len(inside)))
 
 
 UNIT_MIXED = LevelSetDomain((0.0, 0.0), 1.0, ((0.0, math.pi),))
@@ -232,17 +252,20 @@ def test_one_cell_rules_are_slices_of_the_batched_rules(domain_mixed):
 def test_build_rules_volume_equals_the_frontier_over_all_active_cells(
     request, domain_name, n, shift_index
 ):
-    """Inside cells skip the chord polygons; the packed volume rule is still bitwise the one-path rule."""
+    """Inside cells skip the chord polygons: the cut cells' points are bitwise the one-path
+    rule's, and the inside cells' translates match it to rounding."""
     domain = request.getfixturevalue(domain_name)
     box = (-1.0, -1.0, 1.0, 1.0)
     shift = (0.0, 0.0) if shift_index is None else sweep_shifts(box, n, 20)[shift_index]
     mesh = build_background(box, n, shift)
     topo = classify(mesh, domain)
-    volume = build_rules(topo).volume
+    volume = packed_volume_rule(build_rules(topo))
     oracle = cut_volume_rules(mesh.vertices[mesh.triangles[topo.active]], domain)
     assert np.array_equal(volume.owner, oracle.owner)
-    assert np.array_equal(volume.points, oracle.points)
-    assert np.array_equal(volume.weights, oracle.weights)
+    cut = (topo.classification[topo.active] == CUT)[oracle.owner]
+    assert np.array_equal(volume.points[cut], oracle.points[cut])
+    assert np.array_equal(volume.weights[cut], oracle.weights[cut])
+    _assert_translates_match(volume.select(~cut), oracle.select(~cut), mesh, box, n)
 
 
 def test_batched_refinement_equals_one_cell_calls(domain_mixed):
