@@ -20,15 +20,14 @@ array, entry (r, k) coupling dof r to the vertex at offset k from its own, over
 every dof (stiffness) or the rows a boundary or face term touches, and it is
 compressed once to CSR with no sort: columns ascending, exact zeros dropped as
 a sparse sum drops them.  Each entry is summed from 0.0: the stiffness adds 18
-slices, one per (parity, i, j) in that order, on a (13, n + 1, n + 1) grid
-array; the boundary and face terms add in insertion order (``np.bincount``).
-So entries (i, j) and (j, i) of a symmetric form see the same addends in the
-same order and stay bitwise equal.
+slices, one per (parity, i, j) in that order, on a 13-row grid array over the
+vertices of the active cells' index range; the boundary and face terms add in
+insertion order (``np.bincount``).  So entries (i, j) and (j, i) of a symmetric
+form see the same addends in the same order and stay bitwise equal.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,7 +100,7 @@ def _compress(dofmap, stencil, rows=None):
     """CSR matrix of the stencil array of the dofs ``rows`` (all dofs if None) without its zeros."""
     flat = np.flatnonzero(stencil != 0.0)
     row = flat // len(STENCIL) if rows is None else rows[flat // len(STENCIL)]
-    offsets = STENCIL @ (math.isqrt(dofmap.mesh.n_vertices), 1)  # vertex id offsets
+    offsets = STENCIL @ (dofmap.mesh.n + 1, 1)  # vertex id offsets
     cols = dofmap.vertex_to_dof[dofmap.dof_to_vertex[row] + offsets[flat % len(STENCIL)]]
     indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=dofmap.ndof))]
     return sp.csr_matrix((stencil.ravel()[flat], cols, indptr), shape=(dofmap.ndof, dofmap.ndof))
@@ -131,22 +130,26 @@ def _stiffness_stencil(dofmap, rules):
     """Stencil array of the gradient-gradient form over the cut domain.
 
     Cell T adds ``G[T & 1] * |T cap Omega|``, ``G`` the bitwise symmetric Gram blocks of the
-    reference gradients: entry (i, j) of parity p is one slice-add over the grid's cells.
+    reference gradients: entry (i, j) of parity p is one slice-add over the cells of the
+    active cells' index range, the window the grid array covers.
     """
     mesh, active = dofmap.mesh, dofmap.topology.active
-    n = math.isqrt(mesh.n_triangles // 2)
     ref = dofmap.reference_gradients
     gram = ref @ ref.transpose(0, 2, 1)
-    mass = np.zeros(mesh.n_triangles)
-    mass[active] = np.bincount(rules.volume.owner, rules.volume.weights, minlength=len(active))
+    i, j = np.divmod(active >> 1, mesh.n)
+    i0, j0 = i.min(initial=mesh.n), j.min(initial=mesh.n)  # an empty range without cells
+    wi, wj = i.max(initial=i0 - 1) - i0 + 1, j.max(initial=j0 - 1) - j0 + 1
+    mass = np.zeros((2, wi, wj))  # by parity
+    where = (active & 1, i - i0, j - j0)
+    mass[where] = np.bincount(rules.volume.owner, rules.volume.weights, minlength=len(active))
     for rule in rules.inside:
-        mass[active[rule.cells]] = np.cumsum(rule.weights)[-1]  # summed as bincount sums
-    mass = np.ascontiguousarray(mass.reshape(n, n, 2).transpose(2, 0, 1))  # by parity
-    grid = np.zeros((len(STENCIL), n + 1, n + 1))
-    for p, i, j in np.ndindex(2, 3, 3):
-        di, dj = CORNERS[p, i]
-        grid[PAIR_SLOTS[p, i, j], di : di + n, dj : dj + n] += gram[p, i, j] * mass[p]
-    return grid.reshape(len(STENCIL), -1).T[dofmap.dof_to_vertex]  # the rows of the dofs
+        mass[tuple(w[rule.cells] for w in where)] = np.cumsum(rule.weights)[-1]  # as bincount sums
+    grid = np.zeros((len(STENCIL), wi + 1, wj + 1))
+    for p, a, b in np.ndindex(2, 3, 3):
+        di, dj = CORNERS[p, a]
+        grid[PAIR_SLOTS[p, a, b], di : di + wi, dj : dj + wj] += gram[p, a, b] * mass[p]
+    vi, vj = np.divmod(dofmap.dof_to_vertex, mesh.n + 1)
+    return grid.reshape(len(STENCIL), -1).T[(vi - i0) * (wj + 1) + vj - j0]  # the rows of the dofs
 
 
 def _mass_stencil(dofmap, rule):
@@ -229,14 +232,14 @@ def assemble_ghost_penalty(dofmap, rules, params):
     """
     mesh = dofmap.mesh
     faces = dofmap.topology.ghost_faces
-    t1, t2 = mesh.face_tris[faces].T
-    n1 = face_normal(mesh, faces, t1)
-    corners = np.concatenate([mesh.triangles[t1], mesh.triangles[t2]], axis=1)
+    ends, tris = mesh.face(faces)
+    t1, t2 = tris.T
+    n1 = face_normal(mesh, ends, t1)
+    corners = mesh.triangle_vertices(tris).reshape(-1, 6)
     ref = dofmap.reference_gradients
     flux = [np.einsum("fkd,fd->fk", ref[t & 1], n1) for t in (t1, t2)]
     flux = np.concatenate([flux[0], -flux[1]], axis=1)
     # the place of each of the six corners: the face's ends 0 and 1, the apex of t1 2, of t2 3
-    ends = mesh.faces[faces]
     place = np.where(corners == ends[:, :1], 0, np.where(corners == ends[:, 1:], 1, [2, 2, 2, 3, 3, 3]))
     face = np.arange(len(faces))[:, None]
     jump = np.zeros((len(faces), 4))
@@ -245,7 +248,7 @@ def assemble_ghost_penalty(dofmap, rules, params):
     vertices[face, place] = corners
     scale = params.sigma * mesh.h * rules.face_lengths
     blocks = scale[:, None, None] * (jump[:, :, None] * jump[:, None, :])
-    grid = np.stack(np.divmod(vertices, math.isqrt(mesh.n_vertices)), axis=-1)
+    grid = np.stack(np.divmod(vertices, mesh.n + 1), axis=-1)
     slots = stencil_slot(grid[:, None] - grid[:, :, None])
     return _compress(dofmap, *_scatter(dofmap, dofmap.vertex_to_dof[vertices], slots, blocks))
 

@@ -1,4 +1,4 @@
-"""Background simplicial mesh on a box, cut classification, and active-mesh face sets."""
+"""Background simplicial mesh on a box in closed form, cut classification, and ghost faces."""
 
 from __future__ import annotations
 
@@ -27,36 +27,74 @@ class AmbiguousCutError(RuntimeError):
         self.triangle = triangle
 
 
+# Grid offsets (di, dj) from vertex v00 of cell c to the corners of triangles 2c and 2c + 1.
+CORNERS = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
+CORNERS.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class BackgroundMesh:
-    """Structured triangulation of an axis-aligned box.
+    """Structured triangulation of an axis-aligned box, held as its grid lines ``xs`` and ``ys``.
 
-    Faces are stored once, with the two adjacent triangles ordered by index
-    (-1 marks the outside of the box); this fixes the sign of normal-gradient
-    jumps.  Every triangle t is a translate of triangle ``t & 1`` (cell 0's
-    lower and upper triangle), so whatever depends only on a triangle's shape,
-    such as its hat gradients, is computed on those two and indexed by parity.
+    Coordinates and connectivity are computed from ids when asked for: vertex
+    v = i (n + 1) + j is ``(xs[i], ys[j])``, and cell c = i n + j holds
+    triangles 2c and 2c + 1, below and above its diagonal, so triangle t is a
+    translate of triangle ``t & 1`` and whatever depends only on a triangle's
+    shape, such as its hat gradients, is computed on those two and indexed by
+    parity.  Faces are numbered in the order of their (low, high) vertex ids
+    (see ``face``), with their two triangles ordered by index, which fixes the
+    sign of normal-gradient jumps.
     """
 
-    vertices: np.ndarray
-    triangles: np.ndarray
-    faces: np.ndarray
-    face_tris: np.ndarray
+    n: int
     h: float
+    xs: np.ndarray
+    ys: np.ndarray
 
     @property
     def n_vertices(self):
-        return len(self.vertices)
+        return (self.n + 1) ** 2
 
     @property
     def n_triangles(self):
-        return len(self.triangles)
+        return 2 * self.n * self.n
+
+    def vertex_coords(self, v):
+        """Coordinates (..., 2) of the vertices ``v``."""
+        i, j = np.divmod(v, self.n + 1)
+        return np.stack([self.xs[i], self.ys[j]], axis=-1)
+
+    def triangle_vertices(self, t):
+        """Vertex ids (..., 3) of the triangles ``t``, counterclockwise from the cell's v00."""
+        c = np.asarray(t) >> 1  # v00 = i (n + 1) + j = c + i
+        corners = np.take(CORNERS @ (self.n + 1, 1), np.asarray(t) & 1, axis=0)
+        return (c + c // self.n)[..., None] + corners
 
     def triangle_coords(self, t):
-        return self.vertices[self.triangles[t]]
+        return self.vertex_coords(self.triangle_vertices(t))
 
-    def face_coords(self, f):
-        return self.vertices[self.faces[f]]
+    def face(self, f):
+        """Vertex ends and triangles, both (..., 2), of the faces ``f``.
+
+        Vertex v = i (n + 1) + j owns its edges to v + 1 (up, kind 0), v + n + 1
+        (right, 1) and v + n + 2 (diagonal, 2) where they exist: row i < n holds
+        3n + 1 faces, three per j < n and then the right edge of j = n, and row
+        n its n up edges.  With c = i n + j the up edge lies between triangles
+        2(c - n) and 2c + 1, the right edge between 2c - 1 and 2c, the diagonal
+        between 2c and 2c + 1; a face on the box has its one triangle, then -1.
+        """
+        n = self.n
+        i, r = np.divmod(f, 3 * n + 1)
+        j, k = np.divmod(r, 3)
+        top = i == n  # the up edges of row n
+        j, k = np.where(top, r, j), np.where(top, 0, np.where(r == 3 * n, 1, k))  # 3n: column n
+        v = i * (n + 1) + j
+        ends = np.stack([v, v + np.array([1, n + 1, n + 2])[k]], axis=-1)
+        c2 = 2 * (i * n + j)
+        low, high = c2 + np.array([-2 * n, -1, 0])[k], c2 + np.array([1, 0, 1])[k]
+        line = np.where(k == 0, i, np.where(k == 1, j, -1))  # the grid line of an up or right edge
+        low, high = np.where(line == 0, high, low), np.where((line == 0) | (line == n), -1, high)
+        return ends, np.stack([low, high], axis=-1)
 
 
 def build_background(box, n, shift=(0.0, 0.0)):
@@ -65,85 +103,40 @@ def build_background(box, n, shift=(0.0, 0.0)):
     ``box`` is (x0, y0, x1, y1); ``shift`` translates the whole grid, which is
     how cut-position sweeps move the boundary relative to the mesh.  The mesh
     parameter h is the cell diagonal, i.e. the diameter of every triangle.
-    Cell (i, j) holds triangles 2c and 2c + 1 with c = i * n + j, below and
-    above its diagonal, so triangle t is a translate of triangle ``t & 1``.
-    Faces and their triangles are written in closed form (``_grid_faces``).
     """
+    h = cell_diagonal(box, n)
+    x0, y0, x1, y1 = (float(v) for v in box)
+    xs = np.linspace(x0, x1, n + 1) + float(shift[0])
+    ys = np.linspace(y0, y1, n + 1) + float(shift[1])
+    xs.flags.writeable = ys.flags.writeable = False
+    mesh = BackgroundMesh(n, h, xs, ys)
+    _check_shape_regularity(mesh)
+    return mesh
+
+
+def cell_diagonal(box, n):
+    """Mesh parameter h of the n-by-n grid on ``box``: the cell diagonal (n >= 1, a proper box)."""
     if n < 1:
         raise ValueError(f"need at least one subdivision per side, got n={n}")
     x0, y0, x1, y1 = (float(v) for v in box)
     if not (x1 > x0 and y1 > y0):
         raise ValueError(f"degenerate box {box}")
-    xs = np.linspace(x0, x1, n + 1) + float(shift[0])
-    ys = np.linspace(y0, y1, n + 1) + float(shift[1])
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    # cell (i, j) has lower-left vertex i * (n + 1) + j and splits along its diagonal
-    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
-    v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
-    triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
-
-    faces, face_tris = _grid_faces(n)
-    mesh = BackgroundMesh(vertices, triangles, faces, face_tris, cell_diagonal(box, n))
-    _check_shape_regularity(mesh)
-    return mesh
-
-
-def _grid_faces(n):
-    """Faces (vertex pairs) and their triangles (pairs, -1 marking the box) of the n-by-n grid.
-
-    Faces are sorted by (low, high) vertex id: vertex v = i * (n + 1) + j owns its edges to
-    v + 1 (up), v + n + 1 (right) and v + n + 2 (diagonal) where they exist.  So row i < n
-    holds 3n + 1 faces, the three of each j < n and then the right edge of j = n, and row n
-    holds its n up edges.  Cell c = i * n + j holds triangles 2c (below its diagonal) and
-    2c + 1 (above), so the up edge lies between 2(c - n) and 2c + 1, the right edge between
-    2c - 1 and 2c, the diagonal between 2c and 2c + 1; a box face keeps its one triangle
-    first, with -1 after it.  Every entry is written in closed form, row by row in place.
-    """
-    faces = np.empty((3 * n * n + 2 * n, 2), dtype=np.int64)
-    face_tris = np.empty_like(faces)
-    rows, r = n * (3 * n + 1), np.arange(n)
-    f_rows, t_rows = (a[:rows].reshape(n, 3 * n + 1, 2) for a in (faces, face_tris))
-    f_cell, t_cell = f_rows[:, :-1].reshape(n, n, 3, 2), t_rows[:, :-1].reshape(n, n, 3, 2)
-    v = (r[:, None] * (n + 1) + r)[..., None]
-    c2 = (2 * (r[:, None] * n + r))[..., None]
-    f_cell[..., 0] = v
-    f_cell[..., 1] = v + np.array([1, n + 1, n + 2])
-    t_cell[..., 0] = c2 + np.array([-2 * n, -1, 0])
-    t_cell[..., 1] = c2 + np.array([1, 0, 1])
-    none = np.full(n, -1)
-    t_cell[0, :, 0] = np.c_[c2[0, :, 0] + 1, none]  # up edges of row 0
-    t_cell[:, 0, 1] = np.c_[c2[:, 0, 0], none]  # right edges of column 0
-    f_rows[:, -1, 0] = r * (n + 1) + n  # right edges of column n
-    f_rows[:, -1, 1] = f_rows[:, -1, 0] + n + 1
-    t_rows[:, -1] = np.c_[2 * (r * n + n) - 1, none]
-    faces[rows:, 0] = n * (n + 1) + r  # up edges of row n
-    faces[rows:, 1] = faces[rows:, 0] + 1
-    face_tris[rows:] = np.c_[2 * ((n - 1) * n + r), none]
-    return faces, face_tris
-
-
-def cell_diagonal(box, n):
-    """Mesh parameter h of the n-by-n grid on ``box``: the cell diagonal."""
-    x0, y0, x1, y1 = (float(v) for v in box)
     return float(np.hypot((x1 - x0) / n, (y1 - y0) / n))
 
 
 def _check_shape_regularity(mesh):
-    """Raise ``ValueError`` unless the grid is quasi-uniform and shape regular.
+    """Raise ``ValueError`` unless the grid is shape regular.
 
     Only the two triangles of cell 0 are tested.  Every triangle of the n-by-n
     grid is a translate of one of them, so the verdict depends only on the
     aspect ratio of the box's cells (that of the box itself), not on n or the
-    shift; right triangles with legs in ratio above about 4.3 fail.
+    shift; right triangles with legs in ratio above about 4.3 fail.  Both have
+    the cell diagonal as diameter, so the grid is quasi-uniform as built.
     """
-    coords = mesh.vertices[mesh.triangles[:2]]
+    coords = mesh.triangle_coords(np.arange(2))
     e = coords - np.roll(coords, -1, axis=1)
     lengths = np.linalg.norm(e, axis=2)
     diam = lengths.max(axis=1)
-    if diam.max() / diam.min() > 2.0:
-        raise ValueError("mesh is not quasi-uniform (diameter ratio exceeds 2)")
     areas = 0.5 * np.abs(cross2(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]))
     # min angle bounded below iff area is comparable to the product of edge lengths
     quality = 4.0 * areas / (diam * lengths.sum(axis=1))
@@ -159,7 +152,6 @@ class CutTopology:
     domain: LevelSetDomain
     classification: np.ndarray
     active: np.ndarray
-    active_index: np.ndarray
     ghost_faces: np.ndarray
 
     @property
@@ -171,12 +163,12 @@ class CutTopology:
         return np.flatnonzero(self.classification == INSIDE)
 
     def is_active(self, t):
-        return self.active_index[t] >= 0
+        return self.classification[t] != OUTSIDE
 
     @cached_property
     def active_coords(self):
-        """Vertex coordinates (m, 3, 2) of the active triangles, gathered once and read-only."""
-        coords = self.mesh.vertices[self.mesh.triangles[self.active]]
+        """Vertex coordinates (m, 3, 2) of the active triangles, computed once and read-only."""
+        coords = self.mesh.triangle_coords(self.active)
         coords.flags.writeable = False
         return coords
 
@@ -197,45 +189,62 @@ def _point_triangle_distance(p, coords):
 
 
 def classify(mesh, domain):
-    """Tag every triangle as inside, cut, or outside the domain.
+    """Tag every triangle as inside, cut, or outside the domain, and find the ghost faces.
 
     Vertices exactly on the boundary count as inside, so the partition is
     deterministic.  A triangle whose vertices all lie outside is cut exactly
     when the disk reaches into it, which is decided by the exact distance from
     the disk center to the triangle; tangency within ``TANGENCY_GUARD * h`` of
-    that threshold raises ``AmbiguousCutError``.  The per-triangle reductions
-    over the three vertices (all inside, any inside, least phi) are formed column
-    by column, which is exact and avoids slow reductions along a length-3 axis.
+    that threshold raises ``AmbiguousCutError``.  Phi is evaluated only on the
+    window of cells that meet the disk's bounding box grown by h: every other
+    cell is outside with all its vertices over h away, and the window's
+    triangles come in global order, so the error names the lowest ambiguous one.
+    A ghost face lies between a cut triangle and an active one.
     """
-    phi = signed_distance(domain, mesh.vertices)
-    phi_t = [phi[mesh.triangles[:, k]] for k in range(3)]
+    n, center, reach = mesh.n, domain.center_array, domain.radius + mesh.h
+    (i0, i1), (j0, j1) = (
+        (max(np.count_nonzero(g < c - reach) - 1, 0), min(np.count_nonzero(g < c + reach), n))
+        for g, c in zip((mesh.xs, mesh.ys), center)
+    )
+    wi, wj = i1 - i0, j1 - j0
+    points = np.empty((wi + 1, wj + 1, 2))
+    points[..., 0], points[..., 1] = mesh.xs[i0 : i1 + 1, None], mesh.ys[j0 : j1 + 1]
+    phi = signed_distance(domain, points)
+    # phi at corner k of the window's triangles (3, wi, wj, 2), ordered as their ids
+    phi_t = np.empty((3, wi, wj, 2))
+    for (p, k), (a, b) in zip(np.ndindex(2, 3), CORNERS.reshape(-1, 2)):
+        phi_t[k, ..., p] = phi[a : a + wi, b : b + wj]
+    ids = (np.arange(i0, i1) * (2 * n))[:, None, None] + np.arange(2 * j0, 2 * j1).reshape(-1, 2)
     inside_v = [p <= 0.0 for p in phi_t]
 
-    cls = np.full(mesh.n_triangles, OUTSIDE, dtype=np.int8)
+    window = np.full(ids.shape, OUTSIDE, dtype=np.int8)
     all_in = inside_v[0] & inside_v[1] & inside_v[2]
     any_in = inside_v[0] | inside_v[1] | inside_v[2]
-    cls[all_in] = INSIDE  # disk is convex, so vertex containment is conclusive
-    cls[any_in & ~all_in] = CUT
+    window[all_in] = INSIDE  # disk is convex, so vertex containment is conclusive
+    window[any_in & ~all_in] = CUT
 
-    center = domain.center_array
-    near = np.minimum(np.minimum(phi_t[0], phi_t[1]), phi_t[2]) <= mesh.h
-    candidates = np.flatnonzero(~any_in & near)
+    near = ~any_in & (np.minimum(np.minimum(phi_t[0], phi_t[1]), phi_t[2]) <= mesh.h)
+    candidates = ids[near]
     dist = _point_triangle_distance(center, mesh.triangle_coords(candidates))
     gap = np.abs(dist - domain.radius)
     ambiguous = np.flatnonzero(gap <= TANGENCY_GUARD * mesh.h)
     if len(ambiguous):
         raise AmbiguousCutError(int(candidates[ambiguous[0]]), gap[ambiguous[0]])
-    cls[candidates[dist < domain.radius]] = CUT
+    window[near] = np.where(dist < domain.radius, CUT, OUTSIDE)
 
-    active = np.flatnonzero(cls != OUTSIDE)
-    active_index = np.full(mesh.n_triangles, -1, dtype=np.int64)
-    active_index[active] = np.arange(len(active))
+    cls = np.full(mesh.n_triangles, OUTSIDE, dtype=np.int8)
+    cls.reshape(n, n, 2)[i0:i1, j0:j1] = window
+    active = ids[window != OUTSIDE]
 
-    # a box face stores -1 as its second triangle, so c1 is read from the last triangle there
-    t0, t1 = mesh.face_tris.T
-    c0, c1 = cls[t0], cls[t1]
-    both_active = (t1 >= 0) & (c0 != OUTSIDE) & (c1 != OUTSIDE)
-    ghost = np.flatnonzero(both_active & ((c0 == CUT) | (c1 == CUT)))
+    # faces (i, j, kind) by the triangles on their two sides, in the order of their ids 3(i n + j)
+    # + i + kind: up edges (kind 0) of i > i0, right edges of j > j0, and diagonals
+    act, cut = window != OUTSIDE, window == CUT
+    ghost = np.zeros((wi, wj, 3), dtype=bool)
+    for at, a, b in ((np.s_[1:, :, 0], np.s_[:-1, :, 0], np.s_[1:, :, 1]),
+                     (np.s_[:, 1:, 1], np.s_[:, :-1, 1], np.s_[:, 1:, 0]),
+                     (np.s_[..., 2], np.s_[..., 0], np.s_[..., 1])):
+        ghost[at] = act[a] & act[b] & (cut[a] | cut[b])
+    i, j, kind = np.nonzero(ghost)
+    ghost_faces = 3 * ((i + i0) * n + j + j0) + i + i0 + kind
 
-    return CutTopology(mesh, domain, cls, active, active_index, ghost)
-
+    return CutTopology(mesh, domain, cls, active, ghost_faces)

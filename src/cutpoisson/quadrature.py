@@ -43,14 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cutpoisson.geometry import (
-    TWO_PI,
-    _gauss,
-    _wrap,
-    cross2,
-    is_dirichlet_angle,
-    signed_distance,
-)
+from cutpoisson.geometry import TWO_PI, _gauss, _wrap, cross2, is_dirichlet_angle, signed_distance
 from cutpoisson.mesh import CUT, _point_triangle_distance
 
 DEFAULT_TOL = 1e-10
@@ -85,17 +78,8 @@ class PackedRule:
 # Six-point degree-4 rule on the reference triangle (barycentric form).
 _D4_A1, _D4_W1 = 0.445948490915965, 0.223381589678011
 _D4_A2, _D4_W2 = 0.091576213509771, 0.109951743655322
-_D4_BARY = np.array(
-    [
-        [1.0 - 2.0 * _D4_A1, _D4_A1, _D4_A1],
-        [_D4_A1, 1.0 - 2.0 * _D4_A1, _D4_A1],
-        [_D4_A1, _D4_A1, 1.0 - 2.0 * _D4_A1],
-        [1.0 - 2.0 * _D4_A2, _D4_A2, _D4_A2],
-        [_D4_A2, 1.0 - 2.0 * _D4_A2, _D4_A2],
-        [_D4_A2, _D4_A2, 1.0 - 2.0 * _D4_A2],
-    ]
-)
-_D4_W = np.array([_D4_W1, _D4_W1, _D4_W1, _D4_W2, _D4_W2, _D4_W2])
+_D4_BARY = np.array([np.roll([1.0 - 2.0 * a, a, a], k) for a in (_D4_A1, _D4_A2) for k in range(3)])
+_D4_W = np.repeat([_D4_W1, _D4_W2], 3)
 
 # Widest arc piece of a volume rule.  Every arc of the R = 0.7 disk on the
 # n >= 16 grids of [-1, 1]^2, shifted or not, is at most 0.238 rad, so there
@@ -152,11 +136,6 @@ def _on_circle(domain, psi):
     """Unit directions and circle points at the angles ``psi``, each of shape psi.shape + (2,)."""
     e = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
     return e, domain.center_array + domain.radius * e
-
-
-def _in_triangles(tris, pts, owner):
-    """Whether point q lies in triangle ``owner[q]``, up to a 1e-12 barycentric margin."""
-    return np.all(_barycentric(tris, pts, owner) >= -1e-12, axis=1)
 
 
 def _edge_roots(tris, center, radius):
@@ -330,8 +309,25 @@ def _arcs(tris, domain):
     start = angles[real]
     width = ends[real] - start
     _, probe = _on_circle(domain, np.where(whole[owner], 0.0, start + 0.5 * width))
-    keep = (width >= 1e-13) & _in_triangles(tris, probe, owner)
+    keep = (width >= 1e-13) & np.all(_barycentric(tris, probe, owner) >= -1e-12, axis=1)
     return owner[keep], start[keep], width[keep]
+
+
+def _tiling_arcs(arcs):
+    """The ``arcs`` of cells that tile the plane, with each angle in one arc only.
+
+    Two cells may compute a near-tangent shared edge differently and both keep the arc along it.
+    Swept by start, an arc that starts over 1e-13 inside the arcs before it (the last wrapping
+    round) starts where they end; the other arcs keep their bits.
+    """
+    owner, start, width = arcs
+    end, order = start + width, np.argsort(start, kind="stable")
+    covered = np.empty_like(start)
+    wrapped = np.max(end, initial=TWO_PI) - TWO_PI
+    covered[order] = np.maximum.accumulate(np.r_[wrapped, end[order][:-1]])
+    moved = covered - start > 1e-13
+    start, width = np.where(moved, covered, start), np.where(moved, end - covered, width)
+    return owner[width > 0.0], start[width > 0.0], width[width > 0.0]
 
 
 def _equal_pieces(lo, hi, max_piece):
@@ -400,8 +396,12 @@ def cut_boundary_rules(triangles, domain):
     Dirichlet points first.
     """
     tris = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
-    owner, start, width = _arcs(tris, domain)
-    owner, lo, hi = _split_pieces(owner, start, width, domain.junction_angles)
+    return _boundary_rule(domain, _arcs(tris, domain))
+
+
+def _boundary_rule(domain, arcs):
+    """The rule of ``cut_boundary_rules`` on the arcs (owner, start angle, angular width)."""
+    owner, lo, hi = _split_pieces(*arcs, domain.junction_angles)
     owner, b0, b1 = _graded_panels(owner, lo, hi, domain.junction_angles)
 
     mid, half = 0.5 * (b0 + b1), 0.5 * (b1 - b0)
@@ -517,9 +517,9 @@ def build_rules(topology, tol=DEFAULT_TOL):
     """Volume and boundary rules of the active cells, and ghost-face lengths.
 
     The domain is ``topology.domain``.  Only cut cells go through
-    ``cut_volume_rules`` and ``cut_boundary_rules``; the inside cells take the
-    degree-4 rule of the reference triangle of their parity, triangle 0 or 1
-    of the grid, moved to their vertex 0.
+    ``cut_volume_rules`` and the boundary rule, which counts each arc in one
+    cell; the inside cells take the degree-4 rule of the reference triangle of
+    their parity, triangle 0 or 1 of the grid, moved to their vertex 0.
     """
     mesh, coords, domain = topology.mesh, topology.active_coords, topology.domain
     is_cut = topology.classification[topology.active] == CUT
@@ -535,8 +535,8 @@ def build_rules(topology, tol=DEFAULT_TOL):
     for p in range(2):
         cells = np.flatnonzero(~is_cut & ((topology.active & 1) == p))
         inside.append(TranslatedRule(cells, coords[cells, 0], points[p], weights[p], offsets[p]))
-    boundary = cut_boundary_rules(coords[cut], domain)
+    boundary = _boundary_rule(domain, _tiling_arcs(_arcs(coords[cut], domain)))
     boundary = dataclasses.replace(boundary, owner=cut[boundary.owner])
-    ends = mesh.vertices[mesh.faces[topology.ghost_faces]]
+    ends = mesh.vertex_coords(mesh.face(topology.ghost_faces)[0])
     face_lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
     return RuleSet(volume, tuple(inside), boundary, face_lengths, tol)

@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from cutpoisson.geometry import cross2
+from cutpoisson.mesh import CORNERS
 from cutpoisson.quadrature import _barycentric, _full_triangle_points
 
 # Grid offsets (di, dj) from vertex i (n + 1) + j to the vertices its P1 couplings and ghost
@@ -22,8 +23,6 @@ STENCIL = np.array([(-2, -1), (-1, -2), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0,
                     (1, -1), (1, 0), (1, 1), (1, 2), (2, 1)])
 _SLOT_OF = np.full((5, 5), -1)
 _SLOT_OF[tuple(STENCIL.T + 2)] = np.arange(len(STENCIL))
-# Offsets of the corners of triangles 2c (below the diagonal) and 2c + 1 from vertex v00 of cell c.
-CORNERS = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
 
 
 def stencil_slot(d):
@@ -32,7 +31,7 @@ def stencil_slot(d):
 
 
 PAIR_SLOTS = stencil_slot(CORNERS[:, None] - CORNERS[:, :, None])  # [p, a, b]: corner b from a
-for _table in (STENCIL, _SLOT_OF, CORNERS, PAIR_SLOTS):
+for _table in (STENCIL, _SLOT_OF, PAIR_SLOTS):
     _table.flags.writeable = False
 
 
@@ -52,9 +51,6 @@ class DofMap:
     def mesh(self):
         return self.topology.mesh
 
-    def triangle_dofs(self, t):
-        return self.vertex_to_dof[self.mesh.triangles[t]]
-
     @cached_property
     def reference_gradients(self):
         """Hat gradients (2, 3, 2) of triangles 0 and 1, read-only.
@@ -63,7 +59,7 @@ class DofMap:
         gradients are ``reference_gradients[t & 1]``; this is the one
         ``hat_gradients`` call of a level.
         """
-        ref = hat_gradients(self.mesh.vertices[self.mesh.triangles[:2]])
+        ref = hat_gradients(self.mesh.triangle_coords(np.arange(2)))
         ref.flags.writeable = False
         return ref
 
@@ -77,7 +73,7 @@ class DofMap:
         """
         active = self.topology.active
         grads = self.reference_gradients[active & 1]
-        dofs = self.vertex_to_dof[self.mesh.triangles[active]]
+        dofs = self.vertex_to_dof[self.mesh.triangle_vertices(active)]
         for a in (grads, dofs):
             a.flags.writeable = False
         return self.topology.active_coords, grads, dofs
@@ -86,7 +82,7 @@ class DofMap:
 def build_dofmap(topology):
     mesh = topology.mesh
     used = np.zeros(mesh.n_vertices, dtype=bool)
-    used[mesh.triangles[topology.active].ravel()] = True
+    used[mesh.triangle_vertices(topology.active).ravel()] = True
     dof_to_vertex = np.flatnonzero(used)
     vertex_to_dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
     vertex_to_dof[dof_to_vertex] = np.arange(len(dof_to_vertex))
@@ -101,7 +97,8 @@ class FeFunction:
     dofmap: DofMap
 
     def vertex_values(self, t):
-        return self.coefficients[self.dofmap.triangle_dofs(t)]
+        dofmap = self.dofmap
+        return self.coefficients[dofmap.vertex_to_dof[dofmap.mesh.triangle_vertices(t)]]
 
 
 def hat_gradients(coords):
@@ -139,9 +136,12 @@ def gradient(f, t):
     return f.vertex_values(t) @ hat_gradients(coords)
 
 
-def face_normal(mesh, f, t):
-    """Unit normal of face ``f`` pointing out of triangle ``t`` (index arrays broadcast)."""
-    ends = mesh.face_coords(f)
+def face_normal(mesh, ends, t):
+    """Unit normal of faces with vertex ends ``ends`` (..., 2), pointing out of triangles ``t``.
+
+    The ends and the triangles are ids, as ``mesh.face`` gives them.
+    """
+    ends = mesh.vertex_coords(ends)
     p0, tangent = ends[..., 0, :], ends[..., 1, :] - ends[..., 0, :]
     n = np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
@@ -162,10 +162,8 @@ def clement_interpolate(u, dofmap):
     right-hand side in the affine basis centred at the vertex and scaled by
     the patch radius; the blocks are summed per vertex and solved together.
     """
-    mesh = dofmap.mesh
-    tris = dofmap.topology.active
     coords = dofmap.topology.active_coords  # (m, 3, 2)
-    dofs = dofmap.vertex_to_dof[mesh.triangles[tris]]  # (m, 3)
+    dofs = dofmap.vertex_to_dof[dofmap.mesh.triangle_vertices(dofmap.topology.active)]  # (m, 3)
     pts, wts = _full_triangle_points(coords)  # (m, 6, 2), (m, 6)
     values = u(pts)
     scale = np.zeros(dofmap.ndof)

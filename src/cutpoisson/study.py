@@ -31,7 +31,7 @@ from cutpoisson.geometry import (
     outward_normal,
     signed_distance,
 )
-from cutpoisson.mesh import _point_triangle_distance, build_background, classify
+from cutpoisson.mesh import _point_triangle_distance, build_background, cell_diagonal, classify
 from cutpoisson.quadrature import REFINE_LEVELS, _barycentric, _tri_area, build_rules
 from cutpoisson.solve import condition_estimate, solve_regularized, solve_standard
 from cutpoisson.space import build_dofmap, clement_interpolate
@@ -243,19 +243,20 @@ def discretize(domain, n, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10, shif
     """The dofmap, Nitsche parameters and quadrature rules of one mesh level.
 
     The mesh and its cut topology, which holds ``domain``, are ``dofmap.mesh``
-    and ``dofmap.topology``.  An h above ``geometry.COLLAR * R`` raises ``ValueError``.
+    and ``dofmap.topology``.  An h above ``geometry.COLLAR * R`` raises ``ValueError``
+    before any mesh is built.
     """
+    h, limit = cell_diagonal(box, n), geometry.COLLAR * domain.radius
+    if h > limit:
+        raise ValueError(f"mesh size {h} exceeds the collar limit {limit}")
     mesh = build_background(box, n, shift)
-    extent = tuple(float(v) for v in (*mesh.vertices.min(axis=0), *mesh.vertices.max(axis=0)))
+    extent = tuple(float(v) for v in (mesh.xs.min(), mesh.ys.min(), mesh.xs.max(), mesh.ys.max()))
     if geometry.circle_meets_box_edge(domain.center, domain.radius, extent):
         raise ValueError(
             f"the boundary circle (center {domain.center}, radius {domain.radius}) meets the "
             f"edge of the mesh extent {extent}: the solve would cover a truncated domain"
         )
     topo = classify(mesh, domain)
-    limit = geometry.COLLAR * domain.radius
-    if mesh.h > limit:
-        raise ValueError(f"mesh size {mesh.h} exceeds the collar limit {limit}")
     return build_dofmap(topo), NitscheParams(beta, sigma), build_rules(topo, tol)
 
 
@@ -309,9 +310,7 @@ def interpolation_study(problem, levels, box=DEFAULT_BOX, tol=1e-10, sigma=0.1):
         S = assemble_ghost_penalty(dofmap, rules, params)
         pi_u = clement_interpolate(problem.u, dofmap)
         errs = error_norms(problem, pi_u, rules, S)
-        report.add_level(
-            LevelResult(n, dofmap.mesh.h, dofmap.ndof, errs.energy, errs.sh, errs.l2)
-        )
+        report.add_level(LevelResult(n, dofmap.mesh.h, dofmap.ndof, errs.energy, errs.sh, errs.l2))
     return report
 
 
@@ -479,9 +478,7 @@ def _regularization_gaps(problem, dofmap, params, rules, eps_values):
     return gaps
 
 
-def regularization_study(
-    problem, n, eps_values, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10
-):
+def regularization_study(problem, n, eps_values, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10):
     """Distance between the regularized and standard solutions across epsilon.
 
     Solves both discrete systems at fixed mesh size and reports the energy
@@ -527,13 +524,8 @@ def sweep_shifts(box, n, n_shifts):
     """
     x0, y0, x1, y1 = box
     cell = ((x1 - x0) / n, (y1 - y0) / n)
-    return [
-        (
-            k / n_shifts * cell[0] / math.sqrt(2.0),
-            k / n_shifts * cell[1] / math.sqrt(3.0),
-        )
-        for k in range(n_shifts)
-    ]
+    return [(k / n_shifts * cell[0] / math.sqrt(2.0), k / n_shifts * cell[1] / math.sqrt(3.0))
+            for k in range(n_shifts)]
 
 
 @dataclass
@@ -558,9 +550,7 @@ class ConditionSweepReport:
         return max(r.kappa_unstabilized / r.kappa_stabilized for r in self.rows)
 
 
-def condition_sweep(
-    domain, n=16, n_shifts=20, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-8
-):
+def condition_sweep(domain, n=16, n_shifts=20, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-8):
     """Coercivity and conditioning across sub-cell translations of the background mesh.
 
     For each shift the smallest eigenvalue of the stabilized operator in the

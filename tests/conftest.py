@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,14 @@ import pytest
 
 from cutpoisson import LevelSetDomain, gradient
 from cutpoisson.geometry import boundary_angle, is_dirichlet_angle, signed_distance
+from cutpoisson.mesh import (
+    CUT,
+    INSIDE,
+    OUTSIDE,
+    TANGENCY_GUARD,
+    AmbiguousCutError,
+    _point_triangle_distance,
+)
 from cutpoisson.quadrature import PackedRule
 from cutpoisson.space import face_normal
 from cutpoisson.study import discretize
@@ -67,21 +76,91 @@ def packed_volume_rule(rules):
     return PackedRule(points[order], weights[order], owner[order])
 
 
+def grid_arrays(mesh):
+    """Oracle: the vertex (N, 2) and triangle (2 n^2, 3) arrays of the whole grid, built at once.
+
+    Vertex i (n + 1) + j is ``(xs[i], ys[j])`` read from a meshgrid, and cell i n + j with
+    lower-left vertex v00 splits along its diagonal into [v00, v10, v11] and [v00, v11, v01].
+    """
+    n = mesh.n
+    X, Y = np.meshgrid(mesh.xs, mesh.ys, indexing="ij")
+    vertices = np.column_stack([X.ravel(), Y.ravel()])
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
+    return vertices, np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+
+
+def dict_faces(triangles):
+    """Oracle: faces and adjacent triangles built the plain way, through a dict of edges."""
+    face_map = {}
+    for t, tri in enumerate(triangles):
+        for k in range(3):
+            edge = (int(tri[k]), int(tri[(k + 1) % 3]))
+            face_map.setdefault((min(edge), max(edge)), []).append(t)
+    keys = sorted(face_map)
+    face_tris = np.full((len(keys), 2), -1, dtype=np.int64)
+    for f, key in enumerate(keys):
+        adj = sorted(face_map[key])
+        face_tris[f, : len(adj)] = adj
+    return np.array(keys, dtype=np.int64), face_tris
+
+
+@functools.cache
+def masked_faces(n):
+    """Oracle: faces and face triangles of the n-by-n grid through a (n + 1)^2 x 3 existence mask."""
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    v, c = i * (n + 1) + j, i * n + j
+    exists = np.stack([j < n, i < n, (i < n) & (j < n)], axis=-1)
+    ends = v[..., None] + np.array([0, 1, 0, n + 1, 0, n + 2])
+    faces = ends.reshape(n + 1, n + 1, 3, 2)[exists]
+    low = np.stack([np.where(i > 0, 2 * (c - n), -1), np.where(j > 0, 2 * c - 1, -1), 2 * c], -1)
+    high = np.stack([np.where(i < n, 2 * c + 1, -1), np.where(j < n, 2 * c, -1), 2 * c + 1], -1)
+    pairs = np.stack([low, high], axis=-1)[exists]
+    return faces, np.where(pairs[:, :1] < 0, pairs[:, ::-1], pairs)
+
+
+def box_classify(mesh, domain):
+    """Oracle: classification, active triangles and ghost faces by a scan of the whole box.
+
+    Phi is evaluated at every vertex of the grid and every triangle is tagged by the rules of
+    ``classify``; a ghost face is a face of ``masked_faces`` between two active triangles of
+    which one is cut.  Raises ``AmbiguousCutError`` naming the lowest ambiguous triangle.
+    """
+    vertices, triangles = grid_arrays(mesh)
+    phi_t = signed_distance(domain, vertices)[triangles]
+    cls = np.full(len(triangles), OUTSIDE, dtype=np.int8)
+    all_in, any_in = (phi_t <= 0.0).all(axis=1), (phi_t <= 0.0).any(axis=1)
+    cls[all_in] = INSIDE
+    cls[any_in & ~all_in] = CUT
+    candidates = np.flatnonzero(~any_in & (phi_t.min(axis=1) <= mesh.h))
+    dist = _point_triangle_distance(domain.center_array, vertices[triangles[candidates]])
+    gap = np.abs(dist - domain.radius)
+    ambiguous = np.flatnonzero(gap <= TANGENCY_GUARD * mesh.h)
+    if len(ambiguous):
+        raise AmbiguousCutError(int(candidates[ambiguous[0]]), gap[ambiguous[0]])
+    cls[candidates[dist < domain.radius]] = CUT
+    t0, t1 = masked_faces(mesh.n)[1].T
+    c0, c1 = cls[t0], cls[t1]
+    ghost = (t1 >= 0) & (c0 != OUTSIDE) & (c1 != OUTSIDE) & ((c0 == CUT) | (c1 == CUT))
+    return cls, np.flatnonzero(cls != OUTSIDE), np.flatnonzero(ghost)
+
+
 def jump_normal_gradient(f, face):
     """Oracle: jump of the normal gradient of ``f`` across one interior face of the active mesh.
 
-    The jump is the sum of the two one-sided normal derivatives with outward
-    normals, so it vanishes for globally affine functions; the reported sign
-    corresponds to the stored face orientation (lower triangle index first).
+    The face's ends and triangles are read from ``masked_faces``.  The jump is the sum
+    of the two one-sided normal derivatives with outward normals, so it vanishes for
+    globally affine functions; the reported sign corresponds to the face orientation
+    (lower triangle index first).
     """
     dofmap = f.dofmap
     mesh = dofmap.mesh
-    t1, t2 = mesh.face_tris[face]
+    ends, (t1, t2) = (a[face] for a in masked_faces(mesh.n))
     if t1 < 0 or t2 < 0:
         raise ValueError(f"face {face} is on the mesh boundary")
     if not (dofmap.topology.is_active(t1) and dofmap.topology.is_active(t2)):
         raise ValueError(f"face {face} has an inactive neighbor")
-    n1 = face_normal(mesh, face, t1)
+    n1 = face_normal(mesh, ends, t1)
     return float(gradient(f, t1) @ n1 - gradient(f, t2) @ n1)
 
 
@@ -93,7 +172,7 @@ def reference_tolerance(mesh, box, n):
     1e-13 near the origin, more on boxes many cells away from it.
     """
     cell = min(box[2] - box[0], box[3] - box[1]) / n
-    return max(1e-13, 4.0 * np.finfo(float).eps * np.abs(mesh.vertices).max() / cell)
+    return max(1e-13, 4.0 * np.finfo(float).eps * max(np.abs(mesh.xs).max(), np.abs(mesh.ys).max()) / cell)
 
 
 def exact_disk_triangle_area(tri, center, radius):

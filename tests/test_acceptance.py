@@ -176,7 +176,7 @@ def test_criterion_9_interpolation():
             return a + bx * p[..., 0] + by * p[..., 1]
 
         interp = clement_interpolate(affine, dofmap)
-        exact = affine(mesh.vertices[dofmap.dof_to_vertex])
+        exact = affine(mesh.vertex_coords(dofmap.dof_to_vertex))
         worst = max(worst, float(np.abs(interp.coefficients - exact).max()))
     problem = manufactured_singular(domain, 0)
     report = interpolation_study(problem, LEVELS, box=BOX)

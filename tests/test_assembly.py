@@ -42,7 +42,13 @@ from cutpoisson.study import (
     manufactured_smooth,
     sweep_shifts,
 )
-from tests.conftest import jump_normal_gradient, packed_volume_rule, reference_tolerance
+from tests.conftest import (
+    grid_arrays,
+    jump_normal_gradient,
+    masked_faces,
+    packed_volume_rule,
+    reference_tolerance,
+)
 
 
 class ZeroData:
@@ -98,7 +104,7 @@ def test_ghost_penalty_properties(disc_mixed_8, rng):
     dofmap, params, rules = disc_mixed_8
     mesh, topo = dofmap.mesh, dofmap.topology
     S = assemble_ghost_penalty(dofmap, rules, params)
-    verts = mesh.vertices[dofmap.dof_to_vertex]
+    verts = mesh.vertex_coords(dofmap.dof_to_vertex)
     affine = FeFunction(1.0 + 2.0 * verts[:, 0] - 0.5 * verts[:, 1], dofmap)
     assert affine.coefficients @ (S @ affine.coefficients) < 1e-13
     eigs = np.linalg.eigvalsh(S.toarray())
@@ -324,7 +330,7 @@ def test_refined_cells_match_distance_definition(domain_mixed):
     for shift in ((0.0, 0.0), (0.013, 0.021)):
         dofmap, params, rules = discretize(domain_mixed, 16, shift=shift)
         mesh, topo = dofmap.mesh, dofmap.topology
-        coords = mesh.vertices[mesh.triangles[topo.active]]
+        coords = mesh.triangle_coords(topo.active)
         points = domain_mixed.junction_points
         expected = np.full(len(coords), -1)
         for t, tri in enumerate(coords):
@@ -407,9 +413,11 @@ def _ghost_blocks_sorted(dofmap, rules, params):
     """Oracle: ghost-penalty blocks on the four face vertices in ascending order, by a stable sort."""
     mesh = dofmap.mesh
     faces = dofmap.topology.ghost_faces
-    t1, t2 = mesh.face_tris[faces].T
-    n1 = face_normal(mesh, faces, t1)
-    vids = np.concatenate([mesh.triangles[t1], mesh.triangles[t2]], axis=1)
+    triangles = grid_arrays(mesh)[1]
+    ends, tris = (a[faces] for a in masked_faces(mesh.n))
+    t1, t2 = tris.T
+    n1 = face_normal(mesh, ends, t1)
+    vids = np.concatenate([triangles[t1], triangles[t2]], axis=1)
     ref = dofmap.reference_gradients
     flux = [np.einsum("fkd,fd->fk", ref[t & 1], n1) for t in (t1, t2)]
     flux = np.concatenate([flux[0], -flux[1]], axis=1)

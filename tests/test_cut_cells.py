@@ -17,7 +17,9 @@ import pytest
 
 from cutpoisson import LevelSetDomain
 from cutpoisson.geometry import signed_distance
+from cutpoisson.mesh import CUT, AmbiguousCutError
 from cutpoisson.quadrature import MIN_TOL, _tri_area, cut_boundary_rules, cut_volume_rules
+from cutpoisson.study import discretize
 from tests.conftest import ORACLE_EPS, exact_disk_triangle_area
 
 SEED = 20261018
@@ -357,3 +359,43 @@ def _barycentric(tris, points, owner):
     inv = np.linalg.inv(m)[owner]
     lam = np.einsum("qij,qj->qi", inv, np.column_stack([points, np.ones(len(points))]))
     return lam, inv[:, :, :2]
+
+
+# Offsets of the disk's centre along one axis that put a vertex of the unshifted grid, where the
+# circle crosses that axis, within rounding of the circle, and leave a grid line near tangency.
+AXIS_OFFSETS = (1e-12, 3e-12, 1e-11, 3e-11, 1e-10)
+
+
+def _axis_perturbed_disks():
+    for n in (8, 16, 32):
+        for radius in (0.25, 0.5, 0.75):
+            yield n, LevelSetDomain((0.0, 0.0), radius, ((0.0, math.pi),))
+            for axis in (0, 1):
+                for d in AXIS_OFFSETS:
+                    for sign in (1.0, -1.0):
+                        center = np.zeros(2)
+                        center[axis] = sign * d
+                        yield n, LevelSetDomain(tuple(center), radius, ((0.0, math.pi),))
+
+
+def test_each_arc_is_counted_once_near_a_shared_edge():
+    """The Dirichlet and Neumann lengths of a level add up to the circle's, tangencies and all.
+
+    A disk moved 1e-12 to 1e-10 off an axis of the unshifted grid rounds a vertex on that axis
+    onto the circle, which makes an outside cell cut, and leaves a grid line within rounding of
+    tangency, whose two cells compute the arc along it differently.  The case n = 8, R = 0.5,
+    centre (0, 3e-12) counted 5.3e-9 of the circle twice, in cells 88 and 105.
+    """
+    admitted = 0
+    for n, domain in _axis_perturbed_disks():
+        try:
+            dofmap, _, rules = discretize(domain, n)
+        except (AmbiguousCutError, ValueError):  # a tangency in the guard band, or h too coarse
+            continue
+        admitted += 1
+        length = 2.0 * math.pi * domain.radius
+        got = rules.boundary.weights.sum()
+        assert abs(got - length) <= 1e-13 * length, (n, domain.center, domain.radius, got - length)
+        if n == 8 and domain.center == (0.0, 3e-12) and domain.radius == 0.5:
+            assert dofmap.topology.classification[105] == CUT
+    assert admitted == 168

@@ -14,6 +14,7 @@ from cutpoisson.mesh import (
     _point_triangle_distance,
     build_background,
 )
+from tests.conftest import box_classify, dict_faces, grid_arrays, masked_faces
 
 
 def test_build_background_counts():
@@ -28,7 +29,8 @@ def test_build_background_counts():
 
 def _check_every_triangle(mesh):
     """Oracle: the shape check run over every triangle of the mesh."""
-    coords = mesh.vertices[mesh.triangles]
+    vertices, triangles = grid_arrays(mesh)
+    coords = vertices[triangles]
     e = coords - np.roll(coords, -1, axis=1)
     lengths = np.linalg.norm(e, axis=2)
     diam = lengths.max(axis=1)
@@ -88,19 +90,23 @@ def test_shape_check_on_cell_0_matches_every_triangle(monkeypatch):
     assert None in verdicts and "mesh is not shape regular" in verdicts
 
 
-def _dict_faces(triangles):
-    """Faces and adjacent triangles built the plain way, through a dict of edges."""
-    face_map = {}
-    for t, tri in enumerate(triangles):
-        for k in range(3):
-            edge = (int(tri[k]), int(tri[(k + 1) % 3]))
-            face_map.setdefault((min(edge), max(edge)), []).append(t)
-    keys = sorted(face_map)
-    face_tris = np.full((len(keys), 2), -1, dtype=np.int64)
-    for f, key in enumerate(keys):
-        adj = sorted(face_map[key])
-        face_tris[f, : len(adj)] = adj
-    return np.array(keys, dtype=np.int64), face_tris
+def _all_faces(mesh):
+    """``mesh.face`` of every face id of the grid, 3n^2 + 2n of them."""
+    return mesh.face(np.arange(3 * mesh.n * mesh.n + 2 * mesh.n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64])
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (0.013, -0.021), (1.7, -2.3)])
+def test_closed_form_vertices_and_triangles_match_the_grid_arrays(n, shift):
+    """Coordinates and corners from ids are bitwise those of the arrays built for the whole grid."""
+    mesh = build_background((-1, -0.5, 1, 1.5), n, shift)
+    vertices, triangles = grid_arrays(mesh)
+    assert mesh.n_vertices == len(vertices) and mesh.n_triangles == len(triangles)
+    assert mesh.vertex_coords(np.arange(mesh.n_vertices)).tobytes() == vertices.tobytes()
+    assert np.array_equal(mesh.triangle_vertices(np.arange(mesh.n_triangles)), triangles)
+    assert mesh.triangle_coords(np.arange(mesh.n_triangles)).tobytes() == vertices[triangles].tobytes()
+    t = int(triangles.shape[0] // 2)
+    assert np.array_equal(mesh.triangle_vertices(t), triangles[t])
 
 
 @pytest.mark.parametrize(
@@ -117,38 +123,29 @@ def _dict_faces(triangles):
 )
 def test_face_map_matches_dict_oracle(n, shift):
     mesh = build_background((-1, -1, 1, 1), n, shift)
-    faces, face_tris = _dict_faces(mesh.triangles)
-    assert np.array_equal(mesh.faces, faces)
-    assert np.array_equal(mesh.face_tris, face_tris)
-
-
-def _masked_faces(n):
-    """Oracle: faces and face triangles through a (n + 1)^2 x 3 existence mask."""
-    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    v, c = i * (n + 1) + j, i * n + j
-    exists = np.stack([j < n, i < n, (i < n) & (j < n)], axis=-1)
-    ends = v[..., None] + np.array([0, 1, 0, n + 1, 0, n + 2])
-    faces = ends.reshape(n + 1, n + 1, 3, 2)[exists]
-    low = np.stack([np.where(i > 0, 2 * (c - n), -1), np.where(j > 0, 2 * c - 1, -1), 2 * c], -1)
-    high = np.stack([np.where(i < n, 2 * c + 1, -1), np.where(j < n, 2 * c, -1), 2 * c + 1], -1)
-    pairs = np.stack([low, high], axis=-1)[exists]
-    return faces, np.where(pairs[:, :1] < 0, pairs[:, ::-1], pairs)
+    faces, face_tris = dict_faces(grid_arrays(mesh)[1])
+    ends, tris = _all_faces(mesh)
+    assert np.array_equal(ends, faces)
+    assert np.array_equal(tris, face_tris)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64, 256])
 @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.013, -0.021)], ids=["unshifted", "shifted"])
 def test_closed_form_faces_match_masked_oracle(n, shift):
     mesh = build_background((-1, -1, 1, 1), n, shift)
-    for got, want in zip((mesh.faces, mesh.face_tris), _masked_faces(n)):
+    for got, want in zip(_all_faces(mesh), masked_faces(n)):
         assert got.dtype == want.dtype == np.int64
         assert got.flags.c_contiguous
         assert got.shape == want.shape == (3 * n * n + 2 * n, 2)
         assert got.tobytes() == want.tobytes()
+    # a single id reads as its row
+    f = 3 * n * n // 2
+    assert [a.tolist() for a in mesh.face(f)] == [w[f].tolist() for w in masked_faces(n)]
 
 
 def test_face_adjacency_counts():
     mesh = build_background((0, 0, 1, 1), 4)
-    adjacency = (mesh.face_tris >= 0).sum(axis=1)
+    adjacency = (_all_faces(mesh)[1] >= 0).sum(axis=1)
     # interior faces have exactly two neighbors, box faces exactly one
     assert set(np.unique(adjacency)) == {1, 2}
     boundary_faces = (adjacency == 1).sum()
@@ -158,7 +155,8 @@ def test_face_adjacency_counts():
 def test_classify_trivial_patterns(domain_mixed):
     mesh = build_background((-1, -1, 1, 1), 8)
     topo = classify(mesh, domain_mixed)
-    phi = signed_distance(domain_mixed, mesh.vertices)[mesh.triangles]
+    vertices, triangles = grid_arrays(mesh)
+    phi = signed_distance(domain_mixed, vertices)[triangles]
     all_in = (phi <= 0).all(axis=1)
     mixed = (phi <= 0).any(axis=1) & ~all_in
     assert np.all(topo.classification[all_in] == INSIDE)
@@ -176,7 +174,7 @@ def test_classify_matches_sampling_oracle(domain_mixed, rng):
     for t in range(mesh.n_triangles):
         pts = bary @ mesh.triangle_coords(t)
         sampled_active = bool(np.any(signed_distance(domain_mixed, pts) < 0.0))
-        assert sampled_active == bool(topo.active_index[t] >= 0), f"triangle {t}"
+        assert sampled_active == bool(topo.is_active(t)), f"triangle {t}"
 
 
 def test_classify_tangency_raises():
@@ -187,24 +185,39 @@ def test_classify_tangency_raises():
         classify(mesh, domain)
 
 
-def test_ghost_faces_brute_force(domain_mixed):
-    mesh = build_background((-1, -1, 1, 1), 8)
-    topo = classify(mesh, domain_mixed)
+def _brute_force_ghost_faces(topo, face_tris):
+    """Oracle: the interior faces, by the triangle pairs ``face_tris``, with both triangles
+    active and one cut, in face order."""
     is_active = topo.classification != OUTSIDE
     expected = []
-    for f, (t1, t2) in enumerate(mesh.face_tris):
+    for f, (t1, t2) in enumerate(face_tris):
         if t1 < 0 or t2 < 0:
             continue
         if not (is_active[t1] and is_active[t2]):
             continue
         if topo.classification[t1] == CUT or topo.classification[t2] == CUT:
             expected.append(f)
-    assert np.array_equal(np.sort(topo.ghost_faces), np.array(expected))
+    return np.array(expected)
+
+
+def test_ghost_faces_brute_force(domain_mixed):
+    mesh = build_background((-1, -1, 1, 1), 8)
+    topo = classify(mesh, domain_mixed)
+    face_tris = dict_faces(grid_arrays(mesh)[1])[1]
+    assert topo.ghost_faces.dtype == np.int64
+    assert np.array_equal(topo.ghost_faces, _brute_force_ghost_faces(topo, face_tris))
     # every ghost face is interior to the active mesh with a cut neighbor
     for f in topo.ghost_faces:
-        t1, t2 = mesh.face_tris[f]
-        assert is_active[t1] and is_active[t2]
+        t1, t2 = face_tris[f]
+        assert topo.is_active(t1) and topo.is_active(t2)
         assert CUT in (topo.classification[t1], topo.classification[t2])
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 64])
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (0.013, -0.021)], ids=["unshifted", "shifted"])
+def test_ghost_faces_match_the_masked_oracle(domain_mixed, n, shift):
+    topo = classify(build_background((-1, -1, 1, 1), n, shift), domain_mixed)
+    assert np.array_equal(topo.ghost_faces, _brute_force_ghost_faces(topo, masked_faces(n)[1]))
 
 
 def test_ghost_faces_empty_for_fitted_case():
@@ -242,7 +255,8 @@ def test_classify_reports_lowest_ambiguous_triangle():
     """The batched distance check names the first ambiguous candidate, as a loop would."""
     domain = LevelSetDomain((0.0, 0.25), 0.5, ((0.0, 2 * math.pi),))
     mesh = build_background((-1, -1, 1, 1), 4)
-    phi = signed_distance(domain, mesh.vertices)[mesh.triangles]
+    vertices, triangles = grid_arrays(mesh)
+    phi = signed_distance(domain, vertices)[triangles]
     guard = 1e-12 * mesh.h
     ambiguous = [
         t
@@ -255,6 +269,8 @@ def test_classify_reports_lowest_ambiguous_triangle():
     assert len(ambiguous) >= 1
     with pytest.raises(AmbiguousCutError, match=f"^triangle {ambiguous[0]}: boundary tangency"):
         classify(mesh, domain)
+    with pytest.raises(AmbiguousCutError, match=f"^triangle {ambiguous[0]}: boundary tangency"):
+        box_classify(mesh, domain)
 
 
 def test_point_triangle_distance_broadcasts(rng):

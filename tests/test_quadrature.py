@@ -230,7 +230,7 @@ def test_one_cell_rules_are_slices_of_the_batched_rules(domain_mixed):
     box = (-1.0, -1.0, 1.0, 1.0)
     mesh = build_background(box, 16, sweep_shifts(box, 16, 20)[7])
     topo = classify(mesh, domain_mixed)
-    coords = mesh.vertices[mesh.triangles[topo.active]]
+    coords = mesh.triangle_coords(topo.active)
     cut = np.flatnonzero(topo.classification[topo.active] == CUT)
     volume = cut_volume_rules(coords, domain_mixed)
     boundary = cut_boundary_rules(coords[cut], domain_mixed)
@@ -260,7 +260,7 @@ def test_build_rules_volume_equals_the_frontier_over_all_active_cells(
     mesh = build_background(box, n, shift)
     topo = classify(mesh, domain)
     volume = packed_volume_rule(build_rules(topo))
-    oracle = cut_volume_rules(mesh.vertices[mesh.triangles[topo.active]], domain)
+    oracle = cut_volume_rules(mesh.triangle_coords(topo.active), domain)
     assert np.array_equal(volume.owner, oracle.owner)
     cut = (topo.classification[topo.active] == CUT)[oracle.owner]
     assert np.array_equal(volume.points[cut], oracle.points[cut])
@@ -273,7 +273,7 @@ def test_batched_refinement_equals_one_cell_calls(domain_mixed):
     box = (-1.0, -1.0, 1.0, 1.0)
     mesh = build_background(box, 16, sweep_shifts(box, 16, 20)[7])
     topo = classify(mesh, domain_mixed)
-    coords = mesh.vertices[mesh.triangles[topo.active]]
+    coords = mesh.triangle_coords(topo.active)
     junctions = domain_mixed.junction_points
     near = np.flatnonzero(
         _point_triangle_distance(junctions[:, None], coords).min(axis=0) <= 2.0 * mesh.h

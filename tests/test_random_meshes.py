@@ -19,6 +19,7 @@ from cutpoisson.assembly import assemble_ghost_penalty, assemble_nitsche
 from cutpoisson.geometry import signed_distance
 from cutpoisson.mesh import CUT, OUTSIDE, TANGENCY_GUARD, AmbiguousCutError, build_background
 from cutpoisson.study import discretize
+from tests.conftest import box_classify, grid_arrays
 
 SEED = 20261019
 N_CASES = 12
@@ -76,7 +77,8 @@ def _sampled_active(domain, case, mesh):
     u, v = (local - ij)[in_grid].T
     active = np.zeros(mesh.n_triangles, dtype=bool)
     active[2 * (ij[in_grid, 0] * case.n + ij[in_grid, 1]) + (v > u)] = True
-    active |= (signed_distance(domain, mesh.vertices)[mesh.triangles] <= 0.0).any(axis=1)
+    vertices, triangles = grid_arrays(mesh)
+    active |= (signed_distance(domain, vertices)[triangles] <= 0.0).any(axis=1)
     return active
 
 
@@ -100,6 +102,43 @@ def test_classify_matches_the_sampling_oracle(k):
         assert np.array_equal(classify(mesh, domain).active, want)
 
 
+def _window_edge_disks(mesh, radius):
+    """Disks whose window, the bounding box grown by h, is cut off by a side of the grid or ends
+    on or next to a grid line, a disk covering the grid, and a disk off it."""
+    x0, x1, y0, y1 = mesh.xs[0], mesh.xs[-1], mesh.ys[0], mesh.ys[-1]
+    reach, i = radius + mesh.h, mesh.n // 3
+    centers = [
+        (x0 + 0.5 * radius, 0.0), (x1 - 0.5 * radius, 0.0), (0.0, y0 + 0.5 * radius),
+        (0.0, y1 - 0.5 * radius), (x1 - reach, y0 + reach), (x0 + reach, y1 - reach),
+        (mesh.xs[i] + reach, mesh.ys[i] + reach), (mesh.xs[-i] - reach, mesh.ys[i] + 0.3 * mesh.h),
+    ]
+    disks = [LevelSetDomain(c, radius) for c in centers]
+    return disks + [LevelSetDomain((0.1, -0.2), 10.0), LevelSetDomain((5.0, 5.0), radius)]
+
+
+@pytest.mark.parametrize("k", range(N_CASES))
+def test_windowed_classify_matches_the_box_scan(k):
+    """Tags, active triangles and ghost faces equal those of the scan of the whole box.
+
+    Besides the case's disk, and disks shifted from it by up to one cell, the
+    disks of ``_window_edge_disks`` clip the window or end it on a grid line.
+    """
+    rng = np.random.default_rng([SEED, k, 2])
+    case = CASES[k]
+    mesh = build_background(BOX, case.n, case.shift)
+    radius = case.domain.radius
+    shifted = [
+        LevelSetDomain(tuple(case.domain.center_array + rng.uniform(-1.0, 1.0, 2) * mesh.h), radius)
+        for _ in range(4)
+    ]
+    for domain in [case.domain, *shifted, *_window_edge_disks(mesh, radius)]:
+        topo = classify(mesh, domain)
+        cls, active, ghost = box_classify(mesh, domain)
+        assert topo.classification.tobytes() == cls.tobytes()
+        assert np.array_equal(topo.active, active)
+        assert np.array_equal(topo.ghost_faces, ghost)
+
+
 @pytest.mark.parametrize("k", range(N_CASES))
 def test_ambiguous_cut_error_only_inside_the_guard_band(k):
     """A disk placed g h from tangency with an edge raises exactly when |g| <= TANGENCY_GUARD.
@@ -120,6 +159,9 @@ def test_ambiguous_cut_error_only_inside_the_guard_band(k):
             with pytest.raises(AmbiguousCutError) as info:
                 classify(mesh, domain)
             assert info.value.triangle == t
+            with pytest.raises(AmbiguousCutError) as oracle:
+                box_classify(mesh, domain)
+            assert oracle.value.triangle == t
         else:
             assert classify(mesh, domain).classification[t] == (CUT if g < 0.0 else OUTSIDE)
 

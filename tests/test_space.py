@@ -26,7 +26,7 @@ from cutpoisson.study import (
     manufactured_smooth,
     sweep_shifts,
 )
-from tests.conftest import jump_normal_gradient, reference_tolerance
+from tests.conftest import grid_arrays, jump_normal_gradient, masked_faces, reference_tolerance
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,7 @@ def fitted_two_triangles():
 
 
 def nodal(dofmap, fn):
-    return FeFunction(fn(dofmap.mesh.vertices[dofmap.dof_to_vertex]), dofmap)
+    return FeFunction(fn(dofmap.mesh.vertex_coords(dofmap.dof_to_vertex)), dofmap)
 
 
 def test_constant_function(fitted_two_triangles):
@@ -86,7 +86,7 @@ def test_inactive_triangle_rejected(disc_mixed_8):
 def test_jump_zero_for_affine(fitted_two_triangles):
     mesh, topo, dofmap = fitted_two_triangles
     f = nodal(dofmap, lambda v: 3.0 * v[:, 0] - 2.0 * v[:, 1] + 1.0)
-    interior = np.flatnonzero((mesh.face_tris >= 0).all(axis=1))
+    interior = np.flatnonzero((masked_faces(mesh.n)[1] >= 0).all(axis=1))
     for face in interior:
         assert jump_normal_gradient(f, int(face)) == pytest.approx(0.0, abs=1e-14)
 
@@ -97,7 +97,7 @@ def test_hat_jump_matches_hand_assembly(fitted_two_triangles):
     coeffs = np.zeros(dofmap.ndof)
     coeffs[dofmap.vertex_to_dof[3]] = 1.0  # vertex (1, 1)
     f = FeFunction(coeffs, dofmap)
-    face = int(np.flatnonzero((mesh.face_tris >= 0).all(axis=1))[0])
+    face = int(np.flatnonzero((masked_faces(mesh.n)[1] >= 0).all(axis=1))[0])
     value = jump_normal_gradient(f, face)
     assert abs(value) == pytest.approx(math.sqrt(2.0), rel=1e-14)
     # scaling the coefficients scales the jump
@@ -118,20 +118,21 @@ def test_clement_reproduces_constants_and_affines(disc_mixed_8, rng):
             return a + bx * p[..., 0] + by * p[..., 1]
 
         interp = clement_interpolate(affine, dofmap)
-        exact = affine(mesh.vertices[dofmap.dof_to_vertex])
+        exact = affine(mesh.vertex_coords(dofmap.dof_to_vertex))
         assert np.abs(interp.coefficients - exact).max() < 1e-12
 
 
 def _clement_loop(u, dofmap):
     """Reference quasi-interpolant: one patch at a time, one triangle at a time."""
     mesh = dofmap.mesh
+    vertices, triangles = grid_arrays(mesh)
     patches = {}
     for t in dofmap.topology.active:
-        for v in mesh.triangles[t]:
+        for v in triangles[t]:
             patches.setdefault(int(v), []).append(int(t))
     coeffs = np.zeros(dofmap.ndof)
     for v, tris in patches.items():
-        xv = mesh.vertices[v]
+        xv = vertices[v]
         scale = max(np.linalg.norm(mesh.triangle_coords(t) - xv, axis=1).max() for t in tris)
         moments, rhs = np.zeros((3, 3)), np.zeros(3)
         for t in tris:
@@ -156,7 +157,7 @@ def test_clement_matches_the_patch_loop(domain_mixed, disc_mixed_16):
 def test_clement_names_a_degenerate_patch(fitted_two_triangles):
     """Squashing the square onto a line leaves every patch without moments."""
     mesh, topo, dofmap = fitted_two_triangles
-    flat = dataclasses.replace(mesh, vertices=mesh.vertices * [1.0, 0.0])
+    flat = dataclasses.replace(mesh, ys=mesh.ys * 0.0)
     flat_dofmap = dataclasses.replace(dofmap, topology=dataclasses.replace(topo, mesh=flat))
     with pytest.raises(ValueError, match="degenerate patch moment matrix at vertex 0"):
         clement_interpolate(lambda p: np.asarray(p)[..., 0], flat_dofmap)
@@ -197,10 +198,11 @@ def test_active_cell_geometry_is_computed_once_and_read_only(domain_mixed, monke
     first, again = dofmap.active_cells, dofmap.active_cells
     assert len(calls) == 1
     assert all(a is b for a, b in zip(first, again))
-    tris = mesh.triangles[topo.active]
+    vertices, triangles = grid_arrays(mesh)
+    tris = triangles[topo.active]
     coords, grads, dofs = first
-    assert np.array_equal(coords, mesh.vertices[tris])
-    assert np.array_equal(grads, original(mesh.vertices[tris]))
+    assert np.array_equal(coords, vertices[tris])
+    assert np.array_equal(grads, original(vertices[tris]))
     assert np.array_equal(dofs, dofmap.vertex_to_dof[tris])
     for a in first:
         assert not a.flags.writeable
@@ -212,7 +214,8 @@ def _gradients_by_parity(mesh, domain):
     """Per-triangle hat gradients of ``mesh`` and the dofmap's reference gradients by parity."""
     ref = build_dofmap(classify(mesh, domain)).reference_gradients
     assert ref.shape == (2, 3, 2) and not ref.flags.writeable
-    per_cell = cutpoisson.space.hat_gradients(mesh.vertices[mesh.triangles])
+    vertices, triangles = grid_arrays(mesh)
+    per_cell = cutpoisson.space.hat_gradients(vertices[triangles])
     return per_cell, ref[np.arange(mesh.n_triangles) & 1]
 
 

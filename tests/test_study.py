@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cutpoisson import LevelSetDomain
+from cutpoisson import LevelSetDomain, study
 from cutpoisson.geometry import boundary_angle, is_dirichlet_angle
+from cutpoisson.mesh import cell_diagonal
 from cutpoisson.study import (
+    DEFAULT_BOX,
     _dirichlet_cells,
     convergence_level,
     discretize,
@@ -209,7 +212,7 @@ def test_inequality_affine_case(domain_mixed):
     from cutpoisson.assembly import assemble_stiffness
 
     K = assemble_stiffness(dofmap, rules)
-    verts = mesh.vertices[dofmap.dof_to_vertex]
+    verts = mesh.vertex_coords(dofmap.dof_to_vertex)
     x = 2.0 * verts[:, 0] - verts[:, 1]
     grad_cut = float(x @ (K @ x))
     areas = sum(
@@ -286,7 +289,7 @@ def test_dirichlet_cells_match_branch_and_bound_oracle(domain_mixed, domain_name
     shift = sweep_shifts((-1, -1, 1, 1), 8, 20)[shift_index]
     dofmap, params, rules = discretize(domain, 8, shift=shift)
     mesh, topo = dofmap.mesh, dofmap.topology
-    coords = mesh.vertices[mesh.triangles[topo.active]]
+    coords = mesh.triangle_coords(topo.active)
     found = _dirichlet_cells(dofmap, rules)
     expected = [_meets_dirichlet_oracle(domain, c, 1e-12 * mesh.h) for c in coords]
     assert np.array_equal(found, expected)
@@ -347,6 +350,46 @@ def test_mesh_past_the_collar_limit_rejected(domain_mixed):
     """At n = 2 the cell diagonal h = sqrt(2) is above the collar limit 0.75 R."""
     with pytest.raises(ValueError, match="exceeds the collar limit 0.5249999999999999"):
         discretize(domain_mixed, 2)
+
+
+def test_a_too_coarse_level_is_rejected_before_any_work(domain_mixed, monkeypatch):
+    """The collar limit is checked on the cell diagonal of the box, before a mesh is built."""
+    calls = []
+    for name in ("build_background", "classify"):
+        original = getattr(study, name)
+        monkeypatch.setattr(study, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="exceeds the collar limit"):
+            discretize(domain_mixed, n)
+    with pytest.raises(ValueError, match="exceeds the collar limit"):
+        discretize(domain_mixed, 4, box=(-1.0, -1.0, 3.0, 3.0))
+    assert calls == []
+    discretize(domain_mixed, 8)
+    assert calls == ["build_background", "classify"]
+
+
+def test_discretize_memory_is_set_by_the_disk_window():
+    """A small disk on a fine grid costs what its window needs, not what the box holds.
+
+    At n = 1024 the window of the disk, its bounding box grown by h, spans
+    about 63 x 63 of the box's 1024 x 1024 cells.  Beyond the index arrays a
+    level still keeps over the box, an int8 tag per triangle and an int64 dof
+    number per vertex with its boolean mask, the traced peak of ``discretize``
+    stays under 1 KB per window cell: 15.6 MB in all.  A mesh that stored the
+    grid's vertices, triangles and faces peaked at 274 MB here.
+    """
+    domain = LevelSetDomain((0.1234, -0.2345), 0.0567, ((0.0, math.pi),))
+    n, side = 1024, 2.0 / 1024
+    window_cells = (2.0 * (domain.radius + cell_diagonal(DEFAULT_BOX, n)) / side + 2.0) ** 2
+    bound = 2 * n * n + 9 * (n + 1) ** 2 + 1024 * window_cells
+    tracemalloc.start()
+    try:
+        dofmap, _, _ = discretize(domain, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(dofmap.topology.cut) < len(dofmap.topology.active) < 6000
+    assert peak <= bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 def test_box_inside_disk_is_all_inside():
