@@ -7,9 +7,9 @@ rules, which makes the standard Nitsche matrix exactly symmetric in floating
 point.  Volume terms need no barycentric coordinates, as a P1 function is
 affine on each cell: a load comes from per-cell moments about the centroid c,
 and u_h at a point x is its value at c plus its cell gradient dotted with x - c.
-The cut cells' volume points are packed and summed per cell by ``np.bincount``;
-the inside cells come in blocks of (m, 6) points from ``RuleSet.inside_blocks``,
-with their parity's offsets x - c, and are summed along the block's rows.
+The load, the Nitsche action and the error norms each integrate over the volume
+by one ``RuleSet.cell_sums`` call, which sums their integrand's columns per active
+cell over the points of every layout; only the stiffness reads ``rules.inside``.
 Every grid triangle is a translate of triangle ``t & 1``, so hat gradients come
 from the dofmap's two ``reference_gradients`` and the stiffness local block of
 a cell is one of two fixed 3 x 3 Gram blocks times the cell's cut area.
@@ -113,13 +113,9 @@ def _vector(ndof, dofs, values):
     )
 
 
-def _offsets(coords, rule):
-    """Offsets (nq, 2) of a packed rule's points from their cells' centroids."""
-    return rule.points - np.einsum("qkd->qd", coords[rule.owner]) / 3.0
-
-
-def _boundary_local(coords, grads, rule, weight=None):
+def _boundary_local(dofmap, rule, weight=None):
     """Per-point boundary data: hat values, normal fluxes (both (nq, 3)), effective weights."""
+    coords, grads, _ = dofmap.active_cells
     lam = _barycentric(coords, rule.points, rule.owner)
     flux = np.einsum("qd,qjd->qj", rule.normals, grads[rule.owner])  # grad(phi_j) . n
     w = rule.weights if weight is None else rule.weights * weight(rule.points)
@@ -154,16 +150,14 @@ def _stiffness_stencil(dofmap, rules):
 
 def _mass_stencil(dofmap, rule):
     """Stencil array of the boundary mass matrix over ``rule``, and its rows' dofs."""
-    coords, grads, _ = dofmap.active_cells
-    lam, _, w = _boundary_local(coords, grads, rule)
+    lam, _, w = _boundary_local(dofmap, rule)
     scaled = lam * np.sqrt(w)[:, None]  # Gram form keeps the block bitwise symmetric
     return _cell_scatter(dofmap, rule.owner, scaled[:, :, None] * scaled[:, None, :])
 
 
 def _flux_blocks(dofmap, rule, weight=None):
     """Local blocks (nq, 3, 3) of the boundary flux pairing (grad(phi_j) . n, phi_i) over ``rule``."""
-    coords, grads, _ = dofmap.active_cells
-    lam, flux, w = _boundary_local(coords, grads, rule, weight)
+    lam, flux, w = _boundary_local(dofmap, rule, weight)
     return lam[:, :, None] * (flux * w[:, None])[:, None, :]  # test i rows, trial j cols
 
 
@@ -258,23 +252,21 @@ def assemble_load(dofmap, rules, params, data):
 
     The source adds m0 / 3 + grad(phi) . m1 per cell, with m0 = sum w f, m1 = sum w f (x - c).
     """
-    coords, grads, dofs = dofmap.active_cells
+    _, grads, dofs = dofmap.active_cells
     rule_n, rule_d = rules.neumann, rules.dirichlet
-    lam_n, _, w_n = _boundary_local(coords, grads, rule_n)
-    lam_d, flux_d, w_d = _boundary_local(coords, grads, rule_d)
+    lam_n, _, w_n = _boundary_local(dofmap, rule_n)
+    lam_d, flux_d, w_d = _boundary_local(dofmap, rule_d)
     gd = w_d * data.g_D(rule_d.points)
-    vol = rules.volume
-    wf, offset = vol.weights * data.f(vol.points), _offsets(coords, vol)
-    columns = (wf, wf * offset[:, 0], wf * offset[:, 1])
-    # m0 and m1 of the cut cells, 0 elsewhere; a bincount over no points is int
-    moments = np.column_stack([np.bincount(vol.owner, c, len(dofs)) for c in columns]).astype(float)
-    for cells, points, weights, offsets in rules.inside_blocks():
-        f = data.f(points.reshape(-1, 2)).reshape(len(cells), -1)
-        moments[cells] = f @ (weights[:, None] * np.column_stack([np.ones(len(weights)), offsets]))
+
+    def source(points, cells, offsets):
+        f = data.f(points.reshape(-1, 2)).reshape(points.shape[:2])
+        return f, f * offsets[..., 0], f * offsets[..., 1]
+
+    moments = rules.cell_sums(source, None)  # m0, then m1 by component
     values = [
         lam_n * (w_n * data.g_N(rule_n.points))[:, None],
         (params.beta / dofmap.mesh.h) * lam_d * gd[:, None] - flux_d * gd[:, None],
-        moments[:, :1] / 3.0 + np.einsum("tkd,td->tk", grads, moments[:, 1:]),
+        moments[0][:, None] / 3.0 + np.einsum("tkd,dt->tk", grads, moments[1:]),
     ]
     return _vector(dofmap.ndof, [dofs[rule_n.owner], dofs[rule_d.owner], dofs], values)
 
@@ -300,25 +292,25 @@ def nitsche_action(dofmap, rules, params, u, grad_u):
     """
     chi = _cutoff_weight(dofmap, params) if params.epsilon > 0.0 else None
     h = dofmap.mesh.h
-    coords, grads, dofs = dofmap.active_cells
-    vol, rule_d, rule_n = rules.volume, rules.dirichlet, rules.neumann
-    wg = vol.weights[:, None] * grad_u(vol.points)
-    flux_int = np.column_stack([np.bincount(vol.owner, g, len(dofs)) for g in wg.T]).astype(float)
-    for cells, points, weights, _ in rules.inside_blocks():
-        # the gradients' x, y of each point in a row (m, 12), times w_q in the column of x or y
-        w_xy = np.kron(weights[:, None], np.eye(2))
-        flux_int[cells] = grad_u(points.reshape(-1, 2)).reshape(len(cells), -1) @ w_xy
-    lam, flux, w = _boundary_local(coords, grads, rule_d)
+    _, grads, dofs = dofmap.active_cells
+    rule_d, rule_n = rules.dirichlet, rules.neumann
+
+    def gradient(points, cells, offsets):
+        g = grad_u(points.reshape(-1, 2)).reshape(points.shape)
+        return g[..., 0], g[..., 1]
+
+    flux_int = rules.cell_sums(gradient, None)
+    lam, flux, w = _boundary_local(dofmap, rule_d)
     un = (grad_u(rule_d.points) * rule_d.normals).sum(axis=1)
     uv = w * u(rule_d.points)
     w_flux = w if chi is None else w * chi(rule_d.points)
     parts = [dofs, dofs[rule_d.owner]]
     values = [
-        np.einsum("tkd,td->tk", grads, flux_int),
+        np.einsum("tkd,dt->tk", grads, flux_int),
         (params.beta / h) * lam * uv[:, None] - flux * uv[:, None] - lam * (w_flux * un)[:, None],
     ]
     if chi is not None:
-        lam_n, _, w_n = _boundary_local(coords, grads, rule_n)
+        lam_n, _, w_n = _boundary_local(dofmap, rule_n)
         un_n = (grad_u(rule_n.points) * rule_n.normals).sum(axis=1)
         parts.append(dofs[rule_n.owner])
         values.append(-lam_n * (w_n * chi(rule_n.points) * un_n)[:, None])
@@ -347,14 +339,14 @@ class ErrorNorms:
     l2: float
 
 
-def _cells_near(points, coords, radius, h):
-    """Per cell, the index of the first point within ``radius`` of the closed triangle, or -1."""
+def _cells_near(points, coords, h):
+    """Per cell, the index of the first point within 2h of the closed triangle, or -1."""
     near = np.full(len(coords), -1)
     centroids = np.einsum("tkd->td", coords) / 3.0
-    reach = radius + h  # h bounds every diameter, so a triangle lies within h of its centroid
+    reach = 3.0 * h  # 2h + h: h bounds every diameter, so a triangle lies within h of its centroid
     for i, z in enumerate(points):
         candidates = np.flatnonzero((near < 0) & (np.linalg.norm(centroids - z, axis=1) <= reach))
-        hit = _point_triangle_distance(z, coords[candidates]) <= radius
+        hit = _point_triangle_distance(z, coords[candidates]) <= 2.0 * h
         near[candidates[hit]] = i
     return near
 
@@ -366,51 +358,33 @@ def error_norms(problem, u_h, rules, stabilizer, refine_levels=REFINE_LEVELS):
     scaled Dirichlet trace mismatch.  Near points of reduced regularity (cells
     within 2h of one) the volume rules are refined ``refine_levels`` times
     (``quadrature.REFINE_LEVELS``, or none at 0) so the quadrature of the
-    singular gradient does not pollute the reported norms; the cut rule and
-    the inside blocks drop those cells by a cell mask.  At a volume point u_h
-    is its cell's affine function.
+    singular gradient does not pollute the reported norms; ``RuleSet.cell_sums``
+    sums those cells over the refined rule in place of their own.  At a volume
+    point u_h is its cell's affine function.
     """
     h = u_h.dofmap.mesh.h
     coords, grads, dofs = u_h.dofmap.active_cells
-    refined = np.zeros(len(dofs), dtype=bool)
-    parts = [rules.volume]
+    refined = None
     if refine_levels and len(problem.singular_points):
         singular = np.asarray(problem.singular_points, dtype=float)
-        target = _cells_near(singular, coords, 2.0 * h, h)
+        target = _cells_near(singular, coords, h)
         cells = np.flatnonzero(target >= 0)
-        refined[cells] = True
-        rule = refine_rule_toward(
-            coords[cells],
-            u_h.dofmap.topology.domain,
-            singular[target[cells]],
-            tol=rules.tol,
-            levels=refine_levels,
-        )
-        parts = [rules.volume.select(~refined[rules.volume.owner])]
-        parts.append(replace(rule, owner=cells[rule.owner]))
+        domain, toward = u_h.dofmap.topology.domain, singular[target[cells]]
+        rule = refine_rule_toward(coords[cells], domain, toward, rules.tol, refine_levels)
+        refined = replace(rule, owner=cells[rule.owner])
     vals = u_h.coefficients[dofs]
     grad_h = np.einsum("tk,tkd->td", vals, grads)
     u_c = vals.sum(axis=1) / 3.0  # u_h at the centroid
-    grad_sq = l2_sq = 0.0
-    for part in parts:
-        u, grad_u = problem.u_and_grad(part.points)
-        g = grad_h[part.owner]
-        diff_grad = grad_u - g
-        diff = u - u_c[part.owner] - np.einsum("qd,qd->q", g, _offsets(coords, part))
-        grad_sq += float(part.weights @ np.einsum("qd,qd->q", diff_grad, diff_grad))
-        l2_sq += float(part.weights @ diff**2)
-    for cells, points, weights, offsets in rules.inside_blocks():
-        if refined[cells].any():
-            keep = ~refined[cells]
-            cells, points = cells[keep], points[keep]
+
+    def errors(points, cells, offsets):
         u, grad_u = problem.u_and_grad(points.reshape(-1, 2))
-        m, q = points.shape[:2]
-        g = grad_h[cells]
-        # a row (m, 12) holds the x, y gradient errors of the six points: g is repeated by a product
-        diff_grad = grad_u.reshape(m, 2 * q) - g @ np.tile(np.eye(2), q)
-        diff = u.reshape(m, q) - (u_c[cells, None] + g @ offsets.T)
-        grad_sq += float(np.einsum("mk,mk->k", diff_grad, diff_grad) @ weights.repeat(2))
-        l2_sq += float(np.einsum("mq,mq->q", diff, diff) @ weights)
+        g = np.repeat(np.take(grad_h, cells, axis=0)[:, None], points.shape[1], axis=1)
+        diff_grad = np.square(grad_u.reshape(points.shape) - g)
+        g *= offsets  # the terms of grad(u_h) . (x - c)
+        diff = u.reshape(points.shape[:2]) - u_c[cells, None] - g[..., 0] - g[..., 1]
+        return diff_grad[..., 0] + diff_grad[..., 1], diff * diff
+
+    grad_sq, l2_sq = rules.cell_sums(errors, refined).sum(axis=1)
     rule_d = rules.dirichlet
     lam_d = _barycentric(coords, rule_d.points, rule_d.owner)
     diff = problem.u_and_grad(rule_d.points)[0] - (lam_d * vals[rule_d.owner]).sum(axis=1)

@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 import cutpoisson
-from cutpoisson.geometry import COLLAR, LevelSetDomain, circle_meets_box_edge
+from cutpoisson.geometry import COLLAR, LevelSetDomain, box_gap, circle_meets_box_edge
 from cutpoisson.mesh import build_background, cell_diagonal
 from cutpoisson.quadrature import MIN_TOL
 from cutpoisson import study as study_mod
@@ -148,6 +148,11 @@ def load_config(path):
         raise ConfigError(
             f"geometry: the boundary circle (center {g['center']}, radius {g['radius']}) meets "
             f"the edge of mesh.box {box}: the solve would cover a truncated domain"
+        )
+    if box_gap(g["center"], box) > g["radius"]:
+        raise ConfigError(
+            f"geometry: the disk (center {g['center']}, radius {g['radius']}) misses "
+            f"mesh.box {box}: no cell meets the domain"
         )
     if not cfg["quadrature_tol"] >= MIN_TOL:
         raise ConfigError(

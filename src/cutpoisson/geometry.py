@@ -171,12 +171,19 @@ def circle_meets_box_edge(center, radius, box):
     """
     x0, y0, x1, y1 = (float(v) for v in box)
     cx, cy = (float(v) for v in center)
-    if x0 <= cx <= x1 and y0 <= cy <= y1:
-        nearest = min(cx - x0, x1 - cx, cy - y0, y1 - cy)
-    else:
-        nearest = math.hypot(max(x0 - cx, 0.0, cx - x1), max(y0 - cy, 0.0, cy - y1))
+    nearest = box_gap(center, box) or min(cx - x0, x1 - cx, cy - y0, y1 - cy)  # 0 gap: inside
     farthest = math.hypot(max(cx - x0, x1 - cx), max(cy - y0, y1 - cy))
     return nearest <= radius <= farthest
+
+
+def box_gap(point, box):
+    """Distance from ``point`` to the box (x0, y0, x1, y1), 0 on or inside it.
+
+    A disk whose radius is below its center's gap misses the box.
+    """
+    x0, y0, x1, y1 = (float(v) for v in box)
+    x, y = (float(v) for v in point)
+    return math.hypot(max(x0 - x, 0.0, x - x1), max(y0 - y, 0.0, y - y1))
 
 
 def boundary_angle(domain, x):

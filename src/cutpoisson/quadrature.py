@@ -27,12 +27,12 @@ their lengths, since the jump of a P1 normal gradient is constant on a face.
 Every grid triangle is a translate of triangle ``t & 1``, so an inside cell
 never becomes packed points: its degree-4 points are its vertex 0 plus the
 reference points of its parity, and its weights and the offsets of its points
-from its centroid are those of the reference triangle.  ``RuleSet.inside_blocks``
-hands the inside cells out in blocks of (m, 6, 2) points with their parity's
-weights (6,) and offsets (6, 2), and a consumer integrates them by per-cell
-reductions.  ``refine_rule_toward`` grades a whole stack of cells toward their
-singular points and sends all their leaves through one ``cut_volume_rules``
-call, with owner the cell's position in the stack.
+from its centroid are those of the reference triangle.  ``RuleSet.cell_sums``
+integrates a consumer's integrand over every active cell, the cut cells' packed
+points and blocks of the inside cells' translates alike.  ``refine_rule_toward``
+grades a whole stack of cells toward their singular points and sends all their
+leaves through one ``cut_volume_rules`` call, with owner the cell's position in
+the stack.
 """
 
 from __future__ import annotations
@@ -466,7 +466,7 @@ class TranslatedRule:
     offsets: np.ndarray
 
 
-# Inside cells per block of ``RuleSet.inside_blocks``: 49,152 points, which bounds the
+# Inside cells per block of ``RuleSet.cell_sums``: 49,152 points, which bounds the
 # memory of the per-point work on a block.
 _INSIDE_BLOCK = 1 << 13
 
@@ -480,14 +480,16 @@ class RuleSet:
     the cell's position in ``topology.active``, with the Dirichlet points of
     a cell before its Neumann points.  The inside cells are not packed:
     ``inside`` holds them by parity as translates of two reference rules
-    (see ``TranslatedRule`` and ``inside_blocks``).  ``face_lengths`` is
-    aligned with ``topology.ghost_faces``.  The domain is ``topology.domain``.
+    (see ``TranslatedRule`` and ``cell_sums``).  ``face_lengths`` is
+    aligned with ``topology.ghost_faces``, ``centroids`` (m, 2) with
+    ``topology.active``.  The domain is ``topology.domain``.
     """
 
     volume: PackedRule
     inside: tuple
     boundary: PackedRule
     face_lengths: np.ndarray
+    centroids: np.ndarray
     tol: float = DEFAULT_TOL
 
     @property
@@ -498,19 +500,40 @@ class RuleSet:
     def neumann(self):
         return self.boundary.select(~self.boundary.dirichlet)
 
-    def inside_blocks(self):
-        """Blocks (cells (m,), points (m, 6, 2), weights (6,), offsets (6, 2)) of the inside cells.
+    def cell_sums(self, fn, refined):
+        """Per active cell, the weighted sums (k, m) over its volume points of ``fn``'s k columns.
 
-        Parity 0 first, each block at most ``_INSIDE_BLOCK`` cells of one parity, so that
-        the weights and the offsets of the points from their cell's centroid are shared.
+        ``fn(points, cells, offsets)`` takes points (b, q, 2) of the cells (b,) and their offsets
+        x - c from the cell's centroid, which broadcast against the points, and returns k arrays
+        that broadcast to (b, q).  Packed rules come in with q = 1 and are summed by
+        ``np.bincount``.  The inside cells come in blocks of at most ``_INSIDE_BLOCK`` cells of
+        one parity, as (m, 6, 2) points with their parity's (6, 2) offsets, and are reduced by
+        ``@ weights``.  A cell with points in the packed rule ``refined`` (or None) is summed
+        over those instead.
         """
+        drop = np.zeros(len(self.centroids), dtype=bool)
+        packed = [self.volume]
+        if refined is not None:
+            drop[refined.owner] = True
+            packed = [self.volume.select(~drop[self.volume.owner]), refined]
+        sums = 0.0
+        for rule in packed:
+            points, owner = rule.points[:, None], rule.owner
+            offsets = points - np.take(self.centroids, owner, axis=0)[:, None]
+            columns = [(rule.weights[:, None] * c).ravel() for c in fn(points, owner, offsets)]
+            sums = sums + np.array([np.bincount(owner, c, len(drop)) for c in columns])
         for rule in self.inside:
             for lo in range(0, len(rule.cells), _INSIDE_BLOCK):
                 block = slice(lo, lo + _INSIDE_BLOCK)
+                cells, origins = rule.cells[block], rule.origins[block]
+                if drop[cells].any():
+                    cells, origins = cells[~drop[cells]], origins[~drop[cells]]
                 # as x + iy, a translate adds 6 entries per cell rather than 2 at a time
-                points = rule.origins[block].view(complex) + rule.points.view(complex).T
+                points = origins.view(complex) + rule.points.view(complex).T
                 points = points.view(float).reshape(-1, 6, 2)
-                yield rule.cells[block], points, rule.weights, rule.offsets
+                for total, column in zip(sums, fn(points, cells, rule.offsets)):
+                    total[cells] = np.broadcast_to(column, points.shape[:2]) @ rule.weights
+        return sums
 
 
 def build_rules(topology, tol=DEFAULT_TOL):
@@ -539,4 +562,5 @@ def build_rules(topology, tol=DEFAULT_TOL):
     boundary = dataclasses.replace(boundary, owner=cut[boundary.owner])
     ends = mesh.vertex_coords(mesh.face(topology.ghost_faces)[0])
     face_lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
-    return RuleSet(volume, tuple(inside), boundary, face_lengths, tol)
+    centroids = np.einsum("tkd->td", coords) / 3.0
+    return RuleSet(volume, tuple(inside), boundary, face_lengths, centroids, tol)

@@ -162,8 +162,7 @@ def clement_interpolate(u, dofmap):
     right-hand side in the affine basis centred at the vertex and scaled by
     the patch radius; the blocks are summed per vertex and solved together.
     """
-    coords = dofmap.topology.active_coords  # (m, 3, 2)
-    dofs = dofmap.vertex_to_dof[dofmap.mesh.triangle_vertices(dofmap.topology.active)]  # (m, 3)
+    coords, _, dofs = dofmap.active_cells  # (m, 3, 2), (m, 3)
     pts, wts = _full_triangle_points(coords)  # (m, 6, 2), (m, 6)
     values = u(pts)
     scale = np.zeros(dofmap.ndof)

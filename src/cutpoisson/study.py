@@ -244,7 +244,8 @@ def discretize(domain, n, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10, shif
 
     The mesh and its cut topology, which holds ``domain``, are ``dofmap.mesh``
     and ``dofmap.topology``.  An h above ``geometry.COLLAR * R`` raises ``ValueError``
-    before any mesh is built.
+    before any mesh is built; so do a circle that meets the edge of the mesh's
+    extent and a disk that misses it, before any cell is classified.
     """
     h, limit = cell_diagonal(box, n), geometry.COLLAR * domain.radius
     if h > limit:
@@ -255,6 +256,11 @@ def discretize(domain, n, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10, shif
         raise ValueError(
             f"the boundary circle (center {domain.center}, radius {domain.radius}) meets the "
             f"edge of the mesh extent {extent}: the solve would cover a truncated domain"
+        )
+    if geometry.box_gap(domain.center, extent) > domain.radius:
+        raise ValueError(
+            f"the disk (center {domain.center}, radius {domain.radius}) misses the mesh "
+            f"extent {extent}: no cell meets the domain"
         )
     topo = classify(mesh, domain)
     return build_dofmap(topo), NitscheParams(beta, sigma), build_rules(topo, tol)

@@ -65,12 +65,12 @@ def packed_volume_rule(rules):
     """Oracle: the volume rule of every active cell as one packed rule sorted by owner.
 
     The cut cells' points are ``rules.volume``'s; each inside cell adds the six
-    points and weights of its block from ``rules.inside_blocks``.
+    points and weights of its parity's reference rule in ``rules.inside``, moved to its vertex 0.
     """
     parts = [(rules.volume.points, rules.volume.weights, rules.volume.owner)]
-    for cells, points, weights, _ in rules.inside_blocks():
-        owner = cells.repeat(len(weights))
-        parts.append((points.reshape(-1, 2), np.tile(weights, len(cells)), owner))
+    for r in rules.inside:
+        points = r.origins[:, None] + r.points
+        parts.append((points.reshape(-1, 2), np.tile(r.weights, len(r.cells)), r.cells.repeat(6)))
     points, weights, owner = (np.concatenate(a) for a in zip(*parts))
     order = np.argsort(owner, kind="stable")
     return PackedRule(points[order], weights[order], owner[order])

@@ -338,9 +338,37 @@ def test_refined_cells_match_distance_definition(domain_mixed):
                 if _point_triangle_distance(z, tri) <= 2.0 * mesh.h:
                     expected[t] = i
                     break
-        found = _cells_near(points, coords, 2.0 * mesh.h, mesh.h)
+        found = _cells_near(points, coords, mesh.h)
         assert np.array_equal(found, expected)
         assert (found == 0).any() and (found == 1).any()
+
+
+def test_problem_callables_receive_point_arrays(domain_mixed, disc_mixed_16, rng):
+    """The load, the actions and the error norms hand every problem callable an (N, 2) float
+    array, whatever the layout of the volume points (cut rule, inside blocks, refined rule)."""
+    dofmap, params, rules = disc_mixed_16
+    problem = manufactured_singular(domain_mixed)
+    names = ("f", "g_D", "g_N", "u", "grad_u", "joint")
+    calls = {name: [] for name in names}
+
+    def recorded(name, fn):
+        def call(pts):
+            calls[name].append((type(pts), pts.ndim, pts.dtype.type, pts.shape[-1]))
+            return fn(pts)
+
+        return call
+
+    wrapped = dataclasses.replace(problem, **{k: recorded(k, getattr(problem, k)) for k in names})
+    assemble_load(dofmap, rules, params, wrapped)
+    for p in (params, params.with_epsilon(0.1 * dofmap.mesh.h**2)):
+        nitsche_action(dofmap, rules, p, wrapped.u, wrapped.grad_u)
+    u_h = FeFunction(rng.standard_normal(dofmap.ndof), dofmap)
+    S = assemble_ghost_penalty(dofmap, rules, params)
+    for levels in (0, 8):
+        error_norms(wrapped, u_h, rules, S, levels)
+    assert all(calls.values()), {k: len(v) for k, v in calls.items()}
+    for name, seen in calls.items():
+        assert set(seen) == {(np.ndarray, 2, np.float64, 2)}, name
 
 
 def _coo_accumulate_lexsort(ndof, dofs, blocks):
@@ -433,11 +461,11 @@ def _ghost_blocks_sorted(dofmap, rules, params):
 
 def _operator_oracles(dofmap, rules, params, scatter):
     """The operators from their local blocks through ``scatter(ndof, dofs, blocks)``, combined as CSR."""
-    coords, grads, dofs = dofmap.active_cells
+    _, _, dofs = dofmap.active_cells
     h = dofmap.mesh.h
 
     def boundary(rule, weight=None):
-        lam, flux, w = _boundary_local(coords, grads, rule, weight)
+        lam, flux, w = _boundary_local(dofmap, rule, weight)
         scaled = lam * np.sqrt(w)[:, None]
         mass = scaled[:, :, None] * scaled[:, None, :]
         return scatter(dofmap.ndof, dofs[rule.owner], mass), scatter(
@@ -543,10 +571,10 @@ def test_shared_pattern_arrays_are_read_only_and_unchanged(domain_mixed):
 def boundary_load_pointwise(dofmap, rules, params, data):
     """Oracle: the Neumann and Dirichlet data terms of the load."""
     h = dofmap.mesh.h
-    coords, grads, dofs = dofmap.active_cells
+    _, _, dofs = dofmap.active_cells
     rule_n, rule_d = rules.neumann, rules.dirichlet
-    lam_n, _, w_n = _boundary_local(coords, grads, rule_n)
-    lam_d, flux_d, w_d = _boundary_local(coords, grads, rule_d)
+    lam_n, _, w_n = _boundary_local(dofmap, rule_n)
+    lam_d, flux_d, w_d = _boundary_local(dofmap, rule_d)
     gd = w_d * data.g_D(rule_d.points)
     values = [
         lam_n * (w_n * data.g_N(rule_n.points))[:, None],
@@ -574,7 +602,7 @@ def error_norms_pointwise(problem, u_h, rules, stabilizer, refine_levels=0):
     vol = packed_volume_rule(rules)
     if refine_levels and len(problem.singular_points):
         singular = np.asarray(problem.singular_points, dtype=float)
-        target = _cells_near(singular, coords, 2.0 * h, h)
+        target = _cells_near(singular, coords, h)
         cells = np.flatnonzero(target >= 0)
         keep = target[vol.owner] < 0
         refined = refine_rule_toward(

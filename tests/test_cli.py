@@ -243,6 +243,16 @@ def test_box_inside_disk_config_accepted(tmp_path):
     assert load_config(str(cfg))["geometry"]["radius"] == 10.0
 
 
+def test_disk_outside_the_box_rejected_before_anything_is_written(tmp_path, capsys):
+    geometry = {"center": [5.0, 5.0], "radius": 0.5, "dirichlet_arcs": [[0.0, 3.14159]]}
+    cfg = write_config(tmp_path, {"geometry": geometry})
+    with pytest.raises(ConfigError, match=r"center \[5\.0, 5\.0\], radius 0\.5\) misses mesh.box"):
+        load_config(str(cfg))
+    assert run(str(cfg), out_dir=str(tmp_path / "o"), quiet=True) == 2
+    assert "misses mesh.box [-1.0, -1.0, 1.0, 1.0]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("levels", [[8.5, 16], [8, "16"], [True, 16], [], 8])
 def test_non_integer_levels_rejected(tmp_path, levels):
     cfg = write_config(tmp_path, {"mesh": {"levels": levels}})

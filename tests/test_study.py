@@ -397,3 +397,10 @@ def test_box_inside_disk_is_all_inside():
     dofmap, params, rules = discretize(covering, 4, box=(0.0, 0.0, 1.0, 1.0))
     assert packed_volume_rule(rules).weights.sum() == pytest.approx(1.0, rel=1e-14)
     assert len(rules.boundary.weights) == 0
+
+
+def test_disk_that_misses_the_grid_is_rejected():
+    far = LevelSetDomain((5.0, 5.0), 0.5, ((0.0, 3.14159),))
+    message = r"center \(5\.0, 5\.0\), radius 0\.5\) misses the mesh extent \(-1\.0, -1\.0, 1\.0, 1\.0\)"
+    with pytest.raises(ValueError, match=message):
+        discretize(far, 8)
