@@ -177,7 +177,8 @@ def assemble_nitsche(dofmap, rules, params):
     B^T is scattered from the transposed blocks of B; grouping the two flux terms keeps the
     matrix bitwise symmetric.
     """
-    rule, B = rules.dirichlet, _flux_blocks(dofmap, rules.dirichlet)
+    rule = rules.dirichlet
+    B = _flux_blocks(dofmap, rule)
     flux, dofs = _cell_scatter(dofmap, rule.owner, B)  # the rows of rule's cells, as for the mass
     flux += _cell_scatter(dofmap, rule.owner, B.transpose(0, 2, 1))[0]
     mass = (params.beta / dofmap.mesh.h) * _mass_stencil(dofmap, rule)[0]

@@ -72,7 +72,7 @@ class DofMap:
         from ``reference_gradients``.
         """
         active = self.topology.active
-        grads = self.reference_gradients[active & 1]
+        grads = np.take(self.reference_gradients, active & 1, axis=0)
         dofs = self.vertex_to_dof[self.mesh.triangle_vertices(active)]
         for a in (grads, dofs):
             a.flags.writeable = False

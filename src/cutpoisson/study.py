@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cutpoisson import geometry
 from cutpoisson.assembly import (
@@ -218,8 +220,6 @@ class ErrorReport:
     levels: list = field(default_factory=list)
     eoc_energy: list = field(default_factory=list)
     eoc_l2: list = field(default_factory=list)
-    eoc_sh: list = field(default_factory=list)
-    params: dict = field(default_factory=dict)
 
     def add_level(self, result):
         if self.levels and not result.h < self.levels[-1].h:
@@ -236,7 +236,6 @@ class ErrorReport:
 
             self.eoc_energy.append(eoc(prev.energy, result.energy))
             self.eoc_l2.append(eoc(prev.l2, result.l2))
-            self.eoc_sh.append(eoc(prev.sh, result.sh))
 
 
 def discretize(domain, n, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10, shift=(0.0, 0.0)):
@@ -299,10 +298,7 @@ def run_convergence(
         raise ValueError("a convergence study needs at least two levels")
     if validate:
         validate_problem(problem)
-    report = ErrorReport(
-        label=problem.label,
-        params={"beta": beta, "sigma": sigma, "box": tuple(box), "tol": tol},
-    )
+    report = ErrorReport(label=problem.label)
     for n in levels:
         report.add_level(convergence_level(problem, n, beta, sigma, box, tol, shift))
     return report
@@ -336,7 +332,7 @@ def consistency_residual(problem, n=16, beta=10.0, sigma=0.1, box=DEFAULT_BOX, t
 
 @dataclass
 class InequalityReport:
-    """Largest observed constants of the discrete inequalities over random trials."""
+    """Exact constants of the discrete inequalities: each is the supremum of its quotient."""
 
     full_gradient: float
     boundary_flux: float
@@ -358,54 +354,54 @@ def _dirichlet_cells(dofmap, rules):
     return near
 
 
-def verify_inequalities(dofmap, rules, params, trials=20, seed=20260810):
-    """Measure the constants of the inverse and trace inequalities on random functions.
+def verify_inequalities(dofmap, rules, params):
+    """Exact constants of the inverse and trace inequalities: the suprema of their quotients.
 
-    For random coefficient vectors v this evaluates both sides of
-    (a) the stabilized norm equivalence: full-mesh gradient vs cut gradient
-        plus ghost penalty,
-    (b) the boundary flux inverse bound: h-weighted Dirichlet normal flux vs
-        the gradient over elements meeting the Dirichlet boundary,
-    (c) the cut trace bound per element: boundary trace vs h^{-1} times the
-        element norm,
-    and reports the largest observed quotient of each.
+    (a) Full-cell gradient against K + S (stabilized norm equivalence): the top generalized
+        eigenvalue with one dof pinned, since both forms vanish on constants.
+    (b) h-weighted Dirichlet normal flux against the gradient on the cells meeting the
+        Dirichlet arc: |Flux pinv(D)|_2^2 on their dofs, since the flux vanishes on the
+        kernel of D; 0 when no cell meets the arc.
+    (c) Boundary trace against h^{-1} times the P1 element norm: the top 3 x 3 generalized
+        eigenvalue over the cells.
     """
-    rng = np.random.default_rng(seed)
-    mesh = dofmap.mesh
-    K = assemble_stiffness(dofmap, rules)
-    S = assemble_ghost_penalty(dofmap, rules, params)
-
+    h, ndof = dofmap.mesh.h, dofmap.ndof
     coords, grads, dofs = dofmap.active_cells
     areas = _tri_area(coords)
+    # row 2t + d of D is sqrt(|T_t|) times the d-th gradient component on cell t
+    D = sp.csr_matrix(
+        ((np.sqrt(areas)[:, None, None] * grads).transpose(0, 2, 1).ravel(),
+         (np.arange(2 * len(dofs)).repeat(3), np.repeat(dofs, 2, axis=0).ravel())),
+        shape=(2 * len(dofs), ndof),
+    )
+    G = (assemble_stiffness(dofmap, rules) + assemble_ghost_penalty(dofmap, rules, params))[1:, 1:]
+    G_inv = spla.LinearOperator(G.shape, spla.splu(G.tocsc()).solve)
+    c_full = spla.eigsh(
+        (D.T @ D)[1:, 1:], 1, G, Minv=G_inv, which="LA", v0=np.ones(ndof - 1),
+        return_eigenvectors=False,
+    )[0]
 
-    bnd, rule_d = rules.boundary, rules.dirichlet
-    near_dirichlet = _dirichlet_cells(dofmap, rules)
-    lam = _barycentric(coords, bnd.points, bnd.owner)
-    p1_mass = np.ones((3, 3)) + np.eye(3)  # exact P1 element mass matrix times 12 / area
-
-    c_full, c_flux, c_trace = 0.0, 0.0, 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(dofmap.ndof)
-        vals = x[dofs]
-        g = np.einsum("tk,tkd->td", vals, grads)
-        grad_sq = areas * (g**2).sum(axis=1)
-        grad_cut = float(x @ (K @ x))
-        sh = float(x @ (S @ x))
-        c_full = max(c_full, grad_sq.sum() / (grad_cut + sh))
-
-        grad_near = grad_sq[near_dirichlet].sum()
-        flux = (rule_d.normals * g[rule_d.owner]).sum(axis=1)
-        if grad_near > 0.0:
-            c_flux = max(c_flux, mesh.h * float(rule_d.weights @ flux**2) / grad_near)
-
-        trace = np.bincount(
-            bnd.owner, bnd.weights * (lam * vals[bnd.owner]).sum(axis=1) ** 2, minlength=len(dofs)
+    rule, near = rules.dirichlet, _dirichlet_cells(dofmap, rules)
+    c_flux = 0.0
+    if near.any():
+        flux = np.einsum("qd,qkd->qk", rule.normals, grads[rule.owner])
+        Flux = sp.csr_matrix(
+            ((np.sqrt(h * rule.weights)[:, None] * flux).ravel(),
+             (np.arange(len(flux)).repeat(3), dofs[rule.owner].ravel())),
+            shape=(len(flux), ndof),
         )
-        denom = areas / 12.0 * np.einsum("ti,ij,tj->t", vals, p1_mass, vals) / mesh.h
-        positive = denom > 0.0
-        if positive.any():
-            c_trace = max(c_trace, float((trace[positive] / denom[positive]).max()))
-    return InequalityReport(c_full, c_flux, c_trace)
+        U = np.unique(dofs[near])
+        grad_near = D[np.flatnonzero(near.repeat(2))][:, U].toarray()
+        c_flux = np.linalg.norm(Flux[:, U].toarray() @ np.linalg.pinv(grad_near), 2) ** 2
+
+    # the trace form of each cell against |T| / (12 h) (1 + I), through 1 + I = L L^T
+    bnd = rules.boundary
+    L_inv = np.linalg.inv(np.linalg.cholesky(np.ones((3, 3)) + np.eye(3)))
+    p = np.sqrt(bnd.weights)[:, None] * _barycentric(coords, bnd.points, bnd.owner) @ L_inv.T
+    trace = np.zeros((len(dofs), 3, 3))
+    np.add.at(trace, bnd.owner, p[:, :, None] * p[:, None, :])
+    c_trace = (np.linalg.eigvalsh(trace)[:, -1] * 12.0 * h / areas).max()
+    return InequalityReport(float(c_full), float(c_flux), float(c_trace))
 
 
 @dataclass

@@ -85,6 +85,27 @@ def test_condition_sweep_follows_quadrature_tol(tmp_path):
     assert [[float(v) for v in line.split(",")] for line in lines[1:]] == want
 
 
+def test_inequalities_csv_holds_the_library_constants(tmp_path):
+    """The inequalities kind writes the exact constants of one level, byte-identical on rerun."""
+    overrides = {
+        "geometry": {"dirichlet_arcs": [[0.0, math.pi]]},
+        "mesh": {"levels": [8]},
+        "study": {"kind": "inequalities"},
+    }
+    cfg = write_config(tmp_path, overrides)
+    assert run(str(cfg), out_dir=str(tmp_path / "a"), quiet=True) == 0
+    assert run(str(cfg), out_dir=str(tmp_path / "b"), quiet=True) == 0
+    a = (tmp_path / "a" / "inequalities.csv").read_bytes()
+    assert a == (tmp_path / "b" / "inequalities.csv").read_bytes()
+    lines = a.decode("utf-8").strip().split("\n")
+    assert lines[0] == "inequality,max_constant"
+    domain = LevelSetDomain((0.0, 0.0), 0.7, ((0.0, math.pi),))
+    dofmap, params, rules = study.discretize(domain, 8, tol=1e-10)
+    report = study.verify_inequalities(dofmap, rules, params)
+    want = [report.full_gradient, report.boundary_flux, report.cut_trace]
+    assert [float(line.split(",")[1]) for line in lines[1:]] == want
+
+
 def test_quadrature_tol_below_the_floor_rejected(tmp_path):
     with pytest.raises(ConfigError, match="quadrature_tol"):
         load_config(write_config(tmp_path, {"quadrature_tol": 1e-13}))

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cutpoisson import LevelSetDomain, study
 from cutpoisson.geometry import boundary_angle, is_dirichlet_angle
@@ -194,7 +195,7 @@ def test_inequality_constants_stable(domain_mixed):
     constants = []
     for n in (8, 16):
         dofmap, params, rules = discretize(domain_mixed, n)
-        rep = verify_inequalities(dofmap, rules, params, trials=20)
+        rep = verify_inequalities(dofmap, rules, params)
         constants.append(rep)
         assert rep.full_gradient > 0.0
         assert rep.boundary_flux > 0.0
@@ -228,10 +229,132 @@ def test_inequality_constants_bounded_across_sweep(domain_mixed):
     values = []
     for shift in sweep_shifts((-1, -1, 1, 1), 8, 20):
         dofmap, params, rules = discretize(domain_mixed, 8, tol=1e-8, shift=shift)
-        rep = verify_inequalities(dofmap, rules, params, trials=5)
+        rep = verify_inequalities(dofmap, rules, params)
         values.append(rep.full_gradient)
     assert max(values) <= 10.0 * min(values)
     assert max(values) < 100.0
+
+
+TWO_ARCS = ((0.3, 1.2), (2.5, 4.0))  # two Dirichlet arcs: two components of Dirichlet cells
+
+
+def _inequality_oracles(dofmap, rules, params):
+    """Dense oracle of each constant, from per-cell loops, and the kernel dimension of (b).
+
+    (a) pins the last dof instead of the first; (b) solves the eigenproblem on an
+    orthonormal basis of the range of the near-cell gradient Gram; (c) solves
+    one generalized eigenproblem per cell with scipy.
+    """
+    from cutpoisson.assembly import assemble_ghost_penalty, assemble_stiffness
+    from cutpoisson.space import hat_gradients
+
+    h, ndof = dofmap.mesh.h, dofmap.ndof
+    topo = dofmap.topology
+    dofs = dofmap.vertex_to_dof[dofmap.mesh.triangle_vertices(topo.active)]
+    near = _dirichlet_cells(dofmap, rules)
+    full, grad_near = np.zeros((ndof, ndof)), np.zeros((ndof, ndof))
+    cells = []
+    for t, tri in enumerate(topo.active):
+        c = dofmap.mesh.triangle_coords(tri)
+        area = 0.5 * abs(float(np.linalg.det(np.column_stack([c[1] - c[0], c[2] - c[0]]))))
+        g = hat_gradients(c)
+        block = area * g @ g.T
+        full[np.ix_(dofs[t], dofs[t])] += block
+        if near[t]:
+            grad_near[np.ix_(dofs[t], dofs[t])] += block
+        cells.append((c, g, area))
+
+    G = (assemble_stiffness(dofmap, rules) + assemble_ghost_penalty(dofmap, rules, params)).toarray()
+    c_full = scipy.linalg.eigh(full[:-1, :-1], G[:-1, :-1], eigvals_only=True)[-1]
+
+    flux = np.zeros((ndof, ndof))
+    rule = rules.dirichlet
+    for w, n_q, t in zip(rule.weights, rule.normals, rule.owner):
+        row = cells[t][1] @ n_q
+        flux[np.ix_(dofs[t], dofs[t])] += h * w * np.outer(row, row)
+    U = np.unique(dofs[near])
+    Q = scipy.linalg.orth(grad_near[np.ix_(U, U)])
+    kernel = len(U) - Q.shape[1]
+    F, B = Q.T @ flux[np.ix_(U, U)] @ Q, Q.T @ grad_near[np.ix_(U, U)] @ Q
+    c_flux = scipy.linalg.eigh(F, B, eigvals_only=True)[-1]
+
+    c_trace = 0.0
+    bnd = rules.boundary
+    for t, (c, _, area) in enumerate(cells):
+        trace = np.zeros((3, 3))
+        for x, w in zip(bnd.points[bnd.owner == t], bnd.weights[bnd.owner == t]):
+            lam = np.linalg.solve(np.vstack([c.T, np.ones(3)]), np.append(x, 1.0))
+            trace += w * np.outer(lam, lam)
+        mass = area / (12.0 * h) * (np.ones((3, 3)) + np.eye(3))
+        c_trace = max(c_trace, scipy.linalg.eigh(trace, mass, eigvals_only=True)[-1])
+    return (c_full, c_flux, c_trace), kernel
+
+
+@pytest.mark.parametrize("arcs, kernel", [(((0.0, math.pi),), 1), (TWO_ARCS, 2)], ids=["mixed", "two-arc"])
+def test_inequality_constants_match_dense_oracles(arcs, kernel):
+    dofmap, params, rules = discretize(LevelSetDomain((0.0, 0.0), 0.7, arcs), 8)
+    rep = verify_inequalities(dofmap, rules, params)
+    want, got_kernel = _inequality_oracles(dofmap, rules, params)
+    assert got_kernel == kernel
+    got = (rep.full_gradient, rep.boundary_flux, rep.cut_trace)
+    for name, value, ref in zip(("full_gradient", "boundary_flux", "cut_trace"), got, want):
+        assert abs(value - ref) <= 1e-12 * ref, (name, value, ref)
+
+
+def _sampled_constants(dofmap, rules, params, trials=20, seed=20260810):
+    """The largest quotient of each inequality over random coefficient vectors: lower bounds."""
+    from cutpoisson.assembly import assemble_ghost_penalty, assemble_stiffness
+    from cutpoisson.quadrature import _barycentric, _tri_area
+
+    rng = np.random.default_rng(seed)
+    h = dofmap.mesh.h
+    K = assemble_stiffness(dofmap, rules)
+    S = assemble_ghost_penalty(dofmap, rules, params)
+    coords, grads, dofs = dofmap.active_cells
+    areas = _tri_area(coords)
+    bnd, rule_d = rules.boundary, rules.dirichlet
+    near = _dirichlet_cells(dofmap, rules)
+    lam = _barycentric(coords, bnd.points, bnd.owner)
+    p1_mass = np.ones((3, 3)) + np.eye(3)
+    c_full = c_flux = c_trace = 0.0
+    for _ in range(trials):
+        x = rng.standard_normal(dofmap.ndof)
+        vals = x[dofs]
+        g = np.einsum("tk,tkd->td", vals, grads)
+        grad_sq = areas * (g**2).sum(axis=1)
+        c_full = max(c_full, grad_sq.sum() / float(x @ (K @ x) + x @ (S @ x)))
+        flux = (rule_d.normals * g[rule_d.owner]).sum(axis=1)
+        if grad_sq[near].sum() > 0.0:
+            c_flux = max(c_flux, h * float(rule_d.weights @ flux**2) / grad_sq[near].sum())
+        trace = np.bincount(
+            bnd.owner, bnd.weights * (lam * vals[bnd.owner]).sum(axis=1) ** 2, minlength=len(dofs)
+        )
+        denom = areas / 12.0 * np.einsum("ti,ij,tj->t", vals, p1_mass, vals) / h
+        c_trace = max(c_trace, float((trace / denom).max()))
+    return c_full, c_flux, c_trace
+
+
+@pytest.mark.parametrize("arcs", [((0.0, math.pi),), TWO_ARCS], ids=["mixed", "two-arc"])
+def test_inequality_constants_bound_every_sampled_quotient(arcs):
+    dofmap, params, rules = discretize(LevelSetDomain((0.0, 0.0), 0.7, arcs), 8)
+    rep = verify_inequalities(dofmap, rules, params)
+    sampled = _sampled_constants(dofmap, rules, params)
+    for value, lower in zip((rep.full_gradient, rep.boundary_flux, rep.cut_trace), sampled):
+        assert value >= lower * (1.0 - 1e-12)
+
+
+def test_pure_neumann_disk_has_no_flux_constant():
+    dofmap, params, rules = discretize(LevelSetDomain((0.0, 0.0), 0.7, ()), 8)
+    rep = verify_inequalities(dofmap, rules, params)
+    assert rep.boundary_flux == 0.0
+    assert rep.full_gradient > 0.0 and rep.cut_trace > 0.0
+
+
+def test_inequality_constants_rerun_bitwise(disc_mixed_16):
+    dofmap, params, rules = disc_mixed_16
+    first = verify_inequalities(dofmap, rules, params)
+    second = verify_inequalities(dofmap, rules, params)
+    assert [v.hex() for v in vars(first).values()] == [v.hex() for v in vars(second).values()]
 
 
 def _distance_to_dirichlet(domain, x):
