@@ -12,7 +12,11 @@ by one ``RuleSet.cell_sums`` call, which sums their integrand's columns per acti
 cell over the points of every layout; only the stiffness reads ``rules.inside``.
 Every grid triangle is a translate of triangle ``t & 1``, so hat gradients come
 from the dofmap's two ``reference_gradients`` and the stiffness local block of
-a cell is one of two fixed 3 x 3 Gram blocks times the cell's cut area.
+a cell is one of two fixed 3 x 3 Gram blocks times the cell's cut area.  No
+per-cell geometry is stored: a term over some cells (boundary points, refined
+cells) computes their coordinates from the ids as
+``mesh.triangle_coords(active[cells])``, and a product over every cell gathers
+the gradients by parity for that product only.
 
 Every coupling of a P1 form or a ghost face joins a vertex to one at one of
 the 13 grid offsets of ``space.STENCIL``, so an operator is built as a stencil
@@ -92,8 +96,8 @@ def _scatter(dofmap, dofs, slots, blocks):
 
 def _cell_scatter(dofmap, cells, blocks):
     """Stencil array of 3 x 3 blocks on the active cells ``cells``, and its rows' dofs."""
-    _, _, dofs = dofmap.active_cells
-    return _scatter(dofmap, dofs[cells], PAIR_SLOTS[dofmap.topology.active[cells] & 1], blocks)
+    dofs = dofmap.active_dofs[cells]
+    return _scatter(dofmap, dofs, PAIR_SLOTS[dofmap.topology.active[cells] & 1], blocks)
 
 
 def _compress(dofmap, stencil, rows=None):
@@ -113,11 +117,18 @@ def _vector(ndof, dofs, values):
     )
 
 
+def _cell_gradients(dofmap):
+    """Hat gradients (m, 3, 2) of every active cell, gathered by parity from the two reference
+    blocks for one all-cell product and not kept."""
+    return np.take(dofmap.reference_gradients, dofmap.topology.active & 1, axis=0)
+
+
 def _boundary_local(dofmap, rule, weight=None):
     """Per-point boundary data: hat values, normal fluxes (both (nq, 3)), effective weights."""
-    coords, grads, _ = dofmap.active_cells
-    lam = _barycentric(coords, rule.points, rule.owner)
-    flux = np.einsum("qd,qjd->qj", rule.normals, grads[rule.owner])  # grad(phi_j) . n
+    cells = dofmap.topology.active[rule.owner]
+    lam = _barycentric(dofmap.mesh.triangle_coords(cells), rule.points)
+    grads = dofmap.reference_gradients[cells & 1]
+    flux = np.einsum("qd,qjd->qj", rule.normals, grads)  # grad(phi_j) . n
     w = rule.weights if weight is None else rule.weights * weight(rule.points)
     return lam, flux, w
 
@@ -253,7 +264,7 @@ def assemble_load(dofmap, rules, params, data):
 
     The source adds m0 / 3 + grad(phi) . m1 per cell, with m0 = sum w f, m1 = sum w f (x - c).
     """
-    _, grads, dofs = dofmap.active_cells
+    dofs = dofmap.active_dofs
     rule_n, rule_d = rules.neumann, rules.dirichlet
     lam_n, _, w_n = _boundary_local(dofmap, rule_n)
     lam_d, flux_d, w_d = _boundary_local(dofmap, rule_d)
@@ -267,7 +278,7 @@ def assemble_load(dofmap, rules, params, data):
     values = [
         lam_n * (w_n * data.g_N(rule_n.points))[:, None],
         (params.beta / dofmap.mesh.h) * lam_d * gd[:, None] - flux_d * gd[:, None],
-        moments[0][:, None] / 3.0 + np.einsum("tkd,dt->tk", grads, moments[1:]),
+        moments[0][:, None] / 3.0 + np.einsum("tkd,dt->tk", _cell_gradients(dofmap), moments[1:]),
     ]
     return _vector(dofmap.ndof, [dofs[rule_n.owner], dofs[rule_d.owner], dofs], values)
 
@@ -293,7 +304,7 @@ def nitsche_action(dofmap, rules, params, u, grad_u):
     """
     chi = _cutoff_weight(dofmap, params) if params.epsilon > 0.0 else None
     h = dofmap.mesh.h
-    _, grads, dofs = dofmap.active_cells
+    dofs = dofmap.active_dofs
     rule_d, rule_n = rules.dirichlet, rules.neumann
 
     def gradient(points, cells, offsets):
@@ -307,7 +318,7 @@ def nitsche_action(dofmap, rules, params, u, grad_u):
     w_flux = w if chi is None else w * chi(rule_d.points)
     parts = [dofs, dofs[rule_d.owner]]
     values = [
-        np.einsum("tkd,dt->tk", grads, flux_int),
+        np.einsum("tkd,dt->tk", _cell_gradients(dofmap), flux_int),
         (params.beta / h) * lam * uv[:, None] - flux * uv[:, None] - lam * (w_flux * un)[:, None],
     ]
     if chi is not None:
@@ -340,15 +351,21 @@ class ErrorNorms:
     l2: float
 
 
-def _cells_near(points, coords, h):
-    """Per cell, the index of the first point within 2h of the closed triangle, or -1."""
-    near = np.full(len(coords), -1)
-    centroids = np.einsum("tkd->td", coords) / 3.0
-    reach = 3.0 * h  # 2h + h: h bounds every diameter, so a triangle lies within h of its centroid
-    for i, z in enumerate(points):
-        candidates = np.flatnonzero((near < 0) & (np.linalg.norm(centroids - z, axis=1) <= reach))
-        hit = _point_triangle_distance(z, coords[candidates]) <= 2.0 * h
-        near[candidates[hit]] = i
+def _cells_near(points, topology):
+    """Per active cell, the index of the first point within 2h of the closed triangle, or -1.
+
+    Every vertex of grid cell (i, j) lies within h of its vertex 0, (xs[i], ys[j]), so a
+    triangle within 2h of z has its vertex 0 within 3h of z: only the cells with vertex 0
+    within 4h, which leaves room for rounding, are measured.
+    """
+    mesh, active = topology.mesh, topology.active
+    near = np.full(len(active), -1)
+    i, j = np.divmod(active >> 1, mesh.n)
+    for k, z in enumerate(points):
+        reach = np.hypot(mesh.xs[i] - z[0], mesh.ys[j] - z[1]) <= 4.0 * mesh.h
+        candidates = np.flatnonzero((near < 0) & reach)
+        coords = mesh.triangle_coords(active[candidates])
+        near[candidates[_point_triangle_distance(z, coords) <= 2.0 * mesh.h]] = k
     return near
 
 
@@ -363,18 +380,18 @@ def error_norms(problem, u_h, rules, stabilizer, refine_levels=REFINE_LEVELS):
     sums those cells over the refined rule in place of their own.  At a volume
     point u_h is its cell's affine function.
     """
-    h = u_h.dofmap.mesh.h
-    coords, grads, dofs = u_h.dofmap.active_cells
+    dofmap = u_h.dofmap
+    mesh, topology = dofmap.mesh, dofmap.topology
     refined = None
     if refine_levels and len(problem.singular_points):
         singular = np.asarray(problem.singular_points, dtype=float)
-        target = _cells_near(singular, coords, h)
+        target = _cells_near(singular, topology)
         cells = np.flatnonzero(target >= 0)
-        domain, toward = u_h.dofmap.topology.domain, singular[target[cells]]
-        rule = refine_rule_toward(coords[cells], domain, toward, rules.tol, refine_levels)
+        coords, toward = mesh.triangle_coords(topology.active[cells]), singular[target[cells]]
+        rule = refine_rule_toward(coords, topology.domain, toward, rules.tol, refine_levels)
         refined = replace(rule, owner=cells[rule.owner])
-    vals = u_h.coefficients[dofs]
-    grad_h = np.einsum("tk,tkd->td", vals, grads)
+    vals = u_h.coefficients[dofmap.active_dofs]
+    grad_h = np.einsum("tk,tkd->td", vals, _cell_gradients(dofmap))
     u_c = vals.sum(axis=1) / 3.0  # u_h at the centroid
 
     def errors(points, cells, offsets):
@@ -387,8 +404,8 @@ def error_norms(problem, u_h, rules, stabilizer, refine_levels=REFINE_LEVELS):
 
     grad_sq, l2_sq = rules.cell_sums(errors, refined).sum(axis=1)
     rule_d = rules.dirichlet
-    lam_d = _barycentric(coords, rule_d.points, rule_d.owner)
+    lam_d = _barycentric(mesh.triangle_coords(topology.active[rule_d.owner]), rule_d.points)
     diff = problem.u_and_grad(rule_d.points)[0] - (lam_d * vals[rule_d.owner]).sum(axis=1)
     trace_sq = float(rule_d.weights @ diff**2)
-    energy = float(np.sqrt(grad_sq + trace_sq / h))
+    energy = float(np.sqrt(grad_sq + trace_sq / mesh.h))
     return ErrorNorms(energy, energy_norm(u_h, stabilizer), float(np.sqrt(l2_sq)))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -164,13 +163,6 @@ class CutTopology:
 
     def is_active(self, t):
         return self.classification[t] != OUTSIDE
-
-    @cached_property
-    def active_coords(self):
-        """Vertex coordinates (m, 3, 2) of the active triangles, computed once and read-only."""
-        coords = self.mesh.triangle_coords(self.active)
-        coords.flags.writeable = False
-        return coords
 
 
 def _point_triangle_distance(p, coords):

@@ -119,15 +119,14 @@ def _full_triangle_points(coords):
     return _D4_BARY @ coords, _D4_W * _tri_area(coords)[..., None]
 
 
-def _barycentric(coords, pts, owner=None):
+def _barycentric(coords, pts):
     """Barycentric coordinates (nq, 3) of ``pts`` in the triangle ``coords``, by Cramer's rule.
 
-    With ``owner``, ``coords`` stacks triangles (m, 3, 2) and point q is taken
-    in triangle ``owner[q]``.
+    ``coords`` is one triangle (3, 2) or a stack (nq, 3, 2), one per point.
     """
     pts = np.atleast_2d(pts)
-    c = coords if owner is None else coords[owner]
-    e1, e2, d = c[..., 1, :] - c[..., 0, :], c[..., 2, :] - c[..., 0, :], pts - c[..., 0, :]
+    c0 = coords[..., 0, :]
+    e1, e2, d = coords[..., 1, :] - c0, coords[..., 2, :] - c0, pts - c0
     lam = np.column_stack([cross2(d, e2), cross2(e1, d)]) / cross2(e1, e2)[..., None]
     return np.column_stack([1.0 - lam.sum(axis=1), lam])
 
@@ -309,7 +308,7 @@ def _arcs(tris, domain):
     start = angles[real]
     width = ends[real] - start
     _, probe = _on_circle(domain, np.where(whole[owner], 0.0, start + 0.5 * width))
-    keep = (width >= 1e-13) & np.all(_barycentric(tris, probe, owner) >= -1e-12, axis=1)
+    keep = (width >= 1e-13) & np.all(_barycentric(tris[owner], probe) >= -1e-12, axis=1)
     return owner[keep], start[keep], width[keep]
 
 
@@ -453,14 +452,14 @@ def refine_rule_toward(triangles, domain, points, tol=DEFAULT_TOL, levels=REFINE
 class TranslatedRule:
     """The degree-4 rule of the inside cells of one parity, translates of one reference rule.
 
-    Cell ``cells[k]`` (its position in ``topology.active``) has vertex 0 at
-    ``origins[k]`` and its points at ``origins[k] + points``.  Every cell has
-    the reference triangle's ``weights`` (6,) and the ``offsets`` (6, 2) of
-    its points from its centroid.
+    Cell ``cells[k]`` (its position in ``topology.active``) has its points at
+    its vertex 0 plus ``points``; vertex 0 of grid cell i n + j is
+    ``(xs[i], ys[j])``, computed from the cell's id where the points are
+    needed.  Every cell has the reference triangle's ``weights`` (6,) and the
+    ``offsets`` (6, 2) of its points from its centroid.
     """
 
     cells: np.ndarray
-    origins: np.ndarray
     points: np.ndarray
     weights: np.ndarray
     offsets: np.ndarray
@@ -481,15 +480,17 @@ class RuleSet:
     a cell before its Neumann points.  The inside cells are not packed:
     ``inside`` holds them by parity as translates of two reference rules
     (see ``TranslatedRule`` and ``cell_sums``).  ``face_lengths`` is
-    aligned with ``topology.ghost_faces``, ``centroids`` (m, 2) with
-    ``topology.active``.  The domain is ``topology.domain``.
+    aligned with ``topology.ghost_faces``.  ``topology`` is the cut topology
+    the rules were built on, and ``topology.domain`` their domain.  No
+    per-cell geometry is held: a cell's vertex 0 and centroid, where
+    ``cell_sums`` needs them, come from its id.
     """
 
     volume: PackedRule
     inside: tuple
     boundary: PackedRule
     face_lengths: np.ndarray
-    centroids: np.ndarray
+    topology: object
     tol: float = DEFAULT_TOL
 
     @property
@@ -506,12 +507,14 @@ class RuleSet:
         ``fn(points, cells, offsets)`` takes points (b, q, 2) of the cells (b,) and their offsets
         x - c from the cell's centroid, which broadcast against the points, and returns k arrays
         that broadcast to (b, q).  Packed rules come in with q = 1 and are summed by
-        ``np.bincount``.  The inside cells come in blocks of at most ``_INSIDE_BLOCK`` cells of
-        one parity, as (m, 6, 2) points with their parity's (6, 2) offsets, and are reduced by
-        ``@ weights``.  A cell with points in the packed rule ``refined`` (or None) is summed
-        over those instead.
+        ``np.bincount``; their centroids come from the owners' ids, once per run of one owner.
+        The inside cells come in blocks of at most ``_INSIDE_BLOCK`` cells of one parity, as
+        (m, 6, 2) points with their parity's (6, 2) offsets, and are reduced by ``@ weights``;
+        their vertex 0 comes from their ids.  A cell with points in the packed rule ``refined``
+        (or None) is summed over those instead.
         """
-        drop = np.zeros(len(self.centroids), dtype=bool)
+        mesh, active = self.topology.mesh, self.topology.active
+        drop = np.zeros(len(active), dtype=bool)
         packed = [self.volume]
         if refined is not None:
             drop[refined.owner] = True
@@ -519,15 +522,18 @@ class RuleSet:
         sums = 0.0
         for rule in packed:
             points, owner = rule.points[:, None], rule.owner
-            offsets = points - np.take(self.centroids, owner, axis=0)[:, None]
+            run = np.flatnonzero(np.diff(owner, prepend=-1))  # where each run of one owner starts
+            centroids = np.einsum("tkd->td", mesh.triangle_coords(active[owner[run]])) / 3.0
+            centroids = np.repeat(centroids, np.diff(run, append=len(owner)), axis=0)
+            offsets = points - centroids[:, None]
             columns = [(rule.weights[:, None] * c).ravel() for c in fn(points, owner, offsets)]
             sums = sums + np.array([np.bincount(owner, c, len(drop)) for c in columns])
         for rule in self.inside:
             for lo in range(0, len(rule.cells), _INSIDE_BLOCK):
-                block = slice(lo, lo + _INSIDE_BLOCK)
-                cells, origins = rule.cells[block], rule.origins[block]
-                if drop[cells].any():
-                    cells, origins = cells[~drop[cells]], origins[~drop[cells]]
+                cells = rule.cells[lo : lo + _INSIDE_BLOCK]
+                cells = cells[~drop[cells]]
+                i, j = np.divmod(active[cells] >> 1, mesh.n)  # vertex 0 is (xs[i], ys[j])
+                origins = np.column_stack([mesh.xs[i], mesh.ys[j]])
                 # as x + iy, a translate adds 6 entries per cell rather than 2 at a time
                 points = origins.view(complex) + rule.points.view(complex).T
                 points = points.view(float).reshape(-1, 6, 2)
@@ -544,10 +550,11 @@ def build_rules(topology, tol=DEFAULT_TOL):
     cell; the inside cells take the degree-4 rule of the reference triangle of
     their parity, triangle 0 or 1 of the grid, moved to their vertex 0.
     """
-    mesh, coords, domain = topology.mesh, topology.active_coords, topology.domain
-    is_cut = topology.classification[topology.active] == CUT
+    mesh, active, domain = topology.mesh, topology.active, topology.domain
+    is_cut = topology.classification[active] == CUT
     cut = np.flatnonzero(is_cut)
-    volume = cut_volume_rules(coords[cut], domain, tol)
+    coords = mesh.triangle_coords(active[cut])
+    volume = cut_volume_rules(coords, domain, tol)
     volume = dataclasses.replace(volume, owner=cut[volume.owner])
     local = mesh.triangle_coords(np.arange(2))
     local = local - local[:, :1]
@@ -556,11 +563,10 @@ def build_rules(topology, tol=DEFAULT_TOL):
     offsets = points - local.sum(axis=1, keepdims=True) / 3.0
     inside = []
     for p in range(2):
-        cells = np.flatnonzero(~is_cut & ((topology.active & 1) == p))
-        inside.append(TranslatedRule(cells, coords[cells, 0], points[p], weights[p], offsets[p]))
-    boundary = _boundary_rule(domain, _tiling_arcs(_arcs(coords[cut], domain)))
+        cells = np.flatnonzero(~is_cut & ((active & 1) == p))
+        inside.append(TranslatedRule(cells, points[p], weights[p], offsets[p]))
+    boundary = _boundary_rule(domain, _tiling_arcs(_arcs(coords, domain)))
     boundary = dataclasses.replace(boundary, owner=cut[boundary.owner])
     ends = mesh.vertex_coords(mesh.face(topology.ghost_faces)[0])
     face_lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
-    centroids = np.einsum("tkd->td", coords) / 3.0
-    return RuleSet(volume, tuple(inside), boundary, face_lengths, centroids, tol)
+    return RuleSet(volume, tuple(inside), boundary, face_lengths, topology, tol)

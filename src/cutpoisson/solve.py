@@ -103,11 +103,12 @@ def solve_regularized(matrices, dofmap, standard):
     ``K = A + S`` differs from the standard operator ``K0`` in the k rows R
     the cutoff reaches.  With ``W`` those rows of ``K - K0`` and ``E`` the
     identity columns of R, the Woodbury identity gives
-    ``x = x0 - Z (I + W Z)^{-1} W x0``, ``x0 = K0^{-1} b``, ``Z = K0^{-1} E``:
-    k + 1 solves with the standard factors and one k x k solve, so nothing is
-    factored and the cost grows with k (at epsilon = 0, k = 0).  ``x`` is
-    checked against ``K`` by one mat-vec; a singular ``I + W Z`` or a
-    residual above ``RESIDUAL_RTOL * |b|`` raises ``SolverError``.
+    ``x = x0 - Z (I + W Z)^{-1} W x0``, with ``x0 = K0^{-1} b`` the standard
+    solution and ``Z = K0^{-1} E``: k solves with the standard factors and one
+    k x k solve, so nothing is factored and the cost grows with k.  At
+    epsilon = 0, k = 0 and ``x`` is ``x0``.  ``x`` is checked against ``K``
+    by one mat-vec; a singular ``I + W Z`` or a residual above
+    ``RESIDUAL_RTOL * |b|`` raises ``SolverError``.
     """
     b = matrices.b
     if not np.any(b):
@@ -115,18 +116,18 @@ def solve_regularized(matrices, dofmap, standard):
     K = matrices.A + matrices.S
     W = K - standard.operator  # a sparse difference keeps no exact zeros
     rows = np.flatnonzero(np.diff(W.indptr))
-    W = W[rows]
-    # one multi-column solve for [x0, Z]: the right-hand sides [b, E]
-    rhs = np.zeros((len(b), len(rows) + 1))
-    rhs[:, 0] = b
-    rhs[rows, np.arange(1, len(rows) + 1)] = 1.0
-    X = standard.factors.solve(rhs)
-    x0, Z = X[:, 0], X[:, 1:]
-    try:
-        y = np.linalg.solve(np.eye(len(rows)) + W @ Z, W @ x0)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular capacitance matrix ({len(rows)} perturbed rows)") from exc
-    return _checked(K, x0 - Z @ y, b, dofmap, "lowrank")
+    x = standard.solution.coefficients
+    if len(rows):
+        W = W[rows]
+        E = np.zeros((len(b), len(rows)))
+        E[rows, np.arange(len(rows))] = 1.0
+        Z = standard.factors.solve(E)
+        try:
+            y = np.linalg.solve(np.eye(len(rows)) + W @ Z, W @ x)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular capacitance matrix ({len(rows)} perturbed rows)") from exc
+        x = x - Z @ y
+    return _checked(K, x, b, dofmap, "lowrank")
 
 
 def _power_iteration(apply_op, n, rtol, maxit, seed_vector=None):

@@ -37,7 +37,13 @@ for _table in (STENCIL, _SLOT_OF, PAIR_SLOTS):
 
 @dataclass(frozen=True)
 class DofMap:
-    """One degree of freedom per vertex of the active mesh."""
+    """One degree of freedom per vertex of the active mesh.
+
+    No per-cell geometry is stored: triangle t's vertex coordinates are
+    ``mesh.triangle_coords(t)`` and its hat gradients ``reference_gradients[t & 1]``,
+    computed from the ids by the callers that need them and only on their cells.
+    Only the active cells' dofs are cached, since every all-cell scatter reads them.
+    """
 
     topology: object
     vertex_to_dof: np.ndarray
@@ -64,19 +70,11 @@ class DofMap:
         return ref
 
     @cached_property
-    def active_cells(self):
-        """Vertex coordinates, hat gradients (both (m, 3, 2)) and dofs (m, 3) of the active cells.
-
-        Computed once per dofmap and shared by every caller, so the arrays are read-only.  The
-        coordinates are the topology's ``active_coords``; the gradients are indexed by parity
-        from ``reference_gradients``.
-        """
-        active = self.topology.active
-        grads = np.take(self.reference_gradients, active & 1, axis=0)
-        dofs = self.vertex_to_dof[self.mesh.triangle_vertices(active)]
-        for a in (grads, dofs):
-            a.flags.writeable = False
-        return self.topology.active_coords, grads, dofs
+    def active_dofs(self):
+        """Dofs (m, 3) of the active cells, computed once per dofmap and read-only."""
+        dofs = self.vertex_to_dof[self.mesh.triangle_vertices(self.topology.active)]
+        dofs.flags.writeable = False
+        return dofs
 
 
 def build_dofmap(topology):
@@ -162,7 +160,7 @@ def clement_interpolate(u, dofmap):
     right-hand side in the affine basis centred at the vertex and scaled by
     the patch radius; the blocks are summed per vertex and solved together.
     """
-    coords, _, dofs = dofmap.active_cells  # (m, 3, 2), (m, 3)
+    coords, dofs = dofmap.mesh.triangle_coords(dofmap.topology.active), dofmap.active_dofs
     pts, wts = _full_triangle_points(coords)  # (m, 6, 2), (m, 6)
     values = u(pts)
     scale = np.zeros(dofmap.ndof)

@@ -346,7 +346,7 @@ def _dirichlet_cells(dofmap, rules):
     that touch an end of a Dirichlet arc, within ``1e-12 * h``, without holding
     a piece of the arc (a junction on a grid line, say).
     """
-    coords = dofmap.topology.active_coords
+    coords = dofmap.mesh.triangle_coords(dofmap.topology.active)
     near = np.zeros(len(coords), dtype=bool)
     near[rules.dirichlet.owner] = True
     for z in dofmap.topology.domain.junction_points:
@@ -361,12 +361,14 @@ def verify_inequalities(dofmap, rules, params):
         eigenvalue with one dof pinned, since both forms vanish on constants.
     (b) h-weighted Dirichlet normal flux against the gradient on the cells meeting the
         Dirichlet arc: |Flux pinv(D)|_2^2 on their dofs, since the flux vanishes on the
-        kernel of D; 0 when no cell meets the arc.
+        kernel of D; 0 when no cell meets the arc.  The flux rows are reduced to their
+        triangular factor R first (Flux = QR), which keeps the spectral norm.
     (c) Boundary trace against h^{-1} times the P1 element norm: the top 3 x 3 generalized
         eigenvalue over the cells.
     """
-    h, ndof = dofmap.mesh.h, dofmap.ndof
-    coords, grads, dofs = dofmap.active_cells
+    h, ndof, active = dofmap.mesh.h, dofmap.ndof, dofmap.topology.active
+    coords, grads = dofmap.mesh.triangle_coords(active), dofmap.reference_gradients[active & 1]
+    dofs = dofmap.active_dofs
     areas = _tri_area(coords)
     # row 2t + d of D is sqrt(|T_t|) times the d-th gradient component on cell t
     D = sp.csr_matrix(
@@ -392,12 +394,13 @@ def verify_inequalities(dofmap, rules, params):
         )
         U = np.unique(dofs[near])
         grad_near = D[np.flatnonzero(near.repeat(2))][:, U].toarray()
-        c_flux = np.linalg.norm(Flux[:, U].toarray() @ np.linalg.pinv(grad_near), 2) ** 2
+        flux_r = np.linalg.qr(Flux[:, U].toarray(), mode="r")
+        c_flux = np.linalg.norm(flux_r @ np.linalg.pinv(grad_near), 2) ** 2
 
     # the trace form of each cell against |T| / (12 h) (1 + I), through 1 + I = L L^T
     bnd = rules.boundary
     L_inv = np.linalg.inv(np.linalg.cholesky(np.ones((3, 3)) + np.eye(3)))
-    p = np.sqrt(bnd.weights)[:, None] * _barycentric(coords, bnd.points, bnd.owner) @ L_inv.T
+    p = np.sqrt(bnd.weights)[:, None] * _barycentric(coords[bnd.owner], bnd.points) @ L_inv.T
     trace = np.zeros((len(dofs), 3, 3))
     np.add.at(trace, bnd.owner, p[:, :, None] * p[:, None, :])
     c_trace = (np.linalg.eigvalsh(trace)[:, -1] * 12.0 * h / areas).max()

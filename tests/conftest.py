@@ -67,13 +67,22 @@ def packed_volume_rule(rules):
     The cut cells' points are ``rules.volume``'s; each inside cell adds the six
     points and weights of its parity's reference rule in ``rules.inside``, moved to its vertex 0.
     """
+    topo = rules.topology
     parts = [(rules.volume.points, rules.volume.weights, rules.volume.owner)]
     for r in rules.inside:
-        points = r.origins[:, None] + r.points
+        points = topo.mesh.triangle_coords(topo.active[r.cells])[:, :1] + r.points
         parts.append((points.reshape(-1, 2), np.tile(r.weights, len(r.cells)), r.cells.repeat(6)))
     points, weights, owner = (np.concatenate(a) for a in zip(*parts))
     order = np.argsort(owner, kind="stable")
     return PackedRule(points[order], weights[order], owner[order])
+
+
+def cell_geometry(dofmap):
+    """The vertex coordinates and hat gradients (both (m, 3, 2)) and dofs (m, 3) of every active
+    cell, from the ids: the gradients are the dofmap's reference gradients by parity."""
+    active = dofmap.topology.active
+    coords = dofmap.mesh.triangle_coords(active)
+    return coords, dofmap.reference_gradients[active & 1], dofmap.active_dofs
 
 
 def grid_arrays(mesh):

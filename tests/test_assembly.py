@@ -30,7 +30,7 @@ from cutpoisson.assembly import (
     nitsche_action,
 )
 from cutpoisson.geometry import TubeParams, cutoff
-from cutpoisson.mesh import build_background, classify
+from cutpoisson.mesh import _point_triangle_distance, build_background, classify
 from cutpoisson.quadrature import PackedRule, _barycentric, build_rules, refine_rule_toward
 from cutpoisson.solve import RESIDUAL_RTOL, solve_standard
 from cutpoisson.space import FeFunction, build_dofmap, face_normal, hat_gradients
@@ -43,6 +43,7 @@ from cutpoisson.study import (
     sweep_shifts,
 )
 from tests.conftest import (
+    cell_geometry,
     grid_arrays,
     jump_normal_gradient,
     masked_faces,
@@ -288,8 +289,8 @@ def verify_regularized_identity(
     lhs = action_u - A_eps @ pivot
 
     rule_n = rules.neumann
-    coords, _, dofs = dofmap.active_cells
-    lam = _barycentric(coords, rule_n.points, rule_n.owner)
+    coords, _, dofs = cell_geometry(dofmap)
+    lam = _barycentric(coords[rule_n.owner], rule_n.points)
     chi = _cutoff_weight(dofmap, params_eps)
     w = rule_n.weights * chi(rule_n.points) * problem.g_N(rule_n.points)
     chi_load = _vector(dofmap.ndof, [dofs[rule_n.owner]], [lam * w[:, None]])
@@ -324,9 +325,6 @@ def test_assemble_system_bundles(domain_mixed, disc_mixed_8):
 
 def test_refined_cells_match_distance_definition(domain_mixed):
     """error_norms refines exactly the cells within 2h of a singular point, toward the first."""
-    from cutpoisson.assembly import _cells_near
-    from cutpoisson.mesh import _point_triangle_distance
-
     for shift in ((0.0, 0.0), (0.013, 0.021)):
         dofmap, params, rules = discretize(domain_mixed, 16, shift=shift)
         mesh, topo = dofmap.mesh, dofmap.topology
@@ -338,9 +336,40 @@ def test_refined_cells_match_distance_definition(domain_mixed):
                 if _point_triangle_distance(z, tri) <= 2.0 * mesh.h:
                     expected[t] = i
                     break
-        found = _cells_near(points, coords, mesh.h)
+        found = _cells_near(points, topo)
         assert np.array_equal(found, expected)
         assert (found == 0).any() and (found == 1).any()
+
+
+def _cells_near_by_centroids(points, coords, h):
+    """Oracle: the search by stored centroids that the index-based ``_cells_near`` replaced."""
+    near = np.full(len(coords), -1)
+    centroids = np.einsum("tkd->td", coords) / 3.0
+    for i, z in enumerate(points):
+        candidates = np.flatnonzero((near < 0) & (np.linalg.norm(centroids - z, axis=1) <= 3.0 * h))
+        hit = _point_triangle_distance(z, coords[candidates]) <= 2.0 * h
+        near[candidates[hit]] = i
+    return near
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cells_near_by_index_matches_the_centroid_search(domain_mixed, seed):
+    """On a randomly shifted grid: a junction on a grid line, one on a grid vertex and two
+    random points near the circle, each the first point some cell is near."""
+    rng = np.random.default_rng(20261019 + seed)
+    n = int(rng.integers(12, 48))
+    shift = tuple(rng.uniform(-1.0, 1.0, 2) / n)
+    dofmap, _, _ = discretize(domain_mixed, n, shift=shift)
+    mesh, topo = dofmap.mesh, dofmap.topology
+    a, b = mesh.triangle_coords(rng.choice(topo.cut, 2, replace=False))[:, 0]  # cells' v00
+    on_line = (a[0], a[1] + rng.uniform(0.1, 0.9) * (mesh.ys[1] - mesh.ys[0]))
+    angles = rng.uniform(0.0, 2.0 * math.pi, 2)
+    radii = domain_mixed.radius * rng.uniform(0.9, 1.1, (2, 1))
+    points = np.vstack([on_line, b, radii * np.c_[np.cos(angles), np.sin(angles)]])
+    assert points[0, 0] in mesh.xs and points[1, 0] in mesh.xs and points[1, 1] in mesh.ys
+    found = _cells_near(points, topo)
+    assert np.array_equal(found, _cells_near_by_centroids(points, mesh.triangle_coords(topo.active), mesh.h))
+    assert set(found[found >= 0]) == {0, 1, 2, 3}
 
 
 def test_problem_callables_receive_point_arrays(domain_mixed, disc_mixed_16, rng):
@@ -401,7 +430,7 @@ def _blocks_add_at(ndof, dofs, blocks):
 
 def _stiffness_add_at(dofmap, local):
     """Oracle: per-cell stiffness blocks summed in slice order, (parity, i, j), then cell by cell."""
-    _, _, dofs = dofmap.active_cells
+    dofs = dofmap.active_dofs
     parity = dofmap.topology.active & 1
     parts = [
         (dofs[parity == p, i], dofs[parity == p, j], local[parity == p, i, j])
@@ -425,7 +454,7 @@ def test_cell_scatter_matches_the_add_at_and_lexsort_oracles_on_random_blocks(do
     dofmap, params, rules = discretize(
         domain_mixed, 16, shift=sweep_shifts((-1, -1, 1, 1), 16, 20)[7]
     )
-    _, _, dofs = dofmap.active_cells
+    dofs = dofmap.active_dofs
     gen = np.random.default_rng(5)
     for m, draw in ((400, gen.standard_normal), (2000, lambda size: gen.integers(-2, 3, size) * 1.0), (0, None)):
         cells = gen.integers(0, len(dofs), m)
@@ -461,7 +490,7 @@ def _ghost_blocks_sorted(dofmap, rules, params):
 
 def _operator_oracles(dofmap, rules, params, scatter):
     """The operators from their local blocks through ``scatter(ndof, dofs, blocks)``, combined as CSR."""
-    _, _, dofs = dofmap.active_cells
+    dofs = dofmap.active_dofs
     h = dofmap.mesh.h
 
     def boundary(rule, weight=None):
@@ -556,14 +585,14 @@ def test_shared_pattern_arrays_are_read_only_and_unchanged(domain_mixed):
     """The stencil tables and the dofmap's cached cell arrays, which every operator reads."""
     dofmap, params, rules = _grid(domain_mixed, 16, 7)
     shared = [space.STENCIL, space.CORNERS, space.PAIR_SLOTS, dofmap.reference_gradients]
-    shared += dofmap.active_cells
+    shared.append(dofmap.active_dofs)
     before = [a.copy() for a in shared]
     _operators(dofmap, rules, params)
     solve_standard(assemble_system(dofmap, rules, params, manufactured_smooth(domain_mixed)), dofmap)
     for a, b in zip(shared, before):
         assert not a.flags.writeable
         assert np.array_equal(a, b)
-    assert all(a is b for a, b in zip(shared[3:], [dofmap.reference_gradients, *dofmap.active_cells]))
+    assert shared[3] is dofmap.reference_gradients and shared[4] is dofmap.active_dofs
     with pytest.raises(ValueError, match="read-only"):
         space.PAIR_SLOTS[0, 0, 0] = 0
 
@@ -571,7 +600,7 @@ def test_shared_pattern_arrays_are_read_only_and_unchanged(domain_mixed):
 def boundary_load_pointwise(dofmap, rules, params, data):
     """Oracle: the Neumann and Dirichlet data terms of the load."""
     h = dofmap.mesh.h
-    _, _, dofs = dofmap.active_cells
+    dofs = dofmap.active_dofs
     rule_n, rule_d = rules.neumann, rules.dirichlet
     lam_n, _, w_n = _boundary_local(dofmap, rule_n)
     lam_d, flux_d, w_d = _boundary_local(dofmap, rule_d)
@@ -585,10 +614,10 @@ def boundary_load_pointwise(dofmap, rules, params, data):
 
 def load_pointwise(dofmap, rules, params, data):
     """Oracle: the load with hat values from barycentric coordinates at every volume point."""
-    coords, grads, dofs = dofmap.active_cells
+    coords, grads, dofs = cell_geometry(dofmap)
     b = boundary_load_pointwise(dofmap, rules, params, data)
     vol = packed_volume_rule(rules)
-    lam = _barycentric(coords, vol.points, vol.owner)
+    lam = _barycentric(coords[vol.owner], vol.points)
     wf = vol.weights * data.f(vol.points)
     return b + _vector(dofmap.ndof, [dofs[vol.owner]], [lam * wf[:, None]])
 
@@ -598,11 +627,11 @@ def error_norms_pointwise(problem, u_h, rules, stabilizer, refine_levels=0):
     over one concatenated copy of the bulk rule without the refined cells and the refined rule."""
     dofmap = u_h.dofmap
     h = dofmap.mesh.h
-    coords, grads, dofs = dofmap.active_cells
+    coords, grads, dofs = cell_geometry(dofmap)
     vol = packed_volume_rule(rules)
     if refine_levels and len(problem.singular_points):
         singular = np.asarray(problem.singular_points, dtype=float)
-        target = _cells_near(singular, coords, h)
+        target = _cells_near(singular, dofmap.topology)
         cells = np.flatnonzero(target >= 0)
         keep = target[vol.owner] < 0
         refined = refine_rule_toward(
@@ -617,11 +646,11 @@ def error_norms_pointwise(problem, u_h, rules, stabilizer, refine_levels=0):
     grad_h = np.einsum("tk,tkd->td", vals, grads)
     diff_grad = problem.grad_u(vol.points) - grad_h[vol.owner]
     grad_sq = float(vol.weights @ (diff_grad**2).sum(axis=1))
-    lam = _barycentric(coords, vol.points, vol.owner)
+    lam = _barycentric(coords[vol.owner], vol.points)
     diff = problem.u(vol.points) - (lam * vals[vol.owner]).sum(axis=1)
     l2_sq = float(vol.weights @ diff**2)
     rule_d = rules.dirichlet
-    lam_d = _barycentric(coords, rule_d.points, rule_d.owner)
+    lam_d = _barycentric(coords[rule_d.owner], rule_d.points)
     diff = problem.u(rule_d.points) - (lam_d * vals[rule_d.owner]).sum(axis=1)
     trace_sq = float(rule_d.weights @ diff**2)
     energy = float(np.sqrt(grad_sq + trace_sq / h))
@@ -674,7 +703,7 @@ def test_zero_source_gives_the_boundary_load(domain_mixed, shift):
 
 def _stiffness_einsum(dofmap, rules):
     """Oracle: stiffness blocks from per-cell hat gradients in a three-operand einsum."""
-    coords, _, dofs = dofmap.active_cells
+    coords, _, dofs = cell_geometry(dofmap)
     grads = hat_gradients(coords)
     vol = packed_volume_rule(rules)
     masses = np.bincount(vol.owner, vol.weights, minlength=len(dofs))
@@ -713,7 +742,7 @@ def test_stiffness_by_parity_matches_the_einsum_and_operators_stay_symmetric(
 def _all_packed(rules):
     """Oracle: the rule set with every active cell in the packed volume rule and no inside blocks,
     so that each consumer sums every cell by ``np.bincount`` over its points."""
-    empty = [dataclasses.replace(r, cells=r.cells[:0], origins=r.origins[:0]) for r in rules.inside]
+    empty = [dataclasses.replace(r, cells=r.cells[:0]) for r in rules.inside]
     return dataclasses.replace(rules, volume=packed_volume_rule(rules), inside=tuple(empty))
 
 

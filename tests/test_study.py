@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -24,7 +25,7 @@ from cutpoisson.study import (
     verify_cutoff_lemma,
     verify_inequalities,
 )
-from tests.conftest import packed_volume_rule
+from tests.conftest import cell_geometry, packed_volume_rule
 
 
 def test_smooth_problem_reference_values(domain_mixed):
@@ -310,11 +311,11 @@ def _sampled_constants(dofmap, rules, params, trials=20, seed=20260810):
     h = dofmap.mesh.h
     K = assemble_stiffness(dofmap, rules)
     S = assemble_ghost_penalty(dofmap, rules, params)
-    coords, grads, dofs = dofmap.active_cells
+    coords, grads, dofs = cell_geometry(dofmap)
     areas = _tri_area(coords)
     bnd, rule_d = rules.boundary, rules.dirichlet
     near = _dirichlet_cells(dofmap, rules)
-    lam = _barycentric(coords, bnd.points, bnd.owner)
+    lam = _barycentric(coords[bnd.owner], bnd.points)
     p1_mass = np.ones((3, 3)) + np.eye(3)
     c_full = c_flux = c_trace = 0.0
     for _ in range(trials):
@@ -513,6 +514,37 @@ def test_discretize_memory_is_set_by_the_disk_window():
         tracemalloc.stop()
     assert 0 < len(dofmap.topology.cut) < len(dofmap.topology.active) < 6000
     assert peak <= bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+def _held_arrays(obj, seen=None):
+    """Every array reachable from ``obj`` through the fields and cached properties of dataclasses
+    (both live in the instance ``__dict__``) and through tuples."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tuple):
+        return [a for item in obj for a in _held_arrays(item, seen)]
+    if dataclasses.is_dataclass(obj):
+        return [a for value in vars(obj).values() for a in _held_arrays(value, seen)]
+    return []
+
+
+def test_a_level_holds_no_per_cell_geometry(domain_mixed, monkeypatch):
+    """After a singular level, no array held by its topology, dofmap or rules has 6 entries per
+    active cell, the size of per-cell coordinates or gradients (m, 3, 2); the cached dofs (m, 3)
+    are seen."""
+    levels = []
+    original = study.discretize
+    monkeypatch.setattr(study, "discretize", lambda *a, **k: levels.append(original(*a, **k)) or levels[-1])
+    convergence_level(manufactured_singular(domain_mixed), 128)
+    (dofmap, _, rules), = levels
+    m = len(dofmap.topology.active)
+    held = _held_arrays((dofmap.topology, dofmap, rules))
+    assert any(a is dofmap.active_dofs for a in held)
+    assert max(a.size for a in held) < 6 * m, sorted(a.shape for a in held if a.size >= 6 * m)
 
 
 def test_box_inside_disk_is_all_inside():
