@@ -16,7 +16,10 @@ a cell is one of two fixed 3 x 3 Gram blocks times the cell's cut area.  No
 per-cell geometry is stored: a term over some cells (boundary points, refined
 cells) computes their coordinates from the ids as
 ``mesh.triangle_coords(active[cells])``, and a product over every cell gathers
-the gradients by parity for that product only.
+the gradients by parity for that product only.  The boundary terms read
+``rules.dirichlet`` and ``rules.neumann`` apart, and ``_boundary_local`` is the
+one place that evaluates the hat values and normal fluxes at their points: each
+term evaluates a rule once and builds its blocks from those values.
 
 Every coupling of a P1 form or a ghost face joins a vertex to one at one of
 the 13 grid offsets of ``space.STENCIL``, so an operator is built as a stencil
@@ -32,6 +35,7 @@ form see the same addends in the same order and stay bitwise equal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,12 +64,12 @@ class NitscheParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not (math.isfinite(self.beta) and self.beta > 0.0):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
 
     def with_epsilon(self, epsilon):
         return replace(self, epsilon=epsilon)
@@ -123,14 +127,12 @@ def _cell_gradients(dofmap):
     return np.take(dofmap.reference_gradients, dofmap.topology.active & 1, axis=0)
 
 
-def _boundary_local(dofmap, rule, weight=None):
-    """Per-point boundary data: hat values, normal fluxes (both (nq, 3)), effective weights."""
+def _boundary_local(dofmap, rule):
+    """Hat values and normal fluxes grad(phi_j) . n (both (nq, 3)) at a boundary rule's points."""
     cells = dofmap.topology.active[rule.owner]
     lam = _barycentric(dofmap.mesh.triangle_coords(cells), rule.points)
     grads = dofmap.reference_gradients[cells & 1]
-    flux = np.einsum("qd,qjd->qj", rule.normals, grads)  # grad(phi_j) . n
-    w = rule.weights if weight is None else rule.weights * weight(rule.points)
-    return lam, flux, w
+    return lam, np.einsum("qd,qjd->qj", rule.normals, grads)
 
 
 def _stiffness_stencil(dofmap, rules):
@@ -159,16 +161,14 @@ def _stiffness_stencil(dofmap, rules):
     return grid.reshape(len(STENCIL), -1).T[(vi - i0) * (wj + 1) + vj - j0]  # the rows of the dofs
 
 
-def _mass_stencil(dofmap, rule):
-    """Stencil array of the boundary mass matrix over ``rule``, and its rows' dofs."""
-    lam, _, w = _boundary_local(dofmap, rule)
+def _mass_blocks(lam, w):
+    """Local blocks (nq, 3, 3) of the boundary mass from hat values ``lam`` and weights ``w``."""
     scaled = lam * np.sqrt(w)[:, None]  # Gram form keeps the block bitwise symmetric
-    return _cell_scatter(dofmap, rule.owner, scaled[:, :, None] * scaled[:, None, :])
+    return scaled[:, :, None] * scaled[:, None, :]
 
 
-def _flux_blocks(dofmap, rule, weight=None):
-    """Local blocks (nq, 3, 3) of the boundary flux pairing (grad(phi_j) . n, phi_i) over ``rule``."""
-    lam, flux, w = _boundary_local(dofmap, rule, weight)
+def _flux_blocks(lam, flux, w):
+    """Local blocks (nq, 3, 3) of the boundary flux pairing (grad(phi_j) . n, phi_i)."""
     return lam[:, :, None] * (flux * w[:, None])[:, None, :]  # test i rows, trial j cols
 
 
@@ -179,7 +179,9 @@ def assemble_stiffness(dofmap, rules):
 
 def assemble_boundary_mass(dofmap, rules):
     """Mass matrix on the Dirichlet part of the boundary."""
-    return _compress(dofmap, *_mass_stencil(dofmap, rules.dirichlet))
+    rule = rules.dirichlet
+    blocks = _mass_blocks(_boundary_local(dofmap, rule)[0], rule.weights)
+    return _compress(dofmap, *_cell_scatter(dofmap, rule.owner, blocks))
 
 
 def assemble_nitsche(dofmap, rules, params):
@@ -189,10 +191,12 @@ def assemble_nitsche(dofmap, rules, params):
     matrix bitwise symmetric.
     """
     rule = rules.dirichlet
-    B = _flux_blocks(dofmap, rule)
+    lam, grad_n = _boundary_local(dofmap, rule)
+    B = _flux_blocks(lam, grad_n, rule.weights)
     flux, dofs = _cell_scatter(dofmap, rule.owner, B)  # the rows of rule's cells, as for the mass
     flux += _cell_scatter(dofmap, rule.owner, B.transpose(0, 2, 1))[0]
-    mass = (params.beta / dofmap.mesh.h) * _mass_stencil(dofmap, rule)[0]
+    mass = _cell_scatter(dofmap, rule.owner, _mass_blocks(lam, rule.weights))[0]
+    mass *= params.beta / dofmap.mesh.h
     stencil = _stiffness_stencil(dofmap, rules)
     stencil[dofs] = stencil[dofs] - flux + mass
     return _compress(dofmap, stencil)
@@ -214,7 +218,8 @@ def cutoff_flux_neumann(dofmap, rules, params):
     operators, since the cutoff equals one on the Dirichlet part.
     """
     weight, rule = _cutoff_weight(dofmap, params), rules.neumann
-    return _compress(dofmap, *_cell_scatter(dofmap, rule.owner, _flux_blocks(dofmap, rule, weight)))
+    blocks = _flux_blocks(*_boundary_local(dofmap, rule), rule.weights * weight(rule.points))
+    return _compress(dofmap, *_cell_scatter(dofmap, rule.owner, blocks))
 
 
 def assemble_regularized(A, dofmap, rules, params):
@@ -266,9 +271,9 @@ def assemble_load(dofmap, rules, params, data):
     """
     dofs = dofmap.active_dofs
     rule_n, rule_d = rules.neumann, rules.dirichlet
-    lam_n, _, w_n = _boundary_local(dofmap, rule_n)
-    lam_d, flux_d, w_d = _boundary_local(dofmap, rule_d)
-    gd = w_d * data.g_D(rule_d.points)
+    lam_n, _ = _boundary_local(dofmap, rule_n)
+    lam_d, flux_d = _boundary_local(dofmap, rule_d)
+    gd = rule_d.weights * data.g_D(rule_d.points)
 
     def source(points, cells, offsets):
         f = data.f(points.reshape(-1, 2)).reshape(points.shape[:2])
@@ -276,7 +281,7 @@ def assemble_load(dofmap, rules, params, data):
 
     moments = rules.cell_sums(source, None)  # m0, then m1 by component
     values = [
-        lam_n * (w_n * data.g_N(rule_n.points))[:, None],
+        lam_n * (rule_n.weights * data.g_N(rule_n.points))[:, None],
         (params.beta / dofmap.mesh.h) * lam_d * gd[:, None] - flux_d * gd[:, None],
         moments[0][:, None] / 3.0 + np.einsum("tkd,dt->tk", _cell_gradients(dofmap), moments[1:]),
     ]
@@ -312,7 +317,8 @@ def nitsche_action(dofmap, rules, params, u, grad_u):
         return g[..., 0], g[..., 1]
 
     flux_int = rules.cell_sums(gradient, None)
-    lam, flux, w = _boundary_local(dofmap, rule_d)
+    lam, flux = _boundary_local(dofmap, rule_d)
+    w = rule_d.weights
     un = (grad_u(rule_d.points) * rule_d.normals).sum(axis=1)
     uv = w * u(rule_d.points)
     w_flux = w if chi is None else w * chi(rule_d.points)
@@ -322,16 +328,18 @@ def nitsche_action(dofmap, rules, params, u, grad_u):
         (params.beta / h) * lam * uv[:, None] - flux * uv[:, None] - lam * (w_flux * un)[:, None],
     ]
     if chi is not None:
-        lam_n, _, w_n = _boundary_local(dofmap, rule_n)
+        lam_n, _ = _boundary_local(dofmap, rule_n)
         un_n = (grad_u(rule_n.points) * rule_n.normals).sum(axis=1)
         parts.append(dofs[rule_n.owner])
-        values.append(-lam_n * (w_n * chi(rule_n.points) * un_n)[:, None])
+        values.append(-lam_n * (rule_n.weights * chi(rule_n.points) * un_n)[:, None])
     return _vector(dofmap.ndof, parts, values)
 
 
 def energy_gram(dofmap, rules, stabilizer):
     """Gram matrix of the energy norm: gradient and Dirichlet trace parts plus ``stabilizer``."""
-    stencil, (mass, dofs) = _stiffness_stencil(dofmap, rules), _mass_stencil(dofmap, rules.dirichlet)
+    rule = rules.dirichlet
+    blocks = _mass_blocks(_boundary_local(dofmap, rule)[0], rule.weights)
+    stencil, (mass, dofs) = _stiffness_stencil(dofmap, rules), _cell_scatter(dofmap, rule.owner, blocks)
     stencil[dofs] += mass * (1.0 / dofmap.mesh.h)
     return _compress(dofmap, stencil) + stabilizer
 
@@ -404,7 +412,7 @@ def error_norms(problem, u_h, rules, stabilizer, refine_levels=REFINE_LEVELS):
 
     grad_sq, l2_sq = rules.cell_sums(errors, refined).sum(axis=1)
     rule_d = rules.dirichlet
-    lam_d = _barycentric(mesh.triangle_coords(topology.active[rule_d.owner]), rule_d.points)
+    lam_d, _ = _boundary_local(dofmap, rule_d)
     diff = problem.u_and_grad(rule_d.points)[0] - (lam_d * vals[rule_d.owner]).sum(axis=1)
     trace_sq = float(rule_d.weights @ diff**2)
     energy = float(np.sqrt(grad_sq + trace_sq / mesh.h))

@@ -95,10 +95,11 @@ def load_config(path):
             cfg[key] = raw[key]
 
     p = cfg["params"]
-    if not isinstance(p["beta"], (int, float)) or p["beta"] <= 0.0:
-        raise ConfigError(f"params.beta must be positive, got {p['beta']}")
-    if not isinstance(p["sigma"], (int, float)) or p["sigma"] < 0.0:
-        raise ConfigError(f"params.sigma must be nonnegative, got {p['sigma']}")
+    beta, sigma = p["beta"], p["sigma"]
+    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0.0):
+        raise ConfigError(f"params.beta must be positive and finite, got {beta}")
+    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma >= 0.0):
+        raise ConfigError(f"params.sigma must be nonnegative and finite, got {sigma}")
     _check_keys("params.epsilon_rule", p["epsilon_rule"], {"kind", "c", "value"})
     if p["epsilon_rule"].get("kind") not in ("fixed", "c_h2"):
         raise ConfigError("params.epsilon_rule.kind must be 'fixed' or 'c_h2'")

@@ -19,8 +19,9 @@ Burman et al. (IJNME 2015) and Fries & Omerović (IJNME 2016) for a circle.
 Boundary rules are a flat table of angular panels (owner, b0, b1): the arcs
 between the circle's crossings of each triangle, split at the boundary-condition
 junctions and into pieces of at most ``_BOUNDARY_PIECE``, then graded dyadically
-toward the junctions.  One Gauss map turns all panels into points, and every
-panel is purely Dirichlet or purely Neumann.
+toward the junctions.  Every panel is purely Dirichlet or purely Neumann, so the
+rule comes as two packed rules, one per condition, each sorted by owner: every
+boundary term of the Nitsche form reads one of them only.
 
 ``build_rules`` packs the rules of the cut cells only; ghost faces keep only
 their lengths, since the jump of a P1 normal gradient is constant on a face.
@@ -60,18 +61,17 @@ class PackedRule:
     ``owner[q]`` is the cell that point q belongs to: its position in
     ``topology.active`` in a ``RuleSet``, its position in the input stack for
     the batched rule functions.  Boundary rules also carry the unit exterior
-    normal and a Dirichlet flag per point; volume rules leave both None.
+    normal per point; volume rules leave it None.
     """
 
     points: np.ndarray
     weights: np.ndarray
     owner: np.ndarray
     normals: np.ndarray | None = None
-    dirichlet: np.ndarray | None = None
 
     def select(self, mask):
         """The points where ``mask`` holds, in the same order."""
-        fields = (self.points, self.weights, self.owner, self.normals, self.dirichlet)
+        fields = (self.points, self.weights, self.owner, self.normals)
         return PackedRule(*(None if a is None else a[mask] for a in fields))
 
 
@@ -390,38 +390,34 @@ def cut_boundary_rules(triangles, domain):
     junctions, so that each piece carries a single condition; pieces abutting
     a junction are refined dyadically toward it, which keeps the rules accurate
     for singular boundary data and for the sharply supported cutoff weight.
-    Returns a ``PackedRule`` with exterior unit normals and Dirichlet flags,
-    sorted by owner (the triangle's position in the stack) with each cell's
-    Dirichlet points first.
+    Returns the (Dirichlet, Neumann) pair of ``PackedRule``s with exterior unit
+    normals, each sorted by owner (the triangle's position in the stack).
     """
     tris = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
     return _boundary_rule(domain, _arcs(tris, domain))
 
 
 def _boundary_rule(domain, arcs):
-    """The rule of ``cut_boundary_rules`` on the arcs (owner, start angle, angular width)."""
+    """The rules of ``cut_boundary_rules`` on the arcs (owner, start angle, angular width)."""
     owner, lo, hi = _split_pieces(*arcs, domain.junction_angles)
     owner, b0, b1 = _graded_panels(owner, lo, hi, domain.junction_angles)
 
     mid, half = 0.5 * (b0 + b1), 0.5 * (b1 - b0)
     dirichlet = is_dirichlet_angle(domain, _wrap(mid))
-    panels = np.lexsort((~dirichlet, owner))
     gauss_n, gauss_w = _gauss(_BOUNDARY_ORDER)
-    e, points = _on_circle(domain, mid[panels, None] + half[panels, None] * gauss_n)
-    weights = (domain.radius * half[panels])[:, None] * gauss_w
-    return PackedRule(
-        points.reshape(-1, 2),
-        weights.ravel(),
-        owner[panels].repeat(_BOUNDARY_ORDER),
-        e.reshape(-1, 2),
-        dirichlet[panels].repeat(_BOUNDARY_ORDER),
-    )
+    rules = []
+    for panels in (np.flatnonzero(dirichlet), np.flatnonzero(~dirichlet)):
+        panels = panels[np.argsort(owner[panels], kind="stable")]
+        e, points = _on_circle(domain, mid[panels, None] + half[panels, None] * gauss_n)
+        weights = (domain.radius * half[panels])[:, None] * gauss_w
+        owners = owner[panels].repeat(_BOUNDARY_ORDER)
+        rules.append(PackedRule(points.reshape(-1, 2), weights.ravel(), owners, e.reshape(-1, 2)))
+    return tuple(rules)
 
 
 def cut_boundary_rule(triangle, domain):
     """(Dirichlet, Neumann) rules on the boundary arcs inside one triangle (see ``cut_boundary_rules``)."""
-    rule = cut_boundary_rules(np.asarray(triangle)[None], domain)
-    return rule.select(rule.dirichlet), rule.select(~rule.dirichlet)
+    return cut_boundary_rules(np.asarray(triangle)[None], domain)
 
 
 def refine_rule_toward(triangles, domain, points, tol=DEFAULT_TOL, levels=REFINE_LEVELS):
@@ -475,9 +471,9 @@ class RuleSet:
     """Quadrature of one cut topology, from ``build_rules(topology, tol)``.
 
     ``volume`` integrates over the cut cells' intersections with the domain,
-    ``boundary`` over the boundary arcs; both are packed and sorted by owner,
-    the cell's position in ``topology.active``, with the Dirichlet points of
-    a cell before its Neumann points.  The inside cells are not packed:
+    ``dirichlet`` and ``neumann`` over the two parts of the boundary; all three
+    are packed and sorted by owner, the cell's position in ``topology.active``.
+    The inside cells are not packed:
     ``inside`` holds them by parity as translates of two reference rules
     (see ``TranslatedRule`` and ``cell_sums``).  ``face_lengths`` is
     aligned with ``topology.ghost_faces``.  ``topology`` is the cut topology
@@ -488,18 +484,11 @@ class RuleSet:
 
     volume: PackedRule
     inside: tuple
-    boundary: PackedRule
+    dirichlet: PackedRule
+    neumann: PackedRule
     face_lengths: np.ndarray
     topology: object
     tol: float = DEFAULT_TOL
-
-    @property
-    def dirichlet(self):
-        return self.boundary.select(self.boundary.dirichlet)
-
-    @property
-    def neumann(self):
-        return self.boundary.select(~self.boundary.dirichlet)
 
     def cell_sums(self, fn, refined):
         """Per active cell, the weighted sums (k, m) over its volume points of ``fn``'s k columns.
@@ -566,7 +555,7 @@ def build_rules(topology, tol=DEFAULT_TOL):
         cells = np.flatnonzero(~is_cut & ((active & 1) == p))
         inside.append(TranslatedRule(cells, points[p], weights[p], offsets[p]))
     boundary = _boundary_rule(domain, _tiling_arcs(_arcs(coords, domain)))
-    boundary = dataclasses.replace(boundary, owner=cut[boundary.owner])
+    dirichlet, neumann = (dataclasses.replace(r, owner=cut[r.owner]) for r in boundary)
     ends = mesh.vertex_coords(mesh.face(topology.ghost_faces)[0])
     face_lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
-    return RuleSet(volume, tuple(inside), boundary, face_lengths, topology, tol)
+    return RuleSet(volume, tuple(inside), dirichlet, neumann, face_lengths, topology, tol)

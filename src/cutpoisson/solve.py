@@ -54,10 +54,6 @@ def _factor(K, advice="", **ordering):
         raise SolverError(f"factorization failed: {exc}.{advice}") from exc
 
 
-def _trivial(dofmap):
-    return SolveReport(FeFunction(np.zeros(dofmap.ndof), dofmap), "trivial", 0.0)
-
-
 def _checked(K, x, b, dofmap, method, advice=""):
     """Report of the solution ``x`` of ``K x = b`` after one residual check."""
     residual = float(np.linalg.norm(K @ x - b))
@@ -77,15 +73,12 @@ def solve_standard(matrices, dofmap):
     ``K`` is symmetric, so the arrays of its CSR form are those of its CSC
     form, and they are factored as they are with the symmetric ordering
     above; the residual check against ``K`` fails if ``K`` is not symmetric.
-    A zero load gives the zero solution without factoring.  A nonpositive
-    diagonal, a failed factorization or a residual above
+    A nonpositive diagonal, a failed factorization or a residual above
     ``RESIDUAL_RTOL * |b|`` raises ``SolverError`` advising a larger penalty.
     The report holds the factors for ``solve_regularized``; a caller that
     needs only the solution keeps ``.solution`` and lets them go.
     """
     K, b = matrices.A + matrices.S, matrices.b
-    if not np.any(b):
-        return _trivial(dofmap)
     if K.diagonal().min() <= 0.0:
         raise SolverError(
             f"nonpositive diagonal entry, the operator is not positive definite.{_SPD_ADVICE}"
@@ -111,8 +104,6 @@ def solve_regularized(matrices, dofmap, standard):
     ``RESIDUAL_RTOL * |b|`` raises ``SolverError``.
     """
     b = matrices.b
-    if not np.any(b):
-        return _trivial(dofmap)
     K = matrices.A + matrices.S
     W = K - standard.operator  # a sparse difference keeps no exact zeros
     rows = np.flatnonzero(np.diff(W.indptr))
@@ -130,8 +121,8 @@ def solve_regularized(matrices, dofmap, standard):
     return _checked(K, x, b, dofmap, "lowrank")
 
 
-def _power_iteration(apply_op, n, rtol, maxit, seed_vector=None):
-    x = np.ones(n) if seed_vector is None else seed_vector.copy()
+def _power_iteration(apply_op, n, rtol, maxit):
+    x = np.ones(n)
     x /= np.linalg.norm(x)
     lam = 0.0
     for it in range(maxit):

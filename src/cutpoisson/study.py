@@ -14,6 +14,7 @@ from cutpoisson import geometry
 from cutpoisson.assembly import (
     NitscheParams,
     SystemMatrices,
+    _boundary_local,
     assemble_ghost_penalty,
     assemble_load,
     assemble_nitsche,
@@ -34,7 +35,7 @@ from cutpoisson.geometry import (
     signed_distance,
 )
 from cutpoisson.mesh import _point_triangle_distance, build_background, cell_diagonal, classify
-from cutpoisson.quadrature import REFINE_LEVELS, _barycentric, _tri_area, build_rules
+from cutpoisson.quadrature import REFINE_LEVELS, _tri_area, build_rules
 from cutpoisson.solve import condition_estimate, solve_regularized, solve_standard
 from cutpoisson.space import build_dofmap, clement_interpolate
 
@@ -291,13 +292,11 @@ def run_convergence(
     box=DEFAULT_BOX,
     tol=1e-10,
     shift=(0.0, 0.0),
-    validate=True,
 ):
     """Solve the standard method on a refinement sequence and report error norms."""
     if len(levels) < 2:
         raise ValueError("a convergence study needs at least two levels")
-    if validate:
-        validate_problem(problem)
+    validate_problem(problem)
     report = ErrorReport(label=problem.label)
     for n in levels:
         report.add_level(convergence_level(problem, n, beta, sigma, box, tol, shift))
@@ -386,7 +385,7 @@ def verify_inequalities(dofmap, rules, params):
     rule, near = rules.dirichlet, _dirichlet_cells(dofmap, rules)
     c_flux = 0.0
     if near.any():
-        flux = np.einsum("qd,qkd->qk", rule.normals, grads[rule.owner])
+        flux = _boundary_local(dofmap, rule)[1]
         Flux = sp.csr_matrix(
             ((np.sqrt(h * rule.weights)[:, None] * flux).ravel(),
              (np.arange(len(flux)).repeat(3), dofs[rule.owner].ravel())),
@@ -397,12 +396,13 @@ def verify_inequalities(dofmap, rules, params):
         flux_r = np.linalg.qr(Flux[:, U].toarray(), mode="r")
         c_flux = np.linalg.norm(flux_r @ np.linalg.pinv(grad_near), 2) ** 2
 
-    # the trace form of each cell against |T| / (12 h) (1 + I), through 1 + I = L L^T
-    bnd = rules.boundary
+    # the trace form of each cell against |T| / (12 h) (1 + I), through 1 + I = L L^T, summed
+    # over the Dirichlet, then the Neumann points
     L_inv = np.linalg.inv(np.linalg.cholesky(np.ones((3, 3)) + np.eye(3)))
-    p = np.sqrt(bnd.weights)[:, None] * _barycentric(coords[bnd.owner], bnd.points) @ L_inv.T
     trace = np.zeros((len(dofs), 3, 3))
-    np.add.at(trace, bnd.owner, p[:, :, None] * p[:, None, :])
+    for bnd in (rules.dirichlet, rules.neumann):
+        p = np.sqrt(bnd.weights)[:, None] * _boundary_local(dofmap, bnd)[0] @ L_inv.T
+        np.add.at(trace, bnd.owner, p[:, :, None] * p[:, None, :])
     c_trace = (np.linalg.eigvalsh(trace)[:, -1] * 12.0 * h / areas).max()
     return InequalityReport(float(c_full), float(c_flux), float(c_trace))
 

@@ -77,6 +77,18 @@ def packed_volume_rule(rules):
     return PackedRule(points[order], weights[order], owner[order])
 
 
+def packed_boundary_rule(rules):
+    """Oracle: the boundary rule of every cut cell as one packed rule sorted by owner.
+
+    The two parts ``rules.dirichlet`` and ``rules.neumann`` are concatenated and
+    stable-sorted by owner, so each cell's Dirichlet points come before its Neumann points.
+    """
+    parts = [(r.points, r.weights, r.owner, r.normals) for r in (rules.dirichlet, rules.neumann)]
+    points, weights, owner, normals = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(owner, kind="stable")
+    return PackedRule(points[order], weights[order], owner[order], normals[order])
+
+
 def cell_geometry(dofmap):
     """The vertex coordinates and hat gradients (both (m, 3, 2)) and dofs (m, 3) of every active
     cell, from the ids: the gradients are the dofmap's reference gradients by parity."""

@@ -167,6 +167,13 @@ def test_nitsche_params_hold_epsilon_and_nothing_derived(disc_mixed_8):
         params.with_epsilon(-1e-3)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["beta", "sigma", "epsilon"])
+def test_nitsche_params_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be .* finite, got {value}$"):
+        NitscheParams(**{field: value})
+
+
 def test_cutoff_weight_takes_delta_h_and_the_topology_domain(domain_mixed, disc_mixed_8):
     """The weight is the cutoff of (delta = h, epsilon) on ``dofmap.topology.domain``."""
     dofmap, params, rules = disc_mixed_8
@@ -494,7 +501,8 @@ def _operator_oracles(dofmap, rules, params, scatter):
     h = dofmap.mesh.h
 
     def boundary(rule, weight=None):
-        lam, flux, w = _boundary_local(dofmap, rule, weight)
+        lam, flux = _boundary_local(dofmap, rule)
+        w = rule.weights if weight is None else rule.weights * weight(rule.points)
         scaled = lam * np.sqrt(w)[:, None]
         mass = scaled[:, :, None] * scaled[:, None, :]
         return scatter(dofmap.ndof, dofs[rule.owner], mass), scatter(
@@ -602,11 +610,11 @@ def boundary_load_pointwise(dofmap, rules, params, data):
     h = dofmap.mesh.h
     dofs = dofmap.active_dofs
     rule_n, rule_d = rules.neumann, rules.dirichlet
-    lam_n, _, w_n = _boundary_local(dofmap, rule_n)
-    lam_d, flux_d, w_d = _boundary_local(dofmap, rule_d)
-    gd = w_d * data.g_D(rule_d.points)
+    lam_n, _ = _boundary_local(dofmap, rule_n)
+    lam_d, flux_d = _boundary_local(dofmap, rule_d)
+    gd = rule_d.weights * data.g_D(rule_d.points)
     values = [
-        lam_n * (w_n * data.g_N(rule_n.points))[:, None],
+        lam_n * (rule_n.weights * data.g_N(rule_n.points))[:, None],
         (params.beta / h) * lam_d * gd[:, None] - flux_d * gd[:, None],
     ]
     return _vector(dofmap.ndof, [dofs[rule_n.owner], dofs[rule_d.owner]], values)
@@ -787,7 +795,7 @@ def test_fitted_square_without_cut_cells(rng):
     """A disk covering the n = 1 box: two inside cells, an empty cut rule, a nonzero stiffness."""
     domain = LevelSetDomain((0.0, 0.0), 2.0, ((0.0, math.pi),))
     dofmap, params, rules = _level(domain, (-0.5, -0.5, 0.5, 0.5), 1)
-    assert len(rules.volume.weights) == 0 and len(rules.boundary.weights) == 0
+    assert len(rules.volume.weights) == len(rules.dirichlet.weights) == len(rules.neumann.weights) == 0
     assert [len(r.cells) for r in rules.inside] == [1, 1]
     K = assemble_stiffness(dofmap, rules).toarray()
     assert K.dtype == np.float64

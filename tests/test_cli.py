@@ -49,6 +49,18 @@ def test_negative_beta_rejected(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, token", [(math.nan, "NaN"), (math.inf, "Infinity")])
+@pytest.mark.parametrize("field", ["beta", "sigma"])
+def test_non_finite_form_parameter_rejected_before_any_work(tmp_path, capsys, field, value, token):
+    """JSON's NaN and Infinity are read as floats; either one in a form parameter exits 2."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"params": {field: value}, "output": str(out)})
+    assert token in cfg.read_text()
+    assert run(str(cfg), quiet=True) == 2
+    assert f"params.{field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "section, field, value",
     [

@@ -12,8 +12,8 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cutpoisson"
-MAX_DEFAULTED = 60
-MAX_PARAMETERS = 321
+MAX_DEFAULTED = 56
+MAX_PARAMETERS = 317
 
 
 def parameter_counts(root=SRC):

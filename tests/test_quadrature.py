@@ -16,6 +16,7 @@ from cutpoisson.study import sweep_shifts
 from tests.conftest import (
     boundary_is_dirichlet,
     exact_disk_triangle_area,
+    packed_boundary_rule,
     packed_volume_rule,
     reference_tolerance,
 )
@@ -47,18 +48,18 @@ def test_disk_area_and_moment(rng):
 def test_boundary_measures(domain_mixed):
     mesh, topo, rules = disk_rules(domain_mixed, 8)
     R = domain_mixed.radius
-    total = rules.boundary.weights.sum()
+    r = packed_boundary_rule(rules)
+    total = r.weights.sum()
     assert total == pytest.approx(2.0 * math.pi * R, rel=1e-10)
     d_part = rules.dirichlet.weights.sum()
     assert d_part == pytest.approx(math.pi * R, rel=1e-10)
-    r = rules.boundary
     normal_integral = (r.weights[:, None] * r.normals).sum(axis=0)
     assert np.abs(normal_integral).max() < 1e-10
 
 
 def test_boundary_normals_outward(domain_mixed):
     mesh, topo, rules = disk_rules(domain_mixed, 8)
-    r = rules.boundary
+    r = packed_boundary_rule(rules)
     outward = (r.points - domain_mixed.center_array) / domain_mixed.radius
     assert np.allclose(r.normals, outward, atol=1e-12)
     assert np.allclose(np.linalg.norm(r.normals, axis=1), 1.0, atol=1e-12)
@@ -75,7 +76,7 @@ def test_boundary_points_classify_consistently(domain_mixed):
 def test_divergence_theorem(domain_mixed):
     mesh, topo, rules = disk_rules(domain_mixed, 8)
     volume = 2.0 * packed_volume_rule(rules).weights.sum()
-    r = rules.boundary
+    r = packed_boundary_rule(rules)
     boundary = float(r.weights @ (r.points * r.normals).sum(axis=1))
     assert abs(volume - boundary) < 1e-9
 
@@ -226,7 +227,7 @@ def test_junction_cell_lengths_equal_arc_spans():
 
 
 def test_one_cell_rules_are_slices_of_the_batched_rules(domain_mixed):
-    """A one-cell call returns exactly that cell's points of the batched call."""
+    """A one-cell call returns exactly that cell's points of each part of the batched call."""
     box = (-1.0, -1.0, 1.0, 1.0)
     mesh = build_background(box, 16, sweep_shifts(box, 16, 20)[7])
     topo = classify(mesh, domain_mixed)
@@ -234,16 +235,17 @@ def test_one_cell_rules_are_slices_of_the_batched_rules(domain_mixed):
     cut = np.flatnonzero(topo.classification[topo.active] == CUT)
     volume = cut_volume_rules(coords, domain_mixed)
     boundary = cut_boundary_rules(coords[cut], domain_mixed)
+    assert all(np.all(np.diff(part.owner) >= 0) for part in boundary)
     for i, k in enumerate(cut):
         rule = cut_volume_rule(coords[k], domain_mixed)
         assert np.array_equal(rule.points, volume.points[volume.owner == k])
         assert np.array_equal(rule.weights, volume.weights[volume.owner == k])
-        rd, rn = cut_boundary_rule(coords[k], domain_mixed)
-        mine = boundary.select(boundary.owner == i)
-        assert np.array_equal(np.vstack([rd.points, rn.points]), mine.points)
-        assert np.array_equal(np.r_[rd.weights, rn.weights], mine.weights)
-        assert np.array_equal(np.vstack([rd.normals, rn.normals]), mine.normals)
-        assert np.array_equal(mine.dirichlet, np.arange(len(mine.weights)) < len(rd.weights))
+        for one, part in zip(cut_boundary_rule(coords[k], domain_mixed), boundary):
+            mine = part.select(part.owner == i)
+            assert np.array_equal(one.points, mine.points)
+            assert np.array_equal(one.weights, mine.weights)
+            assert np.array_equal(one.normals, mine.normals)
+            assert np.array_equal(one.owner, np.zeros_like(mine.owner))
 
 
 @pytest.mark.parametrize("shift_index", [None, 3, 7, 13])

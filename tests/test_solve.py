@@ -42,10 +42,15 @@ def wrap(K, b):
 
 
 def test_zero_load_gives_zero_solution():
+    """A zero load takes the factored solve, and its low-rank update stays zero too."""
     K = np.diag([2.0, 3.0, 4.0])
     report = solve_standard(wrap(K, np.zeros(3)), FakeDofmap(3))
     assert np.all(report.solution.coefficients == 0.0)
-    assert report.residual == 0.0
+    assert report.residual == 0.0 and report.method == "splu"
+    K[0, 1] = K[1, 0] = 0.5
+    update = solve_regularized(wrap(K, np.zeros(3)), FakeDofmap(3), report)
+    assert np.all(update.solution.coefficients == 0.0)
+    assert update.residual == 0.0 and update.method == "lowrank"
 
 
 def test_hand_three_by_three_system():

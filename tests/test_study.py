@@ -25,7 +25,7 @@ from cutpoisson.study import (
     verify_cutoff_lemma,
     verify_inequalities,
 )
-from tests.conftest import cell_geometry, packed_volume_rule
+from tests.conftest import cell_geometry, packed_boundary_rule, packed_volume_rule
 
 
 def test_smooth_problem_reference_values(domain_mixed):
@@ -159,7 +159,7 @@ def test_zero_data_zero_errors(domain_mixed):
     trivial = ManufacturedProblem(
         domain_mixed, zero, zero_grad, zero, zero, zero, 2.0, (), "zero"
     )
-    report = run_convergence(trivial, [8, 16], validate=False)
+    report = run_convergence(trivial, [8, 16])
     for level in report.levels:
         assert level.energy == pytest.approx(0.0, abs=1e-13)
         assert level.l2 == pytest.approx(0.0, abs=1e-13)
@@ -280,7 +280,7 @@ def _inequality_oracles(dofmap, rules, params):
     c_flux = scipy.linalg.eigh(F, B, eigvals_only=True)[-1]
 
     c_trace = 0.0
-    bnd = rules.boundary
+    bnd = packed_boundary_rule(rules)
     for t, (c, _, area) in enumerate(cells):
         trace = np.zeros((3, 3))
         for x, w in zip(bnd.points[bnd.owner == t], bnd.weights[bnd.owner == t]):
@@ -313,7 +313,7 @@ def _sampled_constants(dofmap, rules, params, trials=20, seed=20260810):
     S = assemble_ghost_penalty(dofmap, rules, params)
     coords, grads, dofs = cell_geometry(dofmap)
     areas = _tri_area(coords)
-    bnd, rule_d = rules.boundary, rules.dirichlet
+    bnd, rule_d = packed_boundary_rule(rules), rules.dirichlet
     near = _dirichlet_cells(dofmap, rules)
     lam = _barycentric(coords[bnd.owner], bnd.points)
     p1_mass = np.ones((3, 3)) + np.eye(3)
@@ -551,7 +551,7 @@ def test_box_inside_disk_is_all_inside():
     covering = LevelSetDomain((0.5, 0.5), 10.0, ((0.0, 2 * math.pi),))
     dofmap, params, rules = discretize(covering, 4, box=(0.0, 0.0, 1.0, 1.0))
     assert packed_volume_rule(rules).weights.sum() == pytest.approx(1.0, rel=1e-14)
-    assert len(rules.boundary.weights) == 0
+    assert len(rules.dirichlet.weights) == len(rules.neumann.weights) == 0
 
 
 def test_disk_that_misses_the_grid_is_rejected():
