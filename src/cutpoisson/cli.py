@@ -46,6 +46,7 @@ _STUDY_KINDS = {
     "condition_sweep",
 }
 _SINGLE_LEVEL_KINDS = {"regularization", "inequalities", "condition_sweep"}
+_LEMMA_RATIOS = [10.0, 100.0, 1000.0]  # the default ``study.ratios`` of ``cutoff_lemma``
 
 
 def _check_keys(name, obj, allowed):
@@ -103,8 +104,10 @@ def load_config(path):
     _check_keys("params.epsilon_rule", p["epsilon_rule"], {"kind", "c", "value"})
     if p["epsilon_rule"].get("kind") not in ("fixed", "c_h2"):
         raise ConfigError("params.epsilon_rule.kind must be 'fixed' or 'c_h2'")
-    if cfg["geometry"]["radius"] <= 0.0:
-        raise ConfigError("geometry.radius must be positive")
+    try:
+        build_domain(cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"geometry: {exc}") from exc
     if cfg["study"]["kind"] not in _STUDY_KINDS:
         raise ConfigError(
             f"study.kind must be one of {sorted(_STUDY_KINDS)}, got {cfg['study']['kind']!r}"
@@ -112,6 +115,15 @@ def load_config(path):
     if cfg["problem"]["kind"] not in ("smooth", "singular"):
         raise ConfigError(
             "problem.kind must be 'smooth' or 'singular' (custom data requires the library API)"
+        )
+    ratios = cfg["study"].get("ratios", _LEMMA_RATIOS)
+    if not (
+        isinstance(ratios, list)
+        and ratios
+        and all(type(r) in (int, float) and 0.0 < r < math.inf for r in ratios)
+    ):
+        raise ConfigError(
+            f"study.ratios must be a non-empty list of positive finite numbers, got {ratios!r}"
         )
     levels = cfg["mesh"]["levels"]
     if (
@@ -165,7 +177,7 @@ def load_config(path):
 def build_domain(cfg):
     g = cfg["geometry"]
     return LevelSetDomain(
-        tuple(g["center"]), float(g["radius"]), tuple(tuple(a) for a in g["dirichlet_arcs"])
+        tuple(g["center"]), g["radius"], tuple(tuple(a) for a in g["dirichlet_arcs"])
     )
 
 
@@ -256,7 +268,7 @@ def _run_study(cfg):
         return "inequalities.csv", header, rows, {}
 
     if kind == "cutoff_lemma":
-        ratios = [float(r) for r in cfg["study"].get("ratios", [10.0, 100.0, 1000.0])]
+        ratios = [float(r) for r in cfg["study"].get("ratios", _LEMMA_RATIOS)]
         report = study_mod.verify_cutoff_lemma(domain, ratios)
         header = ["ratio", "delta", "epsilon", "integral", "log_bound", "quotient"]
         rows = [
@@ -300,12 +312,12 @@ def run(config_path, out_dir=None, quiet=False):
         return 2
     out = Path(out_dir if out_dir is not None else cfg["output"])
     try:
-        out.mkdir(parents=True, exist_ok=True)
         csv_name, header, rows, summary = _run_study(cfg)
+        out.mkdir(parents=True, exist_ok=True)  # only now, so a failed study leaves no directory
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # any other failure (solver, quadrature): report it and exit 1
+    except Exception as exc:  # any other failure (solver, quadrature, output): exit 1
         print(f"error: study failed: {exc}", file=sys.stderr)
         return 1
     _write_csv(out / csv_name, header, rows)

@@ -13,20 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """Raised when an adaptive integral does not reach the requested tolerance."""
-
-    def __init__(self, message, achieved, estimate):
-        super().__init__(f"{message} (achieved rel. change {achieved:.3e})")
-        self.achieved = achieved
-        self.estimate = estimate
 
 
 def _wrap(theta):
@@ -71,9 +63,12 @@ class LevelSetDomain:
     dirichlet_arcs: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        center = np.asarray(self.center)
+        if center.shape != (2,) or center.dtype.kind not in "iuf" or not np.isfinite(center).all():
+            raise ValueError(f"center must be two finite numbers, got {self.center!r}")
+        if not (isinstance(self.radius, numbers.Real) and 0.0 < self.radius < math.inf):
+            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
+        object.__setattr__(self, "center", (float(center[0]), float(center[1])))
         arcs = _normalize_arcs(self.dirichlet_arcs)
         object.__setattr__(self, "dirichlet_arcs", arcs)
 
@@ -375,8 +370,6 @@ def _geometric_breaks(delta, epsilon):
 
 
 _MODEL_ORDER = 16  # Gauss order per panel of ``log_model_integral``
-_MAX_DOUBLINGS = 6  # order doublings of ``cutoff_conormal_integral`` before it gives up
-_CONORMAL_RTOL = 1e-6  # relative change of ``cutoff_conormal_integral`` under a doubling
 
 
 def log_model_integral(delta, epsilon):
@@ -388,52 +381,50 @@ def log_model_integral(delta, epsilon):
 def cutoff_conormal_integral(domain, params, z):
     """Integral of the squared conormal derivative of the cutoff over the wedge at ``z``.
 
-    The wedge fiber at depth t extends an arc length of t + epsilon into the
-    Neumann side of the junction ``z``; the integral is evaluated by tensor
-    quadrature (adaptive panels in depth, Gauss along the fiber) until one
-    doubling of the orders changes it by at most ``_CONORMAL_RTOL``.
+    The wedge fiber at depth t runs an arc length a in [0, gamma], gamma =
+    t + epsilon, into the Neumann side of the junction ``z``.  There the
+    conormal derivative is w(t/delta) m'(q) R / ((R - t) gamma), with q the
+    distance to the nearest junction over gamma, and the area element is
+    (1 - t/R) da dt, so
+
+        I = int_0^delta w(t/delta)^2 R / ((R - t) gamma^2) J(gamma) dt,
+
+    where J(gamma) = int m'(q)^2 da along the fiber is exact: with
+    F(x) = 36 (x^3/3 - x^4/2 + x^5/5), F(1) = 6/5, and L the length of the
+    Neumann arc that starts at ``z``, J = gamma F(min(1, L / 2 gamma)), plus
+    gamma (F(L / 2 gamma) - F(max(L - gamma, 0) / gamma)) once gamma > L/2,
+    where the other end of the arc is the nearest junction; past L the fiber
+    is Dirichlet and adds nothing.  The depth integral takes the Gauss panels
+    of ``log_model_integral``, with breaks where gamma = L/2 and gamma = L.
+    Valid while delta + epsilon stays within L and the Dirichlet arc after
+    it; a fiber that laps into the next Neumann arc raises ``ValueError``.
     """
     z = np.asarray(z, dtype=float)
-    epsilon = params.epsilon
+    delta, epsilon, R = params.delta, params.epsilon, domain.radius
     junctions = domain.junction_angles
     if junctions.size == 0:
         raise ValueError("domain has no boundary-condition junctions")
     _, nearest = _nearest_junction_offset(boundary_angle(domain, z), junctions)
     theta_z = junctions[nearest[0]]
-    if np.linalg.norm(z - domain.boundary_point(theta_z)) > 1e-8 * domain.radius:
+    if np.linalg.norm(z - domain.boundary_point(theta_z)) > 1e-8 * R:
         raise ValueError("z is not a junction point of the boundary partition")
-    side = _neumann_side(domain, theta_z)
+    # Arc lengths to the next two junctions, walking from z into the Neumann side.
+    ahead = np.sort(_wrap(_neumann_side(domain, theta_z) * (junctions - theta_z)))
+    L, lap = (R * np.append(ahead[1:], TWO_PI)[:2]).tolist()
+    if delta + epsilon > lap * (1.0 + 1e-12):  # rounding: a wedge may end at the next junction
+        raise ValueError(
+            f"delta + epsilon = {delta + epsilon!r} exceeds {lap!r}, the Neumann arc at z and "
+            "the Dirichlet arc after it: the wedge would lap into the next Neumann arc"
+        )
 
-    R = domain.radius
-    c = domain.center_array
+    def F(x):
+        return 36.0 * x**3 * (1.0 / 3.0 - x / 2.0 + x * x / 5.0)
 
-    def fiber_integral(t_values, order_a):
-        nodes, weights = _gauss(order_a)
-        out = np.zeros_like(t_values)
-        for i, t in enumerate(t_values):
-            gamma = t + epsilon
-            a = 0.5 * gamma * (nodes + 1.0)
-            w_a = 0.5 * gamma * weights
-            psi = theta_z + side * a / R
-            pts = c + (R - t) * np.column_stack([np.cos(psi), np.sin(psi)])
-            grad = cutoff_gradient(domain, params, pts)
-            tang = np.column_stack([-np.sin(psi), np.cos(psi)])
-            conormal = np.sum(grad * tang, axis=1)
-            # Area element of the (depth, arc) parameterization.
-            out[i] = np.sum(w_a * conormal**2) * (1.0 - t / R)
-        return out
+    def integrand(t):
+        gamma = t + epsilon
+        half = np.minimum(L / (2.0 * gamma), 1.0)
+        fiber = np.where(half < 1.0, 2.0 * F(half) - F(np.maximum(L - gamma, 0.0) / gamma), F(half))
+        return _smoothstep_down(t / delta) ** 2 * R / ((R - t) * gamma) * fiber
 
-    breaks = _geometric_breaks(params.delta, epsilon)
-    order_t, order_a = 16, 12
-    value = _panel_gauss(lambda t: fiber_integral(t, order_a), breaks, order_t)
-    for _ in range(_MAX_DOUBLINGS):
-        order_t *= 2
-        order_a *= 2
-        refined = _panel_gauss(lambda t: fiber_integral(t, order_a), breaks, order_t)
-        change = abs(refined - value) / max(abs(refined), 1e-300)
-        value = refined
-        if change <= _CONORMAL_RTOL:
-            return value
-    raise QuadratureConvergenceError(
-        "conormal cutoff integral did not converge", change, value
-    )
+    kinks = [b for b in (L / 2.0 - epsilon, L - epsilon) if 0.0 < b < delta]
+    return _panel_gauss(integrand, np.union1d(_geometric_breaks(delta, epsilon), kinks), _MODEL_ORDER)

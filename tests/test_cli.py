@@ -317,3 +317,56 @@ def test_malformed_box_rejected(tmp_path, box):
     cfg = write_config(tmp_path, {"mesh": {"box": box}})
     with pytest.raises(ConfigError, match="mesh.box"):
         load_config(str(cfg))
+
+
+LEMMA = {"geometry": {"dirichlet_arcs": [[0.0, math.pi]]}, "study": {"kind": "cutoff_lemma"}}
+
+
+def test_cutoff_lemma_with_a_wedge_wider_than_the_neumann_arc(tmp_path):
+    """At ratio 0.06 the wedge (0.21 + 3.5) runs past the whole Neumann arc (2.2)."""
+    cfg = write_config(tmp_path, {**LEMMA, "study": {"kind": "cutoff_lemma", "ratios": [0.06, 10]}})
+    assert run(str(cfg), out_dir=str(tmp_path / "o"), quiet=True) == 0
+    lines = (tmp_path / "o" / "cutoff_lemma.csv").read_text().strip().split("\n")
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.059999999999999998", "10"]
+
+
+@pytest.mark.parametrize(
+    "geometry, ratios, message",
+    [
+        ({"center": [math.nan, 0.0]}, [10], "geometry: center"),
+        ({"center": [0.0, 0.0, 0.0]}, [10], "geometry: center"),
+        ({"radius": math.inf}, [10], "geometry: radius"),
+        ({"radius": "0.7"}, [10], "geometry: radius"),
+        ({}, [], "study.ratios"),
+        ({}, "10", "study.ratios"),
+        ({}, [math.nan], "study.ratios"),
+        ({}, [True], "study.ratios"),
+        ({}, [10, -1], "study.ratios"),
+        # valid fields, but the wedge at 2.5 laps from its Neumann arc into the next one
+        ({"dirichlet_arcs": [[0.3, 1.2], [2.5, 4.0]]}, [0.12], "1.96 exceeds 1.54"),
+    ],
+)
+def test_rejected_config_exits_2_and_leaves_no_output_directory(
+    tmp_path, capsys, geometry, ratios, message
+):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        {
+            "geometry": {**LEMMA["geometry"], **geometry},
+            "study": {"kind": "cutoff_lemma", "ratios": ratios},
+            "output": str(out),
+        },
+    )
+    assert run(str(cfg), quiet=True) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_output_path_that_is_a_file_fails_once_the_study_is_done(tmp_path, capsys):
+    blocker = tmp_path / "out"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, LEMMA)
+    assert run(str(cfg), out_dir=str(blocker), quiet=True) == 1
+    assert "File exists" in capsys.readouterr().err
+    assert blocker.is_file()

@@ -253,6 +253,85 @@ def test_conormal_integral_doubling_follows_model(domain_unit_mixed):
     assert abs(i2 / i1 - model) <= 0.3 * model
 
 
+MIXED = LevelSetDomain((0.0, 0.0), 0.7, ((0.0, math.pi),))
+TWO_ARCS = LevelSetDomain((0.0, 0.0), 0.7, ((0.3, 1.2), (2.5, 4.0)))
+# Neumann arc length into which each junction's wedge runs, from the arc layouts above.
+NEUMANN_LENGTH = {
+    "mixed": [0.7 * math.pi] * 2,
+    "two_arcs": [0.7 * a for a in (2.0 * math.pi - 3.7, 1.3, 1.3, 2.0 * math.pi - 3.7)],
+}
+
+
+def conormal_oracle(domain, params, junction, L):
+    """Tensor Gauss rule for the conormal integral over ``cutoff_gradient``.
+
+    Depth panels are dyadic from epsilon / 4 with breaks where the fiber end
+    t + epsilon reaches L/2 and L; along the fiber a in [0, min(gamma, L/2)]
+    (the wedge of ``junction``) and a in [max(L/2, L - gamma), min(gamma, L)]
+    (the wedge of the arc's far junction) take 6 Gauss points each, exact for
+    the quartic m'(q)^2, and the Dirichlet part past L adds nothing.
+    """
+    R, delta, eps = domain.radius, params.delta, params.epsilon
+    theta = domain.junction_angles[junction]
+    side = -1.0 if is_dirichlet_angle(domain, theta) else 1.0
+    dyadic = [eps * 2.0**k for k in range(-2, 60) if eps * 2.0**k < delta]
+    kinks = [b for b in (L / 2.0 - eps, L - eps) if 0.0 < b < delta]
+    breaks = np.unique([0.0, delta, *dyadic, *kinks])
+    xt, wt = np.polynomial.legendre.leggauss(20)
+    mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * np.diff(breaks)
+    t = (mid[:, None] + half[:, None] * xt).ravel()
+    w_t = (half[:, None] * wt).ravel()
+    gamma = t + eps
+    lo = np.stack([np.zeros_like(t), np.maximum(L / 2.0, L - gamma)], axis=1)
+    hi = np.stack([np.minimum(gamma, L / 2.0), np.minimum(gamma, L)], axis=1)
+    hi = np.maximum(hi, lo)  # an empty piece
+    xa, wa = np.polynomial.legendre.leggauss(6)
+    a = 0.5 * (lo + hi)[..., None] + 0.5 * (hi - lo)[..., None] * xa
+    weight = (w_t * (1.0 - t / R))[:, None, None] * 0.5 * (hi - lo)[..., None] * wa
+    psi = theta + side * a / R
+    radius = (R - t)[:, None, None]
+    pts = domain.center_array + np.stack([radius * np.cos(psi), radius * np.sin(psi)], axis=-1)
+    grad = cutoff_gradient(domain, params, pts.reshape(-1, 2)).reshape(pts.shape)
+    conormal = grad[..., 1] * np.cos(psi) - grad[..., 0] * np.sin(psi)
+    return float(np.sum(weight * conormal**2))
+
+
+@pytest.mark.parametrize(
+    "name, domain, ratios",
+    [
+        ("mixed", MIXED, (0.06, 0.12, 0.5, 1.0, 10.0, 1000.0)),
+        ("two_arcs", TWO_ARCS, (0.5, 1.0, 10.0, 1000.0)),
+    ],
+)
+def test_conormal_integral_matches_tensor_gauss_oracle(name, domain, ratios):
+    """Agreement to 1e-12 at every junction, also where the wedge passes L/2 and L."""
+    delta = 0.3 * domain.radius
+    for ratio in ratios:
+        params = TubeParams(delta, delta / ratio)
+        for j, (z, L) in enumerate(zip(domain.junction_points, NEUMANN_LENGTH[name])):
+            value = cutoff_conormal_integral(domain, params, z)
+            assert value == pytest.approx(conormal_oracle(domain, params, j, L), rel=1e-12)
+
+
+def test_conormal_integral_where_the_nearest_junction_switches():
+    """Ratio 0.5 on the two-arc disk: the wedge at 1.2 passes the middle of the 0.91 arc."""
+    params = TubeParams(0.21, 0.42)
+    value = cutoff_conormal_integral(TWO_ARCS, params, TWO_ARCS.junction_points[1])
+    assert value == pytest.approx(0.2196877674555, rel=1e-12)
+    # the wedge at 4.0 passes the middle and the end of its 1.81 arc at ratio 0.12
+    wide = TubeParams(0.21, 0.21 / 0.12)
+    value = cutoff_conormal_integral(TWO_ARCS, wide, TWO_ARCS.junction_points[3])
+    oracle = conormal_oracle(TWO_ARCS, wide, 3, NEUMANN_LENGTH["two_arcs"][3])
+    assert value == pytest.approx(oracle, rel=1e-12)
+
+
+def test_conormal_integral_rejects_a_wedge_that_laps_into_the_next_neumann_arc():
+    """From 2.5 the Neumann arc (0.91) and the Dirichlet arc after it (0.63) end at 1.54."""
+    params = TubeParams(0.21, 0.21 / 0.12)
+    with pytest.raises(ValueError, match=r"delta \+ epsilon = 1\.96 exceeds 1\.54"):
+        cutoff_conormal_integral(TWO_ARCS, params, TWO_ARCS.junction_points[2])
+
+
 def test_log_model_integral_matches_closed_form():
     for ratio in (10.0, 100.0, 1000.0):
         delta = 0.3
@@ -264,6 +343,23 @@ def test_tube_params_validation():
     for delta, epsilon in ((0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, -0.1)):
         with pytest.raises(ValueError, match="must be positive"):
             TubeParams(delta, epsilon)
+
+
+@pytest.mark.parametrize(
+    "center, radius, message",
+    [
+        ((math.nan, 0.0), 1.0, "center must be two finite numbers"),
+        ((0.0, math.inf), 1.0, "center must be two finite numbers"),
+        ((0.0, 0.0, 0.0), 1.0, "center must be two finite numbers"),
+        (("0", "0"), 1.0, "center must be two finite numbers"),
+        ((0.0, 0.0), math.inf, "radius must be positive and finite"),
+        ((0.0, 0.0), math.nan, "radius must be positive and finite"),
+        ((0.0, 0.0), 0.0, "radius must be positive and finite"),
+    ],
+)
+def test_level_set_domain_rejects_a_malformed_disk(center, radius, message):
+    with pytest.raises(ValueError, match=message):
+        LevelSetDomain(center, radius)
 
 
 def test_collar_admits_widths_up_to_three_quarters_of_the_radius():

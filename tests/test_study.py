@@ -11,6 +11,7 @@ from cutpoisson.geometry import boundary_angle, is_dirichlet_angle
 from cutpoisson.mesh import cell_diagonal
 from cutpoisson.study import (
     DEFAULT_BOX,
+    ManufacturedProblem,
     _dirichlet_cells,
     convergence_level,
     discretize,
@@ -559,3 +560,17 @@ def test_disk_that_misses_the_grid_is_rejected():
     message = r"center \(5\.0, 5\.0\), radius 0\.5\) misses the mesh extent \(-1\.0, -1\.0, 1\.0, 1\.0\)"
     with pytest.raises(ValueError, match=message):
         discretize(far, 8)
+
+
+def test_validate_problem_rejects_nan_data_in_bounded_time(domain_mixed):
+    """Every sample is NaN: the fixed sample set fails the PDE check instead of redrawing."""
+
+    def nan(pts):
+        return np.full(np.shape(pts)[:-1], np.nan)
+
+    def nan_grad(pts):
+        return np.full(np.shape(pts), np.nan)
+
+    problem = ManufacturedProblem(domain_mixed, nan, nan_grad, nan, nan, nan, 1.0)
+    with pytest.raises(ValueError, match="PDE residual check failed: nan"):
+        validate_problem(problem)
