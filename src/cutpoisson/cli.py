@@ -30,122 +30,107 @@ class ConfigError(ValueError):
     pass
 
 
-_SECTIONS = {
-    "geometry": {"center", "radius", "dirichlet_arcs"},
-    "mesh": {"box", "levels", "shift_sweep_count"},
-    "params": {"beta", "sigma", "epsilon_rule"},
-    "problem": {"kind", "junction_index"},
-    "study": {"kind", "ratios"},
-}
-_TOP_LEVEL = set(_SECTIONS) | {"output", "quadrature_tol"}
-_STUDY_KINDS = {
-    "convergence",
-    "regularization",
-    "inequalities",
-    "cutoff_lemma",
-    "condition_sweep",
+def _real(low, strict):
+    """A finite number, never a bool, above ``low`` if ``strict`` and else at least ``low``."""
+    bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+
+    def check(v):  # abs(v) <= max rejects NaN, the infinities and an int too large for a float
+        ok = type(v) in (int, float) and abs(v) <= sys.float_info.max
+        return float(v) if ok and (v > low if strict else v >= low) else None
+
+    return f"a finite number{bound}", check
+
+
+def _int(low):
+    """An integer, never a bool, of at least ``low``."""
+    return f"an integer >= {low}", lambda v: v if type(v) is int and v >= low else None
+
+
+def _list(item, length):
+    """A list of ``length`` items, or a non-empty one if ``length`` is None, each one ``item``."""
+    text, convert = item
+
+    def check(v):
+        if isinstance(v, list) and (len(v) == length if length else v):
+            items = [convert(x) for x in v]
+            return None if None in items else items
+
+    return f"{'a non-empty list' if length is None else f'a list of {length}'}, each {text}", check
+
+
+def _one_of(*names):
+    return f"one of {', '.join(map(repr, names))}", lambda v: v if v in names else None
+
+
+_STUDY_KINDS = ("convergence", "regularization", "inequalities", "cutoff_lemma", "condition_sweep")
+_POSITIVE = _real(0.0, strict=True)
+_FINITE = _real(-math.inf, strict=True)
+_ARCS = ("a list of [start, end] pairs", lambda v: v if isinstance(v, list) else None)
+_TEXT = ("a non-empty string", lambda v: v if v and isinstance(v, str) else None)
+# Each field of a config: its default (None: it has none) and its check, a description and a
+# function that returns the typed value, or None when the value does not pass.  The domain
+# checks each of the arcs.
+_FIELDS = {
+    "geometry.center": ([0.0, 0.0], _list(_FINITE, 2)),
+    "geometry.radius": (0.7, _POSITIVE),
+    "geometry.dirichlet_arcs": ([[0.0, 2.0 * math.pi]], _ARCS),
+    "mesh.box": ([-1.0, -1.0, 1.0, 1.0], _list(_FINITE, 4)),
+    "mesh.levels": ([8, 16, 32, 64], _list(_int(1), None)),
+    "mesh.shift_sweep_count": (20, _int(1)),
+    "params.beta": (10.0, _POSITIVE),
+    "params.sigma": (0.1, _real(0.0, strict=False)),
+    "params.epsilon_rule.kind": ("c_h2", _one_of("c_h2", "fixed")),
+    "params.epsilon_rule.c": (0.1, _POSITIVE),
+    "params.epsilon_rule.value": (None, _POSITIVE),
+    "problem.kind": ("smooth", _one_of("smooth", "singular")),
+    "problem.junction_index": (0, _int(0)),
+    "study.kind": ("convergence", _one_of(*_STUDY_KINDS)),
+    "study.ratios": ([10.0, 100.0, 1000.0], _list(_POSITIVE, None)),
+    "output": ("results", _TEXT),
+    "quadrature_tol": (1e-10, _real(MIN_TOL, strict=False)),
 }
 _SINGLE_LEVEL_KINDS = {"regularization", "inequalities", "condition_sweep"}
-_LEMMA_RATIOS = [10.0, 100.0, 1000.0]  # the default ``study.ratios`` of ``cutoff_lemma``
 
 
-def _check_keys(name, obj, allowed):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"section '{name}' must be an object")
-    unknown = sorted(set(obj) - allowed)
+def _walk(raw, path):
+    """The object ``raw`` at ``path`` checked against ``_FIELDS``, typed, defaults filled in."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path[:-1] or 'config root'} must be an object, got {raw!r}")
+    names = dict.fromkeys(f[len(path) :].split(".")[0] for f in _FIELDS if f.startswith(path))
+    unknown = sorted(set(raw) - set(names))
     if unknown:
-        raise ConfigError(f"unknown field '{name}.{unknown[0]}'")
+        raise ConfigError(f"unknown field '{path}{unknown[0]}'")
+    cfg = {}
+    for name in names:
+        field = path + name
+        if field not in _FIELDS:
+            cfg[name] = _walk(raw.get(name, {}), field + ".")
+        elif name in raw or _FIELDS[field][0] is not None:
+            default, (text, check) = _FIELDS[field]
+            cfg[name] = check(raw.get(name, default))
+            if cfg[name] is None:
+                raise ConfigError(f"{field} must be {text}, got {raw[name]!r}")
+    return cfg
 
 
 def load_config(path):
-    """Parse and validate a config file; raises ConfigError naming bad fields."""
+    """Parse a config file and check each field, then the fields together; raises ConfigError."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    unknown = sorted(set(raw) - _TOP_LEVEL)
-    if unknown:
-        raise ConfigError(f"unknown field '{unknown[0]}'")
-    for section, allowed in _SECTIONS.items():
-        if section in raw:
-            _check_keys(section, raw[section], allowed)
-
-    cfg = {
-        "geometry": {
-            "center": [0.0, 0.0],
-            "radius": 0.7,
-            "dirichlet_arcs": [[0.0, 2.0 * math.pi]],
-        },
-        "mesh": {"box": [-1.0, -1.0, 1.0, 1.0], "levels": [8, 16, 32, 64], "shift_sweep_count": 20},
-        "params": {
-            "beta": 10.0,
-            "sigma": 0.1,
-            "epsilon_rule": {"kind": "c_h2", "c": 0.1},
-        },
-        "problem": {"kind": "smooth"},
-        "study": {"kind": "convergence"},
-        "output": "results",
-        "quadrature_tol": 1e-10,
-    }
-    for section in _SECTIONS:
-        cfg[section].update(raw.get(section, {}))
-    for key in ("output", "quadrature_tol"):
-        if key in raw:
-            cfg[key] = raw[key]
-
-    p = cfg["params"]
-    beta, sigma = p["beta"], p["sigma"]
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0.0):
-        raise ConfigError(f"params.beta must be positive and finite, got {beta}")
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma >= 0.0):
-        raise ConfigError(f"params.sigma must be nonnegative and finite, got {sigma}")
-    _check_keys("params.epsilon_rule", p["epsilon_rule"], {"kind", "c", "value"})
-    if p["epsilon_rule"].get("kind") not in ("fixed", "c_h2"):
-        raise ConfigError("params.epsilon_rule.kind must be 'fixed' or 'c_h2'")
-    try:
-        build_domain(cfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"geometry: {exc}") from exc
-    if cfg["study"]["kind"] not in _STUDY_KINDS:
-        raise ConfigError(
-            f"study.kind must be one of {sorted(_STUDY_KINDS)}, got {cfg['study']['kind']!r}"
-        )
-    if cfg["problem"]["kind"] not in ("smooth", "singular"):
-        raise ConfigError(
-            "problem.kind must be 'smooth' or 'singular' (custom data requires the library API)"
-        )
-    ratios = cfg["study"].get("ratios", _LEMMA_RATIOS)
-    if not (
-        isinstance(ratios, list)
-        and ratios
-        and all(type(r) in (int, float) and 0.0 < r < math.inf for r in ratios)
-    ):
-        raise ConfigError(
-            f"study.ratios must be a non-empty list of positive finite numbers, got {ratios!r}"
-        )
-    levels = cfg["mesh"]["levels"]
-    if (
-        not isinstance(levels, list)
-        or not levels
-        or any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in levels)
-    ):
-        raise ConfigError(f"mesh.levels must be a list of positive integers, got {levels!r}")
-    kind = cfg["study"]["kind"]
+    cfg = _walk(raw, "")
+    kind, levels = cfg["study"]["kind"], cfg["mesh"]["levels"]
     if kind in _SINGLE_LEVEL_KINDS and len(levels) > 1:
         raise ConfigError(
             f"study.kind {kind!r} runs on one mesh level, but mesh.levels is {levels!r} "
             "(the default when omitted); give a single level"
         )
+    rule = cfg["params"]["epsilon_rule"]
+    if rule["kind"] == "fixed" and "value" not in rule:
+        raise ConfigError("params.epsilon_rule.value is required by the 'fixed' rule")
     box = cfg["mesh"]["box"]
-    if (
-        not isinstance(box, list)
-        or len(box) != 4
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in box)
-    ):
-        raise ConfigError(f"mesh.box must be a list of four numbers [x0, y0, x1, y1], got {box!r}")
-    x0, y0, x1, y1 = (float(v) for v in box)
+    x0, y0, x1, y1 = box
     if not (x1 > x0 and y1 > y0):
         raise ConfigError(f"mesh.box {box} must have x0 < x1 and y0 < y1")
     try:
@@ -157,50 +142,50 @@ def load_config(path):
             f"shape-regular limit of about 4.3 ({exc})"
         ) from exc
     g = cfg["geometry"]
+    disk = "geometry.center and geometry.radius: the disk "
+    disk += f"(center {g['center']}, radius {g['radius']})"
     if circle_meets_box_edge(g["center"], g["radius"], box):
         raise ConfigError(
-            f"geometry: the boundary circle (center {g['center']}, radius {g['radius']}) meets "
-            f"the edge of mesh.box {box}: the solve would cover a truncated domain"
+            f"{disk}: its boundary circle meets the edge of mesh.box {box}, so the solve would "
+            "cover a truncated domain"
         )
     if box_gap(g["center"], box) > g["radius"]:
+        raise ConfigError(f"{disk} misses mesh.box {box}: no cell meets the domain")
+    try:
+        junctions = len(build_domain(cfg).junction_angles)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"geometry.dirichlet_arcs: {exc}") from exc
+    index = cfg["problem"]["junction_index"]
+    if cfg["problem"]["kind"] == "singular" and not index < junctions:
         raise ConfigError(
-            f"geometry: the disk (center {g['center']}, radius {g['radius']}) misses "
-            f"mesh.box {box}: no cell meets the domain"
-        )
-    if not cfg["quadrature_tol"] >= MIN_TOL:
-        raise ConfigError(
-            f"quadrature_tol must be at least {MIN_TOL:g}, got {cfg['quadrature_tol']}"
+            f"problem.junction_index {index} must be below {junctions}, the number of "
+            "junctions of geometry.dirichlet_arcs"
         )
     return cfg
 
 
 def build_domain(cfg):
     g = cfg["geometry"]
-    return LevelSetDomain(
-        tuple(g["center"]), g["radius"], tuple(tuple(a) for a in g["dirichlet_arcs"])
-    )
+    return LevelSetDomain(tuple(g["center"]), g["radius"], g["dirichlet_arcs"])
 
 
 def build_problem(cfg, domain):
-    kind = cfg["problem"]["kind"]
-    if kind == "smooth":
+    if cfg["problem"]["kind"] == "smooth":
         return study_mod.manufactured_smooth(domain)
-    return study_mod.manufactured_singular(domain, int(cfg["problem"].get("junction_index", 0)))
+    return study_mod.manufactured_singular(domain, cfg["problem"]["junction_index"])
 
 
-def _epsilon_values(cfg, domain, h):
-    """The regularization study's epsilons 0, e, 2e, 4e, with e = value or c h^2.
+def _epsilon_values(cfg):
+    """The regularization study's epsilons 0, e, 2e, 4e, with e = value or c h^2 on its level.
 
     4e must stay within the admissible ``COLLAR * R``; this is checked before any work.
     """
     rule = cfg["params"]["epsilon_rule"]
-    if rule["kind"] == "fixed":
-        field, value, scale, term = "value", float(rule.get("value", 0.0)), 1.0, "value"
-    else:
-        field, value, scale, term = "c", float(rule.get("c", 0.1)), h * h, "c * h^2"
-    if value <= 0.0:
-        raise ConfigError(f"params.epsilon_rule.{field} must be positive for {rule['kind']!r}")
-    base, limit = value * scale, COLLAR * domain.radius
+    h = cell_diagonal(cfg["mesh"]["box"], cfg["mesh"]["levels"][0])
+    fixed = rule["kind"] == "fixed"
+    field, scale, term = ("value", 1.0, "value") if fixed else ("c", h * h, "c * h^2")
+    value = rule[field]
+    base, limit = value * scale, COLLAR * cfg["geometry"]["radius"]
     if not 4.0 * base <= limit:
         raise ConfigError(
             f"params.epsilon_rule.{field} {value!r}: the study's largest epsilon 4 * {term} = "
@@ -220,21 +205,13 @@ def _fmt(value):
     return f"{float(value):.17g}"
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def _run_study(cfg):
     """Execute the configured study; returns (csv_name, header, rows, summary)."""
     domain = build_domain(cfg)
     kind = cfg["study"]["kind"]
     box = tuple(cfg["mesh"]["box"])
-    levels = [int(n) for n in cfg["mesh"]["levels"]]
-    beta = float(cfg["params"]["beta"])
-    sigma = float(cfg["params"]["sigma"])
-    tol = float(cfg["quadrature_tol"])
+    levels = cfg["mesh"]["levels"]
+    beta, sigma, tol = cfg["params"]["beta"], cfg["params"]["sigma"], cfg["quadrature_tol"]
 
     if kind == "convergence":
         problem = build_problem(cfg, domain)
@@ -249,9 +226,8 @@ def _run_study(cfg):
 
     if kind == "regularization":
         problem = build_problem(cfg, domain)
-        n = levels[0]
-        eps_values = _epsilon_values(cfg, domain, cell_diagonal(box, n))
-        report = study_mod.regularization_study(problem, n, eps_values, beta, sigma, box, tol)
+        eps = _epsilon_values(cfg)
+        report = study_mod.regularization_study(problem, levels[0], eps, beta, sigma, box, tol)
         header = ["eps", "gap"]
         rows = list(zip(report.eps_values, report.gaps))
         return "regularization.csv", header, rows, {"slope": report.slope}
@@ -268,8 +244,10 @@ def _run_study(cfg):
         return "inequalities.csv", header, rows, {}
 
     if kind == "cutoff_lemma":
-        ratios = [float(r) for r in cfg["study"].get("ratios", _LEMMA_RATIOS)]
-        report = study_mod.verify_cutoff_lemma(domain, ratios)
+        try:
+            report = study_mod.verify_cutoff_lemma(domain, cfg["study"]["ratios"])
+        except ValueError as exc:  # no junctions, or a wedge that laps into the next Neumann arc
+            raise ConfigError(f"study.ratios on geometry.dirichlet_arcs: {exc}") from exc
         header = ["ratio", "delta", "epsilon", "integral", "log_bound", "quotient"]
         rows = [
             [r.ratio, r.delta, r.epsilon, r.integral, r.log_bound, r.quotient]
@@ -283,8 +261,7 @@ def _run_study(cfg):
         return "cutoff_lemma.csv", header, rows, summary
 
     # condition_sweep
-    n = levels[0]
-    n_shifts = int(cfg["mesh"]["shift_sweep_count"])
+    n, n_shifts = levels[0], cfg["mesh"]["shift_sweep_count"]
     report = study_mod.condition_sweep(domain, n, n_shifts, beta, sigma, box, tol)
     header = [
         "shift_index",
@@ -314,13 +291,14 @@ def run(config_path, out_dir=None, quiet=False):
     try:
         csv_name, header, rows, summary = _run_study(cfg)
         out.mkdir(parents=True, exist_ok=True)  # only now, so a failed study leaves no directory
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # any other failure (solver, quadrature, output): exit 1
         print(f"error: study failed: {exc}", file=sys.stderr)
         return 1
-    _write_csv(out / csv_name, header, rows)
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    (out / csv_name).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     elapsed = time.perf_counter() - t_start
 
     manifest = [

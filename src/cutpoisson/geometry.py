@@ -110,7 +110,15 @@ class LevelSetDomain:
 def _normalize_arcs(arcs):
     """Normalize to sorted (start, span) pairs, merging abutting arcs."""
     items = []
-    for a, b in arcs:
+    for arc in arcs:
+        if not (
+            isinstance(arc, (tuple, list, np.ndarray))
+            and len(arc) == 2
+            and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in arc)
+            and all(map(math.isfinite, arc))
+        ):
+            raise ValueError(f"arc {arc!r} is not a pair of finite numbers [start, end]")
+        a, b = arc
         start = float(_wrap(a))
         span = float(_wrap(b - a))
         if span == 0.0:
@@ -413,8 +421,9 @@ def cutoff_conormal_integral(domain, params, z):
     L, lap = (R * np.append(ahead[1:], TWO_PI)[:2]).tolist()
     if delta + epsilon > lap * (1.0 + 1e-12):  # rounding: a wedge may end at the next junction
         raise ValueError(
-            f"delta + epsilon = {delta + epsilon!r} exceeds {lap!r}, the Neumann arc at z and "
-            "the Dirichlet arc after it: the wedge would lap into the next Neumann arc"
+            f"delta + epsilon = {delta + epsilon!r} exceeds {lap!r}, the Neumann arc at the "
+            f"junction at angle {theta_z:.6g} and the Dirichlet arc after it: the wedge would lap "
+            "into the next Neumann arc"
         )
 
     def F(x):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,6 +108,10 @@ def manufactured_singular(domain, junction_index=0):
     junctions = domain.junction_points
     if len(junctions) == 0:
         raise ValueError("singular problem needs a Dirichlet/Neumann junction")
+    if not (isinstance(junction_index, numbers.Integral) and 0 <= junction_index < len(junctions)):
+        raise ValueError(
+            f"junction_index must be an integer in [0, {len(junctions)}), got {junction_index!r}"
+        )
     z0 = np.asarray(junctions[junction_index], dtype=float)
     direction = (z0 - domain.center_array) / domain.radius
     # The branch ray z0 + t * direction, t > 0, must stay outside the closure
@@ -434,7 +439,8 @@ def verify_cutoff_lemma(domain, ratios):
     model integral is also evaluated numerically and compared with its closed
     form.
     """
-    if len(domain.junction_angles) == 0:
+    junctions = domain.junction_points
+    if len(junctions) == 0:
         raise ValueError("cutoff lemma study needs boundary-condition junctions")
     delta = _LEMMA_DELTA * domain.radius
     rows = []
@@ -444,7 +450,10 @@ def verify_cutoff_lemma(domain, ratios):
             raise ValueError(f"width ratios must be positive and finite, got {ratio!r}")
         eps = delta / ratio
         widths = TubeParams(delta, eps)
-        integral = max(cutoff_conormal_integral(domain, widths, z) for z in domain.junction_points)
+        try:
+            integral = max(cutoff_conormal_integral(domain, widths, z) for z in junctions)
+        except ValueError as exc:  # the wedge laps into the next Neumann arc
+            raise ValueError(f"width ratio {ratio!r}: {exc}") from exc
         bound = math.log1p(ratio)
         rows.append(CutoffLemmaRow(ratio, delta, eps, integral, bound, integral / bound))
         model_err = max(model_err, abs(log_model_integral(delta, eps) - bound))
@@ -561,6 +570,8 @@ def condition_sweep(domain, n=16, n_shifts=20, beta=10.0, sigma=0.1, box=DEFAULT
     """
     if domain.is_pure_neumann:
         raise ValueError("conditioning study needs a Dirichlet part")
+    if not n_shifts >= 1:
+        raise ValueError(f"n_shifts must be at least 1, got {n_shifts!r}")
     rows = []
     for shift in sweep_shifts(box, n, n_shifts):
         dofmap, params, rules = discretize(domain, n, beta, sigma, box, tol, shift)

@@ -1,9 +1,13 @@
+import copy
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from cutpoisson import study
+from cutpoisson import cli
 from cutpoisson.cli import ConfigError, load_config, main, run
 from cutpoisson.geometry import LevelSetDomain
 from cutpoisson.study import condition_sweep
@@ -201,7 +205,7 @@ def test_c_h2_epsilon_checked_against_the_collar_limit_before_any_solve(
             "params.epsilon_rule.c 100.0: the study's largest epsilon 4 * c * h^2 = "
             "0.7812500000000002 exceeds the admissible 0.5249999999999999",
         ),
-        (0.0, "params.epsilon_rule.c must be positive for 'c_h2'"),
+        (0.0, "params.epsilon_rule.c must be a finite number > 0, got 0.0"),
     ):
         rule = {"kind": "c_h2", "c": c}
         config = write_config(tmp_path, {**overrides, "params": {"epsilon_rule": rule}})
@@ -333,17 +337,22 @@ def test_cutoff_lemma_with_a_wedge_wider_than_the_neumann_arc(tmp_path):
 @pytest.mark.parametrize(
     "geometry, ratios, message",
     [
-        ({"center": [math.nan, 0.0]}, [10], "geometry: center"),
-        ({"center": [0.0, 0.0, 0.0]}, [10], "geometry: center"),
-        ({"radius": math.inf}, [10], "geometry: radius"),
-        ({"radius": "0.7"}, [10], "geometry: radius"),
+        ({"center": [math.nan, 0.0]}, [10], "geometry.center"),
+        ({"center": [0.0, 0.0, 0.0]}, [10], "geometry.center"),
+        ({"radius": math.inf}, [10], "geometry.radius"),
+        ({"radius": "0.7"}, [10], "geometry.radius"),
         ({}, [], "study.ratios"),
         ({}, "10", "study.ratios"),
         ({}, [math.nan], "study.ratios"),
         ({}, [True], "study.ratios"),
         ({}, [10, -1], "study.ratios"),
         # valid fields, but the wedge at 2.5 laps from its Neumann arc into the next one
-        ({"dirichlet_arcs": [[0.3, 1.2], [2.5, 4.0]]}, [0.12], "1.96 exceeds 1.54"),
+        (
+            {"dirichlet_arcs": [[0.3, 1.2], [2.5, 4.0]]},
+            [10, 0.12],
+            "study.ratios on geometry.dirichlet_arcs: width ratio 0.12: delta + epsilon = 1.96 "
+            "exceeds 1.54, the Neumann arc at the junction at angle 2.5",
+        ),
     ],
 )
 def test_rejected_config_exits_2_and_leaves_no_output_directory(
@@ -370,3 +379,111 @@ def test_output_path_that_is_a_file_fails_once_the_study_is_done(tmp_path, capsy
     assert run(str(cfg), out_dir=str(blocker), quiet=True) == 1
     assert "File exists" in capsys.readouterr().err
     assert blocker.is_file()
+
+
+def _with(raw, field, value):
+    """A copy of the config ``raw`` with ``field``, a dotted path, set to ``value``."""
+    raw = copy.deepcopy(raw)
+    *sections, name = field.split(".")
+    obj = raw
+    for section in sections:
+        obj = obj.setdefault(section, {})
+    obj[name] = value
+    return raw
+
+
+def _leaves(cfg, path=""):
+    """(field, value) of every field of a loaded config."""
+    for name, value in cfg.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{path}{name}.")
+        else:
+            yield f"{path}{name}", value
+
+
+def _numbers_to(value, number):
+    """``value`` with each number replaced by ``number(x)``; a string becomes ``number(1)``."""
+    if isinstance(value, list):
+        return [_numbers_to(v, number) for v in value]
+    return number(1 if isinstance(value, str) else value)
+
+
+def _mutations(value):
+    yield from (math.nan, math.inf, -math.inf, "text", True, False, None, 10**400)
+    if isinstance(value, list):
+        yield from (value[:-1], value + value[-1:])  # one item short, one too many
+    else:
+        yield [value]
+    yield _numbers_to(value, lambda x: -x if x else -1)
+    yield _numbers_to(value, lambda x: 0 * x)
+
+
+def _load(tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return load_config(path)
+
+
+DEFAULTED = [field for field, (default, _) in cli._FIELDS.items() if default is not None]
+
+
+@pytest.mark.parametrize("field", DEFAULTED)
+def test_each_mutation_of_a_default_field_is_rejected_by_name_or_loads(tmp_path, field):
+    """NaN, the infinities, a string, a bool, null, an int too large for a float, lists of
+    the wrong length, a negative value and zero, in each field of the default config."""
+    default = dict(_leaves(_load(tmp_path, {})))[field]
+    for value in _mutations(default):
+        try:
+            got = dict(_leaves(_load(tmp_path, _with({}, field, value))))[field]
+        except ConfigError as exc:
+            assert field in str(exc), (value, str(exc))
+        else:
+            assert got == value and not isinstance(value, bool), (value, got)
+
+
+TWO_JUNCTIONS = {
+    "geometry": {"dirichlet_arcs": [[0.0, math.pi]]},
+    "mesh": {"levels": [8]},
+    "problem": {"kind": "singular"},
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("quadrature_tol", "1e-10"),
+        ("quadrature_tol", True),
+        ("quadrature_tol", math.inf),
+        ("geometry.dirichlet_arcs", [[0.0, math.nan]]),
+        ("problem.junction_index", 9),
+        ("problem.junction_index", -1),
+        ("problem.junction_index", 1.7),
+        ("mesh.shift_sweep_count", -3),
+        ("mesh.shift_sweep_count", 2.9),
+        ("mesh.box", [-1.0, -1.0, math.inf, 1.0]),
+        ("params.beta", True),
+        ("params.sigma", False),
+        ("params.epsilon_rule.c", True),
+    ],
+)
+def test_faulty_field_exits_2_naming_it_before_any_work(tmp_path, capsys, field, value):
+    """Each of these solved a different problem, crashed or misnamed its field."""
+    out = tmp_path / "out"
+    raw = _with({**TWO_JUNCTIONS, "output": str(out)}, field, value)
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        _load(tmp_path, raw)
+    assert run(str(tmp_path / "config.json"), quiet=True) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_shows_the_loaded_defaults_and_every_field(tmp_path):
+    """The README's defaults block and field table against ``load_config`` of ``{}``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("omitted fields take these defaults:\n\n```json\n")[1].split("```")[0]
+    defaults = _load(tmp_path, {})
+    assert json.loads(block) == defaults
+    rows = re.findall(r"^\| `([\w.]+)` \| (?:`([^`]*)`|none) \|", readme, re.MULTILINE)
+    loaded = dict(_leaves(defaults))
+    assert [field for field, _ in rows] == list(cli._FIELDS)
+    assert {field: json.loads(default) for field, default in rows if default} == loaded

@@ -1,4 +1,5 @@
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -328,7 +329,8 @@ def test_conormal_integral_where_the_nearest_junction_switches():
 def test_conormal_integral_rejects_a_wedge_that_laps_into_the_next_neumann_arc():
     """From 2.5 the Neumann arc (0.91) and the Dirichlet arc after it (0.63) end at 1.54."""
     params = TubeParams(0.21, 0.21 / 0.12)
-    with pytest.raises(ValueError, match=r"delta \+ epsilon = 1\.96 exceeds 1\.54"):
+    message = r"delta \+ epsilon = 1\.96 exceeds 1\.54, the Neumann arc at the junction at angle 2\.5 "
+    with pytest.raises(ValueError, match=message):
         cutoff_conormal_integral(TWO_ARCS, params, TWO_ARCS.junction_points[2])
 
 
@@ -360,6 +362,15 @@ def test_tube_params_validation():
 def test_level_set_domain_rejects_a_malformed_disk(center, radius, message):
     with pytest.raises(ValueError, match=message):
         LevelSetDomain(center, radius)
+
+
+@pytest.mark.parametrize(
+    "arc",
+    [(0.0, math.nan), (math.inf, 1.0), (0.0,), (0.0, 1.0, 2.0), ("0", "1"), (0.0, True), 5, "01"],
+)
+def test_level_set_domain_rejects_an_arc_that_is_not_a_pair_of_finite_numbers(arc):
+    with pytest.raises(ValueError, match=re.escape(f"arc {arc!r} is not a pair of finite numbers")):
+        LevelSetDomain((0.0, 0.0), 1.0, ((3.0, 4.0), arc))
 
 
 def test_collar_admits_widths_up_to_three_quarters_of_the_radius():

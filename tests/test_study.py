@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -142,6 +143,20 @@ def test_u_and_grad_is_bitwise_the_two_calls(domain_mixed, kind):
 def test_singular_problem_needs_junction(domain_dirichlet):
     with pytest.raises(ValueError):
         manufactured_singular(domain_dirichlet)
+
+
+@pytest.mark.parametrize("index", [2, 9, -1, 1.7, 1.0, "1"])
+def test_singular_problem_rejects_a_junction_index_outside_the_junctions(domain_mixed, index):
+    """The mixed disk has two junctions: -1 named the last one and 9 raised IndexError."""
+    message = re.escape(f"junction_index must be an integer in [0, 2), got {index!r}")
+    with pytest.raises(ValueError, match=message):
+        manufactured_singular(domain_mixed, index)
+
+
+def test_condition_sweep_needs_a_shift(domain_mixed):
+    for n_shifts in (0, -3):
+        with pytest.raises(ValueError, match=f"n_shifts must be at least 1, got {n_shifts}"):
+            study.condition_sweep(domain_mixed, 4, n_shifts)
 
 
 def test_zero_data_zero_errors(domain_mixed):
