@@ -19,8 +19,8 @@ domain = LevelSetDomain(center=(0.0, 0.0), radius=0.7, dirichlet_arcs=((0.0, mat
 
 
 def constants(n, shift=(0.0, 0.0)):
-    dofmap, params, rules = discretize(domain, n, tol=1e-8, shift=shift)
-    return verify_inequalities(dofmap, rules, params)
+    dofmap, params = discretize(domain, n, tol=1e-8, shift=shift)
+    return verify_inequalities(dofmap, params)
 
 
 print("constants under refinement")

@@ -10,6 +10,7 @@ and u_h at a point x is its value at c plus its cell gradient dotted with x - c.
 The load, the Nitsche action and the error norms each integrate over the volume
 by one ``RuleSet.cell_sums`` call, which sums their integrand's columns per active
 cell over the points of every layout; only the stiffness reads ``rules.inside``.
+Every term reads ``dofmap.rules``, the rules the dofmap was numbered on.
 Every grid triangle is a translate of triangle ``t & 1``, so hat gradients come
 from the dofmap's two ``reference_gradients`` and the stiffness local block of
 a cell is one of two fixed 3 x 3 Gram blocks times the cell's cut area.  No
@@ -135,14 +136,14 @@ def _boundary_local(dofmap, rule):
     return lam, np.einsum("qd,qjd->qj", rule.normals, grads)
 
 
-def _stiffness_stencil(dofmap, rules):
+def _stiffness_stencil(dofmap):
     """Stencil array of the gradient-gradient form over the cut domain.
 
     Cell T adds ``G[T & 1] * |T cap Omega|``, ``G`` the bitwise symmetric Gram blocks of the
     reference gradients: entry (i, j) of parity p is one slice-add over the cells of the
     active cells' index range, the window the grid array covers.
     """
-    mesh, active = dofmap.mesh, dofmap.topology.active
+    mesh, active, rules = dofmap.mesh, dofmap.topology.active, dofmap.rules
     ref = dofmap.reference_gradients
     gram = ref @ ref.transpose(0, 2, 1)
     i, j = np.divmod(active >> 1, mesh.n)
@@ -172,32 +173,32 @@ def _flux_blocks(lam, flux, w):
     return lam[:, :, None] * (flux * w[:, None])[:, None, :]  # test i rows, trial j cols
 
 
-def assemble_stiffness(dofmap, rules):
+def assemble_stiffness(dofmap):
     """Gradient-gradient form over the cut domain: (grad u, grad v) on each T cap Omega."""
-    return _compress(dofmap, _stiffness_stencil(dofmap, rules))
+    return _compress(dofmap, _stiffness_stencil(dofmap))
 
 
-def assemble_boundary_mass(dofmap, rules):
+def assemble_boundary_mass(dofmap):
     """Mass matrix on the Dirichlet part of the boundary."""
-    rule = rules.dirichlet
+    rule = dofmap.rules.dirichlet
     blocks = _mass_blocks(_boundary_local(dofmap, rule)[0], rule.weights)
     return _compress(dofmap, *_cell_scatter(dofmap, rule.owner, blocks))
 
 
-def assemble_nitsche(dofmap, rules, params):
+def assemble_nitsche(dofmap, params):
     """Standard symmetric Nitsche operator with Dirichlet penalty, K - (B + B^T) + (beta / h) M.
 
     B^T is scattered from the transposed blocks of B; grouping the two flux terms keeps the
     matrix bitwise symmetric.
     """
-    rule = rules.dirichlet
+    rule = dofmap.rules.dirichlet
     lam, grad_n = _boundary_local(dofmap, rule)
     B = _flux_blocks(lam, grad_n, rule.weights)
     flux, dofs = _cell_scatter(dofmap, rule.owner, B)  # the rows of rule's cells, as for the mass
     flux += _cell_scatter(dofmap, rule.owner, B.transpose(0, 2, 1))[0]
     mass = _cell_scatter(dofmap, rule.owner, _mass_blocks(lam, rule.weights))[0]
     mass *= params.beta / dofmap.mesh.h
-    stencil = _stiffness_stencil(dofmap, rules)
+    stencil = _stiffness_stencil(dofmap)
     stencil[dofs] = stencil[dofs] - flux + mass
     return _compress(dofmap, stencil)
 
@@ -211,18 +212,18 @@ def _cutoff_weight(dofmap, params):
     return lambda pts: cutoff(domain, widths, pts)
 
 
-def cutoff_flux_neumann(dofmap, rules, params):
+def cutoff_flux_neumann(dofmap, params):
     """Cutoff-weighted flux pairing over the Neumann boundary only.
 
     This is exactly the difference between the standard and regularized
     operators, since the cutoff equals one on the Dirichlet part.
     """
-    weight, rule = _cutoff_weight(dofmap, params), rules.neumann
+    weight, rule = _cutoff_weight(dofmap, params), dofmap.rules.neumann
     blocks = _flux_blocks(*_boundary_local(dofmap, rule), rule.weights * weight(rule.points))
     return _compress(dofmap, *_cell_scatter(dofmap, rule.owner, blocks))
 
 
-def assemble_regularized(A, dofmap, rules, params):
+def assemble_regularized(A, dofmap, params):
     """Regularized Nitsche operator from the assembled standard operator ``A``.
 
     The Dirichlet flux term of the regularized form is weighted by the cutoff
@@ -232,10 +233,10 @@ def assemble_regularized(A, dofmap, rules, params):
     """
     if params.epsilon == 0.0:
         return A
-    return (A - cutoff_flux_neumann(dofmap, rules, params)).tocsr()
+    return (A - cutoff_flux_neumann(dofmap, params)).tocsr()
 
 
-def assemble_ghost_penalty(dofmap, rules, params):
+def assemble_ghost_penalty(dofmap, params):
     """Face-jump stabilizer sigma * h * sum_F int_F [grad_n u][grad_n v].
 
     The jump of a face lives on four vertices: its two ends, where the one-sided fluxes of
@@ -257,19 +258,19 @@ def assemble_ghost_penalty(dofmap, rules, params):
     np.add.at(jump, (face, place), flux)
     vertices = np.empty_like(jump, dtype=corners.dtype)
     vertices[face, place] = corners
-    scale = params.sigma * mesh.h * rules.face_lengths
+    scale = params.sigma * mesh.h * dofmap.rules.face_lengths
     blocks = scale[:, None, None] * (jump[:, :, None] * jump[:, None, :])
     grid = np.stack(np.divmod(vertices, mesh.n + 1), axis=-1)
     slots = stencil_slot(grid[:, None] - grid[:, :, None])
     return _compress(dofmap, *_scatter(dofmap, dofmap.vertex_to_dof[vertices], slots, blocks))
 
 
-def assemble_load(dofmap, rules, params, data):
+def assemble_load(dofmap, params, data):
     """Load vector with source, Neumann flux, and Dirichlet Nitsche data terms.
 
     The source adds m0 / 3 + grad(phi) . m1 per cell, with m0 = sum w f, m1 = sum w f (x - c).
     """
-    dofs = dofmap.active_dofs
+    dofs, rules = dofmap.active_dofs, dofmap.rules
     rule_n, rule_d = rules.neumann, rules.dirichlet
     lam_n, _ = _boundary_local(dofmap, rule_n)
     lam_d, flux_d = _boundary_local(dofmap, rule_d)
@@ -288,19 +289,19 @@ def assemble_load(dofmap, rules, params, data):
     return _vector(dofmap.ndof, [dofs[rule_n.owner], dofs[rule_d.owner], dofs], values)
 
 
-def assemble_system(dofmap, rules, params, data):
+def assemble_system(dofmap, params, data):
     """Standard operator, stabilizer, and load of the discrete problem in one bundle.
 
     The regularized operator is ``assemble_regularized(system.A, ...)``; it
     shares the stabilizer and the load.
     """
-    A = assemble_nitsche(dofmap, rules, params)
-    S = assemble_ghost_penalty(dofmap, rules, params)
-    b = assemble_load(dofmap, rules, params, data)
+    A = assemble_nitsche(dofmap, params)
+    S = assemble_ghost_penalty(dofmap, params)
+    b = assemble_load(dofmap, params, data)
     return SystemMatrices(A, S, b)
 
 
-def nitsche_action(dofmap, rules, params, u, grad_u):
+def nitsche_action(dofmap, params, u, grad_u):
     """Vector of the form of ``params`` applied to an analytic field.
 
     Entry i is form(u, phi_i), with the exact solution entering through its
@@ -308,8 +309,7 @@ def nitsche_action(dofmap, rules, params, u, grad_u):
     ``params.epsilon`` selects the cutoff-weighted form.
     """
     chi = _cutoff_weight(dofmap, params) if params.epsilon > 0.0 else None
-    h = dofmap.mesh.h
-    dofs = dofmap.active_dofs
+    h, dofs, rules = dofmap.mesh.h, dofmap.active_dofs, dofmap.rules
     rule_d, rule_n = rules.dirichlet, rules.neumann
 
     def gradient(points, cells, offsets):
@@ -335,13 +335,10 @@ def nitsche_action(dofmap, rules, params, u, grad_u):
     return _vector(dofmap.ndof, parts, values)
 
 
-def energy_gram(dofmap, rules, stabilizer):
+def energy_gram(dofmap, stabilizer):
     """Gram matrix of the energy norm: gradient and Dirichlet trace parts plus ``stabilizer``."""
-    rule = rules.dirichlet
-    blocks = _mass_blocks(_boundary_local(dofmap, rule)[0], rule.weights)
-    stencil, (mass, dofs) = _stiffness_stencil(dofmap, rules), _cell_scatter(dofmap, rule.owner, blocks)
-    stencil[dofs] += mass * (1.0 / dofmap.mesh.h)
-    return _compress(dofmap, stencil) + stabilizer
+    gram = assemble_stiffness(dofmap) + assemble_boundary_mass(dofmap) * (1.0 / dofmap.mesh.h)
+    return gram + stabilizer
 
 
 def energy_norm(v, gram):
@@ -359,25 +356,25 @@ class ErrorNorms:
     l2: float
 
 
-def _cells_near(points, topology):
-    """Per active cell, the index of the first point within 2h of the closed triangle, or -1.
+def _cells_near(points, topology, reach):
+    """Per active cell, the index of the first point within ``reach`` of the closed triangle, or -1.
 
     Every vertex of grid cell (i, j) lies within h of its vertex 0, (xs[i], ys[j]), so a
-    triangle within 2h of z has its vertex 0 within 3h of z: only the cells with vertex 0
-    within 4h, which leaves room for rounding, are measured.
+    triangle within ``reach`` of z has its vertex 0 within reach + h of z: only the cells with
+    vertex 0 within reach + 2h, which leaves room for rounding, are measured.
     """
     mesh, active = topology.mesh, topology.active
     near = np.full(len(active), -1)
     i, j = np.divmod(active >> 1, mesh.n)
     for k, z in enumerate(points):
-        reach = np.hypot(mesh.xs[i] - z[0], mesh.ys[j] - z[1]) <= 4.0 * mesh.h
-        candidates = np.flatnonzero((near < 0) & reach)
+        close = np.hypot(mesh.xs[i] - z[0], mesh.ys[j] - z[1]) <= reach + 2.0 * mesh.h
+        candidates = np.flatnonzero((near < 0) & close)
         coords = mesh.triangle_coords(active[candidates])
-        near[candidates[_point_triangle_distance(z, coords) <= 2.0 * mesh.h]] = k
+        near[candidates[_point_triangle_distance(z, coords) <= reach]] = k
     return near
 
 
-def error_norms(problem, u_h, rules, stabilizer, refine_levels=REFINE_LEVELS):
+def error_norms(problem, u_h, stabilizer, refine_levels=REFINE_LEVELS):
     """Energy error (without stabilization), stabilizer seminorm, and L2 error.
 
     The energy error pairs the broken gradient over the cut volumes with the
@@ -389,11 +386,11 @@ def error_norms(problem, u_h, rules, stabilizer, refine_levels=REFINE_LEVELS):
     point u_h is its cell's affine function.
     """
     dofmap = u_h.dofmap
-    mesh, topology = dofmap.mesh, dofmap.topology
+    mesh, topology, rules = dofmap.mesh, dofmap.topology, dofmap.rules
     refined = None
     if refine_levels and len(problem.singular_points):
         singular = np.asarray(problem.singular_points, dtype=float)
-        target = _cells_near(singular, topology)
+        target = _cells_near(singular, topology, 2.0 * mesh.h)
         cells = np.flatnonzero(target >= 0)
         coords, toward = mesh.triangle_coords(topology.active[cells]), singular[target[cells]]
         rule = refine_rule_toward(coords, topology.domain, toward, rules.tol, refine_levels)

@@ -126,6 +126,11 @@ def load_config(path):
             f"study.kind {kind!r} runs on one mesh level, but mesh.levels is {levels!r} "
             "(the default when omitted); give a single level"
         )
+    if kind == "convergence" and len(levels) < 2:
+        raise ConfigError(
+            f"study.kind 'convergence' compares mesh levels, but mesh.levels is {levels!r}; "
+            "give at least two levels"
+        )
     rule = cfg["params"]["epsilon_rule"]
     if rule["kind"] == "fixed" and "value" not in rule:
         raise ConfigError("params.epsilon_rule.value is required by the 'fixed' rule")
@@ -233,8 +238,8 @@ def _run_study(cfg):
         return "regularization.csv", header, rows, {"slope": report.slope}
 
     if kind == "inequalities":
-        dofmap, params, rules = study_mod.discretize(domain, levels[0], beta, sigma, box, tol)
-        report = study_mod.verify_inequalities(dofmap, rules, params)
+        dofmap, params = study_mod.discretize(domain, levels[0], beta, sigma, box, tol)
+        report = study_mod.verify_inequalities(dofmap, params)
         header = ["inequality", "max_constant"]
         rows = [
             ["full_gradient_vs_stabilized", report.full_gradient],
@@ -327,10 +332,8 @@ def main(argv=None):
     run_p.add_argument("config", help="path to the JSON config file")
     run_p.add_argument("--out", default=None, help="output directory (overrides config)")
     run_p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return run(args.config, args.out, args.quiet)
-    return 2
+    args = parser.parse_args(argv)  # "run" is the one command, and a required one
+    return run(args.config, args.out, args.quiet)
 
 
 if __name__ == "__main__":

@@ -198,8 +198,8 @@ def _chord_polygons(tris, domain):
     walk around T from vertex 0 does.  The polygon is built relative to
     vertex 0, so that its fan areas keep the precision of the cell's size
     rather than of its coordinates.  Returns the fan points (f, 6, 2),
-    weights (f, 6) and owners (f,), and the pieces as (owner, start angle,
-    end angle).
+    weights (f, 6) and owners (f,), the pieces as (owner, start angle,
+    end angle), and the arcs of ``_arcs``.
     """
     m, radius = len(tris), domain.radius
     origin = tris[:, 0]
@@ -210,7 +210,7 @@ def _chord_polygons(tris, domain):
     nxt = np.roll(local, -1, axis=1)[:, :, None]
     ends = (1.0 - inner[..., None]) * local[:, :, None] + inner[..., None] * nxt  # (m, 3, 2, 2)
 
-    owner, start, width = _arcs(tris, domain)
+    arcs = owner, start, width = _arcs(tris, domain)
     arc, lo, hi, step = _equal_pieces(start, start + width, _MAX_PIECE)
     # every piece start is a vertex but an arc's start on an edge; a circle inside T has none
     corner = (step > 0) | ~on.any(axis=1)[owner[arc]]
@@ -241,7 +241,7 @@ def _chord_polygons(tris, domain):
     kept = _tri_area(fans) > 0.0  # drops the fans of repeated vertices
     points, weights = _full_triangle_points(fans[kept])
     cell = cell[mid[kept]]
-    return points + origin[cell, None], weights, cell, owner[arc], lo, hi
+    return points + origin[cell, None], weights, cell, owner[arc], lo, hi, arcs
 
 
 def cut_volume_rules(triangles, domain, tol=DEFAULT_TOL):
@@ -254,6 +254,11 @@ def cut_volume_rules(triangles, domain, tol=DEFAULT_TOL):
     area within ``tol`` times the triangle's area.  ``tol`` below ``MIN_TOL``
     raises ``ValueError``.
     """
+    return _cut_volume_rules(triangles, domain, tol)[0]
+
+
+def _cut_volume_rules(triangles, domain, tol):
+    """``cut_volume_rules``, and the ``_arcs`` of its cut triangles, owned by stack position."""
     if not tol >= MIN_TOL:
         raise ValueError(f"quadrature tolerance {tol:g} is below the floor {MIN_TOL:g}")
     tris = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
@@ -264,7 +269,9 @@ def cut_volume_rules(triangles, domain, tol=DEFAULT_TOL):
 
     inside = np.all(signed_distance(domain, tris) <= 0.0, axis=1)
     cut = np.flatnonzero(~inside)
-    fan_points, fan_weights, fan_owner, piece_owner, lo, hi = _chord_polygons(tris[cut], domain)
+    fan_points, fan_weights, fan_owner, piece_owner, lo, hi, arcs = _chord_polygons(
+        tris[cut], domain
+    )
     blocks = [
         (*_full_triangle_points(tris[inside]), np.flatnonzero(inside)),
         (fan_points, fan_weights, cut[fan_owner]),
@@ -274,7 +281,7 @@ def cut_volume_rules(triangles, domain, tol=DEFAULT_TOL):
     weights = np.concatenate([w.ravel() for _, w, _ in blocks])
     owners = np.concatenate([o.repeat(w.shape[1]) for _, w, o in blocks])
     order = np.argsort(owners, kind="stable")
-    return PackedRule(points[order], weights[order], owners[order])
+    return PackedRule(points[order], weights[order], owners[order]), (cut[arcs[0]], *arcs[1:])
 
 
 def cut_volume_rule(triangle, domain, tol=DEFAULT_TOL):
@@ -494,13 +501,13 @@ class RuleSet:
         """Per active cell, the weighted sums (k, m) over its volume points of ``fn``'s k columns.
 
         ``fn(points, cells, offsets)`` takes points (b, q, 2) of the cells (b,) and their offsets
-        x - c from the cell's centroid, which broadcast against the points, and returns k arrays
-        that broadcast to (b, q).  Packed rules come in with q = 1 and are summed by
-        ``np.bincount``; their centroids come from the owners' ids, once per run of one owner.
-        The inside cells come in blocks of at most ``_INSIDE_BLOCK`` cells of one parity, as
-        (m, 6, 2) points with their parity's (6, 2) offsets, and are reduced by ``@ weights``;
-        their vertex 0 comes from their ids.  A cell with points in the packed rule ``refined``
-        (or None) is summed over those instead.
+        x - c from the cell's centroid, which broadcast against the points, and returns a tuple
+        of k arrays that broadcast to (b, q); any other value raises ``TypeError``.  Packed rules
+        come in with q = 1 and are summed by ``np.bincount``; their centroids come from the
+        owners' ids, once per run of one owner.  The inside cells come in blocks of at most
+        ``_INSIDE_BLOCK`` cells of one parity, as (m, 6, 2) points with their parity's (6, 2)
+        offsets, and are reduced by ``@ weights``; their vertex 0 comes from their ids.  A cell
+        with points in the packed rule ``refined`` (or None) is summed over those instead.
         """
         mesh, active = self.topology.mesh, self.topology.active
         drop = np.zeros(len(active), dtype=bool)
@@ -515,7 +522,9 @@ class RuleSet:
             centroids = np.einsum("tkd->td", mesh.triangle_coords(active[owner[run]])) / 3.0
             centroids = np.repeat(centroids, np.diff(run, append=len(owner)), axis=0)
             offsets = points - centroids[:, None]
-            columns = [(rule.weights[:, None] * c).ravel() for c in fn(points, owner, offsets)]
+            if not isinstance(columns := fn(points, owner, offsets), tuple):  # not one (b, q) array
+                raise TypeError(f"an integrand returns a tuple, not {type(columns).__name__}")
+            columns = [(rule.weights[:, None] * c).ravel() for c in columns]
             sums = sums + np.array([np.bincount(owner, c, len(drop)) for c in columns])
         for rule in self.inside:
             for lo in range(0, len(rule.cells), _INSIDE_BLOCK):
@@ -536,14 +545,14 @@ def build_rules(topology, tol=DEFAULT_TOL):
 
     The domain is ``topology.domain``.  Only cut cells go through
     ``cut_volume_rules`` and the boundary rule, which counts each arc in one
-    cell; the inside cells take the degree-4 rule of the reference triangle of
-    their parity, triangle 0 or 1 of the grid, moved to their vertex 0.
+    cell; the two share one computation of the arcs.  The inside cells take the
+    degree-4 rule of the reference triangle of their parity, triangle 0 or 1 of
+    the grid, moved to their vertex 0.
     """
     mesh, active, domain = topology.mesh, topology.active, topology.domain
     is_cut = topology.classification[active] == CUT
     cut = np.flatnonzero(is_cut)
-    coords = mesh.triangle_coords(active[cut])
-    volume = cut_volume_rules(coords, domain, tol)
+    volume, arcs = _cut_volume_rules(mesh.triangle_coords(active[cut]), domain, tol)
     volume = dataclasses.replace(volume, owner=cut[volume.owner])
     local = mesh.triangle_coords(np.arange(2))
     local = local - local[:, :1]
@@ -554,7 +563,7 @@ def build_rules(topology, tol=DEFAULT_TOL):
     for p in range(2):
         cells = np.flatnonzero(~is_cut & ((active & 1) == p))
         inside.append(TranslatedRule(cells, points[p], weights[p], offsets[p]))
-    boundary = _boundary_rule(domain, _tiling_arcs(_arcs(coords, domain)))
+    boundary = _boundary_rule(domain, _tiling_arcs(arcs))
     dirichlet, neumann = (dataclasses.replace(r, owner=cut[r.owner]) for r in boundary)
     ends = mesh.vertex_coords(mesh.face(topology.ghost_faces)[0])
     face_lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)

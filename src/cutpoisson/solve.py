@@ -46,10 +46,10 @@ _SYMMETRIC_ORDERING = {
 _SPD_ADVICE = " The system may be indefinite; try a larger beta."
 
 
-def _factor(K, advice="", **ordering):
-    """Sparse LU factors of ``K`` (CSC); a failed factorization raises ``SolverError``."""
+def _factor(K, advice=""):
+    """Sparse LU factors of the symmetric ``K`` (CSC); a failure raises ``SolverError``."""
     try:
-        return spla.splu(K, **ordering)
+        return spla.splu(K, **_SYMMETRIC_ORDERING)
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}.{advice}") from exc
 
@@ -84,7 +84,7 @@ def solve_standard(matrices, dofmap):
             f"nonpositive diagonal entry, the operator is not positive definite.{_SPD_ADVICE}"
         )
     csc = sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape)
-    lu = _factor(csc, _SPD_ADVICE, **_SYMMETRIC_ORDERING)
+    lu = _factor(csc, _SPD_ADVICE)
     report = _checked(K, lu.solve(b), b, dofmap, "splu", _SPD_ADVICE)
     report.operator, report.factors = K, lu
     return report
@@ -130,17 +130,15 @@ def _power_iteration(apply_op, n, rtol, maxit):
         lam_new = float(x @ y)
         ny = np.linalg.norm(y)
         if ny == 0.0:
-            return 0.0, it
+            return 0.0
         x = y / ny
         if it > 0 and abs(lam_new - lam) <= rtol * abs(lam_new):
-            return abs(lam_new), it
+            return abs(lam_new)
         lam = lam_new
-    raise _PowerIterationFailure(abs(lam))
-
-
-class _PowerIterationFailure(Exception):
-    def __init__(self, estimate):
-        self.estimate = estimate
+    raise SolverError(
+        f"condition estimate did not converge in {maxit} iterations "
+        f"(partial estimate {abs(lam):.3e})"
+    )
 
 
 def condition_estimate(K, rtol=0.01, maxit=500):
@@ -158,15 +156,9 @@ def condition_estimate(K, rtol=0.01, maxit=500):
     """
     K = K.tocsc()
     n = K.shape[0]
-    try:
-        lam_max, _ = _power_iteration(lambda v: K @ v, n, rtol, maxit)
-        lu = _factor(K)
-        lam_inv, _ = _power_iteration(lambda v: lu.solve(v), n, rtol, maxit)
-    except _PowerIterationFailure as exc:
-        raise SolverError(
-            f"condition estimate did not converge in {maxit} iterations "
-            f"(partial estimate {exc.estimate:.3e})"
-        ) from exc
+    lam_max = _power_iteration(lambda v: K @ v, n, rtol, maxit)
+    lu = _factor(K)
+    lam_inv = _power_iteration(lu.solve, n, rtol, maxit)
     if lam_inv == 0.0:
         return np.inf
     return lam_max * lam_inv

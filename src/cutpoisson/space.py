@@ -37,21 +37,25 @@ for _table in (STENCIL, _SLOT_OF, PAIR_SLOTS):
 
 @dataclass(frozen=True)
 class DofMap:
-    """One degree of freedom per vertex of the active mesh.
+    """One degree of freedom per vertex of the active mesh, and the ``rules`` of its level.
 
-    No per-cell geometry is stored: triangle t's vertex coordinates are
-    ``mesh.triangle_coords(t)`` and its hat gradients ``reference_gradients[t & 1]``,
-    computed from the ids by the callers that need them and only on their cells.
-    Only the active cells' dofs are cached, since every all-cell scatter reads them.
+    A form reads its rules, and their cut topology ``rules.topology``, from the dofmap it
+    scatters into.  No per-cell geometry is stored: triangle t's vertex coordinates are
+    ``mesh.triangle_coords(t)`` and its hat gradients ``reference_gradients[t & 1]``; only the
+    active cells' dofs, which every all-cell scatter reads, are cached.
     """
 
-    topology: object
+    rules: object
     vertex_to_dof: np.ndarray
     dof_to_vertex: np.ndarray
 
     @property
     def ndof(self):
         return len(self.dof_to_vertex)
+
+    @property
+    def topology(self):
+        return self.rules.topology
 
     @property
     def mesh(self):
@@ -77,14 +81,15 @@ class DofMap:
         return dofs
 
 
-def build_dofmap(topology):
-    mesh = topology.mesh
+def build_dofmap(rules):
+    """Number the vertices of the active cells of ``rules.topology``; the dofmap keeps ``rules``."""
+    topology, mesh = rules.topology, rules.topology.mesh
     used = np.zeros(mesh.n_vertices, dtype=bool)
     used[mesh.triangle_vertices(topology.active).ravel()] = True
     dof_to_vertex = np.flatnonzero(used)
     vertex_to_dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
     vertex_to_dof[dof_to_vertex] = np.arange(len(dof_to_vertex))
-    return DofMap(topology, vertex_to_dof, dof_to_vertex)
+    return DofMap(rules, vertex_to_dof, dof_to_vertex)
 
 
 @dataclass
@@ -96,6 +101,8 @@ class FeFunction:
 
     def vertex_values(self, t):
         dofmap = self.dofmap
+        if not dofmap.topology.is_active(t):
+            raise ValueError(f"triangle {t} is not in the active mesh")
         return self.coefficients[dofmap.vertex_to_dof[dofmap.mesh.triangle_vertices(t)]]
 
 
@@ -115,11 +122,7 @@ def evaluate(f, t, x):
 
     No solver path calls it; it is how library code reads a discrete solution at a point.
     """
-    if not f.dofmap.topology.is_active(t):
-        raise ValueError(f"triangle {t} is not in the active mesh")
-    coords = f.dofmap.mesh.triangle_coords(t)
-    lam = _barycentric(coords, x)
-    vals = lam @ f.vertex_values(t)
+    vals = _barycentric(f.dofmap.mesh.triangle_coords(t), x) @ f.vertex_values(t)
     return vals if np.asarray(x).ndim > 1 else float(vals[0])
 
 
@@ -128,10 +131,7 @@ def gradient(f, t):
 
     No solver path calls it; it is how library code reads a discrete gradient on a cell.
     """
-    if not f.dofmap.topology.is_active(t):
-        raise ValueError(f"triangle {t} is not in the active mesh")
-    coords = f.dofmap.mesh.triangle_coords(t)
-    return f.vertex_values(t) @ hat_gradients(coords)
+    return f.vertex_values(t) @ hat_gradients(f.dofmap.mesh.triangle_coords(t))
 
 
 def face_normal(mesh, ends, t):

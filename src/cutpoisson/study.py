@@ -16,6 +16,7 @@ from cutpoisson.assembly import (
     NitscheParams,
     SystemMatrices,
     _boundary_local,
+    _cells_near,
     assemble_ghost_penalty,
     assemble_load,
     assemble_nitsche,
@@ -34,7 +35,7 @@ from cutpoisson.geometry import (
     log_model_integral,
     outward_normal,
 )
-from cutpoisson.mesh import _point_triangle_distance, build_background, cell_diagonal, classify
+from cutpoisson.mesh import build_background, cell_diagonal, classify
 from cutpoisson.quadrature import REFINE_LEVELS, _tri_area, build_rules
 from cutpoisson.solve import condition_estimate, solve_regularized, solve_standard
 from cutpoisson.space import build_dofmap, clement_interpolate
@@ -175,8 +176,7 @@ def validate_problem(problem):
 
     step = 1e-4 * R
     lap = np.zeros(len(pts))
-    for k, (dx, dy) in enumerate(((step, 0.0), (0.0, step))):
-        offset = np.array([dx, dy])
+    for offset in (np.array([step, 0.0]), np.array([0.0, step])):
         lap += problem.u(pts + offset) + problem.u(pts - offset)
     lap = (lap - 4.0 * problem.u(pts)) / step**2
     residual = np.abs(lap + problem.f(pts))
@@ -241,10 +241,11 @@ class ErrorReport:
 
 
 def discretize(domain, n, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10, shift=(0.0, 0.0)):
-    """The dofmap, Nitsche parameters and quadrature rules of one mesh level.
+    """The dofmap and Nitsche parameters of one mesh level.
 
-    The mesh and its cut topology, which holds ``domain``, are ``dofmap.mesh``
-    and ``dofmap.topology``.  An h above ``geometry.COLLAR * R`` raises ``ValueError``
+    The dofmap carries the level: its rules ``dofmap.rules``, built with ``tol``,
+    and their cut topology and mesh, ``dofmap.topology`` (which holds ``domain``)
+    and ``dofmap.mesh``.  An h above ``geometry.COLLAR * R`` raises ``ValueError``
     before any mesh is built; so do a circle that meets the edge of the mesh's
     extent and a disk that misses it, before any cell is classified.
     """
@@ -263,8 +264,7 @@ def discretize(domain, n, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10, shif
             f"the disk (center {domain.center}, radius {domain.radius}) misses the mesh "
             f"extent {extent}: no cell meets the domain"
         )
-    topo = classify(mesh, domain)
-    return build_dofmap(topo), NitscheParams(beta, sigma), build_rules(topo, tol)
+    return build_dofmap(build_rules(classify(mesh, domain), tol)), NitscheParams(beta, sigma)
 
 
 def convergence_level(
@@ -278,10 +278,10 @@ def convergence_level(
     refine_levels=REFINE_LEVELS,
 ):
     """Classify, assemble, solve, and measure errors on a single mesh level."""
-    dofmap, params, rules = discretize(problem.domain, n, beta, sigma, box, tol, shift)
-    system = assemble_system(dofmap, rules, params, problem)
+    dofmap, params = discretize(problem.domain, n, beta, sigma, box, tol, shift)
+    system = assemble_system(dofmap, params, problem)
     solution = solve_standard(system, dofmap).solution
-    errs = error_norms(problem, solution, rules, system.S, refine_levels)
+    errs = error_norms(problem, solution, system.S, refine_levels)
     return LevelResult(n, dofmap.mesh.h, dofmap.ndof, errs.energy, errs.sh, errs.l2)
 
 
@@ -308,10 +308,10 @@ def interpolation_study(problem, levels, box=DEFAULT_BOX, tol=1e-10, sigma=0.1):
     """Quasi-interpolation error of the exact solution in the energy norm."""
     report = ErrorReport(label=f"{problem.label}-interpolation")
     for n in levels:
-        dofmap, params, rules = discretize(problem.domain, n, sigma=sigma, box=box, tol=tol)
-        S = assemble_ghost_penalty(dofmap, rules, params)
+        dofmap, params = discretize(problem.domain, n, sigma=sigma, box=box, tol=tol)
+        S = assemble_ghost_penalty(dofmap, params)
         pi_u = clement_interpolate(problem.u, dofmap)
-        errs = error_norms(problem, pi_u, rules, S)
+        errs = error_norms(problem, pi_u, S)
         report.add_level(LevelResult(n, dofmap.mesh.h, dofmap.ndof, errs.energy, errs.sh, errs.l2))
     return report
 
@@ -323,9 +323,9 @@ def consistency_residual(problem, n=16, beta=10.0, sigma=0.1, box=DEFAULT_BOX, t
     quadrature points; up to quadrature error the residual vanishes by Green's
     identity when the data match the solution.
     """
-    dofmap, params, rules = discretize(problem.domain, n, beta, sigma, box, tol)
-    action = nitsche_action(dofmap, rules, params, problem.u, problem.grad_u)
-    load = assemble_load(dofmap, rules, params, problem)
+    dofmap, params = discretize(problem.domain, n, beta, sigma, box, tol)
+    action = nitsche_action(dofmap, params, problem.u, problem.grad_u)
+    load = assemble_load(dofmap, params, problem)
     scale = max(float(np.abs(action).max()), float(np.abs(load).max()), 1.0)
     return float(np.abs(action - load).max()) / scale
 
@@ -339,22 +339,20 @@ class InequalityReport:
     cut_trace: float
 
 
-def _dirichlet_cells(dofmap, rules):
+def _dirichlet_cells(dofmap):
     """Mask of the active cells that meet the Dirichlet arc.
 
     These are the cells holding a Dirichlet quadrature point, plus the cells
     that touch an end of a Dirichlet arc, within ``1e-12 * h``, without holding
     a piece of the arc (a junction on a grid line, say).
     """
-    coords = dofmap.mesh.triangle_coords(dofmap.topology.active)
-    near = np.zeros(len(coords), dtype=bool)
-    near[rules.dirichlet.owner] = True
-    for z in dofmap.topology.domain.junction_points:
-        near |= _point_triangle_distance(z, coords) <= 1e-12 * dofmap.mesh.h
+    topology = dofmap.topology
+    near = _cells_near(topology.domain.junction_points, topology, 1e-12 * dofmap.mesh.h) >= 0
+    near[dofmap.rules.dirichlet.owner] = True
     return near
 
 
-def verify_inequalities(dofmap, rules, params):
+def verify_inequalities(dofmap, params):
     """Exact constants of the inverse and trace inequalities: the suprema of their quotients.
 
     (a) Full-cell gradient against K + S (stabilized norm equivalence): the top generalized
@@ -366,7 +364,7 @@ def verify_inequalities(dofmap, rules, params):
     (c) Boundary trace against h^{-1} times the P1 element norm: the top 3 x 3 generalized
         eigenvalue over the cells.
     """
-    h, ndof, active = dofmap.mesh.h, dofmap.ndof, dofmap.topology.active
+    h, ndof, active, rules = dofmap.mesh.h, dofmap.ndof, dofmap.topology.active, dofmap.rules
     coords, grads = dofmap.mesh.triangle_coords(active), dofmap.reference_gradients[active & 1]
     dofs = dofmap.active_dofs
     areas = _tri_area(coords)
@@ -376,14 +374,14 @@ def verify_inequalities(dofmap, rules, params):
          (np.arange(2 * len(dofs)).repeat(3), np.repeat(dofs, 2, axis=0).ravel())),
         shape=(2 * len(dofs), ndof),
     )
-    G = (assemble_stiffness(dofmap, rules) + assemble_ghost_penalty(dofmap, rules, params))[1:, 1:]
+    G = (assemble_stiffness(dofmap) + assemble_ghost_penalty(dofmap, params))[1:, 1:]
     G_inv = spla.LinearOperator(G.shape, spla.splu(G.tocsc()).solve)
     c_full = spla.eigsh(
         (D.T @ D)[1:, 1:], 1, G, Minv=G_inv, which="LA", v0=np.ones(ndof - 1),
         return_eigenvectors=False,
     )[0]
 
-    rule, near = rules.dirichlet, _dirichlet_cells(dofmap, rules)
+    rule, near = rules.dirichlet, _dirichlet_cells(dofmap)
     c_flux = 0.0
     if near.any():
         flux = _boundary_local(dofmap, rule)[1]
@@ -469,20 +467,20 @@ class RegularizationReport:
     slope: float
 
 
-def _regularization_gaps(problem, dofmap, params, rules, eps_values):
+def _regularization_gaps(problem, dofmap, params, eps_values):
     """Energy norms of the regularized minus the standard solution, one per epsilon.
 
     Every regularized solve updates the one standard factorization.
     """
-    system = assemble_system(dofmap, rules, params, problem)
+    system = assemble_system(dofmap, params, problem)
     # the Gram matrix first, so that its assembly does not add to the factors' memory
-    gram = energy_gram(dofmap, rules, system.S)
+    gram = energy_gram(dofmap, system.S)
     standard = solve_standard(system, dofmap)
     u_h = standard.solution.coefficients
     gaps = []
     for eps in eps_values:
         params_eps = params.with_epsilon(eps)
-        A_eps = assemble_regularized(system.A, dofmap, rules, params_eps)
+        A_eps = assemble_regularized(system.A, dofmap, params_eps)
         reg = solve_regularized(SystemMatrices(A_eps, system.S, system.b), dofmap, standard)
         gaps.append(energy_norm(reg.solution.coefficients - u_h, gram))
     return gaps
@@ -495,8 +493,8 @@ def regularization_study(problem, n, eps_values, beta=10.0, sigma=0.1, box=DEFAU
     norm of the difference per epsilon together with the fitted log-log slope,
     which should be one for a linearly growing operator perturbation.
     """
-    dofmap, params, rules = discretize(problem.domain, n, beta, sigma, box, tol)
-    gaps = _regularization_gaps(problem, dofmap, params, rules, eps_values)
+    dofmap, params = discretize(problem.domain, n, beta, sigma, box, tol)
+    gaps = _regularization_gaps(problem, dofmap, params, eps_values)
     positive = [(e, g) for e, g in zip(eps_values, gaps) if e > 0.0 and g > 0.0]
     slope = float("nan")
     if len(positive) >= 2:
@@ -519,8 +517,8 @@ def regularization_coupling(
     """Gap between regularized and standard solutions under epsilon = coeff * h**2."""
     gaps = []
     for n in levels:
-        dofmap, params, rules = discretize(problem.domain, n, beta, sigma, box, tol)
-        gaps += _regularization_gaps(problem, dofmap, params, rules, [coeff * dofmap.mesh.h**2])
+        dofmap, params = discretize(problem.domain, n, beta, sigma, box, tol)
+        gaps += _regularization_gaps(problem, dofmap, params, [coeff * dofmap.mesh.h**2])
     ratios = [gaps[i + 1] / gaps[i] for i in range(len(gaps) - 1) if gaps[i] > 0.0]
     return CouplingReport(list(levels), gaps, ratios)
 
@@ -574,10 +572,10 @@ def condition_sweep(domain, n=16, n_shifts=20, beta=10.0, sigma=0.1, box=DEFAULT
         raise ValueError(f"n_shifts must be at least 1, got {n_shifts!r}")
     rows = []
     for shift in sweep_shifts(box, n, n_shifts):
-        dofmap, params, rules = discretize(domain, n, beta, sigma, box, tol, shift)
-        A = assemble_nitsche(dofmap, rules, params)
-        S = assemble_ghost_penalty(dofmap, rules, params)
-        G = energy_gram(dofmap, rules, S)
+        dofmap, params = discretize(domain, n, beta, sigma, box, tol, shift)
+        A = assemble_nitsche(dofmap, params)
+        S = assemble_ghost_penalty(dofmap, params)
+        G = energy_gram(dofmap, S)
         K = (A + S).toarray()
         lam_min = float(
             scipy.linalg.eigh(K, G.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]

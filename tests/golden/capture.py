@@ -69,31 +69,31 @@ def outputs(shift, u_singular=None):
     ``u_singular`` supplies the singular solution's coefficients; left None,
     they are solved for, which is what the capture does.
     """
-    domain, dofmap, params, rules = mixed_level(shift)
+    domain, dofmap, params = mixed_level(shift)
     smooth = manufactured_smooth(domain)
     singular = manufactured_singular(domain, 0)
     params_eps = params.with_epsilon(EPS_FACTOR * dofmap.mesh.h**2)
 
-    A = assemble_nitsche(dofmap, rules, params)
-    S = assemble_ghost_penalty(dofmap, rules, params)
-    b_singular = assemble_load(dofmap, rules, params, singular)
+    A = assemble_nitsche(dofmap, params)
+    S = assemble_ghost_penalty(dofmap, params)
+    b_singular = assemble_load(dofmap, params, singular)
     if u_singular is None:
         system = SystemMatrices(A, S, b_singular)
         u_singular = solve_standard(system, dofmap).solution.coefficients
     u_h = FeFunction(np.asarray(u_singular, dtype=float), dofmap)
-    errs = error_norms(singular, u_h, rules, S, refine_levels=REFINE_LEVELS)
-    ineq = verify_inequalities(dofmap, rules, params)
+    errs = error_norms(singular, u_h, S, refine_levels=REFINE_LEVELS)
+    ineq = verify_inequalities(dofmap, params)
     return {
         "u_singular": u_h.coefficients,
-        "K": assemble_stiffness(dofmap, rules).toarray(),
-        "M": assemble_boundary_mass(dofmap, rules).toarray(),
+        "K": assemble_stiffness(dofmap).toarray(),
+        "M": assemble_boundary_mass(dofmap).toarray(),
         "A": A.toarray(),
         "S": S.toarray(),
-        "A_eps": assemble_regularized(A, dofmap, rules, params_eps).toarray(),
-        "b_smooth": assemble_load(dofmap, rules, params, smooth),
+        "A_eps": assemble_regularized(A, dofmap, params_eps).toarray(),
+        "b_smooth": assemble_load(dofmap, params, smooth),
         "b_singular": b_singular,
-        "action": nitsche_action(dofmap, rules, params, smooth.u, smooth.grad_u),
-        "action_chi": nitsche_action(dofmap, rules, params_eps, smooth.u, smooth.grad_u),
+        "action": nitsche_action(dofmap, params, smooth.u, smooth.grad_u),
+        "action_chi": nitsche_action(dofmap, params_eps, smooth.u, smooth.grad_u),
         "error_norms": np.array([errs.energy, errs.sh, errs.l2]),
         "inequalities": np.array([ineq.full_gradient, ineq.boundary_flux, ineq.cut_trace]),
     }
@@ -101,8 +101,8 @@ def outputs(shift, u_singular=None):
 
 def cell_measures(shift):
     """Per active cell: volume mass, first moments, Dirichlet and Neumann lengths."""
-    domain, dofmap, params, rules = mixed_level(shift, CELL_N)
-    n_cells = len(dofmap.topology.active)
+    domain, dofmap, params = mixed_level(shift, CELL_N)
+    rules, n_cells = dofmap.rules, len(dofmap.topology.active)
 
     def per_cell(rule, values=1.0):
         return np.bincount(rule.owner, rule.weights * values, minlength=n_cells)

@@ -85,15 +85,15 @@ def test_criterion_3_cutoff_lemma():
 
 def test_criterion_4_form_error_linear_in_epsilon():
     domain = LevelSetDomain((0.0, 0.0), 0.7, ((0.0, math.pi),))
-    dofmap, params, rules = discretize(domain, 16)
+    dofmap, params = discretize(domain, 16)
     mesh = dofmap.mesh
-    gram = energy_gram(dofmap, rules, assemble_ghost_penalty(dofmap, rules, params))
+    gram = energy_gram(dofmap, assemble_ghost_penalty(dofmap, params))
     rng = np.random.default_rng(20260810)
     h = mesh.h
     eps_values = [0.1 * h * h, 0.2 * h * h, 0.4 * h * h]
     gaps = []
     for eps in eps_values:
-        D = cutoff_flux_neumann(dofmap, rules, params.with_epsilon(eps))
+        D = cutoff_flux_neumann(dofmap, params.with_epsilon(eps))
         worst = 0.0
         for _ in range(100):
             x = rng.standard_normal(dofmap.ndof)
@@ -164,7 +164,7 @@ def test_criterion_8_quadrature_exactness():
 
 def test_criterion_9_interpolation():
     domain = LevelSetDomain((0.0, 0.0), 0.7, ((0.0, math.pi),))
-    dofmap, params, rules = discretize(domain, 16)
+    dofmap, params = discretize(domain, 16)
     mesh = dofmap.mesh
     rng = np.random.default_rng(20260810)
     worst = 0.0

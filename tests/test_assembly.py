@@ -59,8 +59,8 @@ class ZeroData:
 
 
 def test_stiffness_constant_kernel(disc_mixed_8):
-    dofmap, params, rules = disc_mixed_8
-    K = assemble_stiffness(dofmap, rules)
+    dofmap, params = disc_mixed_8
+    K = assemble_stiffness(dofmap)
     assert np.abs(K @ np.ones(dofmap.ndof)).max() < 1e-12
     assert abs(K - K.T).max() == 0.0
 
@@ -68,8 +68,8 @@ def test_stiffness_constant_kernel(disc_mixed_8):
 def test_stiffness_matches_hand_assembly():
     """Fitted unit square, two triangles: the classic 4x4 P1 stiffness matrix."""
     domain = LevelSetDomain((0.5, 0.5), 10.0, ((0.0, 2 * math.pi),))
-    dofmap, params, rules = discretize(domain, 1, box=(0, 0, 1, 1))
-    K = assemble_stiffness(dofmap, rules).toarray()
+    dofmap, params = discretize(domain, 1, box=(0, 0, 1, 1))
+    K = assemble_stiffness(dofmap).toarray()
     # dofs follow vertex order (0,0), (0,1), (1,0), (1,1)
     expected = np.array(
         [
@@ -84,9 +84,9 @@ def test_stiffness_matches_hand_assembly():
 
 
 def test_nitsche_symmetry_and_constant_value(domain_mixed, disc_mixed_8):
-    dofmap, params, rules = disc_mixed_8
+    dofmap, params = disc_mixed_8
     mesh = dofmap.mesh
-    A = assemble_nitsche(dofmap, rules, params)
+    A = assemble_nitsche(dofmap, params)
     assert abs(A - A.T).max() == 0.0
     one = np.ones(dofmap.ndof)
     expected = params.beta / mesh.h * math.pi * domain_mixed.radius
@@ -95,16 +95,17 @@ def test_nitsche_symmetry_and_constant_value(domain_mixed, disc_mixed_8):
 
 def test_nitsche_pure_neumann_reduces_to_stiffness():
     domain = LevelSetDomain((0.0, 0.0), 0.7)
-    dofmap, params, rules = discretize(domain, 8)
-    A = assemble_nitsche(dofmap, rules, params)
-    K = assemble_stiffness(dofmap, rules)
+    dofmap, params = discretize(domain, 8)
+    A = assemble_nitsche(dofmap, params)
+    K = assemble_stiffness(dofmap)
     assert abs(A - K).max() == 0.0
 
 
 def test_ghost_penalty_properties(disc_mixed_8, rng):
-    dofmap, params, rules = disc_mixed_8
+    dofmap, params = disc_mixed_8
+    rules = dofmap.rules
     mesh, topo = dofmap.mesh, dofmap.topology
-    S = assemble_ghost_penalty(dofmap, rules, params)
+    S = assemble_ghost_penalty(dofmap, params)
     verts = mesh.vertex_coords(dofmap.dof_to_vertex)
     affine = FeFunction(1.0 + 2.0 * verts[:, 0] - 0.5 * verts[:, 1], dofmap)
     assert affine.coefficients @ (S @ affine.coefficients) < 1e-13
@@ -117,47 +118,47 @@ def test_ghost_penalty_properties(disc_mixed_8, rng):
     assert v.coefficients @ (S @ v.coefficients) == pytest.approx(energy, rel=1e-12)
     # linear in sigma
     params2 = NitscheParams(params.beta, 2.0 * params.sigma)
-    S2 = assemble_ghost_penalty(dofmap, rules, params2)
+    S2 = assemble_ghost_penalty(dofmap, params2)
     assert abs(S2 - 2.0 * S).max() < 1e-12 * abs(S).max()
 
 
 def test_load_vector_cases(domain_mixed, disc_mixed_8):
-    dofmap, params, rules = disc_mixed_8
+    dofmap, params = disc_mixed_8
     mesh = dofmap.mesh
-    assert np.abs(assemble_load(dofmap, rules, params, ZeroData)).max() == 0.0
+    assert np.abs(assemble_load(dofmap, params, ZeroData)).max() == 0.0
 
     class UnitSource(ZeroData):
         f = staticmethod(lambda p: np.ones(np.asarray(p).shape[:-1]))
 
-    b = assemble_load(dofmap, rules, params, UnitSource)
+    b = assemble_load(dofmap, params, UnitSource)
     assert b.sum() == pytest.approx(math.pi * domain_mixed.radius**2, rel=1e-9)
 
     class UnitDirichlet(ZeroData):
         g_D = staticmethod(lambda p: np.ones(np.asarray(p).shape[:-1]))
 
-    b = assemble_load(dofmap, rules, params, UnitDirichlet)
+    b = assemble_load(dofmap, params, UnitDirichlet)
     expected = params.beta / mesh.h * math.pi * domain_mixed.radius
     assert b.sum() == pytest.approx(expected, rel=1e-10)
 
 
 def test_regularized_zero_epsilon_equals_standard(disc_mixed_8):
-    dofmap, params, rules = disc_mixed_8
-    A = assemble_nitsche(dofmap, rules, params)
-    A0 = assemble_regularized(A, dofmap, rules, params)
+    dofmap, params = disc_mixed_8
+    A = assemble_nitsche(dofmap, params)
+    A0 = assemble_regularized(A, dofmap, params)
     assert abs(A0 - A).max() == 0.0
 
 
 def test_regularized_asymmetry(disc_mixed_8):
-    dofmap, params, rules = disc_mixed_8
+    dofmap, params = disc_mixed_8
     mesh = dofmap.mesh
     eps = 0.1 * mesh.h**2
-    A = assemble_nitsche(dofmap, rules, params)
-    A_eps = assemble_regularized(A, dofmap, rules, params.with_epsilon(eps))
+    A = assemble_nitsche(dofmap, params)
+    A_eps = assemble_regularized(A, dofmap, params.with_epsilon(eps))
     assert abs(A_eps - A_eps.T).max() > 0.0
 
 
 def test_nitsche_params_hold_epsilon_and_nothing_derived(disc_mixed_8):
-    dofmap, params, rules = disc_mixed_8
+    dofmap, params = disc_mixed_8
     mesh = dofmap.mesh
     assert [f.name for f in dataclasses.fields(NitscheParams)] == ["beta", "sigma", "epsilon"]
     for eps in (0.05 * mesh.h**2, 0.1 * mesh.h**2, 0.4 * mesh.h**2):
@@ -176,7 +177,8 @@ def test_nitsche_params_reject_non_finite_values(field, value):
 
 def test_cutoff_weight_takes_delta_h_and_the_topology_domain(domain_mixed, disc_mixed_8):
     """The weight is the cutoff of (delta = h, epsilon) on ``dofmap.topology.domain``."""
-    dofmap, params, rules = disc_mixed_8
+    dofmap, params = disc_mixed_8
+    rules = dofmap.rules
     mesh = dofmap.mesh
     assert dofmap.topology.domain is domain_mixed
     eps = 0.1 * mesh.h**2
@@ -187,17 +189,17 @@ def test_cutoff_weight_takes_delta_h_and_the_topology_domain(domain_mixed, disc_
 
 
 def test_cutoff_paths_need_an_admissible_positive_epsilon(domain_mixed, disc_mixed_8):
-    dofmap, params, rules = disc_mixed_8
+    dofmap, params = disc_mixed_8
     problem = manufactured_smooth(domain_mixed)
     assert params.epsilon == 0.0
     with pytest.raises(ValueError, match="positive epsilon"):
-        cutoff_flux_neumann(dofmap, rules, params)
+        cutoff_flux_neumann(dofmap, params)
     # an epsilon past 0.75 R is refused where the cutoff is first built
     too_wide = params.with_epsilon(0.8 * domain_mixed.radius)
     with pytest.raises(ValueError, match="exceeds the admissible"):
-        nitsche_action(dofmap, rules, too_wide, problem.u, problem.grad_u)
+        nitsche_action(dofmap, too_wide, problem.u, problem.grad_u)
     with pytest.raises(ValueError, match="exceeds the admissible"):
-        assemble_regularized(assemble_nitsche(dofmap, rules, params), dofmap, rules, too_wide)
+        assemble_regularized(assemble_nitsche(dofmap, params), dofmap, too_wide)
 
 
 def test_form_gap_bounded_linearly_in_epsilon(domain_mixed, disc_mixed_16):
@@ -206,14 +208,14 @@ def test_form_gap_bounded_linearly_in_epsilon(domain_mixed, disc_mixed_16):
     The sup is exact: the extreme generalized eigenvalue of the symmetric part
     of the gap against the energy Gram matrix.
     """
-    dofmap, params, rules = disc_mixed_16
+    dofmap, params = disc_mixed_16
     mesh = dofmap.mesh
-    G = energy_gram(dofmap, rules, assemble_ghost_penalty(dofmap, rules, params)).toarray()
+    G = energy_gram(dofmap, assemble_ghost_penalty(dofmap, params)).toarray()
     h = mesh.h
     eps_values = [0.05 * h**2, 0.1 * h**2, 0.2 * h**2, 0.4 * h**2]
     sups = []
     for eps in eps_values:
-        D = cutoff_flux_neumann(dofmap, rules, params.with_epsilon(eps)).toarray()
+        D = cutoff_flux_neumann(dofmap, params.with_epsilon(eps)).toarray()
         eigs = scipy.linalg.eigh(0.5 * (D + D.T), G, eigvals_only=True)
         worst = max(-eigs[0], eigs[-1])
         sups.append(worst)
@@ -223,18 +225,18 @@ def test_form_gap_bounded_linearly_in_epsilon(domain_mixed, disc_mixed_16):
 
 
 def test_energy_norm_cases(domain_mixed, disc_mixed_8, rng):
-    dofmap, params, rules = disc_mixed_8
+    dofmap, params = disc_mixed_8
     mesh = dofmap.mesh
-    S = assemble_ghost_penalty(dofmap, rules, params)
-    gram = energy_gram(dofmap, rules, S)
+    S = assemble_ghost_penalty(dofmap, params)
+    gram = energy_gram(dofmap, S)
     assert energy_norm(np.zeros(dofmap.ndof), gram) == 0.0
     # a constant has no gradient and no gradient jump: only its Dirichlet trace counts
     one = np.ones(dofmap.ndof)
     expected = math.sqrt(math.pi * domain_mixed.radius / mesh.h)
     assert energy_norm(one, gram) == pytest.approx(expected, rel=1e-10)
     # definition cross-check against the assembled pieces
-    K = assemble_stiffness(dofmap, rules)
-    M = assemble_boundary_mass(dofmap, rules)
+    K = assemble_stiffness(dofmap)
+    M = assemble_boundary_mass(dofmap)
     x = rng.standard_normal(dofmap.ndof)
     direct = x @ (K @ x) + x @ (S @ x) + x @ (M @ x) / mesh.h
     assert energy_norm(x, gram) ** 2 == pytest.approx(direct, rel=1e-12)
@@ -244,10 +246,10 @@ def test_coercivity_across_cut_sweep(domain_dirichlet):
     """Energy-metric eigenvalue of the stabilized operator stays above 0.1."""
     for n in (8, 16):
         for shift in sweep_shifts((-1, -1, 1, 1), n, 20):
-            dofmap, params, rules = discretize(domain_dirichlet, n, tol=1e-8, shift=shift)
-            A = assemble_nitsche(dofmap, rules, params)
-            S = assemble_ghost_penalty(dofmap, rules, params)
-            G = energy_gram(dofmap, rules, S)
+            dofmap, params = discretize(domain_dirichlet, n, tol=1e-8, shift=shift)
+            A = assemble_nitsche(dofmap, params)
+            S = assemble_ghost_penalty(dofmap, params)
+            G = energy_gram(dofmap, S)
             lam = scipy.linalg.eigh(
                 (A + S).toarray(), G.toarray(), eigvals_only=True, subset_by_index=[0, 0]
             )[0]
@@ -282,17 +284,18 @@ def verify_regularized_identity(
     cutoff-weighted Neumann data pairing; this evaluates both sides and
     returns the largest scaled mismatch.
     """
-    dofmap, params, rules = discretize(problem.domain, n, beta, sigma, box, tol)
+    dofmap, params = discretize(problem.domain, n, beta, sigma, box, tol)
+    rules = dofmap.rules
     mesh = dofmap.mesh
     if epsilon is None:
         epsilon = 0.1 * mesh.h**2
     params_eps = params.with_epsilon(epsilon)
-    system = assemble_system(dofmap, rules, params, problem)
+    system = assemble_system(dofmap, params, problem)
     u_h = solve_standard(system, dofmap).solution
-    A_eps = assemble_regularized(system.A, dofmap, rules, params_eps)
+    A_eps = assemble_regularized(system.A, dofmap, params_eps)
     pivot = solve_regularized_pivot(A_eps, system.S, system.b, u_h)
 
-    action_u = nitsche_action(dofmap, rules, params_eps, problem.u, problem.grad_u)
+    action_u = nitsche_action(dofmap, params_eps, problem.u, problem.grad_u)
     lhs = action_u - A_eps @ pivot
 
     rule_n = rules.neumann
@@ -322,28 +325,30 @@ def test_regularized_residual_identity(domain_mixed):
 
 
 def test_assemble_system_bundles(domain_mixed, disc_mixed_8):
-    dofmap, params, rules = disc_mixed_8
+    dofmap, params = disc_mixed_8
     problem = manufactured_smooth(domain_mixed)
-    system = assemble_system(dofmap, rules, params, problem)
-    assert abs(system.A - assemble_nitsche(dofmap, rules, params)).max() == 0.0
-    assert abs(system.S - assemble_ghost_penalty(dofmap, rules, params)).max() == 0.0
-    assert np.array_equal(system.b, assemble_load(dofmap, rules, params, problem))
+    system = assemble_system(dofmap, params, problem)
+    assert abs(system.A - assemble_nitsche(dofmap, params)).max() == 0.0
+    assert abs(system.S - assemble_ghost_penalty(dofmap, params)).max() == 0.0
+    assert np.array_equal(system.b, assemble_load(dofmap, params, problem))
 
 
-def test_refined_cells_match_distance_definition(domain_mixed):
-    """error_norms refines exactly the cells within 2h of a singular point, toward the first."""
+@pytest.mark.parametrize("reach", [2.0, 1e-12])  # of the error norms, of the Dirichlet cells
+def test_refined_cells_match_distance_definition(domain_mixed, reach):
+    """The cells within ``reach`` h of a point, each with the first such point: error_norms
+    refines those within 2h of a singular point, toward it."""
     for shift in ((0.0, 0.0), (0.013, 0.021)):
-        dofmap, params, rules = discretize(domain_mixed, 16, shift=shift)
+        dofmap, params = discretize(domain_mixed, 16, shift=shift)
         mesh, topo = dofmap.mesh, dofmap.topology
         coords = mesh.triangle_coords(topo.active)
         points = domain_mixed.junction_points
         expected = np.full(len(coords), -1)
         for t, tri in enumerate(coords):
             for i, z in enumerate(points):
-                if _point_triangle_distance(z, tri) <= 2.0 * mesh.h:
+                if _point_triangle_distance(z, tri) <= reach * mesh.h:
                     expected[t] = i
                     break
-        found = _cells_near(points, topo)
+        found = _cells_near(points, topo, reach * mesh.h)
         assert np.array_equal(found, expected)
         assert (found == 0).any() and (found == 1).any()
 
@@ -366,7 +371,7 @@ def test_cells_near_by_index_matches_the_centroid_search(domain_mixed, seed):
     rng = np.random.default_rng(20261019 + seed)
     n = int(rng.integers(12, 48))
     shift = tuple(rng.uniform(-1.0, 1.0, 2) / n)
-    dofmap, _, _ = discretize(domain_mixed, n, shift=shift)
+    dofmap, _ = discretize(domain_mixed, n, shift=shift)
     mesh, topo = dofmap.mesh, dofmap.topology
     a, b = mesh.triangle_coords(rng.choice(topo.cut, 2, replace=False))[:, 0]  # cells' v00
     on_line = (a[0], a[1] + rng.uniform(0.1, 0.9) * (mesh.ys[1] - mesh.ys[0]))
@@ -374,7 +379,7 @@ def test_cells_near_by_index_matches_the_centroid_search(domain_mixed, seed):
     radii = domain_mixed.radius * rng.uniform(0.9, 1.1, (2, 1))
     points = np.vstack([on_line, b, radii * np.c_[np.cos(angles), np.sin(angles)]])
     assert points[0, 0] in mesh.xs and points[1, 0] in mesh.xs and points[1, 1] in mesh.ys
-    found = _cells_near(points, topo)
+    found = _cells_near(points, topo, 2.0 * mesh.h)
     assert np.array_equal(found, _cells_near_by_centroids(points, mesh.triangle_coords(topo.active), mesh.h))
     assert set(found[found >= 0]) == {0, 1, 2, 3}
 
@@ -382,7 +387,7 @@ def test_cells_near_by_index_matches_the_centroid_search(domain_mixed, seed):
 def test_problem_callables_receive_point_arrays(domain_mixed, disc_mixed_16, rng):
     """The load, the actions and the error norms hand every problem callable an (N, 2) float
     array, whatever the layout of the volume points (cut rule, inside blocks, refined rule)."""
-    dofmap, params, rules = disc_mixed_16
+    dofmap, params = disc_mixed_16
     problem = manufactured_singular(domain_mixed)
     names = ("f", "g_D", "g_N", "u", "grad_u", "joint")
     calls = {name: [] for name in names}
@@ -395,13 +400,13 @@ def test_problem_callables_receive_point_arrays(domain_mixed, disc_mixed_16, rng
         return call
 
     wrapped = dataclasses.replace(problem, **{k: recorded(k, getattr(problem, k)) for k in names})
-    assemble_load(dofmap, rules, params, wrapped)
+    assemble_load(dofmap, params, wrapped)
     for p in (params, params.with_epsilon(0.1 * dofmap.mesh.h**2)):
-        nitsche_action(dofmap, rules, p, wrapped.u, wrapped.grad_u)
+        nitsche_action(dofmap, p, wrapped.u, wrapped.grad_u)
     u_h = FeFunction(rng.standard_normal(dofmap.ndof), dofmap)
-    S = assemble_ghost_penalty(dofmap, rules, params)
+    S = assemble_ghost_penalty(dofmap, params)
     for levels in (0, 8):
-        error_norms(wrapped, u_h, rules, S, levels)
+        error_norms(wrapped, u_h, S, levels)
     assert all(calls.values()), {k: len(v) for k, v in calls.items()}
     for name, seen in calls.items():
         assert set(seen) == {(np.ndarray, 2, np.float64, 2)}, name
@@ -458,7 +463,7 @@ def _pattern(M):
 
 def test_cell_scatter_matches_the_add_at_and_lexsort_oracles_on_random_blocks(domain_mixed):
     """Cells repeated within and across the draws, sums that cancel exactly, and no blocks."""
-    dofmap, params, rules = discretize(
+    dofmap, params = discretize(
         domain_mixed, 16, shift=sweep_shifts((-1, -1, 1, 1), 16, 20)[7]
     )
     dofs = dofmap.active_dofs
@@ -473,7 +478,7 @@ def test_cell_scatter_matches_the_add_at_and_lexsort_oracles_on_random_blocks(do
     assert got.nnz == 0
 
 
-def _ghost_blocks_sorted(dofmap, rules, params):
+def _ghost_blocks_sorted(dofmap, params):
     """Oracle: ghost-penalty blocks on the four face vertices in ascending order, by a stable sort."""
     mesh = dofmap.mesh
     faces = dofmap.topology.ghost_faces
@@ -490,14 +495,14 @@ def _ghost_blocks_sorted(dofmap, rules, params):
     first = np.c_[np.ones((len(faces), 1), dtype=bool), vids[:, 1:] != vids[:, :-1]]
     jump = np.zeros((len(faces), 4))
     np.add.at(jump, (np.arange(len(faces))[:, None], np.cumsum(first, axis=1) - 1), flux)
-    scale = params.sigma * mesh.h * rules.face_lengths
+    scale = params.sigma * mesh.h * dofmap.rules.face_lengths
     local = scale[:, None, None] * (jump[:, :, None] * jump[:, None, :])
     return dofmap.vertex_to_dof[vids[first].reshape(-1, 4)], local
 
 
-def _operator_oracles(dofmap, rules, params, scatter):
+def _operator_oracles(dofmap, params, scatter):
     """The operators from their local blocks through ``scatter(ndof, dofs, blocks)``, combined as CSR."""
-    dofs = dofmap.active_dofs
+    dofs, rules = dofmap.active_dofs, dofmap.rules
     h = dofmap.mesh.h
 
     def boundary(rule, weight=None):
@@ -517,7 +522,7 @@ def _operator_oracles(dofmap, rules, params, scatter):
     M, B = boundary(rules.dirichlet)
     params_eps = params.with_epsilon(0.1 * h**2)
     C = boundary(rules.neumann, _cutoff_weight(dofmap, params_eps))[1]
-    S = scatter(dofmap.ndof, *_ghost_blocks_sorted(dofmap, rules, params))
+    S = scatter(dofmap.ndof, *_ghost_blocks_sorted(dofmap, params))
     A = K - (B + B.T) + (params.beta / h) * M
     return {
         "K": K, "M": M, "C": C, "S": S, "A": A, "A + S": A + S, "G": K + M / h + S,
@@ -525,19 +530,19 @@ def _operator_oracles(dofmap, rules, params, scatter):
     }
 
 
-def _operators(dofmap, rules, params):
+def _operators(dofmap, params):
     params_eps = params.with_epsilon(0.1 * dofmap.mesh.h**2)
-    A = assemble_nitsche(dofmap, rules, params)
-    S = assemble_ghost_penalty(dofmap, rules, params)
+    A = assemble_nitsche(dofmap, params)
+    S = assemble_ghost_penalty(dofmap, params)
     return {
-        "K": assemble_stiffness(dofmap, rules),
-        "M": assemble_boundary_mass(dofmap, rules),
-        "C": cutoff_flux_neumann(dofmap, rules, params_eps),
+        "K": assemble_stiffness(dofmap),
+        "M": assemble_boundary_mass(dofmap),
+        "C": cutoff_flux_neumann(dofmap, params_eps),
         "S": S,
         "A": A,
         "A + S": A + S,
-        "G": energy_gram(dofmap, rules, S),
-        "A_eps": assemble_regularized(A, dofmap, rules, params_eps),
+        "G": energy_gram(dofmap, S),
+        "A_eps": assemble_regularized(A, dofmap, params_eps),
     }
 
 
@@ -552,10 +557,10 @@ def _grid(domain, n, shift):
 def test_operators_match_the_add_at_and_lexsort_oracles(domain_mixed, n, shift):
     """Every operator is bitwise the insertion-order scatter's and has the lexsort scatter's
     couplings, with no stored zeros; A, S and A + S are bitwise symmetric."""
-    dofmap, params, rules = _grid(domain_mixed, n, shift)
-    got = _operators(dofmap, rules, params)
-    bitwise = _operator_oracles(dofmap, rules, params, _blocks_add_at)
-    pattern = _operator_oracles(dofmap, rules, params, _coo_accumulate_lexsort)
+    dofmap, params = _grid(domain_mixed, n, shift)
+    got = _operators(dofmap, params)
+    bitwise = _operator_oracles(dofmap, params, _blocks_add_at)
+    pattern = _operator_oracles(dofmap, params, _coo_accumulate_lexsort)
     for name, M in got.items():
         assert M.format == "csr" and np.all(M.data != 0.0), name
         assert _csr_bits(M) == _csr_bits(bitwise[name].tocsr()), name
@@ -566,10 +571,10 @@ def test_operators_match_the_add_at_and_lexsort_oracles(domain_mixed, n, shift):
 
 @pytest.mark.parametrize("n, shift", OPERATOR_GRIDS)
 def test_factored_operator_has_the_lexsort_couplings_and_no_zeros(domain_mixed, n, shift):
-    dofmap, params, rules = _grid(domain_mixed, n, shift)
-    system = assemble_system(dofmap, rules, params, manufactured_singular(domain_mixed))
+    dofmap, params = _grid(domain_mixed, n, shift)
+    system = assemble_system(dofmap, params, manufactured_singular(domain_mixed))
     K = solve_standard(system, dofmap).operator
-    pattern = _operator_oracles(dofmap, rules, params, _coo_accumulate_lexsort)
+    pattern = _operator_oracles(dofmap, params, _coo_accumulate_lexsort)
     assert _pattern(K) == _pattern(pattern["A + S"])
     assert np.all(K.data != 0.0) and (K != K.T).nnz == 0
 
@@ -578,25 +583,25 @@ def test_empty_rules_give_zero_operators(domain_mixed, domain_dirichlet):
     """No Neumann points on the Dirichlet disk, no Dirichlet points on the Neumann disk."""
     neumann_disk = LevelSetDomain(domain_mixed.center, domain_mixed.radius, ())
     for domain, empty in ((domain_dirichlet, "neumann"), (neumann_disk, "dirichlet")):
-        dofmap, params, rules = discretize(domain, 16)
+        dofmap, params = discretize(domain, 16)
         mesh = dofmap.mesh
-        assert len(getattr(rules, empty).weights) == 0
+        assert len(getattr(dofmap.rules, empty).weights) == 0
         params_eps = params.with_epsilon(0.1 * mesh.h**2)
-        ops = [cutoff_flux_neumann(dofmap, rules, params_eps)]
+        ops = [cutoff_flux_neumann(dofmap, params_eps)]
         if empty == "dirichlet":
-            ops.append(assemble_boundary_mass(dofmap, rules))
+            ops.append(assemble_boundary_mass(dofmap))
         for M in ops:
             assert M.shape == (dofmap.ndof, dofmap.ndof) and M.dtype == np.float64 and M.nnz == 0
 
 
 def test_shared_pattern_arrays_are_read_only_and_unchanged(domain_mixed):
     """The stencil tables and the dofmap's cached cell arrays, which every operator reads."""
-    dofmap, params, rules = _grid(domain_mixed, 16, 7)
+    dofmap, params = _grid(domain_mixed, 16, 7)
     shared = [space.STENCIL, space.CORNERS, space.PAIR_SLOTS, dofmap.reference_gradients]
     shared.append(dofmap.active_dofs)
     before = [a.copy() for a in shared]
-    _operators(dofmap, rules, params)
-    solve_standard(assemble_system(dofmap, rules, params, manufactured_smooth(domain_mixed)), dofmap)
+    _operators(dofmap, params)
+    solve_standard(assemble_system(dofmap, params, manufactured_smooth(domain_mixed)), dofmap)
     for a, b in zip(shared, before):
         assert not a.flags.writeable
         assert np.array_equal(a, b)
@@ -605,11 +610,11 @@ def test_shared_pattern_arrays_are_read_only_and_unchanged(domain_mixed):
         space.PAIR_SLOTS[0, 0, 0] = 0
 
 
-def boundary_load_pointwise(dofmap, rules, params, data):
+def boundary_load_pointwise(dofmap, params, data):
     """Oracle: the Neumann and Dirichlet data terms of the load."""
     h = dofmap.mesh.h
     dofs = dofmap.active_dofs
-    rule_n, rule_d = rules.neumann, rules.dirichlet
+    rule_n, rule_d = dofmap.rules.neumann, dofmap.rules.dirichlet
     lam_n, _ = _boundary_local(dofmap, rule_n)
     lam_d, flux_d = _boundary_local(dofmap, rule_d)
     gd = rule_d.weights * data.g_D(rule_d.points)
@@ -620,26 +625,26 @@ def boundary_load_pointwise(dofmap, rules, params, data):
     return _vector(dofmap.ndof, [dofs[rule_n.owner], dofs[rule_d.owner]], values)
 
 
-def load_pointwise(dofmap, rules, params, data):
+def load_pointwise(dofmap, params, data):
     """Oracle: the load with hat values from barycentric coordinates at every volume point."""
     coords, grads, dofs = cell_geometry(dofmap)
-    b = boundary_load_pointwise(dofmap, rules, params, data)
-    vol = packed_volume_rule(rules)
+    b = boundary_load_pointwise(dofmap, params, data)
+    vol = packed_volume_rule(dofmap.rules)
     lam = _barycentric(coords[vol.owner], vol.points)
     wf = vol.weights * data.f(vol.points)
     return b + _vector(dofmap.ndof, [dofs[vol.owner]], [lam * wf[:, None]])
 
 
-def error_norms_pointwise(problem, u_h, rules, stabilizer, refine_levels=0):
+def error_norms_pointwise(problem, u_h, stabilizer, refine_levels=0):
     """Oracle: the error norms with u_h from barycentric coordinates at every volume point,
     over one concatenated copy of the bulk rule without the refined cells and the refined rule."""
     dofmap = u_h.dofmap
-    h = dofmap.mesh.h
+    h, rules = dofmap.mesh.h, dofmap.rules
     coords, grads, dofs = cell_geometry(dofmap)
     vol = packed_volume_rule(rules)
     if refine_levels and len(problem.singular_points):
         singular = np.asarray(problem.singular_points, dtype=float)
-        target = _cells_near(singular, dofmap.topology)
+        target = _cells_near(singular, dofmap.topology, 2.0 * h)
         cells = np.flatnonzero(target >= 0)
         keep = target[vol.owner] < 0
         refined = refine_rule_toward(
@@ -687,13 +692,13 @@ def test_volume_terms_match_the_pointwise_oracles(
     problem = _problem(name, domain_mixed, domain_dirichlet)
     n = 16
     offset = (0.0, 0.0) if shift is None else sweep_shifts((-1, -1, 1, 1), n, 20)[shift]
-    dofmap, params, rules = discretize(problem.domain, n, shift=offset)
-    system = assemble_system(dofmap, rules, params, problem)
-    want = load_pointwise(dofmap, rules, params, problem)
+    dofmap, params = discretize(problem.domain, n, shift=offset)
+    system = assemble_system(dofmap, params, problem)
+    want = load_pointwise(dofmap, params, problem)
     assert np.abs(system.b - want).max() <= 1e-12 * np.abs(want).max()
     u_h = solve_standard(system, dofmap).solution
-    got = error_norms(problem, u_h, rules, system.S, refine_levels)
-    want = error_norms_pointwise(problem, u_h, rules, system.S, refine_levels)
+    got = error_norms(problem, u_h, system.S, refine_levels)
+    want = error_norms_pointwise(problem, u_h, system.S, refine_levels)
     for field in ("energy", "sh", "l2"):
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0)
 
@@ -703,26 +708,26 @@ def test_zero_source_gives_the_boundary_load(domain_mixed, shift):
     problem = manufactured_smooth(domain_mixed)
     no_source = dataclasses.replace(problem, f=lambda p: np.zeros(np.asarray(p).shape[:-1]))
     offset = (0.0, 0.0) if shift is None else sweep_shifts((-1, -1, 1, 1), 16, 20)[shift]
-    dofmap, params, rules = discretize(domain_mixed, 16, shift=offset)
-    b = assemble_load(dofmap, rules, params, no_source)
+    dofmap, params = discretize(domain_mixed, 16, shift=offset)
+    b = assemble_load(dofmap, params, no_source)
     assert np.abs(b).max() > 0.0
-    assert np.array_equal(b, boundary_load_pointwise(dofmap, rules, params, no_source))
+    assert np.array_equal(b, boundary_load_pointwise(dofmap, params, no_source))
 
 
-def _stiffness_einsum(dofmap, rules):
+def _stiffness_einsum(dofmap):
     """Oracle: stiffness blocks from per-cell hat gradients in a three-operand einsum."""
     coords, _, dofs = cell_geometry(dofmap)
     grads = hat_gradients(coords)
-    vol = packed_volume_rule(rules)
+    vol = packed_volume_rule(dofmap.rules)
     masses = np.bincount(vol.owner, vol.weights, minlength=len(dofs))
     return _stiffness_add_at(dofmap, np.einsum("tid,tjd,t->tij", grads, grads, masses))
 
 
 @pytest.mark.parametrize("n", [8, 32])
 def test_stiffness_is_bitwise_the_einsum_on_a_dyadic_grid(domain_mixed, n):
-    dofmap, params, rules = discretize(domain_mixed, n)
-    want = _stiffness_einsum(dofmap, rules)
-    assert _csr_bits(assemble_stiffness(dofmap, rules)) == _csr_bits(want)
+    dofmap, params = discretize(domain_mixed, n)
+    want = _stiffness_einsum(dofmap)
+    assert _csr_bits(assemble_stiffness(dofmap)) == _csr_bits(want)
 
 
 # around the disk of radius 0.7 at the origin: square, stretched to 4.2, off centre
@@ -735,41 +740,44 @@ def test_stiffness_by_parity_matches_the_einsum_and_operators_stay_symmetric(
     domain_mixed, box, n
 ):
     for shift in sweep_shifts(box, n, 20)[::6]:
-        dofmap, params, rules = discretize(domain_mixed, n, box=box, shift=shift)
+        dofmap, params = discretize(domain_mixed, n, box=box, shift=shift)
         mesh = dofmap.mesh
-        K, want = assemble_stiffness(dofmap, rules), _stiffness_einsum(dofmap, rules)
+        K, want = assemble_stiffness(dofmap), _stiffness_einsum(dofmap)
         assert np.array_equal(K.indptr, want.indptr) and np.array_equal(K.indices, want.indices)
         err = np.abs(K.data - want.data).max() / np.abs(want.data).max()
         assert err <= reference_tolerance(mesh, box, n), shift
-        A = assemble_nitsche(dofmap, rules, params)
-        S = assemble_ghost_penalty(dofmap, rules, params)
+        A = assemble_nitsche(dofmap, params)
+        S = assemble_ghost_penalty(dofmap, params)
         for M in (K, A, S):
             assert (M != M.T).nnz == 0, shift
 
 
-def _all_packed(rules):
-    """Oracle: the rule set with every active cell in the packed volume rule and no inside blocks,
+def _all_packed(dofmap):
+    """Oracle: the dofmap with every active cell in the packed volume rule and no inside blocks,
     so that each consumer sums every cell by ``np.bincount`` over its points."""
+    rules = dofmap.rules
     empty = [dataclasses.replace(r, cells=r.cells[:0]) for r in rules.inside]
-    return dataclasses.replace(rules, volume=packed_volume_rule(rules), inside=tuple(empty))
+    packed = dataclasses.replace(rules, volume=packed_volume_rule(rules), inside=tuple(empty))
+    return dataclasses.replace(dofmap, rules=packed)
 
 
-def _assert_inside_path_matches_the_packed_oracle(dofmap, rules, params, problem, u_h, cutoff=True):
+def _assert_inside_path_matches_the_packed_oracle(dofmap, params, problem, u_h, cutoff=True):
     """Stiffness bitwise; load, actions (with the cutoff if ``cutoff``) and error norms,
     refined and not, to 1e-12 relative."""
-    packed = _all_packed(rules)
-    K = assemble_stiffness(dofmap, rules)
-    assert _csr_bits(K) == _csr_bits(assemble_stiffness(dofmap, packed))
-    vectors = [lambda r: assemble_load(dofmap, r, params, problem)]
+    packed = _all_packed(dofmap)
+    K = assemble_stiffness(dofmap)
+    assert _csr_bits(K) == _csr_bits(assemble_stiffness(packed))
+    vectors = [lambda d: assemble_load(d, params, problem)]
     for p in (params, params.with_epsilon(0.1 * dofmap.mesh.h**2))[: 1 + cutoff]:
-        vectors.append(lambda r, p=p: nitsche_action(dofmap, r, p, problem.u, problem.grad_u))
+        vectors.append(lambda d, p=p: nitsche_action(d, p, problem.u, problem.grad_u))
     for vector in vectors:
-        got, want = vector(rules), vector(packed)
+        got, want = vector(dofmap), vector(packed)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    S = assemble_ghost_penalty(dofmap, rules, params)
+    S = assemble_ghost_penalty(dofmap, params)
+    u_packed = FeFunction(u_h.coefficients, packed)
     for levels in (0, 8):
-        got = error_norms(problem, u_h, rules, S, levels)
-        want = error_norms(problem, u_h, packed, S, levels)
+        got = error_norms(problem, u_h, S, levels)
+        want = error_norms(problem, u_packed, S, levels)
         for field in ("energy", "sh", "l2"):
             assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0)
 
@@ -779,33 +787,34 @@ def _assert_inside_path_matches_the_packed_oracle(dofmap, rules, params, problem
 def test_inside_blocks_match_the_packed_rule_oracle(domain_mixed, n, shift):
     """The inside cells' per-block reductions against bincounts over their packed points."""
     offset = (0.0, 0.0) if shift is None else sweep_shifts((-1, -1, 1, 1), n, 20)[shift]
-    dofmap, params, rules = discretize(domain_mixed, n, shift=offset)
+    dofmap, params = discretize(domain_mixed, n, shift=offset)
+    rules = dofmap.rules
     assert all(len(r.cells) for r in rules.inside) and len(rules.volume.weights)
     problem = _problem("smooth-graded", domain_mixed, None)  # a source, refined at the junctions
-    u_h = solve_standard(assemble_system(dofmap, rules, params, problem), dofmap).solution
-    _assert_inside_path_matches_the_packed_oracle(dofmap, rules, params, problem, u_h)
+    u_h = solve_standard(assemble_system(dofmap, params, problem), dofmap).solution
+    _assert_inside_path_matches_the_packed_oracle(dofmap, params, problem, u_h)
 
 
 def _level(domain, box, n):
-    topo = classify(build_background(box, n), domain)
-    return build_dofmap(topo), NitscheParams(), build_rules(topo)
+    return build_dofmap(build_rules(classify(build_background(box, n), domain))), NitscheParams()
 
 
 def test_fitted_square_without_cut_cells(rng):
     """A disk covering the n = 1 box: two inside cells, an empty cut rule, a nonzero stiffness."""
     domain = LevelSetDomain((0.0, 0.0), 2.0, ((0.0, math.pi),))
-    dofmap, params, rules = _level(domain, (-0.5, -0.5, 0.5, 0.5), 1)
+    dofmap, params = _level(domain, (-0.5, -0.5, 0.5, 0.5), 1)
+    rules = dofmap.rules
     assert len(rules.volume.weights) == len(rules.dirichlet.weights) == len(rules.neumann.weights) == 0
     assert [len(r.cells) for r in rules.inside] == [1, 1]
-    K = assemble_stiffness(dofmap, rules).toarray()
+    K = assemble_stiffness(dofmap).toarray()
     assert K.dtype == np.float64
     assert K.diagonal() == pytest.approx([1.0, 1.0, 1.0, 1.0], rel=1e-14)  # the unit square's hats
     assert np.abs(K @ np.ones(4)).max() <= 1e-15
     # a singular point within 2h of both cells: refined, they leave the inside blocks empty
     problem = dataclasses.replace(manufactured_smooth(domain), singular_points=((0.3, 0.2),))
     u_h = FeFunction(rng.standard_normal(dofmap.ndof), dofmap)
-    _assert_inside_path_matches_the_packed_oracle(dofmap, rules, params, problem, u_h)
-    b = assemble_load(dofmap, rules, params, problem)
+    _assert_inside_path_matches_the_packed_oracle(dofmap, params, problem, u_h)
+    b = assemble_load(dofmap, params, problem)
     assert b.dtype == np.float64 and np.abs(b).max() > 0.0
 
 
@@ -814,9 +823,10 @@ def test_grid_without_inside_cells(domain_mixed, rng):
 
     Its h is above the collar limit, as it is wherever no cell lies inside, so no cutoff is built.
     """
-    dofmap, params, rules = _level(domain_mixed, (-1.0, -1.0, 1.0, 1.0), 2)
+    dofmap, params = _level(domain_mixed, (-1.0, -1.0, 1.0, 1.0), 2)
+    rules = dofmap.rules
     assert [len(r.cells) for r in rules.inside] == [0, 0]
     assert np.array_equal(np.unique(rules.volume.owner), np.arange(len(dofmap.topology.active)))
     problem = manufactured_singular(domain_mixed)
     u_h = FeFunction(rng.standard_normal(dofmap.ndof), dofmap)
-    _assert_inside_path_matches_the_packed_oracle(dofmap, rules, params, problem, u_h, cutoff=False)
+    _assert_inside_path_matches_the_packed_oracle(dofmap, params, problem, u_h, cutoff=False)

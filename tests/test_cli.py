@@ -116,8 +116,8 @@ def test_inequalities_csv_holds_the_library_constants(tmp_path):
     lines = a.decode("utf-8").strip().split("\n")
     assert lines[0] == "inequality,max_constant"
     domain = LevelSetDomain((0.0, 0.0), 0.7, ((0.0, math.pi),))
-    dofmap, params, rules = study.discretize(domain, 8, tol=1e-10)
-    report = study.verify_inequalities(dofmap, rules, params)
+    dofmap, params = study.discretize(domain, 8, tol=1e-10)
+    report = study.verify_inequalities(dofmap, params)
     want = [report.full_gradient, report.boundary_flux, report.cut_trace]
     assert [float(line.split(",")[1]) for line in lines[1:]] == want
 
@@ -181,6 +181,19 @@ def test_single_level_kinds_reject_several_levels(tmp_path, capsys, kind):
     assert "[8, 16]" in capsys.readouterr().err
     assert not any((tmp_path / "out").glob("*.csv"))
     assert load_config(write_config(tmp_path, {"mesh": {"levels": [8]}, "study": {"kind": kind}}))
+
+
+def test_convergence_rejects_one_level_naming_mesh_levels(tmp_path, capsys, monkeypatch):
+    """A convergence study compares levels: one level is rejected at load, before any work."""
+    calls = []
+    monkeypatch.setattr(study, "discretize", _counting(calls, "discretize", study.discretize))
+    cfg = write_config(tmp_path, {"mesh": {"levels": [8]}, "study": {"kind": "convergence"}})
+    message = r"study.kind 'convergence' compares mesh levels, but mesh.levels is \[8\]"
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg)
+    assert run(str(cfg), tmp_path / "out", quiet=True) == 2
+    assert "mesh.levels is [8]" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "out").exists()
 
 
 def _counting(calls, name, fn):
@@ -443,7 +456,7 @@ def test_each_mutation_of_a_default_field_is_rejected_by_name_or_loads(tmp_path,
 
 TWO_JUNCTIONS = {
     "geometry": {"dirichlet_arcs": [[0.0, math.pi]]},
-    "mesh": {"levels": [8]},
+    "mesh": {"levels": [8, 16]},
     "problem": {"kind": "singular"},
 }
 

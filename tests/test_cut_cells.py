@@ -387,7 +387,8 @@ def test_each_arc_is_counted_once_near_a_shared_edge():
     admitted = 0
     for n, domain in _axis_perturbed_disks():
         try:
-            dofmap, _, rules = discretize(domain, n)
+            dofmap, _ = discretize(domain, n)
+            rules = dofmap.rules
         except (AmbiguousCutError, ValueError):  # a tangency in the guard band, or h too coarse
             continue
         admitted += 1

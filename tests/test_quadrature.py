@@ -296,3 +296,25 @@ def test_batched_refinement_equals_one_cell_calls(domain_mixed):
         assert np.array_equal(one.owner, np.zeros_like(one.owner))
         assert np.array_equal(batched.points[batched.owner == k], one.points)
         assert np.array_equal(batched.weights[batched.owner == k], one.weights)
+
+
+def test_cell_sums_rejects_an_integrand_that_returns_one_array(domain_mixed):
+    """A lone (b, q) array would be read as b columns; a tuple of one array is one column."""
+    rules = disk_rules(domain_mixed, 16)[2]
+    with pytest.raises(TypeError, match="an integrand returns a tuple, not ndarray"):
+        rules.cell_sums(lambda points, cells, offsets: np.ones(points.shape[:2]), None)
+    sums = rules.cell_sums(lambda points, cells, offsets: (np.ones(points.shape[:2]),), None)
+    assert sums.shape == (1, len(rules.topology.active))
+    assert sums.sum() == pytest.approx(math.pi * domain_mixed.radius**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_build_rules_finds_the_arcs_of_the_cut_cells_once(domain_mixed, monkeypatch, n):
+    """The volume and the boundary rule share one ``_arcs`` call, on the cut cells only."""
+    import cutpoisson.quadrature as quadrature
+
+    calls = []
+    arcs = quadrature._arcs
+    monkeypatch.setattr(quadrature, "_arcs", lambda tris, d: calls.append(len(tris)) or arcs(tris, d))
+    _, topo, _ = disk_rules(domain_mixed, n)
+    assert calls == [len(topo.cut)]

@@ -90,19 +90,19 @@ def test_singular_level_factors_with_the_pinned_fill(domain_mixed):
     and add fill (and time) without changing the solution.
     """
     problem = manufactured_singular(domain_mixed)
-    dofmap, params, rules = discretize(domain_mixed, 64)
-    report = solve_standard(assemble_system(dofmap, rules, params, problem), dofmap)
+    dofmap, params = discretize(domain_mixed, 64)
+    report = solve_standard(assemble_system(dofmap, params, problem), dofmap)
     assert report.factors.L.nnz + report.factors.U.nnz == 49710
 
 
 def test_regularized_limit_matches_standard(domain_mixed):
     """At epsilon = 0 no row is perturbed: the standard solution comes back, checked, unsolved."""
     problem = manufactured_smooth(domain_mixed)
-    dofmap, params, rules = discretize(domain_mixed, 16)
-    system = assemble_system(dofmap, rules, params, problem)
+    dofmap, params = discretize(domain_mixed, 16)
+    system = assemble_system(dofmap, params, problem)
     standard = solve_standard(system, dofmap)
     u_h = standard.solution
-    A0 = assemble_regularized(system.A, dofmap, rules, params)
+    A0 = assemble_regularized(system.A, dofmap, params)
     standard.factors = None  # a solve with the factors would raise
     reg = solve_regularized(SystemMatrices(A0, system.S, system.b), dofmap, standard)
     assert reg.method == "lowrank" and reg.residual <= solve.RESIDUAL_RTOL * np.linalg.norm(system.b)
@@ -121,12 +121,12 @@ def test_regularized_limit_matches_standard(domain_mixed):
 )
 def test_low_rank_update_matches_a_direct_factorization(domain_mixed, n, eps_of):
     problem = manufactured_smooth(domain_mixed)
-    dofmap, params, rules = discretize(domain_mixed, n)
+    dofmap, params = discretize(domain_mixed, n)
     mesh = dofmap.mesh
-    system = assemble_system(dofmap, rules, params, problem)
+    system = assemble_system(dofmap, params, problem)
     standard = solve_standard(system, dofmap)
     eps = eps_of(mesh.h, domain_mixed.radius)
-    A_eps = assemble_regularized(system.A, dofmap, rules, params.with_epsilon(eps))
+    A_eps = assemble_regularized(system.A, dofmap, params.with_epsilon(eps))
     K = (A_eps + system.S).tocsc()
     perturbed = np.flatnonzero(abs(K - standard.operator).sum(axis=1))
     assert len(perturbed) > (50 if n == 64 else 0)
@@ -170,10 +170,10 @@ def test_regularized_gap_bounded_and_stable(domain_mixed):
     eps_values = [0.05 * h**2, 0.1 * h**2, 0.2 * h**2, 0.4 * h**2]
     report = regularization_study(problem, n, eps_values)
     assert 0.8 <= report.slope <= 1.2
-    dofmap, params, rules = discretize(domain_mixed, n)
-    system = assemble_system(dofmap, rules, params, problem)
+    dofmap, params = discretize(domain_mixed, n)
+    system = assemble_system(dofmap, params, problem)
     u_h = solve_standard(system, dofmap).solution
-    gram = energy_gram(dofmap, rules, system.S)
+    gram = energy_gram(dofmap, system.S)
     base = energy_norm(u_h, gram)
     for eps, gap in zip(eps_values, report.gaps):
         assert gap <= 10.0 * eps / h * base
@@ -195,13 +195,32 @@ def test_condition_estimate_singular_operator_raises():
         condition_estimate(K)
 
 
+def test_condition_estimate_that_does_not_converge_raises():
+    """One power iteration never meets the stopping test: SolverError with the partial estimate."""
+    K = sp.diags([1.0, 2.0, 3.0]).tocsr()
+    with pytest.raises(SolverError, match=r"did not converge in 1 iterations \(partial estimate"):
+        condition_estimate(K, maxit=1)
+
+
+def test_every_factorization_takes_the_symmetric_ordering(domain_mixed, monkeypatch):
+    """solve_standard and condition_estimate factor with the same SuperLU options."""
+    options = []
+    splu = spla.splu
+    monkeypatch.setattr(solve.spla, "splu", lambda K, **kw: options.append(kw) or splu(K, **kw))
+    dofmap, params = discretize(domain_mixed, 8)
+    system = assemble_system(dofmap, params, manufactured_smooth(domain_mixed))
+    solve_standard(system, dofmap)
+    condition_estimate(system.A + system.S)
+    assert options == [solve._SYMMETRIC_ORDERING] * 2
+
+
 def test_condition_estimate_matches_dense_oracle(domain_dirichlet):
-    dofmap, params, rules = discretize(domain_dirichlet, 8, tol=1e-8)
+    dofmap, params = discretize(domain_dirichlet, 8, tol=1e-8)
     from cutpoisson.assembly import assemble_ghost_penalty, assemble_nitsche
 
     K = (
-        assemble_nitsche(dofmap, rules, params)
-        + assemble_ghost_penalty(dofmap, rules, params)
+        assemble_nitsche(dofmap, params)
+        + assemble_ghost_penalty(dofmap, params)
     ).tocsr()
     eigs = np.abs(np.linalg.eigvalsh(K.toarray()))
     dense = eigs.max() / eigs.min()
@@ -221,8 +240,8 @@ def test_stabilization_controls_conditioning(domain_dirichlet):
 
 def test_solver_determinism(domain_mixed):
     problem = manufactured_smooth(domain_mixed)
-    dofmap, params, rules = discretize(domain_mixed, 16)
-    system = assemble_system(dofmap, rules, params, problem)
+    dofmap, params = discretize(domain_mixed, 16)
+    system = assemble_system(dofmap, params, problem)
     x1 = solve_standard(system, dofmap).solution.coefficients
     x2 = solve_standard(system, dofmap).solution.coefficients
     assert np.array_equal(x1, x2)

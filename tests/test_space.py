@@ -35,7 +35,7 @@ def fitted_two_triangles():
     domain = LevelSetDomain((0.5, 0.5), 10.0, ((0.0, 2 * math.pi),))
     mesh = build_background((0, 0, 1, 1), 1)
     topo = classify(mesh, domain)
-    return mesh, topo, build_dofmap(topo)
+    return mesh, topo, build_dofmap(build_rules(topo))
 
 
 def nodal(dofmap, fn):
@@ -59,7 +59,7 @@ def test_linear_function_gradient(fitted_two_triangles):
 
 
 def test_gradient_matches_finite_differences(domain_mixed, disc_mixed_8, rng):
-    dofmap, params, rules = disc_mixed_8
+    dofmap, params = disc_mixed_8
     mesh, topo = dofmap.mesh, dofmap.topology
     f = FeFunction(rng.standard_normal(dofmap.ndof), dofmap)
     for t in topo.inside[:5]:
@@ -75,12 +75,26 @@ def test_gradient_matches_finite_differences(domain_mixed, disc_mixed_8, rng):
 
 
 def test_inactive_triangle_rejected(disc_mixed_8):
-    dofmap, params, rules = disc_mixed_8
+    dofmap, params = disc_mixed_8
     topo = dofmap.topology
     outside = np.flatnonzero(topo.classification == 2)
     f = FeFunction(np.zeros(dofmap.ndof), dofmap)
-    with pytest.raises(ValueError):
+    message = f"triangle {outside[0]} is not in the active mesh"
+    with pytest.raises(ValueError, match=message):
         evaluate(f, int(outside[0]), np.zeros(2))
+    with pytest.raises(ValueError, match=message):
+        gradient(f, int(outside[0]))
+    with pytest.raises(ValueError, match=message):
+        f.vertex_values(int(outside[0]))
+
+
+def test_the_dofmap_carries_the_rules_it_was_numbered_on(domain_mixed):
+    """One value per level: the dofmap keeps its rules, and its topology is theirs."""
+    rules = build_rules(classify(build_background((-1, -1, 1, 1), 8), domain_mixed))
+    dofmap = build_dofmap(rules)
+    assert dofmap.rules is rules and dofmap.topology is rules.topology
+    assert dofmap.mesh is rules.topology.mesh
+    assert dofmap.ndof == len(np.unique(dofmap.mesh.triangle_vertices(rules.topology.active)))
 
 
 def test_jump_zero_for_affine(fitted_two_triangles):
@@ -106,7 +120,7 @@ def test_hat_jump_matches_hand_assembly(fitted_two_triangles):
 
 
 def test_clement_reproduces_constants_and_affines(disc_mixed_8, rng):
-    dofmap, params, rules = disc_mixed_8
+    dofmap, params = disc_mixed_8
     mesh = dofmap.mesh
     const = clement_interpolate(lambda p: np.full(np.asarray(p).shape[:-1], 4.2), dofmap)
     assert np.allclose(const.coefficients, 4.2, atol=1e-13)
@@ -158,7 +172,8 @@ def test_clement_names_a_degenerate_patch(fitted_two_triangles):
     """Squashing the square onto a line leaves every patch without moments."""
     mesh, topo, dofmap = fitted_two_triangles
     flat = dataclasses.replace(mesh, ys=mesh.ys * 0.0)
-    flat_dofmap = dataclasses.replace(dofmap, topology=dataclasses.replace(topo, mesh=flat))
+    flat_topo = dataclasses.replace(topo, mesh=flat)
+    flat_dofmap = dataclasses.replace(dofmap, rules=dataclasses.replace(dofmap.rules, topology=flat_topo))
     with pytest.raises(ValueError, match="degenerate patch moment matrix at vertex 0"):
         clement_interpolate(lambda p: np.asarray(p)[..., 0], flat_dofmap)
 
@@ -166,8 +181,8 @@ def test_clement_names_a_degenerate_patch(fitted_two_triangles):
 def test_clement_affine_has_zero_stabilizer_seminorm(disc_mixed_8):
     from cutpoisson.assembly import assemble_ghost_penalty, energy_norm
 
-    dofmap, params, rules = disc_mixed_8
-    S = assemble_ghost_penalty(dofmap, rules, params)
+    dofmap, params = disc_mixed_8
+    S = assemble_ghost_penalty(dofmap, params)
     interp = clement_interpolate(
         lambda p: 1.0 + 2.0 * np.asarray(p)[..., 0] - np.asarray(p)[..., 1], dofmap
     )
@@ -187,14 +202,13 @@ def test_clement_h1_rate_for_smooth_function(domain_dirichlet):
 def test_active_cell_geometry_is_computed_once_and_read_only(domain_mixed, monkeypatch):
     mesh = build_background((-1, -1, 1, 1), 8)
     topo = classify(mesh, domain_mixed)
-    dofmap = build_dofmap(topo)
+    dofmap = build_dofmap(build_rules(topo))
     calls = []
     original = cutpoisson.space.hat_gradients
     monkeypatch.setattr(cutpoisson.space, "hat_gradients", lambda c: calls.append(1) or original(c))
-    rules = build_rules(topo)
     params = NitscheParams()
-    assemble_nitsche(dofmap, rules, params)
-    assemble_load(dofmap, rules, params, manufactured_smooth(domain_mixed))
+    assemble_nitsche(dofmap, params)
+    assemble_load(dofmap, params, manufactured_smooth(domain_mixed))
     assert dofmap.active_dofs is dofmap.active_dofs
     assert len(calls) == 1
     vertices, triangles = grid_arrays(mesh)
@@ -210,7 +224,7 @@ def test_active_cell_geometry_is_computed_once_and_read_only(domain_mixed, monke
 
 def _gradients_by_parity(mesh, domain):
     """Per-triangle hat gradients of ``mesh`` and the dofmap's reference gradients by parity."""
-    ref = build_dofmap(classify(mesh, domain)).reference_gradients
+    ref = build_dofmap(build_rules(classify(mesh, domain))).reference_gradients
     assert ref.shape == (2, 3, 2) and not ref.flags.writeable
     vertices, triangles = grid_arrays(mesh)
     per_cell = cutpoisson.space.hat_gradients(vertices[triangles])
@@ -256,13 +270,11 @@ def test_one_hat_gradients_call_per_level(domain_mixed, monkeypatch):
     levels = [(8, (0.0, 0.0)), (16, sweep_shifts((-1, -1, 1, 1), 16, 20)[7])]
     for level, (n, shift) in enumerate(levels, start=1):
         mesh = build_background((-1, -1, 1, 1), n, shift)
-        topo = classify(mesh, domain_mixed)
-        dofmap = build_dofmap(topo)
-        rules = build_rules(topo)
+        dofmap = build_dofmap(build_rules(classify(mesh, domain_mixed)))
         params = NitscheParams()
-        assemble_nitsche(dofmap, rules, params)
-        S = assemble_ghost_penalty(dofmap, rules, params)
-        assemble_load(dofmap, rules, params, problem)
+        assemble_nitsche(dofmap, params)
+        S = assemble_ghost_penalty(dofmap, params)
+        assemble_load(dofmap, params, problem)
         u_h = FeFunction(np.ones(dofmap.ndof), dofmap)
-        error_norms(problem, u_h, rules, S, refine_levels=2)
+        error_norms(problem, u_h, S, refine_levels=2)
         assert len(calls) == level

@@ -211,8 +211,8 @@ def test_report_rejects_non_refined_levels(domain_dirichlet):
 def test_inequality_constants_stable(domain_mixed):
     constants = []
     for n in (8, 16):
-        dofmap, params, rules = discretize(domain_mixed, n)
-        rep = verify_inequalities(dofmap, rules, params)
+        dofmap, params = discretize(domain_mixed, n)
+        rep = verify_inequalities(dofmap, params)
         constants.append(rep)
         assert rep.full_gradient > 0.0
         assert rep.boundary_flux > 0.0
@@ -225,11 +225,11 @@ def test_inequality_constants_stable(domain_mixed):
 def test_inequality_affine_case(domain_mixed):
     """A global affine has zero stabilizer, so the full-mesh gradient bound is
     an upper bound with constant at least the active-to-cut area ratio."""
-    dofmap, params, rules = discretize(domain_mixed, 8)
+    dofmap, params = discretize(domain_mixed, 8)
     mesh, topo = dofmap.mesh, dofmap.topology
     from cutpoisson.assembly import assemble_stiffness
 
-    K = assemble_stiffness(dofmap, rules)
+    K = assemble_stiffness(dofmap)
     verts = mesh.vertex_coords(dofmap.dof_to_vertex)
     x = 2.0 * verts[:, 0] - verts[:, 1]
     grad_cut = float(x @ (K @ x))
@@ -245,8 +245,8 @@ def test_inequality_affine_case(domain_mixed):
 def test_inequality_constants_bounded_across_sweep(domain_mixed):
     values = []
     for shift in sweep_shifts((-1, -1, 1, 1), 8, 20):
-        dofmap, params, rules = discretize(domain_mixed, 8, tol=1e-8, shift=shift)
-        rep = verify_inequalities(dofmap, rules, params)
+        dofmap, params = discretize(domain_mixed, 8, tol=1e-8, shift=shift)
+        rep = verify_inequalities(dofmap, params)
         values.append(rep.full_gradient)
     assert max(values) <= 10.0 * min(values)
     assert max(values) < 100.0
@@ -255,7 +255,7 @@ def test_inequality_constants_bounded_across_sweep(domain_mixed):
 TWO_ARCS = ((0.3, 1.2), (2.5, 4.0))  # two Dirichlet arcs: two components of Dirichlet cells
 
 
-def _inequality_oracles(dofmap, rules, params):
+def _inequality_oracles(dofmap, params):
     """Dense oracle of each constant, from per-cell loops, and the kernel dimension of (b).
 
     (a) pins the last dof instead of the first; (b) solves the eigenproblem on an
@@ -265,10 +265,10 @@ def _inequality_oracles(dofmap, rules, params):
     from cutpoisson.assembly import assemble_ghost_penalty, assemble_stiffness
     from cutpoisson.space import hat_gradients
 
-    h, ndof = dofmap.mesh.h, dofmap.ndof
+    h, ndof, rules = dofmap.mesh.h, dofmap.ndof, dofmap.rules
     topo = dofmap.topology
     dofs = dofmap.vertex_to_dof[dofmap.mesh.triangle_vertices(topo.active)]
-    near = _dirichlet_cells(dofmap, rules)
+    near = _dirichlet_cells(dofmap)
     full, grad_near = np.zeros((ndof, ndof)), np.zeros((ndof, ndof))
     cells = []
     for t, tri in enumerate(topo.active):
@@ -281,7 +281,7 @@ def _inequality_oracles(dofmap, rules, params):
             grad_near[np.ix_(dofs[t], dofs[t])] += block
         cells.append((c, g, area))
 
-    G = (assemble_stiffness(dofmap, rules) + assemble_ghost_penalty(dofmap, rules, params)).toarray()
+    G = (assemble_stiffness(dofmap) + assemble_ghost_penalty(dofmap, params)).toarray()
     c_full = scipy.linalg.eigh(full[:-1, :-1], G[:-1, :-1], eigvals_only=True)[-1]
 
     flux = np.zeros((ndof, ndof))
@@ -309,28 +309,28 @@ def _inequality_oracles(dofmap, rules, params):
 
 @pytest.mark.parametrize("arcs, kernel", [(((0.0, math.pi),), 1), (TWO_ARCS, 2)], ids=["mixed", "two-arc"])
 def test_inequality_constants_match_dense_oracles(arcs, kernel):
-    dofmap, params, rules = discretize(LevelSetDomain((0.0, 0.0), 0.7, arcs), 8)
-    rep = verify_inequalities(dofmap, rules, params)
-    want, got_kernel = _inequality_oracles(dofmap, rules, params)
+    dofmap, params = discretize(LevelSetDomain((0.0, 0.0), 0.7, arcs), 8)
+    rep = verify_inequalities(dofmap, params)
+    want, got_kernel = _inequality_oracles(dofmap, params)
     assert got_kernel == kernel
     got = (rep.full_gradient, rep.boundary_flux, rep.cut_trace)
     for name, value, ref in zip(("full_gradient", "boundary_flux", "cut_trace"), got, want):
         assert abs(value - ref) <= 1e-12 * ref, (name, value, ref)
 
 
-def _sampled_constants(dofmap, rules, params, trials=20, seed=20260810):
+def _sampled_constants(dofmap, params, trials=20, seed=20260810):
     """The largest quotient of each inequality over random coefficient vectors: lower bounds."""
     from cutpoisson.assembly import assemble_ghost_penalty, assemble_stiffness
     from cutpoisson.quadrature import _barycentric, _tri_area
 
     rng = np.random.default_rng(seed)
-    h = dofmap.mesh.h
-    K = assemble_stiffness(dofmap, rules)
-    S = assemble_ghost_penalty(dofmap, rules, params)
+    h, rules = dofmap.mesh.h, dofmap.rules
+    K = assemble_stiffness(dofmap)
+    S = assemble_ghost_penalty(dofmap, params)
     coords, grads, dofs = cell_geometry(dofmap)
     areas = _tri_area(coords)
     bnd, rule_d = packed_boundary_rule(rules), rules.dirichlet
-    near = _dirichlet_cells(dofmap, rules)
+    near = _dirichlet_cells(dofmap)
     lam = _barycentric(coords[bnd.owner], bnd.points)
     p1_mass = np.ones((3, 3)) + np.eye(3)
     c_full = c_flux = c_trace = 0.0
@@ -353,24 +353,24 @@ def _sampled_constants(dofmap, rules, params, trials=20, seed=20260810):
 
 @pytest.mark.parametrize("arcs", [((0.0, math.pi),), TWO_ARCS], ids=["mixed", "two-arc"])
 def test_inequality_constants_bound_every_sampled_quotient(arcs):
-    dofmap, params, rules = discretize(LevelSetDomain((0.0, 0.0), 0.7, arcs), 8)
-    rep = verify_inequalities(dofmap, rules, params)
-    sampled = _sampled_constants(dofmap, rules, params)
+    dofmap, params = discretize(LevelSetDomain((0.0, 0.0), 0.7, arcs), 8)
+    rep = verify_inequalities(dofmap, params)
+    sampled = _sampled_constants(dofmap, params)
     for value, lower in zip((rep.full_gradient, rep.boundary_flux, rep.cut_trace), sampled):
         assert value >= lower * (1.0 - 1e-12)
 
 
 def test_pure_neumann_disk_has_no_flux_constant():
-    dofmap, params, rules = discretize(LevelSetDomain((0.0, 0.0), 0.7, ()), 8)
-    rep = verify_inequalities(dofmap, rules, params)
+    dofmap, params = discretize(LevelSetDomain((0.0, 0.0), 0.7, ()), 8)
+    rep = verify_inequalities(dofmap, params)
     assert rep.boundary_flux == 0.0
     assert rep.full_gradient > 0.0 and rep.cut_trace > 0.0
 
 
 def test_inequality_constants_rerun_bitwise(disc_mixed_16):
-    dofmap, params, rules = disc_mixed_16
-    first = verify_inequalities(dofmap, rules, params)
-    second = verify_inequalities(dofmap, rules, params)
+    dofmap, params = disc_mixed_16
+    first = verify_inequalities(dofmap, params)
+    second = verify_inequalities(dofmap, params)
     assert [v.hex() for v in vars(first).values()] == [v.hex() for v in vars(second).values()]
 
 
@@ -427,10 +427,10 @@ def test_dirichlet_cells_match_branch_and_bound_oracle(domain_mixed, domain_name
     """
     domain = domain_mixed if domain_name == "mixed" else _TWO_ARC
     shift = sweep_shifts((-1, -1, 1, 1), 8, 20)[shift_index]
-    dofmap, params, rules = discretize(domain, 8, shift=shift)
+    dofmap, params = discretize(domain, 8, shift=shift)
     mesh, topo = dofmap.mesh, dofmap.topology
     coords = mesh.triangle_coords(topo.active)
-    found = _dirichlet_cells(dofmap, rules)
+    found = _dirichlet_cells(dofmap)
     expected = [_meets_dirichlet_oracle(domain, c, 1e-12 * mesh.h) for c in coords]
     assert np.array_equal(found, expected)
     assert found.any() and not found.all()
@@ -524,7 +524,7 @@ def test_discretize_memory_is_set_by_the_disk_window():
     bound = 2 * n * n + 9 * (n + 1) ** 2 + 1024 * window_cells
     tracemalloc.start()
     try:
-        dofmap, _, _ = discretize(domain, n)
+        dofmap, _ = discretize(domain, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -549,23 +549,26 @@ def _held_arrays(obj, seen=None):
 
 
 def test_a_level_holds_no_per_cell_geometry(domain_mixed, monkeypatch):
-    """After a singular level, no array held by its topology, dofmap or rules has 6 entries per
-    active cell, the size of per-cell coordinates or gradients (m, 3, 2); the cached dofs (m, 3)
-    are seen."""
+    """After a singular level, no array held by its dofmap, with its rules and topology, has 6
+    entries per active cell, the size of per-cell coordinates or gradients (m, 3, 2); the cached
+    dofs (m, 3) and the cut rule are seen."""
     levels = []
     original = study.discretize
     monkeypatch.setattr(study, "discretize", lambda *a, **k: levels.append(original(*a, **k)) or levels[-1])
     convergence_level(manufactured_singular(domain_mixed), 128)
-    (dofmap, _, rules), = levels
+    (dofmap, _), = levels
     m = len(dofmap.topology.active)
-    held = _held_arrays((dofmap.topology, dofmap, rules))
+    held = _held_arrays(dofmap)
     assert any(a is dofmap.active_dofs for a in held)
+    assert any(a is dofmap.rules.volume.weights for a in held)
+    assert any(a is dofmap.topology.classification for a in held)
     assert max(a.size for a in held) < 6 * m, sorted(a.shape for a in held if a.size >= 6 * m)
 
 
 def test_box_inside_disk_is_all_inside():
     covering = LevelSetDomain((0.5, 0.5), 10.0, ((0.0, 2 * math.pi),))
-    dofmap, params, rules = discretize(covering, 4, box=(0.0, 0.0, 1.0, 1.0))
+    dofmap, params = discretize(covering, 4, box=(0.0, 0.0, 1.0, 1.0))
+    rules = dofmap.rules
     assert packed_volume_rule(rules).weights.sum() == pytest.approx(1.0, rel=1e-14)
     assert len(rules.dirichlet.weights) == len(rules.neumann.weights) == 0
 
