@@ -13,14 +13,17 @@ cell over the points of every layout; only the stiffness reads ``rules.inside``.
 Every term reads ``dofmap.rules``, the rules the dofmap was numbered on.
 Every grid triangle is a translate of triangle ``t & 1``, so hat gradients come
 from the dofmap's two ``reference_gradients`` and the stiffness local block of
-a cell is one of two fixed 3 x 3 Gram blocks times the cell's cut area.  No
-per-cell geometry is stored: a term over some cells (boundary points, refined
-cells) computes their coordinates from the ids as
-``mesh.triangle_coords(active[cells])``, and a product over every cell gathers
-the gradients by parity for that product only.  The boundary terms read
-``rules.dirichlet`` and ``rules.neumann`` apart, and ``_boundary_local`` is the
-one place that evaluates the hat values and normal fluxes at their points: each
-term evaluates a rule once and builds its blocks from those values.
+a cell is one of two fixed 3 x 3 Gram blocks times the cell's cut area.  Every
+face is a translate of one of the three faces of vertex 0, so the ghost-penalty
+block of a face is one of three fixed 4 x 4 blocks, one per face kind, and no
+face normal or length is computed per face.  No per-cell geometry is stored: a
+term over some cells (boundary points, refined cells) computes their
+coordinates from the ids as ``mesh.triangle_coords(active[cells])``, and a
+product over every cell gathers the gradients by parity for that product only.
+The boundary terms read ``rules.dirichlet`` and ``rules.neumann`` apart, and
+``_boundary_local`` is the one place that evaluates the hat values and normal
+fluxes at their points: each term evaluates a rule once and builds its blocks
+from those values.
 
 Every coupling of a P1 form or a ghost face joins a vertex to one at one of
 the 13 grid offsets of ``space.STENCIL``, so an operator is built as a stencil
@@ -43,9 +46,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from cutpoisson.geometry import collar, cutoff
-from cutpoisson.mesh import _point_triangle_distance
+from cutpoisson.mesh import FACE_ENDS, FACE_TRIANGLES, _point_triangle_distance
 from cutpoisson.quadrature import REFINE_LEVELS, _barycentric, refine_rule_toward
-from cutpoisson.space import CORNERS, PAIR_SLOTS, STENCIL, FeFunction, face_normal, stencil_slot
+from cutpoisson.space import CORNERS, PAIR_SLOTS, STENCIL, FeFunction, stencil_slot
 from cutpoisson.space import hat_gradients  # noqa: F401 (re-export)
 
 
@@ -239,30 +242,29 @@ def assemble_regularized(A, dofmap, params):
 def assemble_ghost_penalty(dofmap, params):
     """Face-jump stabilizer sigma * h * sum_F int_F [grad_n u][grad_n v].
 
-    The jump of a face lives on four vertices: its two ends, where the one-sided fluxes of
-    its two triangles are added in triangle order, and the apex of each triangle.
+    The jump j of a face lives on four vertices: its two ends, where the one-sided fluxes of its
+    two triangles are added in triangle order, and the apex of each triangle.  Every face of
+    one kind (up, right, diagonal) is a translate of that kind's face at vertex 0, so the
+    penalty is three constant blocks sigma h |F_k| j_k j_k^T, scattered on the vertices
+    v + offsets[k] of each ghost face of kind k with low end v.  A block is even in the
+    normal, so the normal of a kind is its tangent turned clockwise, on either side.
     """
-    mesh = dofmap.mesh
-    faces = dofmap.topology.ghost_faces
-    ends, tris = mesh.face(faces)
-    t1, t2 = tris.T
-    n1 = face_normal(mesh, ends, t1)
-    corners = mesh.triangle_vertices(tris).reshape(-1, 6)
-    ref = dofmap.reference_gradients
-    flux = [np.einsum("fkd,fd->fk", ref[t & 1], n1) for t in (t1, t2)]
-    flux = np.concatenate([flux[0], -flux[1]], axis=1)
-    # the place of each of the six corners: the face's ends 0 and 1, the apex of t1 2, of t2 3
-    place = np.where(corners == ends[:, :1], 0, np.where(corners == ends[:, 1:], 1, [2, 2, 2, 3, 3, 3]))
-    face = np.arange(len(faces))[:, None]
-    jump = np.zeros((len(faces), 4))
-    np.add.at(jump, (face, place), flux)
-    vertices = np.empty_like(jump, dtype=corners.dtype)
-    vertices[face, place] = corners
-    scale = params.sigma * mesh.h * dofmap.rules.face_lengths
-    blocks = scale[:, None, None] * (jump[:, :, None] * jump[:, None, :])
-    grid = np.stack(np.divmod(vertices, mesh.n + 1), axis=-1)
-    slots = stencil_slot(grid[:, None] - grid[:, :, None])
-    return _compress(dofmap, *_scatter(dofmap, dofmap.vertex_to_dof[vertices], slots, blocks))
+    mesh, n = dofmap.mesh, dofmap.mesh.n
+    corners = FACE_TRIANGLES[..., None, 1:] + CORNERS[FACE_TRIANGLES[..., 0]]  # (3, 2, 3, 2)
+    offsets = np.array([np.unique(c.reshape(-1, 2), axis=0) for c in corners])  # (3, 4, 2)
+    is_vertex = np.all(corners[..., None, :] == offsets[:, None, None], axis=-1)  # (3, 2, 3, 4)
+    tangents = FACE_ENDS * mesh.reference_triangles[0, 2]
+    lengths = np.linalg.norm(tangents, axis=1)
+    normals = tangents[:, ::-1] * (1.0, -1.0) / lengths[:, None]
+    flux = np.einsum("kscd,kd->ksc", dofmap.reference_gradients[FACE_TRIANGLES[..., 0]], normals)
+    jumps = np.einsum("ksca,s,ksc->ka", is_vertex, [1.0, -1.0], flux)
+    scale = params.sigma * mesh.h * lengths
+    blocks = scale[:, None, None] * (jumps[:, :, None] * jumps[:, None, :])
+    slots = stencil_slot(offsets[:, None] - offsets[:, :, None])
+    ends = mesh.face(dofmap.topology.ghost_faces)
+    kind = np.searchsorted(FACE_ENDS @ (n + 1, 1), ends[:, 1] - ends[:, 0])
+    dofs = dofmap.vertex_to_dof[ends[:, :1] + (offsets @ (n + 1, 1))[kind]]
+    return _compress(dofmap, *_scatter(dofmap, dofs, slots[kind], blocks[kind]))
 
 
 def assemble_load(dofmap, params, data):

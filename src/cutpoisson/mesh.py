@@ -28,7 +28,15 @@ class AmbiguousCutError(RuntimeError):
 
 # Grid offsets (di, dj) from vertex v00 of cell c to the corners of triangles 2c and 2c + 1.
 CORNERS = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
-CORNERS.flags.writeable = False
+# The faces of kind 0 (up), 1 (right) and 2 (diagonal) from vertex (i, j): the grid offset of
+# their high end, and their two triangles, lower id first, as (parity p, di, dj): triangle p of
+# cell (i + di, j + dj).
+FACE_ENDS = np.array([(0, 1), (1, 0), (1, 1)])
+FACE_TRIANGLES = np.array(
+    [[(0, -1, 0), (1, 0, 0)], [(1, 0, -1), (0, 0, 0)], [(0, 0, 0), (1, 0, 0)]]
+)
+for _table in (CORNERS, FACE_ENDS, FACE_TRIANGLES):
+    _table.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -41,8 +49,8 @@ class BackgroundMesh:
     translate of triangle ``t & 1`` and whatever depends only on a triangle's
     shape, such as its hat gradients, is computed on those two and indexed by
     parity.  Faces are numbered in the order of their (low, high) vertex ids
-    (see ``face``), with their two triangles ordered by index, which fixes the
-    sign of normal-gradient jumps.
+    (see ``face``); a face of each kind is a translate of that kind's face at
+    vertex 0, with the two triangles of ``FACE_TRIANGLES``.
     """
 
     n: int
@@ -72,15 +80,23 @@ class BackgroundMesh:
     def triangle_coords(self, t):
         return self.vertex_coords(self.triangle_vertices(t))
 
+    @property
+    def reference_triangles(self):
+        """Corners (2, 3, 2) of triangles 0 and 1 relative to their vertex 0.
+
+        Triangle t is a translate of ``reference_triangles[t & 1]``, so a quantity that depends
+        only on a triangle's shape (its area, its quadrature weights) is computed on these two.
+        """
+        coords = self.triangle_coords(np.arange(2))
+        return coords - coords[:, :1]
+
     def face(self, f):
-        """Vertex ends and triangles, both (..., 2), of the faces ``f``.
+        """Vertex ends (..., 2), low id first, of the faces ``f``.
 
         Vertex v = i (n + 1) + j owns its edges to v + 1 (up, kind 0), v + n + 1
         (right, 1) and v + n + 2 (diagonal, 2) where they exist: row i < n holds
         3n + 1 faces, three per j < n and then the right edge of j = n, and row
-        n its n up edges.  With c = i n + j the up edge lies between triangles
-        2(c - n) and 2c + 1, the right edge between 2c - 1 and 2c, the diagonal
-        between 2c and 2c + 1; a face on the box has its one triangle, then -1.
+        n its n up edges.
         """
         n = self.n
         i, r = np.divmod(f, 3 * n + 1)
@@ -88,12 +104,7 @@ class BackgroundMesh:
         top = i == n  # the up edges of row n
         j, k = np.where(top, r, j), np.where(top, 0, np.where(r == 3 * n, 1, k))  # 3n: column n
         v = i * (n + 1) + j
-        ends = np.stack([v, v + np.array([1, n + 1, n + 2])[k]], axis=-1)
-        c2 = 2 * (i * n + j)
-        low, high = c2 + np.array([-2 * n, -1, 0])[k], c2 + np.array([1, 0, 1])[k]
-        line = np.where(k == 0, i, np.where(k == 1, j, -1))  # the grid line of an up or right edge
-        low, high = np.where(line == 0, high, low), np.where((line == 0) | (line == n), -1, high)
-        return ends, np.stack([low, high], axis=-1)
+        return np.stack([v, v + (FACE_ENDS @ (n + 1, 1))[k]], axis=-1)
 
 
 def build_background(box, n, shift=(0.0, 0.0)):
@@ -156,10 +167,6 @@ class CutTopology:
     @property
     def cut(self):
         return np.flatnonzero(self.classification == CUT)
-
-    @property
-    def inside(self):
-        return np.flatnonzero(self.classification == INSIDE)
 
     def is_active(self, t):
         return self.classification[t] != OUTSIDE
@@ -228,14 +235,13 @@ def classify(mesh, domain):
     cls.reshape(n, n, 2)[i0:i1, j0:j1] = window
     active = ids[window != OUTSIDE]
 
-    # faces (i, j, kind) by the triangles on their two sides, in the order of their ids 3(i n + j)
-    # + i + kind: up edges (kind 0) of i > i0, right edges of j > j0, and diagonals
-    act, cut = window != OUTSIDE, window == CUT
+    # faces (i, j, kind) by the triangles on their two sides (``FACE_TRIANGLES``), in the order of
+    # their ids 3(i n + j) + i + kind; the cells left of and below the window, padded, are outside
+    act, cut = (np.pad(m, ((1, 0), (1, 0), (0, 0))) for m in (window != OUTSIDE, window == CUT))
     ghost = np.zeros((wi, wj, 3), dtype=bool)
-    for at, a, b in ((np.s_[1:, :, 0], np.s_[:-1, :, 0], np.s_[1:, :, 1]),
-                     (np.s_[:, 1:, 1], np.s_[:, :-1, 1], np.s_[:, 1:, 0]),
-                     (np.s_[..., 2], np.s_[..., 0], np.s_[..., 1])):
-        ghost[at] = act[a] & act[b] & (cut[a] | cut[b])
+    for k, sides in enumerate(FACE_TRIANGLES):
+        a, b = (np.s_[1 + di : 1 + di + wi, 1 + dj : 1 + dj + wj, p] for p, di, dj in sides)
+        ghost[..., k] = act[a] & act[b] & (cut[a] | cut[b])
     i, j, kind = np.nonzero(ghost)
     ghost_faces = 3 * ((i + i0) * n + j + j0) + i + i0 + kind
 

@@ -23,17 +23,16 @@ toward the junctions.  Every panel is purely Dirichlet or purely Neumann, so the
 rule comes as two packed rules, one per condition, each sorted by owner: every
 boundary term of the Nitsche form reads one of them only.
 
-``build_rules`` packs the rules of the cut cells only; ghost faces keep only
-their lengths, since the jump of a P1 normal gradient is constant on a face.
-Every grid triangle is a translate of triangle ``t & 1``, so an inside cell
-never becomes packed points: its degree-4 points are its vertex 0 plus the
-reference points of its parity, and its weights and the offsets of its points
-from its centroid are those of the reference triangle.  ``RuleSet.cell_sums``
-integrates a consumer's integrand over every active cell, the cut cells' packed
-points and blocks of the inside cells' translates alike.  ``refine_rule_toward``
-grades a whole stack of cells toward their singular points and sends all their
-leaves through one ``cut_volume_rules`` call, with owner the cell's position in
-the stack.
+``build_rules`` packs the rules of the cut cells only.  Every grid triangle
+is a translate of triangle ``t & 1``, so an inside cell never becomes packed
+points: its degree-4 points are its vertex 0 plus the reference points of its
+parity, ``_full_triangle_points(mesh.reference_triangles)``, and its weights
+and the offsets of its points from its centroid are those of the reference
+triangle.  ``RuleSet.cell_sums`` integrates a consumer's integrand over every
+active cell, the cut cells' packed points and blocks of the inside cells'
+translates alike.  ``refine_rule_toward`` grades a whole stack of cells toward
+their singular points and sends all their leaves through one
+``cut_volume_rules`` call, with owner the cell's position in the stack.
 """
 
 from __future__ import annotations
@@ -482,10 +481,9 @@ class RuleSet:
     are packed and sorted by owner, the cell's position in ``topology.active``.
     The inside cells are not packed:
     ``inside`` holds them by parity as translates of two reference rules
-    (see ``TranslatedRule`` and ``cell_sums``).  ``face_lengths`` is
-    aligned with ``topology.ghost_faces``.  ``topology`` is the cut topology
-    the rules were built on, and ``topology.domain`` their domain.  No
-    per-cell geometry is held: a cell's vertex 0 and centroid, where
+    (see ``TranslatedRule`` and ``cell_sums``).  ``topology`` is the cut
+    topology the rules were built on, and ``topology.domain`` their domain.
+    No per-cell geometry is held: a cell's vertex 0 and centroid, where
     ``cell_sums`` needs them, come from its id.
     """
 
@@ -493,7 +491,6 @@ class RuleSet:
     inside: tuple
     dirichlet: PackedRule
     neumann: PackedRule
-    face_lengths: np.ndarray
     topology: object
     tol: float = DEFAULT_TOL
 
@@ -541,7 +538,7 @@ class RuleSet:
 
 
 def build_rules(topology, tol=DEFAULT_TOL):
-    """Volume and boundary rules of the active cells, and ghost-face lengths.
+    """Volume and boundary rules of the active cells.
 
     The domain is ``topology.domain``.  Only cut cells go through
     ``cut_volume_rules`` and the boundary rule, which counts each arc in one
@@ -554,10 +551,8 @@ def build_rules(topology, tol=DEFAULT_TOL):
     cut = np.flatnonzero(is_cut)
     volume, arcs = _cut_volume_rules(mesh.triangle_coords(active[cut]), domain, tol)
     volume = dataclasses.replace(volume, owner=cut[volume.owner])
-    local = mesh.triangle_coords(np.arange(2))
-    local = local - local[:, :1]
-    points = _D4_BARY @ local
-    weights = _D4_W * _tri_area(local)[:, None]
+    local = mesh.reference_triangles
+    points, weights = _full_triangle_points(local)
     offsets = points - local.sum(axis=1, keepdims=True) / 3.0
     inside = []
     for p in range(2):
@@ -565,6 +560,4 @@ def build_rules(topology, tol=DEFAULT_TOL):
         inside.append(TranslatedRule(cells, points[p], weights[p], offsets[p]))
     boundary = _boundary_rule(domain, _tiling_arcs(arcs))
     dirichlet, neumann = (dataclasses.replace(r, owner=cut[r.owner]) for r in boundary)
-    ends = mesh.vertex_coords(mesh.face(topology.ghost_faces)[0])
-    face_lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
-    return RuleSet(volume, tuple(inside), dirichlet, neumann, face_lengths, topology, tol)
+    return RuleSet(volume, tuple(inside), dirichlet, neumann, topology, tol)

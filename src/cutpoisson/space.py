@@ -134,20 +134,6 @@ def gradient(f, t):
     return f.vertex_values(t) @ hat_gradients(f.dofmap.mesh.triangle_coords(t))
 
 
-def face_normal(mesh, ends, t):
-    """Unit normal of faces with vertex ends ``ends`` (..., 2), pointing out of triangles ``t``.
-
-    The ends and the triangles are ids, as ``mesh.face`` gives them.
-    """
-    ends = mesh.vertex_coords(ends)
-    p0, tangent = ends[..., 0, :], ends[..., 1, :] - ends[..., 0, :]
-    n = np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
-    n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    centroid = mesh.triangle_coords(t).mean(axis=-2)
-    inward = ((centroid - p0) * n).sum(axis=-1) > 0.0
-    return np.where(inward[..., None], -n, n)
-
-
 def clement_interpolate(u, dofmap):
     """Quasi-interpolant of an analytic function onto the finite element space.
 
@@ -157,19 +143,22 @@ def clement_interpolate(u, dofmap):
     whole active mesh, including the parts outside the domain.
 
     Every (triangle, local vertex) pair contributes a 3 x 3 moment block and a
-    right-hand side in the affine basis centred at the vertex and scaled by
-    the patch radius; the blocks are summed per vertex and solved together.
+    right-hand side in the affine basis centred at the vertex and scaled by h,
+    the diameter of every triangle; the blocks are summed per vertex and solved
+    together.  A triangle is a translate of triangle ``t & 1``, so the blocks
+    are the (2, 3, 3, 3) of the two reference triangles, and ``u`` is evaluated
+    at each cell's vertex 0 plus the reference degree-4 points.
     """
-    coords, dofs = dofmap.mesh.triangle_coords(dofmap.topology.active), dofmap.active_dofs
-    pts, wts = _full_triangle_points(coords)  # (m, 6, 2), (m, 6)
-    values = u(pts)
-    scale = np.zeros(dofmap.ndof)
-    reach = np.linalg.norm(coords[:, None] - coords[:, :, None], axis=-1).max(axis=-1)
-    np.maximum.at(scale, dofs, reach)
-    offsets = (pts[:, None] - coords[:, :, None]) / scale[dofs][..., None, None]  # (m, 3, 6, 2)
+    mesh, parity, dofs = dofmap.mesh, dofmap.topology.active & 1, dofmap.active_dofs
+    local = mesh.reference_triangles
+    points, weights = _full_triangle_points(local)  # (2, 6, 2), (2, 6)
+    offsets = (points[:, None] - local[:, :, None]) / mesh.h  # (2, 3, 6, 2)
     basis = np.concatenate([np.ones(offsets.shape[:-1] + (1,)), offsets], axis=-1)
-    blocks = np.einsum("tq,tiqa,tiqb->tiab", wts, basis, basis).reshape(-1, 9)
-    rhs = np.einsum("tq,tiqa,tq->tia", wts, basis, values).reshape(-1, 3)
+    weighted = weights[:, None, :, None] * basis
+    blocks = np.einsum("piqa,piqb->piab", weighted, basis)[parity].reshape(-1, 9)
+    origins = mesh.vertex_coords(dofmap.dof_to_vertex[dofs[:, 0]])
+    values = u(origins[:, None] + points[parity])  # (m, 6)
+    rhs = np.einsum("tiqa,tq->tia", weighted[parity], values).reshape(-1, 3)
     sums = np.stack(
         [np.bincount(dofs.ravel(), col, dofmap.ndof) for col in np.hstack([blocks, rhs]).T], axis=1
     )

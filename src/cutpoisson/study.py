@@ -365,9 +365,8 @@ def verify_inequalities(dofmap, params):
         eigenvalue over the cells.
     """
     h, ndof, active, rules = dofmap.mesh.h, dofmap.ndof, dofmap.topology.active, dofmap.rules
-    coords, grads = dofmap.mesh.triangle_coords(active), dofmap.reference_gradients[active & 1]
-    dofs = dofmap.active_dofs
-    areas = _tri_area(coords)
+    grads, dofs = dofmap.reference_gradients[active & 1], dofmap.active_dofs
+    areas = _tri_area(dofmap.mesh.reference_triangles)[active & 1]
     # row 2t + d of D is sqrt(|T_t|) times the d-th gradient component on cell t
     D = sp.csr_matrix(
         ((np.sqrt(areas)[:, None, None] * grads).transpose(0, 2, 1).ravel(),

@@ -15,7 +15,6 @@ from cutpoisson.mesh import (
     _point_triangle_distance,
 )
 from cutpoisson.quadrature import PackedRule
-from cutpoisson.space import face_normal
 from cutpoisson.study import discretize
 
 
@@ -164,6 +163,21 @@ def box_classify(mesh, domain):
     c0, c1 = cls[t0], cls[t1]
     ghost = (t1 >= 0) & (c0 != OUTSIDE) & (c1 != OUTSIDE) & ((c0 == CUT) | (c1 == CUT))
     return cls, np.flatnonzero(cls != OUTSIDE), np.flatnonzero(ghost)
+
+
+def face_normal(mesh, ends, t):
+    """Oracle: unit normal of faces with vertex ends ``ends`` (..., 2), pointing out of triangles
+    ``t``, from the coordinates of each face and triangle.
+
+    The ends and the triangles are ids, as ``masked_faces`` gives them.
+    """
+    ends = mesh.vertex_coords(ends)
+    p0, tangent = ends[..., 0, :], ends[..., 1, :] - ends[..., 0, :]
+    n = np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    centroid = mesh.triangle_coords(t).mean(axis=-2)
+    inward = ((centroid - p0) * n).sum(axis=-1) > 0.0
+    return np.where(inward[..., None], -n, n)
 
 
 def jump_normal_gradient(f, face):

@@ -33,7 +33,7 @@ from cutpoisson.geometry import TubeParams, cutoff
 from cutpoisson.mesh import _point_triangle_distance, build_background, classify
 from cutpoisson.quadrature import PackedRule, _barycentric, build_rules, refine_rule_toward
 from cutpoisson.solve import RESIDUAL_RTOL, solve_standard
-from cutpoisson.space import FeFunction, build_dofmap, face_normal, hat_gradients
+from cutpoisson.space import FeFunction, build_dofmap, hat_gradients
 from cutpoisson.study import (
     DEFAULT_BOX,
     consistency_residual,
@@ -44,6 +44,7 @@ from cutpoisson.study import (
 )
 from tests.conftest import (
     cell_geometry,
+    face_normal,
     grid_arrays,
     jump_normal_gradient,
     masked_faces,
@@ -103,7 +104,6 @@ def test_nitsche_pure_neumann_reduces_to_stiffness():
 
 def test_ghost_penalty_properties(disc_mixed_8, rng):
     dofmap, params = disc_mixed_8
-    rules = dofmap.rules
     mesh, topo = dofmap.mesh, dofmap.topology
     S = assemble_ghost_penalty(dofmap, params)
     verts = mesh.vertex_coords(dofmap.dof_to_vertex)
@@ -114,7 +114,9 @@ def test_ghost_penalty_properties(disc_mixed_8, rng):
     # the energy is sigma h |F| [grad_n v]^2 summed over the ghost faces, face by face
     v = FeFunction(np.random.default_rng(3).standard_normal(dofmap.ndof), dofmap)
     jumps = np.array([jump_normal_gradient(v, int(f)) for f in topo.ghost_faces])
-    energy = params.sigma * mesh.h * float(rules.face_lengths @ jumps**2)
+    ends = mesh.vertex_coords(masked_faces(mesh.n)[0][topo.ghost_faces])
+    lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
+    energy = params.sigma * mesh.h * float(lengths @ jumps**2)
     assert v.coefficients @ (S @ v.coefficients) == pytest.approx(energy, rel=1e-12)
     # linear in sigma
     params2 = NitscheParams(params.beta, 2.0 * params.sigma)
@@ -478,24 +480,38 @@ def test_cell_scatter_matches_the_add_at_and_lexsort_oracles_on_random_blocks(do
     assert got.nnz == 0
 
 
-def _ghost_blocks_sorted(dofmap, params):
-    """Oracle: ghost-penalty blocks on the four face vertices in ascending order, by a stable sort."""
+def _ghost_blocks_sorted(dofmap, params, per_face=False):
+    """Oracle: ghost-penalty blocks on the four face vertices in ascending order, by a stable sort.
+
+    With ``per_face`` each face takes its own normal and length and its triangles the hat
+    gradients of their own coordinates.  Without it a face takes the normal and length of the
+    face of its kind at vertex 0 (faces 0, 1 and 2) and its triangles the reference gradients,
+    as the assembly does, so that the two sum the same values.
+    """
     mesh = dofmap.mesh
     faces = dofmap.topology.ghost_faces
-    triangles = grid_arrays(mesh)[1]
-    ends, tris = (a[faces] for a in masked_faces(mesh.n))
+    vertices, triangles = grid_arrays(mesh)
+    face_ends, face_tris = masked_faces(mesh.n)
+    ends, tris = face_ends[faces], face_tris[faces]
     t1, t2 = tris.T
-    n1 = face_normal(mesh, ends, t1)
+    if per_face:
+        n1, edges = face_normal(mesh, ends, t1), ends
+        grads = [hat_gradients(vertices[triangles[t]]) for t in (t1, t2)]
+    else:
+        step = ends[:, 1] - ends[:, 0]
+        kind = np.select([step == 1, step == mesh.n + 1], [0, 1], 2)
+        n1, edges = face_normal(mesh, face_ends[:3], face_tris[:3, 0])[kind], face_ends[:3][kind]
+        grads = [dofmap.reference_gradients[t & 1] for t in (t1, t2)]
     vids = np.concatenate([triangles[t1], triangles[t2]], axis=1)
-    ref = dofmap.reference_gradients
-    flux = [np.einsum("fkd,fd->fk", ref[t & 1], n1) for t in (t1, t2)]
+    flux = [np.einsum("fkd,fd->fk", g, n1) for g in grads]
     flux = np.concatenate([flux[0], -flux[1]], axis=1)
     order = np.argsort(vids, axis=1, kind="stable")
     vids, flux = (np.take_along_axis(a, order, axis=1) for a in (vids, flux))
     first = np.c_[np.ones((len(faces), 1), dtype=bool), vids[:, 1:] != vids[:, :-1]]
     jump = np.zeros((len(faces), 4))
     np.add.at(jump, (np.arange(len(faces))[:, None], np.cumsum(first, axis=1) - 1), flux)
-    scale = params.sigma * mesh.h * dofmap.rules.face_lengths
+    coords = vertices[edges]
+    scale = params.sigma * mesh.h * np.linalg.norm(coords[:, 1] - coords[:, 0], axis=-1)
     local = scale[:, None, None] * (jump[:, :, None] * jump[:, None, :])
     return dofmap.vertex_to_dof[vids[first].reshape(-1, 4)], local
 
@@ -748,6 +764,9 @@ def test_stiffness_by_parity_matches_the_einsum_and_operators_stay_symmetric(
         assert err <= reference_tolerance(mesh, box, n), shift
         A = assemble_nitsche(dofmap, params)
         S = assemble_ghost_penalty(dofmap, params)
+        # the ghost penalty's three blocks per face kind against per-face normals and lengths
+        want = _coo_accumulate_lexsort(dofmap.ndof, *_ghost_blocks_sorted(dofmap, params, True))
+        assert abs(S - want).max() <= reference_tolerance(mesh, box, n) * abs(want).max(), shift
         for M in (K, A, S):
             assert (M != M.T).nnz == 0, shift
 
