@@ -246,8 +246,8 @@ def assemble_ghost_penalty(dofmap, params):
     two triangles are added in triangle order, and the apex of each triangle.  Every face of
     one kind (up, right, diagonal) is a translate of that kind's face at vertex 0, so the
     penalty is three constant blocks sigma h |F_k| j_k j_k^T, scattered on the vertices
-    v + offsets[k] of each ghost face of kind k with low end v.  A block is even in the
-    normal, so the normal of a kind is its tangent turned clockwise, on either side.
+    v + offsets[k] of each ghost face 3 v + k (``CutTopology.ghost_faces``).  A block is even
+    in the normal, so the normal of a kind is its tangent turned clockwise, on either side.
     """
     mesh, n = dofmap.mesh, dofmap.mesh.n
     corners = FACE_TRIANGLES[..., None, 1:] + CORNERS[FACE_TRIANGLES[..., 0]]  # (3, 2, 3, 2)
@@ -261,9 +261,8 @@ def assemble_ghost_penalty(dofmap, params):
     scale = params.sigma * mesh.h * lengths
     blocks = scale[:, None, None] * (jumps[:, :, None] * jumps[:, None, :])
     slots = stencil_slot(offsets[:, None] - offsets[:, :, None])
-    ends = mesh.face(dofmap.topology.ghost_faces)
-    kind = np.searchsorted(FACE_ENDS @ (n + 1, 1), ends[:, 1] - ends[:, 0])
-    dofs = dofmap.vertex_to_dof[ends[:, :1] + (offsets @ (n + 1, 1))[kind]]
+    v, kind = np.divmod(dofmap.topology.ghost_faces, 3)
+    dofs = dofmap.vertex_to_dof[v[:, None] + (offsets @ (n + 1, 1))[kind]]
     return _compress(dofmap, *_scatter(dofmap, dofs, slots[kind], blocks[kind]))
 
 

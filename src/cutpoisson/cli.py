@@ -131,6 +131,8 @@ def load_config(path):
             f"study.kind 'convergence' compares mesh levels, but mesh.levels is {levels!r}; "
             "give at least two levels"
         )
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError(f"mesh.levels must be strictly increasing, got {levels!r}")
     rule = cfg["params"]["epsilon_rule"]
     if rule["kind"] == "fixed" and "value" not in rule:
         raise ConfigError("params.epsilon_rule.value is required by the 'fixed' rule")

@@ -48,9 +48,10 @@ class BackgroundMesh:
     triangles 2c and 2c + 1, below and above its diagonal, so triangle t is a
     translate of triangle ``t & 1`` and whatever depends only on a triangle's
     shape, such as its hat gradients, is computed on those two and indexed by
-    parity.  Faces are numbered in the order of their (low, high) vertex ids
-    (see ``face``); a face of each kind is a translate of that kind's face at
-    vertex 0, with the two triangles of ``FACE_TRIANGLES``.
+    parity.  Vertex v owns its faces of kind 0 (up, to v + 1), 1 (right, to
+    v + n + 1) and 2 (diagonal, to v + n + 2), the high ends of ``FACE_ENDS``; a
+    face of each kind is a translate of that kind's face at vertex 0, with the
+    two triangles of ``FACE_TRIANGLES``.
     """
 
     n: int
@@ -89,22 +90,6 @@ class BackgroundMesh:
         """
         coords = self.triangle_coords(np.arange(2))
         return coords - coords[:, :1]
-
-    def face(self, f):
-        """Vertex ends (..., 2), low id first, of the faces ``f``.
-
-        Vertex v = i (n + 1) + j owns its edges to v + 1 (up, kind 0), v + n + 1
-        (right, 1) and v + n + 2 (diagonal, 2) where they exist: row i < n holds
-        3n + 1 faces, three per j < n and then the right edge of j = n, and row
-        n its n up edges.
-        """
-        n = self.n
-        i, r = np.divmod(f, 3 * n + 1)
-        j, k = np.divmod(r, 3)
-        top = i == n  # the up edges of row n
-        j, k = np.where(top, r, j), np.where(top, 0, np.where(r == 3 * n, 1, k))  # 3n: column n
-        v = i * (n + 1) + j
-        return np.stack([v, v + (FACE_ENDS @ (n + 1, 1))[k]], axis=-1)
 
 
 def build_background(box, n, shift=(0.0, 0.0)):
@@ -156,7 +141,11 @@ def _check_shape_regularity(mesh):
 
 @dataclass(frozen=True)
 class CutTopology:
-    """Per-triangle inside/cut/outside tags against ``domain``, and the derived active mesh."""
+    """Per-triangle inside/cut/outside tags against ``domain``, and the derived active mesh.
+
+    ``ghost_faces`` holds each ghost face as the key 3 v + kind, with v its low end and kind
+    its row of ``FACE_ENDS``, in ascending order.
+    """
 
     mesh: BackgroundMesh
     domain: LevelSetDomain
@@ -169,6 +158,9 @@ class CutTopology:
         return np.flatnonzero(self.classification == CUT)
 
     def is_active(self, t):
+        n_triangles = self.mesh.n_triangles
+        if not 0 <= t < n_triangles:
+            raise ValueError(f"triangle {t} is not on the grid of {n_triangles} triangles")
         return self.classification[t] != OUTSIDE
 
 
@@ -198,7 +190,8 @@ def classify(mesh, domain):
     window of cells that meet the disk's bounding box grown by h: every other
     cell is outside with all its vertices over h away, and the window's
     triangles come in global order, so the error names the lowest ambiguous one.
-    A ghost face lies between a cut triangle and an active one.
+    A ghost face lies between a cut triangle and an active one; it is keyed as in
+    ``CutTopology.ghost_faces``.
     """
     n, center, reach = mesh.n, domain.center_array, domain.radius + mesh.h
     (i0, i1), (j0, j1) = (
@@ -235,14 +228,14 @@ def classify(mesh, domain):
     cls.reshape(n, n, 2)[i0:i1, j0:j1] = window
     active = ids[window != OUTSIDE]
 
-    # faces (i, j, kind) by the triangles on their two sides (``FACE_TRIANGLES``), in the order of
-    # their ids 3(i n + j) + i + kind; the cells left of and below the window, padded, are outside
+    # faces (i, j, kind) by the triangles on their two sides (``FACE_TRIANGLES``), keyed 3 v + kind
+    # with v = i (n + 1) + j; the cells left of and below the window, padded, are outside
     act, cut = (np.pad(m, ((1, 0), (1, 0), (0, 0))) for m in (window != OUTSIDE, window == CUT))
     ghost = np.zeros((wi, wj, 3), dtype=bool)
     for k, sides in enumerate(FACE_TRIANGLES):
         a, b = (np.s_[1 + di : 1 + di + wi, 1 + dj : 1 + dj + wj, p] for p, di, dj in sides)
         ghost[..., k] = act[a] & act[b] & (cut[a] | cut[b])
     i, j, kind = np.nonzero(ghost)
-    ghost_faces = 3 * ((i + i0) * n + j + j0) + i + i0 + kind
+    ghost_faces = 3 * ((i + i0) * (n + 1) + j + j0) + kind
 
     return CutTopology(mesh, domain, cls, active, ghost_faces)

@@ -122,7 +122,8 @@ def evaluate(f, t, x):
 
     No solver path calls it; it is how library code reads a discrete solution at a point.
     """
-    vals = _barycentric(f.dofmap.mesh.triangle_coords(t), x) @ f.vertex_values(t)
+    values = f.vertex_values(t)  # first, so that a triangle off the active mesh is named
+    vals = _barycentric(f.dofmap.mesh.triangle_coords(t), x) @ values
     return vals if np.asarray(x).ndim > 1 else float(vals[0])
 
 

@@ -297,6 +297,8 @@ def run_convergence(
     """Solve the standard method on a refinement sequence and report error norms."""
     if len(levels) < 2:
         raise ValueError("a convergence study needs at least two levels")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels must be strictly increasing, got {list(levels)!r}")
     validate_problem(problem)
     report = ErrorReport(label=problem.label)
     for n in levels:

@@ -125,6 +125,16 @@ def dict_faces(triangles):
     return np.array(keys, dtype=np.int64), face_tris
 
 
+def face_keys(n, ends):
+    """Oracle: the keys 3 low + kind of the faces with vertex ends ``ends`` (..., 2), low id
+    first, as ``CutTopology.ghost_faces`` holds them; kind 0, 1 or 2 for a step of 1, n + 1 or
+    n + 2 from the low end to the high one.  The faces of ``dict_faces`` and ``masked_faces``
+    come in ascending key order, so ``np.searchsorted`` on their keys locates a ghost face.
+    """
+    step = ends[..., 1] - ends[..., 0]
+    return 3 * ends[..., 0] + np.select([step == 1, step == n + 1], [0, 1], 2)
+
+
 @functools.cache
 def masked_faces(n):
     """Oracle: faces and face triangles of the n-by-n grid through a (n + 1)^2 x 3 existence mask."""
@@ -144,7 +154,8 @@ def box_classify(mesh, domain):
 
     Phi is evaluated at every vertex of the grid and every triangle is tagged by the rules of
     ``classify``; a ghost face is a face of ``masked_faces`` between two active triangles of
-    which one is cut.  Raises ``AmbiguousCutError`` naming the lowest ambiguous triangle.
+    which one is cut, keyed by ``face_keys``.  Raises ``AmbiguousCutError`` naming the lowest
+    ambiguous triangle.
     """
     vertices, triangles = grid_arrays(mesh)
     phi_t = signed_distance(domain, vertices)[triangles]
@@ -159,10 +170,11 @@ def box_classify(mesh, domain):
     if len(ambiguous):
         raise AmbiguousCutError(int(candidates[ambiguous[0]]), gap[ambiguous[0]])
     cls[candidates[dist < domain.radius]] = CUT
-    t0, t1 = masked_faces(mesh.n)[1].T
+    faces, face_tris = masked_faces(mesh.n)
+    t0, t1 = face_tris.T
     c0, c1 = cls[t0], cls[t1]
     ghost = (t1 >= 0) & (c0 != OUTSIDE) & (c1 != OUTSIDE) & ((c0 == CUT) | (c1 == CUT))
-    return cls, np.flatnonzero(cls != OUTSIDE), np.flatnonzero(ghost)
+    return cls, np.flatnonzero(cls != OUTSIDE), face_keys(mesh.n, faces[ghost])
 
 
 def face_normal(mesh, ends, t):
@@ -183,14 +195,19 @@ def face_normal(mesh, ends, t):
 def jump_normal_gradient(f, face):
     """Oracle: jump of the normal gradient of ``f`` across one interior face of the active mesh.
 
-    The face's ends and triangles are read from ``masked_faces``.  The jump is the sum
-    of the two one-sided normal derivatives with outward normals, so it vanishes for
-    globally affine functions; the reported sign corresponds to the face orientation
-    (lower triangle index first).
+    ``face`` is a key of ``face_keys``; its ends and triangles are read from ``masked_faces``.
+    The jump is the sum of the two one-sided normal derivatives with outward normals, so it
+    vanishes for globally affine functions; the reported sign corresponds to the face
+    orientation (lower triangle index first).
     """
     dofmap = f.dofmap
     mesh = dofmap.mesh
-    ends, (t1, t2) = (a[face] for a in masked_faces(mesh.n))
+    faces, face_tris = masked_faces(mesh.n)
+    keys = face_keys(mesh.n, faces)
+    row = np.searchsorted(keys, face)
+    if row == len(keys) or keys[row] != face:
+        raise ValueError(f"face {face} is not on the grid")
+    ends, (t1, t2) = faces[row], face_tris[row]
     if t1 < 0 or t2 < 0:
         raise ValueError(f"face {face} is on the mesh boundary")
     if not (dofmap.topology.is_active(t1) and dofmap.topology.is_active(t2)):

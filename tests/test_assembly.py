@@ -44,6 +44,7 @@ from cutpoisson.study import (
 )
 from tests.conftest import (
     cell_geometry,
+    face_keys,
     face_normal,
     grid_arrays,
     jump_normal_gradient,
@@ -114,7 +115,8 @@ def test_ghost_penalty_properties(disc_mixed_8, rng):
     # the energy is sigma h |F| [grad_n v]^2 summed over the ghost faces, face by face
     v = FeFunction(np.random.default_rng(3).standard_normal(dofmap.ndof), dofmap)
     jumps = np.array([jump_normal_gradient(v, int(f)) for f in topo.ghost_faces])
-    ends = mesh.vertex_coords(masked_faces(mesh.n)[0][topo.ghost_faces])
+    faces = masked_faces(mesh.n)[0]
+    ends = mesh.vertex_coords(faces[np.searchsorted(face_keys(mesh.n, faces), topo.ghost_faces)])
     lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
     energy = params.sigma * mesh.h * float(lengths @ jumps**2)
     assert v.coefficients @ (S @ v.coefficients) == pytest.approx(energy, rel=1e-12)
@@ -485,21 +487,20 @@ def _ghost_blocks_sorted(dofmap, params, per_face=False):
 
     With ``per_face`` each face takes its own normal and length and its triangles the hat
     gradients of their own coordinates.  Without it a face takes the normal and length of the
-    face of its kind at vertex 0 (faces 0, 1 and 2) and its triangles the reference gradients,
-    as the assembly does, so that the two sum the same values.
+    face of its kind at vertex 0 (rows 0, 1 and 2 of ``masked_faces``) and its triangles the
+    reference gradients, as the assembly does, so that the two sum the same values.
     """
     mesh = dofmap.mesh
-    faces = dofmap.topology.ghost_faces
     vertices, triangles = grid_arrays(mesh)
     face_ends, face_tris = masked_faces(mesh.n)
+    faces = np.searchsorted(face_keys(mesh.n, face_ends), dofmap.topology.ghost_faces)
     ends, tris = face_ends[faces], face_tris[faces]
     t1, t2 = tris.T
     if per_face:
         n1, edges = face_normal(mesh, ends, t1), ends
         grads = [hat_gradients(vertices[triangles[t]]) for t in (t1, t2)]
     else:
-        step = ends[:, 1] - ends[:, 0]
-        kind = np.select([step == 1, step == mesh.n + 1], [0, 1], 2)
+        kind = face_keys(mesh.n, ends) % 3
         n1, edges = face_normal(mesh, face_ends[:3], face_tris[:3, 0])[kind], face_ends[:3][kind]
         grads = [dofmap.reference_gradients[t & 1] for t in (t1, t2)]
     vids = np.concatenate([triangles[t1], triangles[t2]], axis=1)

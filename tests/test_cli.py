@@ -194,6 +194,15 @@ def test_convergence_rejects_one_level_naming_mesh_levels(tmp_path, capsys, monk
     assert run(str(cfg), tmp_path / "out", quiet=True) == 2
     assert "mesh.levels is [8]" in capsys.readouterr().err
     assert calls == [] and not (tmp_path / "out").exists()
+    # so are levels that do not refine, which would otherwise be solved before the study failed
+    for levels in ([32, 16], [16, 16]):
+        cfg = write_config(tmp_path, {"mesh": {"levels": levels}, "study": {"kind": "convergence"}})
+        message = rf"mesh.levels must be strictly increasing, got \[{levels[0]}, {levels[1]}\]"
+        with pytest.raises(ConfigError, match=message):
+            load_config(cfg)
+        assert run(str(cfg), tmp_path / "out", quiet=True) == 2
+        assert "mesh.levels must be strictly increasing" in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "out").exists()
 
 
 def _counting(calls, name, fn):

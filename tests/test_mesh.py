@@ -8,6 +8,7 @@ from cutpoisson import LevelSetDomain, classify, mesh as mesh_mod, signed_distan
 from cutpoisson.geometry import cross2
 from cutpoisson.mesh import (
     CUT,
+    FACE_ENDS,
     FACE_TRIANGLES,
     INSIDE,
     OUTSIDE,
@@ -15,7 +16,7 @@ from cutpoisson.mesh import (
     _point_triangle_distance,
     build_background,
 )
-from tests.conftest import box_classify, dict_faces, grid_arrays, masked_faces
+from tests.conftest import box_classify, dict_faces, face_keys, grid_arrays, masked_faces
 
 
 def test_build_background_counts():
@@ -91,18 +92,12 @@ def test_shape_check_on_cell_0_matches_every_triangle(monkeypatch):
     assert None in verdicts and "mesh is not shape regular" in verdicts
 
 
-def _all_faces(mesh):
-    """``mesh.face`` of every face id of the grid, 3n^2 + 2n of them."""
-    return mesh.face(np.arange(3 * mesh.n * mesh.n + 2 * mesh.n))
-
-
 def _table_triangles(mesh, ends):
     """The triangles of the faces with vertex ends ``ends`` by ``FACE_TRIANGLES``, lower id
     first, a triangle off the grid -1 and last."""
     n = mesh.n
     i, j = np.divmod(ends[:, 0], n + 1)
-    step = ends[:, 1] - ends[:, 0]
-    p, di, dj = np.moveaxis(FACE_TRIANGLES[np.select([step == 1, step == n + 1], [0, 1], 2)], -1, 0)
+    p, di, dj = np.moveaxis(FACE_TRIANGLES[face_keys(n, ends) % 3], -1, 0)
     ci, cj = i[:, None] + di, j[:, None] + dj
     t = np.where((ci >= 0) & (ci < n) & (cj >= 0) & (cj < n), 2 * (ci * n + cj) + p, -1)
     return np.where(t[:, :1] < 0, t[:, ::-1], t)
@@ -137,28 +132,43 @@ def test_closed_form_vertices_and_triangles_match_the_grid_arrays(n, shift):
 def test_face_map_matches_dict_oracle(n, shift):
     mesh = build_background((-1, -1, 1, 1), n, shift)
     faces, face_tris = dict_faces(grid_arrays(mesh)[1])
-    ends = _all_faces(mesh)
-    assert np.array_equal(ends, faces)
-    assert np.array_equal(_table_triangles(mesh, ends), face_tris)
+    assert np.array_equal(_table_triangles(mesh, faces), face_tris)
+    # the masked oracle has the same faces, and their keys ascend (``face_keys`` locates by them)
+    assert np.array_equal(masked_faces(n)[0], faces)
+    assert np.all(np.diff(face_keys(n, faces)) > 0)
+
+
+def _decode_keys(mesh, keys):
+    """Vertex ends (..., 2) of the faces keyed 3 v + kind, decoded as the ghost penalty does."""
+    v, kind = np.divmod(keys, 3)
+    return np.stack([v, v + (FACE_ENDS @ (mesh.n + 1, 1))[kind]], axis=-1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64, 256])
 @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.013, -0.021)], ids=["unshifted", "shifted"])
 def test_closed_form_faces_match_masked_oracle(n, shift):
+    """The keys 3 (i (n + 1) + j) + kind of every face (i, j, kind) of the grid ascend as the
+    masked oracle's faces, decode to its ends, and give its triangles by ``FACE_TRIANGLES``."""
     mesh = build_background((-1, -1, 1, 1), n, shift)
-    got, want = _all_faces(mesh), masked_faces(n)[0]
+    want, want_tris = masked_faces(n)
+    i, j, kind = np.meshgrid(np.arange(n + 1), np.arange(n + 1), np.arange(3), indexing="ij")
+    on_grid = (i + FACE_ENDS[kind, 0] <= n) & (j + FACE_ENDS[kind, 1] <= n)
+    keys = (3 * (i * (n + 1) + j) + kind)[on_grid]
+    assert keys.shape == (3 * n * n + 2 * n,)
+    assert np.array_equal(keys, face_keys(n, want))
+    got = _decode_keys(mesh, keys)
     assert got.dtype == want.dtype == np.int64
-    assert got.flags.c_contiguous
     assert got.shape == want.shape == (3 * n * n + 2 * n, 2)
     assert got.tobytes() == want.tobytes()
-    # a single id reads as its row
+    assert np.array_equal(_table_triangles(mesh, got), want_tris)
+    # a single key reads as its row
     f = 3 * n * n // 2
-    assert mesh.face(f).tolist() == want[f].tolist()
+    assert _decode_keys(mesh, keys[f]).tolist() == want[f].tolist()
 
 
 def test_face_adjacency_counts():
     mesh = build_background((0, 0, 1, 1), 4)
-    adjacency = (_table_triangles(mesh, _all_faces(mesh)) >= 0).sum(axis=1)
+    adjacency = (_table_triangles(mesh, masked_faces(4)[0]) >= 0).sum(axis=1)
     # interior faces have exactly two neighbors, box faces exactly one
     assert set(np.unique(adjacency)) == {1, 2}
     boundary_faces = (adjacency == 1).sum()
@@ -198,9 +208,9 @@ def test_classify_tangency_raises():
         classify(mesh, domain)
 
 
-def _brute_force_ghost_faces(topo, face_tris):
-    """Oracle: the interior faces, by the triangle pairs ``face_tris``, with both triangles
-    active and one cut, in face order."""
+def _brute_force_ghost_faces(topo, faces, face_tris):
+    """Oracle: the keys of the interior faces ``faces``, by their triangle pairs ``face_tris``,
+    with both triangles active and one cut, in face order."""
     is_active = topo.classification != OUTSIDE
     expected = []
     for f, (t1, t2) in enumerate(face_tris):
@@ -210,17 +220,17 @@ def _brute_force_ghost_faces(topo, face_tris):
             continue
         if topo.classification[t1] == CUT or topo.classification[t2] == CUT:
             expected.append(f)
-    return np.array(expected)
+    return face_keys(topo.mesh.n, faces[expected])
 
 
 def test_ghost_faces_brute_force(domain_mixed):
     mesh = build_background((-1, -1, 1, 1), 8)
     topo = classify(mesh, domain_mixed)
-    face_tris = dict_faces(grid_arrays(mesh)[1])[1]
+    faces, face_tris = dict_faces(grid_arrays(mesh)[1])
     assert topo.ghost_faces.dtype == np.int64
-    assert np.array_equal(topo.ghost_faces, _brute_force_ghost_faces(topo, face_tris))
+    assert np.array_equal(topo.ghost_faces, _brute_force_ghost_faces(topo, faces, face_tris))
     # every ghost face is interior to the active mesh with a cut neighbor
-    for f in topo.ghost_faces:
+    for f in np.searchsorted(face_keys(mesh.n, faces), topo.ghost_faces):
         t1, t2 = face_tris[f]
         assert topo.is_active(t1) and topo.is_active(t2)
         assert CUT in (topo.classification[t1], topo.classification[t2])
@@ -230,7 +240,7 @@ def test_ghost_faces_brute_force(domain_mixed):
 @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.013, -0.021)], ids=["unshifted", "shifted"])
 def test_ghost_faces_match_the_masked_oracle(domain_mixed, n, shift):
     topo = classify(build_background((-1, -1, 1, 1), n, shift), domain_mixed)
-    assert np.array_equal(topo.ghost_faces, _brute_force_ghost_faces(topo, masked_faces(n)[1]))
+    assert np.array_equal(topo.ghost_faces, _brute_force_ghost_faces(topo, *masked_faces(n)))
 
 
 def test_ghost_faces_empty_for_fitted_case():

@@ -26,7 +26,13 @@ from cutpoisson.study import (
     manufactured_smooth,
     sweep_shifts,
 )
-from tests.conftest import grid_arrays, jump_normal_gradient, masked_faces, reference_tolerance
+from tests.conftest import (
+    face_keys,
+    grid_arrays,
+    jump_normal_gradient,
+    masked_faces,
+    reference_tolerance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +92,16 @@ def test_inactive_triangle_rejected(disc_mixed_8):
         gradient(f, int(outside[0]))
     with pytest.raises(ValueError, match=message):
         f.vertex_values(int(outside[0]))
+    # an id off the grid is named, not wrapped around to a triangle from the end
+    n_triangles = dofmap.mesh.n_triangles
+    for t in (-1, -8, n_triangles):
+        message = f"triangle {t} is not on the grid of {n_triangles} triangles"
+        with pytest.raises(ValueError, match=message):
+            evaluate(f, t, np.zeros(2))
+        with pytest.raises(ValueError, match=message):
+            gradient(f, t)
+        with pytest.raises(ValueError, match=message):
+            f.vertex_values(t)
 
 
 def test_the_dofmap_carries_the_rules_it_was_numbered_on(domain_mixed):
@@ -100,8 +116,8 @@ def test_the_dofmap_carries_the_rules_it_was_numbered_on(domain_mixed):
 def test_jump_zero_for_affine(fitted_two_triangles):
     mesh, topo, dofmap = fitted_two_triangles
     f = nodal(dofmap, lambda v: 3.0 * v[:, 0] - 2.0 * v[:, 1] + 1.0)
-    interior = np.flatnonzero((masked_faces(mesh.n)[1] >= 0).all(axis=1))
-    for face in interior:
+    faces, face_tris = masked_faces(mesh.n)
+    for face in face_keys(mesh.n, faces[(face_tris >= 0).all(axis=1)]):
         assert jump_normal_gradient(f, int(face)) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -111,7 +127,8 @@ def test_hat_jump_matches_hand_assembly(fitted_two_triangles):
     coeffs = np.zeros(dofmap.ndof)
     coeffs[dofmap.vertex_to_dof[3]] = 1.0  # vertex (1, 1)
     f = FeFunction(coeffs, dofmap)
-    face = int(np.flatnonzero((masked_faces(mesh.n)[1] >= 0).all(axis=1))[0])
+    faces, face_tris = masked_faces(mesh.n)
+    face = int(face_keys(mesh.n, faces[(face_tris >= 0).all(axis=1)])[0])
     value = jump_normal_gradient(f, face)
     assert abs(value) == pytest.approx(math.sqrt(2.0), rel=1e-14)
     # scaling the coefficients scales the jump

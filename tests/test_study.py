@@ -200,12 +200,19 @@ def test_singular_level_refines_as_the_study_does(domain_mixed):
     assert level == run_convergence(problem, [16, 32]).levels[1]
 
 
-def test_report_rejects_non_refined_levels(domain_dirichlet):
+def test_report_rejects_non_refined_levels(domain_dirichlet, monkeypatch):
     problem = manufactured_smooth(domain_dirichlet)
     with pytest.raises(ValueError):
         run_convergence(problem, [16, 8])
     with pytest.raises(ValueError):
         run_convergence(problem, [16])
+    # levels that do not refine are rejected before the first level is solved
+    solved = []
+    monkeypatch.setattr(study, "convergence_level", lambda *args: solved.append(args))
+    for levels in ([32, 16], [16, 16]):
+        with pytest.raises(ValueError, match="levels must be strictly increasing"):
+            run_convergence(problem, levels)
+    assert solved == []
 
 
 def test_inequality_constants_stable(domain_mixed):
