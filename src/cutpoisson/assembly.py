@@ -91,8 +91,11 @@ class SystemMatrices:
 def _scatter(dofmap, dofs, slots, blocks):
     """Stencil array of local blocks (m, k, k) on ``dofs`` (m, k), block entry (a, b) at ``slots``.
 
-    Returns the array over the rows of the dofs touched only, and those dofs in ascending order.
+    Returns the array over the rows of the dofs touched only, and those dofs in ascending order;
+    a negative dof, on a vertex off the active mesh, raises ``ValueError``.
     """
+    if dofs.size and dofs.min() < 0:
+        raise ValueError(f"a local block is placed on dof {dofs.min()}, off the active mesh")
     touched = np.zeros(dofmap.ndof, dtype=bool)
     touched[dofs] = True
     width = len(STENCIL)
@@ -109,11 +112,15 @@ def _cell_scatter(dofmap, cells, blocks):
 
 
 def _compress(dofmap, stencil, rows=None):
-    """CSR matrix of the stencil array of the dofs ``rows`` (all dofs if None) without its zeros."""
+    """CSR matrix of the stencil array of the dofs ``rows`` (all dofs if None) without its zeros;
+    a column outside [0, ndof), on a vertex off the active mesh, raises ``ValueError``."""
     flat = np.flatnonzero(stencil != 0.0)
     row = flat // len(STENCIL) if rows is None else rows[flat // len(STENCIL)]
     offsets = STENCIL @ (dofmap.mesh.n + 1, 1)  # vertex id offsets
     cols = dofmap.vertex_to_dof[dofmap.dof_to_vertex[row] + offsets[flat % len(STENCIL)]]
+    off = (cols < 0) | (cols >= dofmap.ndof)
+    if off.any():
+        raise ValueError(f"a stencil entry of dof {row[off][0]} has a column off the active mesh")
     indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=dofmap.ndof))]
     return sp.csr_matrix((stencil.ravel()[flat], cols, indptr), shape=(dofmap.ndof, dofmap.ndof))
 
@@ -296,6 +303,8 @@ def assemble_system(dofmap, params, data):
     The regularized operator is ``assemble_regularized(system.A, ...)``; it
     shares the stabilizer and the load.
     """
+    if not len(dofmap.rules.dirichlet.weights):  # pure Neumann: u is fixed up to a constant only
+        raise ValueError(f"level n = {dofmap.mesh.n}: the rules hold no Dirichlet point")
     A = assemble_nitsche(dofmap, params)
     S = assemble_ghost_penalty(dofmap, params)
     b = assemble_load(dofmap, params, data)

@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 import cutpoisson
-from cutpoisson.geometry import COLLAR, LevelSetDomain, box_gap, circle_meets_box_edge
+from cutpoisson.geometry import COLLAR, LevelSetDomain
 from cutpoisson.mesh import build_background, cell_diagonal
 from cutpoisson.quadrature import MIN_TOL
 from cutpoisson import study as study_mod
@@ -90,6 +90,7 @@ _FIELDS = {
     "quadrature_tol": (1e-10, _real(MIN_TOL, strict=False)),
 }
 _SINGLE_LEVEL_KINDS = {"regularization", "inequalities", "condition_sweep"}
+_DIRICHLET_KINDS = {"convergence", "regularization", "condition_sweep"}
 
 
 def _walk(raw, path):
@@ -148,26 +149,24 @@ def load_config(path):
             f"mesh.box {box}: its cells have aspect ratio {aspect:.3g}, above the "
             f"shape-regular limit of about 4.3 ({exc})"
         ) from exc
-    g = cfg["geometry"]
-    disk = "geometry.center and geometry.radius: the disk "
-    disk += f"(center {g['center']}, radius {g['radius']})"
-    if circle_meets_box_edge(g["center"], g["radius"], box):
-        raise ConfigError(
-            f"{disk}: its boundary circle meets the edge of mesh.box {box}, so the solve would "
-            "cover a truncated domain"
-        )
-    if box_gap(g["center"], box) > g["radius"]:
-        raise ConfigError(f"{disk} misses mesh.box {box}: no cell meets the domain")
     try:
-        junctions = len(build_domain(cfg).junction_angles)
-    except (TypeError, ValueError) as exc:
+        domain = build_domain(cfg)
+    except ValueError as exc:
         raise ConfigError(f"geometry.dirichlet_arcs: {exc}") from exc
-    index = cfg["problem"]["junction_index"]
-    if cfg["problem"]["kind"] == "singular" and not index < junctions:
-        raise ConfigError(
-            f"problem.junction_index {index} must be below {junctions}, the number of "
-            "junctions of geometry.dirichlet_arcs"
-        )
+    if kind != "cutoff_lemma":  # every other kind builds a mesh on each level
+        count = cfg["mesh"]["shift_sweep_count"] if kind == "condition_sweep" else 1  # 1: none
+        shifts = study_mod.sweep_shifts(box, levels[0], count)
+        try:
+            study_mod.check_levels(domain, box, levels, shifts)
+        except ValueError as exc:
+            fields = "geometry.center, geometry.radius, mesh.box and mesh.levels"
+            raise ConfigError(f"{fields}: {exc}") from exc
+    if kind in _DIRICHLET_KINDS and domain.is_pure_neumann:  # Neumann data fix u up to a constant
+        raise ConfigError(f"geometry.dirichlet_arcs is empty; study.kind {kind!r} needs an arc")
+    try:
+        build_problem(cfg, domain)
+    except ValueError as exc:
+        raise ConfigError(f"problem.junction_index on geometry.dirichlet_arcs: {exc}") from exc
     return cfg
 
 
@@ -298,12 +297,10 @@ def run(config_path, out_dir=None, quiet=False):
     try:
         csv_name, header, rows, summary = _run_study(cfg)
         out.mkdir(parents=True, exist_ok=True)  # only now, so a failed study leaves no directory
-    except ValueError as exc:  # ConfigError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # any other failure (solver, quadrature, output): exit 1
-        print(f"error: study failed: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # a ValueError (ConfigError included) exits 2, any other failure 1
+        config_fault = isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError)
+        print(f"error: {'' if config_fault else 'study failed: '}{exc}", file=sys.stderr)
+        return 2 if config_fault else 1
     lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
     (out / csv_name).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     elapsed = time.perf_counter() - t_start

@@ -164,31 +164,6 @@ def signed_distance(domain, x):
     return np.linalg.norm(x - domain.center_array, axis=-1) - domain.radius
 
 
-def circle_meets_box_edge(center, radius, box):
-    """Whether the circle of ``center`` and ``radius`` meets the edge of ``box`` (x0, y0, x1, y1).
-
-    The distance from the center to the edge takes every value between its
-    minimum and its maximum (the farthest corner), so the circle meets the
-    edge exactly when the radius lies between them.  A disk inside the box and
-    a box inside the disk both stay clear of it.
-    """
-    x0, y0, x1, y1 = (float(v) for v in box)
-    cx, cy = (float(v) for v in center)
-    nearest = box_gap(center, box) or min(cx - x0, x1 - cx, cy - y0, y1 - cy)  # 0 gap: inside
-    farthest = math.hypot(max(cx - x0, x1 - cx), max(cy - y0, y1 - cy))
-    return nearest <= radius <= farthest
-
-
-def box_gap(point, box):
-    """Distance from ``point`` to the box (x0, y0, x1, y1), 0 on or inside it.
-
-    A disk whose radius is below its center's gap misses the box.
-    """
-    x0, y0, x1, y1 = (float(v) for v in box)
-    x, y = (float(v) for v in point)
-    return math.hypot(max(x0 - x, 0.0, x - x1), max(y0 - y, 0.0, y - y1))
-
-
 def boundary_angle(domain, x):
     """Angle of the radial projection of ``x``, in [0, 2*pi)."""
     x = np.asarray(x, dtype=float)
@@ -251,10 +226,8 @@ class TubeParams:
 
 
 def collar(domain, h, epsilon):
-    """The regularized method's collar: delta = h, and ``epsilon``, both at most COLLAR * R."""
+    """The regularized method's collar: delta = h (see ``study.check_levels``) and ``epsilon``."""
     limit = COLLAR * domain.radius
-    if h > limit:
-        raise ValueError(f"mesh size {h} exceeds the collar limit {limit}")
     if epsilon > limit:
         raise ValueError(f"epsilon {epsilon} exceeds the admissible {limit}")
     return TubeParams(h, epsilon)

@@ -43,7 +43,7 @@ _SYMMETRIC_ORDERING = {
     "panel_size": 2,
     "options": {"SymmetricMode": True},
 }
-_SPD_ADVICE = " The system may be indefinite; try a larger beta."
+_SPD_ADVICE = " The system may be indefinite; try a larger beta or sigma."
 
 
 def _factor(K, advice=""):

@@ -37,7 +37,7 @@ from cutpoisson.geometry import (
 )
 from cutpoisson.mesh import build_background, cell_diagonal, classify
 from cutpoisson.quadrature import REFINE_LEVELS, _tri_area, build_rules
-from cutpoisson.solve import condition_estimate, solve_regularized, solve_standard
+from cutpoisson.solve import SolverError, condition_estimate, solve_regularized, solve_standard
 from cutpoisson.space import build_dofmap, clement_interpolate
 
 DEFAULT_BOX = (-1.0, -1.0, 1.0, 1.0)
@@ -240,30 +240,41 @@ class ErrorReport:
             self.eoc_l2.append(eoc(prev.l2, result.l2))
 
 
+def check_levels(domain, box, levels, shifts):
+    """Raise ``ValueError`` unless the disk fits each level's mesh at each shift; builds none.
+
+    Each level n needs its cell diagonal h at most ``geometry.COLLAR * R``.  Each shift needs
+    the disk strictly inside ``box`` moved by the shift, bitwise the extent of
+    ``build_background(box, n, shift)``: its center more than R inside every edge.
+    """
+    limit = geometry.COLLAR * domain.radius
+    for n in levels:
+        h = cell_diagonal(box, n)
+        if h > limit:
+            raise ValueError(f"level n = {n}: mesh size {h} exceeds the collar limit {limit}")
+    (cx, cy), (x0, y0, x1, y1) = domain.center, (float(v) for v in box)
+    for sx, sy in shifts:
+        extent = (x0 + float(sx), y0 + float(sy), x1 + float(sx), y1 + float(sy))
+        inside = min(cx - extent[0], cy - extent[1], extent[2] - cx, extent[3] - cy)
+        if not inside > domain.radius:
+            raise ValueError(
+                f"the disk (center {domain.center}, radius {domain.radius}) misses the mesh extent "
+                f"{extent} in whole or in part: its center is {inside} inside the nearest edge (a "
+                "circle that meets the edge of the mesh extent leaves a truncated domain, and an "
+                "extent inside the disk no boundary)"
+            )
+
+
 def discretize(domain, n, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10, shift=(0.0, 0.0)):
     """The dofmap and Nitsche parameters of one mesh level.
 
     The dofmap carries the level: its rules ``dofmap.rules``, built with ``tol``,
     and their cut topology and mesh, ``dofmap.topology`` (which holds ``domain``)
-    and ``dofmap.mesh``.  An h above ``geometry.COLLAR * R`` raises ``ValueError``
-    before any mesh is built; so do a circle that meets the edge of the mesh's
-    extent and a disk that misses it, before any cell is classified.
+    and ``dofmap.mesh``.  A level that ``check_levels`` rejects raises ``ValueError``
+    before any mesh is built: a box inside the disk reaches only a direct ``classify``.
     """
-    h, limit = cell_diagonal(box, n), geometry.COLLAR * domain.radius
-    if h > limit:
-        raise ValueError(f"mesh size {h} exceeds the collar limit {limit}")
+    check_levels(domain, box, [n], [shift])
     mesh = build_background(box, n, shift)
-    extent = tuple(float(v) for v in (mesh.xs.min(), mesh.ys.min(), mesh.xs.max(), mesh.ys.max()))
-    if geometry.circle_meets_box_edge(domain.center, domain.radius, extent):
-        raise ValueError(
-            f"the boundary circle (center {domain.center}, radius {domain.radius}) meets the "
-            f"edge of the mesh extent {extent}: the solve would cover a truncated domain"
-        )
-    if geometry.box_gap(domain.center, extent) > domain.radius:
-        raise ValueError(
-            f"the disk (center {domain.center}, radius {domain.radius}) misses the mesh "
-            f"extent {extent}: no cell meets the domain"
-        )
     return build_dofmap(build_rules(classify(mesh, domain), tol)), NitscheParams(beta, sigma)
 
 
@@ -299,6 +310,7 @@ def run_convergence(
         raise ValueError("a convergence study needs at least two levels")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must be strictly increasing, got {list(levels)!r}")
+    check_levels(problem.domain, box, levels, [shift])
     validate_problem(problem)
     report = ErrorReport(label=problem.label)
     for n in levels:
@@ -308,6 +320,7 @@ def run_convergence(
 
 def interpolation_study(problem, levels, box=DEFAULT_BOX, tol=1e-10, sigma=0.1):
     """Quasi-interpolation error of the exact solution in the energy norm."""
+    check_levels(problem.domain, box, levels, [(0.0, 0.0)])
     report = ErrorReport(label=f"{problem.label}-interpolation")
     for n in levels:
         dofmap, params = discretize(problem.domain, n, sigma=sigma, box=box, tol=tol)
@@ -376,7 +389,10 @@ def verify_inequalities(dofmap, params):
         shape=(2 * len(dofs), ndof),
     )
     G = (assemble_stiffness(dofmap) + assemble_ghost_penalty(dofmap, params))[1:, 1:]
-    G_inv = spla.LinearOperator(G.shape, spla.splu(G.tocsc()).solve)
+    try:
+        G_inv = spla.LinearOperator(G.shape, spla.splu(G.tocsc()).solve)
+    except RuntimeError as exc:  # sigma 0 and a dof whose cells the disk meets in a point
+        raise SolverError(f"level n = {dofmap.mesh.n}: K + S: {exc}; try sigma > 0") from exc
     c_full = spla.eigsh(
         (D.T @ D)[1:, 1:], 1, G, Minv=G_inv, which="LA", v0=np.ones(ndof - 1),
         return_eigenvectors=False,
@@ -516,6 +532,7 @@ def regularization_coupling(
     problem, levels=(16, 32), coeff=0.1, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-10
 ):
     """Gap between regularized and standard solutions under epsilon = coeff * h**2."""
+    check_levels(problem.domain, box, levels, [(0.0, 0.0)])
     gaps = []
     for n in levels:
         dofmap, params = discretize(problem.domain, n, beta, sigma, box, tol)
@@ -571,18 +588,21 @@ def condition_sweep(domain, n=16, n_shifts=20, beta=10.0, sigma=0.1, box=DEFAULT
         raise ValueError("conditioning study needs a Dirichlet part")
     if not n_shifts >= 1:
         raise ValueError(f"n_shifts must be at least 1, got {n_shifts!r}")
+    shifts = sweep_shifts(box, n, n_shifts)
+    check_levels(domain, box, [n], shifts)
     rows = []
-    for shift in sweep_shifts(box, n, n_shifts):
+    for shift in shifts:
         dofmap, params = discretize(domain, n, beta, sigma, box, tol, shift)
         A = assemble_nitsche(dofmap, params)
         S = assemble_ghost_penalty(dofmap, params)
         G = energy_gram(dofmap, S)
         K = (A + S).toarray()
-        lam_min = float(
-            scipy.linalg.eigh(K, G.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
-        )
+        try:
+            lam = scipy.linalg.eigh(K, G.toarray(), eigvals_only=True, subset_by_index=[0, 0])
+        except np.linalg.LinAlgError as exc:  # with sigma 0, as in ``verify_inequalities``
+            raise SolverError(f"level n = {n}, shift {shift}: {exc}; try sigma > 0") from exc
         kappa = condition_estimate(A + S)
         eig0 = np.abs(scipy.linalg.eigvalsh(A.toarray()))
         kappa0 = float(eig0.max() / max(eig0.min(), 1e-300))
-        rows.append(ConditionRow(shift, lam_min, kappa, kappa0))
+        rows.append(ConditionRow(shift, float(lam[0]), kappa, kappa0))
     return ConditionSweepReport(rows)

@@ -70,7 +70,7 @@ def test_stiffness_constant_kernel(disc_mixed_8):
 def test_stiffness_matches_hand_assembly():
     """Fitted unit square, two triangles: the classic 4x4 P1 stiffness matrix."""
     domain = LevelSetDomain((0.5, 0.5), 10.0, ((0.0, 2 * math.pi),))
-    dofmap, params = discretize(domain, 1, box=(0, 0, 1, 1))
+    dofmap, params = _level(domain, (0, 0, 1, 1), 1)  # a box inside the disk: no discretize
     K = assemble_stiffness(dofmap).toarray()
     # dofs follow vertex order (0,0), (0,1), (1,0), (1,1)
     expected = np.array(
@@ -101,6 +101,40 @@ def test_nitsche_pure_neumann_reduces_to_stiffness():
     A = assemble_nitsche(dofmap, params)
     K = assemble_stiffness(dofmap)
     assert abs(A - K).max() == 0.0
+
+
+def test_assemble_system_rejects_a_level_without_dirichlet_points():
+    """Pure Neumann: the operator fixes u only up to a constant, so no solve is attempted."""
+    domain = LevelSetDomain((0.0, 0.0), 0.7)
+    dofmap, params = discretize(domain, 8)
+    with pytest.raises(ValueError, match="level n = 8: the rules hold no Dirichlet point"):
+        assemble_system(dofmap, params, manufactured_smooth(domain))
+
+
+def test_a_mis_keyed_ghost_face_raises_instead_of_a_wrong_matrix(disc_mixed_8):
+    """Face key 0 puts a face at vertex 0, the box corner, off the active mesh: its dofs are -1."""
+    dofmap, params = disc_mixed_8
+    faces = dofmap.topology.ghost_faces.copy()
+    faces[0] = 0
+    topology = dataclasses.replace(dofmap.topology, ghost_faces=faces)
+    bad = dataclasses.replace(dofmap, rules=dataclasses.replace(dofmap.rules, topology=topology))
+    with pytest.raises(ValueError, match="dof -1, off the active mesh"):
+        assemble_ghost_penalty(bad, params)
+
+
+def test_compress_rejects_a_column_off_the_active_mesh(disc_mixed_8):
+    """One stencil entry from a boundary dof to a neighbour that has no dof."""
+    dofmap, _ = disc_mixed_8
+    offsets = space.STENCIL @ (dofmap.mesh.n + 1, 1)
+    vertices = np.clip(dofmap.dof_to_vertex[:, None] + offsets, 0, dofmap.mesh.n_vertices - 1)
+    cols = dofmap.vertex_to_dof[vertices]
+    row, slot = np.argwhere(cols < 0)[0]
+    stencil = np.zeros((dofmap.ndof, len(space.STENCIL)))
+    stencil[row, slot] = 1.0
+    with pytest.raises(ValueError, match=f"dof {row} has a column off the active mesh"):
+        _compress(dofmap, stencil)
+    stencil[row, slot] = 0.0
+    assert _compress(dofmap, stencil).nnz == 0
 
 
 def test_ghost_penalty_properties(disc_mixed_8, rng):

@@ -293,22 +293,24 @@ def test_truncated_disk_config_rejected(tmp_path, capsys):
     with pytest.raises(ConfigError, match="truncated domain"):
         load_config(str(cfg))
     assert run(str(cfg), out_dir=str(tmp_path / "o"), quiet=True) == 2
-    assert "meets the edge of mesh.box" in capsys.readouterr().err
+    assert "meets the edge of the mesh extent" in capsys.readouterr().err
     assert not (tmp_path / "o" / "convergence.csv").exists()
 
 
 def test_box_inside_disk_config_accepted(tmp_path):
-    cfg = write_config(tmp_path, {"geometry": {"center": [0.0, 0.0], "radius": 10.0}})
+    """The cutoff lemma builds no mesh, so a disk covering the box is fine there."""
+    geometry = {"center": [0.0, 0.0], "radius": 10.0, "dirichlet_arcs": [[0.0, math.pi]]}
+    cfg = write_config(tmp_path, {"geometry": geometry, "study": {"kind": "cutoff_lemma"}})
     assert load_config(str(cfg))["geometry"]["radius"] == 10.0
 
 
 def test_disk_outside_the_box_rejected_before_anything_is_written(tmp_path, capsys):
     geometry = {"center": [5.0, 5.0], "radius": 0.5, "dirichlet_arcs": [[0.0, 3.14159]]}
     cfg = write_config(tmp_path, {"geometry": geometry})
-    with pytest.raises(ConfigError, match=r"center \[5\.0, 5\.0\], radius 0\.5\) misses mesh.box"):
+    with pytest.raises(ConfigError, match=r"center \(5\.0, 5\.0\), radius 0\.5\) misses the mesh"):
         load_config(str(cfg))
     assert run(str(cfg), out_dir=str(tmp_path / "o"), quiet=True) == 2
-    assert "misses mesh.box [-1.0, -1.0, 1.0, 1.0]" in capsys.readouterr().err
+    assert "misses the mesh extent (-1.0, -1.0, 1.0, 1.0)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -332,7 +334,7 @@ def test_stretched_box_rejected_before_anything_is_written(tmp_path, capsys, box
 
 
 def test_box_at_the_aspect_limit_accepted(tmp_path):
-    cfg = write_config(tmp_path, {"mesh": {"box": [-4.3, -1.0, 4.3, 1.0]}})
+    cfg = write_config(tmp_path, {"mesh": {"box": [-4.3, -1.0, 4.3, 1.0], "levels": [32, 64]}})
     assert load_config(str(cfg))["mesh"]["box"] == [-4.3, -1.0, 4.3, 1.0]
 
 

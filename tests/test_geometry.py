@@ -377,27 +377,7 @@ def test_collar_admits_widths_up_to_three_quarters_of_the_radius():
     limit = 0.75 * UNIT.radius
     assert collar(UNIT, 0.1, 0.01) == TubeParams(0.1, 0.01)
     assert collar(UNIT, limit, limit) == TubeParams(limit, limit)
-    with pytest.raises(ValueError, match="mesh size 0.76 exceeds the collar limit 0.75"):
-        collar(UNIT, 0.76, 0.01)
     with pytest.raises(ValueError, match="epsilon 0.76 exceeds the admissible 0.75"):
         collar(UNIT, 0.1, 0.76)
     with pytest.raises(ValueError, match="must be positive"):
         collar(UNIT, 0.1, 0.0)
-
-
-@pytest.mark.parametrize(
-    "center, radius, meets",
-    [
-        ((0.0, 0.0), 0.7, False),  # disk inside the box
-        ((0.0, 0.0), 1.5, False),  # box inside the disk
-        ((0.5, 0.0), 0.7, True),  # crosses the right edge
-        ((0.0, 0.0), 1.0, True),  # tangent to all four edges
-        ((0.0, 0.0), math.sqrt(2.0), True),  # through the corners
-        ((3.0, 0.0), 1.0, False),  # disk outside the box
-        ((3.0, 0.0), 2.5, True),  # reaches in from outside
-    ],
-)
-def test_circle_meets_box_edge(center, radius, meets):
-    from cutpoisson.geometry import circle_meets_box_edge
-
-    assert circle_meets_box_edge(center, radius, (-1.0, -1.0, 1.0, 1.0)) == meets

@@ -13,7 +13,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cutpoisson"
 MAX_DEFAULTED = 56
-MAX_PARAMETERS = 297
+MAX_PARAMETERS = 296
 
 
 def parameter_counts(root=SRC):

@@ -72,7 +72,7 @@ def test_singular_pivot_system_raises():
 
 def test_indefinite_system_raises():
     K = np.diag([1.0, -1.0, 1e-18])
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="try a larger beta or sigma"):
         solve_standard(wrap(K, np.array([1.0, 1.0, 1.0])), FakeDofmap(3))
 
 

@@ -9,11 +9,15 @@ import scipy.linalg
 
 from cutpoisson import LevelSetDomain, study
 from cutpoisson.geometry import boundary_angle, is_dirichlet_angle
-from cutpoisson.mesh import cell_diagonal
+from cutpoisson.mesh import build_background, cell_diagonal, classify
+from cutpoisson.quadrature import build_rules
+from cutpoisson.space import build_dofmap
 from cutpoisson.study import (
     DEFAULT_BOX,
     ManufacturedProblem,
     _dirichlet_cells,
+    check_levels,
+    condition_sweep,
     convergence_level,
     discretize,
     interpolation_study,
@@ -573,9 +577,10 @@ def test_a_level_holds_no_per_cell_geometry(domain_mixed, monkeypatch):
 
 
 def test_box_inside_disk_is_all_inside():
+    """``discretize`` rejects this box, but ``classify`` and ``build_rules`` accept it."""
     covering = LevelSetDomain((0.5, 0.5), 10.0, ((0.0, 2 * math.pi),))
-    dofmap, params = discretize(covering, 4, box=(0.0, 0.0, 1.0, 1.0))
-    rules = dofmap.rules
+    mesh = build_background((0.0, 0.0, 1.0, 1.0), 4)
+    rules = build_dofmap(build_rules(classify(mesh, covering))).rules
     assert packed_volume_rule(rules).weights.sum() == pytest.approx(1.0, rel=1e-14)
     assert len(rules.dirichlet.weights) == len(rules.neumann.weights) == 0
 
@@ -585,6 +590,72 @@ def test_disk_that_misses_the_grid_is_rejected():
     message = r"center \(5\.0, 5\.0\), radius 0\.5\) misses the mesh extent \(-1\.0, -1\.0, 1\.0, 1\.0\)"
     with pytest.raises(ValueError, match=message):
         discretize(far, 8)
+
+
+@pytest.mark.parametrize(
+    "center, radius, fits",
+    [
+        ((0.0, 0.0), 0.7, True),  # disk inside the box
+        ((0.0, 0.0), 1.5, False),  # box inside the disk
+        ((0.5, 0.0), 0.7, False),  # crosses the right edge
+        ((0.0, 0.0), 1.0, False),  # tangent to all four edges
+        ((0.0, 0.0), math.sqrt(2.0), False),  # through the corners
+        ((3.0, 0.0), 1.0, False),  # disk outside the box
+        ((3.0, 0.0), 2.5, False),  # reaches in from outside
+    ],
+)
+def test_check_levels_admits_only_a_disk_strictly_inside_the_box(center, radius, fits):
+    domain = LevelSetDomain(center, radius, ((0.0, math.pi),))
+    if fits:
+        check_levels(domain, DEFAULT_BOX, [8], [(0.0, 0.0)])
+    else:
+        with pytest.raises(ValueError, match="misses the mesh extent"):
+            check_levels(domain, DEFAULT_BOX, [8], [(0.0, 0.0)])
+
+
+def test_check_levels_checks_every_shift_and_level(domain_mixed):
+    """Shifted by 0.29 the disk of radius 0.7 is 0.71 inside the left edge, by 0.31 only 0.69."""
+    check_levels(domain_mixed, DEFAULT_BOX, [8, 64], [(0.0, 0.0), (0.29, -0.29)])
+    with pytest.raises(ValueError, match=re.escape("extent (-0.69, -1.0, 1.31, 1.0)")):
+        check_levels(domain_mixed, DEFAULT_BOX, [8], [(0.0, 0.0), (0.31, 0.0)])
+    with pytest.raises(ValueError, match="level n = 2: mesh size"):
+        check_levels(domain_mixed, DEFAULT_BOX, [8, 2], [(0.0, 0.0)])
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_check_levels_extent_is_the_meshs_bitwise(n):
+    """A disk exactly tangent to each shifted extent of ``build_background`` is rejected, and one
+    a hair smaller is not: the check's extent is the mesh's to the last bit."""
+    box = (-1.013, -0.979, 1.0, 1.0)
+    for shift in sweep_shifts(box, n, 5):
+        mesh = build_background(box, n, shift)
+        center = (0.5 * (mesh.xs[0] + mesh.xs[-1]), 0.5 * (mesh.ys[0] + mesh.ys[-1]))
+        gap = min(center[0] - mesh.xs.min(), mesh.xs.max() - center[0],
+                  center[1] - mesh.ys.min(), mesh.ys.max() - center[1])
+        with pytest.raises(ValueError, match="misses the mesh extent"):
+            check_levels(LevelSetDomain(center, gap), box, [], [shift])
+        check_levels(LevelSetDomain(center, np.nextafter(gap, 0.0)), box, [], [shift])
+
+
+def test_studies_check_every_level_and_shift_before_the_first_is_built(domain_mixed, monkeypatch):
+    """A sweep whose 4th shift moves the mesh edge onto the circle, and studies with a level too
+    coarse for the collar, fail before any mesh is built."""
+    calls = []
+    original = study.build_background
+    monkeypatch.setattr(study, "build_background", lambda *a: calls.append(a) or original(*a))
+    near_edge = LevelSetDomain((0.154, -0.279), 0.7, ((0.0, math.pi),))
+    with pytest.raises(ValueError, match="truncated domain"):
+        condition_sweep(near_edge, 8, 20)
+    small = LevelSetDomain((0.0, 0.0), 0.2, ((0.0, math.pi),))
+    problem = manufactured_smooth(small)
+    for call in (
+        lambda: run_convergence(problem, [2, 4]),
+        lambda: interpolation_study(problem, [32, 4]),
+        lambda: regularization_coupling(problem, [32, 4]),
+    ):
+        with pytest.raises(ValueError, match="exceeds the collar limit"):
+            call()
+    assert calls == []
 
 
 def test_validate_problem_rejects_nan_data_in_bounded_time(domain_mixed):
