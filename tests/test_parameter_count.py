@@ -12,8 +12,8 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cutpoisson"
-MAX_DEFAULTED = 56
-MAX_PARAMETERS = 296
+MAX_DEFAULTED = 55
+MAX_PARAMETERS = 295
 
 
 def parameter_counts(root=SRC):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cutpoisson.study import (
     condition_sweep,
     convergence_level,
     discretize,
+    error_norms,
     manufactured_singular,
     manufactured_smooth,
     regularization_study,
@@ -32,6 +34,10 @@ from cutpoisson.study import (
 
 
 class FakeDofmap:
+    """Stand-in dofmap of ``n`` dofs on a grid of one cell, which the factored solve takes."""
+
+    mesh = SimpleNamespace(n=1)
+
     def __init__(self, n):
         self.ndof = n
 
@@ -152,14 +158,27 @@ def test_singular_perturbation_raises():
         solve_regularized(wrap(K, b), FakeDofmap(3), standard)
 
 
+def _multigrid_above_8(monkeypatch):
+    """Levels finer than n = 8 take the multigrid path, down to an 8-cell coarsest grid."""
+    monkeypatch.setattr(solve, "MULTIGRID_MIN_N", 8)
+    monkeypatch.setattr(solve, "_COARSEST_N", 8)
+
+
 def test_regularization_study_factors_once(domain_mixed, monkeypatch):
-    calls = []
-    factor = solve._factor
-    monkeypatch.setattr(solve, "_factor", lambda *a, **k: calls.append(1) or factor(*a, **k))
+    """The standard operator is factored once: by the solve, or on a multigrid level by the
+    first regularized solve, which keeps the factors for the others (beside the coarsest grid's)."""
     n = 16
     h = 2.0 * math.sqrt(2.0) / n
-    regularization_study(manufactured_smooth(domain_mixed), n, [0.0, 0.1 * h**2, 0.2 * h**2, 0.4 * h**2])
-    assert len(calls) == 1
+    ndof = discretize(domain_mixed, n)[0].ndof
+    factor = solve._factor
+    for multigrid in (False, True):
+        sizes = []
+        monkeypatch.setattr(solve, "_factor", lambda K, *a: sizes.append(K.shape[0]) or factor(K, *a))
+        if multigrid:
+            _multigrid_above_8(monkeypatch)
+        eps_values = [0.0, 0.1 * h**2, 0.2 * h**2, 0.4 * h**2]
+        regularization_study(manufactured_smooth(domain_mixed), n, eps_values)
+        assert sizes.count(ndof) == 1 and len(sizes) == 1 + multigrid
 
 
 def test_regularized_gap_bounded_and_stable(domain_mixed):
@@ -238,10 +257,107 @@ def test_stabilization_controls_conditioning(domain_dirichlet):
     assert report.worst_blowup >= 100.0
 
 
-def test_solver_determinism(domain_mixed):
+def test_solver_determinism(domain_mixed, monkeypatch):
     problem = manufactured_smooth(domain_mixed)
     dofmap, params = discretize(domain_mixed, 16)
     system = assemble_system(dofmap, params, problem)
-    x1 = solve_standard(system, dofmap).solution.coefficients
-    x2 = solve_standard(system, dofmap).solution.coefficients
-    assert np.array_equal(x1, x2)
+    for method in ("splu", "mgcg"):
+        if method == "mgcg":
+            _multigrid_above_8(monkeypatch)
+        first, second = solve_standard(system, dofmap), solve_standard(system, dofmap)
+        assert first.method == method
+        assert np.array_equal(first.solution.coefficients, second.solution.coefficients)
+
+
+def _level(domain, n, shift=(0.0, 0.0), problem=manufactured_singular):
+    dofmap, params = discretize(domain, n, shift=shift)
+    return dofmap, assemble_system(dofmap, params, problem(domain))
+
+
+def test_multigrid_takes_only_grids_above_128_that_halve_to_64():
+    assert [n for n in (64, 128, 129, 130, 192, 200, 256, 260, 512) if solve._takes_multigrid(n)] == [
+        192, 200, 256, 512
+    ]
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_multigrid_matches_the_factored_solve(domain_mixed, monkeypatch, n):
+    dofmap, system = _level(domain_mixed, n)
+    factored = solve_standard(system, dofmap)
+    _multigrid_above_8(monkeypatch)
+    report = solve_standard(system, dofmap)
+    x, oracle = report.solution.coefficients, factored.solution.coefficients
+    assert (factored.method, factored.iterations) == ("splu", 0)
+    assert report.method == "mgcg" and 0 < report.iterations <= 40 and report.factors is None
+    assert report.residual <= 0.1 * solve.RESIDUAL_RTOL * np.linalg.norm(system.b)
+    assert np.abs(x - oracle).max() <= 1e-9 * np.abs(oracle).max()
+
+
+def test_multigrid_singular_n256_level_matches_the_factored_solve(domain_mixed, monkeypatch):
+    """The solution and its error norms agree with the factored solve's to 1e-9.
+
+    The L2 error (6.1e-4) moves by 1e-12 when the solution moves by 1e-12: the
+    factored solution's own L2 error is 2.2e-9 off that of its twice refined
+    solution, so the L2 errors are compared to 1e-12 absolute as well.
+    """
+    problem = manufactured_singular(domain_mixed)
+    dofmap, system = _level(domain_mixed, 256)
+    report = solve_standard(system, dofmap)
+    monkeypatch.setattr(solve, "MULTIGRID_MIN_N", 256)
+    factored = solve_standard(system, dofmap)
+    assert (report.method, factored.method) == ("mgcg", "splu")
+    x, oracle = report.solution.coefficients, factored.solution.coefficients
+    assert np.abs(x - oracle).max() <= 1e-9 * np.abs(oracle).max()
+    errs = error_norms(problem, report.solution, system.S)
+    oracle_errs = error_norms(problem, factored.solution, system.S)
+    assert errs.energy == pytest.approx(oracle_errs.energy, rel=1e-9, abs=0.0)
+    assert errs.sh == pytest.approx(oracle_errs.sh, rel=1e-9, abs=0.0)
+    assert errs.l2 == pytest.approx(oracle_errs.l2, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("problem", [manufactured_singular, manufactured_smooth])
+def test_multigrid_iterations_do_not_depend_on_the_cut(domain_mixed, domain_dirichlet, problem):
+    """At n = 256 the V-cycle preconditioned CG takes at most 40 iterations over seeded shifts."""
+    domain = domain_mixed if problem is manufactured_singular else domain_dirichlet
+    shifts = np.random.default_rng(20261020).random((2, 2)) * 2.0 / 256
+    for shift in shifts:
+        dofmap, system = _level(domain, 256, shift=tuple(shift), problem=problem)
+        report = solve_standard(system, dofmap)
+        assert report.method == "mgcg" and report.iterations <= 40
+
+
+def test_multigrid_zero_load_gives_exact_zeros(domain_mixed, monkeypatch):
+    _multigrid_above_8(monkeypatch)
+    dofmap, system = _level(domain_mixed, 32)
+    zero = SystemMatrices(system.A, system.S, np.zeros(dofmap.ndof))
+    report = solve_standard(zero, dofmap)
+    assert report.method == "mgcg" and report.iterations == 0 and report.residual == 0.0
+    assert np.all(report.solution.coefficients == 0.0)
+
+
+def test_multigrid_iteration_cap_raises(domain_mixed, monkeypatch):
+    _multigrid_above_8(monkeypatch)
+    monkeypatch.setattr(solve, "_CG_MAXIT", 2)
+    dofmap, system = _level(domain_mixed, 32)
+    with pytest.raises(SolverError, match=r"did not converge in 2 iterations at n = 32\..*beta or sigma"):
+        solve_standard(system, dofmap)
+
+
+@pytest.mark.parametrize("beta, n", [(10.0, 32), (1000.0, 32), (1000.0, 64)])
+def test_multigrid_without_ghost_penalty_converges_or_raises(domain_dirichlet, monkeypatch, beta, n):
+    """At sigma = 0 a multigrid level is solved and checked, or refused with SolverError.
+
+    At beta = 10 a vertex whose cells barely meet the disk has a negative diagonal; at
+    beta = 1000 these levels pass that check and CG takes 50-80 iterations.
+    """
+    _multigrid_above_8(monkeypatch)
+    dofmap, params = discretize(domain_dirichlet, n, beta=beta, sigma=0.0, shift=(0.013, 0.029))
+    system = assemble_system(dofmap, params, manufactured_smooth(domain_dirichlet))
+    try:
+        report = solve_standard(system, dofmap)
+    except SolverError:
+        return
+    assert report.method == "mgcg" and report.iterations > 0
+    x = report.solution.coefficients
+    K = system.A + system.S
+    assert np.linalg.norm(K @ x - system.b) <= solve.RESIDUAL_RTOL * np.linalg.norm(system.b)
