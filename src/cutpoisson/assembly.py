@@ -201,16 +201,34 @@ def assemble_nitsche(dofmap, params):
     B^T is scattered from the transposed blocks of B; grouping the two flux terms keeps the
     matrix bitwise symmetric.
     """
-    rule = dofmap.rules.dirichlet
+    return _dirichlet_forms(dofmap, params, None)[0]
+
+
+def _dirichlet_forms(dofmap, params, stabilizer):
+    """The Nitsche operator of ``params`` and the energy Gram matrix with ``stabilizer``, in order;
+    either is left out where its argument is None.
+
+    Both are the stiffness stencil plus Dirichlet terms scattered on the rows of the rule's cells,
+    compressed once: the operator's - (B + B^T) + (beta / h) M, the Gram matrix's M (1 / h), to
+    which ``stabilizer`` is added as a sparse sum.  The two share one stiffness stencil and one
+    evaluation of the Dirichlet rule.
+    """
+    rule, h = dofmap.rules.dirichlet, dofmap.mesh.h
     lam, grad_n = _boundary_local(dofmap, rule)
-    B = _flux_blocks(lam, grad_n, rule.weights)
-    flux, dofs = _cell_scatter(dofmap, rule.owner, B)  # the rows of rule's cells, as for the mass
-    flux += _cell_scatter(dofmap, rule.owner, B.transpose(0, 2, 1))[0]
-    mass = _cell_scatter(dofmap, rule.owner, _mass_blocks(lam, rule.weights))[0]
-    mass *= params.beta / dofmap.mesh.h
-    stencil = _stiffness_stencil(dofmap)
-    stencil[dofs] = stencil[dofs] - flux + mass
-    return _compress(dofmap, stencil)
+    mass, dofs = _cell_scatter(dofmap, rule.owner, _mass_blocks(lam, rule.weights))
+    stiffness = _stiffness_stencil(dofmap)
+    forms = []
+    if params is not None:
+        B = _flux_blocks(lam, grad_n, rule.weights)
+        flux = _cell_scatter(dofmap, rule.owner, B)[0]
+        flux += _cell_scatter(dofmap, rule.owner, B.transpose(0, 2, 1))[0]
+        stencil = stiffness if stabilizer is None else stiffness.copy()
+        stencil[dofs] = stencil[dofs] - flux + mass * (params.beta / h)
+        forms.append(_compress(dofmap, stencil))
+    if stabilizer is not None:
+        stiffness[dofs] = stiffness[dofs] + mass * (1.0 / h)
+        forms.append(_compress(dofmap, stiffness) + stabilizer)
+    return forms
 
 
 def _cutoff_weight(dofmap, params):
@@ -246,6 +264,17 @@ def assemble_regularized(A, dofmap, params):
     return (A - cutoff_flux_neumann(dofmap, params)).tocsr()
 
 
+# The ghost faces of each kind k, from their low end: the grid offsets (4, 2) of their four
+# vertices, ascending; whether corner c of their side s is vertex a, at [k, s, c, a]; and the
+# stencil slot of vertex b from vertex a, at [k, a, b].
+_corners = FACE_TRIANGLES[..., None, 1:] + CORNERS[FACE_TRIANGLES[..., 0]]  # (3, 2, 3, 2)
+_FACE_OFFSETS = np.array([np.unique(c.reshape(-1, 2), axis=0) for c in _corners])
+_FACE_IS_VERTEX = np.all(_corners[..., None, :] == _FACE_OFFSETS[:, None, None], axis=-1)
+_FACE_SLOTS = stencil_slot(_FACE_OFFSETS[:, None] - _FACE_OFFSETS[:, :, None])
+for _table in (_FACE_OFFSETS, _FACE_IS_VERTEX, _FACE_SLOTS):
+    _table.flags.writeable = False
+
+
 def assemble_ghost_penalty(dofmap, params):
     """Face-jump stabilizer sigma * h * sum_F int_F [grad_n u][grad_n v].
 
@@ -257,20 +286,16 @@ def assemble_ghost_penalty(dofmap, params):
     in the normal, so the normal of a kind is its tangent turned clockwise, on either side.
     """
     mesh, n = dofmap.mesh, dofmap.mesh.n
-    corners = FACE_TRIANGLES[..., None, 1:] + CORNERS[FACE_TRIANGLES[..., 0]]  # (3, 2, 3, 2)
-    offsets = np.array([np.unique(c.reshape(-1, 2), axis=0) for c in corners])  # (3, 4, 2)
-    is_vertex = np.all(corners[..., None, :] == offsets[:, None, None], axis=-1)  # (3, 2, 3, 4)
     tangents = FACE_ENDS * mesh.reference_triangles[0, 2]
     lengths = np.linalg.norm(tangents, axis=1)
     normals = tangents[:, ::-1] * (1.0, -1.0) / lengths[:, None]
     flux = np.einsum("kscd,kd->ksc", dofmap.reference_gradients[FACE_TRIANGLES[..., 0]], normals)
-    jumps = np.einsum("ksca,s,ksc->ka", is_vertex, [1.0, -1.0], flux)
+    jumps = np.einsum("ksca,s,ksc->ka", _FACE_IS_VERTEX, [1.0, -1.0], flux)
     scale = params.sigma * mesh.h * lengths
     blocks = scale[:, None, None] * (jumps[:, :, None] * jumps[:, None, :])
-    slots = stencil_slot(offsets[:, None] - offsets[:, :, None])
     v, kind = np.divmod(dofmap.topology.ghost_faces, 3)
-    dofs = dofmap.vertex_to_dof[v[:, None] + (offsets @ (n + 1, 1))[kind]]
-    return _compress(dofmap, *_scatter(dofmap, dofs, slots[kind], blocks[kind]))
+    dofs = dofmap.vertex_to_dof[v[:, None] + (_FACE_OFFSETS @ (n + 1, 1))[kind]]
+    return _compress(dofmap, *_scatter(dofmap, dofs, _FACE_SLOTS[kind], blocks[kind]))
 
 
 def assemble_load(dofmap, params, data):
@@ -346,9 +371,12 @@ def nitsche_action(dofmap, params, u, grad_u):
 
 
 def energy_gram(dofmap, stabilizer):
-    """Gram matrix of the energy norm: gradient and Dirichlet trace parts plus ``stabilizer``."""
-    gram = assemble_stiffness(dofmap) + assemble_boundary_mass(dofmap) * (1.0 / dofmap.mesh.h)
-    return gram + stabilizer
+    """Gram matrix of the energy norm: gradient and Dirichlet trace parts plus ``stabilizer``.
+
+    The trace part, the boundary mass times 1 / h, is added to the stiffness stencil before
+    the one compression, which gives the entries of the sum of the two matrices bitwise.
+    """
+    return _dirichlet_forms(dofmap, None, stabilizer)[0]
 
 
 def energy_norm(v, gram):

@@ -23,7 +23,11 @@ toward the junctions.  Every panel is purely Dirichlet or purely Neumann, so the
 rule comes as two packed rules, one per condition, each sorted by owner: every
 boundary term of the Nitsche form reads one of them only.
 
-``build_rules`` packs the rules of the cut cells only.  Every grid triangle
+``build_rules`` packs the rules of the cut cells only.  It is the one-topology
+call of ``build_rules_batch``, which sends the cut cells of several topologies
+of one domain, such as the shifted grids of a sweep, through one volume rule
+and one boundary rule call: both work cell by cell and arc by arc, and each
+topology's arcs are made to tile its circle on their own.  Every grid triangle
 is a translate of triangle ``t & 1``, so an inside cell never becomes packed
 points: its degree-4 points are its vertex 0 plus the reference points of its
 parity, ``_full_triangle_points(mesh.reference_triangles)``, and its weights
@@ -347,8 +351,10 @@ def _equal_pieces(lo, hi, max_piece):
     return part, lo + (hi - lo) * s / n_sub, lo + (hi - lo) * (s + 1) / n_sub, s
 
 
-def _split_pieces(owner, start, width, cuts):
-    """Split each arc at ``cuts`` inside it, then into equal pieces of at most ``_BOUNDARY_PIECE``."""
+def _split_pieces(arcs, cuts):
+    """Split each of the ``arcs`` at ``cuts`` inside it, then into equal pieces of at most
+    ``_BOUNDARY_PIECE``; returns the pieces as (owner, start angle, end angle)."""
+    owner, start, width = arcs
     off = _wrap(cuts[None, :] - start[:, None])
     inner = (off > 1e-13) & (off < width[:, None] - 1e-13)
     ends = np.column_stack([np.where(inner, start[:, None] + off, np.inf), start + width])
@@ -359,8 +365,9 @@ def _split_pieces(owner, start, width, cuts):
     return owner.repeat(real.sum(axis=1))[part], lo, hi
 
 
-def _graded_panels(owner, lo, hi, angles):
-    """Panels (owner, b0, b1) of the pieces, refined dyadically toward ends at ``angles``."""
+def _graded_panels(pieces, angles):
+    """Panels (owner, b0, b1) of the ``pieces``, refined dyadically toward ends at ``angles``."""
+    owner, lo, hi = pieces
     graded = _wrap(angles)
 
     def near(x):
@@ -405,8 +412,8 @@ def cut_boundary_rules(triangles, domain):
 
 def _boundary_rule(domain, arcs):
     """The rules of ``cut_boundary_rules`` on the arcs (owner, start angle, angular width)."""
-    owner, lo, hi = _split_pieces(*arcs, domain.junction_angles)
-    owner, b0, b1 = _graded_panels(owner, lo, hi, domain.junction_angles)
+    pieces = _split_pieces(arcs, domain.junction_angles)
+    owner, b0, b1 = _graded_panels(pieces, domain.junction_angles)
 
     mid, half = 0.5 * (b0 + b1), 0.5 * (b1 - b0)
     dirichlet = is_dirichlet_angle(domain, _wrap(mid))
@@ -538,26 +545,51 @@ class RuleSet:
 
 
 def build_rules(topology, tol=DEFAULT_TOL):
-    """Volume and boundary rules of the active cells.
+    """Volume and boundary rules of the active cells: ``build_rules_batch`` of one topology."""
+    return build_rules_batch([topology], tol)[0]
 
-    The domain is ``topology.domain``.  Only cut cells go through
-    ``cut_volume_rules`` and the boundary rule, which counts each arc in one
-    cell; the two share one computation of the arcs.  The inside cells take the
-    degree-4 rule of the reference triangle of their parity, triangle 0 or 1 of
-    the grid, moved to their vertex 0.
+
+def build_rules_batch(topologies, tol):
+    """The ``RuleSet`` of each cut topology of a list, all on one domain, bitwise ``build_rules``.
+
+    The domain is the topologies' ``domain``; topologies of unequal domains raise
+    ``ValueError``.  Only cut cells go through the rules, those of every topology in one
+    ``_cut_volume_rules`` call and one ``_boundary_rule`` call, whose work is per cell and
+    per arc: each cell's points come out bitwise as in a call of its own topology.  The
+    boundary rule counts each arc in one cell by ``_tiling_arcs``, applied to each topology
+    on its own, as it sweeps the arcs of one tiling.  The inside cells take the degree-4
+    rule of the reference triangle of their parity, triangle 0 or 1 of the grid, moved to
+    their vertex 0.
     """
-    mesh, active, domain = topology.mesh, topology.active, topology.domain
-    is_cut = topology.classification[active] == CUT
-    cut = np.flatnonzero(is_cut)
-    volume, arcs = _cut_volume_rules(mesh.triangle_coords(active[cut]), domain, tol)
-    volume = dataclasses.replace(volume, owner=cut[volume.owner])
-    local = mesh.reference_triangles
-    points, weights = _full_triangle_points(local)
-    offsets = points - local.sum(axis=1, keepdims=True) / 3.0
-    inside = []
-    for p in range(2):
-        cells = np.flatnonzero(~is_cut & ((active & 1) == p))
-        inside.append(TranslatedRule(cells, points[p], weights[p], offsets[p]))
-    boundary = _boundary_rule(domain, _tiling_arcs(arcs))
-    dirichlet, neumann = (dataclasses.replace(r, owner=cut[r.owner]) for r in boundary)
-    return RuleSet(volume, tuple(inside), dirichlet, neumann, topology, tol)
+    domain = topologies[0].domain
+    if any(topology.domain != domain for topology in topologies):
+        raise ValueError("the topologies of one batch of rules must share their domain")
+    is_cut = [t.classification[t.active] == CUT for t in topologies]
+    cuts = [np.flatnonzero(mask) for mask in is_cut]
+    coords = [t.mesh.triangle_coords(t.active[cut]) for t, cut in zip(topologies, cuts)]
+    volume, (owner, start, width) = _cut_volume_rules(np.concatenate(coords), domain, tol)
+    # the cut cells of topology k are the stack positions [bounds[k], bounds[k + 1])
+    bounds = np.cumsum([0] + [len(cut) for cut in cuts])
+    ends = np.searchsorted(owner, bounds)  # the arcs of topology k are ends[k]:ends[k + 1]
+    arcs = [_tiling_arcs((owner[a:b], start[a:b], width[a:b])) for a, b in zip(ends, ends[1:])]
+    boundary = _boundary_rule(domain, tuple(np.concatenate(a) for a in zip(*arcs)))
+
+    def split(rule, k):
+        """The points of ``rule`` on topology k, owned by their position in its active cells."""
+        a, b = np.searchsorted(rule.owner, bounds[k : k + 2])
+        fields = (rule.points, rule.weights, rule.owner, rule.normals)
+        points, weights, owner, normals = (None if f is None else f[a:b] for f in fields)
+        return PackedRule(points, weights, cuts[k][owner - bounds[k]], normals)
+
+    rules = []
+    for k, topology in enumerate(topologies):
+        local = topology.mesh.reference_triangles
+        points, weights = _full_triangle_points(local)
+        offsets = points - local.sum(axis=1, keepdims=True) / 3.0
+        inside = []
+        for p in range(2):
+            cells = np.flatnonzero(~is_cut[k] & ((topology.active & 1) == p))
+            inside.append(TranslatedRule(cells, points[p], weights[p], offsets[p]))
+        dirichlet, neumann = (split(r, k) for r in boundary)
+        rules.append(RuleSet(split(volume, k), tuple(inside), dirichlet, neumann, topology, tol))
+    return rules

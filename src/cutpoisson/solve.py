@@ -33,6 +33,7 @@ _JACOBI_WEIGHT = 0.7
 _CG_RTOL = 0.1 * RESIDUAL_RTOL  # CG stops inside the residual check's tolerance
 _CG_MAXIT = 300  # sigma = 0.01 takes up to 101 iterations at n = 256
 CONDITION_RTOL = 0.01  # relative change of a Rayleigh quotient that stops a power iteration
+CONDITION_MAXIT = 500  # power iterations without that stop raise ``SolverError``
 
 
 class SolverError(RuntimeError):
@@ -77,12 +78,12 @@ _SYMMETRIC_ORDERING = {
 _SPD_ADVICE = " The system may be indefinite; try a larger beta or sigma."
 
 
-def _factor(K, advice=""):
+def _factor(K):
     """Sparse LU factors of the symmetric ``K`` (CSC); a failure raises ``SolverError``."""
     try:
         return spla.splu(K, **_SYMMETRIC_ORDERING)
     except RuntimeError as exc:
-        raise SolverError(f"factorization failed: {exc}.{advice}") from exc
+        raise SolverError(f"factorization failed: {exc}.{_SPD_ADVICE}") from exc
 
 
 def _checked(K, x, b, dofmap, method, advice=""):
@@ -140,7 +141,7 @@ def _multigrid_cg(K, b, dofmap):
         levels.append((A, _JACOBI_WEIGHT / A.diagonal(), P, R))
         A = R @ (A @ P)
         n //= 2
-    coarsest = _factor(A.tocsc(), _SPD_ADVICE)
+    coarsest = _factor(A.tocsc())
 
     def vcycle(r):
         smoothed = []
@@ -202,7 +203,7 @@ def solve_standard(matrices, dofmap):
         report.operator, report.iterations = K, iterations
         return report
     csc = sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape)
-    lu = _factor(csc, _SPD_ADVICE)
+    lu = _factor(csc)
     report = _checked(K, lu.solve(b), b, dofmap, "splu", _SPD_ADVICE)
     report.operator, report.factors = K, lu
     return report
@@ -233,7 +234,7 @@ def solve_regularized(matrices, dofmap, standard):
         E = np.zeros((len(b), len(rows)))
         E[rows, np.arange(len(rows))] = 1.0
         if standard.factors is None:
-            standard.factors = _factor(standard.operator.tocsc(), _SPD_ADVICE)
+            standard.factors = _factor(standard.operator.tocsc())
         Z = standard.factors.solve(E)
         try:
             y = np.linalg.solve(np.eye(len(rows)) + W @ Z, W @ x)
@@ -243,7 +244,7 @@ def solve_regularized(matrices, dofmap, standard):
     return _checked(K, x, b, dofmap, "lowrank")
 
 
-def condition_estimate(K, maxit=500):
+def condition_estimate(K):
     """Lower estimate of the spectral condition number of a symmetric operator.
 
     The extreme eigenvalues are estimated by power iteration on the operator
@@ -254,7 +255,8 @@ def condition_estimate(K, maxit=500):
     when the top eigenvalues cluster: on the n = 16 Dirichlet disk sweep of 20
     shifts it reads 1.4-21 % below the dense value (61.67 against 78.21 at
     the worst shift).  A failed factorization raises ``SolverError``, and so
-    does non-convergence, carrying the partial estimate.
+    does an iteration that has not stopped after ``CONDITION_MAXIT`` steps,
+    carrying the partial estimate.
     """
     K = K.tocsc()
 
@@ -262,7 +264,7 @@ def condition_estimate(K, maxit=500):
         x = np.ones(K.shape[0])
         x /= np.linalg.norm(x)
         lam = 0.0
-        for it in range(maxit):
+        for it in range(CONDITION_MAXIT):
             y = apply_op(x)
             lam_new = float(x @ y)
             ny = np.linalg.norm(y)
@@ -273,7 +275,7 @@ def condition_estimate(K, maxit=500):
                 return abs(lam_new)
             lam = lam_new
         raise SolverError(
-            f"condition estimate did not converge in {maxit} iterations "
+            f"condition estimate did not converge in {CONDITION_MAXIT} iterations "
             f"(partial estimate {abs(lam):.3e})"
         )
 

@@ -17,9 +17,9 @@ from cutpoisson.assembly import (
     SystemMatrices,
     _boundary_local,
     _cells_near,
+    _dirichlet_forms,
     assemble_ghost_penalty,
     assemble_load,
-    assemble_nitsche,
     assemble_regularized,
     assemble_stiffness,
     assemble_system,
@@ -35,8 +35,8 @@ from cutpoisson.geometry import (
     log_model_integral,
     outward_normal,
 )
-from cutpoisson.mesh import build_background, cell_diagonal, classify
-from cutpoisson.quadrature import REFINE_LEVELS, _tri_area, build_rules
+from cutpoisson.mesh import AmbiguousCutError, build_background, cell_diagonal, classify
+from cutpoisson.quadrature import REFINE_LEVELS, _tri_area, build_rules, build_rules_batch
 from cutpoisson.solve import SolverError, condition_estimate, solve_regularized, solve_standard
 from cutpoisson.space import build_dofmap, clement_interpolate
 
@@ -576,13 +576,25 @@ class ConditionSweepReport:
         return max(r.kappa_unstabilized / r.kappa_stabilized for r in self.rows)
 
 
+# Cut cells of the shifts whose rules ``condition_sweep`` builds in one batch: a memory bound,
+# as a cut cell takes about 30 packed points (21-24 volume and 6 boundary points on the R = 0.7
+# disk), so the levels alive at once hold about 60,000 whatever the number of shifts.  The 20
+# shifts of that disk at n = 16 have 1,509 cut cells.
+_SWEEP_CUT_CELLS = 1 << 11
+
+
 def condition_sweep(domain, n=16, n_shifts=20, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=1e-8):
     """Coercivity and conditioning across sub-cell translations of the background mesh.
 
     For each shift the smallest eigenvalue of the stabilized operator in the
     energy metric is computed, together with the spectral condition numbers
     with and without the ghost penalty.  Dense eigensolves serve as the oracle
-    at this scale.
+    at this scale.  The shifts are classified in order and their rules built by
+    ``build_rules_batch`` in consecutive batches of at most ``_SWEEP_CUT_CELLS``
+    cut cells (one shift at least), so the memory held does not grow with
+    ``n_shifts``; each level is bitwise the one ``discretize`` builds.  An error
+    while classifying or building rules keeps its type, and its message begins
+    with the level and the shift, or the first and last shift of the batch.
     """
     if domain.is_pure_neumann:
         raise ValueError("conditioning study needs a Dirichlet part")
@@ -590,19 +602,48 @@ def condition_sweep(domain, n=16, n_shifts=20, beta=10.0, sigma=0.1, box=DEFAULT
         raise ValueError(f"n_shifts must be at least 1, got {n_shifts!r}")
     shifts = sweep_shifts(box, n, n_shifts)
     check_levels(domain, box, [n], shifts)
+    params = NitscheParams(beta, sigma)
+
+    def located(exc, where):
+        """Prefix the message of ``exc`` with the level and the shifts ``where``."""
+        exc.args = (f"level n = {n}, shift {' to '.join(map(str, where))}: {exc}", *exc.args[1:])
+
+    def batches():
+        batch, cut_cells = [], 0
+        for shift in shifts:
+            try:
+                topology = classify(build_background(box, n, shift), domain)
+            except (AmbiguousCutError, ValueError) as exc:
+                located(exc, [shift])
+                raise
+            if batch and cut_cells + len(topology.cut) > _SWEEP_CUT_CELLS:
+                yield batch
+                batch, cut_cells = [], 0
+            batch.append((shift, topology))
+            cut_cells += len(topology.cut)
+        yield batch
+
     rows = []
-    for shift in shifts:
-        dofmap, params = discretize(domain, n, beta, sigma, box, tol, shift)
-        A = assemble_nitsche(dofmap, params)
-        S = assemble_ghost_penalty(dofmap, params)
-        G = energy_gram(dofmap, S)
-        K = (A + S).toarray()
+    for batch in batches():
+        shifts_of, topologies = zip(*batch)
         try:
-            lam = scipy.linalg.eigh(K, G.toarray(), eigvals_only=True, subset_by_index=[0, 0])
-        except np.linalg.LinAlgError as exc:  # with sigma 0, as in ``verify_inequalities``
-            raise SolverError(f"level n = {n}, shift {shift}: {exc}; try sigma > 0") from exc
-        kappa = condition_estimate(A + S)
-        eig0 = np.abs(scipy.linalg.eigvalsh(A.toarray()))
-        kappa0 = float(eig0.max() / max(eig0.min(), 1e-300))
-        rows.append(ConditionRow(shift, float(lam[0]), kappa, kappa0))
+            rules = build_rules_batch(topologies, tol)
+        except ValueError as exc:
+            located(exc, dict.fromkeys((shifts_of[0], shifts_of[-1])))
+            raise
+        for shift, level_rules in zip(shifts_of, rules):
+            dofmap = build_dofmap(level_rules)
+            S = assemble_ghost_penalty(dofmap, params)
+            A, G = _dirichlet_forms(dofmap, params, S)
+            K = A + S
+            try:
+                lam = scipy.linalg.eigh(
+                    K.toarray(), G.toarray(), eigvals_only=True, subset_by_index=[0, 0]
+                )
+            except np.linalg.LinAlgError as exc:  # with sigma 0, as in ``verify_inequalities``
+                raise SolverError(f"level n = {n}, shift {shift}: {exc}; try sigma > 0") from exc
+            kappa = condition_estimate(K)
+            eig0 = np.abs(scipy.linalg.eigvalsh(A.toarray()))
+            kappa0 = float(eig0.max() / max(eig0.min(), 1e-300))
+            rows.append(ConditionRow(shift, float(lam[0]), kappa, kappa0))
     return ConditionSweepReport(rows)

@@ -493,6 +493,19 @@ def _csr_bits(M):
     return [(a.dtype.str, a.tobytes()) for a in (M.indptr, M.indices, M.data)]
 
 
+@pytest.mark.parametrize("shift", [None, 7])
+def test_energy_gram_is_bitwise_the_sum_of_its_parts(domain_dirichlet, domain_mixed, shift):
+    """One compression of the stiffness stencil plus the scaled mass, then + S, against the sum of
+    the assembled stiffness, the boundary mass times 1 / h and S."""
+    for domain in (domain_dirichlet, domain_mixed):
+        offset = (0.0, 0.0) if shift is None else sweep_shifts((-1, -1, 1, 1), 16, 20)[shift]
+        dofmap, params = discretize(domain, 16, shift=offset)
+        S = assemble_ghost_penalty(dofmap, params)
+        h = dofmap.mesh.h
+        oracle = assemble_stiffness(dofmap) + assemble_boundary_mass(dofmap) * (1.0 / h) + S
+        assert _csr_bits(energy_gram(dofmap, S)) == _csr_bits(oracle)
+
+
 def _pattern(M):
     M = M.tocsr()
     M.eliminate_zeros()

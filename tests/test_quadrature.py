@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from cutpoisson.mesh import CUT, INSIDE, _point_triangle_distance, build_backgro
 from cutpoisson.quadrature import (
     MIN_TOL,
     _tri_area,
+    build_rules_batch,
     cut_boundary_rules,
     cut_volume_rules,
     refine_rule_toward,
@@ -318,3 +320,31 @@ def test_build_rules_finds_the_arcs_of_the_cut_cells_once(domain_mixed, monkeypa
     monkeypatch.setattr(quadrature, "_arcs", lambda tris, d: calls.append(len(tris)) or arcs(tris, d))
     _, topo, _ = disk_rules(domain_mixed, n)
     assert calls == [len(topo.cut)]
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_batched_rules_are_bitwise_the_rules_of_each_topology(domain_dirichlet, domain_mixed, n):
+    """20 shifted topologies in one batch: every array of every rule equals its own call's."""
+    box = (-1.0, -1.0, 1.0, 1.0)
+    for domain in (domain_dirichlet, domain_mixed):
+        shifts = sweep_shifts(box, n, 20)
+        topologies = [classify(build_background(box, n, shift), domain) for shift in shifts]
+        batched = build_rules_batch(topologies, 1e-10)
+        assert len(batched) == len(topologies)
+        for rules, topology in zip(batched, topologies):
+            alone = build_rules(topology, 1e-10)
+            assert rules.topology is topology and rules.tol == alone.tol
+            pairs = [(getattr(rules, f), getattr(alone, f)) for f in ("volume", "dirichlet", "neumann")]
+            for got, want in pairs + list(zip(rules.inside, alone.inside)):
+                for field in dataclasses.fields(want):
+                    a, b = getattr(got, field.name), getattr(want, field.name)
+                    assert (a is None) == (b is None)
+                    if b is not None:
+                        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+
+
+def test_batched_rules_reject_topologies_of_two_domains(domain_dirichlet, domain_mixed):
+    mesh = build_background((-1.0, -1.0, 1.0, 1.0), 16)
+    topologies = [classify(mesh, domain_mixed), classify(mesh, domain_dirichlet)]
+    with pytest.raises(ValueError, match="must share their domain"):
+        build_rules_batch(topologies, 1e-10)

@@ -214,11 +214,12 @@ def test_condition_estimate_singular_operator_raises():
         condition_estimate(K)
 
 
-def test_condition_estimate_that_does_not_converge_raises():
+def test_condition_estimate_that_does_not_converge_raises(monkeypatch):
     """One power iteration never meets the stopping test: SolverError with the partial estimate."""
+    monkeypatch.setattr(solve, "CONDITION_MAXIT", 1)
     K = sp.diags([1.0, 2.0, 3.0]).tocsr()
     with pytest.raises(SolverError, match=r"did not converge in 1 iterations \(partial estimate"):
-        condition_estimate(K, maxit=1)
+        condition_estimate(K)
 
 
 def test_every_factorization_takes_the_symmetric_ordering(domain_mixed, monkeypatch):

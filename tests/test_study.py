@@ -9,7 +9,7 @@ import scipy.linalg
 
 from cutpoisson import LevelSetDomain, study
 from cutpoisson.geometry import boundary_angle, is_dirichlet_angle
-from cutpoisson.mesh import build_background, cell_diagonal, classify
+from cutpoisson.mesh import AmbiguousCutError, build_background, cell_diagonal, classify
 from cutpoisson.quadrature import build_rules
 from cutpoisson.space import build_dofmap
 from cutpoisson.study import (
@@ -161,6 +161,46 @@ def test_condition_sweep_needs_a_shift(domain_mixed):
     for n_shifts in (0, -3):
         with pytest.raises(ValueError, match=f"n_shifts must be at least 1, got {n_shifts}"):
             study.condition_sweep(domain_mixed, 4, n_shifts)
+
+
+def _row_bits(report):
+    return [
+        (row.shift, row.lambda_min_energy.hex(), row.kappa_stabilized.hex(),
+         row.kappa_unstabilized.hex())
+        for row in report.rows
+    ]
+
+
+def test_condition_sweep_in_small_batches_is_bitwise_one_batch(domain_dirichlet, monkeypatch):
+    """The 20 shifts at n = 16 are one batch; at most 200 cut cells a batch, they are several."""
+    batches = []
+    batch_rules = study.build_rules_batch
+
+    def counted(topologies, tol):
+        batches[-1].append(sum(len(t.cut) for t in topologies))
+        return batch_rules(topologies, tol)
+
+    monkeypatch.setattr(study, "build_rules_batch", counted)
+    reports = []
+    for bound in (study._SWEEP_CUT_CELLS, 200):
+        monkeypatch.setattr(study, "_SWEEP_CUT_CELLS", bound)
+        batches.append([])
+        reports.append(condition_sweep(domain_dirichlet, 16, 20))
+    one, several = batches
+    assert len(one) == 1 and len(several) > 1 and max(several) <= 200 and sum(several) == one[0]
+    assert _row_bits(reports[1]) == _row_bits(reports[0])
+    assert len(reports[0].rows) == 20
+
+
+def test_condition_sweep_errors_name_the_level_and_the_shift(domain_dirichlet):
+    """At shift 0 the grid line x = 0.75 is tangent to the circle; a tolerance below the floor
+    fails the batch of both shifts.  Each error keeps its type."""
+    tangent = LevelSetDomain((0.25, 0.1), 0.5, ((0.0, 2.0 * math.pi),))
+    with pytest.raises(AmbiguousCutError, match=r"^level n = 8, shift \(0\.0, 0\.0\): triangle 40: "):
+        condition_sweep(tangent, 8, 2)
+    last = re.escape(str(sweep_shifts(DEFAULT_BOX, 8, 2)[1]))
+    with pytest.raises(ValueError, match=rf"^level n = 8, shift \(0\.0, 0\.0\) to {last}: quadrature"):
+        condition_sweep(domain_dirichlet, 8, 2, tol=1e-13)
 
 
 def test_zero_data_zero_errors(domain_mixed):
@@ -397,29 +437,34 @@ def _distance_to_dirichlet(domain, x):
 
 
 def _meets_dirichlet_oracle(domain, coords, floor):
-    """Branch and bound: whether the Dirichlet arcs come within ``floor`` of a triangle.
+    """Branch and bound: whether the Dirichlet arcs come within ``floor`` of each triangle (m, 3, 2).
 
-    Cells certified empty by the 1-Lipschitz distance are pruned; a cell that
-    cannot be pruned by the time it is smaller than ``floor`` counts as a hit.
+    Each triangle is searched depth first on a stack of its own, and the stacks step together,
+    one piece of each undecided triangle at a time.  Cells certified empty by the 1-Lipschitz
+    distance are pruned; a cell that cannot be pruned by the time it is smaller than ``floor``
+    counts as a hit.
     """
-    stack = [coords]
-    while stack:
-        tri = stack.pop()
-        centroid = tri.mean(axis=0)
-        radius = float(np.linalg.norm(tri - centroid, axis=1).max())
-        dc = float(_distance_to_dirichlet(domain, centroid))
-        if np.any(_distance_to_dirichlet(domain, tri) <= 0.0) or dc <= 0.0:
-            return True
-        if dc - radius > 0.0:
-            continue
-        if 2.0 * radius <= floor:
-            return True
-        mids = 0.5 * (tri + np.roll(tri, -1, axis=0))
-        stack.append(np.array([tri[0], mids[0], mids[2]]))
-        stack.append(np.array([tri[1], mids[1], mids[0]]))
-        stack.append(np.array([tri[2], mids[2], mids[1]]))
-        stack.append(mids)
-    return False
+    hit, size = np.zeros(len(coords), dtype=bool), np.ones(len(coords), dtype=int)
+    stack = np.empty((len(coords), 64, 3, 2))  # doubled when full; the search goes ~40 deep
+    stack[:, 0] = coords
+    while len(live := np.flatnonzero((size > 0) & ~hit)):
+        size[live] -= 1
+        tri = stack[live, size[live]]
+        centroid = tri.mean(axis=1)
+        radius = np.linalg.norm(tri - centroid[:, None], axis=2).max(axis=1)
+        dist = _distance_to_dirichlet(domain, np.concatenate([tri, centroid[:, None]], axis=1))
+        dc, on_arc = dist[:, 3], np.any(dist <= 0.0, axis=1)  # at the vertices or the centroid
+        open_ = ~on_arc & ~(dc - radius > 0.0)
+        hit[live[on_arc | (open_ & (2.0 * radius <= floor))]] = True
+        split = open_ & (2.0 * radius > floor)
+        grow, t = live[split], tri[split]
+        mids = 0.5 * (t + np.roll(t, -1, axis=1))
+        corners = [np.stack([t[:, k], mids[:, k], mids[:, k - 1]], axis=1) for k in range(3)]
+        if size.max() + 4 > stack.shape[1]:
+            stack = np.concatenate([stack, np.empty_like(stack)], axis=1)
+        stack[grow[:, None], size[grow, None] + np.arange(4)] = np.stack(corners + [mids], axis=1)
+        size[grow] += 4  # popped from the top, so the midpoint child is searched first
+    return hit
 
 
 _TWO_ARC = LevelSetDomain((0.1, -0.05), 0.6, ((0.3, 1.4), (2.5, 4.0)))
@@ -442,8 +487,7 @@ def test_dirichlet_cells_match_branch_and_bound_oracle(domain_mixed, domain_name
     mesh, topo = dofmap.mesh, dofmap.topology
     coords = mesh.triangle_coords(topo.active)
     found = _dirichlet_cells(dofmap)
-    expected = [_meets_dirichlet_oracle(domain, c, 1e-12 * mesh.h) for c in coords]
-    assert np.array_equal(found, expected)
+    assert np.array_equal(found, _meets_dirichlet_oracle(domain, coords, 1e-12 * mesh.h))
     assert found.any() and not found.all()
 
 
