@@ -336,26 +336,27 @@ def assemble_system(dofmap, params, data):
     return SystemMatrices(A, S, b)
 
 
-def nitsche_action(dofmap, params, u, grad_u):
-    """Vector of the form of ``params`` applied to an analytic field.
+def nitsche_action(dofmap, params, problem):
+    """Vector of the form of ``params`` applied to the solution of ``problem``.
 
     Entry i is form(u, phi_i), with the exact solution entering through its
-    analytic values and gradients at the quadrature points.  A positive
-    ``params.epsilon`` selects the cutoff-weighted form.
+    analytic values and gradients, ``problem.u_and_grad``, at the quadrature
+    points.  A positive ``params.epsilon`` selects the cutoff-weighted form.
     """
     chi = _cutoff_weight(dofmap, params) if params.epsilon > 0.0 else None
     h, dofs, rules = dofmap.mesh.h, dofmap.active_dofs, dofmap.rules
     rule_d, rule_n = rules.dirichlet, rules.neumann
 
     def gradient(points, cells, offsets):
-        g = grad_u(points.reshape(-1, 2)).reshape(points.shape)
+        g = problem.u_and_grad(points.reshape(-1, 2))[1].reshape(points.shape)
         return g[..., 0], g[..., 1]
 
     flux_int = rules.cell_sums(gradient, None)
     lam, flux = _boundary_local(dofmap, rule_d)
     w = rule_d.weights
-    un = (grad_u(rule_d.points) * rule_d.normals).sum(axis=1)
-    uv = w * u(rule_d.points)
+    u, grad_u = problem.u_and_grad(rule_d.points)
+    un = (grad_u * rule_d.normals).sum(axis=1)
+    uv = w * u
     w_flux = w if chi is None else w * chi(rule_d.points)
     parts = [dofs, dofs[rule_d.owner]]
     values = [
@@ -364,7 +365,7 @@ def nitsche_action(dofmap, params, u, grad_u):
     ]
     if chi is not None:
         lam_n, _ = _boundary_local(dofmap, rule_n)
-        un_n = (grad_u(rule_n.points) * rule_n.normals).sum(axis=1)
+        un_n = (problem.u_and_grad(rule_n.points)[1] * rule_n.normals).sum(axis=1)
         parts.append(dofs[rule_n.owner])
         values.append(-lam_n * (rule_n.weights * chi(rule_n.points) * un_n)[:, None])
     return _vector(dofmap.ndof, parts, values)

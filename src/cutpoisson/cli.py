@@ -78,7 +78,7 @@ _FIELDS = {
     "mesh.levels": ([8, 16, 32, 64], _list(_int(1), None)),
     "mesh.shift_sweep_count": (20, _int(1)),
     "params.beta": (10.0, _POSITIVE),
-    "params.sigma": (0.1, _real(0.0, strict=False)),
+    "params.sigma": (0.1, _POSITIVE),
     "params.epsilon_rule.kind": ("c_h2", _one_of("c_h2", "fixed")),
     "params.epsilon_rule.c": (0.1, _POSITIVE),
     "params.epsilon_rule.value": (None, _POSITIVE),

@@ -92,8 +92,8 @@ def outputs(shift, u_singular=None):
         "A_eps": assemble_regularized(A, dofmap, params_eps).toarray(),
         "b_smooth": assemble_load(dofmap, params, smooth),
         "b_singular": b_singular,
-        "action": nitsche_action(dofmap, params, smooth.u, smooth.grad_u),
-        "action_chi": nitsche_action(dofmap, params_eps, smooth.u, smooth.grad_u),
+        "action": nitsche_action(dofmap, params, smooth),
+        "action_chi": nitsche_action(dofmap, params_eps, smooth),
         "error_norms": np.array([errs.energy, errs.sh, errs.l2]),
         "inequalities": np.array([ineq.full_gradient, ineq.boundary_flux, ineq.cut_trace]),
     }

@@ -235,7 +235,7 @@ def test_cutoff_paths_need_an_admissible_positive_epsilon(domain_mixed, disc_mix
     # an epsilon past 0.75 R is refused where the cutoff is first built
     too_wide = params.with_epsilon(0.8 * domain_mixed.radius)
     with pytest.raises(ValueError, match="exceeds the admissible"):
-        nitsche_action(dofmap, too_wide, problem.u, problem.grad_u)
+        nitsche_action(dofmap, too_wide, problem)
     with pytest.raises(ValueError, match="exceeds the admissible"):
         assemble_regularized(assemble_nitsche(dofmap, params), dofmap, too_wide)
 
@@ -333,7 +333,7 @@ def verify_regularized_identity(
     A_eps = assemble_regularized(system.A, dofmap, params_eps)
     pivot = solve_regularized_pivot(A_eps, system.S, system.b, u_h)
 
-    action_u = nitsche_action(dofmap, params_eps, problem.u, problem.grad_u)
+    action_u = nitsche_action(dofmap, params_eps, problem)
     lhs = action_u - A_eps @ pivot
 
     rule_n = rules.neumann
@@ -427,7 +427,7 @@ def test_problem_callables_receive_point_arrays(domain_mixed, disc_mixed_16, rng
     array, whatever the layout of the volume points (cut rule, inside blocks, refined rule)."""
     dofmap, params = disc_mixed_16
     problem = manufactured_singular(domain_mixed)
-    names = ("f", "g_D", "g_N", "u", "grad_u", "joint")
+    names = ("f", "u_and_grad")
     calls = {name: [] for name in names}
 
     def recorded(name, fn):
@@ -440,7 +440,7 @@ def test_problem_callables_receive_point_arrays(domain_mixed, disc_mixed_16, rng
     wrapped = dataclasses.replace(problem, **{k: recorded(k, getattr(problem, k)) for k in names})
     assemble_load(dofmap, params, wrapped)
     for p in (params, params.with_epsilon(0.1 * dofmap.mesh.h**2)):
-        nitsche_action(dofmap, p, wrapped.u, wrapped.grad_u)
+        nitsche_action(dofmap, p, wrapped)
     u_h = FeFunction(rng.standard_normal(dofmap.ndof), dofmap)
     S = assemble_ghost_penalty(dofmap, params)
     for levels in (0, 8):
@@ -721,7 +721,7 @@ def error_norms_pointwise(problem, u_h, stabilizer, refine_levels=0):
         )
     vals = u_h.coefficients[dofs]
     grad_h = np.einsum("tk,tkd->td", vals, grads)
-    diff_grad = problem.grad_u(vol.points) - grad_h[vol.owner]
+    diff_grad = problem.u_and_grad(vol.points)[1] - grad_h[vol.owner]
     grad_sq = float(vol.weights @ (diff_grad**2).sum(axis=1))
     lam = _barycentric(coords[vol.owner], vol.points)
     diff = problem.u(vol.points) - (lam * vals[vol.owner]).sum(axis=1)
@@ -836,7 +836,7 @@ def _assert_inside_path_matches_the_packed_oracle(dofmap, params, problem, u_h, 
     assert _csr_bits(K) == _csr_bits(assemble_stiffness(packed))
     vectors = [lambda d: assemble_load(d, params, problem)]
     for p in (params, params.with_epsilon(0.1 * dofmap.mesh.h**2))[: 1 + cutoff]:
-        vectors.append(lambda d, p=p: nitsche_action(d, p, problem.u, problem.grad_u))
+        vectors.append(lambda d, p=p: nitsche_action(d, p, problem))
     for vector in vectors:
         got, want = vector(dofmap), vector(packed)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -487,6 +487,7 @@ TWO_JUNCTIONS = {
         ("mesh.box", [-1.0, -1.0, math.inf, 1.0]),
         ("params.beta", True),
         ("params.sigma", False),
+        ("params.sigma", 0.0),
         ("params.epsilon_rule.c", True),
     ],
 )

@@ -37,7 +37,7 @@ from tests.conftest import cell_geometry, packed_boundary_rule, packed_volume_ru
 def test_smooth_problem_reference_values(domain_mixed):
     problem = manufactured_smooth(domain_mixed)
     assert problem.f(np.zeros(2)) == pytest.approx(0.0, abs=1e-14)
-    assert np.allclose(problem.grad_u(np.zeros(2)), [math.pi, 0.0], atol=1e-14)
+    assert np.allclose(problem.u_and_grad(np.zeros(2))[1], [math.pi, 0.0], atol=1e-14)
     assert validate_problem(problem) < 1e-6
 
 
@@ -53,7 +53,7 @@ def test_singular_problem_structure(domain_mixed):
     direction /= np.linalg.norm(direction)
     scaled = []
     for t in (1e-2, 1e-3, 1e-4):
-        g = problem.grad_u(z0 + t * direction)
+        g = problem.u_and_grad(z0 + t * direction)[1]
         scaled.append(np.linalg.norm(g) * math.sqrt(t))
     assert max(scaled) / min(scaled) < 1.01
 
@@ -110,7 +110,7 @@ def test_singular_solution_matches_polar_oracle(center, radius, arcs):
         _, r, theta = polar(pts)
         assert np.all((theta > 1e-7) & (theta < 2 * math.pi - 1e-7))
         assert np.all(np.abs(problem.u(pts) - u_ref(pts)) <= 2e-15 * np.sqrt(r))
-        g, g_ref = problem.grad_u(pts), grad_ref(pts)
+        g, g_ref = problem.u_and_grad(pts)[1], grad_ref(pts)
         assert np.all(
             np.linalg.norm(g - g_ref, axis=-1) <= 4e-15 * np.linalg.norm(g_ref, axis=-1)
         )
@@ -118,30 +118,51 @@ def test_singular_solution_matches_polar_oracle(center, radius, arcs):
         # on the ray itself, outside the closed domain: u = 0 up to rounding, finite gradient
         ray = z0 + (10.0 ** rng.uniform(-14.0, 0.0, 200))[:, None] * direction
         assert np.all(np.abs(problem.u(ray) - u_ref(ray)) <= 1e-15)
-        assert np.all(np.isfinite(problem.grad_u(ray)))
+        assert np.all(np.isfinite(problem.u_and_grad(ray)[1]))
 
         # at the junction itself
         assert problem.u(z0) == 0.0
-        assert np.array_equal(problem.grad_u(z0), [0.0, 0.0])
-        assert np.array_equal(problem.grad_u(z0[None]), [[0.0, 0.0]])
+        assert np.array_equal(problem.u_and_grad(z0)[1], [0.0, 0.0])
+        assert np.array_equal(problem.u_and_grad(z0[None])[1], [[0.0, 0.0]])
 
 
-@pytest.mark.parametrize("kind", ["smooth", "singular"])
-def test_u_and_grad_is_bitwise_the_two_calls(domain_mixed, kind):
-    """Random points, the junction z0 (where grad u is set to 0) and the branch ray."""
-    if kind == "smooth":
-        problem = manufactured_smooth(domain_mixed)
-    else:
-        problem = manufactured_singular(domain_mixed, 0)
+def test_smooth_u_and_grad_is_bitwise_its_closed_forms(domain_mixed):
+    """Random points, a single point, a (3, 4, 2) block, the junction z0 and the branch ray."""
+    problem = manufactured_smooth(domain_mixed)
+
+    def closed_forms(pts):
+        x, y = pts[..., 0], pts[..., 1]
+        u = np.sin(math.pi * x) * np.cos(math.pi * y)
+        gx = math.pi * np.cos(math.pi * x) * np.cos(math.pi * y)
+        gy = -math.pi * np.sin(math.pi * x) * np.sin(math.pi * y)
+        return u, np.stack([gx, gy], axis=-1)
+
     z0, direction, *_ = _polar_singular(domain_mixed, 0)
     rng = np.random.default_rng(11)
     ray = z0 + (10.0 ** rng.uniform(-14.0, 0.0, 50))[:, None] * direction
     for pts in (rng.uniform(-1.0, 1.0, (500, 2)), z0, z0[None], ray, rng.uniform(-1.0, 1.0, (3, 4, 2))):
         u, grad = problem.u_and_grad(pts)
-        assert u.tobytes() == problem.u(pts).tobytes() and u.shape == np.shape(pts)[:-1]
-        assert grad.tobytes() == problem.grad_u(pts).tobytes() and grad.shape == np.shape(pts)
-    if kind == "singular":
-        assert np.array_equal(problem.u_and_grad(z0)[1], [0.0, 0.0])
+        u_ref, grad_ref = closed_forms(pts)
+        assert u.tobytes() == u_ref.tobytes() and u.shape == np.shape(pts)[:-1]
+        assert grad.tobytes() == grad_ref.tobytes() and grad.shape == np.shape(pts)
+        assert problem.u(pts).tobytes() == problem.g_D(pts).tobytes() == u_ref.tobytes()
+
+
+@pytest.mark.parametrize("arcs", [((0.0, 2 * math.pi),), ((0.0, math.pi),), ((0.4, 2.5),)])
+def test_affine_solution_is_reproduced_exactly(arcs):
+    """P1 holds an affine u, so with boundary data derived from u the errors are rounding only."""
+    domain = LevelSetDomain((0.013, -0.021), 0.7, arcs)
+
+    def u_and_grad(pts):
+        pts = np.asarray(pts, dtype=float)
+        return 1.0 + 2.0 * pts[..., 0] - 0.5 * pts[..., 1], np.zeros(pts.shape) + (2.0, -0.5)
+
+    def f(pts):
+        return np.zeros(np.shape(pts)[:-1])
+
+    report = run_convergence(ManufacturedProblem(domain, u_and_grad, f, (), "affine"), [8, 16, 32])
+    for level in report.levels:
+        assert level.energy <= 1e-12 and level.l2 <= 1e-12, level
 
 
 def test_singular_problem_needs_junction(domain_dirichlet):
@@ -214,11 +235,10 @@ def test_zero_data_zero_errors(domain_mixed):
         p = np.asarray(p)
         return np.zeros(p.shape)
 
-    from cutpoisson.study import ManufacturedProblem
+    def zero_and_grad(p):
+        return zero(p), zero_grad(p)
 
-    trivial = ManufacturedProblem(
-        domain_mixed, zero, zero_grad, zero, zero, zero, 2.0, (), "zero"
-    )
+    trivial = ManufacturedProblem(domain_mixed, zero_and_grad, zero, (), "zero")
     report = run_convergence(trivial, [8, 16])
     for level in report.levels:
         assert level.energy == pytest.approx(0.0, abs=1e-13)
@@ -711,6 +731,9 @@ def test_validate_problem_rejects_nan_data_in_bounded_time(domain_mixed):
     def nan_grad(pts):
         return np.full(np.shape(pts), np.nan)
 
-    problem = ManufacturedProblem(domain_mixed, nan, nan_grad, nan, nan, nan, 1.0)
+    def nan_and_grad(pts):
+        return nan(pts), nan_grad(pts)
+
+    problem = ManufacturedProblem(domain_mixed, nan_and_grad, nan)
     with pytest.raises(ValueError, match="PDE residual check failed: nan"):
         validate_problem(problem)
