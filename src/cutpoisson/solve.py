@@ -2,14 +2,15 @@
 
 A standard system is solved by one sparse LU factorization up to
 ``MULTIGRID_MIN_N`` cells per side.  A finer level, whose grid halves down to at
-most ``_COARSEST_N`` cells per side, is solved by conjugate gradients
-preconditioned with one V(1,1) multigrid cycle on the nested background grids,
-and only the coarsest grid's Galerkin operator is factored.  The ghost penalty
-keeps the conditioning independent of the cut position, so the cycle's damped
-Jacobi smoother gives an iteration count that depends on neither h nor the cut
-(17-25 at n = 256 over 8 grid shifts of the singular mixed and the smooth
-Dirichlet disk, 20-28 at n = 512 over 3, with beta = 10 and sigma = 0.1).
-Every solution is checked against ``RESIDUAL_RTOL`` by one mat-vec.
+most ``_COARSEST_N`` cells per side, is solved by scipy's conjugate gradients
+(``scipy.sparse.linalg.cg``) preconditioned with one V(1,1) multigrid cycle on
+the nested background grids, and only the coarsest grid's Galerkin operator is
+factored.  The ghost penalty keeps the conditioning independent of the cut
+position, so the cycle's damped Jacobi smoother gives an iteration count that
+depends on neither h nor the cut (17-25 at n = 256 over 8 grid shifts of the
+singular mixed and the smooth Dirichlet disk, 20-28 at n = 512 over 3, with
+beta = 10 and sigma = 0.1).  Every solution is checked against
+``RESIDUAL_RTOL`` by one mat-vec.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def _factor(K):
         raise SolverError(f"factorization failed: {exc}.{_SPD_ADVICE}") from exc
 
 
-def _checked(K, x, b, dofmap, method, advice=""):
-    """Report of the solution ``x`` of ``K x = b`` after one residual check."""
+def _checked(K, x, b, dofmap, method, advice="", **fields):
+    """Report of the solution ``x`` of ``K x = b``, plus ``fields``, after one residual check."""
     residual = float(np.linalg.norm(K @ x - b))
     scale = float(np.linalg.norm(b))
     if not np.all(np.isfinite(x)) or residual > RESIDUAL_RTOL * max(scale, 1e-300):
@@ -95,7 +96,8 @@ def _checked(K, x, b, dofmap, method, advice=""):
             f"linear solve failed: residual {residual:.3e} vs tolerance "
             f"{RESIDUAL_RTOL * scale:.3e}.{advice}"
         )
-    return SolveReport(FeFunction(np.asarray(x, dtype=float), dofmap), method, residual)
+    # a copy: cg returns a zero load itself, and an unperturbed update its standard solution
+    return SolveReport(FeFunction(np.array(x, dtype=float), dofmap), method, residual, **fields)
 
 
 def _takes_multigrid(n):
@@ -121,9 +123,10 @@ def _multigrid_cg(K, b, dofmap):
     halve down to at most ``_COARSEST_N`` cells per side, whose operator is
     factored.  The preconditioner is one V(1,1) cycle with damped Jacobi
     smoothing, the same before and after the coarse correction, so it is
-    symmetric.  CG stops at a residual of ``_CG_RTOL * |b|``; a zero load
-    returns zeros, and ``_CG_MAXIT`` iterations without convergence raise
-    ``SolverError``.
+    symmetric.  scipy's ``cg`` runs the iteration, from x = 0, and stops at a
+    residual below ``_CG_RTOL * |b|``; a zero load returns zeros at once.  cg
+    tests the residual only before an iteration, so ``_CG_MAXIT`` iterations
+    raise ``SolverError`` even when the last of them met the stop.
     """
     n, vertices, A = dofmap.mesh.n, dofmap.dof_to_vertex, K
     levels = []  # (operator, damped inverse diagonal, prolongation, restriction) per fine grid
@@ -155,26 +158,15 @@ def _multigrid_cg(K, b, dofmap):
             x += dinv * (r - op @ x)
         return x
 
-    x, r = np.zeros(len(b)), np.array(b, dtype=float)
-    stop = _CG_RTOL * np.linalg.norm(b)
-    if stop == 0.0:
-        return x, 0
-    p = z = vcycle(r)
-    rz = r @ z
-    for iteration in range(1, _CG_MAXIT + 1):
-        q = K @ p
-        alpha = rz / (p @ q)
-        x += alpha * p
-        r -= alpha * q
-        if np.linalg.norm(r) <= stop:
-            return x, iteration
-        z = vcycle(r)
-        rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-    raise SolverError(
-        f"multigrid CG did not converge in {_CG_MAXIT} iterations at n = {dofmap.mesh.n}."
-        f"{_SPD_ADVICE}"
-    )
+    iterates = []  # cg calls back once per iteration
+    M = spla.LinearOperator(K.shape, vcycle, dtype=float)
+    x, info = spla.cg(K, b, rtol=_CG_RTOL, maxiter=_CG_MAXIT, M=M, callback=iterates.append)
+    if info:
+        raise SolverError(
+            f"multigrid CG did not converge in {_CG_MAXIT} iterations at n = {dofmap.mesh.n}."
+            f"{_SPD_ADVICE}"
+        )
+    return x, len(iterates)
 
 
 def solve_standard(matrices, dofmap):
@@ -199,14 +191,9 @@ def solve_standard(matrices, dofmap):
         )
     if _takes_multigrid(dofmap.mesh.n):
         x, iterations = _multigrid_cg(K, b, dofmap)
-        report = _checked(K, x, b, dofmap, "mgcg", _SPD_ADVICE)
-        report.operator, report.iterations = K, iterations
-        return report
-    csc = sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape)
-    lu = _factor(csc)
-    report = _checked(K, lu.solve(b), b, dofmap, "splu", _SPD_ADVICE)
-    report.operator, report.factors = K, lu
-    return report
+        return _checked(K, x, b, dofmap, "mgcg", _SPD_ADVICE, operator=K, iterations=iterations)
+    lu = _factor(sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape))
+    return _checked(K, lu.solve(b), b, dofmap, "splu", _SPD_ADVICE, operator=K, factors=lu)
 
 
 def solve_regularized(matrices, dofmap, standard):

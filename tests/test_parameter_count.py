@@ -12,8 +12,8 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cutpoisson"
-MAX_DEFAULTED = 53
-MAX_PARAMETERS = 294
+MAX_DEFAULTED = 52
+MAX_PARAMETERS = 293
 
 
 def parameter_counts(root=SRC):

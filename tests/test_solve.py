@@ -113,6 +113,7 @@ def test_regularized_limit_matches_standard(domain_mixed):
     reg = solve_regularized(SystemMatrices(A0, system.S, system.b), dofmap, standard)
     assert reg.method == "lowrank" and reg.residual <= solve.RESIDUAL_RTOL * np.linalg.norm(system.b)
     assert np.array_equal(reg.solution.coefficients, u_h.coefficients)
+    assert not np.shares_memory(reg.solution.coefficients, u_h.coefficients)
 
 
 @pytest.mark.parametrize(
@@ -334,6 +335,7 @@ def test_multigrid_zero_load_gives_exact_zeros(domain_mixed, monkeypatch):
     report = solve_standard(zero, dofmap)
     assert report.method == "mgcg" and report.iterations == 0 and report.residual == 0.0
     assert np.all(report.solution.coefficients == 0.0)
+    assert not np.shares_memory(report.solution.coefficients, zero.b)
 
 
 def test_multigrid_iteration_cap_raises(domain_mixed, monkeypatch):
@@ -342,6 +344,52 @@ def test_multigrid_iteration_cap_raises(domain_mixed, monkeypatch):
     dofmap, system = _level(domain_mixed, 32)
     with pytest.raises(SolverError, match=r"did not converge in 2 iterations at n = 32\..*beta or sigma"):
         solve_standard(system, dofmap)
+
+
+def test_multigrid_meeting_the_stop_on_the_last_iteration_raises(domain_mixed, monkeypatch):
+    """cg tests the residual only before an iteration, so the cap has to exceed the count."""
+    _multigrid_above_8(monkeypatch)
+    dofmap, system = _level(domain_mixed, 32)
+    iterations = solve_standard(system, dofmap).iterations
+    monkeypatch.setattr(solve, "_CG_MAXIT", iterations + 1)
+    assert solve_standard(system, dofmap).iterations == iterations
+    monkeypatch.setattr(solve, "_CG_MAXIT", iterations)
+    with pytest.raises(SolverError, match=f"did not converge in {iterations} iterations"):
+        solve_standard(system, dofmap)
+
+
+def _reference_cg(K, b, rtol, maxiter, M, callback):
+    """Preconditioned CG from x = 0, written out with ``spla.cg``'s signature, as the reference."""
+    x, r = np.zeros(len(b)), np.array(b, dtype=float)
+    stop = rtol * np.linalg.norm(b)
+    p = z = M.matvec(r)
+    rz = r @ z
+    for _ in range(maxiter):
+        q = K @ p
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        callback(x)
+        if np.linalg.norm(r) <= stop:
+            return x, 0
+        z = M.matvec(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return x, maxiter
+
+
+@pytest.mark.parametrize("n", [32, 256])
+def test_multigrid_cg_matches_the_written_out_iteration_bitwise(domain_mixed, monkeypatch, n):
+    """scipy's cg takes the reference loop's steps: the same solution bits and iteration count."""
+    if n == 32:
+        _multigrid_above_8(monkeypatch)
+    dofmap, system = _level(domain_mixed, n)
+    report = solve_standard(system, dofmap)
+    monkeypatch.setattr(spla, "cg", _reference_cg)
+    reference = solve_standard(system, dofmap)
+    assert report.method == reference.method == "mgcg"
+    assert report.iterations == reference.iterations > 0
+    assert np.array_equal(report.solution.coefficients, reference.solution.coefficients)
 
 
 @pytest.mark.parametrize("beta, n", [(10.0, 32), (1000.0, 32), (1000.0, 64)])
