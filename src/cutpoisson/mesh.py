@@ -12,20 +12,6 @@ INSIDE = 0
 CUT = 1
 OUTSIDE = 2
 
-TANGENCY_GUARD = 1e-12  # relative to h, the band around tangency where ``classify`` refuses
-
-
-class AmbiguousCutError(RuntimeError):
-    """Raised when a triangle is tangent to the boundary below the detection tolerance."""
-
-    def __init__(self, triangle, gap):
-        super().__init__(
-            f"triangle {triangle}: boundary tangency within {gap:.3e} of the element, "
-            "classification is ambiguous"
-        )
-        self.triangle = triangle
-
-
 # Grid offsets (di, dj) from vertex v00 of cell c to the corners of triangles 2c and 2c + 1.
 CORNERS = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
 # The faces of kind 0 (up), 1 (right) and 2 (diagonal) from vertex (i, j): the grid offset of
@@ -184,14 +170,13 @@ def classify(mesh, domain):
 
     Vertices exactly on the boundary count as inside, so the partition is
     deterministic.  A triangle whose vertices all lie outside is cut exactly
-    when the disk reaches into it, which is decided by the exact distance from
-    the disk center to the triangle; tangency within ``TANGENCY_GUARD * h`` of
-    that threshold raises ``AmbiguousCutError``.  Phi is evaluated only on the
-    window of cells that meet the disk's bounding box grown by h: every other
-    cell is outside with all its vertices over h away, and the window's
-    triangles come in global order, so the error names the lowest ambiguous one.
-    A ghost face lies between a cut triangle and an active one; it is keyed as in
-    ``CutTopology.ghost_faces``.
+    when the exact distance from the disk center to the triangle is below the
+    radius, so a triangle that the circle only touches, as a circle tangent to
+    a grid line between two vertices touches its edge, is outside: it meets the
+    domain in a set of measure zero.  Phi is evaluated only on the window of
+    cells that meet the disk's bounding box grown by h: every other cell is
+    outside with all its vertices over h away.  A ghost face lies between a cut
+    triangle and an active one; it is keyed as in ``CutTopology.ghost_faces``.
     """
     n, center, reach = mesh.n, domain.center_array, domain.radius + mesh.h
     (i0, i1), (j0, j1) = (
@@ -218,10 +203,6 @@ def classify(mesh, domain):
     near = ~any_in & (np.minimum(np.minimum(phi_t[0], phi_t[1]), phi_t[2]) <= mesh.h)
     candidates = ids[near]
     dist = _point_triangle_distance(center, mesh.triangle_coords(candidates))
-    gap = np.abs(dist - domain.radius)
-    ambiguous = np.flatnonzero(gap <= TANGENCY_GUARD * mesh.h)
-    if len(ambiguous):
-        raise AmbiguousCutError(int(candidates[ambiguous[0]]), gap[ambiguous[0]])
     window[near] = np.where(dist < domain.radius, CUT, OUTSIDE)
 
     cls = np.full(mesh.n_triangles, OUTSIDE, dtype=np.int8)

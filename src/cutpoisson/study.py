@@ -35,7 +35,7 @@ from cutpoisson.geometry import (
     log_model_integral,
     outward_normal,
 )
-from cutpoisson.mesh import AmbiguousCutError, build_background, cell_diagonal, classify
+from cutpoisson.mesh import build_background, cell_diagonal, classify
 from cutpoisson.quadrature import (
     DEFAULT_TOL,
     REFINE_LEVELS,
@@ -535,9 +535,10 @@ def regularization_coupling(
 def sweep_shifts(box, n, n_shifts):
     """Deterministic sub-cell translations for cut-position sweeps.
 
-    Irrational direction factors keep the shifted grid lines away from exact
-    tangency with the boundary, which would make the cut classification
-    legitimately ambiguous.
+    Unequal irrational direction factors keep the shifted grid lines off the
+    rational positions of a typical configuration, such as a grid line through
+    the centre or tangent to a circle of rational radius, so each shift cuts
+    the cells at a generic position.
     """
     x0, y0, x1, y1 = box
     cell = ((x1 - x0) / n, (y1 - y0) / n)
@@ -606,7 +607,7 @@ def condition_sweep(
         for shift in shifts:
             try:
                 topology = classify(build_background(box, n, shift), domain)
-            except (AmbiguousCutError, ValueError) as exc:
+            except ValueError as exc:
                 located(exc, [shift])
                 raise
             if batch and cut_cells + len(topology.cut) > _SWEEP_CUT_CELLS:

@@ -6,14 +6,7 @@ import pytest
 
 from cutpoisson import LevelSetDomain, gradient
 from cutpoisson.geometry import boundary_angle, is_dirichlet_angle, signed_distance
-from cutpoisson.mesh import (
-    CUT,
-    INSIDE,
-    OUTSIDE,
-    TANGENCY_GUARD,
-    AmbiguousCutError,
-    _point_triangle_distance,
-)
+from cutpoisson.mesh import CUT, INSIDE, OUTSIDE, _point_triangle_distance
 from cutpoisson.quadrature import PackedRule
 from cutpoisson.study import discretize
 
@@ -154,8 +147,7 @@ def box_classify(mesh, domain):
 
     Phi is evaluated at every vertex of the grid and every triangle is tagged by the rules of
     ``classify``; a ghost face is a face of ``masked_faces`` between two active triangles of
-    which one is cut, keyed by ``face_keys``.  Raises ``AmbiguousCutError`` naming the lowest
-    ambiguous triangle.
+    which one is cut, keyed by ``face_keys``.
     """
     vertices, triangles = grid_arrays(mesh)
     phi_t = signed_distance(domain, vertices)[triangles]
@@ -165,10 +157,6 @@ def box_classify(mesh, domain):
     cls[any_in & ~all_in] = CUT
     candidates = np.flatnonzero(~any_in & (phi_t.min(axis=1) <= mesh.h))
     dist = _point_triangle_distance(domain.center_array, vertices[triangles[candidates]])
-    gap = np.abs(dist - domain.radius)
-    ambiguous = np.flatnonzero(gap <= TANGENCY_GUARD * mesh.h)
-    if len(ambiguous):
-        raise AmbiguousCutError(int(candidates[ambiguous[0]]), gap[ambiguous[0]])
     cls[candidates[dist < domain.radius]] = CUT
     faces, face_tris = masked_faces(mesh.n)
     t0, t1 = face_tris.T

@@ -5,10 +5,9 @@ keeps its default or takes a value from its pool below, which mixes in circles n
 edge, boxes inside the disk, empty and multi-arc Dirichlet parts, a low beta, sigma 0 and levels
 n <= 32.  A config is loaded and its study run in process, and it must do one of these: run
 with finite CSV values (``cutpoisson run`` exits 0), raise a ``ValueError`` that names a config
-field (exit 2), or fail in a check of the numerics that names its cause (exit 1): the solver's
-``SolverError``, or ``AmbiguousCutError`` where the circle is tangent to a grid line, as a disk
-of radius 0.5 centred at (0.25, 0.1) is at n = 8.  The named configs below once ran to a
-meaningless answer or failed inside the study; each now exits 2 before any level is built.
+field (exit 2), or fail in the solver's check of the numerics, ``SolverError``, which names its
+cause (exit 1).  The named configs below once ran to a meaningless answer or failed inside the
+study; each now exits 2 before any level is built.
 """
 
 import json
@@ -20,7 +19,6 @@ import pytest
 
 from cutpoisson import cli, study
 from cutpoisson.cli import ConfigError, _run_study, load_config, run
-from cutpoisson.mesh import AmbiguousCutError
 from cutpoisson.solve import SolverError
 
 SEED = 20261019
@@ -70,7 +68,7 @@ def _outcome(path):
     """'ran', 'rejected' or 'failed', asserting what each of them must show."""
     try:
         _, _, rows, _ = _run_study(load_config(path))
-    except (SolverError, AmbiguousCutError):
+    except SolverError:
         return "failed"
     except ValueError as exc:
         assert not isinstance(exc, np.linalg.LinAlgError), exc
@@ -160,3 +158,21 @@ def test_a_numerical_failure_inside_a_study_exits_1(tmp_path, capsys, monkeypatc
     assert run(str(path), quiet=True) == 1
     assert "study failed: the leading minor" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_circle_tangent_to_a_grid_line_runs(tmp_path):
+    """The circle of radius 0.5 centred at (0.25, 0.1) is tangent to the grid line x = 0.75
+    between two vertices at every level; the singular mixed study runs on it."""
+    raw = {
+        "geometry": {"center": [0.25, 0.1], "radius": 0.5, "dirichlet_arcs": [[0.0, math.pi]]},
+        "mesh": {"levels": [8, 16, 32, 64]},
+        "problem": {"kind": "singular"},
+        "output": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert run(str(path), quiet=True) == 0
+    _, *rows = (tmp_path / "out" / "convergence.csv").read_text().strip().split("\n")
+    assert [row.split(",")[0] for row in rows] == ["8", "16", "32", "64"]
+    values = [float(v) for row in rows for v in row.split(",") if v]
+    assert np.isfinite(values).all(), rows

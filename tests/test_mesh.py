@@ -12,7 +12,6 @@ from cutpoisson.mesh import (
     FACE_TRIANGLES,
     INSIDE,
     OUTSIDE,
-    AmbiguousCutError,
     _point_triangle_distance,
     build_background,
 )
@@ -200,12 +199,19 @@ def test_classify_matches_sampling_oracle(domain_mixed, rng):
         assert sampled_active == bool(topo.is_active(t)), f"triangle {t}"
 
 
-def test_classify_tangency_raises():
-    # circle tangent to the grid line x = 0.5 at an edge-interior point
+def test_classify_a_circle_tangent_to_a_grid_line():
+    """The circle touches x = +-0.5 inside the edges of triangles 29 and 4, whose vertices are all
+    outside; they meet the disk in a point, so they are outside, as the box scan tags them."""
     domain = LevelSetDomain((0.0, 0.25), 0.5, ((0.0, 2 * math.pi),))
     mesh = build_background((-1, -1, 1, 1), 4)
-    with pytest.raises(AmbiguousCutError):
-        classify(mesh, domain)
+    topo = classify(mesh, domain)
+    cls, active, ghost = box_classify(mesh, domain)
+    for t in (29, 4):
+        assert _point_triangle_distance(domain.center_array, mesh.triangle_coords(t)) == 0.5
+        assert np.all(signed_distance(domain, mesh.triangle_coords(t)) > 0.0)
+        assert topo.classification[t] == cls[t] == OUTSIDE
+    assert topo.classification.tobytes() == cls.tobytes()
+    assert np.array_equal(topo.active, active) and np.array_equal(topo.ghost_faces, ghost)
 
 
 def _brute_force_ghost_faces(topo, faces, face_tris):
@@ -272,28 +278,6 @@ def test_translation_sweep_stability(domain_dirichlet):
     cell = 2.0 / 16
     perimeter = 2.0 * math.pi * domain_dirichlet.radius
     assert max(sizes) - min(sizes) <= 6.0 * perimeter / cell
-
-
-def test_classify_reports_lowest_ambiguous_triangle():
-    """The batched distance check names the first ambiguous candidate, as a loop would."""
-    domain = LevelSetDomain((0.0, 0.25), 0.5, ((0.0, 2 * math.pi),))
-    mesh = build_background((-1, -1, 1, 1), 4)
-    vertices, triangles = grid_arrays(mesh)
-    phi = signed_distance(domain, vertices)[triangles]
-    guard = 1e-12 * mesh.h
-    ambiguous = [
-        t
-        for t in range(mesh.n_triangles)
-        if phi[t].min() > 0.0
-        and phi[t].min() <= mesh.h
-        and abs(_point_triangle_distance(domain.center_array, mesh.triangle_coords(t)) - 0.5)
-        <= guard
-    ]
-    assert len(ambiguous) >= 1
-    with pytest.raises(AmbiguousCutError, match=f"^triangle {ambiguous[0]}: boundary tangency"):
-        classify(mesh, domain)
-    with pytest.raises(AmbiguousCutError, match=f"^triangle {ambiguous[0]}: boundary tangency"):
-        box_classify(mesh, domain)
 
 
 def test_point_triangle_distance_broadcasts(rng):

@@ -3,9 +3,9 @@
 Each case draws a disk (centre, radius and one Dirichlet arc), a grid size n
 and a sub-cell translation of the n-by-n grid of ``BOX`` with numpy's
 generator from a fixed seed.  The disk stays inside the translated grid and
-h <= 0.75 R, so every case discretizes.  Random cuts come nowhere near the
-classification guard band; ``test_ambiguous_cut_error_only_inside_the_guard_band``
-places disks in and around it on purpose.
+h <= 0.75 R, so every case discretizes.  Random cuts come nowhere near
+tangency; ``test_classify_near_tangency_matches_the_box_scan`` places disks
+within rounding of tangency with an edge on purpose.
 """
 
 import math
@@ -17,7 +17,7 @@ import pytest
 from cutpoisson import LevelSetDomain, classify
 from cutpoisson.assembly import assemble_ghost_penalty, assemble_nitsche
 from cutpoisson.geometry import signed_distance
-from cutpoisson.mesh import CUT, OUTSIDE, TANGENCY_GUARD, AmbiguousCutError, build_background
+from cutpoisson.mesh import CUT, OUTSIDE, build_background
 from cutpoisson.study import discretize
 from tests.conftest import box_classify, grid_arrays
 
@@ -139,31 +139,33 @@ def test_windowed_classify_matches_the_box_scan(k):
         assert np.array_equal(topo.ghost_faces, ghost)
 
 
-@pytest.mark.parametrize("k", range(N_CASES))
-def test_ambiguous_cut_error_only_inside_the_guard_band(k):
-    """A disk placed g h from tangency with an edge raises exactly when |g| <= TANGENCY_GUARD.
+# gaps g of a disk g h past an edge: at tangency, within rounding of it, and clear of rounding
+TANGENCY_BAND = (0.0, 1e-15, -1e-15, 1e-13, -1e-13, 1e-12, -1e-12)
 
-    The edge's triangle t then has all vertices outside the disk, and the disk
-    lies beyond the edge; outside the band t is cut (g < 0) or outside (g > 0).
+
+@pytest.mark.parametrize("k", range(N_CASES))
+def test_classify_near_tangency_matches_the_box_scan(k):
+    """A disk placed g h past an edge classifies as the scan of the whole box does, bit for bit.
+
+    The edge's triangle t has all its vertices outside the disk, which lies
+    beyond the edge: t is cut once the disk reaches 1e-13 h into it (g <= -1e-13)
+    and outside once it stops 1e-13 h short (g >= 1e-13).  Within rounding of
+    tangency only the box scan's tag is asked for.
     """
     rng = np.random.default_rng([SEED, k, 1])
     case = CASES[k]
     mesh = build_background(BOX, case.n, case.shift)
     radius = case.domain.radius
-    t, p, normal = _edge(rng, mesh)
-    for g in rng.choice((-1.0, 1.0), 16) * 10.0 ** rng.uniform(-13.0, -11.0, 16):
-        if 0.9 <= abs(g) / TANGENCY_GUARD <= 1.1:
-            continue
-        domain = LevelSetDomain(tuple(p + (radius + g * mesh.h) * normal), radius)
-        if abs(g) <= TANGENCY_GUARD:
-            with pytest.raises(AmbiguousCutError) as info:
-                classify(mesh, domain)
-            assert info.value.triangle == t
-            with pytest.raises(AmbiguousCutError) as oracle:
-                box_classify(mesh, domain)
-            assert oracle.value.triangle == t
-        else:
-            assert classify(mesh, domain).classification[t] == (CUT if g < 0.0 else OUTSIDE)
+    for _ in range(8):
+        t, p, normal = _edge(rng, mesh)
+        for g in TANGENCY_BAND:
+            domain = LevelSetDomain(tuple(p + (radius + g * mesh.h) * normal), radius)
+            topo = classify(mesh, domain)
+            cls, active, ghost = box_classify(mesh, domain)
+            assert topo.classification.tobytes() == cls.tobytes(), (t, g)
+            assert np.array_equal(topo.active, active) and np.array_equal(topo.ghost_faces, ghost)
+            if abs(g) >= 1e-13:
+                assert topo.classification[t] == (CUT if g < 0.0 else OUTSIDE), (t, g)
 
 
 @pytest.mark.parametrize("k", range(N_CASES))

@@ -9,7 +9,7 @@ import scipy.linalg
 
 from cutpoisson import LevelSetDomain, study
 from cutpoisson.geometry import boundary_angle, is_dirichlet_angle
-from cutpoisson.mesh import AmbiguousCutError, build_background, cell_diagonal, classify
+from cutpoisson.mesh import build_background, cell_diagonal, classify
 from cutpoisson.quadrature import build_rules
 from cutpoisson.space import build_dofmap
 from cutpoisson.study import (
@@ -165,6 +165,33 @@ def test_affine_solution_is_reproduced_exactly(arcs):
         assert level.energy <= 1e-12 and level.l2 <= 1e-12, level
 
 
+# with R = 0.5, tangent to the grid lines x = -0.5 and 0.5, and x = -0.25 and 0.75
+TANGENT_DISKS = [(0.0, 0.05), (0.25, 0.1)]
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize(
+    "arcs", [((0.0, math.pi),), ((0.0, 2.0 * math.pi),)], ids=["mixed", "dirichlet"]
+)
+@pytest.mark.parametrize("center", TANGENT_DISKS)
+def test_a_circle_tangent_to_a_grid_line_is_continuous_in_the_radius(center, arcs, n):
+    """The disk tangent to a grid line between two vertices runs, as its neighbours 1e-9 h
+    smaller and larger do, and its error is theirs.
+
+    The two tangent triangles are outside, so the dofs are those of the smaller disk; the larger
+    one cuts a sliver off each and adds the vertex opposite the tangent edge.  Measured: at
+    most 1.0e-8 and 1.5e-6 relative from the smaller and the larger disk's energy error.
+    """
+    h = cell_diagonal(DEFAULT_BOX, n)
+    tangent, smaller, larger = (
+        convergence_level(manufactured_smooth(LevelSetDomain(center, 0.5 + g * h, arcs)), n)
+        for g in (0.0, -1e-9, 1e-9)
+    )
+    assert tangent.ndof == smaller.ndof
+    for neighbour in (smaller, larger):
+        assert abs(tangent.energy - neighbour.energy) <= 1e-5 * neighbour.energy
+
+
 def test_singular_problem_needs_junction(domain_dirichlet):
     with pytest.raises(ValueError):
         manufactured_singular(domain_dirichlet)
@@ -214,11 +241,12 @@ def test_condition_sweep_in_small_batches_is_bitwise_one_batch(domain_dirichlet,
 
 
 def test_condition_sweep_errors_name_the_level_and_the_shift(domain_dirichlet):
-    """At shift 0 the grid line x = 0.75 is tangent to the circle; a tolerance below the floor
-    fails the batch of both shifts.  Each error keeps its type."""
-    tangent = LevelSetDomain((0.25, 0.1), 0.5, ((0.0, 2.0 * math.pi),))
-    with pytest.raises(AmbiguousCutError, match=r"^level n = 8, shift \(0\.0, 0\.0\): triangle 40: "):
-        condition_sweep(tangent, 8, 2)
+    """The cells of a box five times as wide as tall are not shape regular, which fails the
+    first shift; a tolerance below the floor fails the batch of both shifts."""
+    small = LevelSetDomain((0.0, 0.0), 0.15, ((0.0, 2.0 * math.pi),))
+    irregular = r"^level n = 20, shift \(0\.0, 0\.0\): mesh is not shape regular$"
+    with pytest.raises(ValueError, match=irregular):
+        condition_sweep(small, 20, 2, box=(-1.0, -0.2, 1.0, 0.2))
     last = re.escape(str(sweep_shifts(DEFAULT_BOX, 8, 2)[1]))
     with pytest.raises(ValueError, match=rf"^level n = 8, shift \(0\.0, 0\.0\) to {last}: quadrature"):
         condition_sweep(domain_dirichlet, 8, 2, tol=1e-13)
