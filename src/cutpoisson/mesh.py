@@ -168,15 +168,13 @@ def _point_triangle_distance(p, coords):
 def classify(mesh, domain):
     """Tag every triangle as inside, cut, or outside the domain, and find the ghost faces.
 
-    Vertices exactly on the boundary count as inside, so the partition is
-    deterministic.  A triangle whose vertices all lie outside is cut exactly
-    when the exact distance from the disk center to the triangle is below the
-    radius, so a triangle that the circle only touches, as a circle tangent to
-    a grid line between two vertices touches its edge, is outside: it meets the
-    domain in a set of measure zero.  Phi is evaluated only on the window of
-    cells that meet the disk's bounding box grown by h: every other cell is
-    outside with all its vertices over h away.  A ghost face lies between a cut
-    triangle and an active one; it is keyed as in ``CutTopology.ghost_faces``.
+    The domain is the open disk.  A triangle is inside when all its vertices are, and otherwise
+    cut exactly when its distance from the disk center is below the radius.  So a triangle that
+    the circle only touches, at a grid vertex on the circle or along a tangent edge, is outside:
+    it meets the domain in a set of measure zero.  Phi is evaluated only on the window of cells
+    that meet the disk's bounding box grown by h: every other cell is outside with all its
+    vertices over h away.  A ghost face lies between a cut triangle and an active one; it is
+    keyed as in ``CutTopology.ghost_faces``.
     """
     n, center, reach = mesh.n, domain.center_array, domain.radius + mesh.h
     (i0, i1), (j0, j1) = (
@@ -192,17 +190,10 @@ def classify(mesh, domain):
     for (p, k), (a, b) in zip(np.ndindex(2, 3), CORNERS.reshape(-1, 2)):
         phi_t[k, ..., p] = phi[a : a + wi, b : b + wj]
     ids = (np.arange(i0, i1) * (2 * n))[:, None, None] + np.arange(2 * j0, 2 * j1).reshape(-1, 2)
-    inside_v = [p <= 0.0 for p in phi_t]
-
-    window = np.full(ids.shape, OUTSIDE, dtype=np.int8)
-    all_in = inside_v[0] & inside_v[1] & inside_v[2]
-    any_in = inside_v[0] | inside_v[1] | inside_v[2]
-    window[all_in] = INSIDE  # disk is convex, so vertex containment is conclusive
-    window[any_in & ~all_in] = CUT
-
-    near = ~any_in & (np.minimum(np.minimum(phi_t[0], phi_t[1]), phi_t[2]) <= mesh.h)
-    candidates = ids[near]
-    dist = _point_triangle_distance(center, mesh.triangle_coords(candidates))
+    inside = np.maximum(np.maximum(phi_t[0], phi_t[1]), phi_t[2]) < 0.0  # the disk is convex
+    near = ~inside & (np.minimum(np.minimum(phi_t[0], phi_t[1]), phi_t[2]) <= mesh.h)
+    dist = _point_triangle_distance(center, mesh.triangle_coords(ids[near]))
+    window = np.where(inside, INSIDE, OUTSIDE).astype(np.int8)
     window[near] = np.where(dist < domain.radius, CUT, OUTSIDE)
 
     cls = np.full(mesh.n_triangles, OUTSIDE, dtype=np.int8)

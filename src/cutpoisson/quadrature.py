@@ -143,17 +143,28 @@ def _on_circle(domain, psi):
 def _edge_roots(tris, center, radius):
     """Circle crossings on the edges p_k + t (p_{k+1} - p_k) of a stack of triangles.
 
-    Returns the parameters t (m, 3, 2), NaN where the edge's line misses or
-    only touches the circle, and the edge vectors (m, 3, 2).
+    Each edge is solved once, from its lower end (by x, then y), so the two triangles of a
+    shared edge get its crossing points bit for bit.  Returns the parameters t (m, 3, 2) in
+    increasing order, NaN where the edge's line misses or only touches the circle, and the
+    angles (m, 3, 2) of the crossing points clamped to the edge, NaN over 1e-12 off it.
     """
-    d = np.roll(tris, -1, axis=1) - tris
-    f = tris - center
+    nxt = np.roll(tris, -1, axis=1)
+    dx, dy = np.moveaxis(nxt - tris, -1, 0)
+    flip = ((dx < 0.0) | ((dx == 0.0) & (dy < 0.0)))[..., None]
+    low = np.where(flip, nxt, tris)
+    d = np.where(flip, tris, nxt) - low
+    f = low - center
     a = (d * d).sum(axis=-1)
     b = 2.0 * (f * d).sum(axis=-1)
     c = (f * f).sum(axis=-1) - radius * radius
     disc = b * b - 4.0 * a * c
-    s = np.sqrt(disc, out=np.full_like(disc, np.nan), where=disc > 0.0)
-    return np.stack([(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)], axis=-1), d
+    root = np.sqrt(disc, out=np.full_like(disc, np.nan), where=disc > 0.0)
+    s = np.stack([(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)], axis=-1)  # from the low end
+    hit = (s >= -1e-12) & (s <= 1.0 + 1e-12)
+    rel = (low[:, :, None] + np.clip(s, 0.0, 1.0)[..., None] * d[:, :, None])[hit] - center
+    angles = np.full(s.shape, np.nan)
+    angles[hit] = _wrap(np.arctan2(rel[:, 1], rel[:, 0]))  # not on NaN, where np.mod is slow
+    return np.where(flip, 1.0 - s[..., ::-1], s), angles
 
 
 def _subdivide(tris):
@@ -207,13 +218,13 @@ def _chord_polygons(tris, domain):
     m, radius = len(tris), domain.radius
     origin = tris[:, 0]
     local = tris - origin[:, None]
-    t, _ = _edge_roots(tris, domain.center_array, radius)
+    t, arcs = _arcs(tris, domain)
     inner = np.stack([np.maximum(t[..., 0], 0.0), np.minimum(t[..., 1], 1.0)], axis=-1)
     on = inner[..., 0] <= inner[..., 1]  # False where the edge's line misses the circle
     nxt = np.roll(local, -1, axis=1)[:, :, None]
     ends = (1.0 - inner[..., None]) * local[:, :, None] + inner[..., None] * nxt  # (m, 3, 2, 2)
 
-    arcs = owner, start, width = _arcs(tris, domain)
+    owner, start, width = arcs
     arc, lo, hi, step = _equal_pieces(start, start + width, _MAX_PIECE)
     # every piece start is a vertex but an arc's start on an edge; a circle inside T has none
     corner = (step > 0) | ~on.any(axis=1)[owner[arc]]
@@ -293,14 +304,10 @@ def cut_volume_rule(triangle, domain, tol=DEFAULT_TOL):
 
 
 def _arcs(tris, domain):
-    """Arcs of the circle inside each triangle, as (owner, start angle, angular width)."""
-    center = domain.center_array
+    """The t of ``_edge_roots``, and the circle's arcs in each triangle as (owner, start, width)."""
     m = len(tris)
-    t, d = _edge_roots(tris, center, domain.radius)
-    hit = ((t >= -1e-12) & (t <= 1.0 + 1e-12)).reshape(m, 6)
-    rel = (tris[:, :, None] + np.clip(t, 0.0, 1.0)[..., None] * d[:, :, None]).reshape(m, 6, 2)
-    rel -= center
-    angles = np.sort(np.where(hit, _wrap(np.arctan2(rel[..., 1], rel[..., 0])), np.nan), axis=1)
+    t, angles = _edge_roots(tris, domain.center_array, domain.radius)
+    angles = np.sort(angles.reshape(m, 6), axis=1)
     distinct = ~np.isnan(angles)
     distinct[:, 1:] &= np.diff(angles, axis=1) >= 1e-13
     angles = np.sort(np.where(distinct, angles, np.nan), axis=1)
@@ -319,13 +326,14 @@ def _arcs(tris, domain):
     width = ends[real] - start
     _, probe = _on_circle(domain, np.where(whole[owner], 0.0, start + 0.5 * width))
     keep = (width >= 1e-13) & np.all(_barycentric(tris[owner], probe) >= -1e-12, axis=1)
-    return owner[keep], start[keep], width[keep]
+    return t, (owner[keep], start[keep], width[keep])
 
 
 def _tiling_arcs(arcs):
     """The ``arcs`` of cells that tile the plane, with each angle in one arc only.
 
-    Two cells may compute a near-tangent shared edge differently and both keep the arc along it.
+    Both cells of a shared edge within rounding of tangency may keep the arc along it, whose
+    midpoint lies within the probe's 1e-12 of both.
     Swept by start, an arc that starts over 1e-13 inside the arcs before it (the last wrapping
     round) starts where they end; the other arcs keep their bits.
     """
@@ -407,7 +415,7 @@ def cut_boundary_rules(triangles, domain):
     normals, each sorted by owner (the triangle's position in the stack).
     """
     tris = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
-    return _boundary_rule(domain, _arcs(tris, domain))
+    return _boundary_rule(domain, _arcs(tris, domain)[1])
 
 
 def _boundary_rule(domain, arcs):

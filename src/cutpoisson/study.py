@@ -380,7 +380,7 @@ def verify_inequalities(dofmap, params):
     G = (assemble_stiffness(dofmap) + assemble_ghost_penalty(dofmap, params))[1:, 1:]
     try:
         G_inv = spla.LinearOperator(G.shape, _factor(G.tocsc()).solve)
-    except SolverError as exc:  # sigma 0 and a dof whose cells the disk meets in a point
+    except SolverError as exc:  # sigma 0 and a dof whose cells meet the disk in slivers
         raise SolverError(f"level n = {dofmap.mesh.n}: K + S: {exc}") from exc
     c_full = spla.eigsh(
         (D.T @ D)[1:, 1:], 1, G, Minv=G_inv, which="LA", v0=np.ones(ndof - 1),

@@ -145,14 +145,15 @@ def masked_faces(n):
 def box_classify(mesh, domain):
     """Oracle: classification, active triangles and ghost faces by a scan of the whole box.
 
-    Phi is evaluated at every vertex of the grid and every triangle is tagged by the rules of
-    ``classify``; a ghost face is a face of ``masked_faces`` between two active triangles of
-    which one is cut, keyed by ``face_keys``.
+    Phi is evaluated at every vertex of the grid.  A triangle is inside when its vertices all
+    lie in the open disk, cut when one of them does or, failing that, when its distance from
+    the centre is below R, and outside otherwise; a ghost face is a face of ``masked_faces``
+    between two active triangles of which one is cut, keyed by ``face_keys``.
     """
     vertices, triangles = grid_arrays(mesh)
     phi_t = signed_distance(domain, vertices)[triangles]
     cls = np.full(len(triangles), OUTSIDE, dtype=np.int8)
-    all_in, any_in = (phi_t <= 0.0).all(axis=1), (phi_t <= 0.0).any(axis=1)
+    all_in, any_in = (phi_t < 0.0).all(axis=1), (phi_t < 0.0).any(axis=1)
     cls[all_in] = INSIDE
     cls[any_in & ~all_in] = CUT
     candidates = np.flatnonzero(~any_in & (phi_t.min(axis=1) <= mesh.h))

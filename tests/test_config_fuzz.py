@@ -17,7 +17,8 @@ import random
 import numpy as np
 import pytest
 
-from cutpoisson import cli, study
+from cutpoisson import LevelSetDomain, cli, study
+from cutpoisson.assembly import assemble_ghost_penalty, assemble_nitsche
 from cutpoisson.cli import ConfigError, _run_study, load_config, run
 from cutpoisson.solve import SolverError
 
@@ -96,6 +97,46 @@ def test_fuzzed_configs_run_or_are_rejected_by_name_or_fail_a_numerical_check(tm
             raise AssertionError(f"config {raw}: {exc}") from exc
     # the draw reaches the studies, not only the checks
     assert outcomes.count("ran") >= 15 and outcomes.count("rejected") >= 15, outcomes
+
+
+def test_fuzzed_levels_match_their_mirror_image(tmp_path):
+    """Each fuzzed config that builds a level gives the operators of its image under sigma.
+
+    sigma: (x, y) -> (y, x) swaps the centre's and the box's coordinates and maps a config
+    arc [a, b) to [pi/2 - b, pi/2 - a); it maps the grid of the box onto the grid of its
+    image, vertex (i, j) onto (j, i), with the same cell diagonals.  The first level of each
+    config and of its image must have the same ndof, and with the dofs renumbered by that
+    vertex map, A and S must match within 1e-12 of their largest entry.
+    """
+    rng = random.Random(SEED)
+    levels = 0
+    for i in range(N_CONFIGS):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps(_draw(rng)))
+        try:
+            cfg = load_config(path)
+            tol, (n, *_) = cfg["quadrature_tol"], cfg["mesh"]["levels"]
+            params = cfg["params"]["beta"], cfg["params"]["sigma"]
+            box, geometry = cfg["mesh"]["box"], cfg["geometry"]
+            dofmap, nitsche = study.discretize(cli.build_domain(cfg), n, *params, tuple(box), tol)
+        except ValueError:  # rejected by name, or a level no study builds
+            continue
+        levels += 1
+        image_domain = LevelSetDomain(
+            tuple(geometry["center"][::-1]),
+            geometry["radius"],
+            [(math.pi / 2 - b, math.pi / 2 - a) for a, b in geometry["dirichlet_arcs"]],
+        )
+        image_box = (box[1], box[0], box[3], box[2])
+        image, image_nitsche = study.discretize(image_domain, n, *params, image_box, tol)
+        j, k = np.divmod(image.dof_to_vertex, n + 1)
+        preimage = dofmap.vertex_to_dof[k * (n + 1) + j]  # the dof that maps to each image dof
+        assert image.ndof == dofmap.ndof and np.all(preimage >= 0), cfg
+        for assemble in (assemble_nitsche, assemble_ghost_penalty):
+            K, K_image = assemble(dofmap, nitsche), assemble(image, image_nitsche)
+            mapped = K.tocsr()[preimage][:, preimage]  # P K P^T in the image's numbering
+            assert abs(mapped - K_image).max() <= 1e-12 * abs(K_image).max(), (assemble, cfg)
+    assert levels == 24
 
 
 NAMED = {

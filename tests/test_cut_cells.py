@@ -17,7 +17,7 @@ import pytest
 
 from cutpoisson import LevelSetDomain
 from cutpoisson.geometry import signed_distance
-from cutpoisson.mesh import CUT
+from cutpoisson.mesh import OUTSIDE, build_background
 from cutpoisson.quadrature import MIN_TOL, _tri_area, cut_boundary_rules, cut_volume_rules
 from cutpoisson.study import discretize
 from tests.conftest import ORACLE_EPS, exact_disk_triangle_area, packed_boundary_rule
@@ -362,39 +362,72 @@ def _barycentric(tris, points, owner):
 # Offsets of the disk's centre along one axis that put a vertex of the unshifted grid, where the
 # circle crosses that axis, within rounding of the circle, and leave a grid line near tangency.
 AXIS_OFFSETS = (1e-12, 3e-12, 1e-11, 3e-11, 1e-10)
+# gaps g of a disk g h past a grid edge: from within rounding of tangency to clear of it
+TANGENT_GAPS = (-1e-15, -1e-13, -1e-12, -1e-10, -1e-8)
+TANGENT_CASES, TANGENT_EDGES = 12, 8
 
 
 def _axis_perturbed_disks():
+    arcs = ((0.0, math.pi),)
     for n in (8, 16, 32):
         for radius in (0.25, 0.5, 0.75):
-            yield n, LevelSetDomain((0.0, 0.0), radius, ((0.0, math.pi),))
+            yield n, (0.0, 0.0), LevelSetDomain((0.0, 0.0), radius, arcs)
             for axis in (0, 1):
                 for d in AXIS_OFFSETS:
                     for sign in (1.0, -1.0):
                         center = np.zeros(2)
                         center[axis] = sign * d
-                        yield n, LevelSetDomain(tuple(center), radius, ((0.0, math.pi),))
+                        yield n, (0.0, 0.0), LevelSetDomain(tuple(center), radius, arcs)
+
+
+def _near_tangent_disks():
+    """Disks reaching g h past a random edge of a shifted grid, for g in ``TANGENT_GAPS``."""
+    for k in range(TANGENT_CASES):
+        rng = np.random.default_rng([SEED, k])
+        n = int(rng.integers(13, 33))
+        shift = tuple(rng.uniform(0.0, 2.0 / n, 2))
+        radius = rng.uniform(0.3, 0.55)
+        start = rng.uniform(0.0, 2 * math.pi)
+        arcs = ((start, start + rng.uniform(0.5, 5.5)),)
+        mesh = build_background((-1.0, -1.0, 1.0, 1.0), n, shift)
+        for _ in range(TANGENT_EDGES):
+            tri = mesh.triangle_coords(int(rng.integers(mesh.n_triangles)))
+            a, b, apex = np.roll(tri, -int(rng.integers(3)), axis=0)
+            normal = np.array([a[1] - b[1], b[0] - a[0]]) / np.linalg.norm(b - a)
+            normal *= -np.sign(normal @ (apex - a))
+            p = a + rng.uniform(0.3, 0.7) * (b - a)
+            for g in TANGENT_GAPS:
+                center = p + (radius + g * mesh.h) * normal
+                yield n, shift, LevelSetDomain(tuple(center), radius, arcs)
+
+
+def _admitted_lengths(levels):
+    """Each admitted level (n, centre, R) and its boundary length's relative defect from 2 pi R."""
+    for n, shift, domain in levels:
+        try:
+            dofmap, _ = discretize(domain, n, shift=shift)
+        except ValueError:  # h too coarse for the collar, or the disk leaves the extent
+            continue
+        length = 2.0 * math.pi * domain.radius
+        got = packed_boundary_rule(dofmap.rules).weights.sum()
+        yield (n, domain.center, domain.radius), abs(got - length) / length
 
 
 def test_each_arc_is_counted_once_near_a_shared_edge():
     """The Dirichlet and Neumann lengths of a level add up to the circle's, tangencies and all.
 
-    A disk moved 1e-12 to 1e-10 off an axis of the unshifted grid rounds a vertex on that axis
-    onto the circle, which makes an outside cell cut, and leaves a grid line within rounding of
-    tangency, whose two cells compute the arc along it differently.  The case n = 8, R = 0.5,
-    centre (0, 3e-12) counted 5.3e-9 of the circle twice, in cells 88 and 105.
+    A disk that reaches 1e-15 h to 1e-8 h past a grid edge leaves that edge within rounding
+    of tangency: its two cells must find the same crossings and claim each arc along it
+    once.  Crossings solved from either end of the edge used to differ, which left up to
+    3e-11 of the circle in no cell.  The axis family moves the disk 1e-12 to 1e-10 off an
+    axis of the unshifted grid, which rounds a vertex onto the circle.  Its case n = 8,
+    R = 0.5, centre (0, 3e-12) counted 5.3e-9 of the circle twice, in cells 88 and 105, when
+    that vertex made cell 105 cut; under the open-disk rule cell 105 is outside.
     """
-    admitted = 0
-    for n, domain in _axis_perturbed_disks():
-        try:
-            dofmap, _ = discretize(domain, n)
-            rules = dofmap.rules
-        except ValueError:  # h too coarse for the collar
-            continue
-        admitted += 1
-        length = 2.0 * math.pi * domain.radius
-        got = packed_boundary_rule(rules).weights.sum()
-        assert abs(got - length) <= 1e-13 * length, (n, domain.center, domain.radius, got - length)
-        if n == 8 and domain.center == (0.0, 3e-12) and domain.radius == 0.5:
-            assert dofmap.topology.classification[105] == CUT
-    assert admitted == 168
+    for family, count in ((_axis_perturbed_disks, 168), (_near_tangent_disks, 120)):
+        levels = list(_admitted_lengths(family()))
+        assert len(levels) == count
+        for level, defect in levels:
+            assert defect <= 1e-13, (level, defect)
+    pinned = LevelSetDomain((0.0, 3e-12), 0.5, ((0.0, math.pi),))
+    assert discretize(pinned, 8)[0].topology.classification[105] == OUTSIDE

@@ -62,7 +62,7 @@ def _edge(rng, mesh):
 
 
 def _sampled_active(domain, case, mesh):
-    """Oracle: the triangles that hold a vertex of the closed disk or a sample of the open one.
+    """Oracle: the triangles that hold a vertex or a sample of the open disk.
 
     The samples lie on a ring just inside the circle.  Each one inside the
     grid is located by its cell (i, j) and the side of the cell's diagonal:
@@ -78,7 +78,7 @@ def _sampled_active(domain, case, mesh):
     active = np.zeros(mesh.n_triangles, dtype=bool)
     active[2 * (ij[in_grid, 0] * case.n + ij[in_grid, 1]) + (v > u)] = True
     vertices, triangles = grid_arrays(mesh)
-    active |= (signed_distance(domain, vertices)[triangles] <= 0.0).any(axis=1)
+    active |= (signed_distance(domain, vertices)[triangles] < 0.0).any(axis=1)
     return active
 
 

@@ -192,6 +192,47 @@ def test_a_circle_tangent_to_a_grid_line_is_continuous_in_the_radius(center, arc
         assert abs(tangent.energy - neighbour.energy) <= 1e-5 * neighbour.energy
 
 
+# R = 0.5 at the origin: the circle passes through the grid vertices (+-0.5, 0) and (0, +-0.5)
+VERTEX_DISK_NDOF = {8: 23, 16: 73, 32: 249, 64: 903}
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize(
+    "arcs", [((0.0, math.pi),), ((0.0, 2.0 * math.pi),)], ids=["mixed", "dirichlet"]
+)
+def test_a_circle_through_grid_vertices_activates_no_cell_it_only_touches(arcs, n):
+    """The disk whose circle passes through four grid vertices is the disk R (1 - 1e-12).
+
+    A triangle with one of those vertices whose corners all lie beyond the circle's tangent
+    there meets the disk in that point only, and is outside.  The active cells and the ndof
+    are those of the disk 1e-12 R smaller, and so is the energy error, within 1e-9 relative.
+    """
+    on, inner = (LevelSetDomain((0.0, 0.0), r, arcs) for r in (0.5, 0.5 * (1.0 - 1e-12)))
+    topology, inner_topology = (discretize(d, n)[0].topology for d in (on, inner))
+    assert np.array_equal(topology.active, inner_topology.active)
+    coords = topology.mesh.triangle_coords(np.arange(topology.mesh.n_triangles))
+    touching = np.zeros(len(coords), dtype=bool)
+    for v in 0.5 * np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]):
+        corner = np.all(coords == v, axis=-1).any(axis=-1)
+        touching |= corner & np.all(coords @ v >= 0.25, axis=-1)
+    assert touching.sum() == 12
+    assert not np.any(np.isin(topology.active, np.flatnonzero(touching)))
+    level, inner_level = (convergence_level(manufactured_smooth(d), n) for d in (on, inner))
+    assert level.ndof == inner_level.ndof == VERTEX_DISK_NDOF[n]
+    assert abs(level.energy - inner_level.energy) <= 1e-9 * inner_level.energy
+
+
+def test_inequality_constants_of_a_circle_through_grid_vertices_without_ghost_penalty():
+    """With sigma = 0 the disk through four grid vertices has finite constants.
+
+    Its touching cells used to be active with nothing of the disk in them, which left K + S
+    exactly singular.  Measured: 3.17, 2.78 and 7.25.
+    """
+    domain = LevelSetDomain((0.0, 0.0), 0.5, ((0.0, math.pi),))
+    rep = verify_inequalities(*discretize(domain, 8, sigma=0.0))
+    assert all(0.0 < v < 1e2 for v in (rep.full_gradient, rep.boundary_flux, rep.cut_trace))
+
+
 def test_singular_problem_needs_junction(domain_dirichlet):
     with pytest.raises(ValueError):
         manufactured_singular(domain_dirichlet)

@@ -30,6 +30,8 @@ DISKS = {
     "tangent": ((0.0, 0.05), 0.5, ((0.0, math.pi),)),
     # tangent to the grid lines x = -0.25 and x = 0.75 between two vertices
     "tangent-off-centre": ((0.25, 0.1), 0.5, ((0.0, 2.0 * math.pi),)),
+    # through the grid vertices (+-0.5, 0) and (0, +-0.5)
+    "through-vertices": ((0.0, 0.0), 0.5, ((0.0, math.pi),)),
 }
 # each map as its matrix Q, an involution, the preimage (i', j') of image vertex (i, j) on the
 # n-by-n grid, and the image of the Dirichlet arc [start, end)
