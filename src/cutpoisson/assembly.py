@@ -244,10 +244,17 @@ def cutoff_flux_neumann(dofmap, params):
     """Cutoff-weighted flux pairing over the Neumann boundary only.
 
     This is exactly the difference between the standard and regularized
-    operators, since the cutoff equals one on the Dirichlet part.
+    operators, since the cutoff equals one on the Dirichlet part.  The cutoff
+    vanishes outside a collar around the Dirichlet arcs, where a point's blocks
+    are +-0, which add nothing to a sum and which ``_compress`` would drop: hat
+    values and fluxes are evaluated, and blocks scattered, only at the points
+    where the cutoff is nonzero, which gives the matrix of the whole rule bitwise.
     """
-    weight, rule = _cutoff_weight(dofmap, params), dofmap.rules.neumann
-    blocks = _flux_blocks(*_boundary_local(dofmap, rule), rule.weights * weight(rule.points))
+    rule = dofmap.rules.neumann
+    chi = _cutoff_weight(dofmap, params)(rule.points)
+    reached = chi != 0.0
+    rule, chi = rule.select(reached), chi[reached]
+    blocks = _flux_blocks(*_boundary_local(dofmap, rule), rule.weights * chi)
     return _compress(dofmap, *_cell_scatter(dofmap, rule.owner, blocks))
 
 
@@ -322,14 +329,20 @@ def assemble_load(dofmap, params, data):
     return _vector(dofmap.ndof, [dofs[rule_n.owner], dofs[rule_d.owner], dofs], values)
 
 
+def _check_dirichlet_points(dofmap):
+    """Raise ``ValueError`` if the rules hold no Dirichlet point: Neumann data fix u only up to
+    a constant, so no standard system is solved."""
+    if not len(dofmap.rules.dirichlet.weights):
+        raise ValueError(f"level n = {dofmap.mesh.n}: the rules hold no Dirichlet point")
+
+
 def assemble_system(dofmap, params, data):
     """Standard operator, stabilizer, and load of the discrete problem in one bundle.
 
     The regularized operator is ``assemble_regularized(system.A, ...)``; it
     shares the stabilizer and the load.
     """
-    if not len(dofmap.rules.dirichlet.weights):  # pure Neumann: u is fixed up to a constant only
-        raise ValueError(f"level n = {dofmap.mesh.n}: the rules hold no Dirichlet point")
+    _check_dirichlet_points(dofmap)
     A = assemble_nitsche(dofmap, params)
     S = assemble_ghost_penalty(dofmap, params)
     b = assemble_load(dofmap, params, data)

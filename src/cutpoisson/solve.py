@@ -15,7 +15,7 @@ beta = 10 and sigma = 0.1).  Every solution is checked against
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,7 +50,9 @@ class SolveReport:
     standard solve adds its ``operator``; the factored one adds its sparse LU
     ``factors`` too, and ``solve_regularized`` adds them to a multigrid report
     the first time it needs them.  ``iterations`` counts the CG iterations, 0
-    for a direct solve.
+    for a direct solve.  ``columns`` maps each row r that ``solve_regularized``
+    has perturbed to its column ``K0^{-1} e_r``, solved once with the factors
+    and kept for the next regularized solve on this report.
     """
 
     solution: FeFunction
@@ -59,6 +61,7 @@ class SolveReport:
     operator: object = None
     factors: object = None
     iterations: int = 0
+    columns: dict = field(default_factory=dict)
 
 
 # Factorization of the symmetric positive definite system: minimum degree on
@@ -87,14 +90,14 @@ def _factor(K):
         raise SolverError(f"factorization failed: {exc}.{_SPD_ADVICE}") from exc
 
 
-def _checked(K, x, b, dofmap, method, advice="", **fields):
+def _checked(K, x, b, dofmap, method, **fields):
     """Report of the solution ``x`` of ``K x = b``, plus ``fields``, after one residual check."""
     residual = float(np.linalg.norm(K @ x - b))
     scale = float(np.linalg.norm(b))
     if not np.all(np.isfinite(x)) or residual > RESIDUAL_RTOL * max(scale, 1e-300):
         raise SolverError(
             f"linear solve failed: residual {residual:.3e} vs tolerance "
-            f"{RESIDUAL_RTOL * scale:.3e}.{advice}"
+            f"{RESIDUAL_RTOL * scale:.3e}.{_SPD_ADVICE}"
         )
     # a copy: cg returns a zero load itself, and an unperturbed update its standard solution
     return SolveReport(FeFunction(np.array(x, dtype=float), dofmap), method, residual, **fields)
@@ -191,9 +194,9 @@ def solve_standard(matrices, dofmap):
         )
     if _takes_multigrid(dofmap.mesh.n):
         x, iterations = _multigrid_cg(K, b, dofmap)
-        return _checked(K, x, b, dofmap, "mgcg", _SPD_ADVICE, operator=K, iterations=iterations)
+        return _checked(K, x, b, dofmap, "mgcg", operator=K, iterations=iterations)
     lu = _factor(sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape))
-    return _checked(K, lu.solve(b), b, dofmap, "splu", _SPD_ADVICE, operator=K, factors=lu)
+    return _checked(K, lu.solve(b), b, dofmap, "splu", operator=K, factors=lu)
 
 
 def solve_regularized(matrices, dofmap, standard):
@@ -203,13 +206,15 @@ def solve_regularized(matrices, dofmap, standard):
     the cutoff reaches.  With ``W`` those rows of ``K - K0`` and ``E`` the
     identity columns of R, the Woodbury identity gives
     ``x = x0 - Z (I + W Z)^{-1} W x0``, with ``x0 = K0^{-1} b`` the standard
-    solution and ``Z = K0^{-1} E``: k solves with the standard factors and one
-    k x k solve, so the cost grows with k.  A multigrid report holds no
-    factors: ``K0`` is factored the first time k > 0, and the factors are kept
-    on ``standard``, so a study of many epsilons factors once.  At epsilon = 0,
-    k = 0 and ``x`` is ``x0``.  ``x`` is checked against ``K``
-    by one mat-vec; a singular ``I + W Z`` or a residual above
-    ``RESIDUAL_RTOL * |b|`` raises ``SolverError``.
+    solution and ``Z = K0^{-1} E``.  Z depends on R only, not on epsilon:
+    ``standard.columns`` keeps every column solved, so an update solves with
+    the standard factors only the rows it does not hold yet, in one block, and
+    then one k x k system; a study of many epsilons solves each perturbed row
+    once.  A multigrid report holds no factors: ``K0`` is factored the first
+    time a row is missing, and the factors are kept on ``standard`` too.  At
+    epsilon = 0, k = 0 and ``x`` is ``x0``.  ``x`` is checked against ``K`` by one mat-vec;
+    a singular ``I + W Z`` or a residual above ``RESIDUAL_RTOL * |b|`` raises
+    ``SolverError``.
     """
     b = matrices.b
     K = matrices.A + matrices.S
@@ -217,12 +222,16 @@ def solve_regularized(matrices, dofmap, standard):
     rows = np.flatnonzero(np.diff(W.indptr))
     x = standard.solution.coefficients
     if len(rows):
-        W = W[rows]
-        E = np.zeros((len(b), len(rows)))
-        E[rows, np.arange(len(rows))] = 1.0
-        if standard.factors is None:
-            standard.factors = _factor(standard.operator.tocsc())
-        Z = standard.factors.solve(E)
+        W, columns = W[rows], standard.columns
+        missing = [r for r in rows if r not in columns]
+        if missing:
+            E = np.zeros((len(b), len(missing)))
+            E[missing, np.arange(len(missing))] = 1.0
+            if standard.factors is None:
+                standard.factors = _factor(standard.operator.tocsc())
+            columns.update(zip(missing, standard.factors.solve(E).T))
+        # column-major, as the factors return Z: the products with Z take the same bits
+        Z = np.array([columns[r] for r in rows]).T
         try:
             y = np.linalg.solve(np.eye(len(rows)) + W @ Z, W @ x)
         except np.linalg.LinAlgError as exc:

@@ -17,13 +17,13 @@ from cutpoisson.assembly import (
     SystemMatrices,
     _boundary_local,
     _cells_near,
+    _check_dirichlet_points,
     _dirichlet_forms,
     assemble_ghost_penalty,
     assemble_load,
     assemble_regularized,
     assemble_stiffness,
     assemble_system,
-    energy_gram,
     energy_norm,
     error_norms,
     nitsche_action,
@@ -473,21 +473,37 @@ class RegularizationReport:
     slope: float
 
 
+def _check_epsilons(domain, eps_values):
+    """Raise ``ValueError`` unless each epsilon is finite, at least 0 and at most ``COLLAR * R``."""
+    limit = geometry.COLLAR * domain.radius
+    for k, eps in enumerate(eps_values):
+        if not 0.0 <= eps <= limit:  # NaN and infinities fail too
+            raise ValueError(
+                f"epsilon {k} is {eps!r}: an epsilon must be finite, at least 0 and at most "
+                f"COLLAR * R = {limit!r}"
+            )
+
+
 def _regularization_gaps(problem, dofmap, params, eps_values):
     """Energy norms of the regularized minus the standard solution, one per epsilon.
 
-    Every regularized solve updates the one standard factorization.
+    The standard level is paid for once: the operator A and the energy Gram
+    matrix come from one ``_dirichlet_forms`` pass, which shares the stiffness
+    stencil and the Dirichlet rule's values, and every regularized solve updates
+    the one standard report, which solves each perturbed row once.  A level whose
+    rules hold no Dirichlet point is refused as ``assemble_system`` refuses it.
     """
-    system = assemble_system(dofmap, params, problem)
-    # the Gram matrix first, so that its assembly does not add to the factors' memory
-    gram = energy_gram(dofmap, system.S)
+    _check_dirichlet_points(dofmap)
+    S = assemble_ghost_penalty(dofmap, params)
+    # the Gram matrix before the solve, so that its assembly does not add to the factors' memory
+    A, gram = _dirichlet_forms(dofmap, params, S)
+    system = SystemMatrices(A, S, assemble_load(dofmap, params, problem))
     standard = solve_standard(system, dofmap)
     u_h = standard.solution.coefficients
     gaps = []
     for eps in eps_values:
-        params_eps = params.with_epsilon(eps)
-        A_eps = assemble_regularized(system.A, dofmap, params_eps)
-        reg = solve_regularized(SystemMatrices(A_eps, system.S, system.b), dofmap, standard)
+        A_eps = assemble_regularized(A, dofmap, params.with_epsilon(eps))
+        reg = solve_regularized(SystemMatrices(A_eps, S, system.b), dofmap, standard)
         gaps.append(energy_norm(reg.solution.coefficients - u_h, gram))
     return gaps
 
@@ -499,8 +515,11 @@ def regularization_study(
 
     Solves both discrete systems at fixed mesh size and reports the energy
     norm of the difference per epsilon together with the fitted log-log slope,
-    which should be one for a linearly growing operator perturbation.
+    which should be one for a linearly growing operator perturbation.  An
+    epsilon that is not finite, below 0 or above ``COLLAR * R`` raises
+    ``ValueError`` naming its position before the level is built.
     """
+    _check_epsilons(problem.domain, eps_values)
     dofmap, params = discretize(problem.domain, n, beta, sigma, box, tol)
     gaps = _regularization_gaps(problem, dofmap, params, eps_values)
     positive = [(e, g) for e, g in zip(eps_values, gaps) if e > 0.0 and g > 0.0]
@@ -522,12 +541,18 @@ class CouplingReport:
 def regularization_coupling(
     problem, levels=(16, 32), coeff=0.1, beta=10.0, sigma=0.1, box=DEFAULT_BOX, tol=DEFAULT_TOL
 ):
-    """Gap between regularized and standard solutions under epsilon = coeff * h**2."""
+    """Gap between regularized and standard solutions under epsilon = coeff * h**2.
+
+    Every level and its epsilon are checked, as ``check_levels`` and
+    ``regularization_study`` check them, before the first level is built.
+    """
     check_levels(problem.domain, box, levels, [(0.0, 0.0)])
+    eps_values = [coeff * cell_diagonal(box, n) ** 2 for n in levels]  # h is the mesh's, bitwise
+    _check_epsilons(problem.domain, eps_values)
     gaps = []
-    for n in levels:
+    for n, eps in zip(levels, eps_values):
         dofmap, params = discretize(problem.domain, n, beta, sigma, box, tol)
-        gaps += _regularization_gaps(problem, dofmap, params, [coeff * dofmap.mesh.h**2])
+        gaps += _regularization_gaps(problem, dofmap, params, [eps])
     ratios = [gaps[i + 1] / gaps[i] for i in range(len(gaps) - 1) if gaps[i] > 0.0]
     return CouplingReport(list(levels), gaps, ratios)
 

@@ -15,6 +15,7 @@ from cutpoisson.assembly import (
     _cell_scatter,
     _compress,
     _cutoff_weight,
+    _flux_blocks,
     _vector,
     assemble_boundary_mass,
     assemble_ghost_penalty,
@@ -29,7 +30,7 @@ from cutpoisson.assembly import (
     error_norms,
     nitsche_action,
 )
-from cutpoisson.geometry import TubeParams, cutoff
+from cutpoisson.geometry import COLLAR, TubeParams, cutoff
 from cutpoisson.mesh import _point_triangle_distance, build_background, classify
 from cutpoisson.quadrature import PackedRule, _barycentric, build_rules, refine_rule_toward
 from cutpoisson.solve import RESIDUAL_RTOL, solve_standard
@@ -504,6 +505,33 @@ def test_energy_gram_is_bitwise_the_sum_of_its_parts(domain_dirichlet, domain_mi
         h = dofmap.mesh.h
         oracle = assemble_stiffness(dofmap) + assemble_boundary_mass(dofmap) * (1.0 / h) + S
         assert _csr_bits(energy_gram(dofmap, S)) == _csr_bits(oracle)
+
+
+def _whole_rule_pairing(dofmap, params):
+    """Oracle: the cutoff-weighted flux pairing with blocks at every Neumann point."""
+    rule = dofmap.rules.neumann
+    weights = rule.weights * _cutoff_weight(dofmap, params)(rule.points)
+    blocks = _flux_blocks(*_boundary_local(dofmap, rule), weights)
+    return _compress(dofmap, *_cell_scatter(dofmap, rule.owner, blocks))
+
+
+@pytest.mark.parametrize("n, shift", [(16, None), (16, 7), (64, None)])
+def test_cutoff_pairing_on_the_points_it_reaches_is_bitwise_the_whole_rules(domain_mixed, n, shift):
+    """The blocks of the points the cutoff misses are +-0: leaving them out changes no bit.
+
+    At 1e-12 the cutoff reaches no Neumann point, whose nearest to a junction lies 6e-9 to
+    3e-8 along the circle from it on these levels, and the pairing is empty.
+    """
+    offset = (0.0, 0.0) if shift is None else sweep_shifts((-1, -1, 1, 1), n, 20)[shift]
+    dofmap, params = discretize(domain_mixed, n, shift=offset)
+    rule = dofmap.rules.neumann
+    for eps in (0.1 * dofmap.mesh.h**2, COLLAR * domain_mixed.radius, 1e-12):
+        params_eps = params.with_epsilon(eps)
+        reached = np.count_nonzero(_cutoff_weight(dofmap, params_eps)(rule.points))
+        assert reached < len(rule.weights)
+        got = cutoff_flux_neumann(dofmap, params_eps)
+        assert _csr_bits(got) == _csr_bits(_whole_rule_pairing(dofmap, params_eps))
+        assert (got.nnz == 0) == (reached == 0) == (eps == 1e-12)
 
 
 def _pattern(M):

@@ -12,7 +12,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cutpoisson"
-MAX_DEFAULTED = 52
+MAX_DEFAULTED = 51
 MAX_PARAMETERS = 293
 
 

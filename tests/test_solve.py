@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cutpoisson import LevelSetDomain
-from cutpoisson import solve
+from cutpoisson import solve, study
 from cutpoisson.assembly import (
     SystemMatrices,
     assemble_regularized,
@@ -180,6 +180,61 @@ def test_regularization_study_factors_once(domain_mixed, monkeypatch):
         eps_values = [0.0, 0.1 * h**2, 0.2 * h**2, 0.4 * h**2]
         regularization_study(manufactured_smooth(domain_mixed), n, eps_values)
         assert sizes.count(ndof) == 1 and len(sizes) == 1 + multigrid
+
+
+class _CountingFactors:
+    """Factors that record the number of columns of every block of right-hand sides they solve."""
+
+    def __init__(self, lu, columns):
+        self.lu, self.columns = lu, columns
+
+    def solve(self, rhs):
+        if rhs.ndim == 2:
+            self.columns.append(rhs.shape[1])
+        return self.lu.solve(rhs)
+
+
+@pytest.mark.parametrize("multigrid", [False, True], ids=["splu", "mgcg"])
+@pytest.mark.parametrize("rule", ["c_h2", "fixed"])
+def test_a_study_solves_each_perturbed_row_once(domain_mixed, monkeypatch, multigrid, rule):
+    """Across epsilon = 0, e, 2e, 4e the standard factors solve one column per row in the union
+    of the perturbed rows: at e = 0.1 h^2 every epsilon perturbs the same rows, at a fixed e
+    near the limit the rows grow with epsilon."""
+    n = 16
+    h = 2.0 * math.sqrt(2.0) / n
+    base = 0.1 * h**2 if rule == "c_h2" else COLLAR * domain_mixed.radius / 4.0
+    columns, perturbed = [], []
+    factor = solve._factor
+    monkeypatch.setattr(solve, "_factor", lambda K: _CountingFactors(factor(K), columns))
+    if multigrid:
+        _multigrid_above_8(monkeypatch)
+
+    def recording(matrices, dofmap, standard):
+        W = matrices.A + matrices.S - standard.operator
+        perturbed.append(frozenset(np.flatnonzero(np.diff(W.indptr)).tolist()))
+        return solve_regularized(matrices, dofmap, standard)
+
+    monkeypatch.setattr(study, "solve_regularized", recording)
+    regularization_study(manufactured_smooth(domain_mixed), n, [0.0, base, 2.0 * base, 4.0 * base])
+    assert len(perturbed) == 4 and not perturbed[0] and perturbed[1] <= perturbed[2] <= perturbed[3]
+    assert (perturbed[1] == perturbed[3]) == (rule == "c_h2")
+    assert sum(columns) == len(frozenset().union(*perturbed)) > 0
+
+
+def test_an_epsilon_that_reaches_no_neumann_point_returns_the_standard_solution(
+    domain_mixed, monkeypatch
+):
+    """A multigrid report is not factored for an update that perturbs no row."""
+    _multigrid_above_8(monkeypatch)
+    dofmap, params = discretize(domain_mixed, 16)
+    system = assemble_system(dofmap, params, manufactured_smooth(domain_mixed))
+    standard = solve_standard(system, dofmap)
+    A_eps = assemble_regularized(system.A, dofmap, params.with_epsilon(1e-12))
+    monkeypatch.setattr(solve, "_factor", None)  # a factorization would raise
+    reg = solve_regularized(SystemMatrices(A_eps, system.S, system.b), dofmap, standard)
+    assert standard.method == "mgcg" and standard.factors is None and standard.columns == {}
+    assert reg.method == "lowrank"
+    assert np.array_equal(reg.solution.coefficients, standard.solution.coefficients)
 
 
 def test_regularized_gap_bounded_and_stable(domain_mixed):

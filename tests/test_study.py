@@ -7,10 +7,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cutpoisson import LevelSetDomain, study
+from cutpoisson import LevelSetDomain, geometry, study
+from cutpoisson.assembly import (
+    SystemMatrices,
+    assemble_regularized,
+    assemble_system,
+    energy_gram,
+    energy_norm,
+)
 from cutpoisson.geometry import boundary_angle, is_dirichlet_angle
 from cutpoisson.mesh import build_background, cell_diagonal, classify
 from cutpoisson.quadrature import build_rules
+from cutpoisson.solve import solve_regularized, solve_standard
 from cutpoisson.space import build_dofmap
 from cutpoisson.study import (
     DEFAULT_BOX,
@@ -609,6 +617,72 @@ def test_regularization_coupling_matches_the_study_per_level(domain_mixed):
     for n, gap in zip(levels, report.gaps):
         h = discretize(domain_mixed, n)[0].mesh.h
         assert gap == regularization_study(problem, n, [0.1 * h**2]).gaps[0]
+
+
+def _composed_gaps(problem, n, eps_values, box):
+    """The study composed of its public steps: A, S and b, then the Gram matrix on its own, and
+    a fresh standard report for each epsilon, which solves every perturbed row again."""
+    dofmap, params = discretize(problem.domain, n, box=box)
+    system = assemble_system(dofmap, params, problem)
+    gram = energy_gram(dofmap, system.S)
+    u_h = solve_standard(system, dofmap).solution.coefficients
+    gaps = []
+    for eps in eps_values:
+        A_eps = assemble_regularized(system.A, dofmap, params.with_epsilon(eps))
+        matrices = SystemMatrices(A_eps, system.S, system.b)
+        reg = solve_regularized(matrices, dofmap, solve_standard(system, dofmap))
+        gaps.append(energy_norm(reg.solution.coefficients - u_h, gram))
+    return gaps
+
+
+@pytest.mark.parametrize("rule", ["c_h2", "fixed"])
+@pytest.mark.parametrize("shift", [None, 7])
+@pytest.mark.parametrize("n", [16, 64])
+def test_regularization_study_is_its_composition_from_public_steps(domain_mixed, n, shift, rule):
+    """Bitwise at epsilon = 0.1 h^2 times 0, 1, 2, 4, which perturb the same rows.  At the fixed
+    epsilon COLLAR R / 4 times the same factors the rows grow with epsilon and the study solves
+    only the new ones, so there the gaps agree to the low-rank update's 1e-10."""
+    problem = manufactured_smooth(domain_mixed)
+    box = DEFAULT_BOX
+    if shift is not None:
+        sx, sy = sweep_shifts(DEFAULT_BOX, n, 20)[shift]
+        box = (box[0] + sx, box[1] + sy, box[2] + sx, box[3] + sy)
+    h = cell_diagonal(box, n)
+    base = 0.1 * h**2 if rule == "c_h2" else geometry.COLLAR * domain_mixed.radius / 4.0
+    eps_values = [0.0, base, 2.0 * base, 4.0 * base]
+    gaps = regularization_study(problem, n, eps_values, box=box).gaps
+    want = _composed_gaps(problem, n, eps_values, box)
+    assert gaps[0] == want[0] == 0.0 and min(want[1:]) > 0.0
+    if rule == "c_h2":
+        assert [g.hex() for g in gaps] == [g.hex() for g in want]
+    else:
+        assert np.abs(np.subtract(gaps, want)).max() <= 1e-10 * max(want)
+
+
+@pytest.mark.parametrize(
+    "eps_values, k",
+    [([0.0, -1e-3], 1), ([math.nan], 0), ([0.0, 0.1, 0.6], 2), ([0.0, math.inf], 1)],
+)
+def test_a_bad_epsilon_is_rejected_before_any_work(domain_mixed, monkeypatch, eps_values, k):
+    """Each epsilon must be finite, at least 0 and at most COLLAR R = 0.75 * 0.7, which rounds
+    to 0.5249999999999999; the error names the first that is not, by position and value."""
+    calls = []
+    for name in ("discretize", "build_background", "solve_standard", "solve_regularized"):
+        fn = getattr(study, name)
+        monkeypatch.setattr(study, name, lambda *a, _f=fn, _n=name: calls.append(_n) or _f(*a))
+    problem = manufactured_smooth(domain_mixed)
+    limit = re.escape("COLLAR * R = 0.5249999999999999")
+    bad = re.escape(repr(eps_values[k]))
+    with pytest.raises(ValueError, match=rf"epsilon {k} is {bad}: .*{limit}"):
+        regularization_study(problem, 16, eps_values)
+    # the coupling's epsilons coeff h^2 on levels 16 and 8; 10 h^2 is 0.3125, then 1.25
+    for coeff, level in ((-0.1, 0), (math.nan, 0), (10.0, 1)):
+        bad = re.escape(repr(coeff * cell_diagonal(DEFAULT_BOX, (16, 8)[level]) ** 2))
+        with pytest.raises(ValueError, match=rf"epsilon {level} is {bad}: .*{limit}"):
+            regularization_coupling(problem, (16, 8), coeff)
+    assert calls == []
+    regularization_study(problem, 8, [0.0, geometry.COLLAR * domain_mixed.radius])
+    assert calls == ["discretize", "build_background", "solve_standard"] + ["solve_regularized"] * 2
 
 
 def test_interpolation_energy_slope_singular(domain_mixed):
