@@ -4,13 +4,13 @@ A standard system is solved by one sparse LU factorization up to
 ``MULTIGRID_MIN_N`` cells per side.  A finer level, whose grid halves down to at
 most ``_COARSEST_N`` cells per side, is solved by scipy's conjugate gradients
 (``scipy.sparse.linalg.cg``) preconditioned with one V(1,1) multigrid cycle on
-the nested background grids, and only the coarsest grid's Galerkin operator is
-factored.  The ghost penalty keeps the conditioning independent of the cut
-position, so the cycle's damped Jacobi smoother gives an iteration count that
-depends on neither h nor the cut (17-25 at n = 256 over 8 grid shifts of the
-singular mixed and the smooth Dirichlet disk, 20-28 at n = 512 over 3, with
-beta = 10 and sigma = 0.1).  Every solution is checked against
-``RESIDUAL_RTOL`` by one mat-vec.
+the nested background grids and started from a full-multigrid guess; only the
+coarsest grid's Galerkin operator is factored.  The ghost penalty keeps the
+conditioning independent of the cut position, so the cycle's damped Jacobi
+smoother gives an iteration count that depends on neither h nor the cut
+(12-16 at n = 256 over 5 grid shifts of the singular mixed and the smooth
+Dirichlet disk, 16-19 at n = 512 over 2, with beta = 10 and sigma = 0.1).
+Every solution is checked against ``RESIDUAL_RTOL`` by one mat-vec.
 """
 
 from __future__ import annotations
@@ -24,15 +24,26 @@ import scipy.sparse.linalg as spla
 from cutpoisson.space import FeFunction
 
 RESIDUAL_RTOL = 1e-10  # largest residual of a solve relative to its load
-# A grid with more cells per side than this is solved by multigrid CG.  At n = 128
-# and below the factorization costs no more (singular mixed level, one thread of a
-# 2-vCPU x86 host: 17.4 ms against 18.4 ms at n = 128, 3.1 against 3.6 at n = 64),
-# and its factors are what ``solve_regularized`` reuses.
+# A grid with more cells per side than this is solved by multigrid CG.  n = 128
+# stays factored because a regularization study reuses the factors for every
+# epsilon (``solve_regularized``): one multigrid solve there is faster than LU
+# (7.1 ms against 10.8 ms on the singular mixed level, one thread of a 2-vCPU x86
+# host), but the study would then factor on top of it.
 MULTIGRID_MIN_N = 128
-_COARSEST_N = 64  # the V-cycle factors the first grid of at most this many cells per side
+# The grids halve while they are even and finer than ``_COARSEN_ABOVE`` cells per
+# side, and the grid reached is factored; a level takes multigrid only if that grid
+# has at most ``_COARSEST_N`` cells per side.  At n = 256 the 32-cell grid (481 dofs)
+# factors in 1.1 ms and solves in 0.045 ms, the 64-cell one (1,737) in 3.5 and 0.10
+# (one thread of a 2-vCPU x86 host).
+_COARSEN_ABOVE = 32
+_COARSEST_N = 64
 _JACOBI_WEIGHT = 0.7
-_CG_RTOL = 0.1 * RESIDUAL_RTOL  # CG stops inside the residual check's tolerance
-_CG_MAXIT = 300  # sigma = 0.01 takes up to 101 iterations at n = 256
+# CG stops inside the residual check's tolerance.  The residual weighs smooth error
+# least, and from the full-multigrid start more of the error left at the stop is
+# smooth than from x = 0, so the stop is a twentieth of the check: that keeps the
+# n = 256 solution as close to the factored one as a tenth did from x = 0.
+_CG_RTOL = 0.05 * RESIDUAL_RTOL
+_CG_MAXIT = 300  # sigma = 0.01 takes up to 115 iterations at n = 256 (4 grid shifts)
 CONDITION_RTOL = 0.01  # relative change of a Rayleigh quotient that stops a power iteration
 CONDITION_MAXIT = 500  # power iterations without that stop raise ``SolverError``
 
@@ -104,10 +115,11 @@ def _checked(K, x, b, dofmap, method, **fields):
 
 
 def _takes_multigrid(n):
-    """Whether grid n is finer than ``MULTIGRID_MIN_N`` and halves to at most ``_COARSEST_N``."""
+    """Whether grid n is finer than ``MULTIGRID_MIN_N`` and its coarsest grid (see
+    ``_COARSEN_ABOVE``) has at most ``_COARSEST_N`` cells per side."""
     if n <= MULTIGRID_MIN_N:
         return False
-    while n > _COARSEST_N and n % 2 == 0:
+    while n > _COARSEN_ABOVE and n % 2 == 0:
         n //= 2
     return n <= _COARSEST_N
 
@@ -123,17 +135,22 @@ def _multigrid_cg(K, b, dofmap):
     vertex of a coarse triangle that holds an active fine triangle, on whose
     vertices P reproduces the coarse function, so P has full rank and every
     Galerkin operator ``P^T K P`` is symmetric positive definite.  The grids
-    halve down to at most ``_COARSEST_N`` cells per side, whose operator is
-    factored.  The preconditioner is one V(1,1) cycle with damped Jacobi
-    smoothing, the same before and after the coarse correction, so it is
-    symmetric.  scipy's ``cg`` runs the iteration, from x = 0, and stops at a
-    residual below ``_CG_RTOL * |b|``; a zero load returns zeros at once.  cg
+    halve while even and above ``_COARSEN_ABOVE`` cells per side, and the
+    operator of the last is factored.  The preconditioner is one V(1,1) cycle
+    with damped Jacobi smoothing, the same before and after the coarse
+    correction, so it is symmetric.  CG starts from full multigrid (nested
+    iteration): b is restricted to every grid and solved on the coarsest, and
+    on each finer grid the prolonged solution is corrected by one V-cycle that
+    starts on that grid, about 1.3 V-cycles in all.  scipy's ``cg`` runs the
+    iteration from that ``x0`` and stops at a residual below
+    ``_CG_RTOL * |b|``; the count returned is of CG iterations only, not of
+    the start's cycles.  A zero load returns zeros at once.  cg
     tests the residual only before an iteration, so ``_CG_MAXIT`` iterations
     raise ``SolverError`` even when the last of them met the stop.
     """
     n, vertices, A = dofmap.mesh.n, dofmap.dof_to_vertex, K
     levels = []  # (operator, damped inverse diagonal, prolongation, restriction) per fine grid
-    while n > _COARSEST_N:
+    while n > _COARSEN_ABOVE and n % 2 == 0:
         i, j = np.divmod(vertices, n + 1)
         m = n // 2 + 1
         ends = np.stack([i // 2 * m + j // 2, (i // 2 + i % 2) * m + j // 2 + j % 2], axis=1)
@@ -149,21 +166,31 @@ def _multigrid_cg(K, b, dofmap):
         n //= 2
     coarsest = _factor(A.tocsc())
 
-    def vcycle(r):
+    def vcycle(r, grids):
+        """One V(1,1) cycle on ``grids``, the levels from the grid of ``r`` down."""
         smoothed = []
-        for op, dinv, _, restrict in levels:
+        for op, dinv, _, restrict in grids:
             x = dinv * r
             smoothed.append((r, x))
             r = restrict @ (r - op @ x)
         x = coarsest.solve(r)
-        for (op, dinv, prolong, _), (r, x_smooth) in zip(levels[::-1], smoothed[::-1]):
+        for (op, dinv, prolong, _), (r, x_smooth) in zip(grids[::-1], smoothed[::-1]):
             x = x_smooth + prolong @ x
             x += dinv * (r - op @ x)
         return x
 
+    loads = [b]  # full multigrid start: b on every grid, solved on the coarsest, and on
+    for *_, restrict in levels:  # each finer grid prolonged and corrected by one V-cycle
+        loads.append(restrict @ loads[-1])
+    x = coarsest.solve(loads[-1])
+    for k in reversed(range(len(levels))):
+        op, _, prolong, _ = levels[k]
+        x = prolong @ x
+        x += vcycle(loads[k] - op @ x, levels[k:])
+
     iterates = []  # cg calls back once per iteration
-    M = spla.LinearOperator(K.shape, vcycle, dtype=float)
-    x, info = spla.cg(K, b, rtol=_CG_RTOL, maxiter=_CG_MAXIT, M=M, callback=iterates.append)
+    M = spla.LinearOperator(K.shape, lambda r: vcycle(r, levels), dtype=float)
+    x, info = spla.cg(K, b, x0=x, rtol=_CG_RTOL, maxiter=_CG_MAXIT, M=M, callback=iterates.append)
     if info:
         raise SolverError(
             f"multigrid CG did not converge in {_CG_MAXIT} iterations at n = {dofmap.mesh.n}."

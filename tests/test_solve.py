@@ -162,6 +162,7 @@ def test_singular_perturbation_raises():
 def _multigrid_above_8(monkeypatch):
     """Levels finer than n = 8 take the multigrid path, down to an 8-cell coarsest grid."""
     monkeypatch.setattr(solve, "MULTIGRID_MIN_N", 8)
+    monkeypatch.setattr(solve, "_COARSEN_ABOVE", 8)
     monkeypatch.setattr(solve, "_COARSEST_N", 8)
 
 
@@ -332,20 +333,29 @@ def _level(domain, n, shift=(0.0, 0.0), problem=manufactured_singular):
 
 
 def test_multigrid_takes_only_grids_above_128_that_halve_to_64():
-    assert [n for n in (64, 128, 129, 130, 192, 200, 256, 260, 512) if solve._takes_multigrid(n)] == [
-        192, 200, 256, 512
-    ]
+    """264 halves to 132, 66 and an odd 33, which is factored."""
+    ns = (64, 128, 129, 130, 192, 200, 256, 260, 264, 512)
+    assert [n for n in ns if solve._takes_multigrid(n)] == [192, 200, 256, 264, 512]
 
 
-@pytest.mark.parametrize("n", [32, 64])
-def test_multigrid_matches_the_factored_solve(domain_mixed, monkeypatch, n):
+@pytest.mark.parametrize(
+    "n, coarsen_above, coarsest", [(32, 8, 8), (64, 8, 8), (28, 4, 7)], ids=["32", "64", "28"]
+)
+def test_multigrid_matches_the_factored_solve(domain_mixed, monkeypatch, n, coarsen_above, coarsest):
+    """Halving while above ``coarsen_above`` cells stops at ``coarsest``, whose operator alone is
+    factored: 28 halves to 14 and an odd 7, within the patched bound of 8."""
     dofmap, system = _level(domain_mixed, n)
     factored = solve_standard(system, dofmap)
     _multigrid_above_8(monkeypatch)
+    monkeypatch.setattr(solve, "_COARSEN_ABOVE", coarsen_above)
+    sizes = []
+    factor = solve._factor
+    monkeypatch.setattr(solve, "_factor", lambda K: sizes.append(K.shape[0]) or factor(K))
     report = solve_standard(system, dofmap)
     x, oracle = report.solution.coefficients, factored.solution.coefficients
     assert (factored.method, factored.iterations) == ("splu", 0)
     assert report.method == "mgcg" and 0 < report.iterations <= 40 and report.factors is None
+    assert len(sizes) == 1 and sizes[0] <= (coarsest + 1) ** 2  # at most the coarsest grid's vertices
     assert report.residual <= 0.1 * solve.RESIDUAL_RTOL * np.linalg.norm(system.b)
     assert np.abs(x - oracle).max() <= 1e-9 * np.abs(oracle).max()
 
@@ -383,6 +393,20 @@ def test_multigrid_iterations_do_not_depend_on_the_cut(domain_mixed, domain_diri
         assert report.method == "mgcg" and report.iterations <= 40
 
 
+@pytest.mark.parametrize("problem", [manufactured_singular, manufactured_smooth])
+def test_full_multigrid_start_takes_at_most_16_iterations_at_n256(
+    domain_mixed, domain_dirichlet, problem
+):
+    """From the full-multigrid start CG takes 12-16 iterations, unshifted and at seeded shifts
+    (18-21 from x = 0)."""
+    domain = domain_mixed if problem is manufactured_singular else domain_dirichlet
+    shifts = np.random.default_rng(20261020).random((2, 2)) * 2.0 / 256
+    for shift in [(0.0, 0.0), *map(tuple, shifts)]:
+        dofmap, system = _level(domain, 256, shift=shift, problem=problem)
+        report = solve_standard(system, dofmap)
+        assert report.method == "mgcg" and report.iterations <= 16
+
+
 def test_multigrid_zero_load_gives_exact_zeros(domain_mixed, monkeypatch):
     _multigrid_above_8(monkeypatch)
     dofmap, system = _level(domain_mixed, 32)
@@ -413,9 +437,10 @@ def test_multigrid_meeting_the_stop_on_the_last_iteration_raises(domain_mixed, m
         solve_standard(system, dofmap)
 
 
-def _reference_cg(K, b, rtol, maxiter, M, callback):
-    """Preconditioned CG from x = 0, written out with ``spla.cg``'s signature, as the reference."""
-    x, r = np.zeros(len(b)), np.array(b, dtype=float)
+def _reference_cg(K, b, x0, rtol, maxiter, M, callback):
+    """Preconditioned CG from ``x0``, written out with ``spla.cg``'s signature, as the reference."""
+    x = np.array(x0, dtype=float)
+    r = b - K @ x
     stop = rtol * np.linalg.norm(b)
     p = z = M.matvec(r)
     rz = r @ z
