@@ -37,8 +37,6 @@ from cutpoisson.space import (
     FeFunction,
     build_dofmap,
     clement_interpolate,
-    evaluate,
-    gradient,
 )
 from cutpoisson.assembly import (
     NitscheParams,

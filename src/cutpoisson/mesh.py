@@ -143,12 +143,6 @@ class CutTopology:
     def cut(self):
         return np.flatnonzero(self.classification == CUT)
 
-    def is_active(self, t):
-        n_triangles = self.mesh.n_triangles
-        if not 0 <= t < n_triangles:
-            raise ValueError(f"triangle {t} is not on the grid of {n_triangles} triangles")
-        return self.classification[t] != OUTSIDE
-
 
 def _point_triangle_distance(p, coords):
     """Euclidean distance from point ``p`` to a closed triangle ``coords`` (3, 2).

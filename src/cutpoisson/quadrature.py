@@ -1,8 +1,8 @@
 """Quadrature over cut volumes and cut boundary arcs, packed for batched assembly.
 
 Every rule is built for a whole stack of triangles (m, 3, 2) at once and comes
-back as flat arrays with an owner index per point; ``cut_volume_rule`` and
-``cut_boundary_rule`` are the one-cell calls of the same code.
+back as flat arrays with an owner index per point: ``cut_volume_rule`` and
+``cut_boundary_rule`` take one triangle or a stack of them alike.
 
 Volume rules are exact in their geometry and subdivide nothing.  A triangle
 inside the disk takes the degree-4 rule.  For any other triangle T the set
@@ -35,8 +35,8 @@ and the offsets of its points from its centroid are those of the reference
 triangle.  ``RuleSet.cell_sums`` integrates a consumer's integrand over every
 active cell, the cut cells' packed points and blocks of the inside cells'
 translates alike.  ``refine_rule_toward`` grades a whole stack of cells toward
-their singular points and sends all their leaves through one
-``cut_volume_rules`` call, with owner the cell's position in the stack.
+their singular points and sends all their leaves through one volume rule
+call, with owner the cell's position in the stack.
 """
 
 from __future__ import annotations
@@ -90,14 +90,16 @@ _D4_W = np.repeat([_D4_W1, _D4_W2], 3)
 _MAX_PIECE = 0.25
 
 # Relative mass error of the segment rule on a 0.25 rad piece, by its Gauss order
-# in the angle (the three radial points integrate the Jacobian r exactly):
+# in the angle (the radial points integrate the Jacobian r exactly):
 #   order   2        3        4        5        6
 #   error   1.4e-3   3.2e-6   6.6e-9   1.3e-11  3.8e-14
 # A segment lies in its cell, so the lowest order whose error is at most tol
 # keeps the cell's mass within tol times its area: tolerances 1e-2, 1e-4 and
 # 1e-6 take orders 2, 3 and 4, and 1e-8, 1e-10 and 1e-12 take 4, 5 and 6.
 _SEGMENT_ERRORS = {2: 1.4e-3, 3: 3.2e-6, 4: 6.6e-9, 5: 1.3e-11, 6: 3.8e-14}
-_SEGMENT_RADIAL = 3  # radial Gauss points of a segment rule
+# Radial Gauss points of a segment rule: they integrate r dr times a quadratic in r,
+# the mass and the first and second moments of every form, exactly.
+_SEGMENT_RADIAL = 2
 
 # Boundary rules: Gauss points per panel, the widest arc piece, and the number
 # of dyadic grading levels toward a junction.
@@ -123,11 +125,8 @@ def _full_triangle_points(coords):
 
 
 def _barycentric(coords, pts):
-    """Barycentric coordinates (nq, 3) of ``pts`` in the triangle ``coords``, by Cramer's rule.
-
-    ``coords`` is one triangle (3, 2) or a stack (nq, 3, 2), one per point.
-    """
-    pts = np.atleast_2d(pts)
+    """Barycentric coordinates (nq, 3) of the points ``pts`` (nq, 2) in their triangles
+    ``coords`` (nq, 3, 2), by Cramer's rule."""
     c0 = coords[..., 0, :]
     e1, e2, d = coords[..., 1, :] - c0, coords[..., 2, :] - c0, pts - c0
     lam = np.column_stack([cross2(d, e2), cross2(e1, d)]) / cross2(e1, e2)[..., None]
@@ -258,8 +257,9 @@ def _chord_polygons(tris, domain):
     return points + origin[cell, None], weights, cell, owner[arc], lo, hi, arcs
 
 
-def cut_volume_rules(triangles, domain, tol=DEFAULT_TOL):
-    """Quadrature over the intersection of each triangle of a stack (m, 3, 2) with the domain.
+def cut_volume_rule(triangles, domain, tol=DEFAULT_TOL):
+    """Quadrature over the intersection of a triangle (3, 2), or of each triangle of a stack
+    (m, 3, 2), with the domain.
 
     Returns a ``PackedRule`` sorted by owner, the triangle's position in the
     stack.  A triangle inside the disk gets the degree-4 rule.  Any other
@@ -272,12 +272,10 @@ def cut_volume_rules(triangles, domain, tol=DEFAULT_TOL):
 
 
 def _cut_volume_rules(triangles, domain, tol):
-    """``cut_volume_rules``, and the ``_arcs`` of its cut triangles, owned by stack position."""
+    """``cut_volume_rule``, and the ``_arcs`` of its cut triangles, owned by stack position."""
     if not tol >= MIN_TOL:
         raise ValueError(f"quadrature tolerance {tol:g} is below the floor {MIN_TOL:g}")
     tris = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
-    e = tris[:, 1:] - tris[:, :1]
-    tris = np.where((cross2(e[:, 0], e[:, 1]) < 0.0)[:, None, None], tris[:, ::-1], tris)
     if np.any(_tri_area(tris) == 0.0):
         raise ValueError("degenerate triangle")
 
@@ -298,20 +296,12 @@ def _cut_volume_rules(triangles, domain, tol):
     return PackedRule(points[order], weights[order], owners[order]), (cut[arcs[0]], *arcs[1:])
 
 
-def cut_volume_rule(triangle, domain, tol=DEFAULT_TOL):
-    """Quadrature over the intersection of one triangle with the domain (see ``cut_volume_rules``)."""
-    return cut_volume_rules(np.asarray(triangle)[None], domain, tol)
-
-
 def _arcs(tris, domain):
     """The t of ``_edge_roots``, and the circle's arcs in each triangle as (owner, start, width)."""
     m = len(tris)
     t, angles = _edge_roots(tris, domain.center_array, domain.radius)
     angles = np.sort(angles.reshape(m, 6), axis=1)
-    distinct = ~np.isnan(angles)
-    distinct[:, 1:] &= np.diff(angles, axis=1) >= 1e-13
-    angles = np.sort(np.where(distinct, angles, np.nan), axis=1)
-    count = distinct.sum(axis=1)
+    count = (~np.isnan(angles)).sum(axis=1)
     # a triangle the circle never crosses holds all of it, probed at angle 0, or none of it
     whole = count == 0
     angles[whole, 0] = 0.0
@@ -325,6 +315,7 @@ def _arcs(tris, domain):
     start = angles[real]
     width = ends[real] - start
     _, probe = _on_circle(domain, np.where(whole[owner], 0.0, start + 0.5 * width))
+    # a vertex on the circle is a crossing of both its edges, with no arc between the two
     keep = (width >= 1e-13) & np.all(_barycentric(tris[owner], probe) >= -1e-12, axis=1)
     return t, (owner[keep], start[keep], width[keep])
 
@@ -364,6 +355,7 @@ def _split_pieces(arcs, cuts):
     ``_BOUNDARY_PIECE``; returns the pieces as (owner, start angle, end angle)."""
     owner, start, width = arcs
     off = _wrap(cuts[None, :] - start[:, None])
+    # a junction within rounding of an arc's end splits off no sliver
     inner = (off > 1e-13) & (off < width[:, None] - 1e-13)
     ends = np.column_stack([np.where(inner, start[:, None] + off, np.inf), start + width])
     ends.sort(axis=1)
@@ -378,7 +370,7 @@ def _graded_panels(pieces, angles):
     owner, lo, hi = pieces
     graded = _wrap(angles)
 
-    def near(x):
+    def near(x):  # a piece end put at a junction by the split may be an ulp off its angle
         gap = _wrap(x[:, None] - graded)
         return np.any(np.minimum(gap, _wrap(graded - x[:, None])) < 1e-12, axis=1)
 
@@ -404,8 +396,9 @@ def _graded_panels(pieces, angles):
     return owner[row[:-1][panel]], b[:-1][panel], b[1:][panel]
 
 
-def cut_boundary_rules(triangles, domain):
-    """Quadrature over the boundary arcs inside each triangle of a stack (m, 3, 2).
+def cut_boundary_rule(triangles, domain):
+    """Quadrature over the boundary arcs inside a triangle (3, 2), or inside each triangle of a
+    stack (m, 3, 2).
 
     Arcs are parameterized exactly by angle and split at the boundary-condition
     junctions, so that each piece carries a single condition; pieces abutting
@@ -419,7 +412,7 @@ def cut_boundary_rules(triangles, domain):
 
 
 def _boundary_rule(domain, arcs):
-    """The rules of ``cut_boundary_rules`` on the arcs (owner, start angle, angular width)."""
+    """The rules of ``cut_boundary_rule`` on the arcs (owner, start angle, angular width)."""
     pieces = _split_pieces(arcs, domain.junction_angles)
     owner, b0, b1 = _graded_panels(pieces, domain.junction_angles)
 
@@ -436,17 +429,12 @@ def _boundary_rule(domain, arcs):
     return tuple(rules)
 
 
-def cut_boundary_rule(triangle, domain):
-    """(Dirichlet, Neumann) rules on the boundary arcs inside one triangle (see ``cut_boundary_rules``)."""
-    return cut_boundary_rules(np.asarray(triangle)[None], domain)
-
-
 def refine_rule_toward(triangles, domain, points, tol=DEFAULT_TOL, levels=REFINE_LEVELS):
     """Volume rules of a stack of triangles (m, 3, 2), each subdivided toward its own point.
 
     Triangle k is split ``levels`` times toward ``points[k]`` (shape (m, 2)),
     where the solution has reduced regularity, and all leaves of all triangles
-    go through one ``cut_volume_rules`` call.  Returns one ``PackedRule``
+    go through one volume rule call.  Returns one ``PackedRule``
     whose owner is the triangle's position in the stack; each triangle's leaves
     keep the order of their subdivision level, coarsest first.
     """
@@ -461,7 +449,7 @@ def refine_rule_toward(triangles, domain, points, tol=DEFAULT_TOL, levels=REFINE
         tris, cell = _subdivide(tris[near]), cell[near].repeat(4)
     cell = np.concatenate(cells + [cell])
     order = np.argsort(cell, kind="stable")
-    rule = cut_volume_rules(np.concatenate(leaves + [tris])[order], domain, tol)
+    rule = _cut_volume_rules(np.concatenate(leaves + [tris])[order], domain, tol)[0]
     return dataclasses.replace(rule, owner=cell[order][rule.owner])
 
 

@@ -1,9 +1,9 @@
 """Continuous piecewise-affine finite element space on the active mesh.
 
-Degrees of freedom sit at the vertices of active triangles.  Functions are
-evaluated barycentrically, gradients are constant per triangle, and the
-quasi-interpolant projects onto affine functions over vertex patches, which
-reproduces affine functions while needing only point values of the data.
+Degrees of freedom sit at the vertices of active triangles, gradients are
+constant per triangle, and the quasi-interpolant projects onto affine
+functions over vertex patches, which reproduces affine functions while
+needing only point values of the data.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from cutpoisson.geometry import cross2
 from cutpoisson.mesh import CORNERS
-from cutpoisson.quadrature import _barycentric, _full_triangle_points
+from cutpoisson.quadrature import _full_triangle_points
 
 # Grid offsets (di, dj) from vertex i (n + 1) + j to the vertices its P1 couplings and ghost
 # faces reach, in ascending order of the id offset 0, +-1, +-n, +-(n+1), +-(n+2), +-(n+3), +-(2n+3).
@@ -99,12 +99,6 @@ class FeFunction:
     coefficients: np.ndarray
     dofmap: DofMap
 
-    def vertex_values(self, t):
-        dofmap = self.dofmap
-        if not dofmap.topology.is_active(t):
-            raise ValueError(f"triangle {t} is not in the active mesh")
-        return self.coefficients[dofmap.vertex_to_dof[dofmap.mesh.triangle_vertices(t)]]
-
 
 def hat_gradients(coords):
     """Constant gradients of the three barycentric hat functions.
@@ -115,24 +109,6 @@ def hat_gradients(coords):
     e = np.roll(coords, -2, axis=-2) - np.roll(coords, -1, axis=-2)  # edge opposite vertex i
     area2 = cross2(coords[..., 1, :] - coords[..., 0, :], coords[..., 2, :] - coords[..., 0, :])
     return np.stack([-e[..., 1], e[..., 0]], axis=-1) / area2[..., None, None]
-
-
-def evaluate(f, t, x):
-    """Value of ``f`` at points ``x`` inside active triangle ``t``.
-
-    No solver path calls it; it is how library code reads a discrete solution at a point.
-    """
-    values = f.vertex_values(t)  # first, so that a triangle off the active mesh is named
-    vals = _barycentric(f.dofmap.mesh.triangle_coords(t), x) @ values
-    return vals if np.asarray(x).ndim > 1 else float(vals[0])
-
-
-def gradient(f, t):
-    """Gradient of ``f`` on active triangle ``t`` (constant per triangle).
-
-    No solver path calls it; it is how library code reads a discrete gradient on a cell.
-    """
-    return f.vertex_values(t) @ hat_gradients(f.dofmap.mesh.triangle_coords(t))
 
 
 def clement_interpolate(u, dofmap):

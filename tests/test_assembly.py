@@ -372,6 +372,22 @@ def test_assemble_system_bundles(domain_mixed, disc_mixed_8):
     assert np.array_equal(system.b, assemble_load(dofmap, params, problem))
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_refinement_toward_the_junction_resolves_the_singular_energy_error(domain_mixed, n):
+    """The singular energy error at the default refinement lies within 5e-4 of a 28-level one.
+
+    The leaf that holds the junction integrates |grad u|^2 ~ 1 / (4 r) with a rule for smooth
+    integrands, and each level halves the gap: with 8 levels (``REFINE_LEVELS``) it reads
+    -2.0e-4 and -6.0e-5 relative at n = 16 and 64, with 4 levels -3.2e-3 and -9.8e-4.
+    """
+    problem = manufactured_singular(domain_mixed)
+    dofmap, params = discretize(domain_mixed, n)
+    system = assemble_system(dofmap, params, problem)
+    u_h = solve_standard(system, dofmap).solution
+    energy = error_norms(problem, u_h, system.S).energy
+    assert abs(energy / error_norms(problem, u_h, system.S, 28).energy - 1.0) <= 5e-4
+
+
 @pytest.mark.parametrize("reach", [2.0, 1e-12])  # of the error norms, of the Dirichlet cells
 def test_refined_cells_match_distance_definition(domain_mixed, reach):
     """The cells within ``reach`` h of a point, each with the first such point: error_norms

@@ -196,7 +196,7 @@ def test_classify_matches_sampling_oracle(domain_mixed, rng):
     for t in range(mesh.n_triangles):
         pts = bary @ mesh.triangle_coords(t)
         sampled_active = bool(np.any(signed_distance(domain_mixed, pts) < 0.0))
-        assert sampled_active == bool(topo.is_active(t)), f"triangle {t}"
+        assert sampled_active == (topo.classification[t] != OUTSIDE), f"triangle {t}"
 
 
 def test_classify_a_circle_tangent_to_a_grid_line():
@@ -238,7 +238,7 @@ def test_ghost_faces_brute_force(domain_mixed):
     # every ghost face is interior to the active mesh with a cut neighbor
     for f in np.searchsorted(face_keys(mesh.n, faces), topo.ghost_faces):
         t1, t2 = face_tris[f]
-        assert topo.is_active(t1) and topo.is_active(t2)
+        assert OUTSIDE not in (topo.classification[t1], topo.classification[t2])
         assert CUT in (topo.classification[t1], topo.classification[t2])
 
 

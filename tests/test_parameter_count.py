@@ -12,8 +12,8 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cutpoisson"
-MAX_DEFAULTED = 51
-MAX_PARAMETERS = 293
+MAX_DEFAULTED = 50
+MAX_PARAMETERS = 281
 
 
 def parameter_counts(root=SRC):

@@ -7,14 +7,19 @@ import pytest
 from cutpoisson import LevelSetDomain, build_rules, classify, cut_boundary_rule, cut_volume_rule
 from cutpoisson.mesh import CUT, INSIDE, _point_triangle_distance, build_background
 from cutpoisson.quadrature import (
+    _BOUNDARY_ORDER,
+    _MAX_PIECE,
+    DEFAULT_TOL,
     MIN_TOL,
+    _cut_volume_rules,
+    _segment_order,
+    _segment_rules,
+    _tiling_arcs,
     _tri_area,
     build_rules_batch,
-    cut_boundary_rules,
-    cut_volume_rules,
     refine_rule_toward,
 )
-from cutpoisson.study import sweep_shifts
+from cutpoisson.study import manufactured_singular, sweep_shifts
 from tests.conftest import (
     boundary_is_dirichlet,
     exact_disk_triangle_area,
@@ -160,6 +165,38 @@ def test_packed_interior_rule_equals_cut_volume_rule(domain_mixed):
             assert np.array_equal(translates, np.tile(rule.weights, len(inside)))
 
 
+def test_segment_moments_match_their_closed_forms():
+    """At ``MIN_TOL`` the segment rule integrates 1, x and x x^T over segments of every width up
+    to ``_MAX_PIECE`` within ``MIN_TOL`` of their closed forms.
+
+    About the centre, in the frame of its axis, a segment of half-angle a has mass
+    R^2 (a - sin a cos a) and first moment 2/3 R^3 sin^3 a along the axis; its second moments are
+    R^4 / 4 (a + sin a cos a - 2 cos^3 a sin a) along the axis and
+    R^4 / 4 (a - sin a cos a - 2/3 sin^3 a cos a) across it.  Radially every integrand is r dr
+    times a polynomial of degree at most 2, which two Gauss points integrate exactly and one
+    does not.  The closed forms cancel like 1 / a^2, so they are taken in extended precision.
+    """
+    domain = LevelSetDomain((0.3, -0.2), 0.7, ())
+    R = domain.radius
+    alpha = np.geomspace(2e-3, _MAX_PIECE, 25)
+    psi = np.linspace(0.0, 2.0 * math.pi, len(alpha), endpoint=False)
+    points, weights = _segment_rules(domain, psi, alpha, _segment_order(MIN_TOL))
+    axis = psi + 0.5 * alpha
+    rel = points - domain.center_array
+    u = rel[..., 0] * np.cos(axis)[:, None] + rel[..., 1] * np.sin(axis)[:, None]
+    v = rel[..., 1] * np.cos(axis)[:, None] - rel[..., 0] * np.sin(axis)[:, None]
+    got = np.column_stack([(weights * f).sum(axis=1) for f in (1.0, u, v, u * u, v * v, u * v)])
+    a = 0.5 * alpha.astype(np.longdouble)
+    sa, ca = np.sin(a), np.cos(a)
+    mass = R**2 * (a - sa * ca)
+    zero = 0.0 * a
+    along = R**4 / 4 * (a + sa * ca - 2 * ca**3 * sa)
+    across = R**4 / 4 * (a - sa * ca - 2 * sa**3 * ca / 3)
+    exact = np.column_stack([mass, 2 * R**3 * sa**3 / 3, zero, along, across, zero]).astype(float)
+    scale = MIN_TOL * np.outer(mass.astype(float), [1.0, R, R, R * R, R * R, R * R])
+    assert np.all(np.abs(got - exact) <= scale)
+
+
 UNIT_MIXED = LevelSetDomain((0.0, 0.0), 1.0, ((0.0, math.pi),))
 
 def test_disk_poking_through_one_edge():
@@ -235,8 +272,8 @@ def test_one_cell_rules_are_slices_of_the_batched_rules(domain_mixed):
     topo = classify(mesh, domain_mixed)
     coords = mesh.triangle_coords(topo.active)
     cut = np.flatnonzero(topo.classification[topo.active] == CUT)
-    volume = cut_volume_rules(coords, domain_mixed)
-    boundary = cut_boundary_rules(coords[cut], domain_mixed)
+    volume = cut_volume_rule(coords, domain_mixed)
+    boundary = cut_boundary_rule(coords[cut], domain_mixed)
     assert all(np.all(np.diff(part.owner) >= 0) for part in boundary)
     for i, k in enumerate(cut):
         rule = cut_volume_rule(coords[k], domain_mixed)
@@ -264,7 +301,7 @@ def test_build_rules_volume_equals_the_frontier_over_all_active_cells(
     mesh = build_background(box, n, shift)
     topo = classify(mesh, domain)
     volume = packed_volume_rule(build_rules(topo))
-    oracle = cut_volume_rules(mesh.triangle_coords(topo.active), domain)
+    oracle = cut_volume_rule(mesh.triangle_coords(topo.active), domain)
     assert np.array_equal(volume.owner, oracle.owner)
     cut = (topo.classification[topo.active] == CUT)[oracle.owner]
     assert np.array_equal(volume.points[cut], oracle.points[cut])
@@ -348,3 +385,63 @@ def test_batched_rules_reject_topologies_of_two_domains(domain_dirichlet, domain
     topologies = [classify(mesh, domain_mixed), classify(mesh, domain_dirichlet)]
     with pytest.raises(ValueError, match="must share their domain"):
         build_rules_batch(topologies, 1e-10)
+
+
+def _neumann_flux_ratio(rules, domain):
+    """The singular problem's Neumann flux total over the rules, relative to the integral of |g_N|.
+
+    u = sqrt(r) sin(theta / 2) about a junction is even about the diameter through it, which
+    splits the circle into the Dirichlet and the Neumann half; so each half carries half of the
+    total flux of a harmonic function, 0.
+    """
+    g = manufactured_singular(domain).g_N(rules.neumann.points)
+    return abs(rules.neumann.weights @ g) / (rules.neumann.weights @ np.abs(g))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_junction_grading_resolves_the_singular_neumann_data(domain_mixed, n):
+    """On the mixed disk the singular Neumann flux total stays below 3e-4 of the integral of |g_N|.
+
+    g_N grows like a^(-1/2) in the distance a from a junction, so the pieces that end there are
+    graded toward it: with 16 levels (``_GRADE_LEVELS``) the total reads 5.0e-5 and 3.1e-5 at
+    n = 16 and 64, with 4 levels 3.2e-3 and 2.0e-3.
+    """
+    _, _, rules = disk_rules(domain_mixed, n)
+    assert _neumann_flux_ratio(rules, domain_mixed) < 3e-4
+
+
+def test_the_junction_panels_wherever_the_junctions_sit():
+    """For 96 positions of the junction pair on the R = 0.7 disk at n = 16, no boundary panel is
+    narrower than 1e-13 rad, and the singular Neumann flux total stays below 1e-3 of the integral
+    of |g_N| (at most 3.7e-4).
+
+    One position, an ulp below 5 pi / 4, puts the junctions within rounding of the circle's
+    crossings with the grid diagonal y = x: splitting the arcs there would add panels of about
+    1e-16 rad.  There the piece ends that the split puts at a junction also come out an ulp off
+    its angle, and must still be graded toward it; ungraded, the flux total reads 4.8e-3.
+    """
+    mesh = build_background((-1.0, -1.0, 1.0, 1.0), 16)
+    for start in np.linspace(0.0, 2.0 * math.pi, 97)[:-1]:
+        domain = LevelSetDomain((0.0, 0.0), 0.7, ((start, start + math.pi),))
+        rules = build_rules(classify(mesh, domain))
+        for part in (rules.dirichlet, rules.neumann):
+            widths = part.weights.reshape(-1, _BOUNDARY_ORDER).sum(axis=1) / domain.radius
+            assert widths.min() > 1e-13, start
+        assert _neumann_flux_ratio(rules, domain) < 1e-3, start
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_tiling_keeps_the_bits_of_arcs_that_only_abut(n):
+    """On shifted grids, where no two cells claim one arc, ``_tiling_arcs`` moves no arc.
+
+    An arc ends at start + width, which can round an ulp past the next arc's start, and the last
+    arc wraps round 2 pi; an overlap under 1e-13 is such rounding and moves no arc, so the
+    boundary panels start where the volume rule's arc pieces do.
+    """
+    box = (-1.0, -1.0, 1.0, 1.0)
+    for radius in (0.45, 0.7):
+        domain = LevelSetDomain((0.0, 0.0), radius, ((0.0, math.pi),))
+        for shift in sweep_shifts(box, n, 20):
+            topo = classify(build_background(box, n, shift), domain)
+            arcs = _cut_volume_rules(topo.mesh.triangle_coords(topo.cut), domain, DEFAULT_TOL)[1]
+            assert all(np.array_equal(a, b) for a, b in zip(_tiling_arcs(arcs), arcs)), shift

@@ -14,11 +14,9 @@ from cutpoisson import (
     build_rules,
     classify,
     clement_interpolate,
-    evaluate,
-    gradient,
 )
 from cutpoisson.assembly import assemble_ghost_penalty, assemble_load, assemble_nitsche, error_norms
-from cutpoisson.mesh import INSIDE, build_background
+from cutpoisson.mesh import build_background
 from cutpoisson.quadrature import _full_triangle_points
 from cutpoisson.study import (
     interpolation_study,
@@ -46,62 +44,6 @@ def fitted_two_triangles():
 
 def nodal(dofmap, fn):
     return FeFunction(fn(dofmap.mesh.vertex_coords(dofmap.dof_to_vertex)), dofmap)
-
-
-def test_constant_function(fitted_two_triangles):
-    mesh, topo, dofmap = fitted_two_triangles
-    f = FeFunction(np.ones(dofmap.ndof), dofmap)
-    assert evaluate(f, 0, np.array([0.2, 0.1])) == pytest.approx(1.0)
-    assert np.allclose(gradient(f, 0), 0.0)
-    assert np.allclose(gradient(f, 1), 0.0)
-
-
-def test_linear_function_gradient(fitted_two_triangles):
-    mesh, topo, dofmap = fitted_two_triangles
-    f = nodal(dofmap, lambda v: v[:, 0])
-    for t in range(2):
-        assert np.allclose(gradient(f, t), [1.0, 0.0], atol=1e-14)
-    assert evaluate(f, 0, np.array([0.3, 0.2])) == pytest.approx(0.3)
-
-
-def test_gradient_matches_finite_differences(domain_mixed, disc_mixed_8, rng):
-    dofmap, params = disc_mixed_8
-    mesh, topo = dofmap.mesh, dofmap.topology
-    f = FeFunction(rng.standard_normal(dofmap.ndof), dofmap)
-    for t in np.flatnonzero(topo.classification == INSIDE)[:5]:
-        coords = mesh.triangle_coords(t)
-        centroid = coords.mean(axis=0)
-        g = gradient(f, t)
-        step = 1e-8 * mesh.h
-        for axis, dv in enumerate((np.array([step, 0]), np.array([0, step]))):
-            fd = (
-                evaluate(f, t, centroid + dv) - evaluate(f, t, centroid - dv)
-            ) / (2 * step)
-            assert abs(fd - g[axis]) < 1e-6
-
-
-def test_inactive_triangle_rejected(disc_mixed_8):
-    dofmap, params = disc_mixed_8
-    topo = dofmap.topology
-    outside = np.flatnonzero(topo.classification == 2)
-    f = FeFunction(np.zeros(dofmap.ndof), dofmap)
-    message = f"triangle {outside[0]} is not in the active mesh"
-    with pytest.raises(ValueError, match=message):
-        evaluate(f, int(outside[0]), np.zeros(2))
-    with pytest.raises(ValueError, match=message):
-        gradient(f, int(outside[0]))
-    with pytest.raises(ValueError, match=message):
-        f.vertex_values(int(outside[0]))
-    # an id off the grid is named, not wrapped around to a triangle from the end
-    n_triangles = dofmap.mesh.n_triangles
-    for t in (-1, -8, n_triangles):
-        message = f"triangle {t} is not on the grid of {n_triangles} triangles"
-        with pytest.raises(ValueError, match=message):
-            evaluate(f, t, np.zeros(2))
-        with pytest.raises(ValueError, match=message):
-            gradient(f, t)
-        with pytest.raises(ValueError, match=message):
-            f.vertex_values(t)
 
 
 def test_the_dofmap_carries_the_rules_it_was_numbered_on(domain_mixed):
